@@ -4,7 +4,7 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: verify build test doc clippy bench-trace test-soak bench-failover bench-datapath bench-datapath-smoke bench-attribution bench-attribution-smoke test-flight triage-check triage-smoke triage-baseline bench-backplane backplane-smoke test-chaos bench-chaos chaos-smoke test-shard bench-scale bench-scale-smoke bench-telemetry bench-telemetry-smoke test-timeline test-doctor bench-doctor doctor-smoke
+.PHONY: verify build test doc clippy bench-trace test-soak bench-failover bench-datapath bench-datapath-smoke bench-attribution bench-attribution-smoke test-flight triage-check triage-smoke triage-baseline bench-backplane backplane-smoke test-chaos bench-chaos chaos-smoke test-shard bench-scale bench-scale-smoke bench-telemetry bench-telemetry-smoke test-timeline test-doctor bench-doctor doctor-smoke perf-smoke
 
 verify: build test doc clippy
 
@@ -128,8 +128,10 @@ test-shard:
 
 # Scale-out bench: 64-node all-to-all / incast / lossy cells through the
 # full protocol stack at shard counts {1,2,4}; asserts cross-shard-count
-# fingerprint equality and ≥2× frames/wall-s on the all-to-all cell at 4
-# shards; writes results/BENCH_scale.json.
+# fingerprint and fault-decision equality, reports frames/wall-s and
+# `speedup_max_vs_1` per cell (no speedup gate: one core gains nothing from
+# sharding now that the engine is O(log n) per dense quantum); writes
+# results/BENCH_scale.json.
 bench-scale:
 	$(CARGO) bench $(OFFLINE) -p multiedge-bench --bench scale
 
@@ -182,3 +184,11 @@ bench-doctor:
 # CI smoke flavour: reduced cells, same gates and artifacts.
 doctor-smoke:
 	DOCTOR_SMOKE=1 timeout 300 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench doctor
+
+# The perf/ benchmark's own checks (BENCHMARK.json): every workload at 2 %
+# of its ops — memory contents, op counts, quiescence, frame accounting —
+# with no timing reported or judged. Keeps the benchmark building and
+# passing against the crates; the timed modes are run by hand
+# (perf/README.md), never in CI.
+perf-smoke:
+	bash perf/run.sh --smoke

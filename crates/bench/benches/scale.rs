@@ -2,19 +2,20 @@
 //!
 //! Runs the 64-node all-to-all transpose, the 64-node incast fan-in, and
 //! the lossy determinism cell at shard counts {1, 2, 4}, then enforces the
-//! two contracts of the parallel engine:
+//! determinism contract of the parallel engine: for a fixed seed, the
+//! timing-independent fingerprint (per-node ops/bytes/unique-frames/memory
+//! checksum) must be bit-identical at every shard count, and the eager
+//! fault-decision streams must agree as functions on every
+//! `(stream, attempt)` index both runs drew.
 //!
-//! * **Determinism gate** — for a fixed seed, the timing-independent
-//!   fingerprint (per-node ops/bytes/unique-frames/memory checksum) must be
-//!   bit-identical at every shard count, and the eager fault-decision
-//!   streams must agree as functions on every `(stream, attempt)` index
-//!   both runs drew.
-//! * **Perf gate** (full profile only) — the all-to-all cell must serialize
-//!   at least 2× the frames per wall-second at 4 shards vs 1 shard.
+//! Frames per wall-second and `speedup_max_vs_1` are reported, not gated:
+//! the ≥2× this bench once demanded of 4 cooperative shards on one core was
+//! the event queue's O(chain) mid-drain insert being divided by the shard
+//! count, and went away with it (`docs/PERFORMANCE.md` § Scaling out). A
+//! speedup gate returns when threaded runs on several cores are committed.
 //!
 //! Writes `results/BENCH_scale.json`. `SCALE_SMOKE=1` runs reduced cells
-//! for CI; the smoke profile keeps the determinism gate but skips the
-//! speedup assertion (the cells are too small to measure it honestly).
+//! for CI under the same gates.
 
 use me_trace::{Json, SCHEMA_VERSION};
 use multiedge_bench::scale::{
@@ -28,7 +29,7 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// `SCALE_ONLY=<substring>` restricts the run to matching cells;
 /// `SCALE_SHARDS=<n>[,<n>...]` overrides the shard sweep. Both are local
-/// triage knobs — the gates only count when the full sweep runs.
+/// triage knobs.
 fn shard_counts() -> Vec<usize> {
     match std::env::var("SCALE_SHARDS") {
         Ok(v) => v
@@ -133,10 +134,8 @@ fn main() {
 
     let counts = shard_counts();
     let only = std::env::var("SCALE_ONLY").ok();
-    let gates_active = only.is_none() && counts == SHARD_COUNTS;
 
     let mut rows = Vec::new();
-    let mut speedups = Vec::new();
     for cell in &cells {
         if let Some(pat) = &only {
             if !cell.name.contains(pat.as_str()) {
@@ -157,7 +156,6 @@ fn main() {
             speedup,
             counts
         );
-        speedups.push((cell.name.clone(), speedup));
         rows.push(
             Json::obj()
                 .set("name", cell.name.clone())
@@ -184,19 +182,4 @@ fn main() {
     std::fs::create_dir_all(results_dir()).expect("create results dir");
     std::fs::write(&out, doc.render_pretty()).expect("write BENCH_scale.json");
     println!("wrote {}", out.display());
-
-    // Perf gate last, after the artifact is on disk for triage. Only the
-    // full profile with the canonical sweep enforces it; smoke cells are
-    // too small to measure the speedup honestly.
-    if !smoke && gates_active {
-        for (name, speedup) in &speedups {
-            if name.starts_with("all_to_all") {
-                assert!(
-                    *speedup >= 2.0,
-                    "cell '{name}': 4-shard run must be >= 2x the 1-shard \
-                     frames/wall-s (got {speedup:.2}x)"
-                );
-            }
-        }
-    }
 }

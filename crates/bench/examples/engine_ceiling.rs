@@ -59,11 +59,16 @@ fn main() {
         count.get() as f64 / dt.as_secs_f64() / 1e6
     );
 
-    // (c) Lane-density sweep: the per-event cost of the timer wheel grows
-    // with the number of events sharing a quantum (mid-drain inserts walk
-    // the slot chain). This curve is why sharding pays even on one core:
-    // splitting a dense simulation into k shards cuts every chain by ~k.
+    // (c) Lane-density sweep: how the per-event cost of the queue moves
+    // with the number of events sharing a wheel quantum. An event scheduled
+    // into the quantum being drained goes to the heap, so the cost grows
+    // with log2(lanes), not with lanes; the queue counters beside each row
+    // show where the entries went.
     println!("\nlane-density sweep (1M events each):");
+    println!(
+        "  {:>5}  {:>9}  {:>9}  {:>10}  {:>10}  {:>10}  {:>11}",
+        "lanes", "Mevents/s", "max slot", "mid-drain", "heap push", "heap pop", "steps/event"
+    );
     for lanes in [16u64, 64, 256, 1024, 4096] {
         let sim = Sim::new(1);
         let count = Rc::new(Cell::new(0u64));
@@ -86,16 +91,22 @@ fn main() {
         let t = Instant::now();
         sim.run();
         let dt = t.elapsed();
+        let q = sim.queue_stats();
         println!(
-            "  {lanes:>5} lanes: {:.2}M events/s",
-            count.get() as f64 / dt.as_secs_f64() / 1e6
+            "  {lanes:>5}  {:>9.2}  {:>9}  {:>10}  {:>10}  {:>10}  {:>11.2}",
+            count.get() as f64 / dt.as_secs_f64() / 1e6,
+            q.max_slot_population,
+            q.mid_drain_arrivals,
+            q.heap_pushes,
+            q.heap_pops,
+            q.order_steps as f64 / count.get() as f64,
         );
     }
 
     // (d) The sharded runtime on a raw-frame all-to-all burst: per-shard
     // event throughput, boundary-channel occupancy and lookahead stalls.
-    // Same workload at every shard count; the speedup is the chain-length
-    // reduction from (c) minus the window-synchronization overhead.
+    // Same workload at every shard count, all on this one thread: what
+    // differs between the rows is the window-synchronization overhead.
     println!("\nsharded raw-frame all-to-all (32 nodes, 4 rails, 40 frames/pair):");
     let spec = ClusterSpec::gbe_1(32, 4);
     for shards in [1usize, 2, 4] {

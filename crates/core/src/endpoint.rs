@@ -446,8 +446,8 @@ impl Endpoint {
         len: usize,
         flags: OpFlags,
     ) -> OpHandle {
-        let data = self.inner.borrow().memory.read_vec(local_addr, len);
-        self.write_bytes(conn, remote_addr, data, flags).await
+        let data = self.inner.borrow().memory.read_bytes(local_addr, len);
+        self.write_payload(conn, remote_addr, data, flags).await
     }
 
     /// Like [`Endpoint::write`] but the payload is provided directly (models
@@ -457,6 +457,19 @@ impl Endpoint {
         conn: usize,
         remote_addr: u64,
         data: Vec<u8>,
+        flags: OpFlags,
+    ) -> OpHandle {
+        self.write_payload(conn, remote_addr, Bytes::from(data), flags)
+            .await
+    }
+
+    /// Common body of the two write calls: the payload is already in the
+    /// buffer the frames will share.
+    async fn write_payload(
+        &self,
+        conn: usize,
+        remote_addr: u64,
+        data: Bytes,
         flags: OpFlags,
     ) -> OpHandle {
         let len = data.len();
@@ -481,7 +494,7 @@ impl Endpoint {
         let ep = self.clone();
         let h = handle.clone();
         self.sim.schedule_at(end, move |_| {
-            ep.issue_write(conn, remote_addr, Bytes::from(data), flags, h, created_ns);
+            ep.issue_write(conn, remote_addr, data, flags, h, created_ns);
         });
         sleep_until(&self.sim, end).await;
         handle
@@ -1604,7 +1617,7 @@ impl Endpoint {
             let mut inner = self.inner.borrow_mut();
             let max_payload = inner.cfg.proto.max_payload;
             let node = inner.node;
-            let data = Bytes::from(inner.memory.read_vec(read_addr, len));
+            let data = inner.memory.read_bytes(read_addr, len);
             let nfrags = len.div_ceil(max_payload).max(1);
             let cost = inner.cfg.cost.copy_cost(len)
                 + (inner.cfg.cost.frame_build + inner.cfg.cost.dma_post) * nfrags as u64;

@@ -6,6 +6,7 @@
 //! space. [`AppMemory`] models that address space as a sparse page table;
 //! pages materialize (zero-filled, like anonymous mmap) on first touch.
 
+use bytes::{Bytes, BytesMut};
 use std::collections::HashMap;
 
 /// Page size of the simulated address space (x86-64's 4 KiB).
@@ -66,6 +67,14 @@ impl AppMemory {
         v
     }
 
+    /// Read `len` bytes starting at `addr` into a fresh shareable payload
+    /// buffer: one allocation, filled in place.
+    pub fn read_bytes(&self, addr: u64, len: usize) -> Bytes {
+        let mut buf = BytesMut::zeroed(len);
+        self.read(addr, &mut buf);
+        buf.freeze()
+    }
+
     /// Number of materialized pages (footprint accounting).
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
@@ -101,6 +110,19 @@ mod tests {
         // Neighbouring bytes untouched.
         assert_eq!(m.read_vec(addr - 4, 4), vec![0u8; 4]);
         assert_eq!(m.read_vec(addr + 300, 4), vec![0u8; 4]);
+    }
+
+    #[test]
+    fn read_bytes_matches_read_vec() {
+        let mut m = AppMemory::new();
+        let addr = (PAGE_SIZE as u64) * 2 - 7;
+        let data: Vec<u8> = (0..5000).map(|i| (i % 253) as u8).collect();
+        m.write(addr, &data);
+        // Spans a hole before, three pages of data, and a hole after.
+        let b = m.read_bytes(addr - 10, 5020);
+        assert_eq!(b, m.read_vec(addr - 10, 5020));
+        assert_eq!(b.slice(10..5010), data);
+        assert!(m.read_bytes(0, 0).is_empty());
     }
 
     #[test]

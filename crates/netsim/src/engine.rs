@@ -14,19 +14,27 @@
 //! The event queue is the innermost loop of every benchmark, so it avoids
 //! per-event heap traffic twice over:
 //!
-//! * **Inline closures.** Event closures are stored in a fixed 160-byte
-//!   buffer inside the queue entry (`InlineEvent`) instead of a
-//!   `Box<dyn FnOnce>`; only closures too big for the buffer fall back to a
-//!   box. The protocol's hot closures (a handful of `Rc` handles plus a
-//!   frame) fit inline, so steady-state scheduling allocates nothing.
+//! * **Inline closures.** Event closures live in a slab of fixed 160-byte
+//!   buffers (`InlineEvent`) instead of a `Box<dyn FnOnce>` each; only
+//!   closures too big for the buffer fall back to a box. A closure is
+//!   written straight into its slab slot when scheduled and moved out
+//!   exactly once, by its own monomorphized `call`, when it runs — queue
+//!   entries carry a 4-byte handle. The protocol's hot closures (a handful
+//!   of `Rc` handles plus a frame) fit inline, so steady-state scheduling
+//!   allocates nothing.
 //!
-//! * **A staging timer wheel.** Near-future events land in a hashed wheel
-//!   (slot = time quantum mod wheel size) as an O(1) append; only events
-//!   beyond the wheel horizon use the `BinaryHeap`. A slot is sorted once,
-//!   lazily, when it becomes the next candidate. Because the pop loop
-//!   always takes the global `(time, seq)` minimum across wheel and heap,
-//!   execution order — and therefore every RNG draw and statistic — is
-//!   bit-identical to the heap-only engine.
+//! * **A staging timer wheel in front of one heap.** An event for a later
+//!   quantum (2^15 ns) lands in a hashed wheel (slot = quantum mod wheel
+//!   size) as an O(1) prepend to an unordered chain. When the drain reaches
+//!   a quantum, its chain is moved out whole into the *run*, a vector
+//!   sorted once and popped from the back. Everything else goes to the
+//!   `BinaryHeap`: events beyond the wheel horizon, and events scheduled
+//!   into the quantum already being drained — O(log n) in the entries that
+//!   share the quantum, never a walk over them. The pop loop takes the
+//!   `(time, seq)` minimum of run and heap, and every staged entry is
+//!   later than both, so execution order — and therefore every RNG draw
+//!   and statistic — is bit-identical to a heap-only engine.
+//!   [`Sim::queue_stats`] counts how the queue was used.
 //!
 //! High-churn timers (interrupt moderation and the like) can additionally be
 //! armed through [`Sim::schedule_timer_in`], which returns a [`TimerId`]
@@ -52,7 +60,7 @@ use std::task::{Context, Poll, Waker};
 
 /// Identifier of a spawned task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TaskId(usize);
+pub struct TaskId(u32);
 
 // ---------------------------------------------------------------------------
 // Inline event storage
@@ -89,55 +97,61 @@ impl<F: FnOnce(&Sim) + 'static> Vt<F> {
     };
 }
 
-/// A `FnOnce(&Sim)` stored inline in the queue entry (no allocation) when it
-/// fits in [`INLINE_BYTES`], with a boxed fallback for oversized closures.
+/// One slot of the event slab: a `FnOnce(&Sim)` stored in place (no
+/// allocation) when it fits in [`INLINE_BYTES`], with a boxed fallback for
+/// oversized closures.
 struct InlineEvent {
     buf: [MaybeUninit<u128>; INLINE_WORDS],
-    /// `None` after the closure has been taken (invoked) — also the Drop
-    /// guard: a live vtable means the buffer holds a value to destroy.
+    /// `None` while the slot is empty or once its closure has been taken
+    /// (invoked or discarded) — also the Drop guard: a live vtable means
+    /// the buffer holds a value to destroy.
     vtable: Option<&'static EventVtable>,
 }
 
 impl InlineEvent {
-    fn new<F: FnOnce(&Sim) + 'static>(f: F) -> Self {
+    /// A slot holding no closure.
+    fn empty() -> Self {
+        Self {
+            buf: [MaybeUninit::uninit(); INLINE_WORDS],
+            vtable: None,
+        }
+    }
+
+    /// Move `f` into this (empty) slot, boxing it first when it does not fit.
+    fn put<F: FnOnce(&Sim) + 'static>(&mut self, f: F) {
         if std::mem::size_of::<F>() <= INLINE_BYTES && std::mem::align_of::<F>() <= 16 {
-            Self::store(f)
+            self.put_inline(f)
         } else {
             // The box itself (a 16-byte fat pointer) is stored inline; its
             // `FnOnce` impl forwards to the heap closure.
             let boxed: Box<dyn FnOnce(&Sim)> = Box::new(f);
-            Self::store(boxed)
+            self.put_inline(boxed)
         }
     }
 
-    fn store<F: FnOnce(&Sim) + 'static>(f: F) -> Self {
-        debug_assert!(std::mem::size_of::<F>() <= INLINE_BYTES);
-        debug_assert!(std::mem::align_of::<F>() <= 16);
-        let mut buf = [MaybeUninit::<u128>::uninit(); INLINE_WORDS];
-        // Safety: the buffer is 16-byte aligned and large enough (checked
-        // above); ownership of `f` moves into the buffer.
-        unsafe { std::ptr::write(buf.as_mut_ptr().cast::<F>(), f) };
-        Self {
-            buf,
-            vtable: Some(&Vt::<F>::VTABLE),
-        }
+    fn put_inline<F: FnOnce(&Sim) + 'static>(&mut self, f: F) {
+        assert!(std::mem::size_of::<F>() <= INLINE_BYTES && std::mem::align_of::<F>() <= 16);
+        debug_assert!(self.vtable.is_none(), "slot already holds a closure");
+        // SAFETY: the buffer is 16-byte aligned and large enough (asserted
+        // above, at compile time); ownership of `f` moves into it. A closure
+        // already there would leak, not be read.
+        unsafe { std::ptr::write(self.buf.as_mut_ptr().cast::<F>(), f) };
+        self.vtable = Some(&Vt::<F>::VTABLE);
     }
 
-    fn invoke(mut self, sim: &Sim) {
+    /// Destroy the closure without running it (no-op once taken).
+    fn discard(&mut self) {
         if let Some(vt) = self.vtable.take() {
-            // Safety: vtable was live, so the buffer holds the closure; it
-            // is read exactly once and the cleared vtable disarms Drop.
-            unsafe { (vt.call)(self.buf.as_mut_ptr().cast::<u8>(), sim) }
+            // SAFETY: a live vtable means the buffer still owns the closure;
+            // taking it makes this the only drop.
+            unsafe { (vt.drop_in_place)(self.buf.as_mut_ptr().cast::<u8>()) }
         }
     }
 }
 
 impl Drop for InlineEvent {
     fn drop(&mut self) {
-        if let Some(vt) = self.vtable.take() {
-            // Safety: a live vtable means the buffer still owns the closure.
-            unsafe { (vt.drop_in_place)(self.buf.as_mut_ptr().cast::<u8>()) }
-        }
+        self.discard();
     }
 }
 
@@ -174,8 +188,7 @@ struct TimerRec {
 
 /// What a queue entry runs. `Call` holds a handle into the event slab
 /// rather than the closure itself, keeping queue entries small and `Copy` —
-/// heap sifts and wheel-slot sorts move 40 bytes, not a 160-byte closure
-/// buffer.
+/// heap sifts and run sorts move 32 bytes, not a 160-byte closure buffer.
 #[derive(Clone, Copy)]
 enum What {
     Call(u32),
@@ -214,6 +227,28 @@ impl Ord for Scheduled {
 // Timer wheel
 // ---------------------------------------------------------------------------
 
+/// How the event queue was used since the [`Sim`] was created — the numbers
+/// that show a dense quantum directly (see [`Sim::queue_stats`]). Plain
+/// counters, always on; they feed no protocol or network statistic.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Most entries a wheel slot held when the drain reached it.
+    pub max_slot_population: u64,
+    /// Events scheduled into the quantum already being drained; they go to
+    /// the heap instead of the wheel.
+    pub mid_drain_arrivals: u64,
+    /// Heap insertions: mid-drain arrivals plus events beyond the wheel
+    /// horizon.
+    pub heap_pushes: u64,
+    /// Heap removals (executed or cancelled).
+    pub heap_pops: u64,
+    /// Upper bound on the key comparisons spent placing events while
+    /// scheduling them: the heap's depth, ⌊log₂ len⌋, per heap insertion (a
+    /// sift-up compares at most once per level); a wheel prepend compares
+    /// nothing.
+    pub order_steps: u64,
+}
+
 /// log2 of the wheel quantum in nanoseconds (2^15 ns ≈ 32.8 µs).
 const QUANTUM_SHIFT: u32 = 15;
 /// Number of wheel slots. Horizon = slots × quantum ≈ 134 ms, comfortably
@@ -237,25 +272,6 @@ struct WheelEntry {
     next: u32,
 }
 
-#[derive(Clone, Copy)]
-struct WheelSlot {
-    /// Head of this slot's arena chain (`NIL` when empty). Push order until
-    /// first drain contact, then relinked in ascending `(time, seq)`.
-    head: u32,
-    /// The chain is sorted and being drained. While set, new arrivals for
-    /// this quantum divert to the heap so sortedness holds.
-    sorted: bool,
-}
-
-impl Default for WheelSlot {
-    fn default() -> Self {
-        Self {
-            head: NIL,
-            sorted: false,
-        }
-    }
-}
-
 fn quantum(t: SimTime) -> u64 {
     t.as_nanos() >> QUANTUM_SHIFT
 }
@@ -271,14 +287,18 @@ struct SimInner {
     now: SimTime,
     seq: u64,
     heap: BinaryHeap<Scheduled>,
-    wheel: Vec<WheelSlot>,
+    /// Head of each slot's arena chain (`NIL` when empty), in push order.
+    wheel: Vec<u32>,
     /// Backing store for every slot's entry chain.
     wheel_arena: Vec<WheelEntry>,
     wheel_free: Vec<u32>,
-    /// Reused by [`SimInner::sort_slot`].
-    wheel_scratch: Vec<(SimTime, u64, u32)>,
-    /// Undrained entries currently in the wheel.
+    /// Entries staged in the wheel (the run is not counted).
     wheel_len: usize,
+    /// The slot being drained, moved out of the wheel and sorted descending
+    /// so the earliest entry pops off the back.
+    run: Vec<Scheduled>,
+    /// Quantum `run` was loaded from.
+    run_q: u64,
     /// No occupied slot has a quantum below this (scan start hint).
     wheel_min_q: u64,
     timers: Vec<TimerRec>,
@@ -293,34 +313,35 @@ struct SimInner {
     current_task: Option<TaskId>,
     rng: SmallRng,
     events_executed: u64,
+    queue_stats: QueueStats,
 }
 
 impl SimInner {
-    /// Park a closure in the event slab, returning its handle.
-    fn store_event(&mut self, ev: InlineEvent) -> u32 {
-        if let Some(i) = self.event_free.pop() {
-            self.event_store[i as usize] = ev;
-            i
-        } else {
-            self.event_store.push(ev);
+    /// Park a closure in the event slab, returning its handle. The closure
+    /// is written straight into its slot, never staged on the stack.
+    fn store_event<F: FnOnce(&Sim) + 'static>(&mut self, f: F) -> u32 {
+        let i = self.event_free.pop().unwrap_or_else(|| {
+            self.event_store.push(InlineEvent::empty());
             (self.event_store.len() - 1) as u32
-        }
+        });
+        self.event_store[i as usize].put(f);
+        i
     }
 
-    /// Move a closure out of the slab, recycling its slot. Only the vtable
-    /// is cleared in place (that alone disarms the slot's Drop); the stale
-    /// buffer bytes are dead and get overwritten by the next occupant.
-    fn take_event(&mut self, i: u32) -> InlineEvent {
+    /// Release slab slot `i` for reuse, handing back its closure as a raw
+    /// `(vtable, buffer)` pair. Only the vtable is cleared (that alone
+    /// disarms the slot's Drop); the closure bytes stay where they are until
+    /// the next [`SimInner::store_event`] overwrites them, so the caller
+    /// must consume them before anything can schedule.
+    fn release_event(&mut self, i: u32) -> Option<(&'static EventVtable, *mut u8)> {
         self.event_free.push(i);
         let slot = &mut self.event_store[i as usize];
-        InlineEvent {
-            buf: slot.buf,
-            vtable: slot.vtable.take(),
-        }
+        let vt = slot.vtable.take()?;
+        Some((vt, slot.buf.as_mut_ptr().cast::<u8>()))
     }
 
-    /// Assign the next sequence number and enqueue, routing near-future
-    /// events to the wheel and far-future ones to the heap.
+    /// Assign the next sequence number and enqueue: later quanta inside the
+    /// horizon are staged in the wheel, everything else goes to the heap.
     fn push_event(&mut self, at: SimTime, timer: TimerId, what: What) {
         let at = at.max(self.now);
         let seq = self.seq;
@@ -332,95 +353,86 @@ impl SimInner {
             what,
         };
         let q = quantum(at);
-        if q >= quantum(self.now) + WHEEL_SLOTS {
+        let mid_drain = q == self.run_q;
+        if mid_drain || q >= quantum(self.now) + WHEEL_SLOTS {
             self.heap.push(ev);
+            let stats = &mut self.queue_stats;
+            stats.mid_drain_arrivals += u64::from(mid_drain);
+            stats.heap_pushes += 1;
+            stats.order_steps += u64::from(self.heap.len().ilog2());
             return;
         }
         let s = (q % WHEEL_SLOTS) as usize;
-        let idx = if let Some(i) = self.wheel_free.pop() {
+        let entry = WheelEntry {
+            ev,
+            next: self.wheel[s],
+        };
+        self.wheel[s] = if let Some(i) = self.wheel_free.pop() {
+            self.wheel_arena[i as usize] = entry;
             i
         } else {
-            self.wheel_arena.push(WheelEntry { ev, next: NIL });
+            self.wheel_arena.push(entry);
             (self.wheel_arena.len() - 1) as u32
         };
-        if self.wheel[s].sorted {
-            // Mid-drain: splice into the chain at its key position so drain
-            // order stays `(time, seq)`-ascending. Chains hold a handful of
-            // entries, so the walk is cheap — and it keeps same-quantum
-            // arrivals (the common case in a busy simulation) off the heap.
-            let key = (ev.time, ev.seq);
-            let mut prev = NIL;
-            let mut cur = self.wheel[s].head;
-            while cur != NIL {
-                let e = &self.wheel_arena[cur as usize];
-                if (e.ev.time, e.ev.seq) > key {
-                    break;
-                }
-                prev = cur;
-                cur = e.next;
-            }
-            self.wheel_arena[idx as usize] = WheelEntry { ev, next: cur };
-            if prev == NIL {
-                self.wheel[s].head = idx;
-            } else {
-                self.wheel_arena[prev as usize].next = idx;
-            }
-        } else {
-            let head = self.wheel[s].head;
-            self.wheel_arena[idx as usize] = WheelEntry { ev, next: head };
-            self.wheel[s].head = idx;
-        }
         self.wheel_len += 1;
-        if q < self.wheel_min_q {
-            self.wheel_min_q = q;
-        }
+        self.wheel_min_q = self.wheel_min_q.min(q);
     }
 
-    /// Relink slot `s`'s chain in ascending `(time, seq)` order.
-    fn sort_slot(&mut self, s: usize) {
-        let mut scratch = std::mem::take(&mut self.wheel_scratch);
-        scratch.clear();
-        let mut i = self.wheel[s].head;
-        while i != NIL {
-            let e = &self.wheel_arena[i as usize];
-            scratch.push((e.ev.time, e.ev.seq, i));
-            i = e.next;
-        }
-        // Relink back-to-front so the minimum key ends up at the head.
-        scratch.sort_unstable_by_key(|&(t, seq, _)| std::cmp::Reverse((t, seq)));
-        let mut head = NIL;
-        for &(_, _, i) in scratch.iter() {
-            self.wheel_arena[i as usize].next = head;
-            head = i;
-        }
-        self.wheel[s].head = head;
-        self.wheel[s].sorted = true;
-        self.wheel_scratch = scratch;
-    }
-
-    /// Locate the wheel's minimum-key entry: the first occupied slot at or
-    /// above the scan hint (slot quanta are unique among live entries, so
-    /// the first occupied slot holds the minimum quantum). Sorts the slot
-    /// on first contact. Only called when `wheel_len > 0`.
+    /// The earliest occupied wheel quantum. Only called when `wheel_len > 0`.
     ///
     /// The hint may be stale after an idle gap (e.g. only heap events ran
-    /// for a while): every live entry's quantum lies in
+    /// for a while): every staged entry's quantum lies in
     /// `[quantum(now), quantum(now) + WHEEL_SLOTS)`, so scanning from below
-    /// `quantum(now)` could wrap onto a slot whose sole occupant belongs to
-    /// a *later* quantum with the same residue. Clamping the scan start to
+    /// `quantum(now)` could wrap onto a slot whose occupants belong to a
+    /// *later* quantum with the same residue. Clamping the scan start to
     /// `quantum(now)` keeps one residue per live window.
-    fn wheel_candidate(&mut self) -> usize {
+    fn staged_quantum(&mut self) -> u64 {
         let mut q = self.wheel_min_q.max(quantum(self.now));
-        loop {
-            let s = (q % WHEEL_SLOTS) as usize;
-            if self.wheel[s].head != NIL {
-                if !self.wheel[s].sorted {
-                    self.sort_slot(s);
-                }
-                self.wheel_min_q = q;
-                return s;
-            }
+        while self.wheel[(q % WHEEL_SLOTS) as usize] == NIL {
             q += 1;
+        }
+        self.wheel_min_q = q;
+        q
+    }
+
+    /// Move quantum `q`'s chain out of the wheel into `run`, sorted.
+    fn load_run(&mut self, q: u64) {
+        // A run loaded ahead of the clock (by `next_event_time`) that an
+        // earlier arrival now preempts waits in the heap instead.
+        self.queue_stats.heap_pushes += self.run.len() as u64;
+        self.heap.extend(self.run.drain(..));
+        let mut i = std::mem::replace(&mut self.wheel[(q % WHEEL_SLOTS) as usize], NIL);
+        while i != NIL {
+            let e = self.wheel_arena[i as usize];
+            self.run.push(e.ev);
+            self.wheel_free.push(i);
+            i = e.next;
+        }
+        self.wheel_len -= self.run.len();
+        let stats = &mut self.queue_stats;
+        stats.max_slot_population = stats.max_slot_population.max(self.run.len() as u64);
+        self.run
+            .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
+        self.run_q = q;
+        self.wheel_min_q = q + 1;
+    }
+
+    /// Time of the globally earliest entry and whether it heads the run
+    /// (else the heap).
+    fn front(&mut self) -> Option<(SimTime, bool)> {
+        if self.wheel_len > 0 && (self.run.is_empty() || self.wheel_min_q < self.run_q) {
+            let q = self.staged_quantum();
+            // Sort a slot only once nothing in the heap precedes it.
+            if self.heap.peek().is_none_or(|h| quantum(h.time) >= q) {
+                self.load_run(q);
+            }
+        }
+        let r = self.run.last().map(|e| (e.time, e.seq));
+        let h = self.heap.peek().map(|e| (e.time, e.seq));
+        match (r, h) {
+            (Some(r), Some(h)) if h < r => Some((h.0, false)),
+            (Some(r), _) => Some((r.0, true)),
+            (None, h) => h.map(|h| (h.0, false)),
         }
     }
 
@@ -430,42 +442,17 @@ impl SimInner {
     /// event stays queued).
     fn pop_next(&mut self, limit: Option<SimTime>) -> Option<Scheduled> {
         loop {
-            let heap_key = self.heap.peek().map(|e| (e.time, e.seq));
-            let wheel_slot = if self.wheel_len > 0 {
-                Some(self.wheel_candidate())
-            } else {
-                None
-            };
-            let wheel_key = wheel_slot.map(|s| {
-                let e = &self.wheel_arena[self.wheel[s].head as usize].ev;
-                (e.time, e.seq)
-            });
-            let take_wheel = match (heap_key, wheel_key) {
-                (None, None) => return None,
-                (Some(_), None) => false,
-                (None, Some(_)) => true,
-                (Some(h), Some(w)) => w < h,
-            };
-            let key = if take_wheel { wheel_key } else { heap_key }.unwrap();
-            if let Some(lim) = limit {
-                if key.0 > lim {
-                    return None;
-                }
+            let (time, from_run) = self.front()?;
+            if limit.is_some_and(|lim| time > lim) {
+                return None;
             }
-            let ev = if take_wheel {
-                let s = wheel_slot.unwrap();
-                let head = self.wheel[s].head;
-                let WheelEntry { ev, next } = self.wheel_arena[head as usize];
-                self.wheel_free.push(head);
-                self.wheel[s].head = next;
-                if next == NIL {
-                    self.wheel[s].sorted = false;
-                }
-                self.wheel_len -= 1;
-                ev
+            let ev = if from_run {
+                self.run.pop()
             } else {
-                self.heap.pop().unwrap()
-            };
+                self.queue_stats.heap_pops += 1;
+                self.heap.pop()
+            }
+            .expect("front() saw this entry");
             if ev.timer != TimerId::NONE {
                 let rec = &mut self.timers[ev.timer.idx as usize];
                 if !(rec.armed && rec.gen == ev.timer.gen) {
@@ -473,7 +460,8 @@ impl SimInner {
                     // clock and event counter are untouched — a later live
                     // event will advance them past this point anyway.
                     if let What::Call(idx) = ev.what {
-                        drop(self.take_event(idx));
+                        self.event_store[idx as usize].discard();
+                        self.event_free.push(idx);
                     }
                     continue;
                 }
@@ -548,11 +536,12 @@ impl Sim {
                 now: SimTime::ZERO,
                 seq: 0,
                 heap: BinaryHeap::new(),
-                wheel: (0..WHEEL_SLOTS).map(|_| WheelSlot::default()).collect(),
+                wheel: vec![NIL; WHEEL_SLOTS as usize],
                 wheel_arena: Vec::new(),
                 wheel_free: Vec::new(),
-                wheel_scratch: Vec::new(),
                 wheel_len: 0,
+                run: Vec::new(),
+                run_q: 0,
                 wheel_min_q: 0,
                 timers: Vec::new(),
                 timer_free: Vec::new(),
@@ -563,6 +552,7 @@ impl Sim {
                 current_task: None,
                 rng: SmallRng::seed_from_u64(seed),
                 events_executed: 0,
+                queue_stats: QueueStats::default(),
             })),
         }
     }
@@ -582,7 +572,7 @@ impl Sim {
     /// truly drained — the shard runtime's quiescence check.
     pub fn pending_events(&self) -> usize {
         let inner = self.inner.borrow();
-        inner.wheel_len + inner.heap.len()
+        inner.wheel_len + inner.run.len() + inner.heap.len()
     }
 
     /// Timestamp of the earliest queued entry, or `None` when the queue is
@@ -591,20 +581,12 @@ impl Sim {
     /// anything can execute — exactly what a conservative-lookahead
     /// scheduler needs for idle fast-forwarding.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        let mut inner = self.inner.borrow_mut();
-        let heap_t = inner.heap.peek().map(|e| e.time);
-        let wheel_t = if inner.wheel_len > 0 {
-            let s = inner.wheel_candidate();
-            Some(inner.wheel_arena[inner.wheel[s].head as usize].ev.time)
-        } else {
-            None
-        };
-        match (heap_t, wheel_t) {
-            (None, None) => None,
-            (Some(h), None) => Some(h),
-            (None, Some(w)) => Some(w),
-            (Some(h), Some(w)) => Some(h.min(w)),
-        }
+        self.inner.borrow_mut().front().map(|(t, _)| t)
+    }
+
+    /// Queue-shape counters since creation (see [`QueueStats`]).
+    pub fn queue_stats(&self) -> QueueStats {
+        self.inner.borrow().queue_stats
     }
 
     /// Number of spawned tasks that have not yet completed.
@@ -627,7 +609,7 @@ impl Sim {
     /// Schedule `f` to run at absolute time `at` (clamped to now).
     pub fn schedule_at(&self, at: SimTime, f: impl FnOnce(&Sim) + 'static) {
         let mut inner = self.inner.borrow_mut();
-        let idx = inner.store_event(InlineEvent::new(f));
+        let idx = inner.store_event(f);
         inner.push_event(at, TimerId::NONE, What::Call(idx));
     }
 
@@ -642,7 +624,7 @@ impl Sim {
     pub fn schedule_timer_at(&self, at: SimTime, f: impl FnOnce(&Sim) + 'static) -> TimerId {
         let mut inner = self.inner.borrow_mut();
         let id = inner.alloc_timer();
-        let idx = inner.store_event(InlineEvent::new(f));
+        let idx = inner.store_event(f);
         inner.push_event(at, id, What::Call(idx));
         id
     }
@@ -697,7 +679,7 @@ impl Sim {
     /// poll is already queued.
     pub(crate) fn wake_task(&self, task: TaskId) {
         let mut inner = self.inner.borrow_mut();
-        let Some(slot) = inner.tasks.get_mut(task.0) else {
+        let Some(slot) = inner.tasks.get_mut(task.0 as usize) else {
             return;
         };
         let Some(t) = slot.as_mut() else {
@@ -735,7 +717,7 @@ impl Sim {
         };
         {
             let mut inner = self.inner.borrow_mut();
-            let id = TaskId(inner.tasks.len());
+            let id = TaskId(u32::try_from(inner.tasks.len()).expect("fewer than 2^32 tasks"));
             inner.tasks.push(Some(Task {
                 future: Box::pin(wrapper),
                 name: name.into(),
@@ -752,7 +734,7 @@ impl Sim {
         // Take the task out so the future can re-borrow the simulator.
         let mut task = {
             let mut inner = self.inner.borrow_mut();
-            let Some(slot) = inner.tasks.get_mut(id.0) else {
+            let Some(slot) = inner.tasks.get_mut(id.0 as usize) else {
                 return;
             };
             let Some(mut t) = slot.take() else {
@@ -773,8 +755,27 @@ impl Sim {
                 // slot stays None: task retired
             }
             Poll::Pending => {
-                inner.tasks[id.0] = Some(task);
+                inner.tasks[id.0 as usize] = Some(task);
             }
+        }
+    }
+
+    /// Execute one popped queue entry.
+    fn dispatch(&self, what: What) {
+        match what {
+            What::Call(idx) => {
+                let taken = self.inner.borrow_mut().release_event(idx);
+                if let Some((vt, p)) = taken {
+                    // SAFETY: the vtable was live, so `p` holds the closure
+                    // and clearing it made this the only read. The slot is
+                    // already on the free list, but nothing has run since
+                    // the borrow above ended, so no `store_event` can have
+                    // reused or moved it; `call` moves the closure to its
+                    // own stack frame before running it.
+                    unsafe { (vt.call)(p, self) }
+                }
+            }
+            What::Poll(id) => self.poll_task(id),
         }
     }
 
@@ -789,13 +790,7 @@ impl Sim {
                     Some(ev) => ev,
                 }
             };
-            match next.what {
-                What::Call(idx) => {
-                    let f = self.inner.borrow_mut().take_event(idx);
-                    f.invoke(self);
-                }
-                What::Poll(id) => self.poll_task(id),
-            }
+            self.dispatch(next.what);
         }
         let inner = self.inner.borrow();
         RunReport {
@@ -842,13 +837,7 @@ impl Sim {
                     Some(ev) => ev,
                 }
             };
-            match next.what {
-                What::Call(idx) => {
-                    let f = self.inner.borrow_mut().take_event(idx);
-                    f.invoke(self);
-                }
-                What::Poll(id) => self.poll_task(id),
-            }
+            self.dispatch(next.what);
         }
         let mut inner = self.inner.borrow_mut();
         if inner.now < limit {
@@ -1082,12 +1071,6 @@ mod tests {
         assert_eq!(end, SimTime::ZERO + ms(10));
         assert_eq!(hits.borrow().len(), 3);
     }
-}
-
-#[cfg(test)]
-mod review_repro {
-    use super::*;
-    use crate::time::{us, ms};
 
     #[test]
     fn stale_wheel_hint_after_idle_gap_keeps_order() {
@@ -1103,15 +1086,37 @@ mod review_repro {
             // X: 1us out -> small residue-distance in *time*, large residue.
             sim.schedule_in(us(1), move |s| a.borrow_mut().push(s.now().as_nanos()));
             // Y: ~73.8ms out -> later in time, but residue 0 (slot 0).
-            let q_now = s_quantum(sim.now());
-            let target_q = ((q_now / WHEEL_SLOTS) + 1) * WHEEL_SLOTS; // residue 0, within horizon
+            let target_q = ((quantum(sim.now()) / WHEEL_SLOTS) + 1) * WHEEL_SLOTS;
             let delta_ns = (target_q << QUANTUM_SHIFT) - sim.now().as_nanos();
-            sim.schedule_in(Dur(delta_ns), move |s| b.borrow_mut().push(s.now().as_nanos()));
+            sim.schedule_in(Dur(delta_ns), move |s| {
+                b.borrow_mut().push(s.now().as_nanos())
+            });
         });
         sim.run().expect_quiescent();
         let v = log.borrow().clone();
-        assert!(v.windows(2).all(|w| w[0] <= w[1]), "events ran out of order: {v:?}");
+        assert_eq!(v.len(), 2);
+        assert!(v[0] < v[1], "events ran out of order: {v:?}");
     }
 
-    fn s_quantum(t: SimTime) -> u64 { t.as_nanos() >> QUANTUM_SHIFT }
+    #[test]
+    fn every_closure_is_dropped_exactly_once() {
+        // Run, cancelled, and still queued when the simulator goes away:
+        // each path must release the closure's captures once.
+        let token = Rc::new(());
+        let sim = Sim::new(0);
+        let t = token.clone();
+        sim.schedule_in(us(1), move |_| drop(t));
+        let t = token.clone();
+        let id = sim.schedule_timer_in(us(2), move |_| drop(t));
+        sim.cancel_timer(id);
+        for far in [us(50), ms(300)] {
+            let t = token.clone();
+            sim.schedule_in(far, move |_| drop(t));
+        }
+        assert_eq!(Rc::strong_count(&token), 5);
+        sim.run_with_limit(Some(SimTime::ZERO + us(10)));
+        assert_eq!(Rc::strong_count(&token), 3, "ran one, discarded one");
+        drop(sim);
+        assert_eq!(Rc::strong_count(&token), 1, "queued closures leaked");
+    }
 }

@@ -54,7 +54,7 @@ pub mod sync;
 pub mod time;
 pub mod topology;
 
-pub use engine::{RunReport, Sim, TaskId, TimerId};
+pub use engine::{QueueStats, RunReport, Sim, TaskId, TimerId};
 pub use faults::{covered, FaultAction, FaultEvent, FaultPlan, FaultTarget, GilbertElliott};
 pub use net::{
     BoundaryTx, ChannelParams, FaultDecision, FaultModel, NetStats, Network, NicId, RemoteDest,
