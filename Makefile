@@ -4,9 +4,9 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: verify build test doc clippy bench-trace test-soak bench-failover bench-datapath bench-datapath-smoke bench-attribution bench-attribution-smoke test-flight triage-check triage-smoke triage-baseline bench-backplane backplane-smoke test-chaos bench-chaos chaos-smoke test-shard bench-scale bench-scale-smoke bench-telemetry bench-telemetry-smoke test-timeline test-doctor bench-doctor doctor-smoke perf-smoke
+.PHONY: verify build test doc clippy loc one-core bench-trace test-soak bench-failover bench-datapath bench-datapath-smoke bench-attribution bench-attribution-smoke test-flight triage-check triage-smoke triage-baseline bench-backplane backplane-smoke test-chaos bench-chaos chaos-smoke test-shard bench-scale bench-scale-smoke bench-telemetry bench-telemetry-smoke test-timeline test-doctor bench-doctor doctor-smoke perf-smoke
 
-verify: build test doc clippy
+verify: build test doc clippy one-core
 
 build:
 	$(CARGO) build $(OFFLINE) --release
@@ -19,6 +19,26 @@ doc:
 
 clippy:
 	$(CARGO) clippy $(OFFLINE) --all-targets -- -D warnings
+
+# The design-quality metric: non-test Rust lines per crate (every line
+# before a file's top-level `#[cfg(test)]`), then the protocol core and its
+# two drivers on their own.
+LOC = awk 'FNR == 1 { t = 0 } /^\#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }'
+loc:
+	@for c in crates/*; do \
+		printf '%-8s %6d\n' $$(basename $$c) $$(find $$c/src -name '*.rs' | xargs $(LOC)); \
+	done
+	@printf '%-8s %6d  (proto.rs + endpoint.rs + backplane/wire.rs)\n' protocol \
+		$$($(LOC) crates/core/src/proto.rs crates/core/src/endpoint.rs crates/core/src/backplane/wire.rs)
+
+# The protocol exists once, in crates/core/src/proto.rs. The two drivers may
+# hold a ProtoCore, never its parts: naming one of the state-machine types
+# in a driver is how the protocol got written out twice.
+ONE_CORE_PARTS = SeqTracker|OpOrdering|TxRing|GapRing|RttEstimator|NackRanges|from_wire
+one-core:
+	@if grep -nE '$(ONE_CORE_PARTS)' crates/core/src/endpoint.rs crates/core/src/backplane/wire.rs; then \
+		echo 'one-core: a driver names a protocol part (see above); it belongs in proto.rs'; exit 1; \
+	fi
 
 # Traced ping-pong: writes results/BENCH_trace_pingpong.json and asserts the
 # event trace reconciles with the ProtoStats counters.

@@ -2,14 +2,15 @@
 //! machines and whatever actually carries frames.
 //!
 //! Everything above this trait — sliding window, striping scheduler, rail
-//! health, NACK/RTO recovery, fences, span instrumentation — is pure state
-//! machine code. Everything below it is mechanics: the netsim discrete
-//! event simulator ([`SimBackplane`]) or real non-blocking UDP sockets on
-//! loopback ([`UdpBackplane`]), one socket per rail. The
-//! [`WireEndpoint`] driver runs the protocol over either implementation
-//! **unmodified**, which is what makes the simulator's cost model
-//! falsifiable: run the same workload on both backends, snapshot the same
-//! span recorder, and diff the per-phase attributions with
+//! health, NACK/RTO recovery, fences, remote reads, span instrumentation —
+//! is [`ProtoCore`](crate::ProtoCore), pure state-machine code shared with
+//! the simulator's [`Endpoint`](crate::Endpoint). Everything below it is
+//! mechanics: the netsim discrete event simulator ([`SimBackplane`]) or
+//! real non-blocking UDP sockets on loopback ([`UdpBackplane`]), one socket
+//! per rail. [`WireEndpoint`] is the driver that runs the core over either
+//! implementation **unmodified**, which is what makes the simulator's cost
+//! model falsifiable: run the same workload on both backends, snapshot the
+//! same span recorder, and diff the per-phase attributions with
 //! `me-inspect diff` (see `docs/BACKPLANE.md`).
 //!
 //! The shape follows the netmod `Endpoint` abstraction from irdest

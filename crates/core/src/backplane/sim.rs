@@ -42,7 +42,8 @@ impl SimBackplane {
     /// Wire both nodes of a two-node cluster into a pair of backplanes.
     ///
     /// Installs rx handlers on every NIC, so the cluster's NICs must not
-    /// already be claimed by a legacy [`Endpoint`](crate::Endpoint).
+    /// already be claimed by the simulator driver,
+    /// [`Endpoint`](crate::Endpoint).
     ///
     /// # Panics
     ///

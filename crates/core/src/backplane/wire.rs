@@ -1,169 +1,59 @@
 //! [`WireEndpoint`]: the MultiEdge protocol driven over a [`Backplane`].
 //!
-//! This is the same protocol the simulator-native [`Endpoint`] speaks —
-//! and deliberately built from the **same state-machine modules**, used
-//! unmodified: [`TxRing`]/[`GapRing`] window state, [`SeqTracker`]
-//! admission, [`OpOrdering`] fences, [`RttEstimator`] adaptive RTO,
-//! [`RailSet`] health, [`LinkScheduler`] striping, the `seqspace` wire
-//! mapping and [`NackRanges`]. What differs is only the event loop: instead
-//! of closures scheduled on the simulator, the driver is a synchronous
+//! The protocol is [`ProtoCore`] — the same instance of every rule the
+//! simulator [`Endpoint`] runs, not a second copy. This file is the *wire
+//! driver* around it: where the simulator driver turns the core's effects
+//! into closures scheduled on the simulator, this one is a synchronous
 //! poll/deadline machine (`poll` + `next_deadline` + `Backplane::advance`)
 //! in the PR 3 timer-wheel discipline, so it runs identically over the
-//! simulated fabric and over real UDP sockets.
+//! simulated fabric and over real UDP sockets. It adds what a real
+//! transport needs and a simulation does not: a progress watchdog that
+//! turns a dark fabric into a typed [`WireError`], graceful [`drain`], and
+//! its own time-resolved sampler.
 //!
-//! Scope: the wire driver implements the **write path** (remote writes,
-//! fences, notifications) — the workloads the cross-validation cells
-//! exercise. Remote reads remain simulator-only for now; `docs/BACKPLANE.md`
-//! documents the gap. It also models no host cost (CPU charges, interrupt
-//! moderation): on UDP those costs are *real*, which is exactly the
-//! difference the sim-vs-real attribution diff is built to measure.
+//! It models no host cost (CPU charges, interrupt moderation): on UDP those
+//! costs are *real*, which is exactly the difference the sim-vs-real
+//! attribution diff is built to measure. The core's [`HostWork`] reports
+//! are ignored here, and a completion is queued the instant the core
+//! reports it (see [`crate::proto`]'s completion contract).
 //!
 //! Span milestones are stamped on the backplane clock with the same
 //! semantics as the simulator endpoint, so `me_trace::analyze` telescopes a
 //! [`WireEndpoint`] run exactly like a simulated one.
 //!
 //! [`Endpoint`]: crate::Endpoint
+//! [`HostWork`]: crate::proto::HostWork
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use bytes::Bytes;
-use frame::{FastMap, Frame, FrameFlags, FrameHeader, FrameKind, NackRanges};
 use me_trace::{
-    FlightCode, FlightRecorder, HealthConfig, HealthMonitor, HealthReport, Leg, SourceId, SpanKey,
-    SpanKind, SpanRecorder, Timeline, TimelineBuilder,
+    FlightRecorder, HealthConfig, HealthMonitor, HealthReport, SourceId, SpanRecorder, Timeline,
+    TimelineBuilder,
 };
-use std::cell::RefCell;
-use std::rc::Rc;
-use netsim::SimTime;
 
 use crate::config::ProtoConfig;
-use crate::memory::AppMemory;
-use crate::ops::{Notification, OpFlags};
-use crate::order::{FragMeta, OpOrdering, Release};
-use crate::railhealth::{RailEvent, RailSet};
-use crate::recvseq::{Admit, SeqTracker};
-use crate::ring::{GapRing, TxRing, TxSlot};
-use crate::rtt::RttEstimator;
-use crate::sched::LinkScheduler;
-use crate::seqspace::{from_wire, to_wire};
+use crate::ops::{Notification, OpFlags, OpKind};
+use crate::proto::{ConnState, Effect, Host, Observers, Op, ProtoCore, TimerKind};
 use crate::stats::ProtoStats;
 
 use super::{Backplane, BpRx};
 
-/// One fragment held by the reorder buffer until its fences release it.
-struct WFrag {
-    kind: FrameKind,
-    addr: u64,
-    data: Bytes,
-}
-
-/// Receive-side per-operation bookkeeping (first address, notify flag).
-struct WOpMeta {
-    kind: FrameKind,
-    start_addr: u64,
-    total: u64,
-    notify: bool,
-}
-
-/// A write operation acknowledged by the peer.
+/// An operation the protocol has finished with: a write acknowledged by
+/// the peer, or a read whose response data has been applied locally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletedWrite {
     /// Operation id (dense per connection direction).
     pub op: u64,
-    /// Backplane clock when the write was issued.
+    /// Write or read.
+    pub kind: OpKind,
+    /// Backplane clock when the operation was issued.
     pub created_ns: u64,
-    /// Backplane clock when the covering cumulative ack arrived.
+    /// Backplane clock when the covering cumulative ack (write) or the
+    /// last response fragment (read) was processed.
     pub completed_ns: u64,
-}
-
-/// One connection's protocol state — the same fields the simulator-native
-/// endpoint carries, minus its simulator-scheduled timers (replaced by
-/// explicit deadlines on the backplane clock).
-struct WConn {
-    peer_node: usize,
-    peer_conn_id: u32,
-
-    // ---- send direction ----
-    next_seq: u64,
-    acked: u64,
-    sent_up_to: u64,
-    tx: TxRing,
-    send_queue: VecDeque<Frame>,
-    next_op: u64,
-    last_fwd_op: Option<u64>,
-    /// `(last frame seq, op id, created_ns)` per in-flight write.
-    pending_write_ops: VecDeque<(u64, u64, u64)>,
-    sched: LinkScheduler,
-    last_progress_ns: u64,
-    rails: RailSet,
-    last_rx_rail: Option<usize>,
-    rtt: RttEstimator,
-
-    // ---- receive direction ----
-    seqs: SeqTracker,
-    order: OpOrdering<WFrag>,
-    op_meta: FastMap<u64, WOpMeta>,
-    frames_since_ack: u32,
-    gaps: GapRing,
-    missing_scratch: Vec<(u64, u64)>,
-    release_scratch: Release<WFrag>,
-    fence_stall_start: FastMap<u64, u64>,
-    /// When the reorder buffer last went from empty to non-empty (`None`
-    /// while empty) — the liveness watchdog's fence-stall clock, tracked
-    /// unconditionally (unlike `fence_stall_start`, which serves span and
-    /// flight attribution).
-    buffered_since: Option<u64>,
-
-    // ---- deadlines (backplane clock, ns; None = unarmed) ----
-    ack_deadline: Option<u64>,
-    nack_deadline: Option<u64>,
-    rto_deadline: Option<u64>,
-
-    stats: ProtoStats,
-}
-
-impl WConn {
-    fn new(peer_node: usize, proto: &ProtoConfig, nrails: usize) -> Self {
-        Self {
-            peer_node,
-            peer_conn_id: 0,
-            next_seq: 0,
-            acked: 0,
-            sent_up_to: 0,
-            tx: TxRing::with_window(proto.window as usize),
-            send_queue: VecDeque::new(),
-            next_op: 0,
-            last_fwd_op: None,
-            pending_write_ops: VecDeque::new(),
-            sched: LinkScheduler::new(proto.sched),
-            last_progress_ns: 0,
-            rails: RailSet::new(
-                nrails,
-                proto.rail_degraded_after,
-                proto.rail_dead_after,
-                proto.rail_cooldown,
-            ),
-            last_rx_rail: None,
-            rtt: RttEstimator::new(proto.rto_initial, proto.rto_min, proto.rto_max),
-            seqs: SeqTracker::with_window(proto.window as usize),
-            order: OpOrdering::new(),
-            op_meta: FastMap::default(),
-            frames_since_ack: 0,
-            gaps: GapRing::with_window(proto.window as usize),
-            missing_scratch: Vec::new(),
-            release_scratch: Release::default(),
-            fence_stall_start: FastMap::default(),
-            buffered_since: None,
-            ack_deadline: None,
-            nack_deadline: None,
-            rto_deadline: None,
-            stats: ProtoStats::default(),
-        }
-    }
-
-    fn in_flight(&self) -> u64 {
-        self.sent_up_to - self.acked
-    }
 }
 
 /// Why a watchdog-guarded drive loop gave up — every chaos/soak scenario
@@ -290,43 +180,87 @@ impl DriveLimits {
 }
 
 /// Debug/test view of one connection's sequencing and ordering state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireConnState {
-    /// Next sequence number the sender will assign.
-    pub next_seq: u64,
-    /// Cumulative ack received from the peer (send direction clean iff
-    /// equal to `next_seq`).
-    pub acked: u64,
-    /// One past the highest sequence transmitted.
-    pub sent_up_to: u64,
-    /// Receive-direction cumulative: all sequences below arrived.
-    pub cumulative: u64,
-    /// All ops below this id are fully applied at this receiver.
-    pub applied_below: u64,
-    /// Fragments currently held back by fences.
-    pub fence_buffered: usize,
-    /// The receive window currently has a sequence gap.
-    pub has_gap: bool,
+pub type WireConnState = ConnState;
+
+/// A synchronous MultiEdge endpoint speaking the protocol over any
+/// [`Backplane`] (see module docs).
+pub struct WireEndpoint {
+    core: ProtoCore<u64>,
+    io: WireIo,
+    sampler: Option<WireSampler>,
 }
 
-/// A synchronous MultiEdge endpoint speaking the write-path protocol over
-/// any [`Backplane`] (see module docs).
-pub struct WireEndpoint {
-    node: usize,
-    proto: ProtoConfig,
-    spans: SpanRecorder,
-    flight: FlightRecorder,
-    stats: ProtoStats,
-    conns: Vec<WConn>,
-    memory: AppMemory,
+/// Where the core's effects land between polls. An op's completion token
+/// is the backplane clock at issue.
+struct WireIo {
+    /// Armed protocol deadlines per connection, indexed by [`TimerKind`]
+    /// (backplane clock, ns; `None` = unarmed).
+    deadlines: Vec<[Option<u64>; 3]>,
+    /// Per connection, when its reorder buffer last went from empty to
+    /// non-empty (`None` while empty) — the liveness watchdog's fence-stall
+    /// clock, tracked whether or not any observer is enabled.
+    buffered_since: Vec<Option<u64>>,
     notifications: VecDeque<Notification>,
     completions: VecDeque<CompletedWrite>,
-    /// NACK-triggered retransmissions suppressed by the
-    /// [`ProtoConfig::nack_resend_burst`] cap (endpoint-local, not part of
-    /// the fingerprinted [`ProtoStats`]).
-    storm_suppressed: u64,
-    rng: u64,
-    sampler: Option<WireSampler>,
+    /// State of the endpoint-local xorshift64* behind [`Host::draw`] (the
+    /// sim backend's RNG lives in the simulator, which a transport-agnostic
+    /// driver cannot reach).
+    rng: Cell<u64>,
+}
+
+/// One backplane as the core sees it for the duration of one input.
+struct WireHost<'a, B> {
+    bp: &'a mut B,
+    io: &'a mut WireIo,
+}
+
+impl<B: Backplane> Host<u64> for WireHost<'_, B> {
+    fn max_payload(&self) -> usize {
+        self.bp.mtu().min(self.bp.peer_mtu())
+    }
+
+    fn tx_backlog_ns(&self, rail: usize) -> u64 {
+        self.bp.tx_backlog_ns(rail)
+    }
+
+    fn draw(&self, n: usize) -> usize {
+        let mut x = self.io.rng.get();
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.io.rng.set(x);
+        (x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+    }
+
+    fn perform(&mut self, obs: &Observers, now_ns: u64, effects: &mut Vec<Effect<u64>>) {
+        for e in effects.drain(..) {
+            match e {
+                Effect::Send { rail, mut frame } => {
+                    frame.src = self.bp.local_mac(rail);
+                    frame.dst = self.bp.peer_mac(rail);
+                    self.bp.send(rail, frame);
+                }
+                Effect::Arm { conn, timer, at_ns } => {
+                    self.io.deadlines[conn][timer as usize] = Some(at_ns);
+                }
+                Effect::OpDone {
+                    conn,
+                    op,
+                    kind,
+                    token: created_ns,
+                } => {
+                    obs.op_completed(conn, op, Some(now_ns.saturating_sub(created_ns)), now_ns);
+                    self.io.completions.push_back(CompletedWrite {
+                        op,
+                        kind,
+                        created_ns,
+                        completed_ns: now_ns,
+                    });
+                }
+                Effect::Notify(n) => self.io.notifications.push_back(n),
+            }
+        }
+    }
 }
 
 /// Time-resolved sampler state for a wire endpoint: the timeline ring plus
@@ -358,29 +292,34 @@ impl WireEndpoint {
     /// covers both directions — the same arrangement
     /// `Endpoint::for_cluster` uses.
     pub fn pair(proto: &ProtoConfig, rails: usize, spans: &SpanRecorder) -> (Self, Self) {
-        let mut a = Self::new(0, proto, spans.clone());
-        let mut b = Self::new(1, proto, spans.clone());
-        a.conns.push(WConn::new(1, proto, rails));
-        b.conns.push(WConn::new(0, proto, rails));
-        // peer_conn_id is 0 on both sides by construction.
+        let mut a = Self::new(0, proto, rails, spans.clone());
+        let mut b = Self::new(1, proto, rails, spans.clone());
+        // The peer's connection id is 0 on both sides by construction.
+        a.connect(1, 0);
+        b.connect(0, 0);
         (a, b)
     }
 
-    fn new(node: usize, proto: &ProtoConfig, spans: SpanRecorder) -> Self {
+    fn new(node: usize, proto: &ProtoConfig, rails: usize, spans: SpanRecorder) -> Self {
+        let mut core = ProtoCore::new(node, proto.clone(), rails);
+        core.obs.spans = spans;
         Self {
-            node,
-            proto: proto.clone(),
-            spans,
-            flight: FlightRecorder::disabled(),
-            stats: ProtoStats::default(),
-            conns: Vec::new(),
-            memory: AppMemory::new(),
-            notifications: VecDeque::new(),
-            completions: VecDeque::new(),
-            storm_suppressed: 0,
-            rng: 0x9e37_79b9_7f4a_7c15 ^ (node as u64) << 32,
+            core,
+            io: WireIo {
+                deadlines: Vec::new(),
+                buffered_since: Vec::new(),
+                notifications: VecDeque::new(),
+                completions: VecDeque::new(),
+                rng: Cell::new(0x9e37_79b9_7f4a_7c15 ^ (node as u64) << 32),
+            },
             sampler: None,
         }
+    }
+
+    fn connect(&mut self, peer_node: usize, peer_conn_id: usize) {
+        self.core.connect(peer_node, peer_conn_id);
+        self.io.deadlines.push([None; 3]);
+        self.io.buffered_since.push(None);
     }
 
     /// Enable time-resolved telemetry: one row per `interval_ns` of the
@@ -449,11 +388,9 @@ impl WireEndpoint {
             .expect("enable_timeline before enable_health");
         let mon = Rc::new(RefCell::new(HealthMonitor::for_timeline(&s.tl, cfg)));
         s.health = Some(mon.clone());
-        if self.flight.is_enabled() {
-            self.flight.add_context_source(
-                "health",
-                Rc::new(move || mon.borrow().state_json()),
-            );
+        let flight = &self.core.obs.flight;
+        if flight.is_enabled() {
+            flight.add_context_source("health", Rc::new(move || mon.borrow().state_json()));
         }
     }
 
@@ -473,14 +410,14 @@ impl WireEndpoint {
             return;
         }
         let now = bp.now_ns();
-        let stats = self.stats;
+        let stats = self.core.stats();
         let token = self.progress_token();
-        let in_flight: u64 = self.conns.iter().map(|c| c.in_flight()).sum();
+        let conns = self.core.conns();
+        let in_flight: u64 = conns.iter().map(|c| c.in_flight()).sum();
         let active = self.min_active_rails().unwrap_or(0) as u64;
-        let rto = self
-            .conns
+        let rto = conns
             .iter()
-            .map(|c| c.rtt.current_rto().as_nanos())
+            .map(|c| c.current_rto().as_nanos())
             .max()
             .unwrap_or(0);
         let backoff = u64::from(self.max_backoff());
@@ -504,10 +441,9 @@ impl WireEndpoint {
             for (r, &sid) in s.rail_state.iter().enumerate() {
                 // Worst (highest-coded) rail state across connections; in the
                 // standard `pair` arrangement there is exactly one connection.
-                let code = self
-                    .conns
+                let code = conns
                     .iter()
-                    .map(|c| crate::timeline::rail_state_code(c.rails.state(r)))
+                    .map(|c| crate::timeline::rail_state_code(c.rail_state(r)))
                     .max()
                     .unwrap_or(0);
                 s.tl.set(sid, code);
@@ -530,8 +466,13 @@ impl WireEndpoint {
         // evaluates the `health` context source, which re-borrows the
         // monitor.
         if let Some((cause, open)) = opened {
-            self.flight
-                .anomaly(self.node, None, cause.ordinal() as u64, open as u64, now);
+            self.core.obs.flight.anomaly(
+                self.core.obs.node,
+                None,
+                cause.ordinal() as u64,
+                open as u64,
+                now,
+            );
         }
     }
 
@@ -540,29 +481,32 @@ impl WireEndpoint {
         self.sampler.take().map(|s| s.tl)
     }
 
-    /// Attach a flight recorder: RTO backoffs, rail deaths/readmissions,
-    /// fence releases and watchdog trips are noted (and dump per the
-    /// recorder's triggers) from this endpoint on.
+    /// Attach a flight recorder: every protocol event the simulator
+    /// endpoint notes (issue, send, receive, acks, RTO backoffs, rail
+    /// deaths/readmissions, fence releases, completions) plus watchdog
+    /// trips are noted — and dump per the recorder's triggers — from this
+    /// endpoint on.
     pub fn set_flight(&mut self, flight: &FlightRecorder) {
-        self.flight = flight.clone();
+        self.core.obs.flight = flight.clone();
     }
 
     /// NACK-triggered retransmissions suppressed by the
     /// [`ProtoConfig::nack_resend_burst`] storm cap.
     pub fn storm_suppressed(&self) -> u64 {
-        self.storm_suppressed
+        self.core.storm_suppressed()
+    }
+
+    /// Received frames the protocol rejected at admission: unknown
+    /// connection id or a malformed read request.
+    pub fn rx_rejected(&self) -> u64 {
+        self.core.rx_rejected()
     }
 
     /// True when every connection is fully quiesced: nothing queued or
     /// unacknowledged to send, no receive gap, no fence-blocked fragments.
     /// The graceful-shutdown criterion — see [`drain`].
     pub fn quiesced(&self) -> bool {
-        self.conns.iter().all(|c| {
-            c.send_queue.is_empty()
-                && c.acked == c.next_seq
-                && !c.seqs.has_gap()
-                && c.order.buffered() == 0
-        })
+        self.core.conns().iter().all(|c| c.quiesced())
     }
 
     /// Abandon connection `conn`'s in-flight sends after a fatal
@@ -571,12 +515,8 @@ impl WireEndpoint {
     /// a caller reports instead of waiting on completions that cannot
     /// arrive.
     pub fn abort_pending(&mut self, conn: usize) -> Vec<u64> {
-        let c = &mut self.conns[conn];
-        c.send_queue.clear();
-        c.ack_deadline = None;
-        c.nack_deadline = None;
-        c.rto_deadline = None;
-        c.pending_write_ops.drain(..).map(|(_, op, _)| op).collect()
+        self.io.deadlines[conn] = [None; 3];
+        self.core.abort_pending(conn)
     }
 
     /// Monotone counter that moves iff real protocol progress happened:
@@ -584,87 +524,82 @@ impl WireEndpoint {
     /// frontiers. Timer fires and retransmissions deliberately do not move
     /// it — a peer retransmitting into a dead fabric is not progressing.
     fn progress_token(&self) -> u64 {
-        let mut t = self.stats.data_frames_recv
-            + self.stats.ctrl_frames_recv
-            + self.stats.dup_frames_recv
-            + self.stats.notifications;
-        for c in &self.conns {
-            t += c.acked + c.seqs.cumulative() + c.order.applied_below();
+        let s = self.core.stats();
+        let mut t = s.data_frames_recv + s.ctrl_frames_recv + s.dup_frames_recv + s.notifications;
+        for c in self.core.conns() {
+            let st = c.state();
+            t += st.acked + st.cumulative + st.applied_below;
         }
         t
     }
 
     /// Fewest live rails across connections (None with no connections).
     fn min_active_rails(&self) -> Option<usize> {
-        self.conns.iter().map(|c| c.rails.active_rails()).min()
+        self.core.conns().iter().map(|c| c.active_rails()).min()
     }
 
     /// Largest RTO backoff exponent across connections.
     fn max_backoff(&self) -> u32 {
-        self.conns.iter().map(|c| c.rtt.backoff()).max().unwrap_or(0)
+        let backoffs = self.core.conns().iter().map(|c| c.rto_backoff());
+        backoffs.max().unwrap_or(0)
     }
 
     /// Earliest instant any connection's reorder buffer became non-empty.
     fn oldest_buffered_since(&self) -> Option<u64> {
-        self.conns.iter().filter_map(|c| c.buffered_since).min()
+        self.io.buffered_since.iter().flatten().min().copied()
     }
 
     /// Total fence-blocked fragments across connections.
     fn fence_buffered_total(&self) -> usize {
-        self.conns.iter().map(|c| c.order.buffered()).sum()
+        let held = self.core.conns().iter().map(|c| c.state().fence_buffered);
+        held.sum()
     }
 
     /// This endpoint's node id.
     pub fn node(&self) -> usize {
-        self.node
+        self.core.obs.node
     }
 
     /// Endpoint-wide protocol statistics.
     pub fn stats(&self) -> ProtoStats {
-        self.stats
+        self.core.stats()
     }
 
     /// The shared span recorder.
     pub fn span_recorder(&self) -> &SpanRecorder {
-        &self.spans
+        &self.core.obs.spans
     }
 
     /// Read `len` bytes of this node's application memory at `addr`.
     pub fn mem_read(&self, addr: u64, len: usize) -> Vec<u8> {
-        self.memory.read_vec(addr, len)
+        self.core.memory.read_vec(addr, len)
+    }
+
+    /// Write directly into this node's application memory (what a remote
+    /// read of this node then returns).
+    pub fn mem_write(&mut self, addr: u64, data: &[u8]) {
+        self.core.memory.write(addr, data);
     }
 
     /// Next pending remote-write notification, if any.
     pub fn take_notification(&mut self) -> Option<Notification> {
-        self.notifications.pop_front()
+        self.io.notifications.pop_front()
     }
 
-    /// Next acknowledged write, if any.
+    /// Next completed operation (acknowledged write or finished read), if
+    /// any.
     pub fn take_completion(&mut self) -> Option<CompletedWrite> {
-        self.completions.pop_front()
+        self.io.completions.pop_front()
     }
 
     /// Sequencing/ordering state of connection `conn` (tests, invariants).
     pub fn conn_state(&self, conn: usize) -> WireConnState {
-        let c = &self.conns[conn];
-        WireConnState {
-            next_seq: c.next_seq,
-            acked: c.acked,
-            sent_up_to: c.sent_up_to,
-            cumulative: c.seqs.cumulative(),
-            applied_below: c.order.applied_below(),
-            fence_buffered: c.order.buffered(),
-            has_gap: c.seqs.has_gap(),
-        }
+        self.core.conns()[conn].state()
     }
 
     /// Earliest armed protocol deadline across all connections, if any.
     pub fn next_deadline(&self) -> Option<u64> {
-        self.conns
-            .iter()
-            .flat_map(|c| [c.ack_deadline, c.nack_deadline, c.rto_deadline])
-            .flatten()
-            .min()
+        self.io.deadlines.iter().flatten().flatten().min().copied()
     }
 
     /// Issue a remote write of `data` to `remote_addr` on `conn`. Returns
@@ -678,86 +613,37 @@ impl WireEndpoint {
         data: Bytes,
         flags: OpFlags,
     ) -> u64 {
+        self.issue(conn, bp, Op::Write { remote_addr, data }, flags)
+    }
+
+    /// Issue a remote read of `len` bytes at the peer's `remote_addr` into
+    /// local `local_addr` on `conn`. Returns the operation id; completion
+    /// is reported via [`WireEndpoint::take_completion`] once all response
+    /// data has been applied to local memory.
+    pub fn read<B: Backplane>(
+        &mut self,
+        conn: usize,
+        bp: &mut B,
+        local_addr: u64,
+        remote_addr: u64,
+        len: usize,
+        flags: OpFlags,
+    ) -> u64 {
+        let op = Op::Read {
+            local_addr,
+            remote_addr,
+            len,
+        };
+        self.issue(conn, bp, op, flags)
+    }
+
+    /// Count and issue `op` now; its completion token is the clock at issue.
+    fn issue<B: Backplane>(&mut self, conn: usize, bp: &mut B, op: Op, flags: OpFlags) -> u64 {
         let now = bp.now_ns();
-        let max_payload = self.proto.max_payload.min(bp.mtu()).min(bp.peer_mtu());
-        let mut flags = flags;
-        if self.proto.force_ordered {
-            flags.fence_backward = true;
-            flags.fence_forward = true;
-        }
-        let total = data.len();
-        self.stats.ops_write += 1;
-        self.stats.bytes_written += total as u64;
-        let node = self.node;
-        let op_id;
-        let nfrags;
-        {
-            let c = &mut self.conns[conn];
-            c.stats.ops_write += 1;
-            c.stats.bytes_written += total as u64;
-            op_id = c.next_op;
-            c.next_op += 1;
-            let fence_floor = c.last_fwd_op.map_or(0, |o| o + 1);
-            if flags.fence_forward {
-                c.last_fwd_op = Some(op_id);
-            }
-            nfrags = total.div_ceil(max_payload).max(1);
-            let mut last_seq = 0;
-            for i in 0..nfrags {
-                let off = i * max_payload;
-                let frag = data.slice(off..total.min(off + max_payload));
-                let mut fl = FrameFlags::empty();
-                if flags.fence_backward {
-                    fl |= FrameFlags::FENCE_BACKWARD;
-                }
-                if flags.fence_forward {
-                    fl |= FrameFlags::FENCE_FORWARD;
-                }
-                if flags.notify {
-                    fl |= FrameFlags::NOTIFY;
-                }
-                if i == 0 {
-                    fl |= FrameFlags::FIRST_FRAGMENT;
-                }
-                if i == nfrags - 1 {
-                    fl |= FrameFlags::LAST_FRAGMENT;
-                }
-                let seq = c.next_seq;
-                c.next_seq += 1;
-                last_seq = seq;
-                let header = FrameHeader {
-                    kind: FrameKind::Data,
-                    flags: fl,
-                    conn: c.peer_conn_id,
-                    seq: to_wire(seq),
-                    ack: 0, // filled at transmit time
-                    op_id: to_wire(op_id),
-                    op_total_len: total as u32,
-                    fence_floor: to_wire(fence_floor),
-                    remote_addr: remote_addr + off as u64,
-                    aux: 0,
-                };
-                c.send_queue.push_back(Frame {
-                    // src/dst rewritten at transmit time (rail choice)
-                    src: bp.local_mac(0),
-                    dst: bp.peer_mac(0),
-                    header,
-                    payload: frag,
-                });
-            }
-            c.pending_write_ops.push_back((last_seq, op_id, now));
-        }
-        self.spans.op_issued(
-            SpanKey::new(node, conn, to_wire(op_id)),
-            SpanKind::Write,
-            now,
-            now,
-            nfrags as u32,
-            total as u64,
-        );
-        self.pump_send(conn, bp);
-        self.ensure_rto(conn, bp.now_ns());
-        op_id
+        self.core.count_op(conn, &op);
+        let io = &mut self.io;
+        self.core
+            .issue(conn, op, flags, now, now, now, &mut WireHost { bp, io })
     }
 
     /// Drain received frames and fire due timers. Returns true when any
@@ -777,448 +663,19 @@ impl WireEndpoint {
         progressed
     }
 
-    // ------------------------------------------------------------------
-    // Receive path
-    // ------------------------------------------------------------------
-
     fn apply_rx<B: Backplane>(&mut self, bp: &mut B, rx: BpRx) {
-        let f = rx.frame;
-        let conn = f.header.conn as usize;
-        if conn >= self.conns.len() {
-            return;
-        }
-        if self.spans.is_enabled() {
-            self.span_arrival(conn, &f, rx.at_ns);
-        }
-        // Remember which rail delivered this frame: control frames are sent
-        // back along the reverse path (see the simulator endpoint).
-        let rail = rx.rail as usize;
-        if rail < bp.rails() {
-            self.conns[conn].last_rx_rail = Some(rail);
-        }
+        let conn = rx.frame.header.conn as usize;
+        self.core.span_arrival(&rx.frame, rx.at_ns);
         let now = bp.now_ns();
-        // Piggybacked cumulative ack (every frame carries one).
-        self.process_ack(conn, f.header.ack, now, bp);
-        match f.header.kind {
-            FrameKind::Ack => {
-                self.stats.ctrl_frames_recv += 1;
-                self.conns[conn].stats.ctrl_frames_recv += 1;
-            }
-            FrameKind::Nack => {
-                self.stats.ctrl_frames_recv += 1;
-                self.conns[conn].stats.ctrl_frames_recv += 1;
-                self.process_nack(conn, &f, bp);
-            }
-            FrameKind::Data => self.process_data(conn, f, now, bp),
-            FrameKind::ReadRequest | FrameKind::ReadResponse => {
-                // The wire driver speaks the write path only (module docs);
-                // account the frame so the gap is visible, not silent.
-                self.stats.ctrl_frames_recv += 1;
-                self.conns[conn].stats.ctrl_frames_recv += 1;
-            }
-            FrameKind::Connect | FrameKind::ConnectAck => {
-                // Setup collapses to WireEndpoint::pair.
-            }
-        }
-    }
-
-    fn process_ack<B: Backplane>(&mut self, conn: usize, wire_ack: u32, now: u64, bp: &mut B) {
-        let node = self.node;
-        let mut rail_events: Vec<RailEvent> = Vec::new();
-        let mut completed: Vec<(u64, u64)> = Vec::new();
-        {
-            let c = &mut self.conns[conn];
-            let ack = from_wire(c.acked, wire_ack);
-            if ack <= c.acked || ack > c.next_seq {
-                return;
-            }
-            let old_acked = c.acked;
-            c.acked = ack;
-            c.last_progress_ns = now;
-            let old_sent = c.sent_up_to;
-            c.sent_up_to = c.sent_up_to.max(ack);
-            for _ in old_sent..c.sent_up_to {
-                c.send_queue.pop_front();
-            }
-            // Credit the rails that carried the newly-covered frames; RTT
-            // sample per Karn's algorithm (first-transmission frames only).
-            let mut rtt_sample = None;
-            for seq in old_acked..ack {
-                let Some(slot) = c.tx.remove(seq) else {
-                    continue;
-                };
-                if !slot.retransmitted {
-                    rtt_sample = Some(SimTime(now).since(slot.sent_at));
-                }
-                if let Some(ev) = c.rails.on_ack(slot.rail, seq) {
-                    rail_events.push(ev);
-                }
-            }
-            match rtt_sample {
-                Some(s) => c.rtt.on_sample(s),
-                None => c.rtt.on_progress(),
-            }
-            while c
-                .pending_write_ops
-                .front()
-                .is_some_and(|(last, _, _)| *last < ack)
-            {
-                let (_, op, created) = c.pending_write_ops.pop_front().expect("checked front");
-                completed.push((op, created));
-            }
-            if c.acked == c.next_seq {
-                c.rto_deadline = None;
-            }
-        }
-        for ev in rail_events {
-            let RailEvent::Readmitted(rail) = ev else {
-                continue;
-            };
-            self.stats.rail_up_events += 1;
-            self.conns[conn].stats.rail_up_events += 1;
-            self.flight.note(
-                FlightCode::RailUp,
-                self.node,
-                Some(conn),
-                Some(rail as u32),
-                0,
-                0,
-                now,
-            );
-        }
-        for &(op, created) in &completed {
-            let key = SpanKey::new(node, conn, to_wire(op));
-            self.spans.ack_rx(key, now);
-            self.spans.op_completed(key, now);
-            self.completions.push_back(CompletedWrite {
-                op,
-                created_ns: created,
-                completed_ns: now,
-            });
-        }
-        // The window opened: transmit whatever became eligible.
-        self.pump_send(conn, bp);
-    }
-
-    fn process_nack<B: Backplane>(&mut self, conn: usize, f: &Frame, bp: &mut B) {
-        let ranges = NackRanges::decode(&f.payload);
-        let window = self.proto.window;
-        // Storm bound: one NACK may trigger at most `nack_resend_burst`
-        // retransmissions. Anything beyond the cap stays in the window and
-        // is recovered by the receiver's paced NACK repeats — a single
-        // control frame can never unleash a full-window salvo.
-        let burst_cap = (self.proto.nack_resend_burst.max(1) as u64).min(window) as usize;
-        let now = bp.now_ns();
-        let mut to_resend: Vec<u64> = Vec::new();
-        let mut suppressed = 0u64;
-        {
-            let c = &self.conns[conn];
-            let acked = c.acked;
-            'outer: for &(wf, wt) in &ranges.ranges {
-                let from = from_wire(acked, wf);
-                let to = from_wire(acked, wt);
-                if to <= from {
-                    continue;
-                }
-                for seq in from..to.min(from + window) {
-                    if c.tx.contains(seq) {
-                        if to_resend.len() < burst_cap {
-                            to_resend.push(seq);
-                        } else {
-                            suppressed += 1;
-                        }
-                    }
-                    if to_resend.len() as u64 + suppressed >= window {
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        self.storm_suppressed += suppressed;
-        // Each NACKed frame is a loss attributed to the rail that last
-        // carried it — debit before the retransmit reassigns the rail.
-        let mut dead_rails: Vec<usize> = Vec::new();
-        {
-            let c = &mut self.conns[conn];
-            for &seq in &to_resend {
-                let rail = c.tx.get(seq).map(|s| s.rail);
-                if let Some(rail) = rail {
-                    if let Some(RailEvent::Dead(r)) = c.rails.on_loss(rail, seq, SimTime(now)) {
-                        dead_rails.push(r);
-                    }
-                }
-            }
-        }
-        self.stats.rail_down_events += dead_rails.len() as u64;
-        self.conns[conn].stats.rail_down_events += dead_rails.len() as u64;
-        for rail in dead_rails {
-            self.flight.rail_death(self.node, Some(conn), rail as u32, now);
-        }
-        let n = to_resend.len() as u64;
-        self.stats.retransmits_nack += n;
-        self.conns[conn].stats.retransmits_nack += n;
-        for seq in to_resend {
-            self.transmit(conn, seq, true, bp);
-        }
-    }
-
-    fn process_data<B: Backplane>(&mut self, conn: usize, f: Frame, now: u64, bp: &mut B) {
-        let ack_every = self.proto.ack_every;
-        let node = self.node;
-        let peer = self.conns[conn].peer_node;
-        let spans_on = self.spans.is_enabled();
-        let track_stalls = spans_on || self.flight.is_enabled();
-        let (admit, seq) = {
-            let c = &mut self.conns[conn];
-            let seq = from_wire(c.seqs.cumulative(), f.header.seq);
-            (c.seqs.admit(seq), seq)
-        };
-        match admit {
-            Admit::Duplicate => {
-                self.stats.dup_frames_recv += 1;
-                self.conns[conn].stats.dup_frames_recv += 1;
-                // Immediate explicit ack: recovers from lost acks (§2.4).
-                self.send_explicit_ack(conn, bp);
-                return;
-            }
-            Admit::New { in_order } => {
-                let bytes = f.payload.len() as u64;
-                self.stats.data_frames_recv += 1;
-                self.stats.data_bytes_recv += bytes;
-                self.conns[conn].stats.data_frames_recv += 1;
-                self.conns[conn].stats.data_bytes_recv += bytes;
-                if !in_order {
-                    self.stats.ooo_arrivals += 1;
-                    self.conns[conn].stats.ooo_arrivals += 1;
-                }
-                if spans_on {
-                    self.span_admit(conn, &f, seq, now);
-                    let cum = self.conns[conn].seqs.cumulative();
-                    self.spans.cum_advanced(node, conn, cum, now);
-                }
-            }
-        }
-        // Reconstruct op-level fields and run the fence machinery.
-        let mut notify_ops: Vec<(u64, u64, u64)> = Vec::new(); // (op, addr, len)
-        {
-            let c = &mut self.conns[conn];
-            let op_id = from_wire(c.order.applied_below(), f.header.op_id);
-            let fence_floor = from_wire(c.order.applied_below(), f.header.fence_floor);
-            let meta = FragMeta {
-                op_id,
-                op_total: f.header.op_total_len as u64,
-                fence_floor,
-                fence_backward: f.header.flags.contains(FrameFlags::FENCE_BACKWARD),
-                len: f.payload.len() as u64,
-            };
-            let entry = c.op_meta.entry(op_id).or_insert_with(|| WOpMeta {
-                kind: f.header.kind,
-                start_addr: f.header.remote_addr,
-                total: meta.op_total,
-                notify: f.header.flags.contains(FrameFlags::NOTIFY),
-            });
-            entry.start_addr = entry.start_addr.min(f.header.remote_addr);
-            let payload = WFrag {
-                kind: f.header.kind,
-                addr: f.header.remote_addr,
-                data: f.payload.clone(),
-            };
-            let buffered_before = c.order.buffered();
-            let mut release = std::mem::take(&mut c.release_scratch);
-            c.order.offer_into(meta, payload, &mut release);
-            if c.order.buffered() > buffered_before && track_stalls {
-                // Held back by a fence: start the stall clock.
-                c.fence_stall_start.entry(op_id).or_insert(now);
-            }
-            // Stalled ops released by this fragment: attribute the stall.
-            if track_stalls {
-                let released: Vec<(u64, u64)> = release
-                    .apply
-                    .iter()
-                    .filter_map(|(m, _)| {
-                        c.fence_stall_start
-                            .remove(&m.op_id)
-                            .map(|start| (m.op_id, now.saturating_sub(start)))
-                    })
-                    .collect();
-                for (op, stalled_ns) in released {
-                    if let Some(mi) = c.op_meta.get(&op) {
-                        if mi.kind == FrameKind::Data {
-                            if spans_on {
-                                let origin = SpanKey::new(
-                                    c.peer_node,
-                                    c.peer_conn_id as usize,
-                                    to_wire(op),
-                                );
-                                self.spans.delivered(origin, now, stalled_ns);
-                            }
-                            self.flight.fence_release(node, conn, op, stalled_ns, now);
-                        }
-                    }
-                }
-            }
-            // The watchdog's fence-stall clock, kept regardless of
-            // instrumentation: when did the buffer last become non-empty?
-            c.buffered_since = if c.order.buffered() > 0 {
-                c.buffered_since.or(Some(now))
+        let io = &mut self.io;
+        self.core
+            .on_frame(rx.rail as usize, rx.frame, now, &mut WireHost { bp, io });
+        if let Some(since) = self.io.buffered_since.get_mut(conn) {
+            *since = if self.core.conns()[conn].state().fence_buffered > 0 {
+                since.or(Some(now))
             } else {
                 None
             };
-            // Apply released fragments to memory.
-            for (_, frag) in &release.apply {
-                if frag.kind == FrameKind::Data {
-                    self.memory.write(frag.addr, &frag.data);
-                }
-            }
-            // Handle op completions.
-            for &op in &release.completed {
-                let Some(mi) = c.op_meta.remove(&op) else {
-                    continue;
-                };
-                if mi.kind != FrameKind::Data {
-                    continue;
-                }
-                if spans_on {
-                    self.spans.delivered(
-                        SpanKey::new(c.peer_node, c.peer_conn_id as usize, to_wire(op)),
-                        now,
-                        0,
-                    );
-                }
-                if mi.notify {
-                    notify_ops.push((op, mi.start_addr, mi.total));
-                }
-            }
-            // Return the drained release buffers for the next frame.
-            release.apply.clear();
-            release.completed.clear();
-            c.release_scratch = release;
-        }
-        let n_notif = notify_ops.len() as u64;
-        self.stats.notifications += n_notif;
-        self.conns[conn].stats.notifications += n_notif;
-        for (_, addr, len) in notify_ops {
-            self.notifications.push_back(Notification {
-                from_node: peer,
-                addr,
-                len: len as usize,
-            });
-        }
-        // Acknowledgement policy.
-        let (send_ack_now, arm_ack, arm_nack) = {
-            let c = &mut self.conns[conn];
-            c.frames_since_ack += 1;
-            let send_now = c.frames_since_ack >= ack_every;
-            let arm_ack = !send_now && c.ack_deadline.is_none();
-            let arm_nack = c.seqs.has_gap() && c.nack_deadline.is_none();
-            (send_now, arm_ack, arm_nack)
-        };
-        if send_ack_now {
-            self.send_explicit_ack(conn, bp);
-        }
-        if arm_ack {
-            self.conns[conn].ack_deadline = Some(now + self.proto.delayed_ack_timeout.as_nanos());
-        }
-        if arm_nack {
-            self.conns[conn].nack_deadline = Some(now + self.proto.nack_delay.as_nanos());
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Acks, nacks, timers
-    // ------------------------------------------------------------------
-
-    fn send_explicit_ack<B: Backplane>(&mut self, conn: usize, bp: &mut B) {
-        let now = bp.now_ns();
-        let node = self.node;
-        self.stats.explicit_acks_sent += 1;
-        let draw = self.rng_draw();
-        let (rail, f, cum) = {
-            let c = &mut self.conns[conn];
-            c.stats.explicit_acks_sent += 1;
-            c.frames_since_ack = 0;
-            let cum = c.seqs.cumulative();
-            let header = FrameHeader {
-                kind: FrameKind::Ack,
-                flags: FrameFlags::empty(),
-                conn: c.peer_conn_id,
-                seq: to_wire(c.next_seq),
-                ack: to_wire(cum),
-                op_id: 0,
-                op_total_len: 0,
-                fence_floor: 0,
-                remote_addr: 0,
-                aux: 0,
-            };
-            // Reverse-path routing: reply on the rail the peer's frames are
-            // arriving on — demonstrably alive in at least one direction.
-            let rail = match c.last_rx_rail {
-                Some(r) if r < bp.rails() => r,
-                _ => {
-                    let mask = c.rails.eligible_mask(SimTime(now));
-                    c.sched
-                        .pick(bp.rails(), mask, |i| bp.tx_backlog_ns(i), |n| draw % n)
-                }
-            };
-            let f = Frame {
-                src: bp.local_mac(rail),
-                dst: bp.peer_mac(rail),
-                header,
-                payload: Bytes::new(),
-            };
-            (rail, f, cum)
-        };
-        self.spans.ack_sent(node, conn, cum, now);
-        bp.send(rail, f);
-    }
-
-    fn send_nack<B: Backplane>(&mut self, conn: usize, ranges: Vec<(u32, u32)>, bp: &mut B) {
-        let now = bp.now_ns();
-        let node = self.node;
-        self.stats.nacks_sent += 1;
-        let draw = self.rng_draw();
-        let (rail, f, cum) = {
-            let c = &mut self.conns[conn];
-            c.stats.nacks_sent += 1;
-            let payload = NackRanges { ranges }.encode();
-            let cum = c.seqs.cumulative();
-            let header = FrameHeader {
-                kind: FrameKind::Nack,
-                flags: FrameFlags::empty(),
-                conn: c.peer_conn_id,
-                seq: to_wire(c.next_seq),
-                ack: to_wire(cum),
-                op_id: 0,
-                op_total_len: 0,
-                fence_floor: 0,
-                remote_addr: 0,
-                aux: 0,
-            };
-            let rail = match c.last_rx_rail {
-                Some(r) if r < bp.rails() => r,
-                _ => {
-                    let mask = c.rails.eligible_mask(SimTime(now));
-                    c.sched
-                        .pick(bp.rails(), mask, |i| bp.tx_backlog_ns(i), |n| draw % n)
-                }
-            };
-            let f = Frame {
-                src: bp.local_mac(rail),
-                dst: bp.peer_mac(rail),
-                header,
-                payload,
-            };
-            (rail, f, cum)
-        };
-        // A NACK also carries the cumulative ack.
-        self.spans.ack_sent(node, conn, cum, now);
-        bp.send(rail, f);
-    }
-
-    fn ensure_rto(&mut self, conn: usize, now: u64) {
-        let c = &mut self.conns[conn];
-        if c.rto_deadline.is_none() && c.acked != c.next_seq {
-            c.rto_deadline = Some(now + c.rtt.current_rto().as_nanos());
         }
     }
 
@@ -1226,251 +683,19 @@ impl WireEndpoint {
     fn fire_timers<B: Backplane>(&mut self, bp: &mut B) -> bool {
         let now = bp.now_ns();
         let mut fired = false;
-        for conn in 0..self.conns.len() {
-            if self.conns[conn].ack_deadline.is_some_and(|d| d <= now) {
-                fired = true;
-                self.conns[conn].ack_deadline = None;
-                if self.conns[conn].frames_since_ack > 0 {
-                    self.send_explicit_ack(conn, bp);
+        for conn in 0..self.io.deadlines.len() {
+            for timer in [TimerKind::Ack, TimerKind::Nack, TimerKind::Rto] {
+                let deadline = &mut self.io.deadlines[conn][timer as usize];
+                if deadline.is_some_and(|d| d <= now) {
+                    fired = true;
+                    *deadline = None;
+                    let io = &mut self.io;
+                    self.core
+                        .on_timer(conn, timer, now, &mut WireHost { bp, io });
                 }
-            }
-            if self.conns[conn].nack_deadline.is_some_and(|d| d <= now) {
-                fired = true;
-                self.nack_check_fire(conn, now, bp);
-            }
-            if self.conns[conn].rto_deadline.is_some_and(|d| d <= now) {
-                fired = true;
-                self.rto_fire(conn, now, bp);
             }
         }
         fired
-    }
-
-    fn nack_check_fire<B: Backplane>(&mut self, conn: usize, now: u64, bp: &mut B) {
-        let repeat = self.proto.nack_repeat;
-        let min_age = self.proto.nack_delay;
-        let (due, rearm) = {
-            let c = &mut self.conns[conn];
-            c.nack_deadline = None;
-            let WConn {
-                seqs,
-                gaps,
-                missing_scratch,
-                ..
-            } = c;
-            seqs.missing_ranges_into(missing_scratch);
-            let cumulative = seqs.cumulative();
-            gaps.purge_below(cumulative);
-            let now_t = SimTime(now);
-            let mut due = Vec::new();
-            for &(from, to) in missing_scratch.iter() {
-                // Only report gaps older than `nack_delay` — multi-link
-                // skew closes younger gaps on its own (§2.4).
-                let g = gaps.entry(from, now_t);
-                if now_t.since(g.first_seen) < min_age {
-                    continue;
-                }
-                if g.last_nack.is_none_or(|t| now_t.since(t) >= repeat) {
-                    g.last_nack = Some(now_t);
-                    due.push((to_wire(from), to_wire(to)));
-                }
-            }
-            let rearm = !missing_scratch.is_empty();
-            if rearm {
-                c.nack_deadline = Some(now + min_age.as_nanos());
-            }
-            (due, rearm)
-        };
-        let _ = rearm;
-        if !due.is_empty() {
-            self.send_nack(conn, due, bp);
-        }
-    }
-
-    fn rto_fire<B: Backplane>(&mut self, conn: usize, now: u64, bp: &mut B) {
-        let (resend, rearm) = {
-            let c = &mut self.conns[conn];
-            c.rto_deadline = None;
-            if c.acked == c.next_seq {
-                (None, false)
-            } else if now.saturating_sub(c.last_progress_ns) >= c.rtt.current_rto().as_nanos()
-                && c.sent_up_to > c.acked
-            {
-                // §2.4: retransmit the last transmitted frame; the receiver
-                // will NACK anything else that is missing.
-                let seq = c.sent_up_to - 1;
-                c.last_progress_ns = now;
-                c.stats.retransmits_rto += 1;
-                let backoff = c.rtt.on_timeout();
-                c.stats.rto_backoff_max = c.stats.rto_backoff_max.max(backoff as u64);
-                let rail = c.tx.get(seq).map(|s| s.rail);
-                let rail_ev = rail.and_then(|r| c.rails.on_loss(r, seq, SimTime(now)));
-                if rail_ev.is_some() {
-                    c.stats.rail_down_events += 1;
-                }
-                let dead_rail = match rail_ev {
-                    Some(RailEvent::Dead(r)) => Some(r),
-                    _ => None,
-                };
-                let rto_ns = c.rtt.current_rto().as_nanos();
-                (Some((seq, backoff, rail, dead_rail, rto_ns)), true)
-            } else {
-                (None, true)
-            }
-        };
-        if let Some((seq, backoff, rail, dead_rail, rto_ns)) = resend {
-            self.stats.retransmits_rto += 1;
-            self.stats.rto_backoff_max = self.stats.rto_backoff_max.max(backoff as u64);
-            self.flight.rto_backoff(
-                self.node,
-                conn,
-                rail.map(|r| r as u32),
-                rto_ns,
-                backoff,
-                now,
-            );
-            if let Some(r) = dead_rail {
-                self.flight.rail_death(self.node, Some(conn), r as u32, now);
-            }
-            self.transmit(conn, seq, true, bp);
-        }
-        if rearm {
-            let c = &mut self.conns[conn];
-            c.rto_deadline = Some(now + c.rtt.current_rto().as_nanos());
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Transmit path
-    // ------------------------------------------------------------------
-
-    /// Transmit window-eligible queued frames.
-    fn pump_send<B: Backplane>(&mut self, conn: usize, bp: &mut B) {
-        let window = self.proto.window;
-        let (mut n, mut bytes) = (0u64, 0u64);
-        loop {
-            let c = &mut self.conns[conn];
-            if c.sent_up_to >= c.next_seq || c.in_flight() >= window {
-                break;
-            }
-            let seq = c.sent_up_to;
-            let frame = c
-                .send_queue
-                .pop_front()
-                .expect("send_queue covers [sent_up_to, next_seq)");
-            let len = frame.payload.len() as u64;
-            c.tx.insert(TxSlot {
-                seq,
-                rail: 0,
-                sent_at: SimTime::ZERO,
-                retransmitted: false,
-                frame,
-            });
-            c.sent_up_to += 1;
-            self.transmit(conn, seq, false, bp);
-            n += 1;
-            bytes += len;
-        }
-        if n > 0 {
-            self.stats.data_frames_sent += n;
-            self.stats.data_bytes_sent += bytes;
-            let c = &mut self.conns[conn];
-            c.stats.data_frames_sent += n;
-            c.stats.data_bytes_sent += bytes;
-            // Any data frame piggybacks the ack state.
-            c.frames_since_ack = 0;
-        }
-    }
-
-    /// Fetch the stored frame for `seq`, refresh its piggybacked ack,
-    /// assign a rail and send it.
-    fn transmit<B: Backplane>(&mut self, conn: usize, seq: u64, retransmit: bool, bp: &mut B) {
-        let now = bp.now_ns();
-        let node = self.node;
-        let draw = self.rng_draw();
-        let spans_on = self.spans.is_enabled();
-        let (rail, f, cum) = {
-            let c = &mut self.conns[conn];
-            let Some(slot) = c.tx.get(seq) else {
-                return;
-            };
-            let mut f = slot.frame.clone();
-            f.header.ack = to_wire(c.seqs.cumulative());
-            if retransmit {
-                f.header.flags |= FrameFlags::RETRANSMIT;
-            }
-            let mask = c.rails.eligible_mask(SimTime(now));
-            let rail = c
-                .sched
-                .pick(bp.rails(), mask, |i| bp.tx_backlog_ns(i), |n| draw % n);
-            c.rails.note_sent(rail, seq);
-            let slot = c.tx.get_mut(seq).expect("slot just read");
-            slot.rail = rail;
-            slot.sent_at = SimTime(now);
-            slot.retransmitted = slot.retransmitted || retransmit;
-            f.src = bp.local_mac(rail);
-            f.dst = bp.peer_mac(rail);
-            (rail, f, c.seqs.cumulative())
-        };
-        if spans_on && f.header.kind == FrameKind::Data {
-            let crit = f.header.flags.contains(FrameFlags::LAST_FRAGMENT);
-            self.spans.frame_tx(
-                SpanKey::new(node, conn, f.header.op_id),
-                Leg::Req,
-                crit,
-                retransmit,
-                rail as u32,
-                bp.tx_backlog_ns(rail),
-                now,
-            );
-            // Every data-bearing frame piggybacks the cumulative ack.
-            self.spans.ack_sent(node, conn, cum, now);
-        }
-        bp.send(rail, f);
-    }
-
-    // ------------------------------------------------------------------
-    // Span stamping (mirrors the simulator endpoint's milestones)
-    // ------------------------------------------------------------------
-
-    /// Physical-arrival milestone for span-critical frames (the last
-    /// fragment of a write), keyed by the op's origin.
-    fn span_arrival(&self, conn: usize, f: &Frame, at_ns: u64) {
-        if f.header.kind == FrameKind::Data
-            && f.header.flags.contains(FrameFlags::LAST_FRAGMENT)
-        {
-            let c = &self.conns[conn];
-            self.spans.frame_arrival(
-                SpanKey::new(c.peer_node, c.peer_conn_id as usize, f.header.op_id),
-                Leg::Req,
-                at_ns,
-            );
-        }
-    }
-
-    /// Reorder-admission milestone; registers write last-fragments with the
-    /// cumulative-ack waiter queue.
-    fn span_admit(&self, conn: usize, f: &Frame, seq: u64, now_ns: u64) {
-        if f.header.kind == FrameKind::Data
-            && f.header.flags.contains(FrameFlags::LAST_FRAGMENT)
-        {
-            let c = &self.conns[conn];
-            let key = SpanKey::new(c.peer_node, c.peer_conn_id as usize, f.header.op_id);
-            self.spans.frame_admitted(key, Leg::Req, now_ns);
-            self.spans.await_cum(self.node, conn, seq, key);
-        }
-    }
-
-    /// Deterministic per-endpoint draw for the Random scheduling policy
-    /// (xorshift64*; the sim backend's RNG lives in the simulator, which a
-    /// transport-agnostic driver cannot reach).
-    fn rng_draw(&mut self) -> usize {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        (x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize
     }
 }
 
@@ -1480,16 +705,16 @@ fn classify_stall(a: &WireEndpoint, b: &WireEndpoint, idle_ns: u64) -> WireError
     for ep in [a, b] {
         if ep.min_active_rails() == Some(0) {
             return WireError::AllRailsDead {
-                node: ep.node,
+                node: ep.node(),
                 idle_ns,
             };
         }
     }
     for ep in [a, b] {
         let backoff = ep.max_backoff();
-        if backoff >= ep.proto.rto_storm_cap {
+        if backoff >= ep.core.proto().rto_storm_cap {
             return WireError::PeerUnreachable {
-                node: ep.node,
+                node: ep.node(),
                 backoff,
                 idle_ns,
             };
@@ -1499,7 +724,7 @@ fn classify_stall(a: &WireEndpoint, b: &WireEndpoint, idle_ns: u64) -> WireError
         let buffered = ep.fence_buffered_total();
         if buffered > 0 {
             return WireError::FenceStallExceeded {
-                node: ep.node,
+                node: ep.node(),
                 stalled_ns: idle_ns,
                 buffered,
             };
@@ -1557,30 +782,27 @@ pub fn drive_with<BA: Backplane, BB: Backplane>(
         let trip = if limits.fence_stall_limit_ns > 0 {
             // The dedicated fence watchdog fires even while other traffic
             // keeps the progress token moving.
-            [&*a, &*b]
-                .into_iter()
-                .find_map(|ep| {
-                    let since = ep.oldest_buffered_since()?;
-                    let stalled_ns = now.saturating_sub(since);
-                    (stalled_ns > limits.fence_stall_limit_ns).then(|| {
-                        WireError::FenceStallExceeded {
-                            node: ep.node,
-                            stalled_ns,
-                            buffered: ep.fence_buffered_total(),
-                        }
-                    })
+            [&*a, &*b].into_iter().find_map(|ep| {
+                let since = ep.oldest_buffered_since()?;
+                let stalled_ns = now.saturating_sub(since);
+                (stalled_ns > limits.fence_stall_limit_ns).then(|| WireError::FenceStallExceeded {
+                    node: ep.node(),
+                    stalled_ns,
+                    buffered: ep.fence_buffered_total(),
                 })
+            })
         } else {
             None
         };
         let trip = trip.or_else(|| {
-            (idle > limits.progress_timeout_ns
-                || now.saturating_sub(start) > limits.hard_budget_ns)
+            (idle > limits.progress_timeout_ns || now.saturating_sub(start) > limits.hard_budget_ns)
                 .then(|| classify_stall(a, b, idle))
         });
         if let Some(err) = trip {
-            a.flight.watchdog(a.node, Some(0), err.code(), idle, now);
-            b.flight.watchdog(b.node, Some(0), err.code(), idle, now);
+            for ep in [&*a, &*b] {
+                let flight = &ep.core.obs.flight;
+                flight.watchdog(ep.node(), Some(0), err.code(), idle, now);
+            }
             return Err(err);
         }
         if pa || pb {
@@ -1598,8 +820,16 @@ pub fn drive_with<BA: Backplane, BB: Backplane>(
             .unwrap_or(fallback)
             .max(now + 1);
         let wake = deadline
-            .min(last_progress.saturating_add(limits.progress_timeout_ns).saturating_add(1))
-            .min(start.saturating_add(limits.hard_budget_ns).saturating_add(1))
+            .min(
+                last_progress
+                    .saturating_add(limits.progress_timeout_ns)
+                    .saturating_add(1),
+            )
+            .min(
+                start
+                    .saturating_add(limits.hard_budget_ns)
+                    .saturating_add(1),
+            )
             .max(now + 1);
         bpa.advance(wake);
     }

@@ -27,6 +27,13 @@
 //!   RFC 6298-style retransmission timeout with exponential backoff
 //!   ([`rtt::RttEstimator`]) replaces the paper's fixed coarse timer.
 //!
+//! # Architecture
+//!
+//! Every protocol rule lives once, in the sans-IO [`ProtoCore`]
+//! ([`proto`]). Two drivers run it: [`Endpoint`] on the simulator (host
+//! cost model, interrupt moderation, async handles) and [`WireEndpoint`]
+//! over any [`Backplane`] (poll/deadline loop, liveness watchdog).
+//!
 //! # Quick start
 //!
 //! ```
@@ -57,6 +64,7 @@ pub mod endpoint;
 pub mod memory;
 pub mod ops;
 pub mod order;
+pub mod proto;
 pub mod railhealth;
 pub mod recvseq;
 pub mod ring;
@@ -75,6 +83,7 @@ pub use config::{CostModel, ProtoConfig, SystemConfig};
 pub use endpoint::Endpoint;
 pub use memory::{AppMemory, PAGE_SIZE};
 pub use ops::{Notification, OpFlags, OpHandle, OpKind};
+pub use proto::ProtoCore;
 pub use railhealth::{RailEvent, RailSet, RailState};
 pub use rtt::RttEstimator;
 pub use sched::{LinkScheduler, SchedPolicy};

@@ -134,14 +134,93 @@ fn udp_mtu_boundary_fragmentation() {
     }
 }
 
+/// Three frames no legitimate peer sends, each of which used to reach
+/// connection state: an unknown connection id, a read request whose
+/// payload is too short to carry a length, and one asking for more than a
+/// response's `u32` total length can describe.
+fn hostile_frames() -> [frame::Frame; 3] {
+    let frame = |kind, conn, payload: Vec<u8>| frame::Frame {
+        src: frame::MacAddr::new(0, 0),
+        dst: frame::MacAddr::new(1, 0),
+        header: frame::FrameHeader {
+            kind,
+            flags: frame::FrameFlags::FIRST_FRAGMENT | frame::FrameFlags::LAST_FRAGMENT,
+            conn,
+            seq: 0,
+            ack: 0,
+            op_id: 0,
+            op_total_len: 0,
+            fence_floor: 0,
+            remote_addr: 0x1000,
+            aux: 0x2000,
+        },
+        payload: Bytes::from(payload),
+    };
+    [
+        frame(frame::FrameKind::Data, 7, vec![1, 2, 3]),
+        frame(frame::FrameKind::ReadRequest, 0, vec![9, 9, 9]),
+        frame(
+            frame::FrameKind::ReadRequest,
+            0,
+            (u64::from(u32::MAX) + 1).to_le_bytes().to_vec(),
+        ),
+    ]
+}
+
+/// Nothing that arrives off a wire may panic an endpoint: both drivers drop
+/// the hostile frames at admission, count them, and carry on.
+#[test]
+fn hostile_frames_are_rejected_by_both_drivers() {
+    // Simulator driver: frames injected straight into node 1's NIC.
+    let cfg = std::rc::Rc::new(SystemConfig::one_link_1g(2));
+    let sim = Sim::new(cfg.seed);
+    let cluster = build_cluster(&sim, cfg.cluster_spec());
+    let eps = multiedge::Endpoint::for_cluster(&sim, &cluster, cfg);
+    let (c0, _) = multiedge::Endpoint::connect(&eps[0], &eps[1]);
+    for f in hostile_frames() {
+        cluster.net.inject_nic_rx(cluster.nics[1][0], f, false);
+    }
+    let a = eps[0].clone();
+    sim.spawn("writer", async move {
+        let h = a.write_bytes(c0, 0x4000, patterned(5_000, 7), OpFlags::RELAXED).await;
+        h.wait().await;
+    });
+    sim.run().expect_quiescent();
+    assert_eq!(eps[1].rx_rejected(), 3);
+    assert_eq!(eps[1].mem_read(0x4000, 5_000), patterned(5_000, 7));
+
+    // Wire driver: the same frames as raw datagrams over loopback.
+    let fabric = UdpFabric::new(1).expect("bind loopback sockets");
+    let (mut bpa, mut bpb) = fabric.pair();
+    let (mut a, mut b) = WireEndpoint::pair(&proto_config().proto, 1, &SpanRecorder::disabled());
+    for f in hostile_frames() {
+        let mut bytes = Vec::new();
+        frame::encode_frame_into(&f, &mut bytes);
+        fabric.inject_raw(0, 0, &bytes).expect("inject over loopback");
+    }
+    for _ in 0..2000 {
+        b.poll(&mut bpb);
+        if b.rx_rejected() == 3 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    assert_eq!(b.rx_rejected(), 3, "fabric stats: {:?}", fabric.stats());
+    a.write(0, &mut bpa, 0x4000, Bytes::from(patterned(5_000, 7)), OpFlags::RELAXED);
+    drive_until_quiesced(&mut a, &mut bpa, &mut b, &mut bpb);
+    assert_eq!(b.mem_read(0x4000, 5_000), patterned(5_000, 7));
+    assert!(a.take_completion().is_some());
+}
+
 /// Timing-independent protocol counters that must agree exactly between a
 /// run over the simulator and a run over real sockets. Timing-dependent
 /// counters (out-of-order arrivals, explicit-ack counts, delayed-ack
 /// behavior) legitimately differ between virtual and wall-clock time and
 /// are deliberately excluded.
-fn fingerprint(s: &ProtoStats) -> [u64; 8] {
+fn fingerprint(s: &ProtoStats) -> [u64; 9] {
     [
         s.ops_write,
+        s.ops_read,
         s.bytes_written,
         s.data_frames_sent,
         s.data_bytes_sent,
@@ -159,7 +238,7 @@ fn run_fingerprint<BA: Backplane, BB: Backplane>(
     rails: usize,
     bpa: &mut BA,
     bpb: &mut BB,
-) -> ([u64; 8], [u64; 8]) {
+) -> ([u64; 9], [u64; 9]) {
     let spans = SpanRecorder::disabled();
     let (mut a, mut b) = WireEndpoint::pair(proto, rails, &spans);
     for i in 0..6u64 {
@@ -183,6 +262,26 @@ fn run_fingerprint<BA: Backplane, BB: Backplane>(
         Bytes::from(patterned(2_000, 0xEE)),
         OpFlags::RELAXED.with_notify(),
     );
+    // A remote read of memory the peer already holds, and a write followed
+    // by a backward-fenced read of the same bytes: the read must observe
+    // the write on every backend.
+    b.mem_write(0x30_0000, &patterned(7_000, 0x51));
+    a.read(0, bpa, 0x31_0000, 0x30_0000, 7_000, OpFlags::RELAXED);
+    a.write(
+        0,
+        bpa,
+        0x40_0000,
+        Bytes::from(patterned(12_000, 0x52)),
+        OpFlags::RELAXED,
+    );
+    a.read(
+        0,
+        bpa,
+        0x41_0000,
+        0x40_0000,
+        12_000,
+        OpFlags::RELAXED.with_fence_backward(),
+    );
     let replied = Cell::new(false);
     drive(
         &mut a,
@@ -201,14 +300,16 @@ fn run_fingerprint<BA: Backplane, BB: Backplane>(
                 );
             }
         },
-        |a, b| {
-            replied.get()
-                && a.conn_state(0).acked == a.conn_state(0).next_seq
-                && b.conn_state(0).acked == b.conn_state(0).next_seq
-        },
+        |a, b| replied.get() && a.quiesced() && b.quiesced(),
         BUDGET_NS,
     )
     .expect("fingerprint workload quiesces");
+    assert_eq!(a.mem_read(0x31_0000, 7_000), patterned(7_000, 0x51));
+    assert_eq!(a.mem_read(0x41_0000, 12_000), patterned(12_000, 0x52));
+    let reads = std::iter::from_fn(|| a.take_completion())
+        .filter(|c| c.kind == multiedge::OpKind::Read)
+        .count();
+    assert_eq!(reads, 2, "both reads complete through the completion queue");
     (fingerprint(&a.stats()), fingerprint(&b.stats()))
 }
 
@@ -457,6 +558,7 @@ fn sim_and_udp_backends_agree_on_protocol_fingerprint() {
          (ops, bytes, frames, retransmits, dups)"
     );
     // And the run must be clean on both: no recovery machinery involved.
-    assert_eq!(sim_fp.0[6], 0, "no retransmits on a loss-free fabric");
-    assert_eq!(sim_fp.0[7], 0, "no duplicates on a loss-free fabric");
+    assert_eq!(sim_fp.0[1], 2, "both reads counted");
+    assert_eq!(sim_fp.0[7], 0, "no retransmits on a loss-free fabric");
+    assert_eq!(sim_fp.0[8], 0, "no duplicates on a loss-free fabric");
 }

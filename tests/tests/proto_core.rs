@@ -1,0 +1,322 @@
+//! The protocol core alone, under a hostile channel: two [`ProtoCore`]s
+//! joined by an in-memory channel and a manual clock — no simulator, no
+//! sockets, no driver. The channel drops, duplicates, reorders and delays
+//! frames from a generated script, then turns fair; timers fire from the
+//! core's own arm requests.
+//!
+//! Checked against a map-based reference (every op writes or reads its own
+//! region, so the model is order-independent): receiver memory equals the
+//! model and every byte is admitted exactly once, a backward-fenced write is
+//! applied after every earlier write and nothing passes a forward fence, a
+//! backward-fenced read observes the write before it, in-flight never
+//! exceeds the window, every timer is armed at most once until it fires,
+//! every op completes exactly once after the channel turns fair, and the
+//! core rejects none of its peer's frames.
+
+use bytes::Bytes;
+use frame::Frame;
+use multiedge::proto::{Effect, Host, Observers, Op, ProtoCore, TimerKind};
+use multiedge::{Notification, OpFlags, ProtoConfig};
+use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Fragment size: small, so a 150-byte op is already multi-fragment.
+const FRAG: usize = 48;
+const WINDOW: u64 = 8;
+const RAILS: usize = 2;
+/// Node 1 memory no op writes: what unfenced reads fetch.
+const STATIC_BASE: u64 = 0x100_0000;
+/// One frame's flight time once the channel is fair.
+const FAIR_DELAY_NS: u64 = 10_000;
+
+fn pattern(len: usize, salt: u64) -> Vec<u8> {
+    (0..len as u64)
+        .map(|i| (i.wrapping_mul(31) ^ salt.wrapping_mul(0x9d)) as u8)
+        .collect()
+}
+
+/// Region of op `i` (in the target's memory for a write, in the initiator's
+/// for a read).
+fn region(i: usize) -> u64 {
+    0x1000 * (i as u64 + 1)
+}
+
+enum Event {
+    Frame {
+        to: usize,
+        rail: usize,
+        frame: Frame,
+    },
+    Timer {
+        node: usize,
+        timer: TimerKind,
+    },
+}
+
+/// The channel and the clock: a time-ordered event queue plus the script of
+/// per-frame fates, consumed one per frame sent; past its end the channel
+/// is fair.
+struct World {
+    now: u64,
+    queue: BTreeMap<(u64, u64), Event>,
+    next_id: u64,
+    fates: Vec<u8>,
+    sent: usize,
+}
+
+impl World {
+    fn push(&mut self, at: u64, e: Event) {
+        self.queue.insert((at, self.next_id), e);
+        self.next_id += 1;
+    }
+
+    fn send(&mut self, to: usize, rail: usize, frame: Frame) {
+        let fate = self.fates.get(self.sent).copied();
+        self.sent += 1;
+        let Some(fate) = fate else {
+            return self.push(self.now + FAIR_DELAY_NS, Event::Frame { to, rail, frame });
+        };
+        // Low three bits pick the fate, the rest the delay (0–217 µs, so
+        // frames overtake each other freely).
+        let delay = 1_000 + u64::from(fate >> 3) * 7_000;
+        match fate & 7 {
+            0 | 1 => {} // dropped
+            2 => {
+                let again = Event::Frame {
+                    to,
+                    rail,
+                    frame: frame.clone(),
+                };
+                self.push(self.now + delay, Event::Frame { to, rail, frame });
+                self.push(self.now + 2 * delay + 500, again);
+            }
+            _ => self.push(self.now + delay, Event::Frame { to, rail, frame }),
+        }
+    }
+}
+
+/// What one node's effects land in.
+#[derive(Default)]
+struct Outbox {
+    done: Vec<u64>,
+    notes: Vec<Notification>,
+    armed: BTreeSet<u8>,
+}
+
+struct TestHost<'a> {
+    node: usize,
+    world: &'a mut World,
+    out: &'a mut Outbox,
+}
+
+impl Host<u64> for TestHost<'_> {
+    fn max_payload(&self) -> usize {
+        FRAG
+    }
+    fn tx_backlog_ns(&self, _rail: usize) -> u64 {
+        0
+    }
+    fn draw(&self, _n: usize) -> usize {
+        0
+    }
+    fn perform(&mut self, _obs: &Observers, now_ns: u64, effects: &mut Vec<Effect<u64>>) {
+        assert_eq!(now_ns, self.world.now);
+        for e in effects.drain(..) {
+            match e {
+                Effect::Send { rail, frame } => self.world.send(1 - self.node, rail, frame),
+                Effect::Arm { conn, timer, at_ns } => {
+                    assert_eq!(conn, 0);
+                    assert!(at_ns >= now_ns, "timer armed in the past");
+                    assert!(
+                        self.out.armed.insert(timer as u8),
+                        "{timer:?} armed twice before firing"
+                    );
+                    let node = self.node;
+                    self.world.push(at_ns, Event::Timer { node, timer });
+                }
+                Effect::OpDone { token, .. } => self.out.done.push(token),
+                Effect::Notify(n) => self.out.notes.push(n),
+            }
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct OpSpec {
+    read: bool,
+    len: usize,
+    flags: OpFlags,
+}
+
+fn arb_op() -> impl Strategy<Value = OpSpec> {
+    (
+        0u8..3,
+        1usize..150,
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(
+            |(kind, len, fence_backward, fence_forward, notify)| OpSpec {
+                read: kind == 0,
+                len,
+                flags: OpFlags {
+                    fence_backward,
+                    fence_forward,
+                    notify,
+                },
+            },
+        )
+}
+
+/// Run `ops` from node 0 to node 1 over a channel scripted by `fates`.
+fn run(ops: &[OpSpec], fates: Vec<u8>, force_ordered: bool) -> Result<(), String> {
+    let proto = ProtoConfig {
+        window: WINDOW,
+        ack_every: 3,
+        nack_resend_burst: 3,
+        force_ordered,
+        ..ProtoConfig::default()
+    };
+    let mut cores: Vec<ProtoCore<u64>> = (0..2)
+        .map(|n| ProtoCore::new(n, proto.clone(), RAILS))
+        .collect();
+    cores[0].connect(1, 0);
+    cores[1].connect(0, 0);
+    let mut out = [Outbox::default(), Outbox::default()];
+    let mut world = World {
+        now: 0,
+        queue: BTreeMap::new(),
+        next_id: 0,
+        fates,
+        sent: 0,
+    };
+
+    // The reference: what each write must leave at node 1, what each read
+    // must fetch into node 0.
+    cores[1].memory.write(STATIC_BASE, &pattern(256, 0xabc));
+    let mut expect: Vec<Vec<u8>> = Vec::new();
+    let mut last_write: Option<usize> = None;
+    for (i, op) in ops.iter().enumerate() {
+        let mut host = TestHost {
+            node: 0,
+            world: &mut world,
+            out: &mut out[0],
+        };
+        let (req, data) = if op.read {
+            // A backward-fenced read of the latest write must observe it;
+            // any other read fetches memory no op touches.
+            let fenced = op.flags.fence_backward || force_ordered;
+            let (remote_addr, data) = match last_write.filter(|_| fenced) {
+                Some(w) => (region(w), expect[w][..op.len.min(expect[w].len())].to_vec()),
+                None => (STATIC_BASE, pattern(256, 0xabc)[..op.len].to_vec()),
+            };
+            let (local_addr, len) = (region(i), data.len());
+            let req = Op::Read {
+                local_addr,
+                remote_addr,
+                len,
+            };
+            (req, data)
+        } else {
+            let data = pattern(op.len, i as u64);
+            last_write = Some(i);
+            let req = Op::Write {
+                remote_addr: region(i),
+                data: Bytes::from(data.clone()),
+            };
+            (req, data)
+        };
+        cores[0].issue(0, req, op.flags, i as u64, 0, 0, &mut host);
+        expect.push(data);
+    }
+
+    let held = |core: &ProtoCore<u64>, i: usize| {
+        core.memory.read_vec(region(i), expect[i].len()) == expect[i]
+    };
+    let mut seen_notes = 0;
+    let mut events = 0u32;
+    while let Some((&key, _)) = world.queue.first_key_value() {
+        let ev = world.queue.remove(&key).expect("first key");
+        world.now = key.0;
+        events += 1;
+        prop_assert!(events < 200_000, "no quiescence after {events} events");
+        let node = match &ev {
+            Event::Frame { to, .. } => *to,
+            Event::Timer { node, .. } => *node,
+        };
+        let mut host = TestHost {
+            node,
+            world: &mut world,
+            out: &mut out[node],
+        };
+        match ev {
+            Event::Frame { rail, frame, .. } => {
+                cores[node].on_frame(rail, frame, key.0, &mut host);
+            }
+            Event::Timer { timer, .. } => {
+                host.out.armed.remove(&(timer as u8));
+                cores[node].on_timer(0, timer, key.0, &mut host);
+            }
+        }
+        for c in &cores {
+            prop_assert!(c.conns()[0].in_flight() <= WINDOW, "window exceeded");
+        }
+        // Fence order, observed at the instant each notifying write lands.
+        for note in &out[1].notes[seen_notes..] {
+            let m = (note.addr / 0x1000 - 1) as usize;
+            prop_assert_eq!(note.len, expect[m].len());
+            let m_back = ops[m].flags.fence_backward || force_ordered;
+            for (j, earlier) in ops[..m].iter().enumerate().filter(|(_, o)| !o.read) {
+                if m_back || earlier.flags.fence_forward {
+                    prop_assert!(held(&cores[1], j), "write {m} applied before write {j}");
+                }
+            }
+        }
+        seen_notes = out[1].notes.len();
+    }
+
+    // Liveness and exactly-once.
+    let mut done = out[0].done.clone();
+    done.sort_unstable();
+    let all: Vec<u64> = (0..ops.len() as u64).collect();
+    prop_assert_eq!(done, all, "every op completes exactly once");
+    for (i, op) in ops.iter().enumerate() {
+        let at = if op.read { &cores[0] } else { &cores[1] };
+        prop_assert!(held(at, i), "op {i} ({op:?}) left the wrong bytes");
+    }
+    let bytes = |read: bool| -> u64 {
+        let of_kind = ops.iter().zip(&expect).filter(|(o, _)| o.read == read);
+        of_kind.map(|(_, e)| e.len() as u64).sum()
+    };
+    prop_assert_eq!(cores[1].stats().data_bytes_recv, bytes(false));
+    prop_assert_eq!(cores[0].stats().data_bytes_recv, bytes(true));
+    let notifying = ops.iter().filter(|o| !o.read && o.flags.notify).count();
+    prop_assert_eq!(
+        out[1].notes.len(),
+        notifying,
+        "one notification per notify write"
+    );
+    for c in &cores {
+        prop_assert!(
+            c.conns()[0].quiesced(),
+            "not quiesced: {:?}",
+            c.conns()[0].state()
+        );
+        prop_assert_eq!(c.rx_rejected(), 0);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn core_survives_a_hostile_channel(
+        ops in proptest::collection::vec(arb_op(), 1..14),
+        fates in proptest::collection::vec(any::<u8>(), 0..160),
+        force_ordered in any::<bool>(),
+    ) {
+        run(&ops, fates, force_ordered)?;
+    }
+}
