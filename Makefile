@@ -4,7 +4,7 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: verify build test doc clippy loc one-core bench-trace test-soak bench-failover bench-datapath bench-datapath-smoke bench-attribution bench-attribution-smoke test-flight triage-check triage-smoke triage-baseline bench-backplane backplane-smoke test-chaos bench-chaos chaos-smoke test-shard bench-scale bench-scale-smoke bench-telemetry bench-telemetry-smoke test-timeline test-doctor bench-doctor doctor-smoke perf-smoke
+.PHONY: verify build test doc clippy loc one-core bench-trace bench-failover bench-datapath bench-datapath-smoke bench-attribution bench-attribution-smoke triage-check triage-smoke triage-baseline bench-backplane backplane-smoke bench-chaos chaos-smoke bench-scale bench-scale-smoke bench-telemetry bench-telemetry-smoke bench-doctor doctor-smoke perf-smoke perf-row
 
 verify: build test doc clippy one-core
 
@@ -45,12 +45,6 @@ one-core:
 bench-trace:
 	$(CARGO) bench $(OFFLINE) -p multiedge-bench --bench trace_pingpong
 
-# Seeded fault-injection soak: scripted outages, flaps, stalls and loss
-# bursts mid-transfer; exactly-once delivery, fence ordering, rail
-# re-admission and seed reproducibility (docs/FAULTS.md).
-test-soak:
-	$(CARGO) test $(OFFLINE) -p integration-tests --test fault_soak
-
 # Failover ablation: writes results/BENCH_failover.json (goodput
 # before/during/after a scripted rail outage, detection and re-admission
 # latency p50/p99) and asserts convergence to the surviving rail.
@@ -78,12 +72,6 @@ bench-attribution:
 # CI smoke flavour: reduced sweep, same JSON and reconciliation asserts.
 bench-attribution-smoke:
 	ATTRIBUTION_SMOKE=1 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench attribution
-
-# Flight recorder end-to-end: a scripted rail outage must produce a
-# post-mortem dump artifact, and attribution must stay sound under
-# randomized mixed workloads, loss and fences.
-test-flight:
-	$(CARGO) test $(OFFLINE) -p integration-tests --test flight_recorder --test attribution_properties
 
 # Regression triage gate: re-run the full-profile triage cells and diff
 # their attribution against the committed baselines in results/baselines/.
@@ -119,15 +107,6 @@ bench-backplane:
 backplane-smoke:
 	BACKPLANE_SMOKE=1 timeout 300 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench backplane
 
-# Backend-agnostic chaos: the FaultBackplane interposer replays seeded
-# fault schedules over BOTH backends (sim and UDP loopback) with the
-# identical protocol driver — exactly-once delivery, fence ordering,
-# identical timing-independent fingerprints, typed WireError liveness, and
-# cadence-independence proptests (docs/FAULTS.md § Backend-agnostic
-# injection).
-test-chaos:
-	$(CARGO) test $(OFFLINE) -p integration-tests --test chaos_soak --test chaos_properties
-
 # Chaos soak harness: per-schedule chaos/recovery counters on both
 # backends, fingerprints asserted equal, flight dumps written under
 # results/chaos_dumps/, report to results/BENCH_chaos.json. Bounded by
@@ -138,13 +117,6 @@ bench-chaos:
 # CI smoke flavour: reduced workload, same assertions and artifacts.
 chaos-smoke:
 	CHAOS_SMOKE=1 timeout 300 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench chaos
-
-# Sharded-engine correctness: partitioner invariants (proptests) and the
-# determinism contract — fixed seed ⇒ bit-identical timing-independent
-# fingerprints across shard counts {1,2,4}, threaded ≡ cooperative
-# (docs/PERFORMANCE.md § Scaling out).
-test-shard:
-	$(CARGO) test $(OFFLINE) -p integration-tests --test shard_partition --test shard_determinism
 
 # Scale-out bench: 64-node all-to-all / incast / lossy cells through the
 # full protocol stack at shard counts {1,2,4}; asserts cross-shard-count
@@ -161,13 +133,6 @@ bench-scale:
 bench-scale-smoke:
 	SCALE_SMOKE=1 timeout 300 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench scale
 
-# Timeline plane property tests: delta encoding telescopes through ring
-# eviction, retained rows mirror the true series, and the JSONL artifact
-# round-trips to the exact cumulative series (docs/OBSERVABILITY.md
-# § Time-resolved telemetry).
-test-timeline:
-	$(CARGO) test $(OFFLINE) -p integration-tests --test timeline_properties
-
 # Time-resolved telemetry bench: sampler overhead gate (≤5% fps, zero
 # allocations per frame), delta reconciliation against end-of-run
 # ProtoStats, a rail-outage cell whose timeline localises the outage, a
@@ -181,14 +146,6 @@ bench-telemetry:
 # CI smoke flavour: reduced iterations, same gates and artifacts.
 bench-telemetry-smoke:
 	TELEMETRY_SMOKE=1 timeout 300 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench telemetry
-
-# Health-plane unit + property tests: the detector suite (silence on
-# constant/white-noise series, guaranteed step detection, CUSUM catching
-# drifts the z-score misses, monitor determinism) plus the doctor bench
-# cells as library tests (docs/OBSERVABILITY.md § Online health plane).
-test-doctor:
-	timeout 300 $(CARGO) test $(OFFLINE) -p integration-tests --test doctor_properties
-	timeout 300 $(CARGO) test $(OFFLINE) -p multiedge-bench --lib doctor::
 
 # Doctor bench: detector overhead gate (≥95% frames/wall-s, zero
 # allocations per sample, bit-identical protocol stats), rail-outage
@@ -212,3 +169,22 @@ doctor-smoke:
 # (perf/README.md), never in CI.
 perf-smoke:
 	bash perf/run.sh --smoke
+
+# The perf ledger (ROADMAP item 4): run every workload of BENCHMARK.json once
+# at full size and append one {"commit","host","workload","metrics"} line per
+# workload to results/perf_history.jsonl, the metrics being those of the
+# run's result line as printed. Single runs, about two minutes on a quiet
+# host: they date a number and show a trend; a claim still needs the
+# interleaved pairs of perf/NOISE.md. Run by hand, never in CI. To record a
+# tree other than this one, run this Makefile in it and name the row:
+#   make -C <checkout> -f $(CURDIR)/Makefile perf-row COMMIT=<hash> PERF_HISTORY=$(CURDIR)/results/perf_history.jsonl
+COMMIT ?= $(shell git describe --always --dirty)
+PERF_HISTORY ?= results/perf_history.jsonl
+perf-row:
+	@host="$$(nproc) x $$(sed -n 's/^model name[^:]*: //p' /proc/cpuinfo | head -n 1), $$(uname -sr)"; \
+	for w in $$(awk -F'"' '/"name":/ { n = $$4 } /"why":/ { print n }' BENCHMARK.json); do \
+		line=$$(bash perf/run.sh --workload $$w | tail -n 1); \
+		case "$$line" in '{"correct":true,'*) ;; *) echo "perf-row: $$w failed: $$line"; exit 1;; esac; \
+		printf '{"commit":"%s","host":"%s","workload":"%s","metrics":%s\n' \
+			"$(COMMIT)" "$$host" $$w "$${line#*\"metrics\":}" | tee -a $(PERF_HISTORY); \
+	done

@@ -6,6 +6,10 @@
 //! [`Backplane::advance`] on either node drains every socket into per-node
 //! receive queues and returns as soon as anything arrived anywhere, exactly
 //! mirroring the simulated fabric's early-stop semantics.
+//! [`Backplane::next`] on an empty queue sweeps only its own node's sockets:
+//! the peer's traffic waits in the kernel for the peer's own `next` (or
+//! anyone's `advance`), and an idle poll costs `rails` system calls, not
+//! `2 × rails`.
 //!
 //! Frames cross the sockets in the MultiEdge wire format
 //! ([`frame::encode_frame_into`] / [`frame::decode_frame`]); each datagram
@@ -158,7 +162,7 @@ impl UdpRxError {
     }
 }
 
-/// Receive-path counters of one [`UdpFabric`].
+/// Socket-path counters of one [`UdpFabric`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UdpFabricStats {
     /// Datagrams decoded and delivered to a node's queue.
@@ -174,6 +178,18 @@ pub struct UdpFabricStats {
     /// before anyone read them — nonzero means the typed error detail (not
     /// the drop itself, which the counters above retain) was lost.
     pub rx_errors_dropped: u64,
+    /// `recv_from` system calls made, whatever they returned.
+    pub recv_calls: u64,
+    /// `recv_from` calls that found the socket empty (`EAGAIN`) — the price
+    /// of polling; `recv_calls - recv_would_block` datagrams were read.
+    pub recv_would_block: u64,
+    /// Frames the kernel refused on `send_to` (a full socket buffer, most
+    /// likely): lost on the wire as far as the protocol can tell, so they
+    /// come back as retransmissions.
+    pub tx_failed: u64,
+    /// `recv_from` errors other than `EAGAIN`; the sweep of that socket
+    /// stops there.
+    pub rx_socket_errors: u64,
 }
 
 impl UdpFabricStats {
@@ -186,6 +202,10 @@ impl UdpFabricStats {
             .set("frames_malformed_dropped", self.frames_malformed_dropped)
             .set("unknown_source_dropped", self.unknown_source_dropped)
             .set("rx_errors_dropped", self.rx_errors_dropped)
+            .set("recv_calls", self.recv_calls)
+            .set("recv_would_block", self.recv_would_block)
+            .set("tx_failed", self.tx_failed)
+            .set("rx_socket_errors", self.rx_socket_errors)
     }
 }
 
@@ -197,7 +217,7 @@ pub struct UdpFabric {
     /// `peer_addrs[node][rail]`: where node's rail sends, and the only
     /// source address its receives accept.
     peer_addrs: Vec<Vec<SocketAddr>>,
-    /// Per-node receive queues fed by [`UdpFabric::poll_all`].
+    /// Per-node receive queues fed by [`UdpFabric::poll_node`].
     queues: [RefCell<VecDeque<BpRx>>; 2],
     /// Wall-clock epoch: `now_ns` is elapsed time since this instant.
     epoch: Instant,
@@ -215,6 +235,14 @@ pub struct UdpFabric {
     rx_errors: RefCell<VecDeque<UdpRxError>>,
     /// Errors evicted from `rx_errors` unread (overflow observability).
     rx_errors_dropped: Cell<u64>,
+    /// `recv_from` calls made.
+    recv_calls: Cell<u64>,
+    /// `recv_from` calls that returned `WouldBlock`.
+    recv_would_block: Cell<u64>,
+    /// `send_to` calls that failed.
+    tx_failed: Cell<u64>,
+    /// `recv_from` failures other than `WouldBlock`.
+    rx_socket_errors: Cell<u64>,
     /// Optional flight recorder: corrupt drops are noted as trace events.
     flight: RefCell<FlightRecorder>,
     /// Reusable receive buffer.
@@ -271,6 +299,10 @@ impl UdpFabric {
             unknown_source_dropped: Cell::new(0),
             rx_errors: RefCell::new(VecDeque::new()),
             rx_errors_dropped: Cell::new(0),
+            recv_calls: Cell::new(0),
+            recv_would_block: Cell::new(0),
+            tx_failed: Cell::new(0),
+            rx_socket_errors: Cell::new(0),
             flight: RefCell::new(FlightRecorder::disabled()),
             buf: RefCell::new(vec![0u8; DATAGRAM_BUF].into_boxed_slice()),
             scratch: RefCell::new(Vec::with_capacity(DATAGRAM_BUF)),
@@ -291,7 +323,7 @@ impl UdpFabric {
         )
     }
 
-    /// Receive-path counters.
+    /// Socket-path counters.
     pub fn stats(&self) -> UdpFabricStats {
         UdpFabricStats {
             delivered: self.delivered.get(),
@@ -299,6 +331,10 @@ impl UdpFabric {
             frames_malformed_dropped: self.malformed_dropped.get(),
             unknown_source_dropped: self.unknown_source_dropped.get(),
             rx_errors_dropped: self.rx_errors_dropped.get(),
+            recv_calls: self.recv_calls.get(),
+            recv_would_block: self.recv_would_block.get(),
+            tx_failed: self.tx_failed.get(),
+            rx_socket_errors: self.rx_socket_errors.get(),
         }
     }
 
@@ -376,70 +412,65 @@ impl UdpFabric {
             log.pop_front();
             // Eviction is silent data loss without a counter: the drop
             // stays visible in `stats()` even after the detail is gone.
-            self.rx_errors_dropped.set(self.rx_errors_dropped.get() + 1);
+            bump(&self.rx_errors_dropped);
         }
         log.push_back(err);
     }
 
-    /// Drain every socket of both nodes into the per-node queues.
-    fn poll_all(&self) {
+    /// Drain every socket of `node` into its receive queue.
+    fn poll_node(&self, node: usize) {
         let now = self.now_ns();
         let mut buf = self.buf.borrow_mut();
-        for node in 0..2 {
-            for (rail, sock) in self.sockets[node].iter().enumerate() {
-                loop {
-                    match sock.recv_from(&mut buf[..]) {
-                        Ok((n, from)) => {
-                            if from != self.peer_addrs[node][rail] {
-                                self.unknown_source_dropped
-                                    .set(self.unknown_source_dropped.get() + 1);
-                                self.push_rx_error(UdpRxError::UnknownSource {
-                                    node,
-                                    rail,
-                                    from,
+        for (rail, sock) in self.sockets[node].iter().enumerate() {
+            loop {
+                bump(&self.recv_calls);
+                match sock.recv_from(&mut buf[..]) {
+                    Ok((n, from)) => {
+                        if from != self.peer_addrs[node][rail] {
+                            bump(&self.unknown_source_dropped);
+                            self.push_rx_error(UdpRxError::UnknownSource { node, rail, from });
+                            continue;
+                        }
+                        let src = MacAddr::new((1 - node) as u16, rail as u8);
+                        let dst = MacAddr::new(node as u16, rail as u8);
+                        match decode_frame(src, dst, &buf[..n]) {
+                            Ok(frame) => {
+                                self.queues[node].borrow_mut().push_back(BpRx {
+                                    rail: rail as u32,
+                                    at_ns: now,
+                                    frame,
                                 });
-                                continue;
+                                bump(&self.delivered);
                             }
-                            let src = MacAddr::new((1 - node) as u16, rail as u8);
-                            let dst = MacAddr::new(node as u16, rail as u8);
-                            match decode_frame(src, dst, &buf[..n]) {
-                                Ok(frame) => {
-                                    self.queues[node].borrow_mut().push_back(BpRx {
-                                        rail: rail as u32,
-                                        at_ns: now,
-                                        frame,
-                                    });
-                                    self.delivered.set(self.delivered.get() + 1);
-                                }
-                                Err(err @ CodecError::Checksum { .. }) => {
-                                    self.corrupt_dropped
-                                        .set(self.corrupt_dropped.get() + 1);
-                                    self.flight.borrow().note(
-                                        FlightCode::FrameCorrupt,
-                                        node,
-                                        None,
-                                        Some(rail as u32),
-                                        0,
-                                        0,
-                                        now,
-                                    );
-                                    self.push_rx_error(UdpRxError::Corrupt { node, rail, err });
-                                }
-                                Err(err) => {
-                                    self.malformed_dropped
-                                        .set(self.malformed_dropped.get() + 1);
-                                    self.push_rx_error(UdpRxError::Malformed {
-                                        node,
-                                        rail,
-                                        err,
-                                    });
-                                }
+                            Err(err @ CodecError::Checksum { .. }) => {
+                                bump(&self.corrupt_dropped);
+                                self.flight.borrow().note(
+                                    FlightCode::FrameCorrupt,
+                                    node,
+                                    None,
+                                    Some(rail as u32),
+                                    0,
+                                    0,
+                                    now,
+                                );
+                                self.push_rx_error(UdpRxError::Corrupt { node, rail, err });
+                            }
+                            Err(err) => {
+                                bump(&self.malformed_dropped);
+                                self.push_rx_error(UdpRxError::Malformed { node, rail, err });
                             }
                         }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        // Treat transient socket errors like a dropped
-                        // frame; the protocol recovers via NACK/RTO.
-                        Err(_) => break,
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        bump(&self.recv_would_block);
+                        break;
+                    }
+                    // Any other socket error ends this sweep like a dropped
+                    // frame would (the protocol recovers via NACK/RTO), but
+                    // is counted so it cannot pass for loss on the wire.
+                    Err(_) => {
+                        bump(&self.rx_socket_errors);
+                        break;
                     }
                 }
             }
@@ -451,10 +482,18 @@ impl UdpFabric {
         encode_frame_into(frame, &mut scratch);
         // A failed send (full socket buffer) is a transmit-queue overflow:
         // the frame is lost and recovered by the reliability machinery.
-        self.sockets[node][rail]
+        let sent = self.sockets[node][rail]
             .send_to(&scratch, self.peer_addrs[node][rail])
-            .is_ok()
+            .is_ok();
+        if !sent {
+            bump(&self.tx_failed);
+        }
+        sent
     }
+}
+
+fn bump(counter: &Cell<u64>) {
+    counter.set(counter.get() + 1);
 }
 
 /// One node's view of a [`UdpFabric`].
@@ -505,9 +544,9 @@ impl Backplane for UdpBackplane {
         if head.is_some() {
             return head;
         }
-        // Nothing queued: opportunistically drain the sockets so a caller
-        // that never calls `advance` still sees traffic.
-        self.fabric.poll_all();
+        // Nothing queued: drain this node's own sockets, so a caller that
+        // never calls `advance` still sees its traffic.
+        self.fabric.poll_node(self.node);
         self.fabric.queues[self.node].borrow_mut().pop_front()
     }
 
@@ -521,7 +560,8 @@ impl Backplane for UdpBackplane {
         let cfg = self.fabric.cfg;
         let mut spins = 0u32;
         loop {
-            self.fabric.poll_all();
+            self.fabric.poll_node(0);
+            self.fabric.poll_node(1);
             if self.fabric.delivered.get() != base {
                 return self.fabric.now_ns();
             }

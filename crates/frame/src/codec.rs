@@ -16,10 +16,11 @@
 //!     28     8  remote_addr
 //!     36     8  aux
 //!     44     2  payload_len
-//!     46     4  checksum (FNV-1a over header-with-zeroed-checksum + payload)
+//!     46     4  checksum (CRC32C over header-with-zeroed-checksum + payload)
 //!     50  var   payload
 //! ```
 
+use crate::fcs::crc32c;
 use crate::header::{FrameFlags, FrameHeader, FrameKind, HEADER_LEN};
 use crate::{Frame, MacAddr, MAX_PAYLOAD};
 use bytes::Bytes;
@@ -72,22 +73,10 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// FNV-1a, 32-bit. Fast, deterministic, adequate as a frame check sequence
-/// stand-in for the simulator (real hardware has the Ethernet FCS).
-fn fnv1a(chunks: &[&[u8]]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for chunk in chunks {
-        for &b in *chunk {
-            h ^= b as u32;
-            h = h.wrapping_mul(0x0100_0193);
-        }
-    }
-    h
-}
-
-fn write_header(buf: &mut [u8], h: &FrameHeader, payload_len: usize) {
+/// The header with its checksum field zeroed, as the checksum covers it.
+fn header_bytes(h: &FrameHeader, payload_len: usize) -> [u8; HEADER_LEN] {
+    let mut buf = [0u8; HEADER_LEN];
     buf[0] = h.kind as u8;
-    buf[1] = 0;
     buf[2..4].copy_from_slice(&h.flags.bits().to_le_bytes());
     buf[4..8].copy_from_slice(&h.conn.to_le_bytes());
     buf[8..12].copy_from_slice(&h.seq.to_le_bytes());
@@ -98,7 +87,7 @@ fn write_header(buf: &mut [u8], h: &FrameHeader, payload_len: usize) {
     buf[28..36].copy_from_slice(&h.remote_addr.to_le_bytes());
     buf[36..44].copy_from_slice(&h.aux.to_le_bytes());
     buf[44..46].copy_from_slice(&(payload_len as u16).to_le_bytes());
-    buf[46..50].copy_from_slice(&0u32.to_le_bytes()); // checksum placeholder
+    buf
 }
 
 /// Serialize a frame into raw Ethernet payload bytes.
@@ -129,12 +118,12 @@ pub fn encode_frame_into(frame: &Frame, buf: &mut Vec<u8>) {
         frame.payload.len(),
         MAX_PAYLOAD
     );
+    let mut header = header_bytes(&frame.header, frame.payload.len());
+    let sum = crc32c(crc32c(0, &header), &frame.payload);
+    header[46..50].copy_from_slice(&sum.to_le_bytes());
     buf.clear();
-    buf.resize(HEADER_LEN + frame.payload.len(), 0);
-    write_header(buf, &frame.header, frame.payload.len());
-    buf[HEADER_LEN..].copy_from_slice(&frame.payload);
-    let sum = fnv1a(&[buf.as_slice()]);
-    buf[46..50].copy_from_slice(&sum.to_le_bytes());
+    buf.extend_from_slice(&header);
+    buf.extend_from_slice(&frame.payload);
 }
 
 fn rd_u16(b: &[u8], o: usize) -> u16 {
@@ -167,11 +156,8 @@ pub fn decode_frame(src: MacAddr, dst: MacAddr, bytes: &[u8]) -> Result<Frame, C
     }
     let expected = rd_u32(bytes, 46);
     // Recompute with the checksum field zeroed.
-    let actual = fnv1a(&[
-        &bytes[..46],
-        &[0, 0, 0, 0],
-        &bytes[HEADER_LEN..HEADER_LEN + payload_len],
-    ]);
+    let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len];
+    let actual = crc32c(crc32c(crc32c(0, &bytes[..46]), &[0; 4]), payload);
     if expected != actual {
         return Err(CodecError::Checksum { expected, actual });
     }
@@ -191,7 +177,7 @@ pub fn decode_frame(src: MacAddr, dst: MacAddr, bytes: &[u8]) -> Result<Frame, C
         src,
         dst,
         header,
-        payload: Bytes::copy_from_slice(&bytes[HEADER_LEN..HEADER_LEN + payload_len]),
+        payload: Bytes::copy_from_slice(payload),
     })
 }
 

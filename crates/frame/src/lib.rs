@@ -24,6 +24,7 @@
 
 pub mod codec;
 pub mod fasthash;
+pub mod fcs;
 pub mod header;
 pub mod mac;
 pub mod nack;

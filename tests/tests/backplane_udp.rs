@@ -461,6 +461,60 @@ fn udp_unknown_source_is_rejected_and_typed() {
     assert_eq!(fabric.stats().delivered, 0);
 }
 
+/// The fabric counts its own system calls and failures, and an endpoint's
+/// poll pays only for its own node's sockets. On one rail a poll that
+/// receives `k` frames sweeps at most `k + 1` times and every sweep ends on
+/// one `EAGAIN`, so over a run driven by polls alone
+/// `recv_would_block <= delivered + polls`. Sweeping the peer's socket as
+/// well doubles the cost of every sweep and breaks the bound on the first
+/// round trip.
+#[test]
+fn udp_pingpong_counts_syscalls_and_sweeps_only_its_own_node() {
+    const ROUNDS: u64 = 200;
+    let fabric = UdpFabric::new(1).expect("bind loopback sockets");
+    let (mut bpa, mut bpb) = fabric.pair();
+    let (mut a, mut b) =
+        WireEndpoint::pair(&proto_config().proto, 1, &SpanRecorder::disabled());
+    let notify = OpFlags::RELAXED.with_notify();
+    let ball = Bytes::from(patterned(64, 9));
+    let start = std::time::Instant::now();
+    let mut polls = 0u64;
+    // Poll `ep` (never `advance`, which sweeps the whole fabric by
+    // contract) until the ball lands.
+    let mut await_ball = |ep: &mut WireEndpoint, bp: &mut multiedge::UdpBackplane| {
+        while ep.take_notification().is_none() {
+            ep.poll(bp);
+            polls += 1;
+            assert!(
+                start.elapsed().as_nanos() < u128::from(BUDGET_NS),
+                "ping-pong wedged, stats: {:?}",
+                fabric.stats()
+            );
+        }
+    };
+    for _ in 0..ROUNDS {
+        a.write(0, &mut bpa, 0x1000, ball.clone(), notify);
+        await_ball(&mut b, &mut bpb);
+        b.write(0, &mut bpb, 0x1000, ball.clone(), notify);
+        await_ball(&mut a, &mut bpa);
+    }
+    let s = fabric.stats();
+    assert_eq!((s.tx_failed, s.rx_socket_errors), (0, 0), "{s:?}");
+    assert!(s.delivered >= 2 * ROUNDS, "{s:?}");
+    assert_eq!(
+        s.recv_calls - s.recv_would_block,
+        s.delivered,
+        "every datagram read was delivered: {s:?}"
+    );
+    assert!(
+        s.recv_would_block <= s.delivered + polls,
+        "{} EAGAINs for {} frames over {polls} polls: a poll is sweeping more than its own \
+         node's socket",
+        s.recv_would_block,
+        s.delivered
+    );
+}
+
 /// A flight-recorder post-mortem taken on a faulted wire path must carry
 /// the transport's live state as context: the chaos interposer's tallies
 /// and the UDP fabric's counters plus its parked receive-error log —
@@ -508,6 +562,9 @@ fn flight_dump_carries_chaos_and_fabric_context() {
     assert_eq!(chaos.get("dropped").unwrap().as_u64(), Some(1));
     let fab = ctx.get("udp_fabric").expect("fabric context");
     assert_eq!(fab.get("frames_malformed_dropped").unwrap().as_u64(), Some(1));
+    for counter in ["recv_calls", "recv_would_block", "tx_failed", "rx_socket_errors"] {
+        assert!(fab.get(counter).is_some(), "{counter} rides along");
+    }
     let errors = fab.get("rx_errors").unwrap().items().unwrap();
     assert_eq!(errors.len(), 1, "the parked error log rides along");
     assert_eq!(errors[0].get("kind").unwrap().as_str(), Some("malformed"));

@@ -55,11 +55,18 @@ proptest! {
         prop_assert_eq!(decode_frame(f.src, f.dst, &wire).unwrap(), f);
     }
 
-    /// Any single-bit corruption of the wire image is detected.
+    /// Damage anywhere in the wire image is rejected: any single flipped
+    /// bit, any two flipped bits, and any burst of at most 32 consecutive
+    /// bits. CRC32C guarantees all three (and every 3-bit error, at these
+    /// lengths) for damage inside the bytes it covers; damage that rewrites
+    /// the length field or straddles an edge of the checksum field is left
+    /// to the usual 2^-32 odds.
     #[test]
     fn corruption_always_detected(
-        payload in proptest::collection::vec(any::<u8>(), 0..256),
-        flip_bit in 0usize..128,
+        payload in proptest::collection::vec(any::<u8>(), 0..frame::MAX_PAYLOAD + 1),
+        bits in (any::<usize>(), any::<usize>()),
+        burst_at in any::<usize>(),
+        burst in any::<u32>(),
     ) {
         let f = Frame {
             src: MacAddr::new(0, 0),
@@ -67,13 +74,28 @@ proptest! {
             header: FrameHeader::default(),
             payload: bytes::Bytes::from(payload),
         };
-        let mut wire = encode_frame(&f);
-        let bit = flip_bit % (wire.len() * 8);
-        wire[bit / 8] ^= 1 << (bit % 8);
-        // Either rejected outright, or decodes to something != f — never a
-        // silent wrong-but-equal accept.
-        if let Ok(g) = decode_frame(f.src, f.dst, &wire) {
-            prop_assert_ne!(g, f);
+        let wire = encode_frame(&f);
+        let nbits = wire.len() * 8;
+        let flip = |image: &mut [u8], bit: usize| image[bit / 8] ^= 1 << (bit % 8);
+
+        let first = bits.0 % nbits;
+        let mut single = wire.clone();
+        flip(&mut single, first);
+
+        let second = bits.1 % nbits;
+        let mut double = single.clone();
+        flip(&mut double, if second == first { (first + 1) % nbits } else { second });
+
+        // A burst starts at its first damaged bit, so bit 0 of the pattern
+        // is set; the other 31 are free.
+        let start = burst_at % (nbits - 31);
+        let mut run = wire.clone();
+        for i in (0..32).filter(|i| (burst | 1) >> i & 1 == 1) {
+            flip(&mut run, start + i);
+        }
+
+        for damaged in [single, double, run] {
+            prop_assert!(decode_frame(f.src, f.dst, &damaged).is_err());
         }
     }
 
