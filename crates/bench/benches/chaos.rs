@@ -42,8 +42,20 @@ fn run_json(run: &ChaosCellRun) -> Json {
         .set("elapsed_ns", run.elapsed_ns)
         .set(
             "dumps",
-            run.dump_paths.iter().map(|p| Json::from(p.clone())).collect::<Vec<_>>(),
+            run.dump_paths
+                .iter()
+                .map(|p| Json::from(repo_relative(p)))
+                .collect::<Vec<_>>(),
         )
+}
+
+/// A dump path as the report carries it: relative to the repository root,
+/// so the committed artifact does not name the checkout it was made in.
+fn repo_relative(path: &str) -> String {
+    match std::path::Path::new(path).strip_prefix(results_dir()) {
+        Ok(rel) => format!("results/{}", rel.display()),
+        Err(_) => path.to_string(),
+    }
 }
 
 fn main() {

@@ -32,7 +32,6 @@ use multiedge_bench::doctor::{
     balanced_doctor, chaos_burst_doctor, clean_seeds_doctor, incast_doctor, rail_outage_doctor,
 };
 use multiedge_bench::micro::{run_micro_doctor, run_micro_sampled, MicroKind, MicroResult};
-use netsim::shard::ShardMode;
 use netsim::time::us;
 use netsim::{Dur, FaultPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -314,7 +313,7 @@ fn main() {
         .set("gate", "burst loss diagnoses as RetransmitStorm after the burst arms");
 
     // Incast vs balanced: the sharded cross-member diagnosis.
-    let inc = incast_doctor(smoke, ShardMode::Cooperative);
+    let inc = incast_doctor(smoke);
     let inc_health = inc.shard_health.clone().expect("diagnosis enabled");
     let i = inc_health
         .first(IncidentCause::IncastImbalance)
@@ -325,7 +324,7 @@ fn main() {
         hot, i.alarms
     );
     assert_eq!(hot, 0, "the receiver's shard must be named hot");
-    let bal = balanced_doctor(smoke, ShardMode::Cooperative);
+    let bal = balanced_doctor(smoke);
     let bal_health = bal.shard_health.clone().expect("diagnosis enabled");
     println!(
         "balanced     {} incidents (gate: 0)",

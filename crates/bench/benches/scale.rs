@@ -2,17 +2,15 @@
 //!
 //! Runs the 64-node all-to-all transpose, the 64-node incast fan-in, and
 //! the lossy determinism cell at shard counts {1, 2, 4}, then enforces the
-//! determinism contract of the parallel engine: for a fixed seed, the
+//! determinism contract of the sharded engine: for a fixed seed, the
 //! timing-independent fingerprint (per-node ops/bytes/unique-frames/memory
-//! checksum) must be bit-identical at every shard count, and the eager
+//! checksum) must be bit-identical at every shard count, and the
 //! fault-decision streams must agree as functions on every
 //! `(stream, attempt)` index both runs drew.
 //!
 //! Frames per wall-second and `speedup_max_vs_1` are reported, not gated:
-//! the ≥2× this bench once demanded of 4 cooperative shards on one core was
-//! the event queue's O(chain) mid-drain insert being divided by the shard
-//! count, and went away with it (`docs/PERFORMANCE.md` § Scaling out). A
-//! speedup gate returns when threaded runs on several cores are committed.
+//! all shards run on the calling thread, so sharding is a determinism
+//! witness and not an accelerator (`docs/PERFORMANCE.md` § Scaling out).
 //!
 //! Writes `results/BENCH_scale.json`. `SCALE_SMOKE=1` runs reduced cells
 //! for CI under the same gates.
@@ -23,7 +21,6 @@ use multiedge_bench::scale::{
     ScaleCell, ScaleCellResult,
 };
 use multiedge_bench::triage::results_dir;
-use netsim::shard::ShardMode;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -43,7 +40,6 @@ fn shard_counts() -> Vec<usize> {
 fn run_json(r: &ScaleCellResult) -> Json {
     Json::obj()
         .set("shards", r.shards as u64)
-        .set("threaded", r.threaded)
         .set("wall_s", r.wall_s)
         .set("virtual_s", r.virtual_s)
         .set("windows", r.windows)
@@ -76,16 +72,15 @@ fn run_json(r: &ScaleCellResult) -> Json {
 fn run_cell(cell: &ScaleCell, counts: &[usize]) -> Vec<ScaleCellResult> {
     let mut runs = Vec::new();
     for &shards in counts {
-        let r = run_scale_cell(cell, shards, ShardMode::Auto)
+        let r = run_scale_cell(cell, shards)
             .unwrap_or_else(|e| panic!("scale cell '{}' at {shards} shards: {e}", cell.name));
         let advance_s: f64 = r.per_shard.iter().map(|s| s.advance_ns).sum::<u64>() as f64 / 1e9;
         let exchange_s: f64 = r.per_shard.iter().map(|s| s.exchange_ns).sum::<u64>() as f64 / 1e9;
         println!(
-            "{:<22} shards {}  {}  {:>9} frames  {:>12.0} frames/s  {:>9} events  \
+            "{:<22} shards {}  {:>9} frames  {:>12.0} frames/s  {:>9} events  \
              {:>5} windows  {:>4} stalls  wall {:>7.2}s (advance {:.2}s, exchange {:.2}s)",
             cell.name,
             r.shards,
-            if r.threaded { "thr " } else { "coop" },
             r.frames,
             r.frames_per_wall_s,
             r.events,

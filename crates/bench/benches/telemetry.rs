@@ -29,7 +29,6 @@ use me_trace::{Json, SCHEMA_VERSION};
 use multiedge::SystemConfig;
 use multiedge_bench::micro::{run_micro_sampled, MicroKind};
 use multiedge_bench::telemetry::{failover_telemetry, incast_telemetry, wire_telemetry};
-use netsim::shard::ShardMode;
 use netsim::time::us;
 use netsim::Dur;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -261,7 +260,7 @@ fn main() {
         .set("retransmits_total", w.end.retransmits())
         .set("reconciled", true);
 
-    let t = incast_telemetry(smoke, ShardMode::Cooperative);
+    let t = incast_telemetry(smoke);
     println!(
         "incast   4 shards  hot shard {}  peak imbalance {:.2}x over {} intervals",
         t.hot_shard,

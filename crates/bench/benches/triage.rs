@@ -14,7 +14,7 @@
 //!   diffed against the `smoke_*` baselines (`make triage-smoke`).
 //! * `TRIAGE_BASELINE=1` — refresh mode: write the current build's
 //!   documents as the new baselines instead of diffing
-//!   (`make triage-baseline` runs it for both profiles; commit the
+//!   (`make rebaseline` runs it for both profiles; commit the
 //!   results).
 
 use me_trace::{diff_cell, require_schema, DiffConfig, DiffReport, Json, Verdict};
@@ -62,7 +62,7 @@ fn main() {
         let path = baseline_path(profile, spec);
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             panic!(
-                "missing baseline {} ({e}); run `make triage-baseline` and commit results/baselines/",
+                "missing baseline {} ({e}); run `make rebaseline` and commit results/baselines/",
                 path.display()
             )
         });

@@ -7,7 +7,7 @@
 //! ```
 
 use frame::{Frame, FrameHeader, MacAddr};
-use netsim::shard::{run_sharded, ShardMode, ShardNet, ShardRunConfig};
+use netsim::shard::{run_sharded, ShardNet, ShardRunConfig};
 use netsim::time::ns;
 use netsim::{ClusterSpec, RxFrame, Sim, SimTime};
 use std::cell::Cell;
@@ -111,7 +111,6 @@ fn main() {
     let spec = ClusterSpec::gbe_1(32, 4);
     for shards in [1usize, 2, 4] {
         let cfg = ShardRunConfig {
-            mode: ShardMode::Cooperative,
             wall_limit: Some(std::time::Duration::from_secs(120)),
             ..Default::default()
         };

@@ -36,7 +36,6 @@ use multiedge::backplane::{
     drive, Backplane, ChaosConfig, ChaosStats, FaultBackplane, SimBackplane, WireEndpoint,
 };
 use multiedge::{OpFlags, SystemConfig};
-use netsim::shard::ShardMode;
 use netsim::time::{ms, us};
 use netsim::{build_cluster, FaultPlan, GilbertElliott, Sim};
 
@@ -246,27 +245,20 @@ pub fn chaos_burst_doctor(smoke: bool) -> ChaosBurstDoctor {
 /// The 8-node incast fan-in on 4 shards with the cross-shard diagnosis
 /// enabled: the receiver's shard (shard 0 under contiguous partition) must
 /// be named hot by an `IncastImbalance` incident.
-pub fn incast_doctor(smoke: bool, mode: ShardMode) -> ScaleCellResult {
+pub fn incast_doctor(smoke: bool) -> ScaleCellResult {
     let bytes = if smoke { 32 << 10 } else { 128 << 10 };
-    run_scale_cell_doctor(
-        &incast_cell(8, bytes),
-        4,
-        mode,
-        us(200),
-        HealthConfig::default(),
-    )
-    .expect("incast doctor cell must partition and complete")
+    run_scale_cell_doctor(&incast_cell(8, bytes), 4, us(200), HealthConfig::default())
+        .expect("incast doctor cell must partition and complete")
 }
 
 /// The balanced 8-node all-to-all on 4 shards (four rails, so the switches
 /// spread one per shard) with the same diagnosis enabled: the report must
 /// stay clean.
-pub fn balanced_doctor(smoke: bool, mode: ShardMode) -> ScaleCellResult {
+pub fn balanced_doctor(smoke: bool) -> ScaleCellResult {
     let bytes = if smoke { 8 << 10 } else { 32 << 10 };
     run_scale_cell_doctor(
         &all_to_all_cell(8, bytes),
         4,
-        mode,
         us(200),
         HealthConfig::default(),
     )
@@ -316,14 +308,14 @@ mod tests {
 
     #[test]
     fn incast_flags_receiver_shard_and_balanced_stays_clean() {
-        let inc = incast_doctor(true, ShardMode::Cooperative);
+        let inc = incast_doctor(true);
         let report = inc.shard_health.expect("diagnosis was enabled");
         let i = report
             .first(IncidentCause::IncastImbalance)
             .expect("incast must diagnose as IncastImbalance");
         let hot = i.evidence()[0].column as usize;
         assert_eq!(hot, 0, "the receiver's shard must be named hot");
-        let bal = balanced_doctor(true, ShardMode::Cooperative);
+        let bal = balanced_doctor(true);
         let report = bal.shard_health.expect("diagnosis was enabled");
         assert!(
             report.incidents.is_empty(),

@@ -1,5 +1,5 @@
-//! Scale harness: 64-node collective traffic on the sharded parallel
-//! engine ([`netsim::shard`]).
+//! Scale harness: 64-node collective traffic on the sharded engine
+//! ([`netsim::shard`]).
 //!
 //! Two traffic cells exercise the patterns the ROADMAP's marquee
 //! experiments need — an **all-to-all** transpose (every node writes to
@@ -11,15 +11,15 @@
 //!
 //! Every run extracts a **timing-independent fingerprint** (per node:
 //! operations issued, bytes written, unique data frames/bytes received, and
-//! a checksum of the receiving memory regions) plus the eager-mode
-//! fault-decision log. The determinism gate asserts these match across
-//! shard counts {1, 2, 4}; the perf gate compares frames per wall-second.
+//! a checksum of the receiving memory regions) plus the fault-decision
+//! log. The determinism gate asserts these match across
+//! shard counts {1, 2, 4}; frames per wall-second are reported.
 
 use me_trace::Timeline;
 use multiedge::{Endpoint, OpFlags, ProtoStats, SystemConfig};
-use netsim::shard::{run_sharded, ShardError, ShardMode, ShardNet, ShardRunConfig, ShardStats};
+use netsim::shard::{run_sharded, ShardError, ShardRunConfig, ShardStats};
 use netsim::sync::join_all;
-use netsim::{Dur, FaultDecision, FaultPlan, NetStats};
+use netsim::{build_cluster, Dur, FaultDecision, FaultPlan, NetStats, Network, NicId, Sim};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -79,12 +79,17 @@ pub fn mesh_conn_id(node: usize, peer: usize) -> usize {
 /// memory checksum])`.
 pub type NodeFingerprint = (u64, [u64; 5]);
 
-/// What each shard hands back after quiescence.
-struct ShardOut {
-    fingerprints: Vec<NodeFingerprint>,
-    proto: ProtoStats,
-    net: NetStats,
-    decisions: Vec<FaultDecision>,
+/// What one engine (a shard, or the unsharded simulator) hands back after
+/// quiescence.
+pub struct EngineOut {
+    /// Fingerprints of the nodes it simulated, ascending.
+    pub fingerprints: Vec<NodeFingerprint>,
+    /// Their merged protocol stats.
+    pub proto: ProtoStats,
+    /// Its network's stats.
+    pub net: NetStats,
+    /// Its network's fault-decision log.
+    pub decisions: Vec<FaultDecision>,
 }
 
 /// Result of one `(cell, shard count)` run.
@@ -94,8 +99,6 @@ pub struct ScaleCellResult {
     pub name: String,
     /// Shard count.
     pub shards: usize,
-    /// Whether worker threads were used (else cooperative on one thread).
-    pub threaded: bool,
     /// Wall-clock seconds for the whole run (build + simulate + collect).
     pub wall_s: f64,
     /// Virtual seconds simulated.
@@ -116,7 +119,7 @@ pub struct ScaleCellResult {
     pub per_shard: Vec<ShardStats>,
     /// Flattened per-node fingerprints, ascending node order.
     pub fingerprint: Vec<NodeFingerprint>,
-    /// Eager fault decisions, sorted by `(stream key, attempt)`.
+    /// Fault decisions, sorted by `(stream key, attempt)`.
     pub decisions: Vec<FaultDecision>,
     /// Cluster-wide protocol stats (timing-dependent fields included —
     /// reported, but not part of the determinism gate).
@@ -132,7 +135,7 @@ pub struct ScaleCellResult {
     /// Cross-shard health diagnosis over [`ScaleCellResult::shard_samples`]
     /// when the run was started via [`run_scale_cell_doctor`]; `None`
     /// otherwise. A persistently hot shard opens an `IncastImbalance`
-    /// incident; identical across [`ShardMode`]s.
+    /// incident.
     pub shard_health: Option<me_trace::HealthReport>,
 }
 
@@ -172,15 +175,22 @@ fn memory_checksum(ep: &Endpoint, node: usize, nodes: usize, pattern: Pattern) -
     h
 }
 
-/// Build this shard's endpoints, wire the deterministic connection mesh,
-/// and spawn the writer tasks.
-fn setup_shard(sn: &ShardNet, cfg: &SystemConfig, pattern: Pattern) -> Vec<Endpoint> {
+/// Build the endpoints of `local` (node, its NICs) on one engine — a shard's
+/// slice or the whole cluster — wire the deterministic connection mesh, and
+/// spawn the writer tasks.
+fn setup_nodes(
+    sim: &Sim,
+    net: &Network,
+    local: &[(usize, &[NicId])],
+    cfg: &SystemConfig,
+    pattern: Pattern,
+) -> Vec<Endpoint> {
     let nodes = cfg.nodes;
     let rc = Rc::new(cfg.clone());
-    sn.net().record_fault_decisions(true);
+    net.record_fault_decisions(true);
     let mut eps = Vec::new();
-    for &node in sn.local_nodes() {
-        let ep = Endpoint::new(sn.sim(), sn.net(), node, sn.nics(node).to_vec(), rc.clone());
+    for &(node, nics) in local {
+        let ep = Endpoint::new(sim, net, node, nics.to_vec(), rc.clone());
         // Mesh connections via connect_remote on *both* sides — also when
         // the peer happens to be local — so the connection tables are
         // bit-identical at every shard count.
@@ -219,7 +229,7 @@ fn setup_shard(sn: &ShardNet, cfg: &SystemConfig, pattern: Pattern) -> Vec<Endpo
         };
         if !writes.is_empty() {
             let e = ep.clone();
-            sn.sim().spawn(format!("scale-writer-{node}"), async move {
+            sim.spawn(format!("scale-writer-{node}"), async move {
                 let mut handles = Vec::with_capacity(writes.len());
                 for (peer, bytes) in writes {
                     let conn = mesh_conn_id(node, peer);
@@ -238,12 +248,17 @@ fn setup_shard(sn: &ShardNet, cfg: &SystemConfig, pattern: Pattern) -> Vec<Endpo
     eps
 }
 
-/// Extract the shard's fingerprints, stats, and fault-decision log.
-fn collect_shard(sn: &ShardNet, eps: Vec<Endpoint>, cfg: &SystemConfig, pattern: Pattern) -> ShardOut {
+/// Extract one engine's fingerprints, stats, and fault-decision log.
+fn collect_nodes(
+    net: &Network,
+    eps: &[Endpoint],
+    cfg: &SystemConfig,
+    pattern: Pattern,
+) -> EngineOut {
     let mut fingerprints = Vec::with_capacity(eps.len());
     let mut proto = ProtoStats::default();
-    for (ep, &node) in eps.iter().zip(sn.local_nodes()) {
-        let st = ep.stats();
+    for ep in eps {
+        let (st, node) = (ep.stats(), ep.node());
         fingerprints.push((
             node as u64,
             [
@@ -256,21 +271,32 @@ fn collect_shard(sn: &ShardNet, eps: Vec<Endpoint>, cfg: &SystemConfig, pattern:
         ));
         proto.merge(&st);
     }
-    ShardOut {
+    EngineOut {
         fingerprints,
         proto,
-        net: sn.net().stats(),
-        decisions: sn.net().take_fault_decisions(),
+        net: net.stats(),
+        decisions: net.take_fault_decisions(),
     }
 }
 
+/// Run one cell unsharded — `build_cluster` on a single [`Sim`] — and
+/// return its outcome plus the events executed: the reference a one-shard
+/// [`run_scale_cell`] must equal exactly.
+pub fn run_scale_cell_unsharded(cell: &ScaleCell) -> (EngineOut, u64) {
+    let sim = Sim::new(cell.cfg.seed);
+    let cluster = build_cluster(&sim, cell.cfg.cluster_spec());
+    cluster.apply_fault_plan(&sim, &cell.plan);
+    let local: Vec<_> = cluster.nics.iter().map(Vec::as_slice).enumerate().collect();
+    let eps = setup_nodes(&sim, &cluster.net, &local, &cell.cfg, cell.pattern);
+    sim.run().expect_quiescent();
+    let out = collect_nodes(&cluster.net, &eps, &cell.cfg, cell.pattern);
+    cluster.net.clear_handlers();
+    (out, sim.events_executed())
+}
+
 /// Run one cell at one shard count.
-pub fn run_scale_cell(
-    cell: &ScaleCell,
-    shards: usize,
-    mode: ShardMode,
-) -> Result<ScaleCellResult, ShardError> {
-    run_scale_cell_sampled(cell, shards, mode, None)
+pub fn run_scale_cell(cell: &ScaleCell, shards: usize) -> Result<ScaleCellResult, ShardError> {
+    run_scale_cell_sampled(cell, shards, None)
 }
 
 /// Run one cell at one shard count, optionally sampling each shard's event
@@ -279,10 +305,9 @@ pub fn run_scale_cell(
 pub fn run_scale_cell_sampled(
     cell: &ScaleCell,
     shards: usize,
-    mode: ShardMode,
     sample_interval: Option<Dur>,
 ) -> Result<ScaleCellResult, ShardError> {
-    run_scale_cell_inner(cell, shards, mode, sample_interval, None)
+    run_scale_cell_inner(cell, shards, sample_interval, None)
 }
 
 /// Like [`run_scale_cell_sampled`], but also runs the cross-shard health
@@ -291,23 +316,20 @@ pub fn run_scale_cell_sampled(
 pub fn run_scale_cell_doctor(
     cell: &ScaleCell,
     shards: usize,
-    mode: ShardMode,
     sample_interval: Dur,
     health: me_trace::HealthConfig,
 ) -> Result<ScaleCellResult, ShardError> {
-    run_scale_cell_inner(cell, shards, mode, Some(sample_interval), Some(health))
+    run_scale_cell_inner(cell, shards, Some(sample_interval), Some(health))
 }
 
 fn run_scale_cell_inner(
     cell: &ScaleCell,
     shards: usize,
-    mode: ShardMode,
     sample_interval: Option<Dur>,
     health: Option<me_trace::HealthConfig>,
 ) -> Result<ScaleCellResult, ShardError> {
     let spec = cell.cfg.cluster_spec();
     let shard_cfg = ShardRunConfig {
-        mode,
         wall_limit: Some(cell.wall_limit),
         sample_interval,
         health,
@@ -322,8 +344,11 @@ fn run_scale_cell_inner(
         cell.cfg.seed,
         plan,
         &shard_cfg,
-        |sn| setup_shard(sn, &cell.cfg, pattern),
-        |sn, eps| collect_shard(sn, eps, &cell.cfg, pattern),
+        |sn| {
+            let local: Vec<_> = sn.local_nodes().iter().map(|&n| (n, sn.nics(n))).collect();
+            setup_nodes(sn.sim(), sn.net(), &local, &cell.cfg, pattern)
+        },
+        |sn, eps| collect_nodes(sn.net(), &eps, &cell.cfg, pattern),
     )?;
     let wall_s = t0.elapsed().as_secs_f64();
 
@@ -350,7 +375,6 @@ fn run_scale_cell_inner(
     Ok(ScaleCellResult {
         name: cell.name.clone(),
         shards,
-        threaded: report.threaded,
         wall_s,
         virtual_s: report.end_time.as_nanos() as f64 / 1e9,
         windows: report.windows,
@@ -487,9 +511,9 @@ mod tests {
     #[test]
     fn tiny_all_to_all_fingerprints_match_across_shard_counts() {
         let cell = all_to_all_cell(8, 2 << 10);
-        let base = run_scale_cell(&cell, 1, ShardMode::Cooperative).unwrap();
+        let base = run_scale_cell(&cell, 1).unwrap();
         for shards in [2, 4] {
-            let r = run_scale_cell(&cell, shards, ShardMode::Cooperative).unwrap();
+            let r = run_scale_cell(&cell, shards).unwrap();
             assert_eq!(base.fingerprint, r.fingerprint, "shards={shards}");
         }
     }
@@ -497,7 +521,7 @@ mod tests {
     #[test]
     fn tiny_incast_completes_and_checksums() {
         let cell = incast_cell(8, 4 << 10);
-        let r = run_scale_cell(&cell, 2, ShardMode::Cooperative).unwrap();
+        let r = run_scale_cell(&cell, 2).unwrap();
         // 7 senders × 4 KiB delivered to node 0.
         assert_eq!(r.proto.bytes_written, 7 * (4 << 10));
         assert_eq!(r.proto.data_bytes_recv, 7 * (4 << 10));

@@ -29,7 +29,6 @@ use multiedge::backplane::{
     drive, Backplane, ChaosConfig, ChaosStats, FaultBackplane, SimBackplane, WireEndpoint,
 };
 use multiedge::{OpFlags, ProtoStats, SystemConfig};
-use netsim::shard::ShardMode;
 use netsim::time::{ms, us};
 use netsim::{build_cluster, FaultPlan, Sim};
 
@@ -146,10 +145,10 @@ pub struct IncastTelemetry {
 /// sampled every 200 µs of virtual time. Because rows are stamped at
 /// global window boundaries, the per-shard grids align exactly and each
 /// row yields one cross-shard imbalance reading.
-pub fn incast_telemetry(smoke: bool, mode: ShardMode) -> IncastTelemetry {
+pub fn incast_telemetry(smoke: bool) -> IncastTelemetry {
     let bytes = if smoke { 32 << 10 } else { 128 << 10 };
     let cell = incast_cell(8, bytes);
-    let r = run_scale_cell_sampled(&cell, 4, mode, Some(us(200)))
+    let r = run_scale_cell_sampled(&cell, 4, Some(us(200)))
         .expect("incast telemetry cell must partition and complete");
     assert_eq!(r.shard_samples.len(), 4, "one timeline per shard");
 
@@ -303,7 +302,7 @@ mod tests {
 
     #[test]
     fn incast_cell_names_the_receiver_shard_as_hot() {
-        let t = incast_telemetry(true, ShardMode::Cooperative);
+        let t = incast_telemetry(true);
         // Node 0 is the incast receiver; the contiguous partition puts it
         // in shard 0, which must dominate the event counts.
         assert_eq!(t.hot_shard, 0, "hot shard must be the receiver's");

@@ -1,112 +1,68 @@
 //! Golden protocol/network statistics for fixed seeds.
 //!
-//! The allocation-free datapath work (window rings, timer wheel, scratch
-//! buffers) is pure mechanical sympathy: it must not change a single
-//! protocol decision. These tests pin the complete `ProtoStats` and
-//! `NetStats` Debug output of `run_micro` for fixed seeds on the paper's
-//! 1L/2L/4L two-way configurations. Any divergence — one extra
-//! retransmission, one reordered RNG draw — fails the test.
+//! Mechanical-sympathy work on the datapath (window rings, timer wheel,
+//! scratch buffers) must not change a single protocol decision. This test
+//! pins the complete `ProtoStats` and `NetStats` Debug output of
+//! `run_micro` for fixed seeds on the paper's 1L/2L/4L two-way
+//! configurations against `stats_equivalence.golden` (one
+//! `label = fingerprint` line per cell). Any divergence — one extra
+//! retransmission, one reordered draw — fails the test.
 //!
-//! To regenerate after an *intentional* behaviour change:
+//! To regenerate after an *intentional* behaviour change (`make
+//! rebaseline` does this along with every other pinned artifact):
 //!
 //! ```text
-//! GOLDEN_REGEN=1 cargo test --offline -p multiedge-bench --test stats_equivalence -- --nocapture
+//! GOLDEN_REGEN=1 cargo test --offline -p multiedge-bench --test stats_equivalence
 //! ```
-//!
-//! and paste the printed constants back into this file.
 
 use multiedge::SystemConfig;
 use multiedge_bench::micro::{run_micro, MicroKind};
 
-/// One golden cell: a config constructor, a seed, and the expected
-/// `format!("{:?}|{:?}", proto, net)` fingerprint.
-struct Golden {
-    label: &'static str,
-    cfg: fn() -> SystemConfig,
-    seed: u64,
-    expect: &'static str,
-}
+const GOLDEN: &str = include_str!("stats_equivalence.golden");
+const GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/stats_equivalence.golden"
+);
 
 const SIZE: usize = 64 << 10;
 const ITERS: usize = 24;
 
-fn fingerprint(mut cfg: SystemConfig, seed: u64) -> String {
-    cfg.seed = seed;
-    let r = run_micro(&cfg, MicroKind::TwoWay, SIZE, ITERS);
-    format!("{:?}|{:?}", r.proto, r.net)
-}
+/// A golden cell: label, config constructor, seed.
+type Cell = (&'static str, fn(usize) -> SystemConfig, u64);
 
-fn goldens() -> Vec<Golden> {
-    vec![
-        Golden {
-            label: "1L-1G/seed1",
-            cfg: || SystemConfig::one_link_1g(2),
-            seed: 1,
-            expect: GOLDEN_1L_SEED1,
-        },
-        Golden {
-            label: "1L-1G/seed42",
-            cfg: || SystemConfig::one_link_1g(2),
-            seed: 42,
-            expect: GOLDEN_1L_SEED42,
-        },
-        Golden {
-            label: "2Lu-1G/seed1",
-            cfg: || SystemConfig::two_link_1g_unordered(2),
-            seed: 1,
-            expect: GOLDEN_2LU_SEED1,
-        },
-        Golden {
-            label: "2Lu-1G/seed42",
-            cfg: || SystemConfig::two_link_1g_unordered(2),
-            seed: 42,
-            expect: GOLDEN_2LU_SEED42,
-        },
-        Golden {
-            label: "4L-1G/seed1",
-            cfg: || SystemConfig::four_link_1g(2),
-            seed: 1,
-            expect: GOLDEN_4L_SEED1,
-        },
-        Golden {
-            label: "4L-1G/seed42",
-            cfg: || SystemConfig::four_link_1g(2),
-            seed: 42,
-            expect: GOLDEN_4L_SEED42,
-        },
-    ]
-}
+const CELLS: [Cell; 6] = [
+    ("1L-1G/seed1", SystemConfig::one_link_1g, 1),
+    ("1L-1G/seed42", SystemConfig::one_link_1g, 42),
+    ("2Lu-1G/seed1", SystemConfig::two_link_1g_unordered, 1),
+    ("2Lu-1G/seed42", SystemConfig::two_link_1g_unordered, 42),
+    ("4L-1G/seed1", SystemConfig::four_link_1g, 1),
+    ("4L-1G/seed42", SystemConfig::four_link_1g, 42),
+];
 
 #[test]
 fn stats_identical_for_fixed_seeds() {
-    let regen = std::env::var("GOLDEN_REGEN").is_ok();
-    let mut failures = Vec::new();
-    for g in goldens() {
-        let got = fingerprint((g.cfg)(), g.seed);
-        if regen {
-            println!("GOLDEN {} = r#\"{}\"#", g.label, got);
-        } else if got != g.expect {
-            failures.push(format!(
-                "{}:\n  expected: {}\n  got:      {}",
-                g.label, g.expect, got
-            ));
-        }
+    let got: String = CELLS
+        .iter()
+        .map(|&(label, cfg, seed)| {
+            let mut cfg = cfg(2);
+            cfg.seed = seed;
+            let r = run_micro(&cfg, MicroKind::TwoWay, SIZE, ITERS);
+            format!("{label} = {:?}|{:?}\n", r.proto, r.net)
+        })
+        .collect();
+    if std::env::var("GOLDEN_REGEN").is_ok() {
+        std::fs::write(GOLDEN_PATH, &got).expect("rewrite stats_equivalence.golden");
+        return;
     }
+    let drifted: Vec<String> = got
+        .lines()
+        .zip(GOLDEN.lines())
+        .filter(|(g, e)| g != e)
+        .map(|(g, e)| format!("  expected: {e}\n  got:      {g}"))
+        .collect();
     assert!(
-        failures.is_empty(),
-        "protocol/network stats drifted from golden values:\n{}",
-        failures.join("\n")
+        drifted.is_empty() && got.lines().count() == GOLDEN.lines().count(),
+        "protocol/network stats drifted from {GOLDEN_PATH}:\n{}",
+        drifted.join("\n")
     );
 }
-
-// ---------------------------------------------------------------------------
-// Golden fingerprints, captured on the pre-ring/pre-wheel datapath. The ring
-// and timer-wheel refactors must reproduce these byte-for-byte.
-// ---------------------------------------------------------------------------
-
-const GOLDEN_1L_SEED1: &str = r#"ProtoStats { ops_write: 48, ops_read: 0, bytes_written: 3145728, bytes_read: 0, data_frames_sent: 2208, data_bytes_sent: 3145728, read_req_frames_sent: 0, explicit_acks_sent: 110, nacks_sent: 0, retransmits_nack: 0, retransmits_rto: 0, rto_backoff_max: 0, rail_down_events: 0, rail_up_events: 0, data_frames_recv: 2208, data_bytes_recv: 3145728, ctrl_frames_recv: 110, dup_frames_recv: 0, ooo_arrivals: 0, corrupt_frames: 0, rx_interrupts: 1092, rx_coalesced: 1226, tx_interrupts: 17, tx_coalesced: 2301, notifications: 0, reorder_peak: 0 }|NetStats { drops_overflow: 0, drops_loss: 0, drops_link_down: 0, corrupted: 0, drops_unknown_mac: 0, channel_frames: 4636, channel_bytes: 6699424 }"#;
-const GOLDEN_1L_SEED42: &str = r#"ProtoStats { ops_write: 48, ops_read: 0, bytes_written: 3145728, bytes_read: 0, data_frames_sent: 2208, data_bytes_sent: 3145728, read_req_frames_sent: 0, explicit_acks_sent: 110, nacks_sent: 0, retransmits_nack: 0, retransmits_rto: 0, rto_backoff_max: 0, rail_down_events: 0, rail_up_events: 0, data_frames_recv: 2208, data_bytes_recv: 3145728, ctrl_frames_recv: 110, dup_frames_recv: 0, ooo_arrivals: 0, corrupt_frames: 0, rx_interrupts: 1091, rx_coalesced: 1227, tx_interrupts: 16, tx_coalesced: 2302, notifications: 0, reorder_peak: 0 }|NetStats { drops_overflow: 0, drops_loss: 0, drops_link_down: 0, corrupted: 0, drops_unknown_mac: 0, channel_frames: 4636, channel_bytes: 6699424 }"#;
-const GOLDEN_2LU_SEED1: &str = r#"ProtoStats { ops_write: 48, ops_read: 0, bytes_written: 3145728, bytes_read: 0, data_frames_sent: 2208, data_bytes_sent: 3145728, read_req_frames_sent: 0, explicit_acks_sent: 67, nacks_sent: 0, retransmits_nack: 0, retransmits_rto: 0, rto_backoff_max: 0, rail_down_events: 0, rail_up_events: 0, data_frames_recv: 2208, data_bytes_recv: 3145728, ctrl_frames_recv: 67, dup_frames_recv: 0, ooo_arrivals: 1070, corrupt_frames: 0, rx_interrupts: 498, rx_coalesced: 1777, tx_interrupts: 2, tx_coalesced: 2273, notifications: 0, reorder_peak: 0 }|NetStats { drops_overflow: 0, drops_loss: 0, drops_link_down: 0, corrupted: 0, drops_unknown_mac: 0, channel_frames: 4550, channel_bytes: 6691856 }"#;
-const GOLDEN_2LU_SEED42: &str = r#"ProtoStats { ops_write: 48, ops_read: 0, bytes_written: 3145728, bytes_read: 0, data_frames_sent: 2208, data_bytes_sent: 3145728, read_req_frames_sent: 0, explicit_acks_sent: 57, nacks_sent: 0, retransmits_nack: 0, retransmits_rto: 0, rto_backoff_max: 0, rail_down_events: 0, rail_up_events: 0, data_frames_recv: 2208, data_bytes_recv: 3145728, ctrl_frames_recv: 57, dup_frames_recv: 0, ooo_arrivals: 1070, corrupt_frames: 0, rx_interrupts: 492, rx_coalesced: 1773, tx_interrupts: 5, tx_coalesced: 2260, notifications: 0, reorder_peak: 0 }|NetStats { drops_overflow: 0, drops_loss: 0, drops_link_down: 0, corrupted: 0, drops_unknown_mac: 0, channel_frames: 4530, channel_bytes: 6690096 }"#;
-const GOLDEN_4L_SEED1: &str = r#"ProtoStats { ops_write: 48, ops_read: 0, bytes_written: 3145728, bytes_read: 0, data_frames_sent: 2208, data_bytes_sent: 3145728, read_req_frames_sent: 0, explicit_acks_sent: 34, nacks_sent: 0, retransmits_nack: 0, retransmits_rto: 0, rto_backoff_max: 0, rail_down_events: 0, rail_up_events: 0, data_frames_recv: 2208, data_bytes_recv: 3145728, ctrl_frames_recv: 34, dup_frames_recv: 0, ooo_arrivals: 1536, corrupt_frames: 0, rx_interrupts: 277, rx_coalesced: 1965, tx_interrupts: 2, tx_coalesced: 2240, notifications: 0, reorder_peak: 0 }|NetStats { drops_overflow: 0, drops_loss: 0, drops_link_down: 0, corrupted: 0, drops_unknown_mac: 0, channel_frames: 4484, channel_bytes: 6686048 }"#;
-const GOLDEN_4L_SEED42: &str = r#"ProtoStats { ops_write: 48, ops_read: 0, bytes_written: 3145728, bytes_read: 0, data_frames_sent: 2208, data_bytes_sent: 3145728, read_req_frames_sent: 0, explicit_acks_sent: 38, nacks_sent: 0, retransmits_nack: 0, retransmits_rto: 0, rto_backoff_max: 0, rail_down_events: 0, rail_up_events: 0, data_frames_recv: 2208, data_bytes_recv: 3145728, ctrl_frames_recv: 38, dup_frames_recv: 0, ooo_arrivals: 1119, corrupt_frames: 0, rx_interrupts: 277, rx_coalesced: 1969, tx_interrupts: 3, tx_coalesced: 2243, notifications: 0, reorder_peak: 0 }|NetStats { drops_overflow: 0, drops_loss: 0, drops_link_down: 0, corrupted: 0, drops_unknown_mac: 0, channel_frames: 4492, channel_bytes: 6686752 }"#;

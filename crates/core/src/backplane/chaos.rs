@@ -20,12 +20,11 @@
 //! submission, which is exact virtual time on the simulator and wall time
 //! on UDP — same schedule, same *semantics*, physically different instants.
 //!
-//! Divergences from netsim's native replay, by design of a send-side
-//! interposer: a blackout drops frames at submission (netsim also kills
-//! frames already in flight), and a peer NIC stall is modeled by holding
-//! the frame until the stall ends (netsim holds it in the receiving NIC).
-//! Both preserve the protocol-visible effect — the frames do not arrive
-//! while the fault is active.
+//! A blackout drops frames at submission, which is netsim's rule too. The
+//! one divergence from netsim's native replay, by design of a send-side
+//! interposer: a peer NIC stall is modeled by holding the frame until the
+//! stall ends (netsim holds it in the receiving NIC). The protocol-visible
+//! effect is the same — the frame does not arrive while the stall lasts.
 
 use frame::Frame;
 use me_trace::{FlightCode, FlightRecorder, Json};

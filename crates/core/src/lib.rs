@@ -89,18 +89,3 @@ pub use rtt::RttEstimator;
 pub use sched::{LinkScheduler, SchedPolicy};
 pub use stats::{CpuSnapshot, ProtoStats};
 pub use timeline::{rail_state_code, EndpointSampler, EndpointTimeline};
-
-// The protocol stack is single-threaded by design: endpoints, backplanes
-// and operation handles all share `Rc`-backed state with the simulator
-// driving them. Under the sharded runtime each shard runs its own stack on
-// its own thread, and *only* `netsim::BoundaryMsg` crosses between them.
-// Pin that boundary: if a refactor ever made one of these `Send`, moving it
-// across shards would compile — and race. This makes it a compile error
-// instead.
-netsim::assert_not_send!(
-    Endpoint,
-    SimBackplane,
-    OpHandle,
-    frame::Frame,
-    bytes::Bytes,
-);

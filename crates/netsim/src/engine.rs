@@ -311,6 +311,7 @@ struct SimInner {
     tasks: Vec<Option<Task>>,
     live_tasks: usize,
     current_task: Option<TaskId>,
+    seed: u64,
     rng: SmallRng,
     events_executed: u64,
     queue_stats: QueueStats,
@@ -550,6 +551,7 @@ impl Sim {
                 tasks: Vec::new(),
                 live_tasks: 0,
                 current_task: None,
+                seed,
                 rng: SmallRng::seed_from_u64(seed),
                 events_executed: 0,
                 queue_stats: QueueStats::default(),
@@ -655,6 +657,11 @@ impl Sim {
         } else {
             false
         }
+    }
+
+    /// The seed this simulator was created with.
+    pub fn seed(&self) -> u64 {
+        self.inner.borrow().seed
     }
 
     /// Run `f` with the simulator RNG.

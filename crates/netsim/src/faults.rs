@@ -17,15 +17,17 @@
 //!    events — a two-state Markov chain whose *bad* state has elevated
 //!    loss/corruption, producing the clustered errors real copper shows.
 //! 3. Hard faults — [`FaultAction::LinkDown`]/[`FaultAction::LinkUp`]
-//!    (administrative link state; frames in flight when the link drops are
-//!    lost too) and [`FaultAction::NicStall`] (the receive path freezes and
-//!    delivers its backlog, in order, when the stall ends).
+//!    (administrative link state, checked when a frame is submitted; a
+//!    frame already on the wire when the link drops still lands) and
+//!    [`FaultAction::NicStall`] (the receive path freezes and delivers its
+//!    backlog, in order, when the stall ends).
 //!
 //! All random draws the fault layer makes (stationary loss, burst-state
-//! transitions) come from a dedicated RNG seeded by
-//! [`ClusterSpec::fault_seed`](crate::topology::ClusterSpec::fault_seed),
-//! independent of the jitter RNG — so the loss pattern for a given fault
-//! seed is stable even when unrelated timing randomness changes.
+//! transitions) are pure functions of
+//! ([`ClusterSpec::fault_seed`](crate::topology::ClusterSpec::fault_seed),
+//! link identity, submission index on that link), independent of the
+//! jitter streams — so the loss pattern for a given fault seed is stable
+//! even when unrelated timing randomness changes.
 //!
 //! ```
 //! use netsim::time::ms;
@@ -116,8 +118,8 @@ pub enum FaultTarget {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
     /// Force the link administratively down: frames submitted while down are
-    /// dropped at the NIC, and frames already in flight on the link are lost
-    /// at arrival time.
+    /// dropped where they are submitted (the NIC, or the switch's output
+    /// port). Frames already on the wire still land.
     LinkDown,
     /// Restore a downed link.
     LinkUp,

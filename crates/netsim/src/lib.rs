@@ -16,17 +16,19 @@
 //!   [`sync::join_all`].
 //! * [`net`] — frame-granular models of links, store-and-forward switches
 //!   and NICs, with bounded queues (congestion loss) and a transient-fault
-//!   model (random loss / corruption).
+//!   model (random loss / corruption). One delivery path: a frame's fate
+//!   is decided at submit from stateless per-channel streams.
 //! * [`cpu`] — per-CPU busy-time accounting used to report the paper's
 //!   CPU-utilization figures.
 //! * [`topology`] — the paper's rail-shaped cluster builder.
 //! * [`faults`] — scripted, seed-deterministic fault plans layered on the
 //!   stationary model: timed link outages, flapping, NIC stalls, and
 //!   [`GilbertElliott`] burst loss/corruption ([`FaultPlan`]).
-//! * [`shard`] — conservative-lookahead parallel runtime: partitions a
-//!   cluster across per-thread [`Sim`] instances synchronized by the link
+//! * [`shard`] — conservative-lookahead sharded runtime: partitions a
+//!   cluster across several [`Sim`] instances synchronized by the link
 //!   propagation delay, with a hard cross-shard-count determinism contract
-//!   ([`shard::run_sharded`]).
+//!   ([`shard::run_sharded`]) — the witness that the fabric's behaviour
+//!   does not depend on which engine simulates it.
 //!
 //! # Example
 //!

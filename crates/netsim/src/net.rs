@@ -19,13 +19,25 @@
 //! failures") are modeled by a per-hop random loss rate and a corruption
 //! rate; corrupted frames are delivered but flagged, and the receive path
 //! treats them as damaged (checksum failure → NACK).
+//!
+//! # One delivery path, decided at submit
+//!
+//! A frame's whole fate on a channel — link state, queue overflow, jitter,
+//! loss, corruption — is decided when it is *submitted*, and every random
+//! draw is a pure function of `(seed, channel stream key, attempt index)`:
+//! the stream key is the link's identity `(node, rail, direction)`, the
+//! attempt index counts submissions on that channel. No draw depends on
+//! what other channels do or on how events interleave, so the same seeded
+//! cluster behaves identically whether one [`Sim`] runs all of it or
+//! [`crate::shard`] splits it across several — and because the arrival time
+//! is known one propagation delay ahead, that delay is the sharded
+//! runtime's lookahead.
 
 use crate::engine::Sim;
 use crate::faults::{FaultAction, GilbertElliott};
 use crate::time::{Dur, SimTime};
 use frame::{FastMap, Frame, MacAddr};
 use me_trace::{EventKind, FaultKind, FlightCode, FlightRecorder, Tracer};
-use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -111,11 +123,8 @@ pub enum RemoteDest {
     },
 }
 
-/// A frame leaving this [`Network`] for a component simulated elsewhere.
-/// Produced by the eager delivery path when a channel's far end is
-/// `Endpoint::Remote`; the payload is deep-copied out of the `Rc`-backed
-/// [`bytes::Bytes`] shim so the whole struct is `Send`-safe (asserted at
-/// compile time in `crate::shard`).
+/// A frame leaving this [`Network`] for a component simulated elsewhere,
+/// produced when a channel's far end is `Endpoint::Remote`.
 #[derive(Debug, Clone)]
 pub struct BoundaryTx {
     /// Virtual time the frame reaches `dest` (arrival at the switch ingress
@@ -124,32 +133,14 @@ pub struct BoundaryTx {
     pub at: SimTime,
     /// Which remote component receives the frame.
     pub dest: RemoteDest,
-    /// Ethernet source of the carried frame.
-    pub src: MacAddr,
-    /// Ethernet destination of the carried frame.
-    pub dst: MacAddr,
-    /// Protocol header (plain data, `Copy`).
-    pub header: frame::FrameHeader,
-    /// Deep-copied payload bytes.
-    pub payload: Vec<u8>,
+    /// The carried frame.
+    pub frame: Frame,
     /// Whether a transient error already damaged the frame in flight.
     pub corrupted: bool,
 }
 
-impl BoundaryTx {
-    /// Reassemble the carried frame (fresh [`bytes::Bytes`] allocation).
-    pub fn to_frame(&self) -> Frame {
-        Frame {
-            src: self.src,
-            dst: self.dst,
-            header: self.header,
-            payload: bytes::Bytes::from(self.payload.clone()),
-        }
-    }
-}
-
-/// One recorded eager-mode fault decision: `(channel stream key, per-channel
-/// attempt index, lost, corrupted)`. The stream key and attempt index are
+/// One recorded fault decision: `(channel stream key, per-channel attempt
+/// index, lost, corrupted)`. The stream key and attempt index are
 /// shard-count-invariant, so two runs of the same seeded cell at different
 /// shard counts must produce identical logs (the determinism gate).
 pub type FaultDecision = (u64, u64, bool, bool);
@@ -201,13 +192,12 @@ struct ChannelState {
     burst: Option<GilbertElliott>,
     /// Current Gilbert–Elliott state (`true` = bad).
     ge_bad: bool,
-    /// Shard-count-invariant identity of this channel's jitter/fault
-    /// streams (eager mode only; `0` = unset, legacy mode).
+    /// Identity of this channel's jitter/fault streams ([`stream_key`]).
     stream_key: u64,
-    /// Submissions so far (eager mode): the per-channel index every
-    /// stateless jitter/fault draw is keyed by. Counts every submission
-    /// attempt, including ones dropped at the queue or a downed link, so
-    /// the stream never shifts with a frame's fate.
+    /// Submissions so far: the per-channel index every jitter/fault draw is
+    /// keyed by. Counts every submission attempt, including ones dropped
+    /// at the queue or a downed link, so the stream never shifts with a
+    /// frame's fate.
     attempts: u64,
 }
 
@@ -278,28 +268,15 @@ struct NetInner {
     switches: Vec<SwitchState>,
     nics: Vec<NicState>,
     fault: FaultModel,
-    /// Dedicated RNG for every loss/corruption/burst-transition draw, kept
-    /// separate from the jitter RNG so a fault seed pins the loss pattern
-    /// regardless of unrelated timing randomness. Legacy mode only; eager
-    /// mode replaces it with stateless per-channel streams.
-    fault_rng: SmallRng,
-    /// Eager delivery mode (sharded runtime): jitter and per-hop fault fate
-    /// are decided at *submit* time from stateless per-channel streams, so
-    /// a frame's whole trajectory is known one propagation delay before it
-    /// lands — the conservative-lookahead requirement. Legacy mode (decide
-    /// at arrival, shared sequential RNGs) is bit-identical to the code
-    /// before sharding existed.
-    eager: bool,
-    /// Seed for the stateless fault streams (eager mode).
+    /// Seed of the loss/corruption/burst-transition streams.
     fault_seed: u64,
-    /// Seed for the stateless jitter streams (eager mode), kept separate so
-    /// a fault seed pins losses independent of timing randomness — the same
-    /// contract the two legacy RNGs provide.
+    /// Seed of the jitter streams, kept separate so a fault seed pins the
+    /// loss pattern regardless of timing randomness.
     jitter_seed: u64,
     /// Hook invoked when a frame's channel terminates at a remote endpoint.
     boundary_tx: Option<Rc<dyn Fn(BoundaryTx)>>,
-    /// When `Some`, every eager fault decision is appended here (the
-    /// determinism gate compares these logs across shard counts).
+    /// When `Some`, every fault decision is appended here (the determinism
+    /// gate compares these logs across shard counts).
     decisions: Option<Vec<FaultDecision>>,
     tracer: Tracer,
     flight: FlightRecorder,
@@ -312,11 +289,20 @@ pub struct Network {
     inner: Rc<RefCell<NetInner>>,
 }
 
-/// Note a frame drop into the flight recorder, attributed to the sending
-/// node/conn/rail with the channel id as payload.
-fn flight_drop(flight: &FlightRecorder, f: &Frame, ch: ChannelId, t_ns: u64) {
+/// Record a frame's drop or corruption at its site: a trace event plus a
+/// flight note attributed to the sending node/conn/rail, channel id as
+/// payload.
+fn note_fate(
+    tracer: &Tracer,
+    flight: &FlightRecorder,
+    (kind, code): (EventKind, FlightCode),
+    f: &Frame,
+    ch: ChannelId,
+    t_ns: u64,
+) {
+    tracer.emit(t_ns, Some(f.header.conn), Some(f.src.rail as u32), kind);
     flight.note(
-        FlightCode::FrameDrop,
+        code,
         f.src.node as usize,
         Some(f.header.conn as usize),
         Some(f.src.rail as u32),
@@ -326,36 +312,35 @@ fn flight_drop(flight: &FlightRecorder, f: &Frame, ch: ChannelId, t_ns: u64) {
     );
 }
 
-/// Draw a frame's latency jitter in `[0, j)` from the simulator's RNG.
-/// Consumes exactly one draw whenever `j > 0`, regardless of the frame's
-/// fate, so the jitter stream stays aligned across configurations.
-fn draw_jitter(sim: &Sim, j: Dur) -> Dur {
-    if j == Dur::ZERO {
-        Dur::ZERO
-    } else {
-        Dur(sim.with_rng(|r| r.gen_range(0..j.as_nanos())))
-    }
-}
+/// The two fates [`note_fate`] records, as (trace event, flight code).
+const DROPPED: (EventKind, FlightCode) = (EventKind::FrameDrop, FlightCode::FrameDrop);
+const CORRUPTED: (EventKind, FlightCode) = (EventKind::FrameCorrupt, FlightCode::FrameCorrupt);
 
-/// Draw lanes of the stateless per-channel streams (eager mode). One lane
-/// per random decision a traversal can need, so lanes never alias.
+/// Draw lanes of the per-channel streams. One lane per random decision a
+/// traversal can need, so lanes never alias.
 const LANE_GE: u64 = 0;
 const LANE_LOSS: u64 = 1;
 const LANE_CORRUPT: u64 = 2;
 const LANE_JITTER: u64 = 3;
 
+/// Identity of one channel's random streams: the link's global topology
+/// coordinates, so the same physical link draws the same stream no matter
+/// which network object (whole cluster or one shard's slice) holds it.
+fn stream_key(mac: MacAddr, down: bool) -> u64 {
+    ((mac.node as u64) << 32) | ((mac.rail as u64) << 8) | down as u64
+}
+
 /// splitmix64 finalizer: a cheap, well-mixed u64 → u64 permutation.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
+fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// Stateless draw: a pure function of `(seed, stream key, attempt, lane)`.
-/// Eager mode uses this instead of sequential RNGs so a channel's random
-/// stream cannot shift when unrelated events reorder (e.g. under a
-/// different shard count).
+/// Stateless draw: a pure function of `(seed, stream key, attempt, lane)`,
+/// so a channel's random stream cannot shift when unrelated events reorder
+/// (e.g. under a different shard count).
 fn stateless_u64(seed: u64, key: u64, attempt: u64, lane: u64) -> u64 {
     let mut z = seed;
     for v in [key, attempt, lane] {
@@ -369,13 +354,12 @@ fn unit_f64(u: u64) -> f64 {
     (u >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Eager-mode fault decision for attempt `attempt` on channel `c`: same
-/// stationary ⊕ burst composition as [`decide_channel_fault`], but every
-/// draw comes from the channel's stateless stream. The Gilbert–Elliott
-/// state still evolves sequentially *per channel*, indexed by the attempt
-/// counter, which is deterministic because a channel is only ever driven by
-/// its single owning shard.
-fn decide_channel_fault_eager(
+/// Decide loss/corruption for attempt `attempt` on channel `c`: the
+/// stationary model composed with the channel's burst process (if any),
+/// every draw from the channel's stateless stream. The Gilbert–Elliott
+/// state evolves sequentially *per channel*, indexed by the attempt
+/// counter — deterministic because one network object drives a channel.
+fn decide_channel_fault(
     c: &mut ChannelState,
     stationary: FaultModel,
     fault_seed: u64,
@@ -397,6 +381,7 @@ fn decide_channel_fault_eager(
         } else {
             (ge.loss_good, ge.corrupt_good)
         };
+        // Independent composition: survive both processes or be hit.
         loss_p = 1.0 - (1.0 - loss_p) * (1.0 - gl);
         corrupt_p = 1.0 - (1.0 - corrupt_p) * (1.0 - gc);
     }
@@ -408,51 +393,21 @@ fn decide_channel_fault_eager(
     (lost, corrupted)
 }
 
-/// Decide loss/corruption for one channel traversal: stationary model
-/// composed with the channel's burst process (if any), all drawn from the
-/// dedicated fault RNG.
-fn decide_channel_fault(
-    c: &mut ChannelState,
-    stationary: FaultModel,
-    rng: &mut SmallRng,
-) -> (bool, bool) {
-    let mut loss_p = stationary.loss_rate;
-    let mut corrupt_p = stationary.corrupt_rate;
-    if let Some(ge) = c.burst {
-        let flip_p = if c.ge_bad {
-            ge.p_bad_to_good
-        } else {
-            ge.p_good_to_bad
-        };
-        if flip_p > 0.0 && rng.gen::<f64>() < flip_p {
-            c.ge_bad = !c.ge_bad;
-        }
-        let (gl, gc) = if c.ge_bad {
-            (ge.loss_bad, ge.corrupt_bad)
-        } else {
-            (ge.loss_good, ge.corrupt_good)
-        };
-        // Independent composition: survive both processes or be hit.
-        loss_p = 1.0 - (1.0 - loss_p) * (1.0 - gl);
-        corrupt_p = 1.0 - (1.0 - corrupt_p) * (1.0 - gc);
-    }
-    let lost = loss_p > 0.0 && rng.gen::<f64>() < loss_p;
-    let corrupted = !lost && corrupt_p > 0.0 && rng.gen::<f64>() < corrupt_p;
-    (lost, corrupted)
-}
-
 impl Network {
-    /// Empty network attached to `sim`, with the default fault seed.
+    /// Empty network attached to `sim`, with the default fault seed and the
+    /// simulator's seed as the run seed.
     pub fn new(sim: &Sim, fault: FaultModel) -> Self {
-        Self::with_fault_seed(sim, fault, crate::topology::DEFAULT_FAULT_SEED)
+        Self::with_seeds(sim, fault, crate::topology::DEFAULT_FAULT_SEED, sim.seed())
     }
 
-    /// Empty network whose loss/corruption/burst draws come from a dedicated
-    /// RNG seeded with `fault_seed`, independent of the simulator's jitter
-    /// RNG — so the loss pattern is reproducible for a given fault seed even
-    /// when unrelated timing randomness changes. Plumbed through
-    /// [`ClusterSpec::fault_seed`](crate::topology::ClusterSpec::fault_seed).
-    pub fn with_fault_seed(sim: &Sim, fault: FaultModel, fault_seed: u64) -> Self {
+    /// Empty network whose loss/corruption/burst streams are keyed by
+    /// `fault_seed` ([`ClusterSpec::fault_seed`](crate::topology::ClusterSpec::fault_seed))
+    /// and whose jitter streams are keyed by `run_seed`, the seed of the
+    /// whole run. The two are independent: a fault seed pins the loss
+    /// pattern whatever the timing randomness. A sharded run gives every
+    /// shard the same `run_seed`, so a link jitters identically wherever it
+    /// is simulated.
+    pub fn with_seeds(sim: &Sim, fault: FaultModel, fault_seed: u64, run_seed: u64) -> Self {
         Self {
             sim: sim.clone(),
             inner: Rc::new(RefCell::new(NetInner {
@@ -460,34 +415,14 @@ impl Network {
                 switches: Vec::new(),
                 nics: Vec::new(),
                 fault,
-                fault_rng: SmallRng::seed_from_u64(fault_seed),
-                tracer: Tracer::disabled(),
-                flight: FlightRecorder::disabled(),
-                eager: false,
                 fault_seed,
-                jitter_seed: 0,
+                jitter_seed: splitmix64(run_seed ^ 0x9E6C_63D0_985B_4C9D),
                 boundary_tx: None,
                 decisions: None,
+                tracer: Tracer::disabled(),
+                flight: FlightRecorder::disabled(),
             })),
         }
-    }
-
-    /// Empty network in **eager delivery mode**, the variant the sharded
-    /// runtime ([`crate::shard`]) builds in every shard. Jitter and per-hop
-    /// loss/corruption are decided at submit time from stateless streams
-    /// keyed `(seed, channel stream key, attempt index)`, so each channel's
-    /// randomness is a pure function independent of shard count and event
-    /// interleaving — the foundation of the cross-shard determinism gate.
-    /// Channels whose far end is `Endpoint::Remote` hand finished frames
-    /// to the [`Self::set_boundary_tx`] hook instead of a local event.
-    pub fn sharded(sim: &Sim, fault: FaultModel, fault_seed: u64, jitter_seed: u64) -> Self {
-        let net = Self::with_fault_seed(sim, fault, fault_seed);
-        {
-            let mut inner = net.inner.borrow_mut();
-            inner.eager = true;
-            inner.jitter_seed = jitter_seed;
-        }
-        net
     }
 
     /// Attach a [`Tracer`]: the network then records each channel
@@ -543,21 +478,25 @@ impl Network {
     /// port buffer, where congestion drops happen.
     pub fn connect(&self, nic: NicId, switch: SwitchId, params: ChannelParams) {
         let mut inner = self.inner.borrow_mut();
+        let mac = inner.nics[nic.0].mac;
         let up_params = ChannelParams {
             queue_cap: usize::MAX / 2,
             ..params
         };
         let up = ChannelId(inner.channels.len());
-        inner
-            .channels
-            .push(ChannelState::new(up_params, Endpoint::Switch(switch), 0));
+        inner.channels.push(ChannelState::new(
+            up_params,
+            Endpoint::Switch(switch),
+            stream_key(mac, false),
+        ));
         let down = ChannelId(inner.channels.len());
-        inner
-            .channels
-            .push(ChannelState::new(params, Endpoint::Nic(nic), 0));
+        inner.channels.push(ChannelState::new(
+            params,
+            Endpoint::Nic(nic),
+            stream_key(mac, true),
+        ));
         inner.nics[nic.0].tx_channel = Some(up);
         inner.nics[nic.0].rx_channel = Some(down);
-        let mac = inner.nics[nic.0].mac;
         inner.switches[switch.0].table.insert(mac, down);
     }
 
@@ -588,192 +527,7 @@ impl Network {
                 .tx_channel
                 .expect("nic_send on unconnected NIC")
         };
-        self.channel_transmit(ch, f, Some(nic))
-    }
-
-    /// Serialize `f` onto channel `ch`; `completion_nic` receives the
-    /// tx-complete callback. Returns false on queue-overflow drop.
-    fn channel_transmit(&self, ch: ChannelId, f: Frame, completion_nic: Option<NicId>) -> bool {
-        if self.inner.borrow().eager {
-            return self.channel_transmit_eager(ch, f, completion_nic, false);
-        }
-        let now = self.sim.now();
-        let wire_len = f.wire_len();
-        let (end, arrival, to) = {
-            let mut inner = self.inner.borrow_mut();
-            let NetInner {
-                channels,
-                tracer,
-                flight,
-                ..
-            } = &mut *inner;
-            let c = &mut channels[ch.0];
-            // The jitter draw is unconditional and happens first, so the
-            // jitter-RNG stream consumes one value per submission no matter
-            // the outcome — dropping a frame must not shift later draws.
-            let jitter = draw_jitter(&self.sim, c.params.jitter);
-            if !c.link_up {
-                c.drop_link_down += 1;
-                tracer.emit(
-                    now.as_nanos(),
-                    Some(f.header.conn),
-                    Some(f.src.rail as u32),
-                    EventKind::FrameDrop,
-                );
-                flight_drop(flight, &f, ch, now.as_nanos());
-                return false;
-            }
-            // Lazily expire queue entries whose serialization has started.
-            while c.queued_starts.front().is_some_and(|&s| s <= now) {
-                c.queued_starts.pop_front();
-            }
-            if c.queued_starts.len() >= c.params.queue_cap {
-                c.drop_overflow += 1;
-                tracer.emit(
-                    now.as_nanos(),
-                    Some(f.header.conn),
-                    Some(f.src.rail as u32),
-                    EventKind::FrameDrop,
-                );
-                flight_drop(flight, &f, ch, now.as_nanos());
-                return false;
-            }
-            let start = now.max(c.busy_until);
-            let end = start + Dur::for_bytes(wire_len, c.params.bytes_per_sec);
-            c.busy_until = end;
-            if start > now {
-                c.queued_starts.push_back(start);
-            }
-            c.tx_frames += 1;
-            c.tx_bytes += wire_len as u64;
-            let mut arrival = end + c.params.latency + jitter;
-            // FIFO within a channel: never overtake the previous frame.
-            arrival = arrival.max(c.last_arrival);
-            c.last_arrival = arrival;
-            tracer.wire_time(f.src.rail as u32, arrival.since(now).as_nanos());
-            (end, arrival, c.to)
-        };
-        // Transmit completion back to the sending NIC (DMA buffer free).
-        if let Some(nic) = completion_nic {
-            let this = self.clone();
-            self.sim.schedule_at(end, move |sim| {
-                let cb = this.inner.borrow().nics[nic.0].tx_complete.clone();
-                if let Some(cb) = cb {
-                    cb(sim, wire_len);
-                }
-            });
-        }
-        // Arrival at the far end (loss/corruption decided on arrival).
-        let this = self.clone();
-        self.sim.schedule_at(arrival, move |sim| {
-            this.arrive(sim, ch, to, f);
-        });
-        true
-    }
-
-    fn arrive(&self, sim: &Sim, ch: ChannelId, to: Endpoint, f: Frame) {
-        // One borrow covers the in-flight link check, the fault decision and
-        // the switch lookup; only the scheduling happens outside it.
-        enum Action {
-            Done,
-            Forward(ChannelId, Dur, bool),
-            Deliver(NicId, bool),
-        }
-        let action = {
-            let mut inner = self.inner.borrow_mut();
-            let NetInner {
-                channels,
-                switches,
-                fault,
-                fault_rng,
-                tracer,
-                flight,
-                ..
-            } = &mut *inner;
-            let c = &mut channels[ch.0];
-            // A frame still in flight when its link went down is lost with it.
-            if !c.link_up {
-                c.drop_link_down += 1;
-                tracer.emit(
-                    sim.now().as_nanos(),
-                    Some(f.header.conn),
-                    Some(f.src.rail as u32),
-                    EventKind::FrameDrop,
-                );
-                flight_drop(flight, &f, ch, sim.now().as_nanos());
-                Action::Done
-            } else {
-                let (lost, corrupted) = decide_channel_fault(c, *fault, fault_rng);
-                if lost {
-                    c.drop_loss += 1;
-                    tracer.emit(
-                        sim.now().as_nanos(),
-                        Some(f.header.conn),
-                        Some(f.src.rail as u32),
-                        EventKind::FrameDrop,
-                    );
-                    flight_drop(flight, &f, ch, sim.now().as_nanos());
-                    Action::Done
-                } else {
-                    if corrupted {
-                        c.corrupted += 1;
-                        tracer.emit(
-                            sim.now().as_nanos(),
-                            Some(f.header.conn),
-                            Some(f.src.rail as u32),
-                            EventKind::FrameCorrupt,
-                        );
-                        flight.note(
-                            FlightCode::FrameCorrupt,
-                            f.src.node as usize,
-                            Some(f.header.conn as usize),
-                            Some(f.src.rail as u32),
-                            ch.0 as u64,
-                            u64::from(f.header.seq),
-                            sim.now().as_nanos(),
-                        );
-                    }
-                    match to {
-                        Endpoint::Switch(sw) => {
-                            // A corrupted frame is forwarded anyway (our
-                            // switches do not verify FCS, like cheap
-                            // store-and-forward hardware); the end host's
-                            // checksum catches it.
-                            let s = &mut switches[sw.0];
-                            match s.table.get(&f.dst) {
-                                Some(&out) => Action::Forward(out, s.forward_delay, corrupted),
-                                None => {
-                                    s.drop_unknown += 1;
-                                    Action::Done
-                                }
-                            }
-                        }
-                        Endpoint::Nic(nic) => Action::Deliver(nic, corrupted),
-                        Endpoint::Remote(_) => {
-                            unreachable!("remote endpoints exist only in eager (sharded) mode")
-                        }
-                    }
-                }
-            }
-        };
-        match action {
-            Action::Done => {}
-            Action::Forward(out, delay, carry_corrupt) => {
-                let this = self.clone();
-                sim.schedule_in(delay, move |_| {
-                    // Corruption already counted; re-transmit the (possibly
-                    // damaged) frame unchanged. The corruption marker is
-                    // re-evaluated per hop only for fresh damage; to carry
-                    // the existing damage we piggyback via a tagged send.
-                    if carry_corrupt {
-                        this.channel_transmit_corrupt(out, f);
-                    } else {
-                        this.channel_transmit(out, f, None);
-                    }
-                });
-            }
-            Action::Deliver(nic, corrupted) => self.deliver_to_nic(sim, nic, f, corrupted),
-        }
+        self.channel_transmit(ch, f, Some(nic), false)
     }
 
     /// Hand a frame to `nic`'s receive handler, honoring any active receive
@@ -867,131 +621,26 @@ impl Network {
         }
     }
 
-    /// Like [`Self::channel_transmit`] but the frame is already damaged; it
-    /// stays damaged through delivery.
-    fn channel_transmit_corrupt(&self, ch: ChannelId, f: Frame) {
-        if self.inner.borrow().eager {
-            self.channel_transmit_eager(ch, f, None, true);
-            return;
-        }
-        let now = self.sim.now();
-        let wire_len = f.wire_len();
-        let (arrival, to) = {
-            let mut inner = self.inner.borrow_mut();
-            let NetInner {
-                channels,
-                tracer,
-                flight,
-                ..
-            } = &mut *inner;
-            let c = &mut channels[ch.0];
-            let jitter = draw_jitter(&self.sim, c.params.jitter);
-            if !c.link_up {
-                c.drop_link_down += 1;
-                tracer.emit(
-                    now.as_nanos(),
-                    Some(f.header.conn),
-                    Some(f.src.rail as u32),
-                    EventKind::FrameDrop,
-                );
-                flight_drop(flight, &f, ch, now.as_nanos());
-                return;
-            }
-            while c.queued_starts.front().is_some_and(|&s| s <= now) {
-                c.queued_starts.pop_front();
-            }
-            if c.queued_starts.len() >= c.params.queue_cap {
-                c.drop_overflow += 1;
-                tracer.emit(
-                    now.as_nanos(),
-                    Some(f.header.conn),
-                    Some(f.src.rail as u32),
-                    EventKind::FrameDrop,
-                );
-                flight_drop(flight, &f, ch, now.as_nanos());
-                return;
-            }
-            let start = now.max(c.busy_until);
-            let end = start + Dur::for_bytes(wire_len, c.params.bytes_per_sec);
-            c.busy_until = end;
-            if start > now {
-                c.queued_starts.push_back(start);
-            }
-            c.tx_frames += 1;
-            c.tx_bytes += wire_len as u64;
-            let mut arrival = end + c.params.latency + jitter;
-            arrival = arrival.max(c.last_arrival);
-            c.last_arrival = arrival;
-            tracer.wire_time(f.src.rail as u32, arrival.since(now).as_nanos());
-            (arrival, c.to)
-        };
-        let this = self.clone();
-        self.sim.schedule_at(arrival, move |sim| {
-            {
-                let mut inner = this.inner.borrow_mut();
-                if !inner.channels[ch.0].link_up {
-                    inner.channels[ch.0].drop_link_down += 1;
-                    inner.tracer.emit(
-                        sim.now().as_nanos(),
-                        Some(f.header.conn),
-                        Some(f.src.rail as u32),
-                        EventKind::FrameDrop,
-                    );
-                    flight_drop(&inner.flight, &f, ch, sim.now().as_nanos());
-                    return;
-                }
-            }
-            match to {
-                Endpoint::Nic(nic) => this.deliver_to_nic(sim, nic, f, true),
-                Endpoint::Switch(_) => {
-                    // Multi-switch paths re-enter the normal path; keep damaged.
-                    this.arrive_corrupt(sim, to, f);
-                }
-                Endpoint::Remote(_) => {
-                    unreachable!("remote endpoints exist only in eager (sharded) mode")
-                }
-            }
-        });
-    }
-
-    fn arrive_corrupt(&self, sim: &Sim, to: Endpoint, f: Frame) {
-        if let Endpoint::Switch(sw) = to {
-            let (out, delay) = {
-                let mut inner = self.inner.borrow_mut();
-                let s = &mut inner.switches[sw.0];
-                match s.table.get(&f.dst) {
-                    Some(&out) => (out, s.forward_delay),
-                    None => {
-                        s.drop_unknown += 1;
-                        return;
-                    }
-                }
-            };
-            let this = self.clone();
-            sim.schedule_in(delay, move |_| this.channel_transmit_corrupt(out, f));
-        }
-    }
-
-    /// Eager-mode transmit: one borrow decides the frame's entire fate —
-    /// jitter, loss, corruption — at submit time from the channel's
-    /// stateless streams, then schedules the local arrival or hands the
-    /// frame to the boundary hook when the far end is remote. Because
+    /// Serialize `f` onto channel `ch`; `completion_nic` receives the
+    /// tx-complete callback, `pre_corrupt` marks a frame an earlier hop
+    /// already damaged. One borrow decides the frame's entire fate on this
+    /// channel at submit time — link state, queue, jitter, loss, corruption
+    /// — then schedules the arrival or hands the frame to the boundary hook
+    /// when the far end is remote. Link state is checked here only: a frame
+    /// submitted before a link goes down still lands. Because
     /// `arrival ≥ now + latency`, a cross-shard frame always lands at least
     /// one propagation delay in the future: the lookahead window.
-    fn channel_transmit_eager(
+    /// Returns `false` if the frame never occupied the wire.
+    fn channel_transmit(
         &self,
         ch: ChannelId,
         f: Frame,
         completion_nic: Option<NicId>,
         pre_corrupt: bool,
     ) -> bool {
-        enum Next {
-            Gone,
-            Local(SimTime, Endpoint, bool),
-        }
         let now = self.sim.now();
         let wire_len = f.wire_len();
-        let (end, next) = {
+        let (end, landing) = {
             let mut inner = self.inner.borrow_mut();
             let NetInner {
                 channels,
@@ -1009,38 +658,21 @@ impl Network {
             // whether or not earlier frames were dropped.
             let attempt = c.attempts;
             c.attempts += 1;
-            let jitter = if c.params.jitter == Dur::ZERO {
-                Dur::ZERO
-            } else {
-                Dur(stateless_u64(*jitter_seed, c.stream_key, attempt, LANE_JITTER)
-                    % c.params.jitter.as_nanos())
-            };
             if !c.link_up {
                 c.drop_link_down += 1;
-                tracer.emit(
-                    now.as_nanos(),
-                    Some(f.header.conn),
-                    Some(f.src.rail as u32),
-                    EventKind::FrameDrop,
-                );
-                flight_drop(flight, &f, ch, now.as_nanos());
+                note_fate(tracer, flight, DROPPED, &f, ch, now.as_nanos());
                 return false;
             }
+            // Lazily expire queue entries whose serialization has started.
             while c.queued_starts.front().is_some_and(|&s| s <= now) {
                 c.queued_starts.pop_front();
             }
             if c.queued_starts.len() >= c.params.queue_cap {
                 c.drop_overflow += 1;
-                tracer.emit(
-                    now.as_nanos(),
-                    Some(f.header.conn),
-                    Some(f.src.rail as u32),
-                    EventKind::FrameDrop,
-                );
-                flight_drop(flight, &f, ch, now.as_nanos());
+                note_fate(tracer, flight, DROPPED, &f, ch, now.as_nanos());
                 return false;
             }
-            let (lost, fresh_corrupt) = decide_channel_fault_eager(c, *fault, *fault_seed, attempt);
+            let (lost, fresh_corrupt) = decide_channel_fault(c, *fault, *fault_seed, attempt);
             if let Some(log) = decisions.as_mut() {
                 log.push((c.stream_key, attempt, lost, fresh_corrupt));
             }
@@ -1052,46 +684,30 @@ impl Network {
             }
             c.tx_frames += 1;
             c.tx_bytes += wire_len as u64;
-            let mut arrival = end + c.params.latency + jitter;
-            arrival = arrival.max(c.last_arrival);
+            let jitter = match c.params.jitter.as_nanos() {
+                0 => 0,
+                j => stateless_u64(*jitter_seed, c.stream_key, attempt, LANE_JITTER) % j,
+            };
+            // FIFO within a channel: never overtake the previous frame.
+            let arrival = (end + c.params.latency + Dur(jitter)).max(c.last_arrival);
             c.last_arrival = arrival;
             tracer.wire_time(f.src.rail as u32, arrival.since(now).as_nanos());
-            if lost {
+            let landing = if lost {
                 // A lost frame still occupied the wire (counted above); it
-                // just never lands. Eager mode has no separate in-flight
-                // link-down loss — link state is checked at submit only.
+                // just never lands.
                 c.drop_loss += 1;
-                tracer.emit(
-                    now.as_nanos(),
-                    Some(f.header.conn),
-                    Some(f.src.rail as u32),
-                    EventKind::FrameDrop,
-                );
-                flight_drop(flight, &f, ch, now.as_nanos());
-                (end, Next::Gone)
+                note_fate(tracer, flight, DROPPED, &f, ch, now.as_nanos());
+                None
             } else {
-                let corrupted = pre_corrupt || fresh_corrupt;
                 if fresh_corrupt {
                     c.corrupted += 1;
-                    tracer.emit(
-                        now.as_nanos(),
-                        Some(f.header.conn),
-                        Some(f.src.rail as u32),
-                        EventKind::FrameCorrupt,
-                    );
-                    flight.note(
-                        FlightCode::FrameCorrupt,
-                        f.src.node as usize,
-                        Some(f.header.conn as usize),
-                        Some(f.src.rail as u32),
-                        ch.0 as u64,
-                        u64::from(f.header.seq),
-                        now.as_nanos(),
-                    );
+                    note_fate(tracer, flight, CORRUPTED, &f, ch, now.as_nanos());
                 }
-                (end, Next::Local(arrival, c.to, corrupted))
-            }
+                Some((arrival, c.to, pre_corrupt || fresh_corrupt))
+            };
+            (end, landing)
         };
+        // Transmit completion back to the sending NIC (DMA buffer free).
         if let Some(nic) = completion_nic {
             let this = self.clone();
             self.sim.schedule_at(end, move |sim| {
@@ -1101,44 +717,44 @@ impl Network {
                 }
             });
         }
-        match next {
-            Next::Gone => {}
-            Next::Local(arrival, to, corrupted) => match to {
-                Endpoint::Switch(sw) => {
-                    let this = self.clone();
-                    self.sim.schedule_at(arrival, move |_| {
-                        this.inject_switch_ingress(sw, f, corrupted);
+        let Some((arrival, to, corrupted)) = landing else {
+            return true;
+        };
+        match to {
+            // A corrupted frame is forwarded anyway (our switches do not
+            // verify FCS, like cheap store-and-forward hardware); the end
+            // host's checksum catches it.
+            Endpoint::Switch(sw) => {
+                let this = self.clone();
+                self.sim.schedule_at(arrival, move |_| {
+                    this.inject_switch_ingress(sw, f, corrupted);
+                });
+            }
+            Endpoint::Nic(nic) => {
+                let this = self.clone();
+                self.sim.schedule_at(arrival, move |sim| {
+                    this.deliver_to_nic(sim, nic, f, corrupted);
+                });
+            }
+            Endpoint::Remote(dest) => {
+                let hook = self.inner.borrow().boundary_tx.clone();
+                if let Some(hook) = hook {
+                    hook(BoundaryTx {
+                        at: arrival,
+                        dest,
+                        frame: f,
+                        corrupted,
                     });
                 }
-                Endpoint::Nic(nic) => {
-                    let this = self.clone();
-                    self.sim.schedule_at(arrival, move |sim| {
-                        this.deliver_to_nic(sim, nic, f, corrupted);
-                    });
-                }
-                Endpoint::Remote(dest) => {
-                    let hook = self.inner.borrow().boundary_tx.clone();
-                    if let Some(hook) = hook {
-                        hook(BoundaryTx {
-                            at: arrival,
-                            dest,
-                            src: f.src,
-                            dst: f.dst,
-                            header: f.header,
-                            payload: f.payload.to_vec(),
-                            corrupted,
-                        });
-                    }
-                }
-            },
+            }
         }
         true
     }
 
     /// Install the hook that receives frames terminating on a
-    /// `Endpoint::Remote` channel end (eager mode). The sharded runtime
-    /// points this at its boundary mailboxes. Without a hook, remote-bound
-    /// frames vanish silently.
+    /// `Endpoint::Remote` channel end. The sharded runtime points this at
+    /// its boundary outbox. Without a hook, remote-bound frames vanish
+    /// silently.
     pub fn set_boundary_tx(&self, h: impl Fn(BoundaryTx) + 'static) {
         self.inner.borrow_mut().boundary_tx = Some(Rc::new(h));
     }
@@ -1160,46 +776,23 @@ impl Network {
         inner.boundary_tx = None;
     }
 
-    /// Assign the stream keys of `nic`'s locally-connected link (eager
-    /// mode): `up_key` for the NIC→switch leg, `down_key` for switch→NIC.
-    /// Keys must be derived from global topology coordinates so the same
-    /// physical link gets the same streams at every shard count.
-    pub fn set_link_stream_keys(&self, nic: NicId, up_key: u64, down_key: u64) {
-        let mut inner = self.inner.borrow_mut();
-        let (up, down) = {
-            let n = &inner.nics[nic.0];
-            (n.tx_channel, n.rx_channel)
-        };
-        if let Some(ch) = up {
-            inner.channels[ch.0].stream_key = up_key;
-        }
-        if let Some(ch) = down {
-            inner.channels[ch.0].stream_key = down_key;
-        }
-    }
-
     /// Add the NIC→switch leg of a link whose switch lives in another shard
     /// (rail `rail`'s switch). Same unbounded-DMA-ring queue semantics as
     /// the uplink half of [`Self::connect`]. The NIC's receive leg stays
     /// unset — the remote shard owns the downlink and delivers received
     /// frames via [`Self::inject_nic_rx`].
-    pub fn add_remote_uplink(
-        &self,
-        nic: NicId,
-        rail: u8,
-        params: ChannelParams,
-        stream_key: u64,
-    ) -> ChannelId {
+    pub fn add_remote_uplink(&self, nic: NicId, rail: u8, params: ChannelParams) -> ChannelId {
         let mut inner = self.inner.borrow_mut();
         let up_params = ChannelParams {
             queue_cap: usize::MAX / 2,
             ..params
         };
         let ch = ChannelId(inner.channels.len());
+        let key = stream_key(inner.nics[nic.0].mac, false);
         inner.channels.push(ChannelState::new(
             up_params,
             Endpoint::Remote(RemoteDest::Switch { rail }),
-            stream_key,
+            key,
         ));
         inner.nics[nic.0].tx_channel = Some(ch);
         ch
@@ -1214,7 +807,6 @@ impl Network {
         switch: SwitchId,
         dst: MacAddr,
         params: ChannelParams,
-        stream_key: u64,
     ) -> ChannelId {
         let mut inner = self.inner.borrow_mut();
         let ch = ChannelId(inner.channels.len());
@@ -1224,15 +816,16 @@ impl Network {
                 node: dst.node,
                 rail: dst.rail,
             }),
-            stream_key,
+            stream_key(dst, true),
         ));
         inner.switches[switch.0].table.insert(dst, ch);
         ch
     }
 
-    /// Deliver a boundary frame at a local switch's ingress (eager mode):
-    /// table lookup now, forwarding delay, then transmit on the output
-    /// port's channel. Must be called at the frame's arrival time.
+    /// A frame reaches a local switch's ingress: table lookup now,
+    /// forwarding delay, then transmit on the output port's channel. Must
+    /// be called at the frame's arrival time (the sharded runtime does, for
+    /// boundary frames).
     pub fn inject_switch_ingress(&self, switch: SwitchId, f: Frame, corrupted: bool) {
         let (out, delay) = {
             let mut inner = self.inner.borrow_mut();
@@ -1247,12 +840,12 @@ impl Network {
         };
         let this = self.clone();
         self.sim.schedule_in(delay, move |_| {
-            this.channel_transmit_eager(out, f, None, corrupted);
+            this.channel_transmit(out, f, None, corrupted);
         });
     }
 
-    /// Deliver a boundary frame to a local NIC's receive path (eager mode).
-    /// Must be called at the frame's arrival time; NIC stalls are honored.
+    /// Deliver a boundary frame to a local NIC's receive path. Must be
+    /// called at the frame's arrival time; NIC stalls are honored.
     pub fn inject_nic_rx(&self, nic: NicId, f: Frame, corrupted: bool) {
         let sim = self.sim.clone();
         self.deliver_to_nic(&sim, nic, f, corrupted);
@@ -1282,7 +875,7 @@ impl Network {
         }
     }
 
-    /// Start (or stop) logging eager-mode fault decisions.
+    /// Start (or stop) logging fault decisions.
     pub fn record_fault_decisions(&self, on: bool) {
         self.inner.borrow_mut().decisions = if on { Some(Vec::new()) } else { None };
     }
@@ -1507,6 +1100,104 @@ mod tests {
         sim.run();
         let ser = Dur::for_bytes(wire, 125e6).as_nanos();
         assert_eq!(*done.borrow(), vec![ser]);
+    }
+
+    /// The invariant the single delivery path rests on: every channel of a
+    /// network — hand-built or from `build_cluster` — draws from its own
+    /// stream, so two links at the same attempt index jitter differently.
+    #[test]
+    fn every_channel_has_its_own_stream() {
+        let sim = Sim::new(3);
+        let hand = Network::new(&sim, FaultModel::default());
+        let sw = hand.add_switch(us(1));
+        for node in 0..3 {
+            let nic = hand.add_nic(MacAddr::new(node, 0));
+            hand.connect(nic, sw, ChannelParams::gbe_1());
+        }
+        let spec = crate::topology::ClusterSpec::gbe_1(4, 2);
+        let built = crate::topology::build_cluster(&sim, spec).net;
+        for (net, channels) in [(&hand, 6), (&built, 16)] {
+            let inner = net.inner.borrow();
+            let keys: std::collections::BTreeSet<u64> =
+                inner.channels.iter().map(|c| c.stream_key).collect();
+            assert_eq!(keys.len(), channels, "one distinct stream key per channel");
+            let draws: std::collections::BTreeSet<u64> = keys
+                .iter()
+                .map(|&k| stateless_u64(inner.jitter_seed, k, 0, LANE_JITTER) % 1_000)
+                .collect();
+            assert!(
+                draws.len() > channels / 2,
+                "links must not jitter in lockstep"
+            );
+        }
+    }
+
+    /// Link state is checked at submit only: a frame already on the wire
+    /// when its link goes down still lands, one submitted during the outage
+    /// is counted in `drops_link_down` — the same through
+    /// `Cluster::apply_fault_plan` and `ShardNet::apply_fault_plan`.
+    #[test]
+    fn link_down_applies_at_submit_on_both_builders() {
+        use crate::shard::{run_sharded, ShardNet, ShardRunConfig};
+        use crate::topology::{build_cluster, ClusterSpec};
+        let mut spec = ClusterSpec::gbe_1(2, 1);
+        spec.link.jitter = Dur::ZERO;
+        // 1000 B take 8.3 us to serialize: the frame sent at 0 is mid-wire
+        // when node 0's link drops at 5 us and due at the switch at 10.4 us.
+        let plan = crate::faults::FaultPlan::new()
+            .link_down(us(5), 0, 0)
+            .link_up(us(20), 0, 0);
+        let send_times = [us(0), us(6), us(25)];
+        let traffic = |sim: &Sim, net: &Network, tx: NicId| {
+            for at in send_times {
+                let net = net.clone();
+                sim.schedule_at(SimTime::ZERO + at, move |_| {
+                    net.nic_send(tx, data_frame(MacAddr::new(0, 0), MacAddr::new(1, 0), 1000));
+                });
+            }
+        };
+        let unsharded = {
+            let sim = Sim::new(9);
+            let cluster = build_cluster(&sim, spec);
+            cluster.apply_fault_plan(&sim, &plan);
+            traffic(&sim, &cluster.net, cluster.nics[0][0]);
+            sim.run();
+            (
+                cluster.net.nic_rx_frames(cluster.nics[1][0]),
+                cluster.net.stats().drops_link_down,
+            )
+        };
+        assert_eq!(
+            unsharded,
+            (2, 1),
+            "the mid-wire and post-outage frames land; only the mid-outage one drops"
+        );
+        for shards in [1, 2] {
+            let (_, outs) = run_sharded(
+                &spec,
+                shards,
+                9,
+                Some(&plan),
+                &ShardRunConfig::default(),
+                |sn: &ShardNet| {
+                    if sn.is_local(0) {
+                        traffic(sn.sim(), sn.net(), sn.nics(0)[0]);
+                    }
+                },
+                |sn, ()| {
+                    let rx = if sn.is_local(1) {
+                        sn.net().nic_rx_frames(sn.nics(1)[0])
+                    } else {
+                        0
+                    };
+                    (rx, sn.net().stats().drops_link_down)
+                },
+            )
+            .unwrap();
+            let rx: u64 = outs.iter().map(|o| o.0).sum();
+            let down: u64 = outs.iter().map(|o| o.1).sum();
+            assert_eq!((rx, down), unsharded, "shards={shards}");
+        }
     }
 
     #[test]

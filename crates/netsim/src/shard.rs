@@ -1,25 +1,30 @@
-//! Conservative-lookahead parallel discrete-event runtime.
+//! Conservative-lookahead sharded discrete-event runtime.
 //!
 //! A cluster is partitioned into **shards**: each shard owns a contiguous
 //! block of nodes plus a round-robin subset of the rail switches, and runs
-//! its own single-threaded [`Sim`] over an eager-mode [`Network`]
-//! ([`Network::sharded`]). Shards synchronize in **windows** of length
-//! `L` = the minimum cross-shard link propagation delay (the *lookahead*):
-//! because every frame submitted inside window `k` arrives at its far end
-//! no earlier than `submit + L ≥ (k+1)·L`, a shard can execute window `k`
-//! to completion knowing every boundary frame that could land inside it was
-//! produced in an *earlier* window and has already been exchanged.
+//! its own [`Sim`] over a [`Network`] holding that slice. Shards
+//! synchronize in **windows** of length `L` = the minimum cross-shard link
+//! propagation delay (the *lookahead*): because every frame submitted
+//! inside window `k` arrives at its far end no earlier than
+//! `submit + L ≥ (k+1)·L`, a shard can execute window `k` to completion
+//! knowing every boundary frame that could land inside it was produced in
+//! an *earlier* window and has already been exchanged.
 //!
 //! ```text
 //!   shard 0  ─┐ window k ┌─ exchange ─┐ window k+1 ┌─ …
 //!   shard 1  ─┤ (advance │  boundary  │  (inject   │
 //!   shard 2  ─┤  to kL+L)│  frames    │   + run)   │
-//!   shard 3  ─┘          └─ barrier ──┘            └─ …
+//!   shard 3  ─┘          └────────────┘            └─ …
 //! ```
 //!
-//! Cross-shard frames travel as [`BoundaryMsg`] — a `Send`-safe owned copy
-//! of the frame, deep-copied out of the `Rc`-backed `Bytes` shim at the
-//! boundary (asserted at compile time below). Deliveries are injected in
+//! All shards take turns on the calling thread. The runtime is the
+//! **determinism witness** for the fabric: it shows that a frame's fate is
+//! a function of the seed and the link it crosses, not of which engine
+//! simulates it or how events interleave. (Worker threads behind two
+//! barriers per window were measured at 0.06–0.75× one engine and deleted;
+//! docs/PERFORMANCE.md § Scaling out has the table.)
+//!
+//! Cross-shard frames travel as [`BoundaryMsg`] and are injected in
 //! `(arrival time, source shard, per-source sequence)` order, so a shard's
 //! event stream is a pure function of the seed and the topology.
 //!
@@ -28,10 +33,15 @@
 //! For a fixed seed the runtime guarantees, at every shard count:
 //! * each channel's jitter and loss/corruption stream is identical (pure
 //!   functions of `(seed, channel stream key, attempt index)` — see
-//!   eager mode in `net.rs`),
+//!   `net.rs`),
 //! * boundary deliveries are injected in the same total order,
-//! * per-shard protocol RNGs are seeded as `mix(seed, shard)` and drawn
-//!   only by shard-local decisions.
+//! * per-shard protocol RNGs are seeded as `mix(seed, shard)` (shard 0's
+//!   exactly like an unsharded `Sim::new(seed)`) and drawn only by
+//!   shard-local decisions.
+//!
+//! One shard is the unsharded simulation: `run_sharded(spec, 1, seed, …)`
+//! executes the same events as `build_cluster(&Sim::new(seed), spec)` +
+//! `sim.run()`.
 //!
 //! What it does **not** guarantee is that same-timestamp events interleave
 //! identically across shard counts (event sequence numbers depend on
@@ -43,7 +53,7 @@
 
 use crate::engine::Sim;
 use crate::faults::{FaultPlan, FaultTarget};
-use crate::net::{splitmix64, BoundaryTx, ChannelId, Network, NicId, RemoteDest, SwitchId};
+use crate::net::{BoundaryTx, ChannelId, Network, NicId, RemoteDest, SwitchId};
 use crate::time::{Dur, SimTime};
 use crate::topology::ClusterSpec;
 use frame::{FastMap, MacAddr};
@@ -51,46 +61,8 @@ use me_trace::{HealthConfig, HealthReport, SourceId, Timeline, TimelineBuilder};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
 use std::time::Instant;
-
-/// Compile-time proof that a type is **not** `Send`. Expands to a trait
-/// with one blanket impl for every type and a second for `Send` types:
-/// if the asserted type is `Send`, both impls apply and method resolution
-/// is ambiguous — a compile error. A future refactor that accidentally
-/// makes `Sim` or `Network` shareable across shard threads therefore fails
-/// to build instead of racing.
-#[macro_export]
-macro_rules! assert_not_send {
-    ($($t:ty),+ $(,)?) => {
-        const _: () = {
-            trait AmbiguousIfSend<A> {
-                fn here() {}
-            }
-            impl<T: ?Sized> AmbiguousIfSend<()> for T {}
-            #[allow(dead_code)]
-            struct IsSend;
-            impl<T: ?Sized + Send> AmbiguousIfSend<IsSend> for T {}
-            $( let _ = <$t as AmbiguousIfSend<_>>::here; )+
-        };
-    };
-}
-
-// The shard boundary's two sides, pinned at compile time: everything built
-// on `Rc` must stay inside one shard thread...
-crate::assert_not_send!(Sim, Network, bytes::Bytes, frame::Frame);
-
-// ...and the boundary message itself must be safe to hand across.
-const _: () = {
-    fn assert_send<T: Send>() {}
-    #[allow(dead_code)]
-    fn check() {
-        assert_send::<BoundaryMsg>();
-    }
-};
 
 /// Why a cluster could not be partitioned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,8 +178,7 @@ impl ShardPlan {
     }
 }
 
-/// A frame crossing between shards: `Send`-safe by construction (owned
-/// payload, plain-data header) and totally ordered by
+/// A frame crossing between shards, totally ordered by
 /// `(tx.at, src_shard, seq)` at injection.
 #[derive(Debug, Clone)]
 pub struct BoundaryMsg {
@@ -219,16 +190,9 @@ pub struct BoundaryMsg {
     pub tx: BoundaryTx,
 }
 
-/// Shard-count-invariant identity of one channel's random streams, derived
-/// from global topology coordinates so the same physical link draws the
-/// same stream no matter which shard simulates it.
-fn stream_key(node: u16, rail: u8, down: bool) -> u64 {
-    ((node as u64) << 32) | ((rail as u64) << 8) | down as u64
-}
-
-/// One shard's world: a private [`Sim`], an eager-mode [`Network`] holding
-/// the shard's nodes, its subset of switches, and stub channels for every
-/// link that crosses the boundary.
+/// One shard's world: a private [`Sim`], a [`Network`] holding the shard's
+/// nodes, its subset of switches, and stub channels for every link that
+/// crosses the boundary.
 pub struct ShardNet {
     shard: usize,
     plan: ShardPlan,
@@ -260,12 +224,12 @@ impl Drop for ShardNet {
 impl ShardNet {
     /// Build shard `shard`'s slice of the cluster. `seed` is the *global*
     /// run seed: the shard's protocol RNG is seeded `mix(seed, shard)`
-    /// (shard-local draws only), while jitter streams are keyed off the
+    /// (shard-local draws only; shard 0's is `seed` itself, like the
+    /// unsharded simulator's), while jitter streams are keyed off the
     /// global seed so they are identical at every shard count.
     pub fn build(spec: &ClusterSpec, plan: &ShardPlan, shard: usize, seed: u64) -> Self {
-        let sim = Sim::new(splitmix64(seed ^ (shard as u64).wrapping_mul(0xA24B_AED4_963E_E407)));
-        let jitter_seed = splitmix64(seed ^ 0x9E6C_63D0_985B_4C9D);
-        let net = Network::sharded(&sim, spec.fault, spec.fault_seed, jitter_seed);
+        let sim = Sim::new(seed ^ (shard as u64).wrapping_mul(0xA24B_AED4_963E_E407));
+        let net = Network::with_seeds(&sim, spec.fault, spec.fault_seed, seed);
         let switches: Vec<Option<SwitchId>> = (0..spec.rails)
             .map(|rail| {
                 (plan.switch_shard(rail) == shard).then(|| net.add_switch(spec.switch_delay))
@@ -278,21 +242,9 @@ impl ShardNet {
             for (rail, sw) in switches.iter().enumerate() {
                 let nic = net.add_nic(MacAddr::new(node as u16, rail as u8));
                 match sw {
-                    Some(sw) => {
-                        net.connect(nic, *sw, spec.link);
-                        net.set_link_stream_keys(
-                            nic,
-                            stream_key(node as u16, rail as u8, false),
-                            stream_key(node as u16, rail as u8, true),
-                        );
-                    }
+                    Some(sw) => net.connect(nic, *sw, spec.link),
                     None => {
-                        net.add_remote_uplink(
-                            nic,
-                            rail as u8,
-                            spec.link,
-                            stream_key(node as u16, rail as u8, false),
-                        );
+                        net.add_remote_uplink(nic, rail as u8, spec.link);
                     }
                 }
                 row.push(nic);
@@ -309,12 +261,7 @@ impl ShardNet {
                     continue;
                 }
                 let mac = MacAddr::new(node as u16, rail as u8);
-                let ch = net.add_remote_downlink(
-                    *sw,
-                    mac,
-                    spec.link,
-                    stream_key(node as u16, rail as u8, true),
-                );
+                let ch = net.add_remote_downlink(*sw, mac, spec.link);
                 remote_down.insert(mac, ch);
             }
         }
@@ -413,13 +360,13 @@ impl ShardNet {
                 let sw = self.switches[rail as usize]
                     .expect("boundary frame routed to a switch this shard does not own");
                 self.sim.schedule_at(tx.at, move |_| {
-                    net.inject_switch_ingress(sw, tx.to_frame(), tx.corrupted);
+                    net.inject_switch_ingress(sw, tx.frame, tx.corrupted);
                 });
             }
             RemoteDest::Nic { node, rail } => {
                 let nic = self.nics(node as usize)[rail as usize];
                 self.sim.schedule_at(tx.at, move |_| {
-                    net.inject_nic_rx(nic, tx.to_frame(), tx.corrupted);
+                    net.inject_nic_rx(nic, tx.frame, tx.corrupted);
                 });
             }
         }
@@ -434,23 +381,20 @@ impl ShardNet {
     }
 }
 
-/// How to execute the shard set.
+/// How to execute the shard set. There is one way; the enum and
+/// [`ShardRunConfig::mode`] survive only because `perf/src/mesh.rs` names
+/// `ShardMode::Cooperative` and the benchmark's files are frozen. Both go
+/// when a `benchmark` PR drops that line (ROADMAP item 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardMode {
-    /// One OS thread per shard, barrier-synchronized windows.
-    Threaded,
-    /// All shards round-robin on the calling thread — same window and
-    /// exchange schedule as threaded, bit-identical results, useful on
-    /// single-core machines and for debugging.
+    /// All shards round-robin on the calling thread.
     Cooperative,
-    /// Threaded when the machine has more than one core, else cooperative.
-    Auto,
 }
 
 /// Knobs for [`run_sharded`].
 #[derive(Debug, Clone, Copy)]
 pub struct ShardRunConfig {
-    /// Execution mode.
+    /// Ignored: its only value is its default (see [`ShardMode`]).
     pub mode: ShardMode,
     /// Abort (with [`ShardError::VirtualLimitExceeded`]) if the simulation
     /// is still active past this virtual time.
@@ -461,9 +405,9 @@ pub struct ShardRunConfig {
     /// virtual-time grid of this spacing, published as one
     /// [`me_trace::Timeline`] per shard in [`ShardRunReport::samples`].
     /// Rows land at window boundaries, which every shard crosses at the
-    /// same virtual instants regardless of [`ShardMode`] — so the sample
-    /// grids are identical across shards and modes, and per-interval
-    /// deltas can be compared shard-against-shard (the imbalance index).
+    /// same virtual instants — so the sample grids are identical across
+    /// shards, and per-interval deltas can be compared shard-against-shard
+    /// (the imbalance index).
     pub sample_interval: Option<Dur>,
     /// Most retained rows per shard timeline when sampling is on; the
     /// oldest rows are evicted (their deltas fold into the base) beyond
@@ -474,15 +418,14 @@ pub struct ShardRunConfig {
     /// the run: each shard's per-interval event deltas become one member
     /// series, and a persistently hot shard opens an `IncastImbalance`
     /// incident in [`ShardRunReport::health`]. The diagnosis is a pure
-    /// function of the sample grids, which are bit-identical across
-    /// [`ShardMode`]s — so the verdict is too.
+    /// function of the sample grids.
     pub health: Option<HealthConfig>,
 }
 
 impl Default for ShardRunConfig {
     fn default() -> Self {
         Self {
-            mode: ShardMode::Auto,
+            mode: ShardMode::Cooperative,
             virtual_limit: None,
             wall_limit: None,
             sample_interval: None,
@@ -515,12 +458,6 @@ pub enum ShardError {
         /// Their names.
         tasks: Vec<String>,
     },
-    /// A shard's worker thread panicked (the panic is contained; all other
-    /// shards shut down cleanly).
-    WorkerPanicked {
-        /// The panicking shard.
-        shard: usize,
-    },
 }
 
 impl std::fmt::Display for ShardError {
@@ -536,7 +473,6 @@ impl std::fmt::Display for ShardError {
             Self::StuckTasks { shard, tasks } => {
                 write!(f, "shard {shard} deadlocked with stuck tasks {tasks:?}")
             }
-            Self::WorkerPanicked { shard } => write!(f, "shard {shard} worker panicked"),
         }
     }
 }
@@ -581,8 +517,6 @@ pub struct ShardRunReport {
     pub windows: u64,
     /// Virtual time at quiescence.
     pub end_time: SimTime,
-    /// Whether worker threads were used.
-    pub threaded: bool,
     /// The lookahead window length.
     pub lookahead: Dur,
     /// Per-shard accounting.
@@ -595,7 +529,7 @@ pub struct ShardRunReport {
     /// Cross-shard health diagnosis over [`ShardRunReport::samples`], when
     /// [`ShardRunConfig::health`] was set: the per-shard event-delta series
     /// run through the imbalance detector, flagging a persistently hot
-    /// shard as an `IncastImbalance` incident. Identical across modes.
+    /// shard as an `IncastImbalance` incident.
     pub health: Option<HealthReport>,
 }
 
@@ -646,8 +580,8 @@ fn decide(window: u64, lookahead_ns: u64, reports: &[RoundReport]) -> Decision {
 /// One shard's event-count sampler: a single-counter [`Timeline`] fed the
 /// shard's cumulative event count at every window boundary where a grid
 /// row is due. Window boundaries are the same virtual instants on every
-/// shard and in every [`ShardMode`], so the committed rows line up exactly
-/// across shards — the property the imbalance index depends on.
+/// shard, so the committed rows line up exactly across shards — the
+/// property the imbalance index depends on.
 struct ShardSampler {
     tl: Timeline,
     events: SourceId,
@@ -672,7 +606,7 @@ impl ShardSampler {
     }
 
     /// Final reconciliation row stamped at the last round's window end (an
-    /// instant every shard crossed, in every mode): afterwards the
+    /// instant every shard crossed): afterwards the
     /// timeline's base plus the sum of retained deltas equals `events`
     /// exactly.
     fn finish(mut self, end_ns: u64, events: u64) -> Timeline {
@@ -783,64 +717,35 @@ fn run_window(
 
 /// Partition `spec` into `shards` shards and run them to quiescence.
 ///
-/// `setup` runs once per shard on the shard's own thread (shard state is
-/// `Rc`-backed and never migrates) — build endpoints, spawn driver tasks,
+/// `setup` runs once per shard — build endpoints, spawn driver tasks,
 /// schedule traffic. `collect` runs after global quiescence and extracts a
-/// `Send` result per shard. `fault_plan`, when given, is replayed on every
-/// shard (each applies the slice it owns).
+/// result per shard. `fault_plan`, when given, is replayed on every shard
+/// (each applies the slice it owns).
 ///
 /// Returns the per-shard `collect` results in shard order plus a
-/// [`ShardRunReport`]; any failure tears all shards down and reports a
-/// typed [`ShardError`] — never a hang (configure `wall_limit` /
-/// `virtual_limit` to bound runaway workloads).
-pub fn run_sharded<S, Out: Send>(
+/// [`ShardRunReport`]; any failure reports a typed [`ShardError`] — never a
+/// hang (configure `wall_limit` / `virtual_limit` to bound runaway
+/// workloads).
+pub fn run_sharded<S, Out>(
     spec: &ClusterSpec,
     shards: usize,
     seed: u64,
     fault_plan: Option<&FaultPlan>,
     cfg: &ShardRunConfig,
-    setup: impl Fn(&ShardNet) -> S + Send + Sync,
-    collect: impl Fn(&ShardNet, S) -> Out + Send + Sync,
+    setup: impl Fn(&ShardNet) -> S,
+    collect: impl Fn(&ShardNet, S) -> Out,
 ) -> Result<(ShardRunReport, Vec<Out>), ShardError> {
     let plan = ShardPlan::partition(spec, shards)?;
-    let threaded = match cfg.mode {
-        ShardMode::Threaded => true,
-        ShardMode::Cooperative => false,
-        ShardMode::Auto => {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                > 1
-        }
-    };
-    if threaded && shards > 1 {
-        run_threaded(spec, &plan, seed, fault_plan, cfg, &setup, &collect)
-    } else {
-        run_cooperative(spec, &plan, seed, fault_plan, cfg, &setup, &collect)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_cooperative<S, Out: Send>(
-    spec: &ClusterSpec,
-    plan: &ShardPlan,
-    seed: u64,
-    fault_plan: Option<&FaultPlan>,
-    cfg: &ShardRunConfig,
-    setup: &(impl Fn(&ShardNet) -> S + Send + Sync),
-    collect: &(impl Fn(&ShardNet, S) -> Out + Send + Sync),
-) -> Result<(ShardRunReport, Vec<Out>), ShardError> {
-    let shards = plan.shards();
     let lookahead_ns = plan.lookahead().as_nanos();
     let nets: Vec<ShardNet> = (0..shards)
-        .map(|s| ShardNet::build(spec, plan, s, seed))
+        .map(|s| ShardNet::build(spec, &plan, s, seed))
         .collect();
     if let Some(p) = fault_plan {
         for sn in &nets {
             sn.apply_fault_plan(p);
         }
     }
-    let mut states: Vec<Option<S>> = nets.iter().map(|sn| Some(setup(sn))).collect();
+    let states: Vec<S> = nets.iter().map(&setup).collect();
     let mut held: Vec<BinaryHeap<HeldMsg>> = (0..shards).map(|_| BinaryHeap::new()).collect();
     let mut seqs = vec![0u64; shards];
     let mut stats = vec![ShardStats::default(); shards];
@@ -881,8 +786,8 @@ fn run_cooperative<S, Out: Send>(
             reports.push(report);
         }
         windows_run += 1;
-        // Exchange after the whole round, exactly like the threaded
-        // barrier: frames produced in round r become visible in round r+1.
+        // Exchange after the whole round: frames produced in round r become
+        // visible in round r+1.
         let mut depth = vec![0usize; shards];
         for (dst, msg) in staged {
             stats[dst].boundary_in += 1;
@@ -912,8 +817,8 @@ fn run_cooperative<S, Out: Send>(
         _ => {
             let outs = nets
                 .iter()
-                .zip(states.iter_mut())
-                .map(|(sn, st)| collect(sn, st.take().expect("state consumed once")))
+                .zip(states)
+                .map(|(sn, st)| collect(sn, st))
                 .collect();
             let end_time = nets.iter().map(|sn| sn.sim.now()).max().unwrap_or(SimTime::ZERO);
             let samples: Vec<Timeline> = samplers
@@ -927,7 +832,6 @@ fn run_cooperative<S, Out: Send>(
                     shards,
                     windows: windows_run,
                     end_time,
-                    threaded: false,
                     lookahead: plan.lookahead(),
                     per_shard: stats,
                     samples,
@@ -939,255 +843,10 @@ fn run_cooperative<S, Out: Send>(
     }
 }
 
-/// Shared state for the threaded runtime. Mailboxes are double-buffered by
-/// round parity: during round `r` producers push into parity `(r+1) % 2`
-/// and consumers drain parity `r % 2`, and the two barriers per round
-/// separate every write from every read of the same buffer.
-struct ThreadShared {
-    barrier: Barrier,
-    /// `mailboxes[parity][dst]`.
-    mailboxes: [Vec<Mutex<Vec<BoundaryMsg>>>; 2],
-    /// `reports[shard]` = (next_ns, sent, live), published between barriers.
-    reports: Vec<[AtomicU64; 3]>,
-    /// Set (before the second barrier) by shard 0 when the wall limit hit.
-    deadline: AtomicBool,
-    /// Set by a shard whose window execution panicked.
-    panicked: Vec<AtomicBool>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_threaded<S, Out: Send>(
-    spec: &ClusterSpec,
-    plan: &ShardPlan,
-    seed: u64,
-    fault_plan: Option<&FaultPlan>,
-    cfg: &ShardRunConfig,
-    setup: &(impl Fn(&ShardNet) -> S + Send + Sync),
-    collect: &(impl Fn(&ShardNet, S) -> Out + Send + Sync),
-) -> Result<(ShardRunReport, Vec<Out>), ShardError> {
-    let shards = plan.shards();
-    let lookahead_ns = plan.lookahead().as_nanos();
-    let mk_boxes = || (0..shards).map(|_| Mutex::new(Vec::new())).collect();
-    let shared = ThreadShared {
-        barrier: Barrier::new(shards),
-        mailboxes: [mk_boxes(), mk_boxes()],
-        reports: (0..shards)
-            .map(|_| [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)])
-            .collect(),
-        deadline: AtomicBool::new(false),
-        panicked: (0..shards).map(|_| AtomicBool::new(false)).collect(),
-    };
-    let error: Mutex<Option<ShardError>> = Mutex::new(None);
-    #[allow(clippy::type_complexity)]
-    let outcomes: Mutex<Vec<Option<(ShardStats, Out, SimTime, Option<Timeline>)>>> =
-        Mutex::new((0..shards).map(|_| None).collect());
-    let windows_run = AtomicU64::new(0);
-    let started = Instant::now();
-
-    std::thread::scope(|scope| {
-        for shard in 0..shards {
-            let shared = &shared;
-            let error = &error;
-            let outcomes = &outcomes;
-            let windows_run = &windows_run;
-            scope.spawn(move || {
-                // Shard state is built on this thread and never leaves it;
-                // only `BoundaryMsg`s and the final `Out` cross.
-                let sn = ShardNet::build(spec, plan, shard, seed);
-                if let Some(p) = fault_plan {
-                    sn.apply_fault_plan(p);
-                }
-                let mut state = Some(setup(&sn));
-                let mut held: BinaryHeap<HeldMsg> = BinaryHeap::new();
-                let mut seq = 0u64;
-                let mut stats = ShardStats::default();
-                let mut sampler = cfg
-                    .sample_interval
-                    .map(|iv| ShardSampler::new(iv, cfg.sample_capacity));
-                let mut window = 0u64;
-                let mut round = 0u64;
-                let mut last_window_end_ns;
-                let mut dead = false;
-                let verdict: Result<(), ShardError> = loop {
-                    shared.barrier.wait();
-                    let incoming = std::mem::take(
-                        &mut *shared.mailboxes[(round % 2) as usize][shard]
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner()),
-                    );
-                    stats.boundary_in += incoming.len() as u64;
-                    stats.max_inbox_depth = stats.max_inbox_depth.max(incoming.len());
-                    held.extend(incoming.into_iter().map(HeldMsg));
-                    let window_end_ns = (window + 1) * lookahead_ns;
-                    last_window_end_ns = window_end_ns;
-                    let report = if dead {
-                        RoundReport {
-                            next_ns: u64::MAX,
-                            sent: 0,
-                            live: 0,
-                        }
-                    } else {
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            let (out, report) =
-                                run_window(&sn, &mut held, &mut seq, window_end_ns, &mut stats);
-                            for (dst, msg) in out {
-                                shared.mailboxes[((round + 1) % 2) as usize][dst]
-                                    .lock()
-                                    .unwrap_or_else(|e| e.into_inner())
-                                    .push(msg);
-                            }
-                            report
-                        })) {
-                            Ok(r) => {
-                                if let Some(smp) = &mut sampler {
-                                    smp.observe(window_end_ns, stats.events);
-                                }
-                                r
-                            }
-                            Err(_) => {
-                                // Keep participating in barriers so the
-                                // other shards can shut down cleanly.
-                                shared.panicked[shard].store(true, Ordering::SeqCst);
-                                dead = true;
-                                RoundReport {
-                                    next_ns: u64::MAX,
-                                    sent: 0,
-                                    live: 0,
-                                }
-                            }
-                        }
-                    };
-                    let slot = &shared.reports[shard];
-                    slot[0].store(report.next_ns, Ordering::SeqCst);
-                    slot[1].store(report.sent, Ordering::SeqCst);
-                    slot[2].store(report.live, Ordering::SeqCst);
-                    if shard == 0 {
-                        windows_run.fetch_add(1, Ordering::SeqCst);
-                        if let Some(wall) = cfg.wall_limit {
-                            // Only shard 0 consults the wall clock: a
-                            // divergent local reading would make shards
-                            // disagree on termination and deadlock the
-                            // barrier.
-                            if started.elapsed() > wall {
-                                shared.deadline.store(true, Ordering::SeqCst);
-                            }
-                        }
-                    }
-                    shared.barrier.wait();
-                    // Symmetric decision: every shard reads the same
-                    // published state and reaches the same verdict.
-                    if let Some(p) = shared
-                        .panicked
-                        .iter()
-                        .position(|p| p.load(Ordering::SeqCst))
-                    {
-                        break Err(ShardError::WorkerPanicked { shard: p });
-                    }
-                    if shared.deadline.load(Ordering::SeqCst) {
-                        break Err(ShardError::WallClockExceeded {
-                            windows: windows_run.load(Ordering::SeqCst),
-                        });
-                    }
-                    let reports: Vec<RoundReport> = shared
-                        .reports
-                        .iter()
-                        .map(|slot| RoundReport {
-                            next_ns: slot[0].load(Ordering::SeqCst),
-                            sent: slot[1].load(Ordering::SeqCst),
-                            live: slot[2].load(Ordering::SeqCst),
-                        })
-                        .collect();
-                    match decide(window, lookahead_ns, &reports) {
-                        Decision::Done => break Ok(()),
-                        Decision::Stuck(s) => {
-                            break Err(ShardError::StuckTasks {
-                                shard: s,
-                                tasks: if s == shard {
-                                    sn.sim.stuck_task_names()
-                                } else {
-                                    Vec::new()
-                                },
-                            });
-                        }
-                        Decision::Continue(w) => {
-                            if let Some(limit) = cfg.virtual_limit {
-                                if w * lookahead_ns >= limit.as_nanos() {
-                                    break Err(ShardError::VirtualLimitExceeded { limit });
-                                }
-                            }
-                            window = w;
-                            round += 1;
-                        }
-                    }
-                };
-                match verdict {
-                    Ok(()) => {
-                        let out = collect(&sn, state.take().expect("state consumed once"));
-                        let tl =
-                            sampler.map(|s| s.finish(last_window_end_ns, stats.events));
-                        outcomes.lock().unwrap_or_else(|e| e.into_inner())[shard] =
-                            Some((stats, out, sn.sim.now(), tl));
-                    }
-                    Err(e) => {
-                        let mut slot = error.lock().unwrap_or_else(|e| e.into_inner());
-                        // Prefer the error carrying detail (stuck names come
-                        // only from the stuck shard itself).
-                        let replace = match (&*slot, &e) {
-                            (None, _) => true,
-                            (
-                                Some(ShardError::StuckTasks { tasks, .. }),
-                                ShardError::StuckTasks { tasks: new, .. },
-                            ) => tasks.is_empty() && !new.is_empty(),
-                            _ => false,
-                        };
-                        if replace {
-                            *slot = Some(e);
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(e) = error.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(e);
-    }
-    let mut per_shard = Vec::with_capacity(shards);
-    let mut outs = Vec::with_capacity(shards);
-    let mut samples = Vec::new();
-    let mut end_time = SimTime::ZERO;
-    for slot in outcomes
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-    {
-        let (stats, out, now, tl) = slot.expect("every shard reports an outcome on success");
-        per_shard.push(stats);
-        outs.push(out);
-        samples.extend(tl);
-        end_time = end_time.max(now);
-    }
-    let health = shard_health(cfg, &samples);
-    Ok((
-        ShardRunReport {
-            shards,
-            windows: windows_run.load(Ordering::SeqCst),
-            end_time,
-            threaded: true,
-            lookahead: plan.lookahead(),
-            per_shard,
-            samples,
-            health,
-        },
-        outs,
-    ))
-}
-
 /// Post-run cross-shard diagnosis: feed each shard's per-interval event
 /// deltas to the imbalance detector as one member series. Runs only when
 /// both sampling and [`ShardRunConfig::health`] are on; a pure function of
-/// the (mode-invariant) sample grids, so cooperative and threaded runs
-/// produce byte-identical reports.
+/// the sample grids.
 fn shard_health(cfg: &ShardRunConfig, samples: &[Timeline]) -> Option<HealthReport> {
     let hc = cfg.health?;
     if samples.is_empty() {
@@ -1249,11 +908,10 @@ mod tests {
     }
 
     /// Raw-frame all-to-all across a sharded 4-node cluster: every frame is
-    /// delivered exactly once regardless of shard count or execution mode.
-    fn all_to_all_received(shards: usize, mode: ShardMode) -> Vec<u64> {
+    /// delivered exactly once regardless of shard count.
+    fn all_to_all_received(shards: usize) -> Vec<u64> {
         let spec = spec(4, 1);
         let cfg = ShardRunConfig {
-            mode,
             wall_limit: Some(std::time::Duration::from_secs(30)),
             ..Default::default()
         };
@@ -1300,24 +958,15 @@ mod tests {
     #[test]
     fn sharded_all_to_all_delivers_everything() {
         for shards in [1, 2, 4] {
-            let got = all_to_all_received(shards, ShardMode::Cooperative);
+            let got = all_to_all_received(shards);
             assert_eq!(got, vec![3u64; 4], "shards={shards}");
         }
     }
 
-    #[test]
-    fn threaded_matches_cooperative() {
-        let coop = all_to_all_received(2, ShardMode::Cooperative);
-        let thr = all_to_all_received(2, ShardMode::Threaded);
-        assert_eq!(coop, thr);
-    }
-
-    /// The all-to-all workload with event sampling on: returns the report
-    /// so tests can compare sample grids across modes.
-    fn sampled_all_to_all(shards: usize, mode: ShardMode) -> ShardRunReport {
+    /// The all-to-all workload with event sampling on.
+    fn sampled_all_to_all(shards: usize) -> ShardRunReport {
         let spec = spec(4, 1);
         let cfg = ShardRunConfig {
-            mode,
             wall_limit: Some(std::time::Duration::from_secs(30)),
             sample_interval: Some(Dur(2_000)),
             ..Default::default()
@@ -1354,20 +1003,11 @@ mod tests {
         report
     }
 
-    fn rows(tl: &Timeline) -> Vec<(u64, Vec<u64>)> {
-        (0..tl.len())
-            .map(|i| {
-                let (t, v) = tl.row(i);
-                (t, v.to_vec())
-            })
-            .collect()
-    }
-
     #[test]
-    fn event_samples_reconcile_and_match_across_modes() {
-        let coop = sampled_all_to_all(2, ShardMode::Cooperative);
-        assert_eq!(coop.samples.len(), 2, "one timeline per shard");
-        for (tl, st) in coop.samples.iter().zip(&coop.per_shard) {
+    fn event_samples_reconcile() {
+        let report = sampled_all_to_all(2);
+        assert_eq!(report.samples.len(), 2, "one timeline per shard");
+        for (tl, st) in report.samples.iter().zip(&report.per_shard) {
             let events = tl.source_id("events").expect("shard timelines carry events");
             // Telescoping: base + retained deltas == the shard's final
             // cumulative event count.
@@ -1377,14 +1017,6 @@ mod tests {
                 "sampled deltas must reconcile with ShardStats.events"
             );
         }
-        let thr = sampled_all_to_all(2, ShardMode::Threaded);
-        for (c, t) in coop.samples.iter().zip(&thr.samples) {
-            assert_eq!(
-                rows(c),
-                rows(t),
-                "sample grids must be bit-identical across execution modes"
-            );
-        }
     }
 
     /// 8 nodes, 4 rails, 4 shards, health diagnosis enabled. Rail `r`'s
@@ -1392,7 +1024,7 @@ mod tests {
     /// node pair bursts over its own shard's rail (every shard runs the
     /// same pair plus one switch); `hot` routes only the shard-0 pair,
     /// over rail 0, leaving the other shards idle.
-    fn health_run(mode: ShardMode, hot: bool) -> ShardRunReport {
+    fn health_run(hot: bool) -> ShardRunReport {
         let spec = spec(8, 4);
         // The lopsided case relies on both chatty nodes landing on the
         // same shard, so the hot load stays intra-shard.
@@ -1404,7 +1036,6 @@ mod tests {
             ..Default::default()
         };
         let cfg = ShardRunConfig {
-            mode,
             wall_limit: Some(std::time::Duration::from_secs(30)),
             sample_interval: Some(Dur(20_000)),
             health: Some(hc),
@@ -1446,13 +1077,13 @@ mod tests {
 
     #[test]
     fn shard_health_flags_hot_shard_and_stays_quiet_when_balanced() {
-        let hot = health_run(ShardMode::Cooperative, true);
+        let hot = health_run(true);
         let report = hot.health.expect("health was configured");
         let inc = report
             .first(me_trace::IncidentCause::IncastImbalance)
             .expect("a persistently hot shard must open an IncastImbalance incident");
         assert!(inc.alarms > 0);
-        let clean = health_run(ShardMode::Cooperative, false);
+        let clean = health_run(false);
         let report = clean.health.expect("health was configured");
         assert!(
             report.incidents.is_empty(),
@@ -1462,21 +1093,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_health_verdict_is_mode_invariant() {
-        let coop = health_run(ShardMode::Cooperative, true);
-        let thr = health_run(ShardMode::Threaded, true);
-        assert_eq!(
-            coop.health.expect("configured").to_json().render(),
-            thr.health.expect("configured").to_json().render(),
-            "diagnosis must be byte-identical across execution modes"
-        );
-    }
-
-    #[test]
     fn sampling_off_publishes_no_timelines() {
         let spec = spec(4, 1);
         let cfg = ShardRunConfig {
-            mode: ShardMode::Cooperative,
             wall_limit: Some(std::time::Duration::from_secs(30)),
             ..Default::default()
         };
@@ -1489,7 +1108,6 @@ mod tests {
         // A self-rescheduling event chain never quiesces; the wall limit
         // must produce a typed error.
         let cfg = ShardRunConfig {
-            mode: ShardMode::Cooperative,
             wall_limit: Some(std::time::Duration::from_millis(50)),
             ..Default::default()
         };
@@ -1515,7 +1133,6 @@ mod tests {
     #[test]
     fn virtual_limit_fails_cleanly() {
         let cfg = ShardRunConfig {
-            mode: ShardMode::Cooperative,
             virtual_limit: Some(Dur(50_000)),
             wall_limit: Some(std::time::Duration::from_secs(10)),
             ..Default::default()
@@ -1542,7 +1159,6 @@ mod tests {
     #[test]
     fn stuck_tasks_reported_not_hung() {
         let cfg = ShardRunConfig {
-            mode: ShardMode::Cooperative,
             wall_limit: Some(std::time::Duration::from_secs(10)),
             ..Default::default()
         };

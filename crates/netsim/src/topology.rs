@@ -2,7 +2,9 @@
 //!
 //! The paper's testbeds are "rail" topologies: NIC `r` of every node attaches
 //! to switch `r`. The 16-node 1-GbE cluster has one or two rails; the 4-node
-//! 10-GbE cluster has one. [`build_cluster`] constructs exactly that shape.
+//! 10-GbE cluster has one. [`build_cluster`] constructs exactly that shape,
+//! with the simulator's seed as the run seed; [`crate::shard::ShardNet`]
+//! builds one shard's slice of the same shape over the same fabric.
 
 use crate::engine::Sim;
 use crate::faults::{FaultPlan, FaultTarget};
@@ -10,7 +12,7 @@ use crate::net::{ChannelParams, FaultModel, Network, NicId};
 use crate::time::{us_f64, Dur};
 use frame::MacAddr;
 
-/// Fault-RNG seed used when a spec does not choose one explicitly.
+/// Fault-stream seed used when a spec does not choose one explicitly.
 pub const DEFAULT_FAULT_SEED: u64 = 0x5EED_F417;
 
 /// Shape and parameters of a rail-connected cluster.
@@ -26,9 +28,9 @@ pub struct ClusterSpec {
     pub switch_delay: Dur,
     /// Transient-fault model applied on every hop.
     pub fault: FaultModel,
-    /// Seed for the network's dedicated fault RNG: pins every
-    /// loss/corruption/burst draw, independently of timing jitter, so fault
-    /// scenarios are reproducible.
+    /// Seed of the network's fault streams: every loss/corruption/burst
+    /// draw is a pure function of `(fault_seed, link, attempt)`,
+    /// independent of timing jitter, so fault scenarios are reproducible.
     pub fault_seed: u64,
 }
 
@@ -97,7 +99,7 @@ impl Cluster {
 /// Build a rail topology per `spec`.
 pub fn build_cluster(sim: &Sim, spec: ClusterSpec) -> Cluster {
     assert!(spec.nodes >= 1 && spec.rails >= 1);
-    let net = Network::with_fault_seed(sim, spec.fault, spec.fault_seed);
+    let net = Network::with_seeds(sim, spec.fault, spec.fault_seed, sim.seed());
     let switches: Vec<_> = (0..spec.rails)
         .map(|_| net.add_switch(spec.switch_delay))
         .collect();

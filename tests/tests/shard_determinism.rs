@@ -4,14 +4,14 @@
 //! For a fixed seed, the timing-independent outcome of a simulation —
 //! operations completed, bytes delivered, unique frames received, receiver
 //! memory contents — must be bit-identical no matter how the cluster is
-//! partitioned or whether shards run threaded or cooperatively. The
-//! fault-injection streams must agree as functions: the same `(stream,
-//! attempt)` index always yields the same loss/corruption verdict.
+//! partitioned. The fault-injection streams must agree as functions: the
+//! same `(stream, attempt)` index always yields the same loss/corruption
+//! verdict.
 
 use multiedge_bench::scale::{
     all_to_all_cell, decisions_consistent, incast_cell, lossy_determinism_cell, run_scale_cell,
+    run_scale_cell_unsharded,
 };
-use netsim::shard::ShardMode;
 
 /// The headline gate: a lossy, fault-scripted cell (stationary loss +
 /// corruption, link flaps, a NIC stall, a burst window) produces identical
@@ -19,14 +19,14 @@ use netsim::shard::ShardMode;
 #[test]
 fn lossy_cell_fingerprints_identical_across_shard_counts() {
     let cell = lossy_determinism_cell();
-    let base = run_scale_cell(&cell, 1, ShardMode::Cooperative).unwrap();
+    let base = run_scale_cell(&cell, 1).unwrap();
     assert!(
         base.proto.retransmits_nack + base.proto.retransmits_rto > 0
             || base.net.drops_loss > 0,
         "cell must actually exercise loss for the gate to mean anything"
     );
     for shards in [2, 4] {
-        let r = run_scale_cell(&cell, shards, ShardMode::Cooperative).unwrap();
+        let r = run_scale_cell(&cell, shards).unwrap();
         assert_eq!(
             base.fingerprint, r.fingerprint,
             "fingerprints diverge at {shards} shards"
@@ -40,9 +40,9 @@ fn lossy_cell_fingerprints_identical_across_shard_counts() {
 #[test]
 fn clean_cells_fingerprints_identical_across_shard_counts() {
     for cell in [all_to_all_cell(8, 2 << 10), incast_cell(8, 4 << 10)] {
-        let base = run_scale_cell(&cell, 1, ShardMode::Cooperative).unwrap();
+        let base = run_scale_cell(&cell, 1).unwrap();
         for shards in [2, 4] {
-            let r = run_scale_cell(&cell, shards, ShardMode::Cooperative).unwrap();
+            let r = run_scale_cell(&cell, shards).unwrap();
             assert_eq!(
                 base.fingerprint, r.fingerprint,
                 "cell '{}' diverges at {shards} shards",
@@ -52,22 +52,21 @@ fn clean_cells_fingerprints_identical_across_shard_counts() {
     }
 }
 
-/// Worker threads change nothing: the threaded runtime is bit-identical to
-/// the cooperative one — fingerprints, decision streams, and the
-/// timing-dependent protocol counters too (same shard count, same rounds,
-/// so even those must agree).
+/// One shard *is* the unsharded simulation: `build_cluster` + `sim.run()`
+/// and `run_sharded` at one shard execute the same events on the same
+/// fabric, so everything agrees — the timing-dependent counters too.
 #[test]
-fn threaded_matches_cooperative_exactly() {
-    let cell = lossy_determinism_cell();
-    for shards in [2, 4] {
-        let coop = run_scale_cell(&cell, shards, ShardMode::Cooperative).unwrap();
-        let thr = run_scale_cell(&cell, shards, ShardMode::Threaded).unwrap();
-        assert!(thr.threaded && !coop.threaded);
-        assert_eq!(coop.fingerprint, thr.fingerprint, "shards={shards}");
-        assert_eq!(coop.decisions, thr.decisions, "shards={shards}");
-        assert_eq!(coop.windows, thr.windows, "shards={shards}");
-        assert_eq!(coop.events, thr.events, "shards={shards}");
-        assert_eq!(coop.frames, thr.frames, "shards={shards}");
+fn unsharded_equals_one_shard() {
+    for cell in [lossy_determinism_cell(), all_to_all_cell(16, 16 << 10)] {
+        let (mut flat, events) = run_scale_cell_unsharded(&cell);
+        flat.decisions
+            .sort_by_key(|&(key, attempt, ..)| (key, attempt));
+        let one = run_scale_cell(&cell, 1).unwrap();
+        assert_eq!(flat.proto, one.proto, "cell '{}'", cell.name);
+        assert_eq!(flat.net, one.net, "cell '{}'", cell.name);
+        assert_eq!(flat.fingerprints, one.fingerprint, "cell '{}'", cell.name);
+        assert_eq!(flat.decisions, one.decisions, "cell '{}'", cell.name);
+        assert_eq!(events, one.events, "cell '{}'", cell.name);
     }
 }
 
@@ -76,8 +75,8 @@ fn threaded_matches_cooperative_exactly() {
 #[test]
 fn repeat_runs_are_bit_identical() {
     let cell = lossy_determinism_cell();
-    let a = run_scale_cell(&cell, 2, ShardMode::Cooperative).unwrap();
-    let b = run_scale_cell(&cell, 2, ShardMode::Cooperative).unwrap();
+    let a = run_scale_cell(&cell, 2).unwrap();
+    let b = run_scale_cell(&cell, 2).unwrap();
     assert_eq!(a.fingerprint, b.fingerprint);
     assert_eq!(a.decisions, b.decisions);
     assert_eq!(a.windows, b.windows);
@@ -91,8 +90,8 @@ fn different_seed_changes_the_run() {
     let cell = lossy_determinism_cell();
     let mut other = lossy_determinism_cell();
     other.cfg.seed = cell.cfg.seed + 1;
-    let a = run_scale_cell(&cell, 2, ShardMode::Cooperative).unwrap();
-    let b = run_scale_cell(&other, 2, ShardMode::Cooperative).unwrap();
+    let a = run_scale_cell(&cell, 2).unwrap();
+    let b = run_scale_cell(&other, 2).unwrap();
     assert_ne!(
         (a.fingerprint.clone(), a.decisions.clone()),
         (b.fingerprint, b.decisions),
