@@ -20,11 +20,12 @@
 //! * `DATAPATH_QUICK=1` — CI smoke: few iterations, no JSON output, but the
 //!   allocation gate is still enforced.
 //!
-//! Both modes also run the **flight-recorder overhead gate**: the clean 1L
-//! config re-measured with the always-on [`me_trace::FlightRecorder`]
-//! enabled must keep ≥95% of the plain frames/wall-s, add no steady-state
-//! allocations per frame, and produce a bit-identical stats fingerprint
-//! (the recorder is purely observational).
+//! Both modes also run the **flight-recorder gate**
+//! ([`multiedge_bench::plane_overhead`]): the clean 1L config re-measured
+//! with the always-on [`me_trace::FlightRecorder`] enabled must add no
+//! allocations per frame and produce a bit-identical stats fingerprint (the
+//! recorder is purely observational). Its frames/wall-s ratio is printed,
+//! not judged: that claim is `trace.planes_on_fps_ratio` in `perf/`.
 //!
 //! # Isolating per-frame allocations
 //!
@@ -45,7 +46,8 @@
 
 use me_trace::{Json, SCHEMA_VERSION};
 use multiedge::SystemConfig;
-use multiedge_bench::micro::{run_micro, MicroKind};
+use multiedge_bench::micro::{run_micro, MicroKind, MicroResult};
+use multiedge_bench::{plane_overhead, stats_fingerprint};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
@@ -100,16 +102,6 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 // Measurement
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over a string — a compact fingerprint for the stats Debug output.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 struct Measure {
     frames: u64,
     wall_s: f64,
@@ -135,7 +127,7 @@ fn measure(mk_cfg: fn() -> SystemConfig, size: usize, iters: usize) -> Measure {
         allocs: a1 - a0,
         alloc_mb: (b1 - b0) as f64 / 1e6,
         peak_mb: PEAK_BYTES.load(Relaxed) as f64 / 1e6,
-        fingerprint: format!("{:016x}", fnv1a(&format!("{:?}|{:?}", r.proto, r.net))),
+        fingerprint: stats_fingerprint(&r),
     }
 }
 
@@ -355,78 +347,23 @@ fn main() {
     println!("wrote {path}");
 }
 
-/// Flight-recorder overhead gate: measure the clean 1L config with the
-/// always-on recorder enabled and enforce the ride-along budget — ≥95% of
-/// the plain frames/wall-s (best-of-3 each to suppress scheduler noise),
-/// zero marginal allocations per frame, and an unchanged stats fingerprint
-/// (recording must never perturb the protocol).
+/// Flight-recorder gate on the clean 1L config: the always-on recorder
+/// (defaults: 4096-event ring, triggers armed, no dump directory) rides
+/// along without allocating per frame or perturbing the protocol.
 fn flight_recorder_gate(iters: usize) -> Json {
-    type CfgFn = fn() -> SystemConfig;
-    let plain: CfgFn = || SystemConfig::one_link_1g(2);
-    let with_fr: CfgFn = || {
-        // Defaults: 4096-event ring, triggers armed; no dump directory so a
-        // trigger firing mid-bench costs rendering, not disk I/O.
-        SystemConfig::one_link_1g(2).with_flight(me_trace::FlightConfig::default())
+    let run = |flight: bool, iters: usize| {
+        let mut cfg = SystemConfig::one_link_1g(2);
+        if flight {
+            cfg = cfg.with_flight(me_trace::FlightConfig::default());
+        }
+        cfg.seed = 7;
+        run_micro(&cfg, MicroKind::TwoWay, 64 << 10, iters)
     };
-    const S: usize = 64 << 10;
-    // Wall-clock noise on shared machines dwarfs the recorder's real cost.
-    // Scheduler noise only ever *adds* wall time, so each side's minimum
-    // wall over interleaved rounds converges on its true cost: keep taking
-    // paired rounds until the ratio of minima clears the gate (or a round
-    // cap is hit, at which point a genuine regression fails the assert).
-    let gate_iters = iters.max(20);
-    let mut mp: Option<Measure> = None;
-    let mut mf: Option<Measure> = None;
-    let mut rounds = 0usize;
-    loop {
-        let m = measure(plain, S, 2 * gate_iters);
-        if mp.as_ref().is_none_or(|b| m.wall_s < b.wall_s) {
-            mp = Some(m);
-        }
-        let m = measure(with_fr, S, 2 * gate_iters);
-        if mf.as_ref().is_none_or(|b| m.wall_s < b.wall_s) {
-            mf = Some(m);
-        }
-        rounds += 1;
-        let (p, f) = (mp.as_ref().unwrap(), mf.as_ref().unwrap());
-        let ratio = (f.frames as f64 / f.wall_s) / (p.frames as f64 / p.wall_s);
-        if (rounds >= 5 && ratio >= 0.95) || rounds >= 20 {
-            break;
-        }
-    }
-    let (mp, mf) = (mp.expect("measured"), mf.expect("measured"));
-    assert_eq!(
-        mp.fingerprint, mf.fingerprint,
-        "flight recorder must be purely observational (stats fingerprint changed)"
-    );
-    let plain_fps = mp.frames as f64 / mp.wall_s;
-    let fr_fps = mf.frames as f64 / mf.wall_s;
-    let ratio = fr_fps / plain_fps;
-    // Marginal allocations with the recorder on, via the same 2x2 grid.
-    let fr_row = run_config("1L-1G+FR", with_fr, iters);
-    println!(
-        "flight   {plain_fps:>9.0} -> {fr_fps:>9.0} frames/wall-s  ratio {ratio:.3}  {:+.3} allocs/frame",
-        fr_row.allocs_per_frame
-    );
-    if std::env::var("DATAPATH_BASELINE").is_err() {
-        assert!(
-            fr_row.allocs_per_frame.abs() < 0.01,
-            "flight recorder allocates per frame on the clean path: {:.4}",
-            fr_row.allocs_per_frame
-        );
-        assert!(
-            ratio >= 0.95,
-            "flight recorder costs more than 5% frames/wall-s: ratio {ratio:.3}"
-        );
-    }
-    Json::obj()
+    let allocs = || ALLOC_CALLS.load(Relaxed);
+    let frames = |r: &MicroResult| r.proto.data_frames_sent;
+    plane_overhead("flight recorder", "frame", iters, allocs, run, frames)
         .set("config", "1L-1G")
-        .set("plain_frames_per_wall_s", plain_fps)
-        .set("flight_frames_per_wall_s", fr_fps)
-        .set("fps_ratio", ratio)
-        .set("allocs_per_frame", fr_row.allocs_per_frame)
-        .set("stats_match", true)
-        .set("gate", "fps_ratio >= 0.95 && |allocs_per_frame| < 0.01")
+        .set("kind", "two-way")
 }
 
 /// The zero-allocation gate: on the clean (loss-free) network the steady-

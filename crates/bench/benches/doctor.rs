@@ -1,8 +1,9 @@
 //! Health-plane cost and fidelity gates (`me-doctor`).
 //!
 //! The streaming detectors ([`me_trace::detect`]) promise to be purely
-//! observational — allocation-free at every sample tick, ≤5% frames/wall-s
-//! on top of the already-gated sampler — and to diagnose correctly: a
+//! observational — allocation-free at every sample tick, bit-identical
+//! protocol stats; what they cost in frames/wall-s is
+//! `trace.planes_on_fps_ratio` in `perf/` — and to diagnose correctly: a
 //! scripted rail outage opens `RailOutage` within 3 sample intervals of
 //! injection, a clean seed sweep opens nothing, a chaos loss burst names
 //! `RetransmitStorm`, incast fan-in names the receiver's shard hot, and
@@ -18,13 +19,10 @@
 //! * `DOCTOR_SMOKE=1` — CI smoke: small cells, every gate still enforced,
 //!   artifacts still written (marked `"mode": "smoke"`).
 //!
-//! # Isolating the detectors' marginal cost
-//!
-//! Same discipline as the telemetry bench: interleaved health-off /
-//! health-on rounds compared on each side's *minimum* wall time for the
-//! fps ratio, and a two-point difference in run length for the marginal
-//! allocations — per extra sample row, the armed monitor must allocate
-//! nothing.
+//! The cost gate is [`multiedge_bench::plane_overhead`] over a sampled run
+//! with and without the monitor: no allocation per extra sample row and an
+//! identical stats fingerprint are asserted; the frames/wall-s ratio is
+//! printed, not judged.
 
 use me_trace::{HealthConfig, HealthReport, IncidentCause, Json, SCHEMA_VERSION};
 use multiedge::SystemConfig;
@@ -32,11 +30,11 @@ use multiedge_bench::doctor::{
     balanced_doctor, chaos_burst_doctor, clean_seeds_doctor, incast_doctor, rail_outage_doctor,
 };
 use multiedge_bench::micro::{run_micro_doctor, run_micro_sampled, MicroKind, MicroResult};
+use multiedge_bench::plane_overhead;
 use netsim::time::us;
 use netsim::{Dur, FaultPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Counting global allocator
@@ -69,135 +67,27 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 // Overhead gate
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over a string — compact fingerprint for the stats Debug output.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-struct Measure {
-    frames: u64,
-    rows: u64,
-    wall_s: f64,
-    allocs: u64,
-    fingerprint: String,
-}
-
-/// One sampled two-way run on the clean 1L-1G config (1 ms interval), with
-/// the health monitor armed when `health` is set. Both sides sample; only
-/// the detector work differs, so the comparison isolates its cost.
-fn measure(size: usize, iters: usize, health: bool) -> Measure {
-    let mut cfg = SystemConfig::one_link_1g(2);
-    cfg.seed = 7;
-    let interval = Dur(us(1000).as_nanos());
-    let a0 = ALLOC_CALLS.load(Relaxed);
-    let t0 = Instant::now();
-    let r: MicroResult = if health {
-        run_micro_doctor(
-            &cfg,
-            MicroKind::TwoWay,
-            size,
-            iters,
-            &FaultPlan::new(),
-            interval,
-            HealthConfig::default(),
-        )
-    } else {
-        run_micro_sampled(
-            &cfg,
-            MicroKind::TwoWay,
-            size,
-            iters,
-            &FaultPlan::new(),
-            Some(interval),
-        )
-    };
-    let wall_s = t0.elapsed().as_secs_f64();
-    let allocs = ALLOC_CALLS.load(Relaxed) - a0;
-    Measure {
-        frames: r.proto.data_frames_sent,
-        rows: r.timeline.as_ref().map_or(0, |tl| tl.len() as u64),
-        wall_s,
-        allocs,
-        fingerprint: format!("{:016x}", fnv1a(&format!("{:?}|{:?}", r.proto, r.net))),
-    }
-}
-
-/// Marginal allocations per sample row attributable to the armed monitor:
-/// two run lengths difference out per-run setup, the health-off baseline
-/// differences out the sampler itself.
-fn allocs_per_sample(iters: usize) -> f64 {
-    const S: usize = 64 << 10;
-    let on_1 = measure(S, iters, true);
-    let on_2 = measure(S, 4 * iters, true);
-    let off_1 = measure(S, iters, false);
-    let off_2 = measure(S, 4 * iters, false);
-    let d_on = on_2.allocs as i64 - on_1.allocs as i64;
-    let d_off = off_2.allocs as i64 - off_1.allocs as i64;
-    let d_rows = on_2.rows as i64 - on_1.rows as i64;
-    assert!(d_rows > 0, "longer run must commit more sample rows");
-    (d_on - d_off) as f64 / d_rows as f64
-}
-
-/// The detector overhead gate: interleaved min-wall health-off/on rounds
-/// until the frames/wall-s ratio clears 0.95 (or a round cap is hit, at
-/// which point a genuine regression fails the assert), plus the
-/// allocation and fingerprint gates.
+/// The detector gate on the clean 1L-1G two-way cell, sampled every 1 ms.
+/// Both sides sample; only the detector work differs, so the comparison
+/// isolates its cost per sample row.
 fn overhead_gate(iters: usize) -> Json {
-    const S: usize = 64 << 10;
-    let iters = iters.max(20);
-    let mut off: Option<Measure> = None;
-    let mut on: Option<Measure> = None;
-    let mut rounds = 0usize;
-    loop {
-        let m = measure(S, 2 * iters, false);
-        if off.as_ref().is_none_or(|b| m.wall_s < b.wall_s) {
-            off = Some(m);
+    let run = |health: bool, iters: usize| {
+        let mut cfg = SystemConfig::one_link_1g(2);
+        cfg.seed = 7;
+        let (interval, plan) = (Dur(us(1000).as_nanos()), FaultPlan::new());
+        let kind = MicroKind::TwoWay;
+        if health {
+            let hc = HealthConfig::default();
+            run_micro_doctor(&cfg, kind, 64 << 10, iters, &plan, interval, hc)
+        } else {
+            run_micro_sampled(&cfg, kind, 64 << 10, iters, &plan, Some(interval))
         }
-        let m = measure(S, 2 * iters, true);
-        if on.as_ref().is_none_or(|b| m.wall_s < b.wall_s) {
-            on = Some(m);
-        }
-        rounds += 1;
-        let (o, s) = (off.as_ref().unwrap(), on.as_ref().unwrap());
-        let ratio = (s.frames as f64 / s.wall_s) / (o.frames as f64 / o.wall_s);
-        if (rounds >= 5 && ratio >= 0.95) || rounds >= 20 {
-            break;
-        }
-    }
-    let (off, on) = (off.expect("measured"), on.expect("measured"));
-    assert_eq!(
-        off.fingerprint, on.fingerprint,
-        "the monitor must be purely observational (stats fingerprint changed)"
-    );
-    let off_fps = off.frames as f64 / off.wall_s;
-    let on_fps = on.frames as f64 / on.wall_s;
-    let ratio = on_fps / off_fps;
-    let aps = allocs_per_sample(iters);
-    println!(
-        "overhead {off_fps:>9.0} -> {on_fps:>9.0} frames/wall-s  ratio {ratio:.3}  {aps:+.3} allocs/sample"
-    );
-    assert!(
-        aps.abs() < 0.01,
-        "health monitor allocates per sample tick: {aps:.4}"
-    );
-    assert!(
-        ratio >= 0.95,
-        "health monitor costs more than 5% frames/wall-s: ratio {ratio:.3}"
-    );
-    Json::obj()
+    };
+    let allocs = || ALLOC_CALLS.load(Relaxed);
+    let rows = |r: &MicroResult| r.timeline.as_ref().map_or(0, |tl| tl.len() as u64);
+    plane_overhead("health monitor", "sample", iters, allocs, run, rows)
         .set("config", "1L-1G")
         .set("kind", "two-way")
-        .set("plain_frames_per_wall_s", off_fps)
-        .set("doctor_frames_per_wall_s", on_fps)
-        .set("fps_ratio", ratio)
-        .set("allocs_per_sample", aps)
-        .set("stats_match", true)
-        .set("gate", "fps_ratio >= 0.95 && |allocs_per_sample| < 0.01 && stats fingerprints identical")
 }
 
 // ---------------------------------------------------------------------------
@@ -369,7 +259,7 @@ fn main() {
         .set("mode", if smoke { "smoke" } else { "full" })
         .set(
             "methodology",
-            "interleaved min-wall off/on rounds for fps ratio; two-point run-length difference (health-on minus health-off) for allocs/sample; every cell replays its JSONL artifact offline and requires a byte-identical report",
+            "health-off/on pair at two run lengths: fingerprints equal and marginal allocs/sample asserted, fps ratio reported only; every cell replays its JSONL artifact offline and requires a byte-identical report",
         )
         .set("overhead", overhead)
         .set("rail_outage", rail)

@@ -195,9 +195,8 @@ pub fn chaos_burst_doctor(smoke: bool) -> ChaosBurstDoctor {
     let mut bpb = FaultBackplane::new(bpb, 1, &chaos);
     let spans = SpanRecorder::disabled();
     let (mut a, mut b) = WireEndpoint::pair(&cfg.proto, bpa.rails(), &spans);
-    a.enable_timeline(bpa.rails(), us(200).as_nanos(), 4096, bpa.now_ns());
     let hc = HealthConfig::default();
-    a.enable_health(hc);
+    a.start_timeline(&bpa, us(200).as_nanos(), 4096, Some(hc));
 
     let iters = if smoke { 24 } else { 96 };
     let size = 16usize << 10;

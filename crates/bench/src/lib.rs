@@ -21,3 +21,82 @@ pub use micro::{
     default_iters, fig2_sizes, run_micro, run_micro_sampled, run_micro_with_plan, MicroKind,
     MicroResult,
 };
+
+/// Compact fingerprint of a micro run's behaviour: FNV-1a over the `Debug`
+/// rendering of its protocol and network counters.
+pub fn stats_fingerprint(r: &MicroResult) -> String {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in format!("{:?}|{:?}", r.proto, r.net).bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// The gate every observability plane (flight recorder, sampler, health
+/// monitor) passes: it is *purely observational*. `run(on, iters)` is one
+/// micro run with the plane off or on; the pair is run at `iters` and at
+/// `4 * iters` operations. Asserted, because they are exact: the stats
+/// fingerprint is identical with the plane on, and the plane adds no
+/// allocation per `unit` (`units` reads the unit count — frames or sample
+/// rows — off a result; the two lengths difference out per-run setup, the
+/// plane-off pair differences out everything that is not the plane).
+/// Reported, not asserted: the frames/wall-s ratio of the longer pair — one
+/// short wall-clock comparison on a shared host is not evidence; the ≤ 5 %
+/// claim is `trace.planes_on_fps_ratio` in `perf/` (paired, whole-phase).
+/// `allocs` reads the calling binary's counting allocator.
+pub fn plane_overhead(
+    plane: &str,
+    unit: &str,
+    iters: usize,
+    allocs: fn() -> u64,
+    run: impl Fn(bool, usize) -> MicroResult,
+    units: impl Fn(&MicroResult) -> u64,
+) -> me_trace::Json {
+    struct Run {
+        allocs: i64,
+        fps: f64,
+        units: i64,
+        fingerprint: String,
+    }
+    let timed = |on: bool, iters: usize| {
+        let (a0, t0) = (allocs(), std::time::Instant::now());
+        let r = run(on, iters);
+        Run {
+            fps: r.proto.data_frames_sent as f64 / t0.elapsed().as_secs_f64(),
+            allocs: (allocs() - a0) as i64,
+            units: units(&r) as i64,
+            fingerprint: stats_fingerprint(&r),
+        }
+    };
+    let (off_1, on_1) = (timed(false, iters), timed(true, iters));
+    let (off_2, on_2) = (timed(false, 4 * iters), timed(true, 4 * iters));
+    for (off, on) in [(&off_1, &on_1), (&off_2, &on_2)] {
+        assert_eq!(
+            off.fingerprint, on.fingerprint,
+            "the {plane} must be purely observational (stats fingerprint changed)"
+        );
+    }
+    let d_units = on_2.units - on_1.units;
+    assert!(d_units > 0, "the longer run must produce more {unit}s");
+    let d_allocs = (on_2.allocs - on_1.allocs) - (off_2.allocs - off_1.allocs);
+    let per_unit = d_allocs as f64 / d_units as f64;
+    let ratio = on_2.fps / off_2.fps;
+    println!(
+        "{plane:14} {:>9.0} -> {:>9.0} frames/wall-s  ratio {ratio:.3} (reported)  {per_unit:+.3} allocs/{unit}",
+        off_2.fps, on_2.fps
+    );
+    assert!(
+        per_unit.abs() < 0.01,
+        "the {plane} allocates per {unit}: {per_unit:.4}"
+    );
+    me_trace::Json::obj()
+        .set("plain_frames_per_wall_s", off_2.fps)
+        .set("plane_frames_per_wall_s", on_2.fps)
+        .set("fps_ratio_reported", ratio)
+        .set(&format!("allocs_per_{unit}"), per_unit)
+        .set("stats_match", true)
+        .set(
+            "gate",
+            format!("stats fingerprints identical && |allocs_per_{unit}| < 0.01"),
+        )
+}

@@ -100,7 +100,7 @@ pub fn run_micro_with_plan(
 }
 
 /// Like [`run_micro_with_plan`], but additionally arms node 0's
-/// [`Endpoint::start_timeline`] sampler on connection 0 every
+/// [`Endpoint::start_timeline`] sampler every
 /// `sample_interval` of virtual time (capacity 512 rows — micro runs span
 /// milliseconds, and a bigger preallocation would dominate the short
 /// runs' wall time), publishing the finished timeline and node 0's
@@ -249,11 +249,8 @@ fn run_micro_inner(
 
     let report = sim.run();
     report.expect_quiescent();
-    // `finish` consumes the sampler but also feeds the monitor one final
-    // row, so snapshot the health verdict through the shared handle after.
-    let shared = sampler.as_ref().map(|s| s.shared());
-    let timeline = sampler.map(|s| s.finish());
-    let health = shared.and_then(|tl| tl.borrow().health_report());
+    let (timeline, health) = sampler.map(|s| s.finish_with_health()).unzip();
+    let health = health.flatten();
     let timeline_proto = timeline.as_ref().map(|_| eps[0].stats());
     let (elapsed, avg_init_ns) = elapsed_task.try_take().expect("driver finished");
     let elapsed_s = elapsed.as_secs_f64();

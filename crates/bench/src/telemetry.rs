@@ -228,7 +228,7 @@ pub fn wire_telemetry(smoke: bool) -> WireTelemetry {
     let mut bpb = FaultBackplane::new(bpb, 1, &chaos);
     let spans = SpanRecorder::disabled();
     let (mut a, mut b) = WireEndpoint::pair(&cfg.proto, bpa.rails(), &spans);
-    a.enable_timeline(bpa.rails(), us(200).as_nanos(), 4096, bpa.now_ns());
+    a.start_timeline(&bpa, us(200).as_nanos(), 4096, None);
 
     let iters = if smoke { 24 } else { 96 };
     let size = 16usize << 10;

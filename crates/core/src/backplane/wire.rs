@@ -8,8 +8,7 @@
 //! in the PR 3 timer-wheel discipline, so it runs identically over the
 //! simulated fabric and over real UDP sockets. It adds what a real
 //! transport needs and a simulation does not: a progress watchdog that
-//! turns a dark fabric into a typed [`WireError`], graceful [`drain`], and
-//! its own time-resolved sampler.
+//! turns a dark fabric into a typed [`WireError`], and graceful [`drain`].
 //!
 //! It models no host cost (CPU charges, interrupt moderation): on UDP those
 //! costs are *real*, which is exactly the difference the sim-vs-real
@@ -24,20 +23,17 @@
 //! [`Endpoint`]: crate::Endpoint
 //! [`HostWork`]: crate::proto::HostWork
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use bytes::Bytes;
-use me_trace::{
-    FlightRecorder, HealthConfig, HealthMonitor, HealthReport, SourceId, SpanRecorder, Timeline,
-    TimelineBuilder,
-};
+use me_trace::{FlightRecorder, HealthConfig, HealthReport, SpanRecorder, Timeline};
 
 use crate::config::ProtoConfig;
 use crate::ops::{Notification, OpFlags, OpKind};
 use crate::proto::{ConnState, Effect, Host, Observers, Op, ProtoCore, TimerKind};
 use crate::stats::ProtoStats;
+use crate::timeline::CoreSampler;
 
 use super::{Backplane, BpRx};
 
@@ -187,7 +183,7 @@ pub type WireConnState = ConnState;
 pub struct WireEndpoint {
     core: ProtoCore<u64>,
     io: WireIo,
-    sampler: Option<WireSampler>,
+    sampler: Option<CoreSampler>,
 }
 
 /// Where the core's effects land between polls. An op's completion token
@@ -263,29 +259,6 @@ impl<B: Backplane> Host<u64> for WireHost<'_, B> {
     }
 }
 
-/// Time-resolved sampler state for a wire endpoint: the timeline ring plus
-/// the source handles and the watchdog-token tracker feeding the
-/// `token_age_ns` gauge (how long since real protocol progress).
-struct WireSampler {
-    tl: Timeline,
-    counters: [SourceId; 24],
-    progress_token: SourceId,
-    token_age_ns: SourceId,
-    in_flight: SourceId,
-    active_rails: SourceId,
-    rto_ns: SourceId,
-    backoff: SourceId,
-    fence_buffered: SourceId,
-    rail_state: Vec<SourceId>,
-    rail_backlog: Vec<SourceId>,
-    last_token: u64,
-    last_token_change_ns: u64,
-    /// Streaming health monitor over the committed rows; shared so the
-    /// flight recorder's `health` context source can read detector state
-    /// at dump time.
-    health: Option<Rc<RefCell<HealthMonitor>>>,
-}
-
 impl WireEndpoint {
     /// A connected pair of endpoints (nodes 0 and 1, one connection each,
     /// connection index 0 on both sides) sharing `spans` so one snapshot
@@ -322,163 +295,45 @@ impl WireEndpoint {
         self.io.buffered_since.push(None);
     }
 
-    /// Enable time-resolved telemetry: one row per `interval_ns` of the
-    /// backplane clock (virtual on the simulator, wall on UDP), at most
-    /// `capacity` retained rows, grid anchored at `start_ns`. Sources:
-    /// every monotone [`ProtoStats`] counter, the watchdog progress token
-    /// and its age, send-window occupancy, live-rail count, RTO/backoff
-    /// state, fence-held fragments, and per-rail transmit backlog. Rows are
-    /// committed from inside [`WireEndpoint::poll`]; take one final row
-    /// with [`WireEndpoint::sample_timeline`] before reading the result so
-    /// the deltas reconcile with [`WireEndpoint::stats`] exactly.
-    pub fn enable_timeline(
+    /// Start time-resolved telemetry: one row of [`ProtoCore::sample`]'s
+    /// column set per `interval_ns` of the backplane clock (virtual on the
+    /// simulator, wall on UDP) from now on, at most `capacity` retained
+    /// rows. With `health`, a streaming monitor runs on every committed
+    /// row, a newly opened incident arms the flight recorder's `Anomaly`
+    /// trigger, and detector state rides along in dumps (call
+    /// [`WireEndpoint::set_flight`] first). Rows are committed from inside
+    /// [`WireEndpoint::poll`] when due.
+    pub fn start_timeline<B: Backplane>(
         &mut self,
-        rails: usize,
+        bp: &B,
         interval_ns: u64,
         capacity: usize,
-        start_ns: u64,
+        health: Option<HealthConfig>,
     ) {
-        let mut b = TimelineBuilder::new();
-        let counters = ProtoStats::default()
-            .monotone_counters()
-            .map(|(name, _)| b.counter(name));
-        let progress_token = b.counter("progress_token");
-        let token_age_ns = b.gauge("token_age_ns");
-        let in_flight = b.gauge("in_flight");
-        let active_rails = b.gauge("active_rails");
-        let rto_ns = b.gauge("rto_ns");
-        let backoff = b.gauge("rto_backoff");
-        let fence_buffered = b.gauge("fence_buffered");
-        let mut rail_state = Vec::with_capacity(rails);
-        let mut rail_backlog = Vec::with_capacity(rails);
-        for r in 0..rails {
-            rail_state.push(b.gauge(&format!("rail{r}.state")));
-            rail_backlog.push(b.gauge(&format!("rail{r}.backlog_ns")));
-        }
-        self.sampler = Some(WireSampler {
-            tl: b.build(interval_ns, capacity, start_ns),
-            counters,
-            progress_token,
-            token_age_ns,
-            in_flight,
-            active_rails,
-            rto_ns,
-            backoff,
-            fence_buffered,
-            rail_state,
-            rail_backlog,
-            last_token: 0,
-            last_token_change_ns: start_ns,
-            health: None,
-        });
+        let start_ns = bp.now_ns();
+        self.sampler = Some(self.core.start_sampler(None, interval_ns, capacity, start_ns, health));
     }
 
-    /// Attach a streaming [`HealthMonitor`] to the enabled timeline: the
-    /// detectors run on every committed row (from [`WireEndpoint::poll`]'s
-    /// due-sampling as well as explicit [`WireEndpoint::sample_timeline`]
-    /// calls), a newly opened incident arms the flight recorder's
-    /// `Anomaly` trigger, and detector state rides along in dumps as the
-    /// `health` context source. Call after [`WireEndpoint::enable_timeline`]
-    /// (panics otherwise — caller bug) and after
-    /// [`WireEndpoint::set_flight`] if dumps should carry detector state.
-    pub fn enable_health(&mut self, cfg: HealthConfig) {
-        let s = self
-            .sampler
-            .as_mut()
-            .expect("enable_timeline before enable_health");
-        let mon = Rc::new(RefCell::new(HealthMonitor::for_timeline(&s.tl, cfg)));
-        s.health = Some(mon.clone());
-        let flight = &self.core.obs.flight;
-        if flight.is_enabled() {
-            flight.add_context_source("health", Rc::new(move || mon.borrow().state_json()));
-        }
-    }
-
-    /// Snapshot the health verdict, if [`WireEndpoint::enable_health`] is
-    /// active.
+    /// Snapshot the health verdict, if the timeline was started with a
+    /// monitor.
     pub fn health_report(&self) -> Option<HealthReport> {
-        let s = self.sampler.as_ref()?;
-        s.health.as_ref().map(|h| h.borrow().report())
+        self.sampler.as_ref()?.health_report()
     }
 
-    /// Commit one timeline row right now (no-op without
-    /// [`WireEndpoint::enable_timeline`]). Called automatically from
-    /// [`WireEndpoint::poll`] when a row is due; call it once more after
-    /// the drive loop ends for the exact reconciliation row.
+    /// Commit one timeline row right now (no-op before
+    /// [`WireEndpoint::start_timeline`]). Call it once after the drive loop
+    /// ends, so the deltas reconcile with [`WireEndpoint::stats`] exactly.
     pub fn sample_timeline<B: Backplane>(&mut self, bp: &mut B) {
-        if self.sampler.is_none() {
-            return;
-        }
-        let now = bp.now_ns();
-        let stats = self.core.stats();
-        let token = self.progress_token();
-        let conns = self.core.conns();
-        let in_flight: u64 = conns.iter().map(|c| c.in_flight()).sum();
-        let active = self.min_active_rails().unwrap_or(0) as u64;
-        let rto = conns
-            .iter()
-            .map(|c| c.current_rto().as_nanos())
-            .max()
-            .unwrap_or(0);
-        let backoff = u64::from(self.max_backoff());
-        let fence = self.fence_buffered_total() as u64;
-        let opened = {
-            let s = self.sampler.as_mut().expect("checked above");
-            if token != s.last_token {
-                s.last_token = token;
-                s.last_token_change_ns = now;
-            }
-            for (id, (_, v)) in s.counters.iter().zip(stats.monotone_counters()) {
-                s.tl.set(*id, v);
-            }
-            s.tl.set(s.progress_token, token);
-            s.tl.set(s.token_age_ns, now.saturating_sub(s.last_token_change_ns));
-            s.tl.set(s.in_flight, in_flight);
-            s.tl.set(s.active_rails, active);
-            s.tl.set(s.rto_ns, rto);
-            s.tl.set(s.backoff, backoff);
-            s.tl.set(s.fence_buffered, fence);
-            for (r, &sid) in s.rail_state.iter().enumerate() {
-                // Worst (highest-coded) rail state across connections; in the
-                // standard `pair` arrangement there is exactly one connection.
-                let code = conns
-                    .iter()
-                    .map(|c| crate::timeline::rail_state_code(c.rail_state(r)))
-                    .max()
-                    .unwrap_or(0);
-                s.tl.set(sid, code);
-            }
-            for (r, &bid) in s.rail_backlog.iter().enumerate() {
-                s.tl.set(bid, bp.tx_backlog_ns(r));
-            }
-            s.tl.sample(now);
-            match &s.health {
-                Some(h) => {
-                    let i = s.tl.len() - 1;
-                    let (t, vals) = s.tl.row(i);
-                    let opened = h.borrow_mut().observe(t, vals, s.tl.stale_words(i));
-                    opened.map(|cause| (cause, h.borrow().open_incidents()))
-                }
-                None => None,
-            }
-        };
-        // Flight arming happens with the sampler borrow released: the dump
-        // evaluates the `health` context source, which re-borrows the
-        // monitor.
-        if let Some((cause, open)) = opened {
-            self.core.obs.flight.anomaly(
-                self.core.obs.node,
-                None,
-                cause.ordinal() as u64,
-                open as u64,
-                now,
-            );
+        if let Some(s) = &mut self.sampler {
+            let now = bp.now_ns();
+            let io = &mut self.io;
+            self.core.sample(s, &WireHost { bp, io }, now);
         }
     }
 
     /// Detach and return the sample ring recorded so far.
     pub fn take_timeline(&mut self) -> Option<Timeline> {
-        self.sampler.take().map(|s| s.tl)
+        self.sampler.take().map(CoreSampler::into_timeline)
     }
 
     /// Attach a flight recorder: every protocol event the simulator
@@ -506,7 +361,7 @@ impl WireEndpoint {
     /// unacknowledged to send, no receive gap, no fence-blocked fragments.
     /// The graceful-shutdown criterion — see [`drain`].
     pub fn quiesced(&self) -> bool {
-        self.core.conns().iter().all(|c| c.quiesced())
+        self.core.quiesced()
     }
 
     /// Abandon connection `conn`'s in-flight sends after a fatal
@@ -519,40 +374,9 @@ impl WireEndpoint {
         self.core.abort_pending(conn)
     }
 
-    /// Monotone counter that moves iff real protocol progress happened:
-    /// receive counters plus acknowledgement, cumulative and fence-release
-    /// frontiers. Timer fires and retransmissions deliberately do not move
-    /// it — a peer retransmitting into a dead fabric is not progressing.
-    fn progress_token(&self) -> u64 {
-        let s = self.core.stats();
-        let mut t = s.data_frames_recv + s.ctrl_frames_recv + s.dup_frames_recv + s.notifications;
-        for c in self.core.conns() {
-            let st = c.state();
-            t += st.acked + st.cumulative + st.applied_below;
-        }
-        t
-    }
-
-    /// Fewest live rails across connections (None with no connections).
-    fn min_active_rails(&self) -> Option<usize> {
-        self.core.conns().iter().map(|c| c.active_rails()).min()
-    }
-
-    /// Largest RTO backoff exponent across connections.
-    fn max_backoff(&self) -> u32 {
-        let backoffs = self.core.conns().iter().map(|c| c.rto_backoff());
-        backoffs.max().unwrap_or(0)
-    }
-
     /// Earliest instant any connection's reorder buffer became non-empty.
     fn oldest_buffered_since(&self) -> Option<u64> {
         self.io.buffered_since.iter().flatten().min().copied()
-    }
-
-    /// Total fence-blocked fragments across connections.
-    fn fence_buffered_total(&self) -> usize {
-        let held = self.core.conns().iter().map(|c| c.state().fence_buffered);
-        held.sum()
     }
 
     /// This endpoint's node id.
@@ -656,7 +480,7 @@ impl WireEndpoint {
         }
         let progressed = progressed | self.fire_timers(bp);
         if let Some(s) = &self.sampler {
-            if s.tl.due(bp.now_ns()) {
+            if s.due(bp.now_ns()) {
                 self.sample_timeline(bp);
             }
         }
@@ -703,7 +527,7 @@ impl WireEndpoint {
 /// endpoints' state supports, checked in severity order.
 fn classify_stall(a: &WireEndpoint, b: &WireEndpoint, idle_ns: u64) -> WireError {
     for ep in [a, b] {
-        if ep.min_active_rails() == Some(0) {
+        if ep.core.min_active_rails() == Some(0) {
             return WireError::AllRailsDead {
                 node: ep.node(),
                 idle_ns,
@@ -711,7 +535,7 @@ fn classify_stall(a: &WireEndpoint, b: &WireEndpoint, idle_ns: u64) -> WireError
         }
     }
     for ep in [a, b] {
-        let backoff = ep.max_backoff();
+        let backoff = ep.core.max_backoff();
         if backoff >= ep.core.proto().rto_storm_cap {
             return WireError::PeerUnreachable {
                 node: ep.node(),
@@ -721,7 +545,7 @@ fn classify_stall(a: &WireEndpoint, b: &WireEndpoint, idle_ns: u64) -> WireError
         }
     }
     for ep in [a, b] {
-        let buffered = ep.fence_buffered_total();
+        let buffered = ep.core.fence_buffered_total();
         if buffered > 0 {
             return WireError::FenceStallExceeded {
                 node: ep.node(),
@@ -763,7 +587,7 @@ pub fn drive_with<BA: Backplane, BB: Backplane>(
     limits: DriveLimits,
 ) -> Result<u64, WireError> {
     let start = bpa.now_ns();
-    let mut last_token = a.progress_token().wrapping_add(b.progress_token());
+    let mut last_token = a.core.progress_token().wrapping_add(b.core.progress_token());
     let mut last_progress = start;
     loop {
         let pa = a.poll(bpa);
@@ -773,7 +597,7 @@ pub fn drive_with<BA: Backplane, BB: Backplane>(
             return Ok(bpa.now_ns() - start);
         }
         let now = bpa.now_ns();
-        let token = a.progress_token().wrapping_add(b.progress_token());
+        let token = a.core.progress_token().wrapping_add(b.core.progress_token());
         if token != last_token {
             last_token = token;
             last_progress = now;
@@ -788,7 +612,7 @@ pub fn drive_with<BA: Backplane, BB: Backplane>(
                 (stalled_ns > limits.fence_stall_limit_ns).then(|| WireError::FenceStallExceeded {
                     node: ep.node(),
                     stalled_ns,
-                    buffered: ep.fence_buffered_total(),
+                    buffered: ep.core.fence_buffered_total(),
                 })
             })
         } else {

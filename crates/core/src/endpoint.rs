@@ -33,6 +33,7 @@ use crate::ops::{Notification, OpFlags, OpHandle, OpKind};
 use crate::proto::{Effect, Host, HostWork, Observers, Op, ProtoCore, TimerKind};
 use crate::railhealth::RailState;
 use crate::stats::{CpuSnapshot, ProtoStats};
+use crate::timeline::CoreSampler;
 use bytes::Bytes;
 use frame::Frame;
 use me_trace::{EventKind, FlightRecorder, SpanRecorder, Tracer};
@@ -280,7 +281,7 @@ impl Endpoint {
     }
 
     /// Read-only access to the protocol core.
-    fn core<R>(&self, f: impl FnOnce(&ProtoCore<OpHandle>) -> R) -> R {
+    pub(crate) fn core<R>(&self, f: impl FnOnce(&ProtoCore<OpHandle>) -> R) -> R {
         f(&self.inner.borrow().core)
     }
 
@@ -329,21 +330,16 @@ impl Endpoint {
         &self.sim
     }
 
-    /// Number of NICs (rails) this endpoint stripes onto.
-    pub(crate) fn nic_count(&self) -> usize {
-        self.inner.borrow().nics.len()
+    /// Commit one row of `s` at the current virtual time. When to call it
+    /// is [`crate::timeline`]'s business.
+    pub(crate) fn sample(&self, s: &mut CoreSampler) {
+        let now = self.sim.now().as_nanos();
+        self.drive(|core, host| core.sample(s, host, now));
     }
 
     /// Health state of every rail, from connection `conn`'s sending side.
     pub fn rail_states(&self, conn: usize) -> Vec<RailState> {
-        (0..self.nic_count())
-            .map(|r| self.rail_state(conn, r))
-            .collect()
-    }
-
-    /// Number of rails connection `conn` currently stripes onto (not dead).
-    pub fn active_rails(&self, conn: usize) -> usize {
-        self.core(|c| c.conns()[conn].active_rails())
+        self.core(|c| (0..c.rails()).map(|r| c.conns()[conn].rail_state(r)).collect())
     }
 
     /// Connection `conn`'s current adaptive retransmission timeout
@@ -355,32 +351,6 @@ impl Endpoint {
     /// Connection `conn`'s smoothed RTT, once at least one sample exists.
     pub fn srtt(&self, conn: usize) -> Option<Dur> {
         self.core(|c| c.conns()[conn].srtt())
-    }
-
-    /// Health state of one rail, from connection `conn`'s sending side.
-    /// The allocation-free sibling of [`Endpoint::rail_states`], for
-    /// samplers that poll per rail on the datapath.
-    pub fn rail_state(&self, conn: usize, rail: usize) -> RailState {
-        self.core(|c| c.conns()[conn].rail_state(rail))
-    }
-
-    /// Sequence-space bytes connection `conn` has sent but not yet had
-    /// acknowledged — the send-window occupancy.
-    pub fn conn_in_flight(&self, conn: usize) -> u64 {
-        self.core(|c| c.conns()[conn].in_flight())
-    }
-
-    /// Connection `conn`'s current exponential-backoff level (0 = the RTO
-    /// has not backed off).
-    pub fn rto_backoff(&self, conn: usize) -> u32 {
-        self.core(|c| c.conns()[conn].rto_backoff())
-    }
-
-    /// Transmit backlog of this node's `rail`-th NIC, in nanoseconds of
-    /// serialization time still queued.
-    pub fn nic_backlog_ns(&self, rail: usize) -> u64 {
-        let inner = self.inner.borrow();
-        self.net.nic_tx_backlog(inner.nics[rail]).as_nanos()
     }
 
     /// Write directly into this node's local memory (models the application

@@ -88,4 +88,4 @@ pub use railhealth::{RailEvent, RailSet, RailState};
 pub use rtt::RttEstimator;
 pub use sched::{LinkScheduler, SchedPolicy};
 pub use stats::{CpuSnapshot, ProtoStats};
-pub use timeline::{rail_state_code, EndpointSampler, EndpointTimeline};
+pub use timeline::{rail_state_code, CoreSampler, EndpointSampler};

@@ -589,6 +589,42 @@ impl<T> ProtoCore<T> {
         self.rx_rejected
     }
 
+    /// Rails this instance stripes over.
+    pub fn rails(&self) -> usize {
+        self.nrails
+    }
+
+    /// Monotone counter that moves iff real protocol progress happened:
+    /// receive counters plus acknowledgement, cumulative and fence-release
+    /// frontiers. Timer fires and retransmissions deliberately do not move
+    /// it — a peer retransmitting into a dead fabric is not progressing.
+    pub fn progress_token(&self) -> u64 {
+        let s = &self.stats;
+        let recv = s.data_frames_recv + s.ctrl_frames_recv + s.dup_frames_recv + s.notifications;
+        let frontiers = |c: &Conn<T>| c.acked + c.seqs.cumulative() + c.order.applied_below();
+        recv + self.conns.iter().map(frontiers).sum::<u64>()
+    }
+
+    /// True when every connection is [`Conn::quiesced`].
+    pub fn quiesced(&self) -> bool {
+        self.conns.iter().all(|c| c.quiesced())
+    }
+
+    /// Fewest live rails across connections (`None` with no connections).
+    pub fn min_active_rails(&self) -> Option<usize> {
+        self.conns.iter().map(|c| c.active_rails()).min()
+    }
+
+    /// Largest RTO backoff exponent across connections.
+    pub fn max_backoff(&self) -> u32 {
+        self.conns.iter().map(|c| c.rto_backoff()).max().unwrap_or(0)
+    }
+
+    /// Total fence-blocked fragments across connections.
+    pub fn fence_buffered_total(&self) -> usize {
+        self.conns.iter().map(|c| c.order.buffered()).sum()
+    }
+
     /// Count `op` as asked for by the application. Separate from
     /// [`ProtoCore::issue`] because a driver may charge an initiation cost
     /// between the request and the instant the frames are built.

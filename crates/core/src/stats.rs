@@ -237,21 +237,72 @@ mod tests {
         assert_eq!(s.tx_interrupt_fraction(), 0.0);
     }
 
+    /// `(field name, value)` of every field, read off the `Debug` rendering
+    /// so that a field added to the struct shows up here unasked.
+    fn fields(s: &ProtoStats) -> Vec<(String, u64)> {
+        let text = format!("{s:?}");
+        let body = text.trim_start_matches("ProtoStats {").trim_end_matches('}');
+        let field = |f: &str| {
+            let (name, v) = f.trim().split_once(": ").expect("name: value");
+            (name.to_string(), v.parse().expect("u64 field"))
+        };
+        body.split(',').map(field).collect()
+    }
+
+    /// The two peaks [`ProtoStats::merge`] maxes; everything else sums.
+    const PEAKS: [&str; 2] = ["rto_backoff_max", "reorder_peak"];
+
+    #[test]
+    fn every_field_is_registered_as_a_counter_or_a_peak() {
+        let stats = ProtoStats::default();
+        let counters = stats.monotone_counters().map(|(name, _)| name);
+        for (name, _) in fields(&stats) {
+            let (counter, peak) = (counters.contains(&&*name), PEAKS.contains(&&*name));
+            assert!(counter != peak, "{name}: in monotone_counters() xor a max-merged peak");
+        }
+        assert_eq!(counters.len() + PEAKS.len(), fields(&stats).len());
+    }
+
     #[test]
     fn merge_sums_and_maxes() {
-        let mut a = ProtoStats {
-            data_frames_sent: 10,
-            reorder_peak: 5,
-            ..Default::default()
+        // Exhaustive on purpose (no `..`): a new field does not compile
+        // here until it has a prime, and then `merge` must handle it.
+        let primes = ProtoStats {
+            ops_write: 2,
+            ops_read: 3,
+            bytes_written: 5,
+            bytes_read: 7,
+            data_frames_sent: 11,
+            data_bytes_sent: 13,
+            read_req_frames_sent: 17,
+            explicit_acks_sent: 19,
+            nacks_sent: 23,
+            retransmits_nack: 29,
+            retransmits_rto: 31,
+            rto_backoff_max: 37,
+            rail_down_events: 41,
+            rail_up_events: 43,
+            data_frames_recv: 47,
+            data_bytes_recv: 53,
+            ctrl_frames_recv: 59,
+            dup_frames_recv: 61,
+            ooo_arrivals: 67,
+            corrupt_frames: 71,
+            rx_interrupts: 73,
+            rx_coalesced: 79,
+            tx_interrupts: 83,
+            tx_coalesced: 89,
+            notifications: 97,
+            reorder_peak: 101,
         };
-        let b = ProtoStats {
-            data_frames_sent: 7,
-            reorder_peak: 9,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.data_frames_sent, 17);
-        assert_eq!(a.reorder_peak, 9);
+        let mut merged = ProtoStats::default();
+        merged.merge(&primes);
+        assert_eq!(merged, primes, "merging into zero must copy every field");
+        merged.merge(&primes);
+        for ((name, got), (_, p)) in fields(&merged).into_iter().zip(fields(&primes)) {
+            let want = if PEAKS.contains(&&*name) { p } else { 2 * p };
+            assert_eq!(got, want, "{name}");
+        }
     }
 
     #[test]

@@ -5,8 +5,22 @@
 //! the telescoping invariant `base + Σ retained deltas == final raw`
 //! survives eviction, and the JSONL artifact round-trips into the exact
 //! cumulative series the sampler observed.
+//!
+//! Below them, the protocol's one sampler (`ProtoCore::sample`) end to end:
+//! the simulator and the wire driver commit the same column set, a fence
+//! stall is visible on the simulator, and an idle tail is not a stall.
 
-use me_trace::{imbalance, SourceKind, Timeline, TimelineBuilder, TimelineDoc};
+use bytes::Bytes;
+use integration_tests::rig;
+use me_trace::{
+    imbalance, HealthConfig, IncidentCause, SourceKind, SpanRecorder, Timeline, TimelineBuilder,
+    TimelineDoc,
+};
+use multiedge::backplane::{drain, DriveLimits, SimBackplane, WireEndpoint};
+use multiedge::{OpFlags, SystemConfig};
+use multiedge_bench::telemetry::reconcile_proto;
+use netsim::time::us;
+use netsim::{build_cluster, FaultPlan, Sim};
 use proptest::prelude::*;
 
 /// One drive step: advance the clock by `dt`, grow the two counters by
@@ -195,4 +209,117 @@ proptest! {
             prop_assert_eq!(hot, 0);
         }
     }
+}
+
+/// The same workload — four relaxed 48 KiB writes from node 0 — on the
+/// simulator driver and on the wire driver over the simulated fabric:
+/// both timelines carry the same sources, in the same order, of the same
+/// kinds, and each telescopes to its endpoint's end-of-run stats exactly.
+#[test]
+fn sim_and_wire_timelines_share_one_column_set() {
+    let cfg = SystemConfig::two_link_1g_unordered(2);
+    let (writes, size) = (4u64, 48usize << 10);
+
+    let (sim, _cluster, eps, conns) = rig(cfg.clone());
+    let c = conns[0][1].unwrap();
+    let sampler = eps[0].start_timeline(c, us(100), 256);
+    let ep = eps[0].clone();
+    sim.spawn("writer", async move {
+        let mut handles = Vec::new();
+        for i in 0..writes {
+            let data = vec![i as u8; size];
+            handles.push(ep.write_bytes(c, i << 16, data, OpFlags::RELAXED).await);
+        }
+        for h in handles {
+            h.wait().await;
+        }
+    });
+    sim.run().expect_quiescent();
+    let sim_tl = sampler.finish();
+    reconcile_proto(&sim_tl, &eps[0].stats()).expect("simulator timeline reconciles");
+
+    let sim = Sim::new(cfg.seed);
+    let cluster = build_cluster(&sim, cfg.cluster_spec());
+    let (mut bpa, mut bpb) = SimBackplane::pair(&sim, &cluster);
+    let (mut a, mut b) = WireEndpoint::pair(&cfg.proto, cfg.rails, &SpanRecorder::disabled());
+    a.start_timeline(&bpa, us(100).as_nanos(), 256, None);
+    for i in 0..writes {
+        let data = Bytes::from(vec![i as u8; size]);
+        a.write(0, &mut bpa, i << 16, data, OpFlags::RELAXED);
+    }
+    drain(&mut a, &mut bpa, &mut b, &mut bpb, DriveLimits::budget(1_000_000_000))
+        .expect("wire stream completes");
+    a.sample_timeline(&mut bpa);
+    let wire_tl = a.take_timeline().expect("timeline was started");
+    reconcile_proto(&wire_tl, &a.stats()).expect("wire timeline reconciles");
+
+    assert_eq!(sim_tl.names(), wire_tl.names());
+    assert_eq!(sim_tl.kinds(), wire_tl.kinds());
+    assert!(sim_tl.len() > 4 && wire_tl.len() > 4, "multi-interval runs");
+}
+
+/// A backward-fenced write held behind a predecessor that lost frames:
+/// the receiver's `fence_buffered` gauge stays non-zero until the NACK
+/// (2 ms) recovers the gap, and the monitor names it a fence stall — on
+/// the simulator, which had no such column before the samplers merged.
+#[test]
+fn simulator_sees_a_fence_stall() {
+    let (sim, cluster, eps, conns) = rig(SystemConfig::one_link_1g(2));
+    // ~3 frames of the first write vanish; the link is back well before
+    // the fenced write's frames go out.
+    let plan = FaultPlan::new().rail_down(us(150), 0).rail_up(us(190), 0);
+    cluster.apply_fault_plan(&sim, &plan);
+    let (c01, c10) = (conns[0][1].unwrap(), conns[1][0].unwrap());
+    let sampler = eps[1].start_timeline_with_health(c10, us(100), 256, HealthConfig::default());
+    let ep = eps[0].clone();
+    sim.spawn("writer", async move {
+        let first = ep.write_bytes(c01, 0, vec![1u8; 64 << 10], OpFlags::RELAXED).await;
+        let fenced = OpFlags::RELAXED.with_fence_backward();
+        let second = ep.write_bytes(c01, 1 << 20, vec![2u8; 16 << 10], fenced).await;
+        first.wait().await;
+        second.wait().await;
+    });
+    sim.run().expect_quiescent();
+    let (tl, health) = sampler.finish_with_health();
+    let health = health.expect("monitor attached");
+    let fence = tl.source_id("fence_buffered").expect("shared column");
+    let held = (0..tl.len()).filter(|&i| tl.row(i).1[fence.index()] > 0).count();
+    assert!(held >= 8, "fragments held across {held} rows only");
+    assert!(
+        health.first(IncidentCause::FenceStall).is_some(),
+        "no fence_stall incident:\n{}",
+        health.render_human()
+    );
+}
+
+/// A clean run's `finish()` row is taken after the idle tail (the last
+/// timers fire long after the last ack): the endpoint is quiesced, so
+/// `token_age_ns` reads 0 there and the monitor opens nothing. An age that
+/// kept counting through idle time read ~0.5 ms here and alarmed.
+#[test]
+fn idle_tail_is_not_a_stall() {
+    let (sim, _cluster, eps, conns) = rig(SystemConfig::two_link_1g_unordered(2));
+    let c = conns[0][1].unwrap();
+    let sampler = eps[0].start_timeline_with_health(c, us(100), 256, HealthConfig::default());
+    let (ep, clock) = (eps[0].clone(), sim.clone());
+    let writer = sim.spawn("writer", async move {
+        let mut handles = Vec::new();
+        for i in 0..24u64 {
+            let data = vec![i as u8; 32 << 10];
+            handles.push(ep.write_bytes(c, i << 16, data, OpFlags::RELAXED).await);
+        }
+        for h in handles {
+            h.wait().await;
+        }
+        clock.now().as_nanos()
+    });
+    sim.run().expect_quiescent();
+    let done_ns = writer.try_take().expect("writer finished");
+    let (tl, health) = sampler.finish_with_health();
+    let (t_last, last) = tl.row(tl.len() - 1);
+    assert!(t_last > done_ns + 100_000, "no idle tail: {t_last} vs {done_ns}");
+    let age = tl.source_id("token_age_ns").expect("shared column");
+    assert_eq!(last[age.index()], 0, "an idle endpoint is not a stalled one");
+    let health = health.expect("monitor attached");
+    assert!(health.incidents.is_empty(), "{}", health.render_human());
 }
