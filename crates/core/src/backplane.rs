@@ -25,6 +25,7 @@ use frame::{Frame, MacAddr};
 
 mod chaos;
 mod sim;
+mod sys;
 mod udp;
 mod wire;
 
@@ -68,6 +69,14 @@ pub struct BpRx {
 ///   corrupted in flight; corrupted frames are discarded by the backplane
 ///   (they model what the Ethernet FCS would have caught) and never reach
 ///   [`Backplane::next`].
+/// * **Batches.** [`Backplane::send_batch`] is [`Backplane::send`] for
+///   every frame of the vector, and a backend may spend fewer system calls
+///   on it. The same loss rules hold **per frame**: the count returned is of
+///   frames *accepted*, not delivered, and any frame of a batch may be lost
+///   on its own. Frames of one rail are handed to that rail in the order
+///   given; nothing is promised across rails. Nothing is deferred: when the
+///   call returns every frame has been handed over or refused, the vector
+///   is empty, and the backend holds no staged frame — there is no flush.
 /// * **MTU.** [`Backplane::mtu`] is the largest payload (in bytes, after
 ///   the MultiEdge header) one frame may carry; [`Backplane::peer_mtu`] is
 ///   the largest payload the peer can accept. Senders must fragment to
@@ -106,6 +115,18 @@ pub trait Backplane {
     /// lost from the protocol's point of view and recovered like any other
     /// loss (NACK or RTO).
     fn send(&mut self, rail: usize, frame: Frame) -> bool;
+
+    /// Hand every `(rail, frame)` of `frames` over as [`Backplane::send`]
+    /// would, draining the vector (its capacity stays with the caller), and
+    /// return how many were accepted. The default sends them one by one; a
+    /// backend overrides it to amortise its per-call cost over the batch
+    /// (see the *Batches* clause of the contract).
+    fn send_batch(&mut self, frames: &mut Vec<(usize, Frame)>) -> usize {
+        frames
+            .drain(..)
+            .map(|(rail, frame)| usize::from(self.send(rail, frame)))
+            .sum()
+    }
 
     /// The next received frame for this node, if any is pending.
     fn next(&mut self) -> Option<BpRx>;

@@ -8,27 +8,44 @@
 //! mirroring the simulated fabric's early-stop semantics.
 //! [`Backplane::next`] on an empty queue sweeps only its own node's sockets:
 //! the peer's traffic waits in the kernel for the peer's own `next` (or
-//! anyone's `advance`), and an idle poll costs `rails` system calls, not
-//! `2 × rails`.
+//! anyone's `advance`).
+//!
+//! The path pays per system call, not per frame (the paper's edge polls
+//! every NIC while it is active and takes one interrupt per burst). A sweep
+//! asks one `poll(2)` over the node's `rails` sockets, does one `recvmsg` on
+//! each socket reported ready, and repeats until none is — an idle sweep is
+//! one call, whatever the rail count, and no receive finds its socket
+//! empty. [`Backplane::send_batch`] encodes each rail's consecutive frames
+//! back to back and hands every run the kernel accepts (equal-sized
+//! segments, only the last may be shorter, at most [`MAX_SEGMENTS`] of them
+//! in [`MAX_DATAGRAM`] bytes) to one `sendmsg` with a `UDP_SEGMENT` control
+//! message; the sockets set `UDP_GRO`, so over loopback such a run arrives
+//! as the one buffer it left as, with its segment size attached. Where the
+//! kernel refuses `UDP_GRO` every run is one frame long — the only branch,
+//! and the platform's. The system calls live in [`super::sys`].
 //!
 //! Frames cross the sockets in the MultiEdge wire format
-//! ([`frame::encode_frame_into`] / [`frame::decode_frame`]); each datagram
+//! ([`frame::encode_frame_into`] / [`frame::decode_frame`]); each segment
 //! is one frame. The Ethernet MAC addresses are not carried on the wire —
 //! a datagram arriving on node `n`'s rail-`r` socket is *expected* to come
 //! from the peer's rail-`r` socket, so the addresses are reconstructed from
-//! (node, rail) exactly as a NIC would fill them in. The expectation is now
-//! **checked**, not assumed: the sockets are unconnected, every received
-//! datagram's source address is compared against the peer socket bound at
-//! fabric construction, and a mismatch is counted, dropped, and surfaced as
-//! a typed [`UdpRxError::UnknownSource`] — the multi-host-addressing gap
-//! the ROADMAP notes, made visible instead of silently misattributed.
+//! (node, rail) exactly as a NIC would fill them in. The expectation is
+//! **checked**, not assumed: the sockets are unconnected, the source address
+//! of every receive (a coalesced one has one source) is compared against
+//! the peer socket bound at fabric construction, and a mismatch is counted
+//! per segment, dropped, and surfaced as a typed
+//! [`UdpRxError::UnknownSource`] — the multi-host-addressing gap the ROADMAP
+//! notes, made visible instead of silently misattributed.
 //!
-//! Datagrams that fail to decode split two ways, the role the Ethernet FCS
+//! Every segment of a coalesced receive goes through what a lone datagram
+//! goes through, and the counters of [`UdpFabricStats`] count segments.
+//! Segments that fail to decode split two ways, the role the Ethernet FCS
 //! plays on a real wire: checksum failures count as
 //! [`UdpFabricStats::frames_corrupt_dropped`] (bit damage in flight) and
 //! are noted as flight-recorder `frame_corrupt` events when a recorder is
-//! attached; structurally invalid datagrams (truncated, bad kind/length)
-//! count as [`UdpFabricStats::frames_malformed_dropped`]. Both kinds also
+//! attached; structurally invalid ones (truncated, bad kind/length, a
+//! receive the buffer could not hold) count as
+//! [`UdpFabricStats::frames_malformed_dropped`]. Both kinds also
 //! park a bounded [`UdpRxError`] log readable via
 //! [`UdpFabric::take_rx_error`].
 //!
@@ -48,10 +65,15 @@ use std::time::{Duration, Instant};
 use frame::{decode_frame, encode_frame_into, CodecError, Frame, MacAddr};
 use me_trace::{FlightCode, FlightRecorder, Json};
 
+use super::sys::{self, PollSet, Received};
 use super::{Backplane, BpRx};
 
-/// Largest encoded frame: header + max payload (fits any MultiEdge frame).
-const DATAGRAM_BUF: usize = frame::HEADER_LEN + frame::MAX_PAYLOAD;
+/// Largest UDP payload over IPv4: what one send or one (coalesced) receive
+/// can carry.
+const MAX_DATAGRAM: usize = 65_507;
+
+/// Most segments the kernel cuts one `UDP_SEGMENT` send into.
+const MAX_SEGMENTS: usize = 64;
 
 /// Most parked [`UdpRxError`]s retained before the oldest are discarded.
 const RX_ERROR_LOG: usize = 32;
@@ -162,32 +184,45 @@ impl UdpRxError {
     }
 }
 
-/// Socket-path counters of one [`UdpFabric`].
+/// Socket-path counters of one [`UdpFabric`]. What crossed the sockets is
+/// counted in **segments** — one per frame, however the kernel batched them
+/// — so `delivered` plus the three `*_dropped` counters is the number of
+/// segments received; what the kernel was asked is counted in calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UdpFabricStats {
-    /// Datagrams decoded and delivered to a node's queue.
+    /// Segments decoded and delivered to a node's queue.
     pub delivered: u64,
-    /// Datagrams dropped on a checksum failure (the FCS role).
+    /// Segments dropped on a checksum failure (the FCS role).
     pub frames_corrupt_dropped: u64,
-    /// Datagrams dropped as structurally invalid (truncated, bad header).
+    /// Segments dropped as structurally invalid (truncated, bad header), and
+    /// receives the buffer could not hold (`MSG_TRUNC`, one each).
     pub frames_malformed_dropped: u64,
-    /// Datagrams dropped because their source address was not the expected
+    /// Segments dropped because their source address was not the expected
     /// peer socket.
     pub unknown_source_dropped: u64,
     /// Parked [`UdpRxError`] entries evicted from the bounded error log
     /// before anyone read them — nonzero means the typed error detail (not
     /// the drop itself, which the counters above retain) was lost.
     pub rx_errors_dropped: u64,
-    /// `recv_from` system calls made, whatever they returned.
+    /// Send system calls made (`send_to` for one frame, `sendmsg` for a
+    /// segmented run), whatever they returned.
+    pub send_calls: u64,
+    /// `poll(2)` readiness calls made; every sweep ends on the one that
+    /// reports nothing ready.
+    pub poll_calls: u64,
+    /// `recvmsg` system calls made, whatever they returned.
     pub recv_calls: u64,
-    /// `recv_from` calls that found the socket empty (`EAGAIN`) — the price
-    /// of polling; `recv_calls - recv_would_block` datagrams were read.
+    /// `recvmsg` calls that found the socket empty (`EAGAIN`) although
+    /// `poll` had reported it ready; at least `recv_calls -
+    /// recv_would_block - rx_socket_errors` datagrams were read.
     pub recv_would_block: u64,
-    /// Frames the kernel refused on `send_to` (a full socket buffer, most
-    /// likely): lost on the wire as far as the protocol can tell, so they
-    /// come back as retransmissions.
+    /// Receives that carried more than one segment (`UDP_GRO`).
+    pub recv_coalesced: u64,
+    /// Frames the kernel refused to send (a full socket buffer, most
+    /// likely) — every frame of a refused run: lost on the wire as far as
+    /// the protocol can tell, so they come back as retransmissions.
     pub tx_failed: u64,
-    /// `recv_from` errors other than `EAGAIN`; the sweep of that socket
+    /// `poll` failures and `recvmsg` errors other than `EAGAIN`; the sweep
     /// stops there.
     pub rx_socket_errors: u64,
 }
@@ -202,8 +237,11 @@ impl UdpFabricStats {
             .set("frames_malformed_dropped", self.frames_malformed_dropped)
             .set("unknown_source_dropped", self.unknown_source_dropped)
             .set("rx_errors_dropped", self.rx_errors_dropped)
+            .set("send_calls", self.send_calls)
+            .set("poll_calls", self.poll_calls)
             .set("recv_calls", self.recv_calls)
             .set("recv_would_block", self.recv_would_block)
+            .set("recv_coalesced", self.recv_coalesced)
             .set("tx_failed", self.tx_failed)
             .set("rx_socket_errors", self.rx_socket_errors)
     }
@@ -217,37 +255,51 @@ pub struct UdpFabric {
     /// `peer_addrs[node][rail]`: where node's rail sends, and the only
     /// source address its receives accept.
     peer_addrs: Vec<Vec<SocketAddr>>,
+    /// Per node, the readiness set over its rail sockets.
+    poll_sets: [RefCell<PollSet>; 2],
+    /// Whether every socket accepted `UDP_GRO`; without it a run is one
+    /// frame long.
+    segmentation: bool,
     /// Per-node receive queues fed by [`UdpFabric::poll_node`].
     queues: [RefCell<VecDeque<BpRx>>; 2],
     /// Wall-clock epoch: `now_ns` is elapsed time since this instant.
     epoch: Instant,
     /// Idle-wait behavior of `advance`.
     cfg: UdpFabricConfig,
-    /// Total datagrams delivered (the advance early-stop signal).
+    /// Total segments delivered (the advance early-stop signal).
     delivered: Cell<u64>,
-    /// Datagrams dropped on checksum failure.
+    /// Segments dropped on checksum failure.
     corrupt_dropped: Cell<u64>,
-    /// Datagrams dropped as structurally invalid.
+    /// Segments dropped as structurally invalid.
     malformed_dropped: Cell<u64>,
-    /// Datagrams dropped for an unexpected source address.
+    /// Segments dropped for an unexpected source address.
     unknown_source_dropped: Cell<u64>,
     /// Bounded log of receive errors (newest kept, oldest discarded).
     rx_errors: RefCell<VecDeque<UdpRxError>>,
     /// Errors evicted from `rx_errors` unread (overflow observability).
     rx_errors_dropped: Cell<u64>,
-    /// `recv_from` calls made.
+    /// `send_to` + `sendmsg` calls made.
+    send_calls: Cell<u64>,
+    /// `poll` calls made.
+    poll_calls: Cell<u64>,
+    /// `recvmsg` calls made.
     recv_calls: Cell<u64>,
-    /// `recv_from` calls that returned `WouldBlock`.
+    /// `recvmsg` calls that returned `WouldBlock`.
     recv_would_block: Cell<u64>,
-    /// `send_to` calls that failed.
+    /// `recvmsg` calls that returned more than one segment.
+    recv_coalesced: Cell<u64>,
+    /// Frames of refused sends.
     tx_failed: Cell<u64>,
-    /// `recv_from` failures other than `WouldBlock`.
+    /// `poll` failures and `recvmsg` failures other than `WouldBlock`.
     rx_socket_errors: Cell<u64>,
     /// Optional flight recorder: corrupt drops are noted as trace events.
     flight: RefCell<FlightRecorder>,
-    /// Reusable receive buffer.
+    /// The fabric's one datagram-sized buffer: the run
+    /// [`UdpFabric::send_batch`] is staging, frames back to back, or what a
+    /// `recvmsg` of [`UdpFabric::poll_node`] returned — never both, neither
+    /// outlives its call. Its pages are touched as far as the longest run.
     buf: RefCell<Box<[u8]>>,
-    /// Reusable encode scratch.
+    /// Reusable encode scratch: one frame.
     scratch: RefCell<Vec<u8>>,
 }
 
@@ -270,11 +322,13 @@ impl UdpFabric {
     pub fn new_with(rails: usize, cfg: UdpFabricConfig) -> std::io::Result<Rc<UdpFabric>> {
         assert!(rails >= 1, "a fabric needs at least one rail");
         let mut sockets: Vec<Vec<UdpSocket>> = Vec::with_capacity(2);
+        let mut segmentation = true;
         for _node in 0..2 {
             let mut per_rail = Vec::with_capacity(rails);
             for _rail in 0..rails {
                 let s = UdpSocket::bind("127.0.0.1:0")?;
                 s.set_nonblocking(true)?;
+                segmentation &= sys::enable_gro(&s).is_ok();
                 per_rail.push(s);
             }
             sockets.push(per_rail);
@@ -287,9 +341,12 @@ impl UdpFabric {
             }
             peer_addrs.push(addrs);
         }
+        let poll_sets = [0, 1].map(|node: usize| RefCell::new(PollSet::new(&sockets[node])));
         Ok(Rc::new(UdpFabric {
             sockets,
             peer_addrs,
+            poll_sets,
+            segmentation,
             queues: [RefCell::default(), RefCell::default()],
             epoch: Instant::now(),
             cfg,
@@ -299,13 +356,16 @@ impl UdpFabric {
             unknown_source_dropped: Cell::new(0),
             rx_errors: RefCell::new(VecDeque::new()),
             rx_errors_dropped: Cell::new(0),
+            send_calls: Cell::new(0),
+            poll_calls: Cell::new(0),
             recv_calls: Cell::new(0),
             recv_would_block: Cell::new(0),
+            recv_coalesced: Cell::new(0),
             tx_failed: Cell::new(0),
             rx_socket_errors: Cell::new(0),
             flight: RefCell::new(FlightRecorder::disabled()),
-            buf: RefCell::new(vec![0u8; DATAGRAM_BUF].into_boxed_slice()),
-            scratch: RefCell::new(Vec::with_capacity(DATAGRAM_BUF)),
+            buf: RefCell::new(vec![0u8; MAX_DATAGRAM].into_boxed_slice()),
+            scratch: RefCell::new(Vec::with_capacity(frame::HEADER_LEN + frame::MAX_PAYLOAD)),
         }))
     }
 
@@ -331,14 +391,17 @@ impl UdpFabric {
             frames_malformed_dropped: self.malformed_dropped.get(),
             unknown_source_dropped: self.unknown_source_dropped.get(),
             rx_errors_dropped: self.rx_errors_dropped.get(),
+            send_calls: self.send_calls.get(),
+            poll_calls: self.poll_calls.get(),
             recv_calls: self.recv_calls.get(),
             recv_would_block: self.recv_would_block.get(),
+            recv_coalesced: self.recv_coalesced.get(),
             tx_failed: self.tx_failed.get(),
             rx_socket_errors: self.rx_socket_errors.get(),
         }
     }
 
-    /// Datagrams that failed to decode and were dropped — corrupt plus
+    /// Segments that failed to decode and were dropped — corrupt plus
     /// malformed, the FCS stand-in (kept for callers of the pre-split
     /// counter).
     pub fn decode_dropped(&self) -> u64 {
@@ -398,6 +461,30 @@ impl UdpFabric {
             .map(|_| ())
     }
 
+    /// Chaos/testing hook beside [`UdpFabric::inject_raw`]: push raw bytes
+    /// as **one** `UDP_SEGMENT` send cut every `seg_len` bytes, so the peer
+    /// receives them coalesced — how the per-segment receive checks are
+    /// exercised against a real kernel round trip.
+    ///
+    /// # Errors
+    ///
+    /// Returns the socket send error verbatim.
+    pub fn inject_segments(
+        &self,
+        node: usize,
+        rail: usize,
+        seg_len: usize,
+        bytes: &[u8],
+    ) -> std::io::Result<()> {
+        sys::send_segments(
+            &self.sockets[node][rail],
+            self.peer_addrs[node][rail],
+            seg_len,
+            bytes,
+        )
+        .map(|_| ())
+    }
+
     fn rails(&self) -> usize {
         self.sockets[0].len()
     }
@@ -412,88 +499,187 @@ impl UdpFabric {
             log.pop_front();
             // Eviction is silent data loss without a counter: the drop
             // stays visible in `stats()` even after the detail is gone.
-            bump(&self.rx_errors_dropped);
+            add(&self.rx_errors_dropped, 1);
         }
         log.push_back(err);
     }
 
-    /// Drain every socket of `node` into its receive queue.
+    /// Drain every socket of `node` into its receive queue: ask `poll(2)`
+    /// which of them hold anything, read each of those once, and ask again
+    /// until none does.
     fn poll_node(&self, node: usize) {
-        let now = self.now_ns();
+        let mut ready = self.poll_sets[node].borrow_mut();
         let mut buf = self.buf.borrow_mut();
-        for (rail, sock) in self.sockets[node].iter().enumerate() {
-            loop {
-                bump(&self.recv_calls);
-                match sock.recv_from(&mut buf[..]) {
-                    Ok((n, from)) => {
-                        if from != self.peer_addrs[node][rail] {
-                            bump(&self.unknown_source_dropped);
-                            self.push_rx_error(UdpRxError::UnknownSource { node, rail, from });
-                            continue;
-                        }
-                        let src = MacAddr::new((1 - node) as u16, rail as u8);
-                        let dst = MacAddr::new(node as u16, rail as u8);
-                        match decode_frame(src, dst, &buf[..n]) {
-                            Ok(frame) => {
-                                self.queues[node].borrow_mut().push_back(BpRx {
-                                    rail: rail as u32,
-                                    at_ns: now,
-                                    frame,
-                                });
-                                bump(&self.delivered);
-                            }
-                            Err(err @ CodecError::Checksum { .. }) => {
-                                bump(&self.corrupt_dropped);
-                                self.flight.borrow().note(
-                                    FlightCode::FrameCorrupt,
-                                    node,
-                                    None,
-                                    Some(rail as u32),
-                                    0,
-                                    0,
-                                    now,
-                                );
-                                self.push_rx_error(UdpRxError::Corrupt { node, rail, err });
-                            }
-                            Err(err) => {
-                                bump(&self.malformed_dropped);
-                                self.push_rx_error(UdpRxError::Malformed { node, rail, err });
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        bump(&self.recv_would_block);
-                        break;
-                    }
+        loop {
+            add(&self.poll_calls, 1);
+            match ready.poll_now() {
+                Ok(0) => return,
+                Ok(_) => {}
+                Err(_) => {
+                    add(&self.rx_socket_errors, 1);
+                    return;
+                }
+            }
+            let now = self.now_ns();
+            for (rail, sock) in self.sockets[node].iter().enumerate() {
+                if !ready.ready(rail) {
+                    continue;
+                }
+                add(&self.recv_calls, 1);
+                match sys::recv_segments(sock, &mut buf) {
+                    Ok(rx) => self.admit(node, rail, now, &rx, &buf),
+                    // The kernel dropped what `poll` saw (a bad UDP
+                    // checksum); the next `poll` no longer reports it.
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => add(&self.recv_would_block, 1),
                     // Any other socket error ends this sweep like a dropped
                     // frame would (the protocol recovers via NACK/RTO), but
                     // is counted so it cannot pass for loss on the wire.
                     Err(_) => {
-                        bump(&self.rx_socket_errors);
-                        break;
+                        add(&self.rx_socket_errors, 1);
+                        return;
                     }
                 }
             }
         }
     }
 
+    /// Put one receive through the checks, segment by segment: source
+    /// address (one per receive), then per segment decode with its CRC32C,
+    /// corrupt vs malformed, error log, counters.
+    fn admit(&self, node: usize, rail: usize, now: u64, rx: &Received, buf: &[u8]) {
+        if rx.truncated {
+            add(&self.malformed_dropped, 1);
+            let err = CodecError::BadLength {
+                declared: rx.len,
+                available: buf.len(),
+            };
+            self.push_rx_error(UdpRxError::Malformed { node, rail, err });
+            return;
+        }
+        // An empty datagram is still one (malformed) segment.
+        let segments = rx.len.div_ceil(rx.seg_len).max(1);
+        if rx.from != self.peer_addrs[node][rail] {
+            add(&self.unknown_source_dropped, segments as u64);
+            let from = rx.from;
+            self.push_rx_error(UdpRxError::UnknownSource { node, rail, from });
+            return;
+        }
+        if segments > 1 {
+            add(&self.recv_coalesced, 1);
+        }
+        let src = MacAddr::new((1 - node) as u16, rail as u8);
+        let dst = MacAddr::new(node as u16, rail as u8);
+        let mut queue = self.queues[node].borrow_mut();
+        for i in 0..segments {
+            let seg = &buf[i * rx.seg_len..rx.len.min((i + 1) * rx.seg_len)];
+            match decode_frame(src, dst, seg) {
+                Ok(frame) => {
+                    queue.push_back(BpRx {
+                        rail: rail as u32,
+                        at_ns: now,
+                        frame,
+                    });
+                    add(&self.delivered, 1);
+                }
+                Err(err @ CodecError::Checksum { .. }) => {
+                    add(&self.corrupt_dropped, 1);
+                    self.flight.borrow().note(
+                        FlightCode::FrameCorrupt,
+                        node,
+                        None,
+                        Some(rail as u32),
+                        0,
+                        0,
+                        now,
+                    );
+                    self.push_rx_error(UdpRxError::Corrupt { node, rail, err });
+                }
+                Err(err) => {
+                    add(&self.malformed_dropped, 1);
+                    self.push_rx_error(UdpRxError::Malformed { node, rail, err });
+                }
+            }
+        }
+    }
+
+    /// Spend one system call on `frames` encoded frames lying back to back
+    /// in `bytes`, the first `seg_len` long. Returns how many were accepted:
+    /// all or none. A failed send (full socket buffer) is a transmit-queue
+    /// overflow: the frames are lost and recovered by the reliability
+    /// machinery.
+    fn send_run(
+        &self,
+        node: usize,
+        rail: usize,
+        seg_len: usize,
+        frames: usize,
+        bytes: &[u8],
+    ) -> usize {
+        let (sock, to) = (&self.sockets[node][rail], self.peer_addrs[node][rail]);
+        add(&self.send_calls, 1);
+        let sent = if frames == 1 {
+            sock.send_to(bytes, to)
+        } else {
+            sys::send_segments(sock, to, seg_len, bytes)
+        };
+        if sent.is_ok() {
+            return frames;
+        }
+        add(&self.tx_failed, frames as u64);
+        0
+    }
+
     fn send(&self, node: usize, rail: usize, frame: &Frame) -> bool {
         let mut scratch = self.scratch.borrow_mut();
         encode_frame_into(frame, &mut scratch);
-        // A failed send (full socket buffer) is a transmit-queue overflow:
-        // the frame is lost and recovered by the reliability machinery.
-        let sent = self.sockets[node][rail]
-            .send_to(&scratch, self.peer_addrs[node][rail])
-            .is_ok();
-        if !sent {
-            bump(&self.tx_failed);
+        self.send_run(node, rail, scratch.len(), 1, &scratch) == 1
+    }
+
+    /// Send `frames` rail by rail, each rail's frames in order and every
+    /// maximal run the kernel takes as one segmented send in one call: all
+    /// segments the size of the first, only the last may be shorter (so a
+    /// shorter frame closes its run), at most [`MAX_SEGMENTS`] of them in
+    /// [`MAX_DATAGRAM`] bytes. One rail is finished before the next starts,
+    /// so the fabric's one buffer stages them all.
+    fn send_batch(&self, node: usize, frames: &mut Vec<(usize, Frame)>) -> usize {
+        let max_run = if self.segmentation { MAX_SEGMENTS } else { 1 };
+        let mut scratch = self.scratch.borrow_mut();
+        let mut buf = self.buf.borrow_mut();
+        let mut accepted = 0;
+        for rail in 0..self.rails() {
+            // The run being staged: its first frame's length, its frame
+            // count, its bytes, and whether a shorter frame has closed it.
+            let (mut seg_len, mut run, mut staged, mut closed) = (0, 0, 0, false);
+            for (_, frame) in frames.iter().filter(|(r, _)| *r == rail) {
+                encode_frame_into(frame, &mut scratch);
+                let len = scratch.len();
+                let joins = run > 0
+                    && !closed
+                    && run < max_run
+                    && len <= seg_len
+                    && staged + len <= MAX_DATAGRAM;
+                if !joins {
+                    if run > 0 {
+                        accepted += self.send_run(node, rail, seg_len, run, &buf[..staged]);
+                    }
+                    (seg_len, run, staged) = (len, 0, 0);
+                }
+                closed = len < seg_len;
+                buf[staged..staged + len].copy_from_slice(&scratch);
+                staged += len;
+                run += 1;
+            }
+            if run > 0 {
+                accepted += self.send_run(node, rail, seg_len, run, &buf[..staged]);
+            }
         }
-        sent
+        frames.clear();
+        accepted
     }
 }
 
-fn bump(counter: &Cell<u64>) {
-    counter.set(counter.get() + 1);
+fn add(counter: &Cell<u64>, n: u64) {
+    counter.set(counter.get() + n);
 }
 
 /// One node's view of a [`UdpFabric`].
@@ -537,6 +723,10 @@ impl Backplane for UdpBackplane {
 
     fn send(&mut self, rail: usize, frame: Frame) -> bool {
         self.fabric.send(self.node, rail, &frame)
+    }
+
+    fn send_batch(&mut self, frames: &mut Vec<(usize, Frame)>) -> usize {
+        self.fabric.send_batch(self.node, frames)
     }
 
     fn next(&mut self) -> Option<BpRx> {
@@ -583,5 +773,86 @@ impl Backplane for UdpBackplane {
                 std::thread::sleep(cfg.idle_sleep.min(remaining));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use frame::{encode_frame, FrameFlags, FrameHeader, FrameKind};
+
+    fn data_frame(seq: u32) -> Frame {
+        Frame {
+            src: MacAddr::new(0, 0),
+            dst: MacAddr::new(1, 0),
+            header: FrameHeader {
+                kind: FrameKind::Data,
+                flags: FrameFlags::empty(),
+                conn: 0,
+                seq,
+                ack: 0,
+                op_id: 0,
+                op_total_len: 64,
+                fence_floor: 0,
+                remote_addr: 0x1000,
+                aux: 0,
+            },
+            payload: Bytes::from(vec![seq as u8; 64]),
+        }
+    }
+
+    /// Sweep node 1 until `done` or ~2 s elapse; returns the seqs delivered.
+    fn sweep_until(fabric: &UdpFabric, done: impl Fn(UdpFabricStats) -> bool) -> Vec<u32> {
+        for _ in 0..2000 {
+            fabric.poll_node(1);
+            if done(fabric.stats()) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let queue = fabric.queues[1].borrow();
+        queue.iter().map(|rx| rx.frame.header.seq).collect()
+    }
+
+    /// Well-formed segments from a socket that is not the peer: the one
+    /// source check of the receive refuses every one of them.
+    #[test]
+    fn coalesced_datagram_from_a_foreign_socket_is_refused_whole() {
+        let fabric = UdpFabric::new(1).expect("bind loopback sockets");
+        let foreign = UdpSocket::bind("127.0.0.1:0").expect("bind foreign socket");
+        let bytes: Vec<u8> = (0..3).flat_map(|seq| encode_frame(&data_frame(seq))).collect();
+        sys::send_segments(&foreign, fabric.local_addr(1, 0), bytes.len() / 3, &bytes)
+            .expect("send from foreign socket");
+        let seqs = sweep_until(&fabric, |s| s.unknown_source_dropped == 3);
+        let s = fabric.stats();
+        assert_eq!(
+            (s.unknown_source_dropped, s.delivered, fabric.decode_dropped()),
+            (3, 0, 0),
+            "{s:?}"
+        );
+        assert!(seqs.is_empty());
+        let from = foreign.local_addr().unwrap();
+        assert_eq!(
+            fabric.take_rx_error(),
+            Some(UdpRxError::UnknownSource { node: 1, rail: 0, from }),
+            "one typed error names the offender"
+        );
+        assert!(fabric.take_rx_error().is_none());
+    }
+
+    /// Where the kernel refused `UDP_GRO` a run is one frame long: the same
+    /// code, one plain send per frame.
+    #[test]
+    fn without_gro_every_frame_is_its_own_send() {
+        let mut fabric = UdpFabric::new(1).expect("bind loopback sockets");
+        Rc::get_mut(&mut fabric).expect("not shared yet").segmentation = false;
+        let mut batch: Vec<(usize, Frame)> = (0..3).map(|seq| (0, data_frame(seq))).collect();
+        assert_eq!(fabric.send_batch(0, &mut batch), 3);
+        assert!(batch.is_empty());
+        let seqs = sweep_until(&fabric, |s| s.delivered == 3);
+        let s = fabric.stats();
+        assert_eq!(seqs, [0, 1, 2]);
+        assert_eq!((s.send_calls, s.recv_coalesced, s.tx_failed), (3, 0, 0), "{s:?}");
     }
 }

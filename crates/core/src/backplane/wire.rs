@@ -27,6 +27,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 
 use bytes::Bytes;
+use frame::Frame;
 use me_trace::{FlightRecorder, HealthConfig, HealthReport, SpanRecorder, Timeline};
 
 use crate::config::ProtoConfig;
@@ -198,6 +199,9 @@ struct WireIo {
     buffered_since: Vec<Option<u64>>,
     notifications: VecDeque<Notification>,
     completions: VecDeque<CompletedWrite>,
+    /// The frames of the [`Host::perform`] call in progress, on their way to
+    /// [`Backplane::send_batch`]; empty between calls, kept for its capacity.
+    tx: Vec<(usize, Frame)>,
     /// State of the endpoint-local xorshift64* behind [`Host::draw`] (the
     /// sim backend's RNG lives in the simulator, which a transport-agnostic
     /// driver cannot reach).
@@ -234,7 +238,7 @@ impl<B: Backplane> Host<u64> for WireHost<'_, B> {
                 Effect::Send { rail, mut frame } => {
                     frame.src = self.bp.local_mac(rail);
                     frame.dst = self.bp.peer_mac(rail);
-                    self.bp.send(rail, frame);
+                    self.io.tx.push((rail, frame));
                 }
                 Effect::Arm { conn, timer, at_ns } => {
                     self.io.deadlines[conn][timer as usize] = Some(at_ns);
@@ -255,6 +259,11 @@ impl<B: Backplane> Host<u64> for WireHost<'_, B> {
                 }
                 Effect::Notify(n) => self.io.notifications.push_back(n),
             }
+        }
+        // The batch the core made (a window release, a retransmit burst, a
+        // read service) leaves as one: nothing outlives this call.
+        if !self.io.tx.is_empty() {
+            self.bp.send_batch(&mut self.io.tx);
         }
     }
 }
@@ -283,6 +292,7 @@ impl WireEndpoint {
                 buffered_since: Vec::new(),
                 notifications: VecDeque::new(),
                 completions: VecDeque::new(),
+                tx: Vec::new(),
                 rng: Cell::new(0x9e37_79b9_7f4a_7c15 ^ (node as u64) << 32),
             },
             sampler: None,

@@ -7,11 +7,12 @@
 use bytes::Bytes;
 use me_trace::{FlightConfig, FlightRecorder, SpanRecorder};
 use multiedge::backplane::{
-    drive, Backplane, ChaosConfig, FaultBackplane, SimBackplane, UdpFabric, UdpFabricConfig,
-    UdpRxError, WireEndpoint,
+    drive, Backplane, BpRx, ChaosConfig, FaultBackplane, SimBackplane, UdpFabric, UdpFabricConfig,
+    UdpFabricStats, UdpRxError, WireEndpoint,
 };
 use multiedge::{OpFlags, ProtoStats, SystemConfig};
 use netsim::{build_cluster, Sim};
+use proptest::prelude::*;
 use std::cell::Cell;
 
 /// Wall-clock stall budget per test drive: loopback traffic completes in
@@ -212,6 +213,83 @@ fn hostile_frames_are_rejected_by_both_drivers() {
     assert!(a.take_completion().is_some());
 }
 
+/// A data frame of the 0 → 1 direction on rail 0, told apart by `seq`.
+fn data_frame(seq: u32, payload: Vec<u8>) -> frame::Frame {
+    frame::Frame {
+        src: frame::MacAddr::new(0, 0),
+        dst: frame::MacAddr::new(1, 0),
+        header: frame::FrameHeader {
+            kind: frame::FrameKind::Data,
+            flags: frame::FrameFlags::empty(),
+            conn: 0,
+            seq,
+            ack: 0,
+            op_id: 0,
+            op_total_len: payload.len() as u32,
+            fence_floor: 0,
+            remote_addr: 0x1000,
+            aux: 0,
+        },
+        payload: Bytes::from(payload),
+    }
+}
+
+/// A coalesced receive is refused segment by segment: what is wrong with
+/// one segment costs that segment alone, with the typed error a lone
+/// datagram would have raised, and every segment is accounted for.
+#[test]
+fn udp_hostile_coalesced_datagram_is_refused_segment_by_segment() {
+    const SEG: usize = frame::HEADER_LEN + 64;
+    // Three well-formed 64-byte-payload frames back to back, seq 0..3.
+    let clean: Vec<u8> = (0..3u32)
+        .flat_map(|seq| frame::encode_frame(&data_frame(seq, patterned(64, seq as u8))))
+        .collect();
+    assert_eq!(clean.len(), 3 * SEG);
+
+    // (what is done to the bytes, segments they arrive as, seqs delivered)
+    type Case = (&'static str, fn(&mut Vec<u8>), u64, &'static [u32]);
+    let cases: [Case; 4] = [
+        ("untouched", |_| {}, 3, &[0, 1, 2]),
+        // One flipped payload bit in the middle segment.
+        ("corrupt", |b| b[SEG + frame::HEADER_LEN + 5] ^= 0x10, 3, &[0, 2]),
+        // A fourth segment too short to hold a header.
+        ("malformed", |b| b.extend_from_slice(&[0xAB; frame::HEADER_LEN - 1]), 4, &[0, 1, 2]),
+        // The first segment's `payload_len` (bytes 44..46) runs 100 bytes
+        // past its own end, into the second segment.
+        ("malformed", |b| b[44..46].copy_from_slice(&164u16.to_le_bytes()), 3, &[1, 2]),
+    ];
+    for (kind, mangle, segments, survivors) in cases {
+        let fabric = UdpFabric::new(1).expect("bind loopback sockets");
+        let (_bpa, mut bpb) = fabric.pair();
+        let mut bytes = clean.clone();
+        mangle(&mut bytes);
+        fabric.inject_segments(0, 0, SEG, &bytes).expect("inject over loopback");
+        let accounted = |s: UdpFabricStats| {
+            s.delivered + s.frames_corrupt_dropped + s.frames_malformed_dropped + s.unknown_source_dropped
+        };
+        let got = collect_until(&mut bpb, |_| accounted(fabric.stats()) == segments);
+        let s = fabric.stats();
+        assert_eq!(accounted(s), segments, "{kind}: every segment is counted once: {s:?}");
+        let seqs: Vec<u32> = got.iter().map(|rx| rx.frame.header.seq).collect();
+        assert_eq!(seqs, survivors, "{kind}: the neighbours are delivered, in order");
+        assert_eq!((s.recv_coalesced, s.unknown_source_dropped), (1, 0), "{kind}: {s:?}");
+        let dropped = segments - survivors.len() as u64;
+        let err = fabric.take_rx_error();
+        match kind {
+            "untouched" => assert!(err.is_none(), "{err:?}"),
+            "corrupt" => {
+                assert_eq!(s.frames_corrupt_dropped, dropped, "{s:?}");
+                assert!(matches!(err, Some(UdpRxError::Corrupt { node: 1, rail: 0, .. })), "{err:?}");
+            }
+            _ => {
+                assert_eq!(s.frames_malformed_dropped, dropped, "{s:?}");
+                assert!(matches!(err, Some(UdpRxError::Malformed { node: 1, rail: 0, .. })), "{err:?}");
+            }
+        }
+        assert!(fabric.take_rx_error().is_none(), "{kind}: exactly one typed error");
+    }
+}
+
 /// Timing-independent protocol counters that must agree exactly between a
 /// run over the simulator and a run over real sockets. Timing-dependent
 /// counters (out-of-order arrivals, explicit-ack counts, delayed-ack
@@ -317,14 +395,26 @@ fn run_fingerprint<BA: Backplane, BB: Backplane>(
 /// loopback delivery is fast but not instantaneous, and the receive
 /// counters only move when a poll drains the sockets.
 fn poll_until<B: Backplane>(bp: &mut B, mut pred: impl FnMut() -> bool) -> bool {
+    let mut held = false;
+    collect_until(bp, |_| {
+        held = pred();
+        held
+    });
+    held
+}
+
+/// Everything `bp`'s node receives until `done` (asked after each sweep,
+/// given what has arrived so far) or ~2s elapse.
+fn collect_until<B: Backplane>(bp: &mut B, mut done: impl FnMut(&[BpRx]) -> bool) -> Vec<BpRx> {
+    let mut got = Vec::new();
     for _ in 0..2000 {
-        while bp.next().is_some() {}
-        if pred() {
-            return true;
+        got.extend(std::iter::from_fn(|| bp.next()));
+        if done(&got) {
+            break;
         }
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    false
+    got
 }
 
 /// A checksum-damaged datagram must be counted as a *corrupt* drop —
@@ -337,23 +427,7 @@ fn udp_corrupt_datagram_splits_from_malformed() {
 
     // A structurally valid frame with one payload byte flipped after
     // encoding: the header parses, the checksum does not.
-    let f = frame::Frame {
-        src: frame::MacAddr::new(0, 0),
-        dst: frame::MacAddr::new(1, 0),
-        header: frame::FrameHeader {
-            kind: frame::FrameKind::Data,
-            flags: frame::FrameFlags::empty(),
-            conn: 0,
-            seq: 7,
-            ack: 0,
-            op_id: 0,
-            op_total_len: 64,
-            fence_floor: 0,
-            remote_addr: 0x1000,
-            aux: 0,
-        },
-        payload: Bytes::from(vec![0xABu8; 64]),
-    };
+    let f = data_frame(7, vec![0xAB; 64]);
     let mut bytes = Vec::new();
     frame::encode_frame_into(&f, &mut bytes);
     let last = bytes.len() - 1;
@@ -462,12 +536,12 @@ fn udp_unknown_source_is_rejected_and_typed() {
 }
 
 /// The fabric counts its own system calls and failures, and an endpoint's
-/// poll pays only for its own node's sockets. On one rail a poll that
-/// receives `k` frames sweeps at most `k + 1` times and every sweep ends on
-/// one `EAGAIN`, so over a run driven by polls alone
-/// `recv_would_block <= delivered + polls`. Sweeping the peer's socket as
-/// well doubles the cost of every sweep and breaks the bound on the first
-/// round trip.
+/// poll pays only for its own node's sockets. A sweep asks `poll(2)` which
+/// sockets hold anything and reads only those, so no receive finds its
+/// socket empty; and a poll that receives `k` datagrams sweeps at most
+/// `k + 1` times, each sweep ending on the one `poll(2)` that reports nothing
+/// ready, so over a run driven by polls alone
+/// `poll_calls <= 2 * (delivered + polls)`.
 #[test]
 fn udp_pingpong_counts_syscalls_and_sweeps_only_its_own_node() {
     const ROUNDS: u64 = 200;
@@ -501,16 +575,16 @@ fn udp_pingpong_counts_syscalls_and_sweeps_only_its_own_node() {
     let s = fabric.stats();
     assert_eq!((s.tx_failed, s.rx_socket_errors), (0, 0), "{s:?}");
     assert!(s.delivered >= 2 * ROUNDS, "{s:?}");
-    assert_eq!(
-        s.recv_calls - s.recv_would_block,
-        s.delivered,
-        "every datagram read was delivered: {s:?}"
-    );
     assert!(
-        s.recv_would_block <= s.delivered + polls,
-        "{} EAGAINs for {} frames over {polls} polls: a poll is sweeping more than its own \
-         node's socket",
-        s.recv_would_block,
+        s.recv_calls - s.recv_would_block - s.rx_socket_errors <= s.delivered,
+        "every datagram read was delivered, as one segment or several: {s:?}"
+    );
+    assert_eq!(s.recv_would_block, 0, "a receive on a socket poll(2) did not report: {s:?}");
+    assert!(
+        s.poll_calls <= 2 * (s.delivered + polls),
+        "{} readiness polls for {} frames over {polls} polls: a sweep does not end on its \
+         first empty poll(2)",
+        s.poll_calls,
         s.delivered
     );
 }
@@ -530,23 +604,7 @@ fn flight_dump_carries_chaos_and_fabric_context() {
 
     // One frame eaten by the interposer, one malformed datagram parked in
     // the fabric's error log: both must show up in the dump's context.
-    let f = frame::Frame {
-        src: frame::MacAddr::new(0, 0),
-        dst: frame::MacAddr::new(1, 0),
-        header: frame::FrameHeader {
-            kind: frame::FrameKind::Data,
-            flags: frame::FrameFlags::empty(),
-            conn: 0,
-            seq: 1,
-            ack: 0,
-            op_id: 0,
-            op_total_len: 8,
-            fence_floor: 0,
-            remote_addr: 0x1000,
-            aux: 0,
-        },
-        payload: Bytes::from(vec![0u8; 8]),
-    };
+    let f = data_frame(1, vec![0; 8]);
     assert!(a.send(0, f), "chaos drop still reports accepted");
     fabric.inject_raw(0, 0, &[1, 2, 3]).expect("inject over loopback");
     assert!(
@@ -562,7 +620,15 @@ fn flight_dump_carries_chaos_and_fabric_context() {
     assert_eq!(chaos.get("dropped").unwrap().as_u64(), Some(1));
     let fab = ctx.get("udp_fabric").expect("fabric context");
     assert_eq!(fab.get("frames_malformed_dropped").unwrap().as_u64(), Some(1));
-    for counter in ["recv_calls", "recv_would_block", "tx_failed", "rx_socket_errors"] {
+    for counter in [
+        "send_calls",
+        "poll_calls",
+        "recv_calls",
+        "recv_would_block",
+        "recv_coalesced",
+        "tx_failed",
+        "rx_socket_errors",
+    ] {
         assert!(fab.get(counter).is_some(), "{counter} rides along");
     }
     let errors = fab.get("rx_errors").unwrap().items().unwrap();
@@ -618,4 +684,148 @@ fn sim_and_udp_backends_agree_on_protocol_fingerprint() {
     assert_eq!(sim_fp.0[1], 2, "both reads counted");
     assert_eq!(sim_fp.0[7], 0, "no retransmits on a loss-free fabric");
     assert_eq!(sim_fp.0[8], 0, "no duplicates on a loss-free fabric");
+}
+
+/// Encoded lengths `send_batch` is fed: a bare header, one byte, a small
+/// op, one byte under the MTU, the MTU.
+const BATCH_PAYLOADS: [usize; 5] = [0, 1, 64, frame::MAX_PAYLOAD - 1, frame::MAX_PAYLOAD];
+
+/// The sends a batch needs, worked out from the rule alone: on each rail,
+/// in order, a send takes the longest run whose segments all have the first
+/// one's length except a shorter last, within 64 segments and one datagram.
+fn maximal_runs(rails: usize, frames: &[(usize, usize)]) -> u64 {
+    let mut calls = 0;
+    for rail in 0..rails {
+        let lens: Vec<usize> = frames.iter().filter(|f| f.0 == rail).map(|f| f.1).collect();
+        let mut i = 0;
+        while i < lens.len() {
+            let (mut n, mut bytes) = (1, lens[i]);
+            while i + n < lens.len()
+                && lens[i + n - 1] == lens[i]
+                && lens[i + n] <= lens[i]
+                && n < 64
+                && bytes + lens[i + n] <= 65_507
+            {
+                bytes += lens[i + n];
+                n += 1;
+            }
+            calls += 1;
+            i += n;
+        }
+    }
+    calls
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Batches are invisible to the protocol: whatever mix of rails and
+    /// sizes goes into `send_batch` comes out of the peer's `next` as the
+    /// same frames, byte for byte, each rail's in the order given — in as
+    /// few sends as the segmentation rule allows. Frames come in stretches
+    /// of one rail and size, long enough to meet the 64-segment and the
+    /// one-datagram limit, and at most 80 a case, which a default socket
+    /// buffer holds.
+    #[test]
+    fn udp_send_batch_is_invisible_to_the_protocol(
+        rails in 1usize..4,
+        stretches in proptest::collection::vec(
+            (0usize..3, 0usize..BATCH_PAYLOADS.len(), 1usize..71),
+            1..6,
+        ),
+    ) {
+        let fabric = UdpFabric::new(rails).expect("bind loopback sockets");
+        let (mut bpa, mut bpb) = fabric.pair();
+        let sent: Vec<(usize, frame::Frame)> = stretches
+            .iter()
+            .flat_map(|&(rail, size, repeat)| std::iter::repeat_n((rail, size), repeat))
+            .take(80)
+            .enumerate()
+            .map(|(i, (rail, size))| {
+                (rail % rails, data_frame(i as u32, patterned(BATCH_PAYLOADS[size], i as u8)))
+            })
+            .collect();
+        let lens: Vec<(usize, usize)> =
+            sent.iter().map(|(r, f)| (*r, frame::HEADER_LEN + f.payload.len())).collect();
+
+        let mut batch = sent.clone();
+        prop_assert_eq!(bpa.send_batch(&mut batch), sent.len());
+        prop_assert!(batch.is_empty(), "the batch is drained");
+
+        let got: Vec<(usize, frame::Frame)> = collect_until(&mut bpb, |got| got.len() == sent.len())
+            .into_iter()
+            .map(|rx| (rx.rail as usize, rx.frame))
+            .collect();
+        let s = fabric.stats();
+        for rail in 0..rails {
+            let on_rail = |v: &[(usize, frame::Frame)]| -> Vec<(u32, Bytes)> {
+                v.iter()
+                    .filter(|(r, _)| *r == rail)
+                    .map(|(_, f)| (f.header.seq, f.payload.clone()))
+                    .collect()
+            };
+            prop_assert_eq!(on_rail(&got), on_rail(&sent), "rail {}: {:?}", rail, s);
+        }
+        prop_assert_eq!(s.send_calls, maximal_runs(rails, &lens), "{:?} {:?}", lens, s);
+        prop_assert_eq!(
+            (s.delivered, s.tx_failed, s.recv_would_block, fabric.decode_dropped()),
+            (sent.len() as u64, 0, 0, 0),
+            "{:?}", s
+        );
+    }
+}
+
+/// The stream the batch path exists for — 2 rails, 32 KiB one-way writes,
+/// four outstanding, as `perf`'s `udp_stream` issues them: the fabric's own
+/// counters show the mechanism. A window release or an ack's worth of
+/// frames leaves in one send per rail and arrives in one receive, and no
+/// receive finds its socket empty.
+#[test]
+fn udp_stream_spends_a_fraction_of_a_system_call_per_frame() {
+    const OPS: u64 = 256;
+    const DEPTH: u64 = 4;
+    let fabric = UdpFabric::new(2).expect("bind loopback sockets");
+    let (mut bpa, mut bpb) = fabric.pair();
+    let (mut a, mut b) =
+        WireEndpoint::pair(&multiedge::ProtoConfig::default(), 2, &SpanRecorder::disabled());
+    let data = Bytes::from(patterned(32 << 10, 0x5A));
+    let (issued, completed) = (Cell::new(0u64), Cell::new(0u64));
+    drive(
+        &mut a,
+        &mut bpa,
+        &mut b,
+        &mut bpb,
+        |a, bpa, _, _| {
+            while a.take_completion().is_some() {
+                completed.set(completed.get() + 1);
+            }
+            while issued.get() < OPS && issued.get() - completed.get() < DEPTH {
+                let slot = issued.get() % DEPTH;
+                a.write(0, bpa, 0x10_0000 + slot * (32 << 10), data.clone(), OpFlags::RELAXED);
+                issued.set(issued.get() + 1);
+            }
+        },
+        |_, _| completed.get() == OPS,
+        BUDGET_NS,
+    )
+    .expect("stream completes");
+    assert_eq!(b.mem_read(0x10_0000, 32 << 10), &data[..]);
+
+    let frames = a.stats().data_frames_sent;
+    let s = fabric.stats();
+    println!(
+        "stream cell: {frames} data frames, {} delivered; send_calls {} ({:.3}/frame), \
+         recv_calls {} ({} coalesced), poll_calls {}; system calls per delivered frame {:.3}",
+        s.delivered,
+        s.send_calls,
+        s.send_calls as f64 / frames as f64,
+        s.recv_calls,
+        s.recv_coalesced,
+        s.poll_calls,
+        (s.send_calls + s.recv_calls + s.poll_calls) as f64 / s.delivered as f64,
+    );
+    assert_eq!(frames, OPS * 23, "a 32 KiB write is 22 full frames and a 918-byte one");
+    assert!(s.send_calls <= frames / 4, "{} sends for {frames} frames: {s:?}", s.send_calls);
+    assert_eq!((s.recv_would_block, s.tx_failed), (0, 0), "{s:?}");
+    assert_eq!(a.stats().retransmits() + b.stats().retransmits(), 0, "loopback run must be loss-free");
 }
