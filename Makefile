@@ -37,7 +37,10 @@ loc:
 # watching it: sources are registered and monitors built in timeline.rs only.
 # In the same spirit `unsafe` has one address in crates/core: the hand-declared
 # socket calls of backplane/sys.rs, behind safe functions over slices. The word
-# anywhere else under crates/core/src fails the target, comments included.
+# anywhere else under crates/core/src fails the target, comments included. The
+# bytes a frame is made of get the same rule: under crates/frame the word may
+# appear in src/fcs.rs only (the one feature-detected dispatch into the
+# hardware CRC), and under vendor/bytes nowhere.
 ONE_CORE_PARTS = SeqTracker|OpOrdering|TxRing|GapRing|RttEstimator|NackRanges|from_wire|TimelineBuilder|HealthMonitor::
 one-core:
 	@if grep -nE '$(ONE_CORE_PARTS)' crates/core/src/endpoint.rs crates/core/src/backplane/wire.rs; then \
@@ -45,6 +48,9 @@ one-core:
 	fi
 	@if grep -rnw unsafe crates/core/src --exclude=sys.rs; then \
 		echo 'one-core: unsafe outside crates/core/src/backplane/sys.rs (see above); it belongs there'; exit 1; \
+	fi
+	@if grep -rnw unsafe crates/frame vendor/bytes --exclude=fcs.rs; then \
+		echo 'one-core: unsafe under crates/frame outside src/fcs.rs, or under vendor/bytes (see above)'; exit 1; \
 	fi
 
 # Traced ping-pong: writes results/BENCH_trace_pingpong.json and asserts the

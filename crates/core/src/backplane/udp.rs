@@ -8,7 +8,11 @@
 //! mirroring the simulated fabric's early-stop semantics.
 //! [`Backplane::next`] on an empty queue sweeps only its own node's sockets:
 //! the peer's traffic waits in the kernel for the peer's own `next` (or
-//! anyone's `advance`).
+//! anyone's `advance`). A sweep is not repeated to learn that it is over: it
+//! ended on a `poll(2)` that found nothing, so the `next` that pops the last
+//! frame it queued is followed by one that returns `None` without a system
+//! call — `None` means "nothing as of the last sweep" — and the `next` after
+//! that sweeps again.
 //!
 //! The path pays per system call, not per frame (the paper's edge polls
 //! every NIC while it is active and takes one interrupt per burst). A sweep
@@ -16,17 +20,26 @@
 //! each socket reported ready, and repeats until none is — an idle sweep is
 //! one call, whatever the rail count, and no receive finds its socket
 //! empty. [`Backplane::send_batch`] encodes each rail's consecutive frames
-//! back to back and hands every run the kernel accepts (equal-sized
-//! segments, only the last may be shorter, at most [`MAX_SEGMENTS`] of them
-//! in [`MAX_DATAGRAM`] bytes) to one `sendmsg` with a `UDP_SEGMENT` control
-//! message; the sockets set `UDP_GRO`, so over loopback such a run arrives
+//! back to back, in the buffer they are sent from (a frame's length is
+//! known before it is encoded, so its run is decided first), and hands every
+//! run the kernel accepts (equal-sized segments, only the last may be
+//! shorter, at most [`MAX_SEGMENTS`] of them in [`MAX_DATAGRAM`] bytes) to
+//! one `sendmsg` with a `UDP_SEGMENT` control message; the sockets set `UDP_GRO`, so over loopback such a run arrives
 //! as the one buffer it left as, with its segment size attached. Where the
 //! kernel refuses `UDP_GRO` every run is one frame long — the only branch,
 //! and the platform's. The system calls live in [`super::sys`].
 //!
 //! Frames cross the sockets in the MultiEdge wire format
-//! ([`frame::encode_frame_into`] / [`frame::decode_frame`]); each segment
-//! is one frame. The Ethernet MAC addresses are not carried on the wire —
+//! ([`frame::encode_frame_to_slice`] / [`frame::decode_frame_shared`]); each
+//! segment is one frame. This backend checksums a payload byte once and
+//! copies it once each way, and asks for memory once per system call: what
+//! one `recvmsg` returned is copied into **one allocation per receive**, of
+//! exactly its length, and the payloads of its frames are slices of it. The
+//! allocation is freed when the last of those frames is applied — a fragment
+//! held behind a fence keeps its receive alive, nothing else does; there is
+//! no pool, no reclaim and no receive state that outlives a sweep.
+//!
+//! The Ethernet MAC addresses are not carried on the wire —
 //! a datagram arriving on node `n`'s rail-`r` socket is *expected* to come
 //! from the peer's rail-`r` socket, so the addresses are reconstructed from
 //! (node, rail) exactly as a NIC would fill them in. The expectation is
@@ -62,7 +75,8 @@ use std::net::{SocketAddr, UdpSocket};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use frame::{decode_frame, encode_frame_into, CodecError, Frame, MacAddr};
+use bytes::Bytes;
+use frame::{decode_frame_shared, encode_frame_to_slice, CodecError, Frame, MacAddr, HEADER_LEN};
 use me_trace::{FlightCode, FlightRecorder, Json};
 
 use super::sys::{self, PollSet, Received};
@@ -262,6 +276,9 @@ pub struct UdpFabric {
     segmentation: bool,
     /// Per-node receive queues fed by [`UdpFabric::poll_node`].
     queues: [RefCell<VecDeque<BpRx>>; 2],
+    /// Per node: the queue holds what a finished sweep left in it, and no
+    /// [`Backplane::next`] has reported it drained yet.
+    swept: [Cell<bool>; 2],
     /// Wall-clock epoch: `now_ns` is elapsed time since this instant.
     epoch: Instant,
     /// Idle-wait behavior of `advance`.
@@ -295,12 +312,10 @@ pub struct UdpFabric {
     /// Optional flight recorder: corrupt drops are noted as trace events.
     flight: RefCell<FlightRecorder>,
     /// The fabric's one datagram-sized buffer: the run
-    /// [`UdpFabric::send_batch`] is staging, frames back to back, or what a
+    /// [`UdpFabric::send_batch`] is encoding, frames back to back, or what a
     /// `recvmsg` of [`UdpFabric::poll_node`] returned — never both, neither
     /// outlives its call. Its pages are touched as far as the longest run.
     buf: RefCell<Box<[u8]>>,
-    /// Reusable encode scratch: one frame.
-    scratch: RefCell<Vec<u8>>,
 }
 
 impl UdpFabric {
@@ -348,6 +363,7 @@ impl UdpFabric {
             poll_sets,
             segmentation,
             queues: [RefCell::default(), RefCell::default()],
+            swept: [Cell::new(false), Cell::new(false)],
             epoch: Instant::now(),
             cfg,
             delivered: Cell::new(0),
@@ -365,7 +381,6 @@ impl UdpFabric {
             rx_socket_errors: Cell::new(0),
             flight: RefCell::new(FlightRecorder::disabled()),
             buf: RefCell::new(vec![0u8; MAX_DATAGRAM].into_boxed_slice()),
-            scratch: RefCell::new(Vec::with_capacity(frame::HEADER_LEN + frame::MAX_PAYLOAD)),
         }))
     }
 
@@ -510,14 +525,14 @@ impl UdpFabric {
     fn poll_node(&self, node: usize) {
         let mut ready = self.poll_sets[node].borrow_mut();
         let mut buf = self.buf.borrow_mut();
-        loop {
+        'sweep: loop {
             add(&self.poll_calls, 1);
             match ready.poll_now() {
-                Ok(0) => return,
+                Ok(0) => break,
                 Ok(_) => {}
                 Err(_) => {
                     add(&self.rx_socket_errors, 1);
-                    return;
+                    break;
                 }
             }
             let now = self.now_ns();
@@ -536,16 +551,19 @@ impl UdpFabric {
                     // is counted so it cannot pass for loss on the wire.
                     Err(_) => {
                         add(&self.rx_socket_errors, 1);
-                        return;
+                        break 'sweep;
                     }
                 }
             }
         }
+        self.swept[node].set(!self.queues[node].borrow().is_empty());
     }
 
     /// Put one receive through the checks, segment by segment: source
     /// address (one per receive), then per segment decode with its CRC32C,
-    /// corrupt vs malformed, error log, counters.
+    /// corrupt vs malformed, error log, counters. What passed the source
+    /// check is copied out of `buf` once, into one allocation of exactly its
+    /// length; the frames' payloads are slices of it.
     fn admit(&self, node: usize, rail: usize, now: u64, rx: &Received, buf: &[u8]) {
         if rx.truncated {
             add(&self.malformed_dropped, 1);
@@ -570,9 +588,10 @@ impl UdpFabric {
         let src = MacAddr::new((1 - node) as u16, rail as u8);
         let dst = MacAddr::new(node as u16, rail as u8);
         let mut queue = self.queues[node].borrow_mut();
+        let received = Bytes::copy_from_slice(&buf[..rx.len]);
         for i in 0..segments {
-            let seg = &buf[i * rx.seg_len..rx.len.min((i + 1) * rx.seg_len)];
-            match decode_frame(src, dst, seg) {
+            let seg = received.slice(i * rx.seg_len..rx.len.min((i + 1) * rx.seg_len));
+            match decode_frame_shared(src, dst, &seg) {
                 Ok(frame) => {
                     queue.push_back(BpRx {
                         rail: rail as u32,
@@ -630,20 +649,21 @@ impl UdpFabric {
     }
 
     fn send(&self, node: usize, rail: usize, frame: &Frame) -> bool {
-        let mut scratch = self.scratch.borrow_mut();
-        encode_frame_into(frame, &mut scratch);
-        self.send_run(node, rail, scratch.len(), 1, &scratch) == 1
+        let mut buf = self.buf.borrow_mut();
+        let len = encode_frame_to_slice(frame, &mut buf);
+        self.send_run(node, rail, len, 1, &buf[..len]) == 1
     }
 
     /// Send `frames` rail by rail, each rail's frames in order and every
     /// maximal run the kernel takes as one segmented send in one call: all
     /// segments the size of the first, only the last may be shorter (so a
     /// shorter frame closes its run), at most [`MAX_SEGMENTS`] of them in
-    /// [`MAX_DATAGRAM`] bytes. One rail is finished before the next starts,
-    /// so the fabric's one buffer stages them all.
+    /// [`MAX_DATAGRAM`] bytes. A frame's length is known before it is
+    /// encoded, so the run is decided first and the frame encoded where it
+    /// is sent from. One rail is finished before the next starts, so the
+    /// fabric's one buffer stages them all.
     fn send_batch(&self, node: usize, frames: &mut Vec<(usize, Frame)>) -> usize {
         let max_run = if self.segmentation { MAX_SEGMENTS } else { 1 };
-        let mut scratch = self.scratch.borrow_mut();
         let mut buf = self.buf.borrow_mut();
         let mut accepted = 0;
         for rail in 0..self.rails() {
@@ -651,8 +671,7 @@ impl UdpFabric {
             // count, its bytes, and whether a shorter frame has closed it.
             let (mut seg_len, mut run, mut staged, mut closed) = (0, 0, 0, false);
             for (_, frame) in frames.iter().filter(|(r, _)| *r == rail) {
-                encode_frame_into(frame, &mut scratch);
-                let len = scratch.len();
+                let len = HEADER_LEN + frame.payload.len();
                 let joins = run > 0
                     && !closed
                     && run < max_run
@@ -665,8 +684,7 @@ impl UdpFabric {
                     (seg_len, run, staged) = (len, 0, 0);
                 }
                 closed = len < seg_len;
-                buf[staged..staged + len].copy_from_slice(&scratch);
-                staged += len;
+                staged += encode_frame_to_slice(frame, &mut buf[staged..]);
                 run += 1;
             }
             if run > 0 {
@@ -730,14 +748,19 @@ impl Backplane for UdpBackplane {
     }
 
     fn next(&mut self) -> Option<BpRx> {
-        let head = self.fabric.queues[self.node].borrow_mut().pop_front();
-        if head.is_some() {
+        let fabric = &self.fabric;
+        let (queue, swept) = (&fabric.queues[self.node], &fabric.swept[self.node]);
+        let head = queue.borrow_mut().pop_front();
+        // The sweep that filled the queue ended on a `poll(2)` that found
+        // the sockets empty: this drain is over, without asking again.
+        if head.is_some() || swept.replace(false) {
             return head;
         }
-        // Nothing queued: drain this node's own sockets, so a caller that
-        // never calls `advance` still sees its traffic.
-        self.fabric.poll_node(self.node);
-        self.fabric.queues[self.node].borrow_mut().pop_front()
+        // Nothing queued and nothing swept since the last `None`: drain this
+        // node's own sockets, so a caller that never calls `advance` still
+        // sees its traffic.
+        fabric.poll_node(self.node);
+        queue.borrow_mut().pop_front()
     }
 
     fn tx_backlog_ns(&self, _rail: usize) -> u64 {

@@ -29,7 +29,10 @@ pub mod header;
 pub mod mac;
 pub mod nack;
 
-pub use codec::{decode_frame, encode_frame, encode_frame_into, CodecError};
+pub use codec::{
+    decode_frame, decode_frame_shared, encode_frame, encode_frame_into, encode_frame_to_slice,
+    CodecError,
+};
 pub use fasthash::{FastHasher, FastMap};
 pub use header::{FrameFlags, FrameHeader, FrameKind, HEADER_LEN};
 pub use mac::MacAddr;
