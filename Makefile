@@ -40,7 +40,10 @@ loc:
 # anywhere else under crates/core/src fails the target, comments included. The
 # bytes a frame is made of get the same rule: under crates/frame the word may
 # appear in src/fcs.rs only (the one feature-detected dispatch into the
-# hardware CRC), and under vendor/bytes nowhere.
+# hardware CRC), and under vendor/bytes nowhere. A frame's fate has one
+# oracle too: netsim::faults::FaultStream, used by netsim's channels and the
+# chaos interposer alike; a Gilbert–Elliott transition probability named in
+# any other crates/*/src file is a second fault decision being written.
 ONE_CORE_PARTS = SeqTracker|OpOrdering|TxRing|GapRing|RttEstimator|NackRanges|from_wire|TimelineBuilder|HealthMonitor::
 one-core:
 	@if grep -nE '$(ONE_CORE_PARTS)' crates/core/src/endpoint.rs crates/core/src/backplane/wire.rs; then \
@@ -51,6 +54,9 @@ one-core:
 	fi
 	@if grep -rnw unsafe crates/frame vendor/bytes --exclude=fcs.rs; then \
 		echo 'one-core: unsafe under crates/frame outside src/fcs.rs, or under vendor/bytes (see above)'; exit 1; \
+	fi
+	@if grep -rnE 'p_good_to_bad|p_bad_to_good' crates/*/src | grep -v '^crates/netsim/src/faults.rs:'; then \
+		echo 'one-core: a fault decision outside crates/netsim/src/faults.rs (see above); FaultStream is the one oracle'; exit 1; \
 	fi
 
 # Traced ping-pong: writes results/BENCH_trace_pingpong.json and asserts the

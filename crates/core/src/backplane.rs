@@ -29,7 +29,7 @@ mod sys;
 mod udp;
 mod wire;
 
-pub use chaos::{ChaosConfig, ChaosDecision, ChaosStats, FaultBackplane};
+pub use chaos::{ChaosConfig, ChaosStats, FaultBackplane};
 pub use sim::SimBackplane;
 pub use udp::{UdpBackplane, UdpFabric, UdpFabricConfig, UdpFabricStats, UdpRxError};
 pub use wire::{

@@ -2,23 +2,23 @@
 //!
 //! Wraps *any* [`Backplane`] — the deterministic simulator or the real UDP
 //! fabric — and applies a seed-deterministic fault schedule at the trait
-//! seam: per-rail drop, duplication, reordering, corruption (counted and
-//! discarded, the FCS role the trait contract assigns to backplanes), fixed
-//! added delay, and timed blackouts / NIC stalls scripted by the same
+//! seam: per-rail loss, corruption (counted and discarded, the FCS role the
+//! trait contract assigns to backplanes), duplication, reordering, and
+//! timed blackouts / NIC stalls / burst processes scripted by the same
 //! [`FaultPlan`] DSL netsim replays natively. One schedule therefore
 //! drives both transports, which is what lets the chaos soak suite assert
 //! identical timing-independent protocol fingerprints sim-vs-UDP under
 //! loss (`tests/tests/chaos_soak.rs`).
 //!
-//! Determinism contract: the per-frame *base* decisions (drop, dup,
-//! reorder, corrupt) are a pure function of `(seed, node, rail, frame
-//! index on that rail)` — [`ChaosConfig::decisions_for`] recomputes them
-//! without a backplane, and a proptest pins that the observed effects are
-//! identical regardless of how the caller interleaves `send`/`advance`
-//! (`tests/tests/chaos_properties.rs`). Time-scripted faults (blackouts,
-//! stalls, burst processes) additionally depend on the backplane clock at
-//! submission, which is exact virtual time on the simulator and wall time
-//! on UDP — same schedule, same *semantics*, physically different instants.
+//! Every frame's fate comes from the oracle netsim's channels use: rail
+//! `rail` of node `node` owns a [`FaultStream`] keyed as netsim's uplink of
+//! NIC `(node, rail)`, so under the same seed and [`FaultModel`] both decide
+//! the same `(lost, corrupted)` for every attempt
+//! (`tests/tests/chaos_properties.rs`); duplication and reordering are two
+//! more lanes of the same draw. Blackouts, stalls and burst transitions
+//! depend on the backplane clock at submission, which is exact virtual
+//! time on the simulator and wall time on UDP — same schedule, same
+//! *semantics*, physically different instants.
 //!
 //! A blackout drops frames at submission, which is netsim's rule too. The
 //! one divergence from netsim's native replay, by design of a send-side
@@ -28,22 +28,24 @@
 
 use frame::Frame;
 use me_trace::{FlightCode, FlightRecorder, Json};
-use netsim::{covered, FaultPlan, GilbertElliott};
+use netsim::faults::{LANE_DUP, LANE_REORDER};
+use netsim::{covered, covering_end, FaultModel, FaultPlan, FaultStream, GilbertElliott};
 use std::cell::Cell;
 use std::rc::Rc;
 
 use super::{Backplane, BpRx};
 
 /// Chaos schedule for one two-node fabric: seeded random per-frame faults
-/// plus the scripted [`FaultPlan`] timeline. Probabilities are clamped to
-/// `[0, 1]` at application time.
+/// plus the scripted [`FaultPlan`] timeline.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosConfig {
-    /// Seed for every per-frame random decision. The same seed reproduces
-    /// the same decision stream per `(node, rail)` on any backend.
+    /// Seed of every per-frame draw, in the role of netsim's fault seed.
     pub seed: u64,
-    /// Per-frame probability of a silent drop.
-    pub drop: f64,
+    /// Per-frame loss and corruption probabilities. Per the [`Backplane`]
+    /// contract corrupted frames are discarded by the backplane (the
+    /// Ethernet-FCS role) — counted in [`ChaosStats::corrupt_dropped`],
+    /// never delivered.
+    pub fault: FaultModel,
     /// Per-frame probability the frame is delivered twice.
     pub dup: f64,
     /// Per-frame probability the frame is held for
@@ -51,12 +53,6 @@ pub struct ChaosConfig {
     pub reorder: f64,
     /// How long a reordered frame is held back.
     pub reorder_delay_ns: u64,
-    /// Per-frame probability of corruption. Per the [`Backplane`] contract
-    /// corrupted frames are discarded by the backplane (the Ethernet-FCS
-    /// role) — counted in [`ChaosStats::corrupt_dropped`], never delivered.
-    pub corrupt: f64,
-    /// Fixed extra delay added to every delivered frame.
-    pub delay_ns: u64,
     /// Scripted timeline: blackouts ([`netsim::FaultAction::LinkDown`]),
     /// NIC stalls, Gilbert–Elliott burst processes. Times are on the
     /// wrapped backplane's clock.
@@ -74,7 +70,7 @@ impl ChaosConfig {
 
     /// Set the per-frame drop probability.
     pub fn with_drop(mut self, p: f64) -> Self {
-        self.drop = p;
+        self.fault.loss_rate = p;
         self
     }
 
@@ -93,13 +89,7 @@ impl ChaosConfig {
 
     /// Set the per-frame corruption probability.
     pub fn with_corrupt(mut self, p: f64) -> Self {
-        self.corrupt = p;
-        self
-    }
-
-    /// Add a fixed delay to every delivered frame.
-    pub fn with_delay(mut self, delay_ns: u64) -> Self {
-        self.delay_ns = delay_ns;
+        self.fault.corrupt_rate = p;
         self
     }
 
@@ -108,30 +98,6 @@ impl ChaosConfig {
         self.plan = plan;
         self
     }
-
-    /// The first `n` base decisions for `node`'s lane on `rail` — the pure
-    /// decision stream the interposer consumes, recomputed without a
-    /// backplane. Scripted faults (blackouts, stalls, bursts) are *not*
-    /// reflected here; they depend on submission time, not the stream.
-    pub fn decisions_for(&self, node: usize, rail: usize, n: usize) -> Vec<ChaosDecision> {
-        let mut rng = decision_seed(self.seed, node, rail);
-        (0..n).map(|_| draw_decision(&mut rng, self)).collect()
-    }
-}
-
-/// The base chaos verdict for one frame (see
-/// [`ChaosConfig::decisions_for`]). Flags are drawn independently;
-/// precedence at application time is corrupt > drop > (dup, reorder).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ChaosDecision {
-    /// Silently dropped.
-    pub drop: bool,
-    /// Delivered twice.
-    pub dup: bool,
-    /// Held back so later frames overtake.
-    pub reorder: bool,
-    /// Corrupted: counted and discarded.
-    pub corrupt: bool,
 }
 
 /// Counters of everything the interposer did, summed over rails.
@@ -151,7 +117,7 @@ pub struct ChaosStats {
     pub blackout_dropped: u64,
     /// Frames held until a scripted peer NIC stall ended.
     pub stall_held: u64,
-    /// Frames given added delay (fixed delay or reorder hold).
+    /// Frames given added delay (reorder hold or peer stall).
     pub delayed: u64,
 }
 
@@ -178,8 +144,8 @@ fn bump(stats: &Cell<ChaosStats>, f: impl FnOnce(&mut ChaosStats)) {
     stats.set(s);
 }
 
-/// One frame held back (reorder, delay, or peer stall), released by
-/// `flush_due` in `(release_ns, submission order)` order.
+/// One frame held back (reorder or peer stall), released by `flush_due`
+/// in `(release_ns, submission order)` order.
 struct HeldFrame {
     release_ns: u64,
     order: u64,
@@ -187,13 +153,13 @@ struct HeldFrame {
     frame: Frame,
 }
 
-/// Per-rail fault state: the decision RNG stream, the burst process, and
-/// the pre-interpreted scripted timelines for this node's lane.
+/// Per-rail fault state: the fault stream and the pre-interpreted scripted
+/// timelines for this node's lane.
 struct Lane {
-    decision_rng: u64,
-    burst_rng: u64,
-    burst_bad: bool,
+    faults: FaultStream,
+    /// Burst transitions; the first `bursts_applied` are in force.
     burst_timeline: Vec<(u64, Option<GilbertElliott>)>,
+    bursts_applied: usize,
     /// This node's link is administratively down (frames dropped at the NIC).
     local_down: Vec<(u64, u64)>,
     /// The peer's link is down (frames lost before arrival).
@@ -201,41 +167,6 @@ struct Lane {
     /// The peer's receive path is stalled (frames held until it ends).
     peer_stall: Vec<(u64, u64)>,
     in_blackout: bool,
-}
-
-impl Lane {
-    /// Advance the Gilbert–Elliott chain one frame and evaluate loss and
-    /// corruption. Always consumes exactly three draws so the stream stays
-    /// aligned whether or not a model is in force at `now`.
-    fn burst_eval(&mut self, now: u64) -> (bool, bool) {
-        let r_trans = draw_f64(&mut self.burst_rng);
-        let r_loss = draw_f64(&mut self.burst_rng);
-        let r_corrupt = draw_f64(&mut self.burst_rng);
-        let model = self
-            .burst_timeline
-            .iter()
-            .take_while(|&&(at, _)| at <= now)
-            .last()
-            .and_then(|&(_, m)| m);
-        let Some(m) = model else {
-            self.burst_bad = false;
-            return (false, false);
-        };
-        let p_flip = if self.burst_bad {
-            m.p_bad_to_good
-        } else {
-            m.p_good_to_bad
-        };
-        if r_trans < p_flip {
-            self.burst_bad = !self.burst_bad;
-        }
-        let (loss, corrupt) = if self.burst_bad {
-            (m.loss_bad, m.corrupt_bad)
-        } else {
-            (m.loss_good, m.corrupt_good)
-        };
-        (r_loss < loss, r_corrupt < corrupt)
-    }
 }
 
 /// A [`Backplane`] that injects the [`ChaosConfig`] schedule in front of
@@ -260,10 +191,9 @@ impl<B: Backplane> FaultBackplane<B> {
         let peer = 1 - node;
         let lanes = (0..inner.rails())
             .map(|rail| Lane {
-                decision_rng: decision_seed(cfg.seed, node, rail),
-                burst_rng: mix(cfg.seed, node, rail, 0xB0B5),
-                burst_bad: false,
+                faults: FaultStream::link(node, rail, false),
                 burst_timeline: cfg.plan.burst_timeline(node, rail),
+                bursts_applied: 0,
                 local_down: cfg.plan.down_intervals(node, rail),
                 peer_down: cfg.plan.down_intervals(peer, rail),
                 peer_stall: cfg.plan.stall_intervals(peer, rail),
@@ -371,11 +301,19 @@ impl<B: Backplane> Backplane for FaultBackplane<B> {
         self.flush_due(now);
         bump(&self.stats, |s| s.frames_seen += 1);
         let seq = frame.header.seq as u64;
-        let d = draw_decision(&mut self.lanes[rail].decision_rng, &self.cfg);
-        let (burst_loss, burst_corrupt) = self.lanes[rail].burst_eval(now);
+        let seed = self.cfg.seed;
         let lane = &mut self.lanes[rail];
+        while let Some(&(at, model)) = lane.burst_timeline.get(lane.bursts_applied) {
+            if at > now {
+                break;
+            }
+            lane.faults.set_burst(model);
+            lane.bursts_applied += 1;
+        }
+        let attempt = lane.faults.next_attempt();
 
-        // Scripted blackout: the frame never makes it onto the wire. The
+        // Scripted blackout: the frame never makes it onto the wire, and
+        // the burst chain does not step (netsim's downed-link rule). The
         // send still "succeeds" — accepted, not delivered, exactly the
         // trait's loss semantics.
         if covered(&lane.local_down, now) || covered(&lane.peer_down, now) {
@@ -396,46 +334,33 @@ impl<B: Backplane> Backplane for FaultBackplane<B> {
         }
         lane.in_blackout = false;
 
-        if d.corrupt || burst_corrupt {
-            bump(&self.stats, |s| s.corrupt_dropped += 1);
-            self.flight.note(
-                FlightCode::FrameCorrupt,
-                self.node,
-                None,
-                Some(rail as u32),
-                seq,
-                0,
-                now,
-            );
-            return true;
-        }
-        if d.drop || burst_loss {
-            bump(&self.stats, |s| s.dropped += 1);
-            self.flight.note(
-                FlightCode::FrameDrop,
-                self.node,
-                None,
-                Some(rail as u32),
-                seq,
-                0,
-                now,
-            );
+        let (lost, corrupted) = lane.faults.decide(seed, self.cfg.fault, attempt);
+        if lost || corrupted {
+            let code = if lost {
+                bump(&self.stats, |s| s.dropped += 1);
+                FlightCode::FrameDrop
+            } else {
+                bump(&self.stats, |s| s.corrupt_dropped += 1);
+                FlightCode::FrameCorrupt
+            };
+            self.flight
+                .note(code, self.node, None, Some(rail as u32), seq, 0, now);
             return true;
         }
 
-        let mut release = now.saturating_add(self.cfg.delay_ns);
-        if d.reorder {
+        let mut release = now;
+        if lane.faults.hit(seed, attempt, LANE_REORDER, self.cfg.reorder) {
             bump(&self.stats, |s| s.reordered += 1);
             release = release.saturating_add(self.cfg.reorder_delay_ns);
         }
         // Peer receive path stalled: hold until the stall ends (the frames
         // netsim would park in the frozen NIC).
-        if let Some(end) = stall_release(&self.lanes[rail].peer_stall, release) {
+        if let Some(end) = covering_end(&lane.peer_stall, release) {
             bump(&self.stats, |s| s.stall_held += 1);
-            release = release.max(end);
+            release = end;
         }
 
-        let dup = d.dup;
+        let dup = lane.faults.hit(seed, attempt, LANE_DUP, self.cfg.dup);
         if dup {
             bump(&self.stats, |s| s.duplicated += 1);
         }
@@ -484,67 +409,6 @@ impl<B: Backplane> Backplane for FaultBackplane<B> {
                 return reached;
             }
         }
-    }
-}
-
-/// If `t` falls inside a stall interval, the instant the stall ends.
-fn stall_release(intervals: &[(u64, u64)], t: u64) -> Option<u64> {
-    intervals
-        .iter()
-        .take_while(|&&(from, _)| from <= t)
-        .find(|&&(_, to)| t < to)
-        .map(|&(_, to)| to)
-}
-
-/// Seed of the base-decision stream for `(seed, node, rail)`.
-fn decision_seed(seed: u64, node: usize, rail: usize) -> u64 {
-    mix(seed, node, rail, 0xD1CE)
-}
-
-/// splitmix64-style seed derivation; never returns 0 (xorshift fixpoint).
-fn mix(seed: u64, node: usize, rail: usize, salt: u64) -> u64 {
-    let mut z = seed
-        ^ (node as u64).wrapping_mul(0xA24B_AED4_963E_E407)
-        ^ (rail as u64).wrapping_mul(0x9FB2_1C65_1E98_DF25)
-        ^ salt;
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    if z == 0 {
-        0x9E37_79B9_7F4A_7C15
-    } else {
-        z
-    }
-}
-
-/// xorshift64* step.
-fn xorshift(s: &mut u64) -> u64 {
-    let mut x = *s;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *s = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// Uniform draw in `[0, 1)`.
-fn draw_f64(s: &mut u64) -> f64 {
-    (xorshift(s) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// One frame's base decision: exactly four draws, in a fixed order, so the
-/// stream position is a pure function of the frame index.
-fn draw_decision(rng: &mut u64, cfg: &ChaosConfig) -> ChaosDecision {
-    let r_corrupt = draw_f64(rng);
-    let r_drop = draw_f64(rng);
-    let r_dup = draw_f64(rng);
-    let r_reorder = draw_f64(rng);
-    ChaosDecision {
-        corrupt: r_corrupt < cfg.corrupt.clamp(0.0, 1.0),
-        drop: r_drop < cfg.drop.clamp(0.0, 1.0),
-        dup: r_dup < cfg.dup.clamp(0.0, 1.0),
-        reorder: r_reorder < cfg.reorder.clamp(0.0, 1.0),
     }
 }
 
@@ -635,19 +499,21 @@ mod tests {
             .with_dup(0.2)
             .with_corrupt(0.1);
         let n = 200;
-        let decisions = cfg.decisions_for(0, 0, n);
         let mut bp = FaultBackplane::new(MockBp::new(1), 0, &cfg);
         for seq in 0..n as u32 {
             assert!(bp.send(0, test_frame(seq)));
         }
+        // The oracle, asked directly: node 0's uplink on rail 0.
+        let mut stream = FaultStream::link(0, 0, false);
         let mut expect: Vec<(usize, u32)> = Vec::new();
-        for (seq, d) in decisions.iter().enumerate() {
-            if d.corrupt || d.drop {
+        for seq in 0..n as u32 {
+            let attempt = stream.next_attempt();
+            if stream.decide(cfg.seed, cfg.fault, attempt) != (false, false) {
                 continue;
             }
-            expect.push((0, seq as u32));
-            if d.dup {
-                expect.push((0, seq as u32));
+            expect.push((0, seq));
+            if stream.hit(cfg.seed, attempt, LANE_DUP, cfg.dup) {
+                expect.push((0, seq));
             }
         }
         assert_eq!(bp.inner().sent, expect);
@@ -662,12 +528,20 @@ mod tests {
 
     #[test]
     fn same_seed_same_stream_per_lane() {
-        let cfg = ChaosConfig::new(7).with_drop(0.5).with_reorder(0.25, 10);
-        assert_eq!(cfg.decisions_for(0, 1, 64), cfg.decisions_for(0, 1, 64));
+        let cfg = ChaosConfig::new(7).with_drop(0.5);
+        // The seqs node `node` delivers on `rail` out of 64 submitted.
+        let survivors = |node: usize, rail: usize| {
+            let mut bp = FaultBackplane::new(MockBp::new(2), node, &cfg);
+            for seq in 0..64 {
+                bp.send(rail, test_frame(seq));
+            }
+            bp.inner().sent.iter().map(|&(_, seq)| seq).collect::<Vec<_>>()
+        };
+        assert_eq!(survivors(0, 1), survivors(0, 1));
         // Different lanes draw different streams (overwhelmingly likely to
         // differ over 64 frames at p=0.5).
-        assert_ne!(cfg.decisions_for(0, 0, 64), cfg.decisions_for(0, 1, 64));
-        assert_ne!(cfg.decisions_for(0, 0, 64), cfg.decisions_for(1, 0, 64));
+        assert_ne!(survivors(0, 0), survivors(0, 1));
+        assert_ne!(survivors(0, 0), survivors(1, 0));
     }
 
     #[test]
@@ -726,7 +600,7 @@ mod tests {
 
     #[test]
     fn duplicate_overtakes_held_original() {
-        let cfg = ChaosConfig::new(11).with_delay(100).with_dup(1.0);
+        let cfg = ChaosConfig::new(11).with_reorder(1.0, 100).with_dup(1.0);
         let mut bp = FaultBackplane::new(MockBp::new(1), 0, &cfg);
         bp.send(0, test_frame(5));
         // The copy went straight through; the original is still held.
@@ -734,6 +608,7 @@ mod tests {
         bp.advance(200);
         assert_eq!(bp.inner().sent, vec![(0, 5), (0, 5)]);
         assert_eq!(bp.stats().duplicated, 1);
+        assert_eq!(bp.stats().reordered, 1);
     }
 
     #[test]

@@ -325,7 +325,7 @@ impl DsmNode {
     /// Flush all dirty pages' diffs to their homes; returns the released
     /// page set (merged ranges) for use as write notices.
     pub async fn flush_dirty(&self) -> Vec<PageRange> {
-        let dirty_pages: Vec<u64> = {
+        let mut dirty_pages: Vec<u64> = {
             let inner = self.inner.borrow();
             inner
                 .pages
@@ -334,6 +334,8 @@ impl DsmNode {
                 .map(|(&p, _)| p)
                 .collect()
         };
+        // Flush in page order, not hash order: same seed, same run.
+        dirty_pages.sort_unstable();
         let mut released: Vec<u64> = dirty_pages.clone();
         let mut handles = Vec::new();
         for page in dirty_pages {
@@ -363,11 +365,7 @@ impl DsmNode {
         }
         // Home-owned dirty pages: master already updated in place; only the
         // notices matter.
-        {
-            let mut inner = self.inner.borrow_mut();
-            let home_dirty = std::mem::take(&mut inner.home_dirty);
-            released.extend(home_dirty);
-        }
+        released.extend(std::mem::take(&mut self.inner.borrow_mut().home_dirty));
         for h in handles {
             h.wait().await;
         }

@@ -1,6 +1,6 @@
 //! Scripted, seed-deterministic fault injection.
 //!
-//! The stationary [`FaultModel`](crate::net::FaultModel) draws i.i.d. loss
+//! The stationary [`FaultModel`] draws i.i.d. loss
 //! and corruption per hop — good for steady background noise, useless for
 //! the scenarios §2.4 of the paper actually worries about: a rail that goes
 //! *dark* for ten milliseconds, a link that flaps, a NIC whose receive path
@@ -11,8 +11,7 @@
 //!
 //! Three layers compose:
 //!
-//! 1. The stationary [`FaultModel`](crate::net::FaultModel) (unchanged) —
-//!    i.i.d. per-hop loss/corruption.
+//! 1. The stationary [`FaultModel`] — i.i.d. per-hop loss/corruption.
 //! 2. A per-link [`GilbertElliott`] burst process installed/removed by plan
 //!    events — a two-state Markov chain whose *bad* state has elevated
 //!    loss/corruption, producing the clustered errors real copper shows.
@@ -22,12 +21,14 @@
 //!    [`FaultAction::NicStall`] (the receive path freezes and delivers its
 //!    backlog, in order, when the stall ends).
 //!
-//! All random draws the fault layer makes (stationary loss, burst-state
-//! transitions) are pure functions of
+//! Every fate is decided by one oracle, the link's [`FaultStream`]: each
+//! draw is a pure function of
 //! ([`ClusterSpec::fault_seed`](crate::topology::ClusterSpec::fault_seed),
-//! link identity, submission index on that link), independent of the
+//! link identity, submission index on that link, lane), independent of the
 //! jitter streams — so the loss pattern for a given fault seed is stable
-//! even when unrelated timing randomness changes.
+//! even when unrelated timing randomness changes. The chaos interposer in
+//! front of real sockets owns one per rail, keyed as the NIC's uplink, so
+//! the same seed decides the same frames on both runtimes.
 //!
 //! ```
 //! use netsim::time::ms;
@@ -42,6 +43,15 @@
 //! ```
 
 use crate::time::{Dur, SimTime};
+
+/// Random transient-fault model, applied per channel traversal.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FaultModel {
+    /// Probability a frame is silently lost on a hop.
+    pub loss_rate: f64,
+    /// Probability a frame is delivered with a checksum-violating error.
+    pub corrupt_rate: f64,
+}
 
 /// Parameters of a two-state Gilbert–Elliott error process.
 ///
@@ -94,6 +104,130 @@ impl GilbertElliott {
     pub fn mean_loss(&self) -> f64 {
         let b = self.stationary_bad();
         (1.0 - b) * self.loss_good + b * self.loss_bad
+    }
+}
+
+/// Draw lanes of a [`FaultStream`]: one per random decision a frame can
+/// need, so lanes never alias.
+const LANE_GE: u64 = 0;
+const LANE_LOSS: u64 = 1;
+const LANE_CORRUPT: u64 = 2;
+/// Jitter lane, drawn under the run seed rather than the fault seed.
+pub(crate) const LANE_JITTER: u64 = 3;
+/// The chaos interposer's duplication lane.
+pub const LANE_DUP: u64 = 4;
+/// The chaos interposer's reorder lane.
+pub const LANE_REORDER: u64 = 5;
+
+/// splitmix64 finalizer: a cheap, well-mixed u64 → u64 permutation.
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Map a draw onto `[0, 1)` with 53 bits of precision.
+fn unit_f64(u: u64) -> f64 {
+    (u >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// One channel's fault oracle: its identity, its attempt counter and the
+/// [`GilbertElliott`] burst process installed on it. Every draw is a pure
+/// function of `(seed, key, attempt, lane)`, so a channel's stream cannot
+/// shift when unrelated events reorder (a different shard count, another
+/// runtime). Only the burst state evolves, in attempt order, which is
+/// deterministic because one owner drives a channel: a netsim channel, or
+/// one rail of the chaos interposer.
+#[derive(Debug, Clone)]
+pub struct FaultStream {
+    key: u64,
+    attempts: u64,
+    burst: Option<GilbertElliott>,
+    /// Current Gilbert–Elliott state (`true` = bad).
+    bad: bool,
+}
+
+impl FaultStream {
+    /// The stream of `node`'s link on `rail`, one direction of it
+    /// (`downlink` = switch→NIC). Keyed by global topology coordinates, so
+    /// the same physical link draws the same stream whichever object holds
+    /// it: a whole cluster, one shard's slice, or the interposer.
+    pub fn link(node: usize, rail: usize, downlink: bool) -> Self {
+        Self {
+            key: ((node as u64) << 32) | ((rail as u64) << 8) | downlink as u64,
+            attempts: 0,
+            burst: None,
+            bad: false,
+        }
+    }
+
+    /// The stream's identity, as logged in a
+    /// [`FaultDecision`](crate::net::FaultDecision).
+    pub fn key(&self) -> u64 {
+        self.key
+    }
+
+    /// Take the next attempt index. Every submission takes one whatever
+    /// its fate, so the stream never shifts with a frame's fate.
+    #[inline]
+    pub fn next_attempt(&mut self) -> u64 {
+        self.attempts += 1;
+        self.attempts - 1
+    }
+
+    /// Install (`Some`) or remove (`None`) the burst process; the chain
+    /// starts over in the good state.
+    pub fn set_burst(&mut self, model: Option<GilbertElliott>) {
+        self.burst = model;
+        self.bad = false;
+    }
+
+    /// The raw draw on `lane` for `attempt` under `seed`.
+    #[inline]
+    pub fn draw(&self, seed: u64, attempt: u64, lane: u64) -> u64 {
+        let mut z = seed;
+        for v in [self.key, attempt, lane] {
+            z = splitmix64(z ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        }
+        z
+    }
+
+    /// Whether an event of probability `p` happens on `lane` for
+    /// `attempt`; `p ≤ 0` never does and costs no draw.
+    #[inline]
+    pub fn hit(&self, seed: u64, attempt: u64, lane: u64, p: f64) -> bool {
+        p > 0.0 && unit_f64(self.draw(seed, attempt, lane)) < p
+    }
+
+    /// Loss and corruption for `attempt`: the stationary `model` composed
+    /// with the burst process, if one is installed, which first steps its
+    /// chain. A lost frame is never also corrupted.
+    #[inline]
+    pub fn decide(&mut self, seed: u64, model: FaultModel, attempt: u64) -> (bool, bool) {
+        let mut loss_p = model.loss_rate;
+        let mut corrupt_p = model.corrupt_rate;
+        if let Some(ge) = self.burst {
+            let flip_p = if self.bad {
+                ge.p_bad_to_good
+            } else {
+                ge.p_good_to_bad
+            };
+            if self.hit(seed, attempt, LANE_GE, flip_p) {
+                self.bad = !self.bad;
+            }
+            let (gl, gc) = if self.bad {
+                (ge.loss_bad, ge.corrupt_bad)
+            } else {
+                (ge.loss_good, ge.corrupt_good)
+            };
+            // Independent composition: survive both processes or be hit.
+            loss_p = 1.0 - (1.0 - loss_p) * (1.0 - gl);
+            corrupt_p = 1.0 - (1.0 - corrupt_p) * (1.0 - gc);
+        }
+        let lost = self.hit(seed, attempt, LANE_LOSS, loss_p);
+        let corrupted = !lost && self.hit(seed, attempt, LANE_CORRUPT, corrupt_p);
+        (lost, corrupted)
     }
 }
 
@@ -324,12 +458,19 @@ impl FaultPlan {
     }
 }
 
-/// Whether `t` falls inside any of the sorted half-open `intervals`.
-pub fn covered(intervals: &[(u64, u64)], t: u64) -> bool {
+/// If `t` falls inside one of the sorted half-open `intervals`, the end of
+/// that interval.
+pub fn covering_end(intervals: &[(u64, u64)], t: u64) -> Option<u64> {
     intervals
         .iter()
         .take_while(|&&(from, _)| from <= t)
-        .any(|&(_, to)| t < to)
+        .find(|&&(_, to)| t < to)
+        .map(|&(_, to)| to)
+}
+
+/// Whether `t` falls inside any of the sorted half-open `intervals`.
+pub fn covered(intervals: &[(u64, u64)], t: u64) -> bool {
+    covering_end(intervals, t).is_some()
 }
 
 #[cfg(test)]

@@ -23,7 +23,8 @@
 //! * [`topology`] — the paper's rail-shaped cluster builder.
 //! * [`faults`] — scripted, seed-deterministic fault plans layered on the
 //!   stationary model: timed link outages, flapping, NIC stalls, and
-//!   [`GilbertElliott`] burst loss/corruption ([`FaultPlan`]).
+//!   [`GilbertElliott`] burst loss/corruption ([`FaultPlan`]), and the
+//!   one oracle every frame's fate is drawn from ([`FaultStream`]).
 //! * [`shard`] — conservative-lookahead sharded runtime: partitions a
 //!   cluster across several [`Sim`] instances synchronized by the link
 //!   propagation delay, with a hard cross-shard-count determinism contract
@@ -57,10 +58,13 @@ pub mod time;
 pub mod topology;
 
 pub use engine::{QueueStats, RunReport, Sim, TaskId, TimerId};
-pub use faults::{covered, FaultAction, FaultEvent, FaultPlan, FaultTarget, GilbertElliott};
+pub use faults::{
+    covered, covering_end, FaultAction, FaultEvent, FaultModel, FaultPlan, FaultStream,
+    FaultTarget, GilbertElliott,
+};
 pub use net::{
-    BoundaryTx, ChannelParams, FaultDecision, FaultModel, NetStats, Network, NicId, RemoteDest,
-    RxFrame, SwitchId,
+    BoundaryTx, ChannelParams, FaultDecision, NetStats, Network, NicId, RemoteDest, RxFrame,
+    SwitchId,
 };
 pub use shard::{
     run_sharded, BoundaryMsg, PartitionError, ShardError, ShardMode, ShardNet, ShardPlan,

@@ -24,17 +24,18 @@
 //!
 //! A frame's whole fate on a channel — link state, queue overflow, jitter,
 //! loss, corruption — is decided when it is *submitted*, and every random
-//! draw is a pure function of `(seed, channel stream key, attempt index)`:
-//! the stream key is the link's identity `(node, rail, direction)`, the
-//! attempt index counts submissions on that channel. No draw depends on
-//! what other channels do or on how events interleave, so the same seeded
+//! draw is a pure function of `(seed, channel stream key, attempt index)`
+//! made by the channel's [`FaultStream`]: the stream key is the link's
+//! identity `(node, rail, direction)`, the attempt index counts submissions
+//! on that channel. No draw depends on what other channels do or on how
+//! events interleave, so the same seeded
 //! cluster behaves identically whether one [`Sim`] runs all of it or
 //! [`crate::shard`] splits it across several — and because the arrival time
 //! is known one propagation delay ahead, that delay is the sharded
 //! runtime's lookahead.
 
 use crate::engine::Sim;
-use crate::faults::{FaultAction, GilbertElliott};
+use crate::faults::{splitmix64, FaultAction, FaultModel, FaultStream, LANE_JITTER};
 use crate::time::{Dur, SimTime};
 use frame::{FastMap, Frame, MacAddr};
 use me_trace::{EventKind, FaultKind, FlightCode, FlightRecorder, Tracer};
@@ -80,15 +81,6 @@ impl ChannelParams {
             queue_cap: 768,
         }
     }
-}
-
-/// Random transient-fault model, applied per channel traversal.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FaultModel {
-    /// Probability a frame is silently lost on a hop.
-    pub loss_rate: f64,
-    /// Probability a frame is delivered with a checksum-violating error.
-    pub corrupt_rate: f64,
 }
 
 /// Identifier of a channel within a [`Network`].
@@ -188,21 +180,13 @@ struct ChannelState {
     last_arrival: SimTime,
     /// Administrative link state; frames are dropped while `false`.
     link_up: bool,
-    /// Optional scripted burst-error process layered on the stationary model.
-    burst: Option<GilbertElliott>,
-    /// Current Gilbert–Elliott state (`true` = bad).
-    ge_bad: bool,
-    /// Identity of this channel's jitter/fault streams ([`stream_key`]).
-    stream_key: u64,
-    /// Submissions so far: the per-channel index every jitter/fault draw is
-    /// keyed by. Counts every submission attempt, including ones dropped
-    /// at the queue or a downed link, so the stream never shifts with a
-    /// frame's fate.
-    attempts: u64,
+    /// The jitter/fault draws and the scripted burst process. Attempts
+    /// include submissions dropped at the queue or a downed link.
+    faults: FaultStream,
 }
 
 impl ChannelState {
-    fn new(params: ChannelParams, to: Endpoint, stream_key: u64) -> Self {
+    fn new(params: ChannelParams, to: Endpoint, faults: FaultStream) -> Self {
         Self {
             params,
             to,
@@ -216,10 +200,19 @@ impl ChannelState {
             corrupted: 0,
             last_arrival: SimTime::ZERO,
             link_up: true,
-            burst: None,
-            ge_bad: false,
-            stream_key,
-            attempts: 0,
+            faults,
+        }
+    }
+
+    /// Apply a scripted fault's effect on this channel: link state or
+    /// burst process. A NIC stall is the NIC's, not a channel's.
+    fn apply(&mut self, action: FaultAction) {
+        match action {
+            FaultAction::LinkDown => self.link_up = false,
+            FaultAction::LinkUp => self.link_up = true,
+            FaultAction::NicStall { .. } => {}
+            FaultAction::SetBurst { model } => self.faults.set_burst(Some(model)),
+            FaultAction::ClearBurst => self.faults.set_burst(None),
         }
     }
 }
@@ -316,81 +309,9 @@ fn note_fate(
 const DROPPED: (EventKind, FlightCode) = (EventKind::FrameDrop, FlightCode::FrameDrop);
 const CORRUPTED: (EventKind, FlightCode) = (EventKind::FrameCorrupt, FlightCode::FrameCorrupt);
 
-/// Draw lanes of the per-channel streams. One lane per random decision a
-/// traversal can need, so lanes never alias.
-const LANE_GE: u64 = 0;
-const LANE_LOSS: u64 = 1;
-const LANE_CORRUPT: u64 = 2;
-const LANE_JITTER: u64 = 3;
-
-/// Identity of one channel's random streams: the link's global topology
-/// coordinates, so the same physical link draws the same stream no matter
-/// which network object (whole cluster or one shard's slice) holds it.
-fn stream_key(mac: MacAddr, down: bool) -> u64 {
-    ((mac.node as u64) << 32) | ((mac.rail as u64) << 8) | down as u64
-}
-
-/// splitmix64 finalizer: a cheap, well-mixed u64 → u64 permutation.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Stateless draw: a pure function of `(seed, stream key, attempt, lane)`,
-/// so a channel's random stream cannot shift when unrelated events reorder
-/// (e.g. under a different shard count).
-fn stateless_u64(seed: u64, key: u64, attempt: u64, lane: u64) -> u64 {
-    let mut z = seed;
-    for v in [key, attempt, lane] {
-        z = splitmix64(z ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    }
-    z
-}
-
-/// Map a draw onto `[0, 1)` with 53 bits of precision.
-fn unit_f64(u: u64) -> f64 {
-    (u >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Decide loss/corruption for attempt `attempt` on channel `c`: the
-/// stationary model composed with the channel's burst process (if any),
-/// every draw from the channel's stateless stream. The Gilbert–Elliott
-/// state evolves sequentially *per channel*, indexed by the attempt
-/// counter — deterministic because one network object drives a channel.
-fn decide_channel_fault(
-    c: &mut ChannelState,
-    stationary: FaultModel,
-    fault_seed: u64,
-    attempt: u64,
-) -> (bool, bool) {
-    let mut loss_p = stationary.loss_rate;
-    let mut corrupt_p = stationary.corrupt_rate;
-    if let Some(ge) = c.burst {
-        let flip_p = if c.ge_bad {
-            ge.p_bad_to_good
-        } else {
-            ge.p_good_to_bad
-        };
-        if flip_p > 0.0 && unit_f64(stateless_u64(fault_seed, c.stream_key, attempt, LANE_GE)) < flip_p {
-            c.ge_bad = !c.ge_bad;
-        }
-        let (gl, gc) = if c.ge_bad {
-            (ge.loss_bad, ge.corrupt_bad)
-        } else {
-            (ge.loss_good, ge.corrupt_good)
-        };
-        // Independent composition: survive both processes or be hit.
-        loss_p = 1.0 - (1.0 - loss_p) * (1.0 - gl);
-        corrupt_p = 1.0 - (1.0 - corrupt_p) * (1.0 - gc);
-    }
-    let lost =
-        loss_p > 0.0 && unit_f64(stateless_u64(fault_seed, c.stream_key, attempt, LANE_LOSS)) < loss_p;
-    let corrupted = !lost
-        && corrupt_p > 0.0
-        && unit_f64(stateless_u64(fault_seed, c.stream_key, attempt, LANE_CORRUPT)) < corrupt_p;
-    (lost, corrupted)
+/// The stream of `mac`'s link, one direction of it.
+fn link_stream(mac: MacAddr, downlink: bool) -> FaultStream {
+    FaultStream::link(mac.node.into(), mac.rail.into(), downlink)
 }
 
 impl Network {
@@ -487,13 +408,13 @@ impl Network {
         inner.channels.push(ChannelState::new(
             up_params,
             Endpoint::Switch(switch),
-            stream_key(mac, false),
+            link_stream(mac, false),
         ));
         let down = ChannelId(inner.channels.len());
         inner.channels.push(ChannelState::new(
             params,
             Endpoint::Nic(nic),
-            stream_key(mac, true),
+            link_stream(mac, true),
         ));
         inner.nics[nic.0].tx_channel = Some(up);
         inner.nics[nic.0].rx_channel = Some(down);
@@ -560,43 +481,19 @@ impl Network {
     pub fn apply_fault(&self, nic: NicId, action: FaultAction) {
         let now = self.sim.now();
         let mut inner = self.inner.borrow_mut();
-        let (up_ch, down_ch, rail, node) = {
-            let n = &inner.nics[nic.0];
-            (n.tx_channel, n.rx_channel, n.mac.rail as u32, n.mac.node)
-        };
+        let n = &mut inner.nics[nic.0];
+        let (channels, rail, node) = ([n.tx_channel, n.rx_channel], n.mac.rail as u32, n.mac.node);
+        if let FaultAction::NicStall { dur } = action {
+            n.stall_until = n.stall_until.max(now + dur);
+        }
+        for ch in channels.into_iter().flatten() {
+            inner.channels[ch.0].apply(action);
+        }
         let kind = match action {
-            FaultAction::LinkDown | FaultAction::LinkUp => {
-                let up = matches!(action, FaultAction::LinkUp);
-                for ch in [up_ch, down_ch].into_iter().flatten() {
-                    inner.channels[ch.0].link_up = up;
-                }
-                if up {
-                    FaultKind::LinkUp
-                } else {
-                    FaultKind::LinkDown
-                }
-            }
-            FaultAction::NicStall { dur } => {
-                let n = &mut inner.nics[nic.0];
-                n.stall_until = n.stall_until.max(now + dur);
-                FaultKind::NicStall
-            }
-            FaultAction::SetBurst { model } => {
-                for ch in [up_ch, down_ch].into_iter().flatten() {
-                    let c = &mut inner.channels[ch.0];
-                    c.burst = Some(model);
-                    c.ge_bad = false;
-                }
-                FaultKind::BurstModel
-            }
-            FaultAction::ClearBurst => {
-                for ch in [up_ch, down_ch].into_iter().flatten() {
-                    let c = &mut inner.channels[ch.0];
-                    c.burst = None;
-                    c.ge_bad = false;
-                }
-                FaultKind::BurstModel
-            }
+            FaultAction::LinkDown => FaultKind::LinkDown,
+            FaultAction::LinkUp => FaultKind::LinkUp,
+            FaultAction::NicStall { .. } => FaultKind::NicStall,
+            FaultAction::SetBurst { .. } | FaultAction::ClearBurst => FaultKind::BurstModel,
         };
         inner
             .tracer
@@ -653,11 +550,8 @@ impl Network {
                 ..
             } = &mut *inner;
             let c = &mut channels[ch.0];
-            // The attempt index advances once per submission no matter the
-            // frame's fate, so the channel's stream indices stay aligned
-            // whether or not earlier frames were dropped.
-            let attempt = c.attempts;
-            c.attempts += 1;
+            // Taken before any drop, so later frames' draws never shift.
+            let attempt = c.faults.next_attempt();
             if !c.link_up {
                 c.drop_link_down += 1;
                 note_fate(tracer, flight, DROPPED, &f, ch, now.as_nanos());
@@ -672,9 +566,9 @@ impl Network {
                 note_fate(tracer, flight, DROPPED, &f, ch, now.as_nanos());
                 return false;
             }
-            let (lost, fresh_corrupt) = decide_channel_fault(c, *fault, *fault_seed, attempt);
+            let (lost, fresh_corrupt) = c.faults.decide(*fault_seed, *fault, attempt);
             if let Some(log) = decisions.as_mut() {
-                log.push((c.stream_key, attempt, lost, fresh_corrupt));
+                log.push((c.faults.key(), attempt, lost, fresh_corrupt));
             }
             let start = now.max(c.busy_until);
             let end = start + Dur::for_bytes(wire_len, c.params.bytes_per_sec);
@@ -686,7 +580,7 @@ impl Network {
             c.tx_bytes += wire_len as u64;
             let jitter = match c.params.jitter.as_nanos() {
                 0 => 0,
-                j => stateless_u64(*jitter_seed, c.stream_key, attempt, LANE_JITTER) % j,
+                j => c.faults.draw(*jitter_seed, attempt, LANE_JITTER) % j,
             };
             // FIFO within a channel: never overtake the previous frame.
             let arrival = (end + c.params.latency + Dur(jitter)).max(c.last_arrival);
@@ -788,11 +682,11 @@ impl Network {
             ..params
         };
         let ch = ChannelId(inner.channels.len());
-        let key = stream_key(inner.nics[nic.0].mac, false);
+        let faults = link_stream(inner.nics[nic.0].mac, false);
         inner.channels.push(ChannelState::new(
             up_params,
             Endpoint::Remote(RemoteDest::Switch { rail }),
-            key,
+            faults,
         ));
         inner.nics[nic.0].tx_channel = Some(ch);
         ch
@@ -816,7 +710,7 @@ impl Network {
                 node: dst.node,
                 rail: dst.rail,
             }),
-            stream_key(dst, true),
+            link_stream(dst, true),
         ));
         inner.switches[switch.0].table.insert(dst, ch);
         ch
@@ -856,23 +750,7 @@ impl Network {
     /// targets the NIC, which its own shard handles via
     /// [`Self::apply_fault`].
     pub fn apply_channel_fault(&self, ch: ChannelId, action: FaultAction) {
-        let mut inner = self.inner.borrow_mut();
-        match action {
-            FaultAction::LinkDown | FaultAction::LinkUp => {
-                inner.channels[ch.0].link_up = matches!(action, FaultAction::LinkUp);
-            }
-            FaultAction::NicStall { .. } => {}
-            FaultAction::SetBurst { model } => {
-                let c = &mut inner.channels[ch.0];
-                c.burst = Some(model);
-                c.ge_bad = false;
-            }
-            FaultAction::ClearBurst => {
-                let c = &mut inner.channels[ch.0];
-                c.burst = None;
-                c.ge_bad = false;
-            }
-        }
+        self.inner.borrow_mut().channels[ch.0].apply(action);
     }
 
     /// Start (or stop) logging fault decisions.
@@ -1119,11 +997,12 @@ mod tests {
         for (net, channels) in [(&hand, 6), (&built, 16)] {
             let inner = net.inner.borrow();
             let keys: std::collections::BTreeSet<u64> =
-                inner.channels.iter().map(|c| c.stream_key).collect();
+                inner.channels.iter().map(|c| c.faults.key()).collect();
             assert_eq!(keys.len(), channels, "one distinct stream key per channel");
-            let draws: std::collections::BTreeSet<u64> = keys
+            let draws: std::collections::BTreeSet<u64> = inner
+                .channels
                 .iter()
-                .map(|&k| stateless_u64(inner.jitter_seed, k, 0, LANE_JITTER) % 1_000)
+                .map(|c| c.faults.draw(inner.jitter_seed, 0, LANE_JITTER) % 1_000)
                 .collect();
             assert!(
                 draws.len() > channels / 2,

@@ -7,8 +7,8 @@
 //! builds one shard's slice of the same shape over the same fabric.
 
 use crate::engine::Sim;
-use crate::faults::{FaultPlan, FaultTarget};
-use crate::net::{ChannelParams, FaultModel, Network, NicId};
+use crate::faults::{FaultModel, FaultPlan, FaultTarget};
+use crate::net::{ChannelParams, Network, NicId};
 use crate::time::{us_f64, Dur};
 use frame::MacAddr;
 

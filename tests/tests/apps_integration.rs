@@ -53,6 +53,25 @@ fn all_apps_verify_under_transient_loss() {
     });
 }
 
+/// Same seed, same run: every app, run twice in one process, takes the
+/// same virtual time and leaves the same protocol counters. Anything that
+/// walks a hash map in its iteration order on the way to the wire breaks
+/// this (each map gets its own random keys).
+#[test]
+fn every_app_is_bit_identical_across_runs() {
+    for w in tiny_workloads() {
+        let a = run_app(SystemConfig::one_link_1g(4), w.as_ref());
+        let b = run_app(SystemConfig::one_link_1g(4), w.as_ref());
+        assert_eq!(a.elapsed_ns, b.elapsed_ns, "{} elapsed", w.name());
+        assert_eq!(
+            format!("{:?}", a.proto),
+            format!("{:?}", b.proto),
+            "{} protocol counters",
+            w.name()
+        );
+    }
+}
+
 #[test]
 fn ordered_vs_unordered_changes_reordering_not_results() {
     // The 2L vs 2Lu comparison of Figures 5/6: same results (verified

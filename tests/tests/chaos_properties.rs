@@ -1,16 +1,18 @@
-//! Property coverage for the chaos interposer's determinism contract: the
-//! per-frame base decisions (drop, dup, reorder, corrupt) are a pure
-//! function of `(seed, node, rail, frame index)` — the same seed produces
-//! the same decision stream no matter how the caller interleaves `send`
-//! and `advance` (backend polling cadence), and
-//! [`ChaosConfig::decisions_for`] predicts the observed effects exactly.
-//! Also pins the [`FaultPlan`] interval interpretation shared with netsim.
+//! The chaos interposer's determinism contract, checked across runtimes:
+//! an interposer lane and netsim's uplink of the same NIC draw every
+//! frame's fate from one oracle, the link's [`FaultStream`], so under one
+//! seed they decide alike attempt by attempt; the fates cannot depend on
+//! how the caller interleaves `send` and `advance` (backend polling
+//! cadence), and the stream, asked directly, predicts the observed effects
+//! exactly. Also pins the [`FaultPlan`] interval interpretation shared with
+//! netsim.
 
 use bytes::Bytes;
 use frame::{Frame, FrameFlags, FrameHeader, FrameKind, MacAddr};
 use multiedge::backplane::{Backplane, BpRx, ChaosConfig, FaultBackplane};
-use netsim::time::ns;
-use netsim::{covered, FaultPlan};
+use netsim::faults::LANE_DUP;
+use netsim::time::{ns, us};
+use netsim::{covered, ChannelParams, FaultModel, FaultPlan, FaultStream, Network, Sim};
 use proptest::prelude::*;
 
 /// A recording backend with a manually stepped clock: `advance` jumps
@@ -103,32 +105,83 @@ fn run_cadence(cfg: &ChaosConfig, gaps: &[u64]) -> Vec<(usize, u32)> {
     bp.into_inner().sent
 }
 
-/// The delivered log `decisions_for` predicts for an n-frame round-robin
-/// submission with zero added delay: corrupt/drop vanish, dup doubles.
+/// The delivered log node 0's uplink streams predict for an n-frame
+/// round-robin submission with zero hold-back: lost and corrupted frames
+/// vanish, a duplicate doubles.
 fn predicted(cfg: &ChaosConfig, n: usize) -> Vec<(usize, u32)> {
-    let per_rail = [cfg.decisions_for(0, 0, n), cfg.decisions_for(0, 1, n)];
-    let mut next_idx = [0usize, 0usize];
+    let mut lanes = [FaultStream::link(0, 0, false), FaultStream::link(0, 1, false)];
     let mut out = Vec::new();
     for i in 0..n {
         let rail = i % 2;
-        let d = per_rail[rail][next_idx[rail]];
-        next_idx[rail] += 1;
-        if d.corrupt || d.drop {
+        let stream = &mut lanes[rail];
+        let attempt = stream.next_attempt();
+        if stream.decide(cfg.seed, cfg.fault, attempt) != (false, false) {
             continue;
         }
         out.push((rail, i as u32));
-        if d.dup {
+        if stream.hit(cfg.seed, attempt, LANE_DUP, cfg.dup) {
             out.push((rail, i as u32));
         }
     }
     out
 }
 
+/// One oracle on both runtimes: 500 frames through netsim's uplink of NIC
+/// (0, 1) and 500 through interposer lane (0, 1), same seed and model, get
+/// the same `(lost, corrupted)` at every attempt and the same tallies.
+#[test]
+fn interposer_lane_decides_like_the_netsim_uplink() {
+    const SEED: u64 = 0x0AC1E;
+    const N: u32 = 500;
+    let model = FaultModel {
+        loss_rate: 0.2,
+        corrupt_rate: 0.1,
+    };
+
+    // The switch knows no destination, so the uplink is the only channel
+    // that decides anything.
+    let sim = Sim::new(1);
+    let net = Network::with_seeds(&sim, model, SEED, 1);
+    let switch = net.add_switch(us(1));
+    let nic = net.add_nic(MacAddr::new(0, 1));
+    net.connect(nic, switch, ChannelParams::gbe_1());
+    net.record_fault_decisions(true);
+    for seq in 0..N {
+        net.nic_send(nic, test_frame(seq));
+    }
+    sim.run();
+    let log = net.take_fault_decisions();
+    assert!(log.iter().map(|d| d.1).eq(0..u64::from(N)), "one attempt per frame");
+    let netsim: Vec<(bool, bool)> = log.iter().map(|&(_, _, l, c)| (l, c)).collect();
+
+    let cfg = ChaosConfig::new(SEED)
+        .with_drop(model.loss_rate)
+        .with_corrupt(model.corrupt_rate);
+    let mut bp = FaultBackplane::new(Probe::new(2), 0, &cfg);
+    let mut chaos = Vec::new();
+    for seq in 0..N {
+        let before = bp.stats();
+        bp.send(1, test_frame(seq));
+        let after = bp.stats();
+        chaos.push((
+            after.dropped > before.dropped,
+            after.corrupt_dropped > before.corrupt_dropped,
+        ));
+    }
+
+    assert_eq!(netsim.len(), chaos.len());
+    let first_diff = chaos.iter().zip(&netsim).position(|(c, n)| c != n);
+    assert_eq!(first_diff, None, "first attempt whose fate differs");
+    let (s, n) = (bp.stats(), net.stats());
+    assert!(s.dropped > 0 && s.corrupt_dropped > 0);
+    assert_eq!((s.dropped, s.corrupt_dropped), (n.drops_loss, n.corrupted));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Same seed, two arbitrary polling cadences: identical effects — and
-    /// both equal to the backplane-free `decisions_for` prediction.
+    /// both equal to what the fault streams predict without a backplane.
     #[test]
     fn same_seed_same_decisions_regardless_of_cadence(
         seed in any::<u64>(),
@@ -150,22 +203,7 @@ proptest! {
         let b = run_cadence(&cfg, &gaps_b);
         prop_assert_eq!(&a, &b, "cadence must not change chaos decisions");
         prop_assert_eq!(a, predicted(&cfg, gaps_a.len()),
-            "decisions_for must predict the observed effects exactly");
-    }
-
-    /// The decision stream is prefix-stable: asking for fewer decisions
-    /// yields exactly the head of the longer stream.
-    #[test]
-    fn decision_stream_is_prefix_stable(
-        seed in any::<u64>(),
-        k in 1usize..100,
-        extra in 0usize..100,
-    ) {
-        let cfg = ChaosConfig::new(seed).with_drop(0.3).with_dup(0.2)
-            .with_reorder(0.2, 50).with_corrupt(0.1);
-        let long = cfg.decisions_for(1, 0, k + extra);
-        let short = cfg.decisions_for(1, 0, k);
-        prop_assert_eq!(&long[..k], &short[..]);
+            "the fault streams must predict the observed effects exactly");
     }
 
     /// `down_intervals` + `covered` agree with a naive replay of the
