@@ -43,7 +43,9 @@ loc:
 # hardware CRC), and under vendor/bytes nowhere. A frame's fate has one
 # oracle too: netsim::faults::FaultStream, used by netsim's channels and the
 # chaos interposer alike; a Gilbert–Elliott transition probability named in
-# any other crates/*/src file is a second fault decision being written.
+# any other crates/*/src file is a second fault decision being written. And
+# an event has one vocabulary, me_trace::Event, kept by the tracer and the
+# flight recorder alike; a FlightCode or FlightEvent is a second one.
 ONE_CORE_PARTS = SeqTracker|OpOrdering|TxRing|GapRing|RttEstimator|NackRanges|from_wire|TimelineBuilder|HealthMonitor::
 one-core:
 	@if grep -nE '$(ONE_CORE_PARTS)' crates/core/src/endpoint.rs crates/core/src/backplane/wire.rs; then \
@@ -57,6 +59,9 @@ one-core:
 	fi
 	@if grep -rnE 'p_good_to_bad|p_bad_to_good' crates/*/src | grep -v '^crates/netsim/src/faults.rs:'; then \
 		echo 'one-core: a fault decision outside crates/netsim/src/faults.rs (see above); FaultStream is the one oracle'; exit 1; \
+	fi
+	@if grep -rnE 'FlightCode|FlightEvent' crates tests examples; then \
+		echo 'one-core: a second event vocabulary (see above); the flight recorder keeps me_trace::Event'; exit 1; \
 	fi
 
 # Traced ping-pong: writes results/BENCH_trace_pingpong.json and asserts the

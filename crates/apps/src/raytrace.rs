@@ -277,7 +277,7 @@ mod tests {
         let a = render_host(64, 64, &scene);
         let b = render_host(64, 64, &scene);
         assert_eq!(a, b);
-        let distinct: std::collections::HashSet<u32> = a.iter().copied().collect();
+        let distinct: std::collections::BTreeSet<u32> = a.iter().copied().collect();
         assert!(distinct.len() > 10, "image must have structure");
     }
 

@@ -429,8 +429,7 @@ impl Water {
                         }
                         node.fetch_ranges(&wanted).await;
                     }
-                    let mut snap_pos: std::collections::HashMap<usize, Vec<[f64; 3]>> =
-                        std::collections::HashMap::new();
+                    let mut snap_pos = std::collections::BTreeMap::new();
                     for &nc in &needed {
                         let cnt = ccount.get(&node, nc).await as usize;
                         let ps = if cnt > 0 {

@@ -118,14 +118,10 @@ fn run_seed(seed: u64) -> SeedRun {
             .find(|e| e.t_ns >= after_ns && pred(&e.kind))
             .map(|e| e.t_ns - after_ns)
     };
-    let detect_ns = first_at(T_DOWN_MS * 1_000_000, &|k| {
-        matches!(k, EventKind::RailDown { .. })
-    })
-    .expect("a RailDown event after the injection");
-    let readmit_ns = first_at(T_UP_MS * 1_000_000, &|k| {
-        matches!(k, EventKind::RailUp { .. })
-    })
-    .expect("a RailUp event after the repair");
+    let detect_ns = first_at(T_DOWN_MS * 1_000_000, &|k| matches!(k, EventKind::RailDown))
+        .expect("a RailDown event after the injection");
+    let readmit_ns = first_at(T_UP_MS * 1_000_000, &|k| matches!(k, EventKind::RailUp))
+        .expect("a RailUp event after the repair");
 
     let phase = |bytes: f64, window_ns: u64| bytes / (window_ns as f64 / 1e9) / 1e6;
     let after_ns = end.since(SimTime::ZERO + ms(T_UP_MS)).as_nanos();

@@ -27,7 +27,7 @@
 //! effect is the same — the frame does not arrive while the stall lasts.
 
 use frame::Frame;
-use me_trace::{FlightCode, FlightRecorder, Json};
+use me_trace::{Event, EventKind, FaultKind, FlightRecorder, Json};
 use netsim::faults::{LANE_DUP, LANE_REORDER};
 use netsim::{covered, covering_end, FaultModel, FaultPlan, FaultStream, GilbertElliott};
 use std::cell::Cell;
@@ -300,8 +300,16 @@ impl<B: Backplane> Backplane for FaultBackplane<B> {
         let now = self.inner.now_ns();
         self.flush_due(now);
         bump(&self.stats, |s| s.frames_seen += 1);
-        let seq = frame.header.seq as u64;
+        let seq = frame.header.seq;
         let seed = self.cfg.seed;
+        let (node, channel) = (self.node as u32, rail as u32);
+        let event = |kind| Event {
+            t_ns: now,
+            node,
+            conn: None,
+            rail: Some(channel),
+            kind,
+        };
         let lane = &mut self.lanes[rail];
         while let Some(&(at, model)) = lane.burst_timeline.get(lane.bursts_applied) {
             if at > now {
@@ -320,15 +328,9 @@ impl<B: Backplane> Backplane for FaultBackplane<B> {
             bump(&self.stats, |s| s.blackout_dropped += 1);
             if !lane.in_blackout {
                 lane.in_blackout = true;
-                self.flight.note(
-                    FlightCode::FaultInjected,
-                    self.node,
-                    None,
-                    Some(rail as u32),
-                    0,
-                    now,
-                    now,
-                );
+                let fault = FaultKind::LinkDown;
+                let kind = EventKind::FaultInjected { fault };
+                self.flight.record(event(kind));
             }
             return true;
         }
@@ -336,15 +338,14 @@ impl<B: Backplane> Backplane for FaultBackplane<B> {
 
         let (lost, corrupted) = lane.faults.decide(seed, self.cfg.fault, attempt);
         if lost || corrupted {
-            let code = if lost {
+            let kind = if lost {
                 bump(&self.stats, |s| s.dropped += 1);
-                FlightCode::FrameDrop
+                EventKind::FrameDrop { channel, seq }
             } else {
                 bump(&self.stats, |s| s.corrupt_dropped += 1);
-                FlightCode::FrameCorrupt
+                EventKind::FrameCorrupt { channel, seq }
             };
-            self.flight
-                .note(code, self.node, None, Some(rail as u32), seq, 0, now);
+            self.flight.record(event(kind));
             return true;
         }
 

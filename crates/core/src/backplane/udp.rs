@@ -77,7 +77,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use frame::{decode_frame_shared, encode_frame_to_slice, CodecError, Frame, MacAddr, HEADER_LEN};
-use me_trace::{FlightCode, FlightRecorder, Json};
+use me_trace::{Event, EventKind, FlightRecorder, Json};
 
 use super::sys::{self, PollSet, Received};
 use super::{Backplane, BpRx};
@@ -602,15 +602,14 @@ impl UdpFabric {
                 }
                 Err(err @ CodecError::Checksum { .. }) => {
                     add(&self.corrupt_dropped, 1);
-                    self.flight.borrow().note(
-                        FlightCode::FrameCorrupt,
-                        node,
-                        None,
-                        Some(rail as u32),
-                        0,
-                        0,
-                        now,
-                    );
+                    let (channel, seq) = (rail as u32, 0);
+                    self.flight.borrow().record(Event {
+                        t_ns: now,
+                        node: node as u32,
+                        conn: None,
+                        rail: Some(channel),
+                        kind: EventKind::FrameCorrupt { channel, seq },
+                    });
                     self.push_rx_error(UdpRxError::Corrupt { node, rail, err });
                 }
                 Err(err) => {

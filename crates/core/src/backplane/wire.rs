@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use frame::Frame;
-use me_trace::{FlightRecorder, HealthConfig, HealthReport, SpanRecorder, Timeline};
+use me_trace::{EventKind, FlightRecorder, HealthConfig, HealthReport, SpanRecorder, Timeline};
 
 use crate::config::ProtoConfig;
 use crate::ops::{Notification, OpFlags, OpKind};
@@ -633,9 +633,10 @@ pub fn drive_with<BA: Backplane, BB: Backplane>(
                 .then(|| classify_stall(a, b, idle))
         });
         if let Some(err) = trip {
+            let (error, idle_ns) = (err.code(), idle);
+            let event = EventKind::Watchdog { error, idle_ns };
             for ep in [&*a, &*b] {
-                let flight = &ep.core.obs.flight;
-                flight.watchdog(ep.node(), Some(0), err.code(), idle, now);
+                ep.core.obs.emit(now, Some(0), None, event);
             }
             return Err(err);
         }

@@ -620,11 +620,8 @@ impl Endpoint {
         if inner.cpu_proto.available_at() > now {
             // Protocol thread active: polled, no interrupt.
             inner.core.host_stats().rx_coalesced += 1;
-            inner
-                .core
-                .obs
-                .tracer
-                .emit(now.as_nanos(), None, None, EventKind::RxPoll { batch: 1 });
+            let event = EventKind::RxPoll { batch: 1 };
+            inner.core.obs.emit(now.as_nanos(), None, None, event);
             let cost = Self::rx_cost(&inner.cfg.cost, &rx);
             let (_, end) = inner.cpu_proto.reserve(now, cost);
             if rx.corrupted {
@@ -648,11 +645,8 @@ impl Endpoint {
         let mut inner = self.inner.borrow_mut();
         if inner.cpu_proto.available_at() > now {
             inner.core.host_stats().tx_coalesced += 1;
-            inner
-                .core
-                .obs
-                .tracer
-                .emit(now.as_nanos(), None, None, EventKind::TxPoll);
+            let event = EventKind::TxPoll;
+            inner.core.obs.emit(now.as_nanos(), None, None, event);
             let cost = inner.cfg.cost.tx_complete_proc;
             inner.cpu_proto.reserve(now, cost);
         } else {
@@ -725,11 +719,7 @@ impl Endpoint {
                 stats.tx_coalesced += n_tx - 1;
                 EventKind::TxInterrupt
             };
-            inner
-                .core
-                .obs
-                .tracer
-                .emit(now.as_nanos(), None, None, event);
+            inner.core.obs.emit(now.as_nanos(), None, None, event);
             let cm = inner.cfg.cost.clone();
             inner.cpu_proto.reserve(now, cm.interrupt + cm.kthread_wake);
             let mut applies = std::mem::take(&mut inner.applies_scratch);

@@ -15,6 +15,9 @@ pub const PAGE_SIZE: usize = 4096;
 /// Sparse byte-addressable virtual address space.
 #[derive(Default)]
 pub struct AppMemory {
+    /// Randomly seeded on purpose: page numbers come off the wire, chosen
+    /// by the peer, so a fixed hasher would hand it collisions. Pages are
+    /// looked up, never iterated, so the seed cannot reach any output.
     pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
 }
 

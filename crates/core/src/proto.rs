@@ -50,9 +50,7 @@ use crate::seqspace::{from_wire, to_wire};
 use crate::stats::ProtoStats;
 use bytes::Bytes;
 use frame::{FastMap, Frame, FrameFlags, FrameHeader, FrameKind, MacAddr, NackRanges};
-use me_trace::{
-    EventKind, FlightCode, FlightRecorder, Leg, SpanKey, SpanKind, SpanRecorder, Tracer,
-};
+use me_trace::{Event, EventKind, FlightRecorder, Leg, SpanKey, SpanKind, SpanRecorder, Tracer};
 use netsim::time::{Dur, SimTime};
 use std::collections::VecDeque;
 
@@ -178,47 +176,34 @@ impl Observers {
     /// completion (module docs).
     pub fn op_completed(&self, conn: usize, op: u64, latency_ns: Option<u64>, now_ns: u64) {
         self.spans.op_completed(self.key(conn, op), now_ns);
-        let op32 = u64::from(to_wire(op));
-        self.note(
-            FlightCode::OpComplete,
-            conn,
-            None,
-            op32,
-            latency_ns.unwrap_or(0),
-            now_ns,
-        );
-        if self.tracer.is_enabled() {
-            if let Some(lat) = latency_ns {
-                self.tracer.op_latency(conn as u32, lat);
-            }
-            self.trace(now_ns, conn, None, EventKind::OpComplete { op });
+        if let Some(lat) = latency_ns {
+            self.tracer.op_latency(conn as u32, lat);
         }
+        let latency_ns = latency_ns.unwrap_or(0);
+        let event = EventKind::OpComplete { op, latency_ns };
+        self.emit(now_ns, Some(conn), None, event);
     }
 
-    /// Trace one event on connection `conn`.
+    /// Record one event on this node into the tracer and the flight
+    /// recorder: the same [`Event`] for both, one branch per disabled
+    /// plane. Every protocol event site calls this, and only this.
     #[inline]
-    fn trace(&self, now_ns: u64, conn: usize, rail: Option<u32>, kind: EventKind) {
-        self.tracer.emit(now_ns, Some(conn as u32), rail, kind);
-    }
-
-    /// Note one flight-recorder event on connection `conn`.
-    #[inline]
-    fn note(&self, code: FlightCode, conn: usize, rail: Option<u32>, a: u64, b: u64, now_ns: u64) {
-        self.flight
-            .note(code, self.node, Some(conn), rail, a, b, now_ns);
+    pub(crate) fn emit(&self, now_ns: u64, conn: Option<usize>, rail: Option<u32>, kind: EventKind) {
+        let e = Event {
+            t_ns: now_ns,
+            node: self.node as u32,
+            conn: conn.map(|c| c as u32),
+            rail,
+            kind,
+        };
+        self.tracer.emit(e);
+        self.flight.record(e);
     }
 
     /// Span key of op `op` issued by this node on `conn`.
     #[inline]
     fn key(&self, conn: usize, op: u64) -> SpanKey {
         SpanKey::new(self.node, conn, to_wire(op))
-    }
-
-    /// A rail of `conn` was declared dead.
-    fn rail_died(&self, conn: usize, rail: usize, now_ns: u64) {
-        let rail = rail as u32;
-        self.trace(now_ns, conn, Some(rail), EventKind::RailDown { rail });
-        self.flight.rail_death(self.node, Some(conn), rail, now_ns);
     }
 
     fn observed(&self) -> bool {
@@ -733,15 +718,12 @@ impl<T> ProtoCore<T> {
                 (op_id, SpanKind::Read, 1, len as u64)
             }
         };
-        let op32 = u64::from(to_wire(op_id));
-        self.obs
-            .trace(now_ns, conn, None, EventKind::OpIssue { op: op_id });
+        let event = EventKind::OpIssue { op: op_id, bytes };
+        self.obs.emit(now_ns, Some(conn), None, event);
         let key = self.obs.key(conn, op_id);
         self.obs
             .spans
             .op_issued(key, span_kind, created_ns, now_ns, nfrags as u32, bytes);
-        self.obs
-            .note(FlightCode::OpIssue, conn, None, op32, bytes, now_ns);
         self.pump_send(conn, false, host);
         self.ensure_rto(conn);
         self.flush(host);
@@ -891,7 +873,8 @@ impl<T> ProtoCore<T> {
         for _ in old_sent..c.sent_up_to {
             c.send_queue.pop_front();
         }
-        obs.trace(now_ns, conn, Some(rail), EventKind::AckPiggyback { ack });
+        let event = EventKind::AckPiggyback { ack };
+        obs.emit(now_ns, Some(conn), Some(rail), event);
         // Credit the rails that carried the newly-covered frames, and take
         // an RTT sample from the freshest first-transmission frame (Karn's
         // algorithm: retransmitted frames have ambiguous acks).
@@ -904,11 +887,9 @@ impl<T> ProtoCore<T> {
                 rtt_sample = Some(now.since(slot.sent_at));
             }
             if let Some(RailEvent::Readmitted(r)) = c.rails.on_ack(slot.rail, seq) {
-                let r = r as u32;
                 stats.rail_up_events += 1;
                 c.stats.rail_up_events += 1;
-                obs.trace(now_ns, conn, Some(r), EventKind::RailUp { rail: r });
-                obs.note(FlightCode::RailUp, conn, Some(r), 0, 0, now_ns);
+                obs.emit(now_ns, Some(conn), Some(r as u32), EventKind::RailUp);
             }
         }
         match rtt_sample {
@@ -978,14 +959,15 @@ impl<T> ProtoCore<T> {
             if let Some(RailEvent::Dead(r)) = c.rails.on_loss(lost_on, seq, now) {
                 self.stats.rail_down_events += 1;
                 c.stats.rail_down_events += 1;
-                self.obs.rail_died(conn, r, now_ns);
+                let rail = Some(r as u32);
+                self.obs.emit(now_ns, Some(conn), rail, EventKind::RailDown);
             }
         }
         let n = to_resend.len() as u64;
         self.count(conn, |s| s.retransmits_nack += n);
         let gaps = ranges.ranges.len() as u32;
         self.obs
-            .trace(now_ns, conn, Some(rail), EventKind::NackRecv { gaps });
+            .emit(now_ns, Some(conn), Some(rail), EventKind::NackRecv { gaps });
         host.work(HostWork::Retransmit { frames: n });
         for &seq in &to_resend {
             self.transmit(conn, seq, true, host);
@@ -1028,10 +1010,7 @@ impl<T> ProtoCore<T> {
             s.ooo_arrivals += u64::from(!in_order);
         });
         let event = EventKind::FrameRecv { seq, in_order };
-        self.obs.trace(now_ns, conn, Some(rail), event);
-        let detail = u64::from(in_order);
-        self.obs
-            .note(FlightCode::FrameRecv, conn, Some(rail), seq, detail, now_ns);
+        self.obs.emit(now_ns, Some(conn), Some(rail), event);
         if self.obs.spans.is_enabled() {
             // Reorder admission; a write's last fragment also joins the
             // cumulative-ack waiter queue.
@@ -1076,10 +1055,8 @@ impl<T> ProtoCore<T> {
         // The fragment was held back iff the buffer count grew.
         if observed && c.order.buffered() > buffered_before {
             c.fence_stall_start.entry(op_id).or_insert(now);
-            if self.obs.tracer.is_enabled() {
-                let event = EventKind::FenceStall { op: op_id };
-                self.obs.trace(now_ns, conn, None, event);
-            }
+            let event = EventKind::FenceStall { op: op_id };
+            self.obs.emit(now_ns, Some(conn), None, event);
         }
         if observed {
             for (m, _) in &release.apply {
@@ -1179,11 +1156,7 @@ impl<T> ProtoCore<T> {
     /// the serve, a held read response delays the initiator's release.
     fn fence_released(&self, conn: usize, op: u64, stalled_ns: u64) {
         let (obs, now_ns) = (&self.obs, self.now_ns());
-        if obs.tracer.is_enabled() {
-            let event = EventKind::FenceRelease { op, stalled_ns };
-            obs.trace(now_ns, conn, None, event);
-            obs.tracer.fence_stall(conn as u32, stalled_ns);
-        }
+        obs.tracer.fence_stall(conn as u32, stalled_ns);
         if let Some(mi) = self.conns[conn].op_meta.get(&op) {
             let origin = self.peer_key(conn, op);
             match mi.kind {
@@ -1195,9 +1168,8 @@ impl<T> ProtoCore<T> {
                 _ => {}
             }
         }
-        let op32 = u64::from(to_wire(op));
-        obs.flight
-            .fence_release(obs.node, conn, op32, stalled_ns, now_ns);
+        let event = EventKind::FenceRelease { op, stalled_ns };
+        obs.emit(now_ns, Some(conn), None, event);
     }
 
     /// Target-side service of a remote read: build and send the response op.
@@ -1293,25 +1265,22 @@ impl<T> ProtoCore<T> {
             },
             payload,
         };
-        let (event, code, detail) = match nack {
+        let event = match nack {
             None => {
                 stats.explicit_acks_sent += 1;
                 c.stats.explicit_acks_sent += 1;
                 c.frames_since_ack = 0;
-                let event = EventKind::ExplicitAck { ack: cum };
-                (event, FlightCode::AckExplicit, 0)
+                EventKind::ExplicitAck { ack: cum }
             }
             Some(r) => {
                 stats.nacks_sent += 1;
                 c.stats.nacks_sent += 1;
                 let gaps = r.ranges.len() as u32;
-                (EventKind::NackSend { gaps }, FlightCode::Nack, gaps)
+                EventKind::NackSend { cum, gaps }
             }
         };
-        let rail32 = Some(rail as u32);
-        obs.trace(now_ns, conn, rail32, event);
+        obs.emit(now_ns, Some(conn), Some(rail as u32), event);
         obs.spans.ack_sent(obs.node, conn, cum, now_ns);
-        obs.note(code, conn, rail32, cum, u64::from(detail), now_ns);
         host.work(HostWork::CtrlFrame);
         effects.push(Effect::Send { rail, frame });
     }
@@ -1393,18 +1362,15 @@ impl<T> ProtoCore<T> {
                 s.rto_backoff_max = s.rto_backoff_max.max(u64::from(backoff));
             }
             let lost_on = lost_on.map(|r| r as u32);
-            obs.trace(now_ns, conn, lost_on, EventKind::RtoFire { seq });
+            obs.emit(now_ns, Some(conn), lost_on, EventKind::RtoFire { seq });
             let event = EventKind::RtoBackoff { rto_ns, backoff };
-            obs.trace(now_ns, conn, lost_on, event);
-            obs.note(FlightCode::RtoFire, conn, lost_on, seq, 0, now_ns);
-            obs.flight
-                .rto_backoff(obs.node, conn, lost_on, rto_ns, backoff, now_ns);
+            obs.emit(now_ns, Some(conn), lost_on, event);
             if rail_ev.is_some() {
                 c.stats.rail_down_events += 1;
             }
             if let Some(RailEvent::Dead(r)) = rail_ev {
                 stats.rail_down_events += 1;
-                obs.rail_died(conn, r, now_ns);
+                obs.emit(now_ns, Some(conn), Some(r as u32), EventKind::RailDown);
             }
             host.work(HostWork::Retransmit { frames: 1 });
             self.transmit(conn, seq, true, host);
@@ -1489,7 +1455,7 @@ impl<T> ProtoCore<T> {
         let obs = &self.obs;
         let rail32 = rail as u32;
         let event = EventKind::FrameSend { seq, retransmit };
-        obs.trace(now_ns, conn, Some(rail32), event);
+        obs.emit(now_ns, Some(conn), Some(rail32), event);
         if obs.spans.is_enabled() {
             // The frame joins the rail's transmit backlog behind whatever
             // is already queued: that backlog is the RailQueue phase.
@@ -1501,15 +1467,6 @@ impl<T> ProtoCore<T> {
             // Every data-bearing frame piggybacks the cumulative ack.
             obs.spans.ack_sent(node, conn, cum, now_ns);
         }
-        let detail = u64::from(retransmit);
-        obs.note(
-            FlightCode::FrameSend,
-            conn,
-            Some(rail32),
-            seq,
-            detail,
-            now_ns,
-        );
         self.effects.push(Effect::Send { rail, frame: f });
     }
 

@@ -26,7 +26,9 @@ use crate::endpoint::Endpoint;
 use crate::proto::{Host, ProtoCore};
 use crate::railhealth::RailState;
 use crate::stats::ProtoStats;
-use me_trace::{HealthConfig, HealthMonitor, HealthReport, SourceId, Timeline, TimelineBuilder};
+use me_trace::{
+    EventKind, HealthConfig, HealthMonitor, HealthReport, SourceId, Timeline, TimelineBuilder,
+};
 use netsim::{Dur, Sim};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -47,7 +49,7 @@ pub fn rail_state_code(s: RailState) -> u64 {
 /// Built by [`ProtoCore::start_sampler`], filled by [`ProtoCore::sample`].
 pub struct CoreSampler {
     tl: Timeline,
-    /// Connection a newly opened incident's flight note is attributed to.
+    /// Connection a newly opened incident's `anomaly` event is attributed to.
     conn: Option<usize>,
     /// The monotone [`ProtoStats`] counters in registration order, then
     /// `rx_rejected`, `storm_suppressed`, `progress_token`.
@@ -96,7 +98,7 @@ impl<T> ProtoCore<T> {
     /// streaming [`HealthMonitor`] runs on every committed row and its
     /// state rides along in flight dumps as the `health` context source
     /// (attach the flight recorder first). `conn` only attributes the
-    /// anomaly note a newly opened incident leaves in the flight ring.
+    /// `anomaly` event a newly opened incident emits.
     pub fn start_sampler(
         &self,
         conn: Option<usize>,
@@ -192,9 +194,9 @@ impl<T> ProtoCore<T> {
         // The monitor borrow is released before the flight recorder runs:
         // its dump evaluates the `health` context source.
         if let Some(cause) = opened {
-            let open = health.borrow().open_incidents() as u64;
-            let (flight, node) = (&self.obs.flight, self.obs.node);
-            flight.anomaly(node, s.conn, cause.ordinal() as u64, open, now_ns);
+            let open = health.borrow().open_incidents() as u32;
+            let event = EventKind::Anomaly { cause, open };
+            self.obs.emit(now_ns, s.conn, None, event);
         }
     }
 }
@@ -253,7 +255,7 @@ impl Endpoint {
     /// row every `interval`, at most `capacity` retained rows (oldest
     /// evicted beyond that). Every column aggregates over all of the
     /// endpoint's connections ([`ProtoCore::sample`]); `conn` only names
-    /// the connection a health incident's flight note is attributed to.
+    /// the connection a health incident's `anomaly` event is attributed to.
     /// The sampler disarms itself when the simulation runs out of live
     /// tasks; call [`EndpointSampler::finish`] after `sim.run()` for the
     /// final reconciliation row.

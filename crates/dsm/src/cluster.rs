@@ -4,12 +4,12 @@ use crate::array::{Pod, SharedArray};
 use crate::layout::HeapAllocator;
 use crate::node::DsmNode;
 use crate::stats::DsmStats;
+use frame::FastMap;
 use me_stats::Breakdown;
 use multiedge::{Endpoint, SystemConfig};
 use netsim::{build_cluster, Sim};
 use multiedge::PAGE_SIZE;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// How a shared allocation's pages are distributed over home nodes.
@@ -39,7 +39,7 @@ pub struct DsmCluster {
     /// The netsim cluster (for network-level statistics).
     pub cluster: netsim::Cluster,
     alloc: Rc<RefCell<HeapAllocator>>,
-    homes: Rc<RefCell<HashMap<u64, u16>>>,
+    homes: Rc<RefCell<FastMap<u64, u16>>>,
 }
 
 impl DsmCluster {
@@ -59,7 +59,7 @@ impl DsmCluster {
                 conns[j][i] = Some(cji);
             }
         }
-        let homes: Rc<RefCell<HashMap<u64, u16>>> = Rc::new(RefCell::new(HashMap::new()));
+        let homes: Rc<RefCell<FastMap<u64, u16>>> = Rc::default();
         let nodes: Vec<DsmNode> = (0..n)
             .map(|i| {
                 DsmNode::new(

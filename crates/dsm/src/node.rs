@@ -23,12 +23,13 @@ use crate::layout::{
 };
 use crate::msg::{merge_pages, union_ranges, CtlMsg, PageRange};
 use crate::stats::DsmStats;
+use frame::FastMap;
 use multiedge::{Endpoint, OpFlags, PAGE_SIZE};
 use netsim::sync::Flag;
 use netsim::time::Dur;
 use netsim::Sim;
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
 /// State of one cached (non-home) page.
@@ -45,10 +46,10 @@ struct LockMgr {
     held_by: Option<usize>,
     queue: VecDeque<usize>,
     /// Per page: serial of the latest release that dirtied it.
-    page_serials: HashMap<u64, u64>,
+    page_serials: FastMap<u64, u64>,
     serial: u64,
     /// Per node: serial as of its latest grant.
-    last_seen: HashMap<usize, u64>,
+    last_seen: FastMap<usize, u64>,
 }
 
 impl LockMgr {
@@ -87,21 +88,21 @@ struct NodeInner {
     nnodes: usize,
     /// Per-page home overrides (set at allocation time by the cluster);
     /// pages not present fall back to block-cyclic placement.
-    homes: Rc<RefCell<HashMap<u64, u16>>>,
+    homes: Rc<RefCell<FastMap<u64, u16>>>,
     /// `conns[peer]` is the connection id toward `peer`.
     conns: Vec<Option<usize>>,
-    pages: HashMap<u64, PageMeta>,
+    pages: FastMap<u64, PageMeta>,
     /// Home-owned pages dirtied locally (master updated in place; only the
     /// notices matter).
     home_dirty: BTreeSet<u64>,
     /// All pages dirtied since the last barrier (feeds barrier notices).
     notices_acc: BTreeSet<u64>,
-    lock_waits: HashMap<u32, Wait>,
-    lock_mgrs: HashMap<u32, LockMgr>,
-    barrier_mgrs: HashMap<u32, BarrierMgr>,
-    barrier_waits: HashMap<(u32, u64), Wait>,
+    lock_waits: FastMap<u32, Wait>,
+    lock_mgrs: FastMap<u32, LockMgr>,
+    barrier_mgrs: FastMap<u32, BarrierMgr>,
+    barrier_waits: FastMap<(u32, u64), Wait>,
     /// Local view of each barrier's next epoch.
-    barrier_epochs: HashMap<u32, u64>,
+    barrier_epochs: FastMap<u32, u64>,
     /// Outgoing mailbox ring cursors, per destination.
     ring: Vec<u64>,
     stats: DsmStats,
@@ -124,7 +125,7 @@ impl DsmNode {
         id: usize,
         nnodes: usize,
         conns: Vec<Option<usize>>,
-        homes: Rc<RefCell<HashMap<u64, u16>>>,
+        homes: Rc<RefCell<FastMap<u64, u16>>>,
     ) -> Self {
         Self {
             sim: sim.clone(),
@@ -134,14 +135,14 @@ impl DsmNode {
                 nnodes,
                 homes,
                 conns,
-                pages: HashMap::new(),
+                pages: FastMap::default(),
                 home_dirty: BTreeSet::new(),
                 notices_acc: BTreeSet::new(),
-                lock_waits: HashMap::new(),
-                lock_mgrs: HashMap::new(),
-                barrier_mgrs: HashMap::new(),
-                barrier_waits: HashMap::new(),
-                barrier_epochs: HashMap::new(),
+                lock_waits: FastMap::default(),
+                lock_mgrs: FastMap::default(),
+                barrier_mgrs: FastMap::default(),
+                barrier_waits: FastMap::default(),
+                barrier_epochs: FastMap::default(),
                 ring: vec![0; nnodes],
                 stats: DsmStats::default(),
             })),

@@ -95,8 +95,7 @@ mod tests {
     fn sequential_keys_spread() {
         // Sequential ids must not collapse onto a few buckets: check the
         // low bits of the hash differ across consecutive keys.
-        use std::collections::HashSet;
-        let low: HashSet<u64> = (0..64u64)
+        let low: std::collections::BTreeSet<u64> = (0..64u64)
             .map(|k| {
                 let mut h = FastHasher::default();
                 h.write_u64(k);

@@ -38,7 +38,7 @@ use crate::engine::Sim;
 use crate::faults::{splitmix64, FaultAction, FaultModel, FaultStream, LANE_JITTER};
 use crate::time::{Dur, SimTime};
 use frame::{FastMap, Frame, MacAddr};
-use me_trace::{EventKind, FaultKind, FlightCode, FlightRecorder, Tracer};
+use me_trace::{Event, EventKind, FaultKind, FlightRecorder, Tracer};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -282,32 +282,33 @@ pub struct Network {
     inner: Rc<RefCell<NetInner>>,
 }
 
-/// Record a frame's drop or corruption at its site: a trace event plus a
-/// flight note attributed to the sending node/conn/rail, channel id as
-/// payload.
+/// Record a frame's drop (or, with `corrupted`, its corruption) at its
+/// site into the tracer and the flight recorder, attributed to the sending
+/// node/conn/rail.
 fn note_fate(
     tracer: &Tracer,
     flight: &FlightRecorder,
-    (kind, code): (EventKind, FlightCode),
     f: &Frame,
     ch: ChannelId,
     t_ns: u64,
+    corrupted: bool,
 ) {
-    tracer.emit(t_ns, Some(f.header.conn), Some(f.src.rail as u32), kind);
-    flight.note(
-        code,
-        f.src.node as usize,
-        Some(f.header.conn as usize),
-        Some(f.src.rail as u32),
-        ch.0 as u64,
-        u64::from(f.header.seq),
+    let (channel, seq) = (ch.0 as u32, f.header.seq);
+    let kind = if corrupted {
+        EventKind::FrameCorrupt { channel, seq }
+    } else {
+        EventKind::FrameDrop { channel, seq }
+    };
+    let e = Event {
         t_ns,
-    );
+        node: f.src.node.into(),
+        conn: Some(f.header.conn),
+        rail: Some(f.src.rail.into()),
+        kind,
+    };
+    tracer.emit(e);
+    flight.record(e);
 }
-
-/// The two fates [`note_fate`] records, as (trace event, flight code).
-const DROPPED: (EventKind, FlightCode) = (EventKind::FrameDrop, FlightCode::FrameDrop);
-const CORRUPTED: (EventKind, FlightCode) = (EventKind::FrameCorrupt, FlightCode::FrameCorrupt);
 
 /// The stream of `mac`'s link, one direction of it.
 fn link_stream(mac: MacAddr, downlink: bool) -> FaultStream {
@@ -489,24 +490,21 @@ impl Network {
         for ch in channels.into_iter().flatten() {
             inner.channels[ch.0].apply(action);
         }
-        let kind = match action {
+        let fault = match action {
             FaultAction::LinkDown => FaultKind::LinkDown,
             FaultAction::LinkUp => FaultKind::LinkUp,
             FaultAction::NicStall { .. } => FaultKind::NicStall,
             FaultAction::SetBurst { .. } | FaultAction::ClearBurst => FaultKind::BurstModel,
         };
-        inner
-            .tracer
-            .emit(now.as_nanos(), None, Some(rail), EventKind::FaultInjected { kind });
-        inner.flight.note(
-            FlightCode::FaultInjected,
-            node as usize,
-            None,
-            Some(rail),
-            kind as u64,
-            0,
-            now.as_nanos(),
-        );
+        let e = Event {
+            t_ns: now.as_nanos(),
+            node: node.into(),
+            conn: None,
+            rail: Some(rail),
+            kind: EventKind::FaultInjected { fault },
+        };
+        inner.tracer.emit(e);
+        inner.flight.record(e);
     }
 
     /// Whether `nic`'s link is administratively up (its transmit leg).
@@ -554,7 +552,7 @@ impl Network {
             let attempt = c.faults.next_attempt();
             if !c.link_up {
                 c.drop_link_down += 1;
-                note_fate(tracer, flight, DROPPED, &f, ch, now.as_nanos());
+                note_fate(tracer, flight, &f, ch, now.as_nanos(), false);
                 return false;
             }
             // Lazily expire queue entries whose serialization has started.
@@ -563,7 +561,7 @@ impl Network {
             }
             if c.queued_starts.len() >= c.params.queue_cap {
                 c.drop_overflow += 1;
-                note_fate(tracer, flight, DROPPED, &f, ch, now.as_nanos());
+                note_fate(tracer, flight, &f, ch, now.as_nanos(), false);
                 return false;
             }
             let (lost, fresh_corrupt) = c.faults.decide(*fault_seed, *fault, attempt);
@@ -590,12 +588,12 @@ impl Network {
                 // A lost frame still occupied the wire (counted above); it
                 // just never lands.
                 c.drop_loss += 1;
-                note_fate(tracer, flight, DROPPED, &f, ch, now.as_nanos());
+                note_fate(tracer, flight, &f, ch, now.as_nanos(), false);
                 None
             } else {
                 if fresh_corrupt {
                     c.corrupted += 1;
-                    note_fate(tracer, flight, CORRUPTED, &f, ch, now.as_nanos());
+                    note_fate(tracer, flight, &f, ch, now.as_nanos(), true);
                 }
                 Some((arrival, c.to, pre_corrupt || fresh_corrupt))
             };

@@ -1,18 +1,27 @@
-//! Typed protocol events and their timestamped envelope.
+//! Typed protocol events and their timestamped envelope: the one event
+//! vocabulary the tracer and the flight recorder both keep.
+
+use crate::detect::IncidentCause;
+use crate::json::Json;
 
 /// What happened. One variant per protocol event class the paper's
-/// evaluation reasons about.
+/// evaluation reasons about, plus the liveness and health trips that
+/// trigger post-mortems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// An RDMA operation (write/read) was issued by the application.
     OpIssue {
         /// Operation id (per-connection, monotonically increasing).
         op: u64,
+        /// Bytes written, or requested by a read.
+        bytes: u64,
     },
-    /// An operation fully completed (acknowledged / data landed).
+    /// The application learned an operation completed.
     OpComplete {
         /// Operation id.
         op: u64,
+        /// Issue → completion latency in ns (0 when the driver has none).
+        latency_ns: u64,
     },
     /// A data or read-request frame was handed to a NIC.
     FrameSend {
@@ -41,6 +50,8 @@ pub enum EventKind {
     },
     /// A NACK frame reporting persistent gaps was sent.
     NackSend {
+        /// The cumulative ack it carries.
+        cum: u64,
         /// Number of missing ranges reported.
         gaps: u32,
     },
@@ -81,27 +92,33 @@ pub enum EventKind {
     TxInterrupt,
     /// A TX completion was absorbed by polling.
     TxPoll,
-    /// The network dropped a frame (queue overflow or injected loss).
-    FrameDrop,
-    /// The network delivered a frame with an injected corruption.
-    FrameCorrupt,
-    /// A scripted fault-plan event was applied by the network.
+    /// The fabric dropped a frame (queue overflow, injected loss, a downed
+    /// link).
+    FrameDrop {
+        /// The channel it was on: a netsim channel id, or the rail on the
+        /// wire backends (one channel per rail and direction).
+        channel: u32,
+        /// Its 32-bit wire sequence number (0 when undecodable).
+        seq: u32,
+    },
+    /// The fabric delivered (or discarded) a frame with damaged bits.
+    FrameCorrupt {
+        /// As [`EventKind::FrameDrop`].
+        channel: u32,
+        /// As [`EventKind::FrameDrop`].
+        seq: u32,
+    },
+    /// A scripted fault-plan event was applied by the fabric.
     FaultInjected {
         /// Which kind of fault fired.
-        kind: FaultKind,
+        fault: FaultKind,
     },
-    /// The sender's rail-health tracker declared a rail dead and excluded
-    /// it from striping.
-    RailDown {
-        /// The rail (local NIC index) taken out of rotation.
-        rail: u32,
-    },
-    /// A previously dead rail passed its re-admission probe and rejoined
-    /// the striping rotation.
-    RailUp {
-        /// The rail re-admitted.
-        rail: u32,
-    },
+    /// The sender's rail-health tracker declared the event's rail dead and
+    /// excluded it from striping.
+    RailDown,
+    /// The event's rail passed its re-admission probe and rejoined the
+    /// striping rotation.
+    RailUp,
     /// The adaptive retransmission timer fired without progress and backed
     /// its timeout off exponentially.
     RtoBackoff {
@@ -109,6 +126,21 @@ pub enum EventKind {
         rto_ns: u64,
         /// Consecutive backoffs since the last acknowledgement progress.
         backoff: u32,
+    },
+    /// A liveness watchdog tripped; the driver is about to surface a fatal
+    /// typed error.
+    Watchdog {
+        /// The typed error's stable discriminant.
+        error: u64,
+        /// Time without protocol progress, in ns.
+        idle_ns: u64,
+    },
+    /// The health monitor opened an incident.
+    Anomaly {
+        /// Its probable cause.
+        cause: IncidentCause,
+        /// Incidents now open.
+        open: u32,
     },
 }
 
@@ -137,6 +169,9 @@ impl FaultKind {
     }
 }
 
+/// A named payload field.
+type Field = Option<(&'static str, Json)>;
+
 impl EventKind {
     /// Short stable label for reports and JSON (`frame_send`, `rto_fire`, …).
     pub fn label(&self) -> &'static str {
@@ -156,79 +191,107 @@ impl EventKind {
             EventKind::RxPoll { .. } => "rx_poll",
             EventKind::TxInterrupt => "tx_interrupt",
             EventKind::TxPoll => "tx_poll",
-            EventKind::FrameDrop => "frame_drop",
-            EventKind::FrameCorrupt => "frame_corrupt",
+            EventKind::FrameDrop { .. } => "frame_drop",
+            EventKind::FrameCorrupt { .. } => "frame_corrupt",
             EventKind::FaultInjected { .. } => "fault_injected",
-            EventKind::RailDown { .. } => "rail_down",
-            EventKind::RailUp { .. } => "rail_up",
+            EventKind::RailDown => "rail_down",
+            EventKind::RailUp => "rail_up",
             EventKind::RtoBackoff { .. } => "rto_backoff",
+            EventKind::Watchdog { .. } => "watchdog",
+            EventKind::Anomaly { .. } => "anomaly",
         }
+    }
+
+    /// The payload's named fields, in declaration order (at most two).
+    /// Every renderer reads this one list.
+    fn fields(&self) -> impl Iterator<Item = (&'static str, Json)> {
+        use EventKind::*;
+        let num = |name, v: u64| Some((name, Json::from(v)));
+        let flag = |name, v: bool| Some((name, Json::from(v)));
+        let label = |name, v: &str| Some((name, Json::from(v)));
+        let f: [Field; 2] = match *self {
+            OpIssue { op, bytes } => [num("op", op), num("bytes", bytes)],
+            OpComplete { op, latency_ns } => [num("op", op), num("latency_ns", latency_ns)],
+            FrameSend { seq, retransmit } => [num("seq", seq), flag("retransmit", retransmit)],
+            FrameRecv { seq, in_order } => [num("seq", seq), flag("in_order", in_order)],
+            AckPiggyback { ack } | ExplicitAck { ack } => [num("ack", ack), None],
+            NackSend { cum, gaps } => [num("cum", cum), num("gaps", gaps.into())],
+            NackRecv { gaps } => [num("gaps", gaps.into()), None],
+            RtoFire { seq } => [num("seq", seq), None],
+            FenceStall { op } => [num("op", op), None],
+            FenceRelease { op, stalled_ns } => [num("op", op), num("stalled_ns", stalled_ns)],
+            RxInterrupt { batch } | RxPoll { batch } => [num("batch", batch.into()), None],
+            FrameDrop { channel, seq } | FrameCorrupt { channel, seq } => {
+                [num("channel", channel.into()), num("seq", seq.into())]
+            }
+            FaultInjected { fault } => [label("fault", fault.label()), None],
+            RtoBackoff { rto_ns, backoff } => {
+                [num("rto_ns", rto_ns), num("backoff", backoff.into())]
+            }
+            Watchdog { error, idle_ns } => [num("error", error), num("idle_ns", idle_ns)],
+            Anomaly { cause, open } => [label("cause", cause.label()), num("open", open.into())],
+            TxInterrupt | TxPoll | RailDown | RailUp => [None, None],
+        };
+        f.into_iter().flatten()
     }
 }
 
-/// A timestamped, attributed protocol event.
+/// A timestamped, attributed protocol event. `Copy` and at most 56 bytes:
+/// recording one is a store into a preallocated ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    /// Simulation time in nanoseconds.
+    /// Time in nanoseconds (simulated, or the wire driver's clock).
     pub t_ns: u64,
-    /// Connection id, when the event is connection-attributable.
+    /// The node the event happened on.
+    pub node: u32,
+    /// Connection id on that node, when the event is connection-attributable.
     pub conn: Option<u32>,
-    /// Link (channel) id, when the event is link-attributable.
-    pub link: Option<u32>,
+    /// Rail (local NIC index), when the event is rail-attributable.
+    pub rail: Option<u32>,
     /// The typed payload.
     pub kind: EventKind,
 }
 
+const _: () = assert!(std::mem::size_of::<Event>() <= 56);
+
 impl Event {
     /// One-line human rendering used by the timeline reporter.
     pub fn render(&self) -> String {
-        let mut s = format!("{:>12} ns  {:<13}", self.t_ns, self.kind.label());
+        let (t, label, node) = (self.t_ns, self.kind.label(), self.node);
+        let mut s = format!("{t:>12} ns  {label:<13} node={node}");
         if let Some(c) = self.conn {
             s.push_str(&format!(" conn={c}"));
         }
-        if let Some(l) = self.link {
-            s.push_str(&format!(" link={l}"));
+        if let Some(r) = self.rail {
+            s.push_str(&format!(" rail={r}"));
         }
-        match self.kind {
-            EventKind::OpIssue { op } | EventKind::OpComplete { op } | EventKind::FenceStall { op } => {
-                s.push_str(&format!(" op={op}"));
-            }
-            EventKind::FenceRelease { op, stalled_ns } => {
-                s.push_str(&format!(" op={op} stalled={stalled_ns}ns"));
-            }
-            EventKind::FrameSend { seq, retransmit } => {
-                s.push_str(&format!(" seq={seq}"));
-                if retransmit {
-                    s.push_str(" retransmit");
-                }
-            }
-            EventKind::FrameRecv { seq, in_order } => {
-                s.push_str(&format!(" seq={seq}"));
-                if !in_order {
-                    s.push_str(" out-of-order");
-                }
-            }
-            EventKind::AckPiggyback { ack } | EventKind::ExplicitAck { ack } => {
-                s.push_str(&format!(" ack={ack}"));
-            }
-            EventKind::NackSend { gaps } | EventKind::NackRecv { gaps } => {
-                s.push_str(&format!(" gaps={gaps}"));
-            }
-            EventKind::RtoFire { seq } => s.push_str(&format!(" seq={seq}")),
-            EventKind::RxInterrupt { batch } | EventKind::RxPoll { batch } => {
-                s.push_str(&format!(" batch={batch}"));
-            }
-            EventKind::FaultInjected { kind } => {
-                s.push_str(&format!(" fault={}", kind.label()));
-            }
-            EventKind::RailDown { rail } | EventKind::RailUp { rail } => {
-                s.push_str(&format!(" rail={rail}"));
-            }
-            EventKind::RtoBackoff { rto_ns, backoff } => {
-                s.push_str(&format!(" rto={rto_ns}ns backoff={backoff}"));
-            }
-            EventKind::TxInterrupt | EventKind::TxPoll | EventKind::FrameDrop | EventKind::FrameCorrupt => {}
+        for (name, v) in self.kind.fields() {
+            let v = match v {
+                Json::Str(label) => label,
+                v => v.render(),
+            };
+            s.push_str(&format!(" {name}={v}"));
         }
         s
+    }
+
+    /// The event as one JSON object: `t_ns`, `kind`, `node`, `conn` and
+    /// `rail` when set, then the payload's named fields. Trace reports and
+    /// flight dumps both write this form.
+    pub fn to_json(&self) -> Json {
+        let mut j = Json::obj()
+            .set("t_ns", self.t_ns)
+            .set("kind", self.kind.label())
+            .set("node", self.node);
+        if let Some(c) = self.conn {
+            j = j.set("conn", c);
+        }
+        if let Some(r) = self.rail {
+            j = j.set("rail", r);
+        }
+        for (name, v) in self.kind.fields() {
+            j = j.set(name, v);
+        }
+        j
     }
 }

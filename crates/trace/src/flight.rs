@@ -1,31 +1,35 @@
-//! Always-on flight recorder: a bounded, allocation-free event ring with
-//! trigger-based post-mortem dumps.
+//! Always-on flight recorder: a retention and trigger policy over an
+//! [`EventRing`] of the tracer's own [`Event`]s.
 //!
-//! The full [`crate::Tracer`] keeps typed events and is meant for benches;
-//! the flight recorder is its production-grade sibling. Recording one
-//! [`FlightEvent`] is a single 32-byte store into a ring preallocated at
-//! enable time — nothing on the clean path allocates, so the recorder can
-//! stay enabled in production-style runs (the datapath bench gates this at
-//! ≤5% throughput cost and 0 allocs/frame). When something goes wrong —
-//! RTO backoff past a threshold, a rail declared Dead, a fence stall past a
-//! bound — the recorder snapshots the ring (and, when wired to a
+//! The full [`crate::Tracer`] keeps one ring per endpoint plus histograms and
+//! is meant for benches; the flight recorder is its production-grade
+//! sibling, one ring per cluster. Recording an event is one 56-byte store
+//! into a ring of [`RING_EVENTS`] preallocated at enable time — nothing on
+//! the clean path allocates, so the recorder can stay enabled in
+//! production-style runs (the datapath bench gates 0 allocs/frame). The
+//! trigger is read off the event itself — RTO backoff past a threshold, a
+//! rail declared Dead, a fence stall past a bound, a watchdog trip, a health
+//! incident — and the recorder then snapshots the ring (and, when wired to a
 //! [`SpanRecorder`], a full latency attribution) into a JSON post-mortem:
-//! kept in memory, optionally written to `dump_dir`, and renderable with
-//! the `me-inspect` example binary.
+//! kept in memory, optionally written to `dump_dir`, and renderable with the
+//! `me-inspect` example binary.
 
 use crate::attribution::analyze;
+use crate::event::{Event, EventKind};
 use crate::json::Json;
+use crate::ring::EventRing;
 use crate::span::SpanRecorder;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Flight recorder knobs. The defaults suit production-style runs: a 4096
-/// event ring (~128 KiB), dumps on the third RTO backoff, rail death, or a
-/// fence stall past 10 ms, at most 8 dumps retained.
+/// Events the ring retains (preallocated; ~224 KiB).
+pub const RING_EVENTS: usize = 4096;
+
+/// Flight recorder knobs. The defaults suit production-style runs: dumps on
+/// the third RTO backoff, rail death, a fence stall past 10 ms, a watchdog
+/// trip or a health incident, at most 8 dumps retained.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightConfig {
-    /// Ring capacity in events (preallocated; each event is 32 bytes).
-    pub ring: usize,
     /// Dump when a connection's RTO backoff exponent reaches this value
     /// (0 disables the trigger).
     pub rto_backoff_trigger: u32,
@@ -34,9 +38,6 @@ pub struct FlightConfig {
     pub fence_stall_trigger_ns: u64,
     /// Dump when rail health declares a rail Dead.
     pub dump_on_rail_death: bool,
-    /// Dump when the health monitor opens an incident (the `Anomaly`
-    /// trigger).
-    pub dump_on_anomaly: bool,
     /// Retain at most this many dumps (further triggers are counted but
     /// suppressed).
     pub max_dumps: usize,
@@ -54,11 +55,9 @@ pub struct FlightConfig {
 impl Default for FlightConfig {
     fn default() -> Self {
         FlightConfig {
-            ring: 4096,
             rto_backoff_trigger: 3,
             fence_stall_trigger_ns: 10_000_000,
             dump_on_rail_death: true,
-            dump_on_anomaly: true,
             max_dumps: 8,
             dedup_window_ns: 0,
             dump_dir: None,
@@ -66,119 +65,36 @@ impl Default for FlightConfig {
     }
 }
 
-/// What a [`FlightEvent`] records. Discriminants are stable (they appear in
-/// dumps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum FlightCode {
-    /// An op was issued (`a` = wire op id, `b` = bytes).
-    OpIssue = 0,
-    /// An op completed (`a` = wire op id, `b` = latency ns).
-    OpComplete = 1,
-    /// A frame went to a NIC (`a` = seq, `b` = 1 if retransmit).
-    FrameSend = 2,
-    /// A frame was admitted (`a` = seq, `b` = 1 if in order).
-    FrameRecv = 3,
-    /// The network dropped a frame (`a` = link id).
-    FrameDrop = 4,
-    /// The network corrupted a frame (`a` = link id).
-    FrameCorrupt = 5,
-    /// An explicit ack left (`a` = cumulative ack).
-    AckExplicit = 6,
-    /// A NACK left (`a` = cumulative ack, `b` = gap count).
-    Nack = 7,
-    /// A retransmission timer fired (`a` = seq).
-    RtoFire = 8,
-    /// The RTO backed off (`a` = new RTO ns, `b` = backoff exponent).
-    RtoBackoff = 9,
-    /// Rail health declared a rail Dead.
-    RailDown = 10,
-    /// A rail was re-admitted.
-    RailUp = 11,
-    /// A fence released (`a` = wire op id, `b` = stalled ns).
-    FenceRelease = 12,
-    /// The fault plan acted (`a` = fault kind ordinal).
-    FaultInjected = 13,
-    /// A liveness watchdog tripped (`a` = error discriminant, `b` = ns
-    /// without protocol progress).
-    Watchdog = 14,
-    /// The health monitor opened an incident (`a` = [`IncidentCause`]
-    /// ordinal, `b` = open-incident count).
-    ///
-    /// [`IncidentCause`]: crate::detect::IncidentCause
-    Anomaly = 15,
-}
-
-impl FlightCode {
-    /// Stable snake_case label used in dump JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            FlightCode::OpIssue => "op_issue",
-            FlightCode::OpComplete => "op_complete",
-            FlightCode::FrameSend => "frame_send",
-            FlightCode::FrameRecv => "frame_recv",
-            FlightCode::FrameDrop => "frame_drop",
-            FlightCode::FrameCorrupt => "frame_corrupt",
-            FlightCode::AckExplicit => "ack_explicit",
-            FlightCode::Nack => "nack",
-            FlightCode::RtoFire => "rto_fire",
-            FlightCode::RtoBackoff => "rto_backoff",
-            FlightCode::RailDown => "rail_down",
-            FlightCode::RailUp => "rail_up",
-            FlightCode::FenceRelease => "fence_release",
-            FlightCode::FaultInjected => "fault_injected",
-            FlightCode::Watchdog => "watchdog",
-            FlightCode::Anomaly => "anomaly",
+impl FlightConfig {
+    /// The dump `kind` triggers, if any. A watchdog trip and a health
+    /// incident always dump: the driver is about to fail, or the monitor
+    /// has named a cause, and this ring is the post-mortem.
+    fn trigger(&self, kind: &EventKind) -> Option<&'static str> {
+        let armed = |bound: u64, v: u64| bound > 0 && v >= bound;
+        match *kind {
+            EventKind::RtoBackoff { backoff, .. }
+                if armed(self.rto_backoff_trigger.into(), backoff.into()) =>
+            {
+                Some("rto_backoff")
+            }
+            EventKind::RailDown if self.dump_on_rail_death => Some("rail_death"),
+            EventKind::FenceRelease { stalled_ns, .. }
+                if armed(self.fence_stall_trigger_ns, stalled_ns) =>
+            {
+                Some("fence_stall")
+            }
+            EventKind::Watchdog { .. } => Some("watchdog"),
+            EventKind::Anomaly { .. } => Some("anomaly"),
+            _ => None,
         }
     }
-
-    fn from_u8(v: u8) -> &'static str {
-        const ALL: [FlightCode; 16] = [
-            FlightCode::OpIssue,
-            FlightCode::OpComplete,
-            FlightCode::FrameSend,
-            FlightCode::FrameRecv,
-            FlightCode::FrameDrop,
-            FlightCode::FrameCorrupt,
-            FlightCode::AckExplicit,
-            FlightCode::Nack,
-            FlightCode::RtoFire,
-            FlightCode::RtoBackoff,
-            FlightCode::RailDown,
-            FlightCode::RailUp,
-            FlightCode::FenceRelease,
-            FlightCode::FaultInjected,
-            FlightCode::Watchdog,
-            FlightCode::Anomaly,
-        ];
-        ALL.get(v as usize).map(|c| c.label()).unwrap_or("unknown")
-    }
-}
-
-/// One fixed-size ring entry (32 bytes, `Copy`): recording is one store,
-/// never an allocation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FlightEvent {
-    /// Simulation time, ns.
-    pub t_ns: u64,
-    /// First code-specific payload (seq, op id, RTO ns, ...).
-    pub a: u64,
-    /// Second code-specific payload (flags, exponent, stall ns, ...).
-    pub b: u64,
-    /// Node the event happened on.
-    pub node: u16,
-    /// Connection id on that node (`u16::MAX` = none).
-    pub conn: u16,
-    /// Rail/link id (`u8::MAX` = none/unknown).
-    pub rail: u8,
-    /// [`FlightCode`] discriminant.
-    pub code: u8,
 }
 
 /// One retained post-mortem dump.
 #[derive(Debug, Clone)]
 pub struct FlightDump {
-    /// What fired ("rto_backoff", "rail_death", "fence_stall", "forced").
+    /// What fired: "rto_backoff", "rail_death", "fence_stall", "watchdog",
+    /// "anomaly", or "forced" ([`FlightRecorder::force_dump`]).
     pub trigger: String,
     /// When it fired, ns.
     pub t_ns: u64,
@@ -194,17 +110,13 @@ type ContextSource = (String, Rc<dyn Fn() -> Json>);
 
 struct FlightState {
     cfg: FlightConfig,
-    ring: Vec<FlightEvent>,
-    next: usize,
-    filled: bool,
-    total: u64,
+    ring: EventRing,
     dumps: Vec<FlightDump>,
     dumps_suppressed: u64,
     /// Per trigger label: time of the last *taken* dump (dedup anchor).
     last_dump: Vec<(String, u64)>,
     /// Per trigger label: duplicates suppressed by the dedup window.
     dedup_suppressed: Vec<(String, u64)>,
-    write_errors: u64,
     spans: SpanRecorder,
     context: Vec<ContextSource>,
 }
@@ -224,19 +136,14 @@ impl FlightRecorder {
 
     /// An enabled recorder with its ring preallocated up front.
     pub fn enabled(cfg: FlightConfig) -> Self {
-        let ring = vec![FlightEvent::default(); cfg.ring.max(16)];
         FlightRecorder {
             inner: Some(Rc::new(RefCell::new(FlightState {
                 cfg,
-                ring,
-                next: 0,
-                filled: false,
-                total: 0,
+                ring: EventRing::new(RING_EVENTS),
                 dumps: Vec::new(),
                 dumps_suppressed: 0,
                 last_dump: Vec::new(),
                 dedup_suppressed: Vec::new(),
-                write_errors: 0,
                 spans: SpanRecorder::disabled(),
                 context: Vec::new(),
             }))),
@@ -261,7 +168,7 @@ impl FlightRecorder {
     /// This is how transport state that never flows through the event ring
     /// (chaos-injection tallies, a fabric's parked receive errors) rides
     /// along in post-mortems. Sources run with the recorder's internal
-    /// borrow released, so they may freely read — even `note` into — the
+    /// borrow released, so they may freely read — even `record` into — the
     /// component that owns this recorder.
     pub fn add_context_source(&self, name: &str, f: Rc<dyn Fn() -> Json>) {
         if let Some(state) = &self.inner {
@@ -269,114 +176,19 @@ impl FlightRecorder {
         }
     }
 
-    /// Record one event. Clean-path cost: a branch, a ring store, cursor
-    /// arithmetic — no allocation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn note(
-        &self,
-        code: FlightCode,
-        node: usize,
-        conn: Option<usize>,
-        rail: Option<u32>,
-        a: u64,
-        b: u64,
-        t_ns: u64,
-    ) {
+    /// Record one event, then dump if the event is a trigger
+    /// ([`FlightDump::trigger`]). Clean-path cost: a branch and a ring store
+    /// — no allocation.
+    #[inline]
+    pub fn record(&self, e: Event) {
         let Some(state) = &self.inner else { return };
-        let mut s = state.borrow_mut();
-        let next = s.next;
-        s.ring[next] = FlightEvent {
-            t_ns,
-            a,
-            b,
-            node: node as u16,
-            conn: conn.map(|c| c as u16).unwrap_or(u16::MAX),
-            rail: rail.map(|r| r.min(254) as u8).unwrap_or(u8::MAX),
-            code: code as u8,
+        let trigger = {
+            let mut s = state.borrow_mut();
+            s.ring.push(e);
+            s.cfg.trigger(&e.kind)
         };
-        s.next = (next + 1) % s.ring.len();
-        if s.next == 0 {
-            s.filled = true;
-        }
-        s.total += 1;
-    }
-
-    /// RTO backoff happened; dumps once the exponent reaches the trigger.
-    pub fn rto_backoff(
-        &self,
-        node: usize,
-        conn: usize,
-        rail: Option<u32>,
-        rto_ns: u64,
-        backoff: u32,
-        t_ns: u64,
-    ) {
-        self.note(
-            FlightCode::RtoBackoff,
-            node,
-            Some(conn),
-            rail,
-            rto_ns,
-            backoff as u64,
-            t_ns,
-        );
-        let Some(state) = &self.inner else { return };
-        let trigger = state.borrow().cfg.rto_backoff_trigger;
-        if trigger > 0 && backoff >= trigger {
-            self.dump("rto_backoff", t_ns);
-        }
-    }
-
-    /// Rail health declared a rail Dead; dumps when configured to.
-    pub fn rail_death(&self, node: usize, conn: Option<usize>, rail: u32, t_ns: u64) {
-        self.note(FlightCode::RailDown, node, conn, Some(rail), 0, 0, t_ns);
-        let Some(state) = &self.inner else { return };
-        let dump = state.borrow().cfg.dump_on_rail_death;
-        if dump {
-            self.dump("rail_death", t_ns);
-        }
-    }
-
-    /// A fence released after `stalled_ns`; dumps past the configured bound.
-    pub fn fence_release(&self, node: usize, conn: usize, op: u64, stalled_ns: u64, t_ns: u64) {
-        self.note(
-            FlightCode::FenceRelease,
-            node,
-            Some(conn),
-            None,
-            op,
-            stalled_ns,
-            t_ns,
-        );
-        let Some(state) = &self.inner else { return };
-        let bound = state.borrow().cfg.fence_stall_trigger_ns;
-        if bound > 0 && stalled_ns >= bound {
-            self.dump("fence_stall", t_ns);
-        }
-    }
-
-    /// A liveness watchdog tripped (`detail` = typed-error discriminant,
-    /// `idle_ns` = time without protocol progress); always dumps — the
-    /// driver is about to surface a fatal `WireError` and this ring is the
-    /// post-mortem.
-    pub fn watchdog(&self, node: usize, conn: Option<usize>, detail: u64, idle_ns: u64, t_ns: u64) {
-        self.note(FlightCode::Watchdog, node, conn, None, detail, idle_ns, t_ns);
-        if self.inner.is_some() {
-            self.dump("watchdog", t_ns);
-        }
-    }
-
-    /// The health monitor opened an incident (`cause_ordinal` =
-    /// `IncidentCause::ordinal`, `open` = incidents now open); dumps when
-    /// [`FlightConfig::dump_on_anomaly`] is set. The detector state itself
-    /// rides along via a context source registered by whoever armed the
-    /// monitor.
-    pub fn anomaly(&self, node: usize, conn: Option<usize>, cause_ordinal: u64, open: u64, t_ns: u64) {
-        self.note(FlightCode::Anomaly, node, conn, None, cause_ordinal, open, t_ns);
-        let Some(state) = &self.inner else { return };
-        let dump = state.borrow().cfg.dump_on_anomaly;
-        if dump {
-            self.dump("anomaly", t_ns);
+        if let Some(trigger) = trigger {
+            self.dump(trigger, e.t_ns);
         }
     }
 
@@ -413,43 +225,24 @@ impl FlightRecorder {
                 s.dumps_suppressed += 1;
                 return None;
             }
-            let idx = s.dumps.len();
-
-            let mut events = Vec::new();
-            let (start, len) = if s.filled {
-                (s.next, s.ring.len())
-            } else {
-                (0, s.next)
-            };
-            for i in 0..len {
-                let e = &s.ring[(start + i) % s.ring.len()];
-                let mut j = Json::obj()
-                    .set("t_ns", e.t_ns)
-                    .set("code", FlightCode::from_u8(e.code))
-                    .set("node", e.node as u64)
-                    .set("a", e.a)
-                    .set("b", e.b);
-                if e.conn != u16::MAX {
-                    j = j.set("conn", e.conn as u64);
-                }
-                if e.rail != u8::MAX {
-                    j = j.set("rail", e.rail as u64);
-                }
-                events.push(j);
-            }
-
+            let events: Vec<Json> = s.ring.events().iter().map(Event::to_json).collect();
             let mut doc = Json::obj()
                 .set("schema_version", crate::json::SCHEMA_VERSION)
                 .set("kind", "multiedge_flight_dump")
                 .set("trigger", trigger)
                 .set("t_ns", t_ns)
-                .set("events_total", s.total)
-                .set("events_retained", len)
+                .set("events_total", s.ring.len() as u64 + s.ring.overwritten())
+                .set("events_retained", s.ring.len())
                 .set("events", events);
             if let Some(snap) = s.spans.snapshot() {
                 doc = doc.set("attribution", analyze(&snap).to_json());
             }
-            (idx, doc, s.context.clone(), s.cfg.dump_dir.clone())
+            (
+                s.dumps.len(),
+                doc,
+                s.context.clone(),
+                s.cfg.dump_dir.clone(),
+            )
         };
 
         if !sources.is_empty() {
@@ -460,19 +253,13 @@ impl FlightRecorder {
             doc = doc.set("context", ctx);
         }
 
-        let mut s = state.borrow_mut();
-        let mut path = None;
-        if let Some(dir) = dir {
+        let path = dir.and_then(|dir| {
             let file = format!("{dir}/flight_{idx}_{trigger}.json");
             let ok = std::fs::create_dir_all(&dir).is_ok()
                 && std::fs::write(&file, doc.render_pretty()).is_ok();
-            if ok {
-                path = Some(file);
-            } else {
-                s.write_errors += 1;
-            }
-        }
-
+            ok.then_some(file)
+        });
+        let mut s = state.borrow_mut();
         s.dumps.push(FlightDump {
             trigger: trigger.to_string(),
             t_ns,
@@ -509,7 +296,11 @@ impl FlightRecorder {
             .as_ref()
             .map(|s| {
                 let s = s.borrow();
-                (s.total, s.dumps.len(), s.dumps_suppressed)
+                (
+                    s.ring.len() as u64 + s.ring.overwritten(),
+                    s.dumps.len(),
+                    s.dumps_suppressed,
+                )
             })
             .unwrap_or((0, 0, 0))
     }
@@ -518,32 +309,61 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::IncidentCause;
+    use crate::event::FaultKind;
+
+    /// `kind` on node 0, connection 0, at `t_ns`.
+    fn ev(t_ns: u64, kind: EventKind) -> Event {
+        Event {
+            t_ns,
+            node: 0,
+            conn: Some(0),
+            rail: None,
+            kind,
+        }
+    }
+
+    fn rail_down(t_ns: u64, rail: u32) -> Event {
+        Event {
+            rail: Some(rail),
+            ..ev(t_ns, EventKind::RailDown)
+        }
+    }
+
+    fn send(seq: u64) -> EventKind {
+        EventKind::FrameSend {
+            seq,
+            retransmit: false,
+        }
+    }
 
     #[test]
     fn disabled_recorder_is_inert() {
         let fr = FlightRecorder::disabled();
         assert!(!fr.is_enabled());
-        fr.note(FlightCode::FrameSend, 0, Some(0), Some(0), 1, 0, 10);
+        fr.record(ev(10, send(1)));
         assert!(fr.force_dump(20).is_none());
         assert_eq!(fr.counters(), (0, 0, 0));
     }
 
     #[test]
     fn ring_keeps_newest_events_in_order() {
-        let fr = FlightRecorder::enabled(FlightConfig {
-            ring: 16,
-            ..FlightConfig::default()
-        });
-        for i in 0..40u64 {
-            fr.note(FlightCode::FrameSend, 0, Some(0), Some(0), i, 0, i * 10);
+        let fr = FlightRecorder::enabled(FlightConfig::default());
+        let n = RING_EVENTS as u64 + 40;
+        for i in 0..n {
+            fr.record(ev(i * 10, send(i)));
         }
-        let doc = fr.force_dump(400).unwrap();
+        let doc = fr.force_dump(n * 10).unwrap();
         let events = doc.get("events").unwrap().items().unwrap();
-        assert_eq!(events.len(), 16);
-        // Oldest retained is seq 24 (40 - 16), strictly ascending after.
-        let seqs: Vec<u64> = events.iter().map(|e| e.get("a").unwrap().as_u64().unwrap()).collect();
-        assert_eq!(seqs, (24..40).collect::<Vec<_>>());
-        assert_eq!(doc.get("events_total").unwrap().as_u64(), Some(40));
+        assert_eq!(events.len(), RING_EVENTS);
+        // Oldest retained is seq 40 (n - RING_EVENTS), strictly ascending after.
+        let seqs: Vec<u64> = events
+            .iter()
+            .map(|e| e.get("seq").unwrap().as_u64().unwrap())
+            .collect();
+        assert_eq!(seqs, (40..n).collect::<Vec<_>>());
+        assert_eq!(doc.get("events_total").unwrap().as_u64(), Some(n));
+        assert_eq!(fr.counters().0, n);
     }
 
     #[test]
@@ -552,10 +372,18 @@ mod tests {
             rto_backoff_trigger: 3,
             ..FlightConfig::default()
         });
-        fr.rto_backoff(0, 0, Some(1), 20_000_000, 1, 100);
-        fr.rto_backoff(0, 0, Some(1), 40_000_000, 2, 200);
+        for (backoff, t) in [(1, 100), (2, 200)] {
+            let rto_ns = 10_000_000 << backoff;
+            fr.record(ev(t, EventKind::RtoBackoff { rto_ns, backoff }));
+        }
         assert_eq!(fr.counters().1, 0);
-        fr.rto_backoff(0, 0, Some(1), 80_000_000, 3, 300);
+        fr.record(ev(
+            300,
+            EventKind::RtoBackoff {
+                rto_ns: 80_000_000,
+                backoff: 3,
+            },
+        ));
         let dumps = fr.dumps();
         assert_eq!(dumps.len(), 1);
         assert_eq!(dumps[0].trigger, "rto_backoff");
@@ -583,16 +411,22 @@ mod tests {
             ..FlightConfig::default()
         });
         // A flapping rail: three deaths inside the window → one dump.
-        fr.rail_death(0, None, 0, 100);
-        fr.rail_death(0, None, 0, 400);
-        fr.rail_death(0, None, 1, 900);
+        fr.record(rail_down(100, 0));
+        fr.record(rail_down(400, 0));
+        fr.record(rail_down(900, 1));
         assert_eq!(fr.counters().1, 1);
         // A *distinct* trigger inside the window still dumps: the window
         // is per trigger label, so the flap cannot mask it.
-        fr.watchdog(0, None, 2, 5_000, 950);
+        fr.record(ev(
+            950,
+            EventKind::Watchdog {
+                error: 2,
+                idle_ns: 5_000,
+            },
+        ));
         assert_eq!(fr.counters().1, 2);
         // Past the window the same trigger dumps again.
-        fr.rail_death(0, None, 0, 1_200);
+        fr.record(rail_down(1_200, 0));
         assert_eq!(fr.counters().1, 3);
         assert_eq!(
             fr.dedup_counts(),
@@ -604,23 +438,17 @@ mod tests {
     }
 
     #[test]
-    fn anomaly_trigger_dumps_and_is_configurable() {
+    fn anomaly_trigger_always_dumps() {
         let fr = FlightRecorder::enabled(FlightConfig::default());
-        fr.anomaly(0, Some(0), 0, 1, 777);
+        let cause = IncidentCause::RailOutage;
+        fr.record(ev(777, EventKind::Anomaly { cause, open: 1 }));
         let dumps = fr.dumps();
         assert_eq!(dumps.len(), 1);
         assert_eq!(dumps[0].trigger, "anomaly");
         let events = dumps[0].json.get("events").unwrap().items().unwrap();
-        assert_eq!(
-            events.last().unwrap().get("code").unwrap().as_str(),
-            Some("anomaly")
-        );
-        let fr = FlightRecorder::enabled(FlightConfig {
-            dump_on_anomaly: false,
-            ..FlightConfig::default()
-        });
-        fr.anomaly(0, None, 1, 1, 800);
-        assert_eq!(fr.counters(), (1, 0, 0), "event noted, dump gated off");
+        let last = events.last().unwrap();
+        assert_eq!(last.get("kind").unwrap().as_str(), Some("anomaly"));
+        assert_eq!(last.get("cause").unwrap().as_str(), Some("rail_outage"));
     }
 
     #[test]
@@ -629,10 +457,14 @@ mod tests {
             dump_on_rail_death: false,
             ..FlightConfig::default()
         });
-        fr.rail_death(0, Some(0), 2, 50);
+        fr.record(rail_down(50, 2));
         assert_eq!(fr.counters().1, 0);
         let fr = FlightRecorder::enabled(FlightConfig::default());
-        fr.rail_death(1, None, 2, 60);
+        fr.record(Event {
+            node: 1,
+            conn: None,
+            ..rail_down(60, 2)
+        });
         assert_eq!(fr.dumps()[0].trigger, "rail_death");
     }
 
@@ -651,7 +483,11 @@ mod tests {
         let doc = fr.force_dump(10).unwrap();
         let ctx = doc.get("context").expect("dump carries context");
         assert_eq!(
-            ctx.get("chaos").unwrap().get("frames_dropped").unwrap().as_u64(),
+            ctx.get("chaos")
+                .unwrap()
+                .get("frames_dropped")
+                .unwrap()
+                .as_u64(),
             Some(3)
         );
         assert_eq!(hits.get(), 1, "source evaluated once per dump");
@@ -664,23 +500,28 @@ mod tests {
         let fr = FlightRecorder::enabled(FlightConfig::default());
         let fr2 = fr.clone();
         fr.add_context_source(
-            "self_noting",
+            "self_recording",
             Rc::new(move || {
                 // A source reading live component state may cause that
-                // component to note events; must not deadlock on the ring.
-                fr2.note(FlightCode::FaultInjected, 0, None, None, 1, 0, 99);
+                // component to record events; must not deadlock on the ring.
+                let fault = FaultKind::LinkDown;
+                fr2.record(ev(99, EventKind::FaultInjected { fault }));
                 Json::obj().set("ok", true)
             }),
         );
         let doc = fr.force_dump(100).unwrap();
-        assert!(doc.get("context").unwrap().get("self_noting").is_some());
+        assert!(doc.get("context").unwrap().get("self_recording").is_some());
     }
 
     #[test]
     fn dump_round_trips_through_parser() {
         let fr = FlightRecorder::enabled(FlightConfig::default());
-        fr.note(FlightCode::OpIssue, 0, Some(0), None, 7, 4096, 10);
-        fr.fence_release(0, 0, 7, 15_000_000, 20_000_000);
+        fr.record(ev(10, EventKind::OpIssue { op: 7, bytes: 4096 }));
+        let stalled_ns = 15_000_000;
+        fr.record(ev(
+            20_000_000,
+            EventKind::FenceRelease { op: 7, stalled_ns },
+        ));
         let dumps = fr.dumps();
         assert_eq!(dumps.len(), 1, "fence stall past bound must dump");
         assert_eq!(dumps[0].trigger, "fence_stall");

@@ -10,9 +10,10 @@
 //! 1. **Structured event tracing** — [`Event`] / [`EventKind`]: typed
 //!    protocol events (frame send/recv, piggybacked and explicit ACKs,
 //!    NACKs, RTO fires, fence stalls and releases, interrupt vs. poll
-//!    absorption, link-level drops) carrying the simulation timestamp and
-//!    optional connection/link attribution, recorded into a fixed-capacity
-//!    wraparound [`EventRing`].
+//!    absorption, link-level drops, watchdog and health trips) carrying
+//!    the timestamp, the node and optional connection/rail attribution,
+//!    recorded into a fixed-capacity wraparound [`EventRing`]. This is the
+//!    one event vocabulary: the flight recorder keeps the same events.
 //! 2. **Latency histograms** — [`LogHistogram`]: log2-bucketed with linear
 //!    sub-buckets (HdrHistogram-style, ≈3% relative error), mergeable, used
 //!    for op issue→completion latency, frame wire time, and fence-stall
@@ -42,11 +43,12 @@
 //!    stall, rail queueing, wire time, reorder wait, retransmit repair,
 //!    ACK return, plus host-side bookends) that sum exactly to the
 //!    measured latency, rolled up per connection and per rail.
-//! 6. **Flight recorder** — [`FlightRecorder`]: a bounded allocation-free
-//!    event ring that stays enabled in production-style runs and writes
-//!    JSON post-mortem dumps when triggers fire (RTO backoff past a
-//!    threshold, rail death, oversized fence stalls); `Json::parse` reads
-//!    the dumps back for the `me-inspect` tool.
+//! 6. **Flight recorder** — [`FlightRecorder`]: a retention and trigger
+//!    policy over an [`EventRing`] of the same [`Event`]s, enabled in
+//!    production-style runs, that writes JSON post-mortem dumps when an
+//!    event is a trigger (RTO backoff past a threshold, rail death,
+//!    oversized fence stalls, watchdog trips, health incidents);
+//!    `Json::parse` reads the dumps back for the `me-inspect` tool.
 //! 7. **Regression triage** — [`diff`]: compares two attribution artifacts
 //!    (committed baselines, bench outputs, flight dumps) phase by phase
 //!    using the exactly round-tripped histograms, and emits a verdict that
@@ -61,10 +63,11 @@
 //!    verdicts.
 //!
 //! ```
-//! use me_trace::{EventKind, Tracer};
+//! use me_trace::{Event, EventKind, Tracer};
 //!
 //! let t = Tracer::enabled(1024);
-//! t.emit(10, Some(0), Some(1), EventKind::FrameSend { seq: 0, retransmit: false });
+//! let kind = EventKind::FrameSend { seq: 0, retransmit: false };
+//! t.emit(Event { t_ns: 10, node: 0, conn: Some(0), rail: Some(1), kind });
 //! t.op_latency(0, 27_500);
 //! let snap = t.snapshot().unwrap();
 //! assert_eq!(snap.events.len(), 1);
@@ -100,7 +103,7 @@ pub use detect::{
 };
 pub use diff::{diff_cell, diff_docs, diff_rollups, CellDiff, DiffConfig, DiffReport, Verdict};
 pub use event::{Event, EventKind, FaultKind};
-pub use flight::{FlightCode, FlightConfig, FlightDump, FlightEvent, FlightRecorder};
+pub use flight::{FlightConfig, FlightDump, FlightRecorder};
 pub use hist::LogHistogram;
 pub use json::{require_schema, Json, SCHEMA_VERSION};
 pub use ring::EventRing;

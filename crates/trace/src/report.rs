@@ -1,6 +1,7 @@
 //! Reporters: human-readable summary/timeline and the JSON form consumed by
 //! the bench harnesses.
 
+use crate::event::Event;
 use crate::hist::LogHistogram;
 use crate::json::Json;
 use crate::tracer::TraceSnapshot;
@@ -22,6 +23,15 @@ fn hist_line(name: &str, h: &LogHistogram) -> String {
     )
 }
 
+/// Retained events per kind label.
+fn counts_by_kind(snap: &TraceSnapshot) -> BTreeMap<&'static str, u64> {
+    let mut by_kind = BTreeMap::new();
+    for e in &snap.events {
+        *by_kind.entry(e.kind.label()).or_default() += 1;
+    }
+    by_kind
+}
+
 /// Human-readable roll-up: event counts by kind, then every histogram with
 /// its headline percentiles.
 pub fn summary(snap: &TraceSnapshot) -> String {
@@ -32,11 +42,7 @@ pub fn summary(snap: &TraceSnapshot) -> String {
         snap.events.len(),
         snap.overwritten
     ));
-    let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for e in &snap.events {
-        *by_kind.entry(e.kind.label()).or_default() += 1;
-    }
-    for (label, n) in &by_kind {
+    for (label, n) in &counts_by_kind(snap) {
         out.push_str(&format!("  {label:<16} {n}\n"));
     }
     if !snap.op_latency.is_empty() {
@@ -111,30 +117,11 @@ fn hist_map_to_json(map: &BTreeMap<u32, LogHistogram>) -> Json {
 /// timeline, and all histogram families. This is what lands inside the
 /// bench crate's `BENCH_*.json` files.
 pub fn snapshot_to_json(snap: &TraceSnapshot) -> Json {
-    let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for e in &snap.events {
-        *by_kind.entry(e.kind.label()).or_default() += 1;
-    }
     let mut counts = Json::obj();
-    for (label, n) in &by_kind {
+    for (label, n) in &counts_by_kind(snap) {
         counts = counts.set(label, *n);
     }
-    let events: Vec<Json> = snap
-        .events
-        .iter()
-        .map(|e| {
-            let mut j = Json::obj()
-                .set("t_ns", e.t_ns)
-                .set("kind", e.kind.label());
-            if let Some(c) = e.conn {
-                j = j.set("conn", c);
-            }
-            if let Some(l) = e.link {
-                j = j.set("link", l);
-            }
-            j
-        })
-        .collect();
+    let events: Vec<Json> = snap.events.iter().map(Event::to_json).collect();
     Json::obj()
         .set("events_retained", snap.events.len())
         .set("events_overwritten", snap.overwritten)
@@ -157,16 +144,19 @@ mod tests {
     #[test]
     fn summary_and_json_cover_all_sections() {
         let t = Tracer::enabled(16);
-        t.emit(5, Some(0), None, EventKind::OpIssue { op: 1 });
-        t.emit(
-            9,
-            Some(0),
-            Some(2),
-            EventKind::FrameSend {
-                seq: 0,
-                retransmit: false,
-            },
-        );
+        let ev = |t_ns, rail, kind| Event {
+            t_ns,
+            node: 0,
+            conn: Some(0),
+            rail,
+            kind,
+        };
+        t.emit(ev(5, None, EventKind::OpIssue { op: 1, bytes: 64 }));
+        let send = EventKind::FrameSend {
+            seq: 7,
+            retransmit: false,
+        };
+        t.emit(ev(9, Some(2), send));
         t.op_latency(0, 30_000);
         t.wire_time(2, 12_000);
         t.fence_stall(0, 800);
@@ -177,6 +167,12 @@ mod tests {
         let j = snapshot_to_json(&snap).render();
         assert!(j.contains("\"op_latency_ns_by_conn\""), "{j}");
         assert!(j.contains("\"p99_ns\""), "{j}");
+        let json = snapshot_to_json(&snap);
+        let sent = &json.get("events").unwrap().items().unwrap()[1];
+        assert_eq!(sent.get("kind").unwrap().as_str(), Some("frame_send"));
+        let seq = sent.get("seq").and_then(|v| v.as_u64());
+        assert_eq!(seq, Some(7), "payload reaches the JSON");
+        assert_eq!(sent.get("rail").unwrap().as_u64(), Some(2));
         let tl = timeline(&snap, 1);
         assert!(tl.contains("frame_send"), "{tl}");
         assert!(tl.contains("earlier events"), "{tl}");

@@ -71,8 +71,9 @@ mod tests {
     fn ev(t: u64) -> Event {
         Event {
             t_ns: t,
+            node: 0,
             conn: None,
-            link: None,
+            rail: None,
             kind: EventKind::TxPoll,
         }
     }

@@ -51,15 +51,11 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Record a typed event at simulation time `t_ns`.
-    pub fn emit(&self, t_ns: u64, conn: Option<u32>, link: Option<u32>, kind: EventKind) {
+    /// Record one event.
+    #[inline]
+    pub fn emit(&self, e: Event) {
         if let Some(state) = &self.inner {
-            state.borrow_mut().ring.push(Event {
-                t_ns,
-                conn,
-                link,
-                kind,
-            });
+            state.borrow_mut().ring.push(e);
         }
     }
 

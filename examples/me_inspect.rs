@@ -612,12 +612,11 @@ fn render(doc: &Json) {
     }
 }
 
-/// One timeline line: time, inter-event gap, code, location, decoded payload.
+/// One timeline line: time, inter-event gap, kind, location, and the
+/// event's named payload fields as `name=value`.
 fn print_event(e: &Json, prev: &mut Option<u64>) {
     let t = e.get("t_ns").and_then(|v| v.as_u64()).unwrap_or(0);
-    let code = e.get("code").and_then(|v| v.as_str()).unwrap_or("?");
-    let a = e.get("a").and_then(|v| v.as_u64()).unwrap_or(0);
-    let b = e.get("b").and_then(|v| v.as_u64()).unwrap_or(0);
+    let kind = e.get("kind").and_then(|v| v.as_str()).unwrap_or("?");
     let node = e.get("node").and_then(|v| v.as_u64()).unwrap_or(0);
     let mut place = format!("n{node}");
     if let Some(c) = e.get("conn").and_then(|v| v.as_u64()) {
@@ -626,23 +625,20 @@ fn print_event(e: &Json, prev: &mut Option<u64>) {
     if let Some(r) = e.get("rail").and_then(|v| v.as_u64()) {
         place.push_str(&format!(" r{r}"));
     }
-    let detail = match code {
-        "op_issue" => format!("op {a}  {b} bytes"),
-        "op_complete" => format!("op {a}  latency {}", fmt_ns(b)),
-        "frame_send" => format!("seq {a}{}", if b != 0 { "  RETRANSMIT" } else { "" }),
-        "frame_recv" => format!("seq {a}{}", if b == 0 { "  out-of-order" } else { "" }),
-        "frame_drop" | "frame_corrupt" => format!("link {a}"),
-        "ack_explicit" => format!("cum {a}"),
-        "nack" => format!("cum {a}  {b} gap(s)"),
-        "rto_fire" => format!("seq {a}"),
-        "rto_backoff" => format!("rto {}  exponent {b}", fmt_ns(a)),
-        "fence_release" => format!("op {a}  stalled {}", fmt_ns(b)),
-        "fault_injected" => format!("action {a}"),
-        _ => String::new(),
-    };
+    let envelope = ["t_ns", "kind", "node", "conn", "rail"];
+    let detail: Vec<String> = e
+        .entries()
+        .unwrap_or(&[])
+        .iter()
+        .filter(|(k, _)| !envelope.contains(&k.as_str()))
+        .map(|(k, v)| match v.as_str() {
+            Some(label) => format!("{k}={label}"),
+            None => format!("{k}={}", v.render()),
+        })
+        .collect();
     let gap = prev.map_or(String::new(), |p| format!("  (+{})", fmt_ns(t.saturating_sub(p))));
     *prev = Some(t);
-    println!("  {:>12}  {:<13} {:<14} {detail}{gap}", fmt_ns(t), code, place);
+    println!("  {:>12}  {:<13} {:<14} {}{gap}", fmt_ns(t), kind, place, detail.join(" "));
 }
 
 /// Rollup summary: latency percentiles, then phases sorted by share.

@@ -1,10 +1,12 @@
 //! End-to-end flight recorder: a scripted rail outage on a live transfer
 //! must trigger a post-mortem dump, write the configured artifact file, and
 //! produce a document that round-trips through the JSON parser with a
-//! non-empty event timeline and a self-consistent attribution section.
+//! non-empty event timeline and a self-consistent attribution section. The
+//! recorder and the tracer keep one event vocabulary: a node's events in a
+//! dump are its tracer's, event for event.
 
 use integration_tests::{payload, rig};
-use me_trace::{FlightConfig, Json};
+use me_trace::{report, FlightConfig, Json};
 use multiedge::{OpFlags, SystemConfig};
 use netsim::time::ms;
 use netsim::FaultPlan;
@@ -78,7 +80,7 @@ fn rail_outage_triggers_post_mortem_dump_artifact() {
     assert!(
         events
             .iter()
-            .any(|e| e.get("code").and_then(|c| c.as_str()) == Some("rail_down")),
+            .any(|e| e.get("kind").and_then(|c| c.as_str()) == Some("rail_down")),
         "timeline must include the rail death"
     );
 
@@ -120,4 +122,56 @@ fn quiet_run_takes_no_dumps() {
         !dir.exists() || std::fs::read_dir(&dir).unwrap().next().is_none(),
         "no artifacts on a clean run"
     );
+}
+
+#[test]
+fn flight_dump_and_tracer_see_the_same_events() {
+    let cfg = SystemConfig::one_link_1g(2)
+        .with_tracing(1 << 16)
+        .with_flight(FlightConfig::default());
+    let (sim, _cl, eps, conns) = rig(cfg);
+    let c = conns[0][1].unwrap();
+    let ep = eps[0].clone();
+    sim.spawn("same-events-writer", async move {
+        for i in 0..4u64 {
+            let h = ep
+                .write_bytes(c, i << 14, vec![i as u8; 16 << 10], OpFlags::RELAXED)
+                .await;
+            h.wait().await;
+        }
+    });
+    sim.run().expect_quiescent();
+
+    let dump = eps[0]
+        .flight_recorder()
+        .force_dump(sim.now().as_nanos())
+        .expect("flight recorder enabled");
+    let events_total = dump.get("events_total").and_then(|n| n.as_u64());
+    assert_eq!(
+        events_total,
+        dump.get("events_retained").and_then(|n| n.as_u64()),
+        "the flight ring must hold the whole run"
+    );
+    let node0: Vec<&Json> = dump
+        .get("events")
+        .and_then(|e| e.items())
+        .expect("events")
+        .iter()
+        .filter(|e| e.get("node").and_then(|n| n.as_u64()) == Some(0))
+        .collect();
+
+    let snap = eps[0].tracer().snapshot().expect("tracing enabled");
+    assert_eq!(snap.overwritten, 0);
+    let traced = report::snapshot_to_json(&snap);
+    let traced: Vec<&Json> = traced
+        .get("events")
+        .and_then(|e| e.items())
+        .expect("events")
+        .iter()
+        .collect();
+    assert!(traced.len() > 20, "only {} events traced", traced.len());
+    assert_eq!(node0.len(), traced.len(), "same event count on both planes");
+    for (i, (f, t)) in node0.iter().zip(&traced).enumerate() {
+        assert_eq!(f, t, "event {i} differs between flight dump and tracer");
+    }
 }

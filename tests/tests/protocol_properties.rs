@@ -178,7 +178,7 @@ proptest! {
             frags.swap(i, j);
         }
         let mut o: OpOrdering<u64> = OpOrdering::new();
-        let mut applied_count: std::collections::HashMap<u64, u64> = Default::default();
+        let mut applied_count: std::collections::BTreeMap<u64, u64> = Default::default();
         let mut completed: std::collections::BTreeSet<u64> = Default::default();
         let total = frags.len();
         let mut applied_total = 0usize;
@@ -281,12 +281,12 @@ proptest! {
         ops in proptest::collection::vec(arb_tx_op(), 1..400),
     ) {
         use multiedge::ring::{TxRing, TxSlot};
-        use std::collections::HashMap;
+        use std::collections::BTreeMap;
 
         const WINDOW: usize = 32;
         let mut ring = TxRing::with_window(WINDOW);
         // Reference model: plain map from seq to (rail, retransmitted).
-        let mut model: HashMap<u64, (usize, bool)> = HashMap::new();
+        let mut model: BTreeMap<u64, (usize, bool)> = BTreeMap::new();
 
         let mut acked = base;
         let mut next_seq = base;
@@ -375,14 +375,14 @@ proptest! {
         offsets in proptest::collection::vec(0u8..32, 1..300),
     ) {
         use multiedge::ring::GapRing;
-        use std::collections::HashMap;
+        use std::collections::BTreeMap;
 
         const WINDOW: usize = 32;
         let mut seqs = SeqTracker::with_window(WINDOW);
         let mut ring = GapRing::with_window(WINDOW);
         // Reference model: gap start -> (first_seen, last_nack).
-        let mut model: HashMap<u64, (netsim::SimTime, Option<netsim::SimTime>)> =
-            HashMap::new();
+        let mut model: BTreeMap<u64, (netsim::SimTime, Option<netsim::SimTime>)> =
+            BTreeMap::new();
         // SeqTracker counts from 0; shift by `base` when exercising the
         // wire round-trip below.
         let mut scratch = Vec::new();
