@@ -4,7 +4,7 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: verify build test doc clippy loc one-core bench-trace bench-failover bench-datapath bench-datapath-smoke bench-attribution bench-attribution-smoke triage-check triage-smoke figures rebaseline bench-backplane backplane-smoke bench-chaos chaos-smoke bench-scale bench-scale-smoke bench-telemetry bench-telemetry-smoke bench-doctor doctor-smoke perf-smoke perf-row
+.PHONY: verify build test doc clippy loc one-core bench-trace bench-failover bench-datapath bench-datapath-smoke bench-attribution bench-attribution-smoke triage-check triage-smoke figures determinism rebaseline bench-backplane backplane-smoke bench-chaos chaos-smoke bench-telemetry bench-telemetry-smoke bench-doctor doctor-smoke perf-smoke perf-row
 
 verify: build test doc clippy one-core
 
@@ -122,17 +122,31 @@ figures:
 		$(CARGO) bench $(OFFLINE) -q -p multiedge-bench --bench $$b > results/$$b.txt || exit 1; \
 	done; echo "figures: $(words $(FIGURES)) files under results/ in $$(( $$(date +%s) - t0 )) s"
 
+# Seed => bit-identical across processes: run one micro figure and one DSM
+# app figure twice, each run its own process (so a randomly seeded hasher
+# would differ between them), and cmp the outputs, kept under
+# target/determinism/. Same tree, so any difference is nondeterminism.
+DETERMINISM = fig2_micro fig3_apps_1l1g
+determinism:
+	@$(CARGO) bench $(OFFLINE) -q -p multiedge-bench --no-run $(DETERMINISM:%=--bench %)
+	@d=target/determinism; mkdir -p $$d; for b in $(DETERMINISM); do \
+		for i in 1 2; do \
+			$(CARGO) bench $(OFFLINE) -q -p multiedge-bench --bench $$b > $$d/$$b.$$i || exit 1; \
+		done; \
+		cmp $$d/$$b.1 $$d/$$b.2 || { echo "determinism: $$b differs between two processes"; exit 1; }; \
+	done; echo "determinism: $(DETERMINISM) byte-identical across two processes each"
+
 # Everything that is pinned to the simulated fabric's exact behaviour, each
 # regenerated by its own path, after an intentional change to that
 # behaviour: the stats_equivalence goldens, the triage baselines of both
-# profiles, the figures, and the five committed BENCH_* reports at full
+# profiles, the figures, and the four committed BENCH_* reports at full
 # profile (with the telemetry dumps). Commit what it rewrites with the
 # change that moved the numbers.
 rebaseline: figures
 	GOLDEN_REGEN=1 $(CARGO) test $(OFFLINE) -q -p multiedge-bench --test stats_equivalence
 	TRIAGE_BASELINE=1 TRIAGE_SMOKE=1 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench triage
 	TRIAGE_BASELINE=1 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench triage
-	$(MAKE) bench-scale bench-telemetry bench-doctor bench-chaos bench-backplane
+	$(MAKE) bench-telemetry bench-doctor bench-chaos bench-backplane
 
 # Sim-vs-real transport cross-validation: the identical protocol driver
 # over the netsim backplane and over real UDP sockets on loopback, span
@@ -159,27 +173,13 @@ bench-chaos:
 chaos-smoke:
 	CHAOS_SMOKE=1 timeout 300 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench chaos
 
-# Scale-out bench: 64-node all-to-all / incast / lossy cells through the
-# full protocol stack at shard counts {1,2,4}, all on the calling thread;
-# asserts cross-shard-count fingerprint and fault-decision equality,
-# reports frames/wall-s and `speedup_max_vs_1` per cell (no speedup gate:
-# sharding is the determinism witness, not an accelerator); writes
-# results/BENCH_scale.json.
-bench-scale:
-	$(CARGO) bench $(OFFLINE) -p multiedge-bench --bench scale
-
-# CI smoke flavour: 16-node cells, same fingerprint gate, no perf gate
-# (wall-clock numbers are meaningless on shared CI runners). Bounded by
-# `timeout` on top of each cell's own wall limit.
-bench-scale-smoke:
-	SCALE_SMOKE=1 timeout 300 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench scale
-
 # Time-resolved telemetry bench: sampler gate (zero allocations per frame,
 # identical stats fingerprint), delta reconciliation against end-of-run
 # ProtoStats, a rail-outage cell whose timeline localises the outage, a
-# chaos wire cell, and a 4-shard incast cell whose per-interval imbalance
-# index names the hot shard. Writes results/BENCH_telemetry.json plus
-# timeline JSONL dumps for `me-inspect timeline`. Bounded by `timeout`
+# chaos wire cell, and an 8-node incast (members = nodes) whose imbalance
+# diagnosis names the receiver node hot. Writes results/BENCH_telemetry.json
+# plus timeline JSONL dumps (one per incast node) for `me-inspect timeline`
+# and `me-inspect doctor`. Bounded by `timeout`
 # so a wedged drive loop cannot hang the pipeline.
 bench-telemetry:
 	timeout 600 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench telemetry
@@ -191,9 +191,9 @@ bench-telemetry-smoke:
 # Doctor bench: detector gate (zero allocations per sample, bit-identical
 # protocol stats), rail-outage
 # detection within 3 sample intervals, zero false alarms across 8 clean
-# seeds, a chaos burst diagnosed as retransmit_storm, and the 4-shard
-# incast/balanced pair. Every cell replays its JSONL offline and demands
-# a byte-identical report. Writes results/BENCH_doctor.json and
+# seeds, a chaos burst diagnosed as retransmit_storm, and the 8-node
+# incast/balanced pair (members = nodes). Every cell replays its JSONL
+# offline and demands a byte-identical report. Writes results/BENCH_doctor.json and
 # results/doctor_incidents.json. Bounded by `timeout` so a wedged drive
 # loop cannot hang the pipeline.
 bench-doctor:

@@ -6,7 +6,7 @@
 //! `trace.planes_on_fps_ratio` in `perf/` — and to diagnose correctly: a
 //! scripted rail outage opens `RailOutage` within 3 sample intervals of
 //! injection, a clean seed sweep opens nothing, a chaos loss burst names
-//! `RetransmitStorm`, incast fan-in names the receiver's shard hot, and
+//! `RetransmitStorm`, incast fan-in names the receiver node hot, and
 //! the offline JSONL replay reproduces every online verdict byte-for-byte
 //! (asserted inside each cell). This bench enforces all of it and writes
 //! the committed `results/BENCH_doctor.json` plus
@@ -31,6 +31,7 @@ use multiedge_bench::doctor::{
 };
 use multiedge_bench::micro::{run_micro_doctor, run_micro_sampled, MicroKind, MicroResult};
 use multiedge_bench::plane_overhead;
+use multiedge_bench::scale::MEMBER_COUNTER;
 use netsim::time::us;
 use netsim::{Dur, FaultPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -202,9 +203,8 @@ fn main() {
         .set("offline_identical", true)
         .set("gate", "burst loss diagnoses as RetransmitStorm after the burst arms");
 
-    // Incast vs balanced: the sharded cross-member diagnosis.
-    let inc = incast_doctor(smoke);
-    let inc_health = inc.shard_health.clone().expect("diagnosis enabled");
+    // Incast vs balanced: the cross-node diagnosis (members = nodes).
+    let inc_health = incast_doctor(smoke);
     let i = inc_health
         .first(IncidentCause::IncastImbalance)
         .expect("incast must diagnose as IncastImbalance");
@@ -213,9 +213,8 @@ fn main() {
         "incast       hot member {} ({} alarms)  balanced: checking...",
         hot, i.alarms
     );
-    assert_eq!(hot, 0, "the receiver's shard must be named hot");
-    let bal = balanced_doctor(smoke);
-    let bal_health = bal.shard_health.clone().expect("diagnosis enabled");
+    assert_eq!(hot, 0, "the receiver node must be named hot");
+    let bal_health = balanced_doctor(smoke);
     println!(
         "balanced     {} incidents (gate: 0)",
         bal_health.incidents.len()
@@ -225,13 +224,14 @@ fn main() {
         "balanced all-to-all must stay clean:\n{}",
         bal_health.render_human()
     );
-    let shard_json = Json::obj()
-        .set("incast_config", "2Lu-1G incast-8 / 4 shards")
-        .set("balanced_config", "4L-1G all-to-all-8 / 4 shards")
+    let nodes_json = Json::obj()
+        .set("incast_config", "2Lu-1G incast-8, members = nodes")
+        .set("balanced_config", "4L-1G all-to-all-8, members = nodes")
+        .set("member_counter", MEMBER_COUNTER)
         .set("incast_hot_member", hot)
         .set("incast_alarms", i.alarms)
         .set("balanced_incidents", bal_health.incidents.len())
-        .set("gate", "incast names shard 0 hot; balanced stays clean");
+        .set("gate", "incast names node 0 hot; balanced stays clean");
 
     // Incident-report artifact: every cell's full report, uploaded by CI
     // on failure for post-mortem triage.
@@ -265,7 +265,7 @@ fn main() {
         .set("rail_outage", rail)
         .set("clean_seeds", clean_json)
         .set("chaos_burst", chaos_json)
-        .set("shards", shard_json);
+        .set("nodes", nodes_json);
     std::fs::write(results_path("BENCH_doctor.json"), doc.render_pretty())
         .expect("write json");
     println!("wrote results/BENCH_doctor.json and results/doctor_incidents.json");

@@ -20,10 +20,11 @@
 //! frame with the sampler armed and an identical stats fingerprint are
 //! asserted; the frames/wall-s ratio is printed, not judged.
 
-use me_trace::{Json, SCHEMA_VERSION};
+use me_trace::{IncidentCause, Json, SCHEMA_VERSION};
 use multiedge::SystemConfig;
 use multiedge_bench::micro::{run_micro_sampled, MicroKind, MicroResult};
 use multiedge_bench::plane_overhead;
+use multiedge_bench::scale::MEMBER_COUNTER;
 use multiedge_bench::telemetry::{failover_telemetry, incast_telemetry, wire_telemetry};
 use netsim::time::us;
 use netsim::Dur;
@@ -152,45 +153,50 @@ fn main() {
         .set("retransmits_total", w.end.retransmits())
         .set("reconciled", true);
 
+    // Node 0 is the incast receiver: the member the index and the
+    // diagnosis must name hot.
     let t = incast_telemetry(smoke);
+    let inc = t
+        .health
+        .first(IncidentCause::IncastImbalance)
+        .expect("incast must diagnose as IncastImbalance");
+    let hot = inc.evidence()[0].column;
     println!(
-        "incast   4 shards  hot shard {}  peak imbalance {:.2}x over {} intervals",
-        t.hot_shard,
-        t.peak_imbalance,
-        t.intervals.len()
+        "incast   {} nodes  hot node {}  imbalance {:.2}x  incident on member {} \
+         ({} alarms, {} rows)",
+        t.timelines.len(),
+        t.hot_node,
+        t.imbalance,
+        hot,
+        inc.alarms,
+        t.timelines[0].len()
     );
-    // Node 0 is the incast receiver; the contiguous partition puts it in
-    // shard 0, which the per-interval index must name as hot.
-    assert_eq!(t.hot_shard, 0, "imbalance index must name the receiver's shard");
-    assert!(t.peak_imbalance > 1.0, "incast must be measurably imbalanced");
-    let intervals: Vec<Json> = t
-        .intervals
-        .iter()
-        .map(|(t_ns, idx, hot)| {
-            Json::obj()
-                .set("t_ns", *t_ns)
-                .set("imbalance", *idx)
-                .set("hot_shard", *hot)
-        })
-        .collect();
+    assert_eq!(t.hot_node, 0, "imbalance index must name the receiver node");
+    assert_eq!(hot, 0, "the diagnosis must name the receiver node");
     let incast = Json::obj()
-        .set("config", "2Lu-1G incast-8")
-        .set("shards", t.cell.shards)
-        .set("hot_shard", t.hot_shard)
-        .set("peak_imbalance", t.peak_imbalance)
-        .set("intervals", intervals);
+        .set("config", "2Lu-1G incast-8, members = nodes")
+        .set("member_counter", MEMBER_COUNTER)
+        .set("members", t.timelines.len())
+        .set("rows", t.timelines[0].len())
+        .set("hot_node", t.hot_node)
+        .set("imbalance", t.imbalance)
+        .set("incident_member", hot)
+        .set("incident_opened_t_ns", inc.opened_t_ns)
+        .set("incident_alarms", inc.alarms)
+        .set("reconciled", true)
+        .set("artifacts", "results/telemetry_incast_node{0..7}.jsonl");
 
     std::fs::create_dir_all(results_path("")).expect("create results dir");
     std::fs::write(results_path("telemetry_failover.jsonl"), &f.jsonl)
         .expect("write failover timeline artifact");
-    // One artifact per shard: `me-inspect timeline shard0.jsonl … shard3.jsonl`
-    // renders the cross-shard imbalance table from these.
-    for (i, tl) in t.cell.shard_samples.iter().enumerate() {
+    // One artifact per node: `me-inspect timeline node0.jsonl … node7.jsonl`
+    // renders the cross-node imbalance table from these.
+    for (i, tl) in t.timelines.iter().enumerate() {
         std::fs::write(
-            results_path(&format!("telemetry_incast_shard{i}.jsonl")),
+            results_path(&format!("telemetry_incast_node{i}.jsonl")),
             tl.to_jsonl(),
         )
-        .expect("write shard timeline artifact");
+        .expect("write node timeline artifact");
     }
     let doc = Json::obj()
         .set("schema_version", SCHEMA_VERSION)

@@ -6,10 +6,8 @@
 //! cargo run --offline --release -p multiedge-bench --example engine_ceiling
 //! ```
 
-use frame::{Frame, FrameHeader, MacAddr};
-use netsim::shard::{run_sharded, ShardNet, ShardRunConfig};
 use netsim::time::ns;
-use netsim::{ClusterSpec, RxFrame, Sim, SimTime};
+use netsim::{Sim, SimTime};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Instant;
@@ -101,80 +99,5 @@ fn main() {
             q.heap_pops,
             q.order_steps as f64 / count.get() as f64,
         );
-    }
-
-    // (d) The sharded runtime on a raw-frame all-to-all burst: per-shard
-    // event throughput, boundary-channel occupancy and lookahead stalls.
-    // Same workload at every shard count, all on this one thread: what
-    // differs between the rows is the window-synchronization overhead.
-    println!("\nsharded raw-frame all-to-all (32 nodes, 4 rails, 40 frames/pair):");
-    let spec = ClusterSpec::gbe_1(32, 4);
-    for shards in [1usize, 2, 4] {
-        let cfg = ShardRunConfig {
-            wall_limit: Some(std::time::Duration::from_secs(120)),
-            ..Default::default()
-        };
-        let t = Instant::now();
-        let (report, outs) = run_sharded(
-            &spec,
-            shards,
-            7,
-            None,
-            &cfg,
-            |sn: &ShardNet| {
-                let got: Rc<Cell<u64>> = Rc::default();
-                for &node in sn.local_nodes().iter() {
-                    for rail in 0..4 {
-                        let g = got.clone();
-                        sn.net()
-                            .set_rx_handler(sn.nics(node)[rail], move |_, _: RxFrame| {
-                                g.set(g.get() + 1);
-                            });
-                    }
-                    for peer in 0..32u16 {
-                        if peer as usize == node {
-                            continue;
-                        }
-                        for k in 0..40u64 {
-                            let rail = (k % 4) as u8;
-                            let f = Frame {
-                                src: MacAddr::new(node as u16, rail),
-                                dst: MacAddr::new(peer, rail),
-                                header: FrameHeader::default(),
-                                payload: bytes::Bytes::from(vec![0u8; 256]),
-                            };
-                            let net = sn.net().clone();
-                            let nic = sn.nics(node)[rail as usize];
-                            sn.sim().schedule_at(SimTime(k), move |_| {
-                                net.nic_send(nic, f);
-                            });
-                        }
-                    }
-                }
-                got
-            },
-            |_, got: Rc<Cell<u64>>| got.get(),
-        )
-        .expect("sharded raw-frame cell");
-        let dt = t.elapsed();
-        let delivered: u64 = outs.iter().sum();
-        let events: u64 = report.per_shard.iter().map(|s| s.events).sum();
-        println!(
-            "  shards {shards}: {delivered} delivered, {:.2}M events/s total, {} windows",
-            events as f64 / dt.as_secs_f64() / 1e6,
-            report.windows,
-        );
-        for (i, s) in report.per_shard.iter().enumerate() {
-            println!(
-                "    shard {i}: {:>7} events ({:.2}M/s)  stalls {:>4}  \
-                 boundary in/out {:>6}/{:<6}  max inbox {:>4}",
-                s.events,
-                s.events as f64 / dt.as_secs_f64() / 1e6,
-                s.idle_windows,
-                s.boundary_in,
-                s.boundary_out,
-                s.max_inbox_depth,
-            );
-        }
     }
 }

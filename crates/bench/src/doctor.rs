@@ -15,9 +15,8 @@
 //!    incidents ([`clean_seeds_doctor`]).
 //! 3. **Named causes** — a chaos loss burst diagnoses as
 //!    `RetransmitStorm` ([`chaos_burst_doctor`]), incast fan-in as
-//!    `IncastImbalance` with the receiver's shard named hot, and a
-//!    balanced all-to-all stays clean ([`incast_doctor`],
-//!    [`balanced_doctor`]).
+//!    `IncastImbalance` with the receiver node named hot, and a balanced
+//!    all-to-all stays clean ([`incast_doctor`], [`balanced_doctor`]).
 //! 4. **Offline ≡ online** — replaying the run's JSONL artifact through
 //!    [`me_trace::HealthMonitor::replay_doc`] reproduces the online
 //!    monitor's report byte-for-byte (every cell that exports JSONL).
@@ -27,10 +26,13 @@
 //! allocator and the wall clock.
 
 use crate::micro::{run_micro_doctor, MicroKind, MicroResult};
-use crate::scale::{all_to_all_cell, incast_cell, run_scale_cell_doctor, ScaleCellResult};
+use crate::scale::{
+    all_to_all_cell, incast_cell, run_scale_cell_unsharded, ScaleCell, MEMBER_COUNTER,
+};
 use bytes::Bytes;
 use me_trace::{
-    HealthConfig, HealthMonitor, HealthReport, IncidentCause, SpanRecorder, Timeline, TimelineDoc,
+    diagnose_member_timelines, HealthConfig, HealthMonitor, HealthReport, IncidentCause,
+    SpanRecorder, Timeline, TimelineDoc,
 };
 use multiedge::backplane::{
     drive, Backplane, ChaosConfig, ChaosStats, FaultBackplane, SimBackplane, WireEndpoint,
@@ -238,30 +240,28 @@ pub fn chaos_burst_doctor(smoke: bool) -> ChaosBurstDoctor {
 }
 
 // ---------------------------------------------------------------------------
-// Incast / balanced cells (sharded engine)
+// Incast / balanced cells (members = nodes)
 // ---------------------------------------------------------------------------
 
-/// The 8-node incast fan-in on 4 shards with the cross-shard diagnosis
-/// enabled: the receiver's shard (shard 0 under contiguous partition) must
-/// be named hot by an `IncastImbalance` incident.
-pub fn incast_doctor(smoke: bool) -> ScaleCellResult {
-    let bytes = if smoke { 32 << 10 } else { 128 << 10 };
-    run_scale_cell_doctor(&incast_cell(8, bytes), 4, us(200), HealthConfig::default())
-        .expect("incast doctor cell must partition and complete")
+/// Run `cell` on one engine with every node sampled every 200 µs and
+/// diagnose cross-node imbalance on each node's received data bytes.
+fn node_diagnosis(cell: &ScaleCell) -> HealthReport {
+    let (_, _, timelines) = run_scale_cell_unsharded(cell, Some(us(200)));
+    diagnose_member_timelines(&timelines, MEMBER_COUNTER, HealthConfig::default())
 }
 
-/// The balanced 8-node all-to-all on 4 shards (four rails, so the switches
-/// spread one per shard) with the same diagnosis enabled: the report must
-/// stay clean.
-pub fn balanced_doctor(smoke: bool) -> ScaleCellResult {
+/// The 8-node incast fan-in: the receiver (member 0 = node 0) must be named
+/// hot by an `IncastImbalance` incident.
+pub fn incast_doctor(smoke: bool) -> HealthReport {
+    let bytes = if smoke { 32 << 10 } else { 128 << 10 };
+    node_diagnosis(&incast_cell(8, bytes))
+}
+
+/// The balanced 8-node all-to-all under the same diagnosis: the report
+/// must stay clean.
+pub fn balanced_doctor(smoke: bool) -> HealthReport {
     let bytes = if smoke { 8 << 10 } else { 32 << 10 };
-    run_scale_cell_doctor(
-        &all_to_all_cell(8, bytes),
-        4,
-        us(200),
-        HealthConfig::default(),
-    )
-    .expect("balanced doctor cell must partition and complete")
+    node_diagnosis(&all_to_all_cell(8, bytes))
 }
 
 #[cfg(test)]
@@ -306,16 +306,14 @@ mod tests {
     }
 
     #[test]
-    fn incast_flags_receiver_shard_and_balanced_stays_clean() {
-        let inc = incast_doctor(true);
-        let report = inc.shard_health.expect("diagnosis was enabled");
+    fn incast_flags_receiver_node_and_balanced_stays_clean() {
+        let report = incast_doctor(true);
         let i = report
             .first(IncidentCause::IncastImbalance)
             .expect("incast must diagnose as IncastImbalance");
         let hot = i.evidence()[0].column as usize;
-        assert_eq!(hot, 0, "the receiver's shard must be named hot");
-        let bal = balanced_doctor(true);
-        let report = bal.shard_health.expect("diagnosis was enabled");
+        assert_eq!(hot, 0, "the receiver node must be named hot");
+        let report = balanced_doctor(true);
         assert!(
             report.incidents.is_empty(),
             "balanced all-to-all must stay clean:\n{}",

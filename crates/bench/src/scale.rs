@@ -1,5 +1,5 @@
-//! Scale harness: 64-node collective traffic on the sharded engine
-//! ([`netsim::shard`]).
+//! Collective-traffic cells, runnable on the sharded engine
+//! ([`netsim::shard`]) or unsharded on one [`Sim`].
 //!
 //! Two traffic cells exercise the patterns the ROADMAP's marquee
 //! experiments need — an **all-to-all** transpose (every node writes to
@@ -12,16 +12,22 @@
 //! Every run extracts a **timing-independent fingerprint** (per node:
 //! operations issued, bytes written, unique data frames/bytes received, and
 //! a checksum of the receiving memory regions) plus the fault-decision
-//! log. The determinism gate asserts these match across
-//! shard counts {1, 2, 4}; frames per wall-second are reported.
+//! log. The determinism gate (`tests/tests/shard_determinism.rs`) asserts
+//! these match across shard counts {1, 2, 4}. The unsharded run can also
+//! sample every node's timeline: the members an imbalance diagnosis
+//! compares are nodes, each the protocol engine of one host.
 
 use me_trace::Timeline;
-use multiedge::{Endpoint, OpFlags, ProtoStats, SystemConfig};
-use netsim::shard::{run_sharded, ShardError, ShardRunConfig, ShardStats};
+use multiedge::{Endpoint, EndpointSampler, OpFlags, ProtoStats, SystemConfig};
+use netsim::shard::{run_sharded, ShardError, ShardRunConfig};
 use netsim::sync::join_all;
 use netsim::{build_cluster, Dur, FaultDecision, FaultPlan, NetStats, Network, NicId, Sim};
 use std::rc::Rc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// The timeline counter a node contributes as one member of an imbalance
+/// diagnosis: the data bytes it received.
+pub const MEMBER_COUNTER: &str = "data_bytes_recv";
 
 /// Traffic pattern of a scale cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,28 +101,10 @@ pub struct EngineOut {
 /// Result of one `(cell, shard count)` run.
 #[derive(Debug, Clone)]
 pub struct ScaleCellResult {
-    /// Cell name.
-    pub name: String,
-    /// Shard count.
-    pub shards: usize,
-    /// Wall-clock seconds for the whole run (build + simulate + collect).
-    pub wall_s: f64,
-    /// Virtual seconds simulated.
-    pub virtual_s: f64,
     /// Synchronization windows executed.
     pub windows: u64,
-    /// Total frames serialized onto any channel, across all shards.
-    pub frames: u64,
-    /// The headline metric: frames serialized per wall-second.
-    pub frames_per_wall_s: f64,
     /// Total simulator events executed, across all shards.
     pub events: u64,
-    /// Events per wall-second.
-    pub events_per_wall_s: f64,
-    /// Sum of per-shard lookahead stalls (windows spent only waiting).
-    pub lookahead_stalls: u64,
-    /// Per-shard accounting (events, stalls, boundary traffic).
-    pub per_shard: Vec<ShardStats>,
     /// Flattened per-node fingerprints, ascending node order.
     pub fingerprint: Vec<NodeFingerprint>,
     /// Fault decisions, sorted by `(stream key, attempt)`.
@@ -126,17 +114,6 @@ pub struct ScaleCellResult {
     pub proto: ProtoStats,
     /// Cluster-wide network stats (ditto).
     pub net: NetStats,
-    /// Per-shard event timelines (one per shard, shard order) when the run
-    /// was sampled via [`run_scale_cell_sampled`]; empty otherwise. Grids
-    /// are identical across shards, so row `i` of every timeline covers the
-    /// same slice of virtual time — feed the per-interval deltas to
-    /// [`me_trace::imbalance`] to name the hot shard.
-    pub shard_samples: Vec<Timeline>,
-    /// Cross-shard health diagnosis over [`ScaleCellResult::shard_samples`]
-    /// when the run was started via [`run_scale_cell_doctor`]; `None`
-    /// otherwise. A persistently hot shard opens an `IncastImbalance`
-    /// incident.
-    pub shard_health: Option<me_trace::HealthReport>,
 }
 
 /// FNV-1a over the memory regions `node` received, per the cell's pattern.
@@ -282,62 +259,46 @@ fn collect_nodes(
 /// Run one cell unsharded — `build_cluster` on a single [`Sim`] — and
 /// return its outcome plus the events executed: the reference a one-shard
 /// [`run_scale_cell`] must equal exactly.
-pub fn run_scale_cell_unsharded(cell: &ScaleCell) -> (EngineOut, u64) {
+///
+/// With `sample_interval`, every node's [`Endpoint::start_timeline`] is
+/// armed at t = 0 and one finished [`Timeline`] per node comes back, in
+/// node order (empty otherwise). The samplers share one engine and one
+/// grid, so row `i` of every timeline covers the same slice of virtual
+/// time. Sampler ticks are events, so a sampled run's event count is not
+/// the reference's.
+pub fn run_scale_cell_unsharded(
+    cell: &ScaleCell,
+    sample_interval: Option<Dur>,
+) -> (EngineOut, u64, Vec<Timeline>) {
     let sim = Sim::new(cell.cfg.seed);
     let cluster = build_cluster(&sim, cell.cfg.cluster_spec());
     cluster.apply_fault_plan(&sim, &cell.plan);
     let local: Vec<_> = cluster.nics.iter().map(Vec::as_slice).enumerate().collect();
     let eps = setup_nodes(&sim, &cluster.net, &local, &cell.cfg, cell.pattern);
+    let samplers: Vec<EndpointSampler> = match sample_interval {
+        Some(iv) => eps
+            .iter()
+            .map(|ep| ep.start_timeline(0, iv, 4096))
+            .collect(),
+        None => Vec::new(),
+    };
     sim.run().expect_quiescent();
+    let events = sim.events_executed();
+    let timelines = samplers.into_iter().map(EndpointSampler::finish).collect();
     let out = collect_nodes(&cluster.net, &eps, &cell.cfg, cell.pattern);
     cluster.net.clear_handlers();
-    (out, sim.events_executed())
+    (out, events, timelines)
 }
 
 /// Run one cell at one shard count.
 pub fn run_scale_cell(cell: &ScaleCell, shards: usize) -> Result<ScaleCellResult, ShardError> {
-    run_scale_cell_sampled(cell, shards, None)
-}
-
-/// Run one cell at one shard count, optionally sampling each shard's event
-/// count every `sample_interval` of virtual time (see
-/// [`ScaleCellResult::shard_samples`]).
-pub fn run_scale_cell_sampled(
-    cell: &ScaleCell,
-    shards: usize,
-    sample_interval: Option<Dur>,
-) -> Result<ScaleCellResult, ShardError> {
-    run_scale_cell_inner(cell, shards, sample_interval, None)
-}
-
-/// Like [`run_scale_cell_sampled`], but also runs the cross-shard health
-/// diagnosis over the per-shard event timelines after the run (see
-/// [`ScaleCellResult::shard_health`]).
-pub fn run_scale_cell_doctor(
-    cell: &ScaleCell,
-    shards: usize,
-    sample_interval: Dur,
-    health: me_trace::HealthConfig,
-) -> Result<ScaleCellResult, ShardError> {
-    run_scale_cell_inner(cell, shards, Some(sample_interval), Some(health))
-}
-
-fn run_scale_cell_inner(
-    cell: &ScaleCell,
-    shards: usize,
-    sample_interval: Option<Dur>,
-    health: Option<me_trace::HealthConfig>,
-) -> Result<ScaleCellResult, ShardError> {
     let spec = cell.cfg.cluster_spec();
     let shard_cfg = ShardRunConfig {
         wall_limit: Some(cell.wall_limit),
-        sample_interval,
-        health,
         ..Default::default()
     };
     let pattern = cell.pattern;
     let plan = (!cell.plan.events().is_empty()).then_some(&cell.plan);
-    let t0 = Instant::now();
     let (report, outs) = run_sharded(
         &spec,
         shards,
@@ -350,8 +311,6 @@ fn run_scale_cell_inner(
         },
         |sn, eps| collect_nodes(sn.net(), &eps, &cell.cfg, pattern),
     )?;
-    let wall_s = t0.elapsed().as_secs_f64();
-
     let mut fingerprint = Vec::new();
     let mut decisions = Vec::new();
     let mut proto = ProtoStats::default();
@@ -370,30 +329,13 @@ fn run_scale_cell_inner(
     }
     fingerprint.sort_by_key(|&(node, _)| node);
     decisions.sort_by_key(|&(key, attempt, ..)| (key, attempt));
-    let events: u64 = report.per_shard.iter().map(|s| s.events).sum();
-    let lookahead_stalls: u64 = report.per_shard.iter().map(|s| s.idle_windows).sum();
     Ok(ScaleCellResult {
-        name: cell.name.clone(),
-        shards,
-        wall_s,
-        virtual_s: report.end_time.as_nanos() as f64 / 1e9,
         windows: report.windows,
-        frames: net.channel_frames,
-        frames_per_wall_s: if wall_s > 0.0 {
-            net.channel_frames as f64 / wall_s
-        } else {
-            0.0
-        },
-        events,
-        events_per_wall_s: if wall_s > 0.0 { events as f64 / wall_s } else { 0.0 },
-        lookahead_stalls,
-        per_shard: report.per_shard,
+        events: report.per_shard.iter().map(|s| s.events).sum(),
         fingerprint,
         decisions,
         proto,
         net,
-        shard_samples: report.samples,
-        shard_health: report.health,
     })
 }
 

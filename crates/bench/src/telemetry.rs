@@ -14,17 +14,19 @@
 //!    the datapath and ≤5% frames/wall-s (gated in the bench binary,
 //!    which owns the counting allocator and the wall clock).
 //!
-//! Three deterministic cells cover the three runtimes the timeline plane
-//! is wired through: the simulator endpoint under a rail outage
-//! ([`failover_telemetry`]), the sharded engine under incast fan-in
-//! ([`incast_telemetry`] — the per-interval shard imbalance index names
-//! the hot shard), and the wire-protocol endpoint over a chaos-wrapped
-//! backplane ([`wire_telemetry`]).
+//! Three deterministic cells cover the two runtimes the timeline plane is
+//! wired through: the simulator endpoint under a rail outage
+//! ([`failover_telemetry`]), every node of an incast fan-in on one engine
+//! ([`incast_telemetry`] — the cross-node imbalance names the receiver
+//! hot), and the wire-protocol endpoint over a chaos-wrapped backplane
+//! ([`wire_telemetry`]).
 
 use crate::micro::{run_micro_sampled, MicroKind, MicroResult};
-use crate::scale::{incast_cell, run_scale_cell_sampled, ScaleCellResult};
+use crate::scale::{incast_cell, run_scale_cell_unsharded, MEMBER_COUNTER};
 use bytes::Bytes;
-use me_trace::{imbalance, SpanRecorder, Timeline};
+use me_trace::{
+    diagnose_member_timelines, imbalance, HealthConfig, HealthReport, SpanRecorder, Timeline,
+};
 use multiedge::backplane::{
     drive, Backplane, ChaosConfig, ChaosStats, FaultBackplane, SimBackplane, WireEndpoint,
 };
@@ -124,75 +126,53 @@ pub fn failover_telemetry(smoke: bool) -> FailoverTelemetry {
 }
 
 // ---------------------------------------------------------------------------
-// Incast cell (sharded engine)
+// Incast cell (one timeline per node)
 // ---------------------------------------------------------------------------
 
-/// Result of [`incast_telemetry`]: the scale-cell run plus the derived
-/// per-interval imbalance series.
+/// Result of [`incast_telemetry`]: one timeline per node plus the
+/// cross-node verdicts drawn from them.
 pub struct IncastTelemetry {
-    /// The underlying sharded run (per-shard timelines inside).
-    pub cell: ScaleCellResult,
-    /// Shard with the most events overall (expected: the shard owning
-    /// node 0, the incast receiver — shard 0 under contiguous partition).
-    pub hot_shard: usize,
-    /// Highest per-interval imbalance index (`max / mean` events).
-    pub peak_imbalance: f64,
-    /// Per interval: `(t_ns, imbalance index, hottest shard)`.
-    pub intervals: Vec<(u64, f64, usize)>,
+    /// One timeline per node, node order (node 0 is the receiver).
+    pub timelines: Vec<Timeline>,
+    /// Node that received the most data bytes overall (expected: node 0).
+    pub hot_node: usize,
+    /// Imbalance index (`max / mean`) of the per-node received-byte totals.
+    pub imbalance: f64,
+    /// The imbalance diagnosis over the per-interval received-byte deltas,
+    /// with [`HealthConfig::default`].
+    pub health: HealthReport,
 }
 
-/// The 8-node incast fan-in on 4 shards, each shard's event counter
-/// sampled every 200 µs of virtual time. Because rows are stamped at
-/// global window boundaries, the per-shard grids align exactly and each
-/// row yields one cross-shard imbalance reading.
+/// The 8-node incast fan-in on one engine, every node sampled every
+/// 200 µs of virtual time. Each node's `data_bytes_recv` telescopes to its
+/// end-of-run [`ProtoStats`] exactly (asserted here); the per-node deltas
+/// are the members of the imbalance index and of its diagnosis.
 pub fn incast_telemetry(smoke: bool) -> IncastTelemetry {
     let bytes = if smoke { 32 << 10 } else { 128 << 10 };
-    let cell = incast_cell(8, bytes);
-    let r = run_scale_cell_sampled(&cell, 4, Some(us(200)))
-        .expect("incast telemetry cell must partition and complete");
-    assert_eq!(r.shard_samples.len(), 4, "one timeline per shard");
-
-    let events: Vec<_> = r
-        .shard_samples
+    let (out, _, timelines) = run_scale_cell_unsharded(&incast_cell(8, bytes), Some(us(200)));
+    // Fingerprint column 3 is the node's end-of-run `data_bytes_recv`.
+    let totals: Vec<u64> = timelines
         .iter()
-        .map(|tl| tl.source_id("events").expect("shard timelines carry events"))
+        .zip(&out.fingerprints)
+        .map(|(tl, (node, fp))| {
+            let id = tl
+                .source_id(MEMBER_COUNTER)
+                .expect("node timelines carry the member counter");
+            let sum = tl.base_raw(id) + tl.column_sum(id);
+            assert_eq!(
+                sum, fp[3],
+                "node {node}: base + Σ deltas of {MEMBER_COUNTER} != ProtoStats"
+            );
+            sum
+        })
         .collect();
-    let totals: Vec<u64> = r
-        .shard_samples
-        .iter()
-        .zip(&events)
-        .map(|(tl, &id)| tl.base_raw(id) + tl.column_sum(id))
-        .collect();
-    let (_, hot_shard) = imbalance(&totals);
-
-    let rows = r
-        .shard_samples
-        .iter()
-        .map(Timeline::len)
-        .min()
-        .unwrap_or(0);
-    let mut intervals = Vec::with_capacity(rows);
-    let mut peak_imbalance = 0.0f64;
-    for i in 0..rows {
-        let t = r.shard_samples[0].row(i).0;
-        let deltas: Vec<u64> = r
-            .shard_samples
-            .iter()
-            .zip(&events)
-            .map(|(tl, &id)| {
-                debug_assert_eq!(tl.row(i).0, t, "shard grids must align");
-                tl.row(i).1[id.index()]
-            })
-            .collect();
-        let (idx, hot) = imbalance(&deltas);
-        peak_imbalance = peak_imbalance.max(idx);
-        intervals.push((t, idx, hot));
-    }
+    let (imbalance, hot_node) = imbalance(&totals);
+    let health = diagnose_member_timelines(&timelines, MEMBER_COUNTER, HealthConfig::default());
     IncastTelemetry {
-        cell: r,
-        hot_shard,
-        peak_imbalance,
-        intervals,
+        timelines,
+        hot_node,
+        imbalance,
+        health,
     }
 }
 
@@ -301,17 +281,20 @@ mod tests {
     }
 
     #[test]
-    fn incast_cell_names_the_receiver_shard_as_hot() {
+    fn incast_cell_names_the_receiver_node_as_hot() {
+        // The cell itself asserts each node's data_bytes_recv reconciles.
         let t = incast_telemetry(true);
-        // Node 0 is the incast receiver; the contiguous partition puts it
-        // in shard 0, which must dominate the event counts.
-        assert_eq!(t.hot_shard, 0, "hot shard must be the receiver's");
-        assert!(
-            t.peak_imbalance > 1.0,
-            "incast must be measurably imbalanced, got {}",
-            t.peak_imbalance
+        assert_eq!(t.timelines.len(), 8, "one timeline per node");
+        assert_eq!(t.hot_node, 0, "the receiver must dominate received bytes");
+        let inc = t
+            .health
+            .first(me_trace::IncidentCause::IncastImbalance)
+            .expect("incast must diagnose as IncastImbalance");
+        assert_eq!(
+            inc.evidence()[0].column,
+            0,
+            "the receiver must be named hot"
         );
-        assert!(!t.intervals.is_empty(), "expected per-interval rows");
     }
 
     #[test]

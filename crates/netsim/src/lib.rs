@@ -67,8 +67,8 @@ pub use net::{
     SwitchId,
 };
 pub use shard::{
-    run_sharded, BoundaryMsg, PartitionError, ShardError, ShardMode, ShardNet, ShardPlan,
-    ShardRunConfig, ShardRunReport, ShardStats,
+    run_sharded, PartitionError, ShardError, ShardMode, ShardNet, ShardPlan, ShardRunConfig,
+    ShardRunReport, ShardStats,
 };
 pub use time::{Dur, SimTime};
 pub use topology::{build_cluster, Cluster, ClusterSpec, DEFAULT_FAULT_SEED};

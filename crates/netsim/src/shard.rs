@@ -18,15 +18,18 @@
 //! ```
 //!
 //! All shards take turns on the calling thread. The runtime is the
-//! **determinism witness** for the fabric: it shows that a frame's fate is
-//! a function of the seed and the link it crosses, not of which engine
-//! simulates it or how events interleave. (Worker threads behind two
-//! barriers per window were measured at 0.06–0.75× one engine and deleted;
-//! docs/PERFORMANCE.md § Scaling out has the table.)
+//! **determinism witness** for the fabric and nothing else: it shows that a
+//! frame's fate is a function of the seed and the link it crosses, not of
+//! which engine simulates it or how events interleave
+//! (`tests/tests/shard_determinism.rs` is the gate). It carries no sampler
+//! or health plane: a shard is a cut of the event queue, not a host, so
+//! imbalance is diagnosed over per-node timelines on one engine. (Worker
+//! threads behind two barriers per window were measured at 0.06–0.75× one
+//! engine and deleted; docs/PERFORMANCE.md § Scaling out has the table.)
 //!
-//! Cross-shard frames travel as [`BoundaryMsg`] and are injected in
-//! `(arrival time, source shard, per-source sequence)` order, so a shard's
-//! event stream is a pure function of the seed and the topology.
+//! Cross-shard frames are injected in `(arrival time, source shard,
+//! per-source sequence)` order, so a shard's event stream is a pure
+//! function of the seed and the topology.
 //!
 //! # Determinism contract
 //!
@@ -48,8 +51,7 @@
 //! scheduling history). Timing-*independent* outcomes — bytes delivered,
 //! receiver memory contents, completed operations — are bit-identical;
 //! timing-*dependent* counters (retransmit counts, exact drop totals under
-//! congestion) may differ. The determinism tests and CI gate compare the
-//! former.
+//! congestion) may differ. The determinism tests compare the former.
 
 use crate::engine::Sim;
 use crate::faults::{FaultPlan, FaultTarget};
@@ -57,7 +59,6 @@ use crate::net::{BoundaryTx, ChannelId, Network, NicId, RemoteDest, SwitchId};
 use crate::time::{Dur, SimTime};
 use crate::topology::ClusterSpec;
 use frame::{FastMap, MacAddr};
-use me_trace::{HealthConfig, HealthReport, SourceId, Timeline, TimelineBuilder};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -179,15 +180,12 @@ impl ShardPlan {
 }
 
 /// A frame crossing between shards, totally ordered by
-/// `(tx.at, src_shard, seq)` at injection.
-#[derive(Debug, Clone)]
-pub struct BoundaryMsg {
-    /// Shard that produced the frame.
-    pub src_shard: usize,
-    /// Production order within the source shard (monotonic per source).
-    pub seq: u64,
-    /// The frame and its arrival coordinates.
-    pub tx: BoundaryTx,
+/// `(tx.at, src_shard, seq)` at injection; `seq` is the production order
+/// within the source shard.
+struct BoundaryMsg {
+    src_shard: usize,
+    seq: u64,
+    tx: BoundaryTx,
 }
 
 /// One shard's world: a private [`Sim`], a [`Network`] holding the shard's
@@ -385,14 +383,15 @@ impl ShardNet {
 /// [`ShardRunConfig::mode`] survive only because `perf/src/mesh.rs` names
 /// `ShardMode::Cooperative` and the benchmark's files are frozen. Both go
 /// when a `benchmark` PR drops that line (ROADMAP item 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ShardMode {
     /// All shards round-robin on the calling thread.
+    #[default]
     Cooperative,
 }
 
 /// Knobs for [`run_sharded`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ShardRunConfig {
     /// Ignored: its only value is its default (see [`ShardMode`]).
     pub mode: ShardMode,
@@ -401,38 +400,6 @@ pub struct ShardRunConfig {
     pub virtual_limit: Option<Dur>,
     /// Abort (with [`ShardError::WallClockExceeded`]) past this wall time.
     pub wall_limit: Option<std::time::Duration>,
-    /// When set, each shard samples its cumulative event count onto a
-    /// virtual-time grid of this spacing, published as one
-    /// [`me_trace::Timeline`] per shard in [`ShardRunReport::samples`].
-    /// Rows land at window boundaries, which every shard crosses at the
-    /// same virtual instants — so the sample grids are identical across
-    /// shards, and per-interval deltas can be compared shard-against-shard
-    /// (the imbalance index).
-    pub sample_interval: Option<Dur>,
-    /// Most retained rows per shard timeline when sampling is on; the
-    /// oldest rows are evicted (their deltas fold into the base) beyond
-    /// this.
-    pub sample_capacity: usize,
-    /// When set (and [`ShardRunConfig::sample_interval`] is on), run the
-    /// streaming health detectors over the per-shard event timelines after
-    /// the run: each shard's per-interval event deltas become one member
-    /// series, and a persistently hot shard opens an `IncastImbalance`
-    /// incident in [`ShardRunReport::health`]. The diagnosis is a pure
-    /// function of the sample grids.
-    pub health: Option<HealthConfig>,
-}
-
-impl Default for ShardRunConfig {
-    fn default() -> Self {
-        Self {
-            mode: ShardMode::Cooperative,
-            virtual_limit: None,
-            wall_limit: None,
-            sample_interval: None,
-            sample_capacity: 4096,
-            health: None,
-        }
-    }
 }
 
 /// Why a sharded run stopped without quiescing.
@@ -493,12 +460,6 @@ pub struct ShardStats {
     /// Windows in which the shard executed zero events — lookahead stalls:
     /// it only waited for its neighbors.
     pub idle_windows: u64,
-    /// Boundary frames received.
-    pub boundary_in: u64,
-    /// Boundary frames sent.
-    pub boundary_out: u64,
-    /// Deepest single-round boundary-inbox backlog observed.
-    pub max_inbox_depth: usize,
     /// Wall nanoseconds spent inside the shard's `advance_until` (event
     /// execution). The window-machinery overhead is the run's wall time
     /// minus this.
@@ -521,16 +482,6 @@ pub struct ShardRunReport {
     pub lookahead: Dur,
     /// Per-shard accounting.
     pub per_shard: Vec<ShardStats>,
-    /// Per-shard event timelines, one per shard in shard order, when
-    /// [`ShardRunConfig::sample_interval`] was set; empty otherwise. Each
-    /// carries a single `events` counter whose per-interval deltas are the
-    /// events that shard executed in that slice of virtual time.
-    pub samples: Vec<Timeline>,
-    /// Cross-shard health diagnosis over [`ShardRunReport::samples`], when
-    /// [`ShardRunConfig::health`] was set: the per-shard event-delta series
-    /// run through the imbalance detector, flagging a persistently hot
-    /// shard as an `IncastImbalance` incident.
-    pub health: Option<HealthReport>,
 }
 
 /// Everything one shard publishes after executing a window; the inputs to
@@ -574,52 +525,6 @@ fn decide(window: u64, lookahead_ns: u64, reports: &[RoundReport]) -> Decision {
         // Idle fast-forward: jump to the window containing the earliest
         // future work.
         Decision::Continue((window + 1).max(global_min / lookahead_ns))
-    }
-}
-
-/// One shard's event-count sampler: a single-counter [`Timeline`] fed the
-/// shard's cumulative event count at every window boundary where a grid
-/// row is due. Window boundaries are the same virtual instants on every
-/// shard, so the committed rows line up exactly across shards — the
-/// property the imbalance index depends on.
-struct ShardSampler {
-    tl: Timeline,
-    events: SourceId,
-}
-
-impl ShardSampler {
-    fn new(interval: Dur, capacity: usize) -> Self {
-        let mut b = TimelineBuilder::new();
-        let events = b.counter("events");
-        ShardSampler {
-            tl: b.build(interval.as_nanos(), capacity, 0),
-            events,
-        }
-    }
-
-    /// Commit a row stamped `window_end_ns` if one is due there.
-    fn observe(&mut self, window_end_ns: u64, events: u64) {
-        if self.tl.due(window_end_ns) {
-            self.tl.set(self.events, events);
-            self.tl.sample(window_end_ns);
-        }
-    }
-
-    /// Final reconciliation row stamped at the last round's window end (an
-    /// instant every shard crossed): afterwards the
-    /// timeline's base plus the sum of retained deltas equals `events`
-    /// exactly.
-    fn finish(mut self, end_ns: u64, events: u64) -> Timeline {
-        let stale = self
-            .tl
-            .len()
-            .checked_sub(1)
-            .is_none_or(|last| self.tl.row(last).0 < end_ns);
-        if stale {
-            self.tl.set(self.events, events);
-            self.tl.sample(end_ns);
-        }
-        self.tl
     }
 }
 
@@ -696,7 +601,6 @@ fn run_window(
             tx,
         };
         *seq += 1;
-        stats.boundary_out += 1;
         out.push((dst, msg));
     }
     let held_min = held.peek().map(|m| m.0.tx.at.as_nanos()).unwrap_or(u64::MAX);
@@ -749,15 +653,8 @@ pub fn run_sharded<S, Out>(
     let mut held: Vec<BinaryHeap<HeldMsg>> = (0..shards).map(|_| BinaryHeap::new()).collect();
     let mut seqs = vec![0u64; shards];
     let mut stats = vec![ShardStats::default(); shards];
-    let mut samplers: Vec<Option<ShardSampler>> = (0..shards)
-        .map(|_| {
-            cfg.sample_interval
-                .map(|iv| ShardSampler::new(iv, cfg.sample_capacity))
-        })
-        .collect();
     let mut window = 0u64;
     let mut windows_run = 0u64;
-    let mut last_window_end_ns;
     let started = Instant::now();
     let decision = loop {
         if let Some(wall) = cfg.wall_limit {
@@ -768,7 +665,6 @@ pub fn run_sharded<S, Out>(
             }
         }
         let window_end_ns = (window + 1) * lookahead_ns;
-        last_window_end_ns = window_end_ns;
         let mut staged: Vec<(usize, BoundaryMsg)> = Vec::new();
         let mut reports = Vec::with_capacity(shards);
         for s in 0..shards {
@@ -779,23 +675,14 @@ pub fn run_sharded<S, Out>(
                 window_end_ns,
                 &mut stats[s],
             );
-            if let Some(smp) = &mut samplers[s] {
-                smp.observe(window_end_ns, stats[s].events);
-            }
             staged.extend(out);
             reports.push(report);
         }
         windows_run += 1;
         // Exchange after the whole round: frames produced in round r become
         // visible in round r+1.
-        let mut depth = vec![0usize; shards];
         for (dst, msg) in staged {
-            stats[dst].boundary_in += 1;
-            depth[dst] += 1;
             held[dst].push(HeldMsg(msg));
-        }
-        for s in 0..shards {
-            stats[s].max_inbox_depth = stats[s].max_inbox_depth.max(depth[s]);
         }
         match decide(window, lookahead_ns, &reports) {
             Decision::Continue(w) => {
@@ -821,12 +708,6 @@ pub fn run_sharded<S, Out>(
                 .map(|(sn, st)| collect(sn, st))
                 .collect();
             let end_time = nets.iter().map(|sn| sn.sim.now()).max().unwrap_or(SimTime::ZERO);
-            let samples: Vec<Timeline> = samplers
-                .into_iter()
-                .zip(&stats)
-                .flat_map(|(smp, st)| smp.map(|s| s.finish(last_window_end_ns, st.events)))
-                .collect();
-            let health = shard_health(cfg, &samples);
             Ok((
                 ShardRunReport {
                     shards,
@@ -834,25 +715,11 @@ pub fn run_sharded<S, Out>(
                     end_time,
                     lookahead: plan.lookahead(),
                     per_shard: stats,
-                    samples,
-                    health,
                 },
                 outs,
             ))
         }
     }
-}
-
-/// Post-run cross-shard diagnosis: feed each shard's per-interval event
-/// deltas to the imbalance detector as one member series. Runs only when
-/// both sampling and [`ShardRunConfig::health`] are on; a pure function of
-/// the sample grids.
-fn shard_health(cfg: &ShardRunConfig, samples: &[Timeline]) -> Option<HealthReport> {
-    let hc = cfg.health?;
-    if samples.is_empty() {
-        return None;
-    }
-    Some(me_trace::diagnose_member_timelines(samples, "events", hc))
 }
 
 #[cfg(test)]
@@ -961,146 +828,6 @@ mod tests {
             let got = all_to_all_received(shards);
             assert_eq!(got, vec![3u64; 4], "shards={shards}");
         }
-    }
-
-    /// The all-to-all workload with event sampling on.
-    fn sampled_all_to_all(shards: usize) -> ShardRunReport {
-        let spec = spec(4, 1);
-        let cfg = ShardRunConfig {
-            wall_limit: Some(std::time::Duration::from_secs(30)),
-            sample_interval: Some(Dur(2_000)),
-            ..Default::default()
-        };
-        let (report, _) = run_sharded(
-            &spec,
-            shards,
-            7,
-            None,
-            &cfg,
-            |sn: &ShardNet| {
-                for &node in sn.local_nodes() {
-                    for peer in 0..4u16 {
-                        if peer as usize == node {
-                            continue;
-                        }
-                        let f = Frame {
-                            src: MacAddr::new(node as u16, 0),
-                            dst: MacAddr::new(peer, 0),
-                            header: FrameHeader::default(),
-                            payload: Bytes::from(vec![0u8; 256]),
-                        };
-                        let net = sn.net().clone();
-                        let nic = sn.nics(node)[0];
-                        sn.sim().schedule_at(SimTime::ZERO, move |_| {
-                            net.nic_send(nic, f);
-                        });
-                    }
-                }
-            },
-            |_, _| (),
-        )
-        .unwrap();
-        report
-    }
-
-    #[test]
-    fn event_samples_reconcile() {
-        let report = sampled_all_to_all(2);
-        assert_eq!(report.samples.len(), 2, "one timeline per shard");
-        for (tl, st) in report.samples.iter().zip(&report.per_shard) {
-            let events = tl.source_id("events").expect("shard timelines carry events");
-            // Telescoping: base + retained deltas == the shard's final
-            // cumulative event count.
-            assert_eq!(
-                tl.base_raw(events) + tl.column_sum(events),
-                st.events,
-                "sampled deltas must reconcile with ShardStats.events"
-            );
-        }
-    }
-
-    /// 8 nodes, 4 rails, 4 shards, health diagnosis enabled. Rail `r`'s
-    /// switch lands on shard `r`, so in the balanced case each adjacent
-    /// node pair bursts over its own shard's rail (every shard runs the
-    /// same pair plus one switch); `hot` routes only the shard-0 pair,
-    /// over rail 0, leaving the other shards idle.
-    fn health_run(hot: bool) -> ShardRunReport {
-        let spec = spec(8, 4);
-        // The lopsided case relies on both chatty nodes landing on the
-        // same shard, so the hot load stays intra-shard.
-        let plan = ShardPlan::partition(&spec, 4).unwrap();
-        assert_eq!(plan.node_shard(0), plan.node_shard(1));
-        assert_eq!(plan.switch_shard(0), 0);
-        let hc = HealthConfig {
-            imbalance_min_total: 8,
-            ..Default::default()
-        };
-        let cfg = ShardRunConfig {
-            wall_limit: Some(std::time::Duration::from_secs(30)),
-            sample_interval: Some(Dur(20_000)),
-            health: Some(hc),
-            ..Default::default()
-        };
-        let (report, _) = run_sharded(
-            &spec,
-            4,
-            7,
-            None,
-            &cfg,
-            |sn: &ShardNet| {
-                for &node in sn.local_nodes() {
-                    if hot && node > 1 {
-                        continue;
-                    }
-                    let peer = (node ^ 1) as u16;
-                    let rail = if hot { 0 } else { node / 2 };
-                    for _ in 0..128 {
-                        let f = Frame {
-                            src: MacAddr::new(node as u16, rail as u8),
-                            dst: MacAddr::new(peer, rail as u8),
-                            header: FrameHeader::default(),
-                            payload: Bytes::from(vec![0u8; 64]),
-                        };
-                        let net = sn.net().clone();
-                        let nic = sn.nics(node)[rail];
-                        sn.sim().schedule_at(SimTime::ZERO, move |_| {
-                            net.nic_send(nic, f);
-                        });
-                    }
-                }
-            },
-            |_, _| (),
-        )
-        .unwrap();
-        report
-    }
-
-    #[test]
-    fn shard_health_flags_hot_shard_and_stays_quiet_when_balanced() {
-        let hot = health_run(true);
-        let report = hot.health.expect("health was configured");
-        let inc = report
-            .first(me_trace::IncidentCause::IncastImbalance)
-            .expect("a persistently hot shard must open an IncastImbalance incident");
-        assert!(inc.alarms > 0);
-        let clean = health_run(false);
-        let report = clean.health.expect("health was configured");
-        assert!(
-            report.incidents.is_empty(),
-            "balanced load must stay clean:\n{}",
-            report.render_human()
-        );
-    }
-
-    #[test]
-    fn sampling_off_publishes_no_timelines() {
-        let spec = spec(4, 1);
-        let cfg = ShardRunConfig {
-            wall_limit: Some(std::time::Duration::from_secs(30)),
-            ..Default::default()
-        };
-        let (report, _) = run_sharded(&spec, 2, 7, None, &cfg, |_| (), |_, _| ()).unwrap();
-        assert!(report.samples.is_empty());
     }
 
     #[test]

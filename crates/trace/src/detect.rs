@@ -922,8 +922,8 @@ pub fn diagnose_imbalance(
 }
 
 /// Diagnose a set of per-member timelines that share one counter column
-/// (e.g. per-shard `events`): extracts the aligned per-interval deltas and
-/// runs [`diagnose_imbalance`]. Rows are aligned by index; timelines
+/// (e.g. per-node `data_bytes_recv`): extracts the aligned per-interval
+/// deltas and runs [`diagnose_imbalance`]. Rows are aligned by index; timelines
 /// produced by the same run share the sampling grid, so index alignment is
 /// timestamp alignment.
 pub fn diagnose_member_timelines(

@@ -570,9 +570,9 @@ impl TimelineDoc {
 
 /// Per-interval imbalance index over one row of per-member values:
 /// `(max / mean, argmax)`. Returns `(1.0, 0)` for an all-zero or empty row
-/// (perfectly balanced nothing). This is the shard-balance signal the
-/// adaptive-balancing work consumes: 1.0 means even load, `k` means the
-/// hottest member did `k×` the mean.
+/// (perfectly balanced nothing). This is the node-balance signal the
+/// incast diagnosis consumes: 1.0 means even load, `k` means the hottest
+/// member did `k×` the mean.
 pub fn imbalance(values: &[u64]) -> (f64, usize) {
     let total: u64 = values.iter().sum();
     if values.is_empty() || total == 0 {

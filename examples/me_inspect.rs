@@ -20,8 +20,8 @@
 //! Render an interval-sampled timeline artifact (`Timeline::to_jsonl`,
 //! e.g. `results/telemetry_failover.jsonl`) as per-interval sparkline
 //! tables — derived goodput and retransmit rows, per-rail backlog, then
-//! every non-zero source. Pass several per-shard artifacts at once to add
-//! the cross-shard imbalance table. Exits 2 when a file's telescoping
+//! every non-zero source. Pass several per-node artifacts at once to add
+//! the cross-node imbalance table. Exits 2 when a file's telescoping
 //! invariant (`base + Σ deltas == final`) does not hold:
 //!
 //! ```text
@@ -32,7 +32,8 @@
 //! (`doctor`): every row runs through the same z-score/CUSUM/burst/rule
 //! detectors the online [`me_trace::HealthMonitor`] applies at sample
 //! time, producing bit-identical incidents. Several files add the
-//! cross-file (per-shard) imbalance diagnosis. Prints the incident table,
+//! cross-node imbalance diagnosis (one file per node, each node measured
+//! on its `data_bytes_recv` column). Prints the incident table,
 //! exits 1 when an incident is still open at end of artifact:
 //!
 //! ```text
@@ -154,7 +155,7 @@ fn run_timeline(args: &[String]) -> ! {
         Renders interval-sampled timeline artifacts as per-interval sparkline\n\
         tables (a machine-readable report with --json; --quiet suppresses all\n\
         normal output so only the exit code carries the verdict). Several\n\
-        files add the cross-file imbalance table.\n\
+        per-node files add the cross-node imbalance table on data_bytes_recv.\n\
         \n\
         Exit codes:\n\
         \x20 0  every file parses and its telescoping invariant holds\n\
@@ -215,8 +216,8 @@ fn run_doctor(args: &[String]) -> ! {
         Replays the streaming health detectors (robust z-score, CUSUM, rate\n\
         burst, rail/fence rules) over timeline artifacts — the same engine the\n\
         online HealthMonitor runs at sample time, so the incident tables are\n\
-        bit-identical. Several files add the cross-file (per-shard) imbalance\n\
-        diagnosis on each file's first counter column.\n\
+        bit-identical. Several per-node files add the cross-node imbalance\n\
+        diagnosis on each file's data_bytes_recv column.\n\
         \n\
         Exit codes:\n\
         \x20 0  no incident open at end of artifact\n\
@@ -242,7 +243,7 @@ fn run_doctor(args: &[String]) -> ! {
             (p, mon.report())
         })
         .collect();
-    let cross = (docs.len() > 1).then(|| cross_diagnosis(&docs, cfg));
+    let cross = (docs.len() > 1).then(|| cross_diagnosis(&docs, member_series(&docs, 2), cfg));
     let open: usize = reports.iter().map(|(_, r)| r.open_incidents()).sum::<usize>()
         + cross.as_ref().map_or(0, HealthReport::open_incidents);
     if json_out {
@@ -266,7 +267,7 @@ fn run_doctor(args: &[String]) -> ! {
         }
         if let Some(c) = &cross {
             println!(
-                "cross-file imbalance diagnosis ({} members, first counter column)",
+                "cross-node imbalance diagnosis ({} members, {MEMBER_COLUMN})",
                 docs.len()
             );
             print!("{}", c.render_human());
@@ -275,22 +276,33 @@ fn run_doctor(args: &[String]) -> ! {
     std::process::exit(if open > 0 { 1 } else { 0 });
 }
 
-/// Cross-file diagnosis: each file is one member series, measured on its
-/// first counter column's per-interval deltas — the detector-backed
-/// version of the timeline imbalance table.
-fn cross_diagnosis(docs: &[(String, TimelineDoc)], cfg: HealthConfig) -> HealthReport {
-    let labels: Vec<String> = docs.iter().map(|(p, _)| p.clone()).collect();
-    let members: Vec<Vec<u64>> = docs
-        .iter()
-        .map(|(_, d)| {
-            let c = d
-                .sources
-                .iter()
-                .position(|s| s.kind == SourceKind::Counter)
-                .unwrap_or(0);
-            series(d, c)
+/// The column a file contributes as one member of the cross-node
+/// imbalance: the node's received data bytes, which `CoreSampler` writes on
+/// the simulator and the wire runtime alike.
+const MEMBER_COLUMN: &str = "data_bytes_recv";
+
+/// Each file's per-interval [`MEMBER_COLUMN`] deltas, one member series per
+/// file; exits with `err_exit` when a file has no such column.
+fn member_series(docs: &[(String, TimelineDoc)], err_exit: i32) -> Vec<Vec<u64>> {
+    docs.iter()
+        .map(|(p, d)| match d.column(MEMBER_COLUMN) {
+            Some(c) => series(d, c),
+            None => {
+                eprintln!("me-inspect: {p} has no {MEMBER_COLUMN} column to compare nodes on");
+                std::process::exit(err_exit);
+            }
         })
-        .collect();
+        .collect()
+}
+
+/// Cross-node diagnosis over the member series — the detector-backed
+/// version of the timeline imbalance table.
+fn cross_diagnosis(
+    docs: &[(String, TimelineDoc)],
+    members: Vec<Vec<u64>>,
+    cfg: HealthConfig,
+) -> HealthReport {
+    let labels: Vec<String> = docs.iter().map(|(p, _)| p.clone()).collect();
     let t_ns: Vec<u64> = docs
         .iter()
         .max_by_key(|(_, d)| d.samples.len())
@@ -425,33 +437,16 @@ fn render_timeline(path: &str, doc: &TimelineDoc) {
     println!();
 }
 
-/// The per-interval cross-file imbalance series: each file is one member
-/// (e.g. one shard), measured on its first counter column.
+/// The per-interval cross-node imbalance series: each file is one member
+/// (one node), measured on its [`MEMBER_COLUMN`].
 fn imbalance_rows(docs: &[(String, TimelineDoc)]) -> Vec<(u64, f64, usize)> {
-    let cols: Vec<usize> = docs
-        .iter()
-        .map(|(_, d)| {
-            d.sources
-                .iter()
-                .position(|s| s.kind == SourceKind::Counter)
-                .unwrap_or(0)
-        })
-        .collect();
-    let rows = docs
-        .iter()
-        .map(|(_, d)| d.samples.len())
-        .min()
-        .unwrap_or(0);
+    let members = member_series(docs, 1);
+    let rows = members.iter().map(Vec::len).min().unwrap_or(0);
     (0..rows)
         .map(|i| {
-            let t = docs[0].1.samples[i].0;
-            let vals: Vec<u64> = docs
-                .iter()
-                .zip(&cols)
-                .map(|((_, d), &c)| d.samples[i].1[c])
-                .collect();
+            let vals: Vec<u64> = members.iter().map(|m| m[i]).collect();
             let (idx, hot) = imbalance(&vals);
-            (t, idx, hot)
+            (docs[0].1.samples[i].0, idx, hot)
         })
         .collect()
 }
@@ -467,7 +462,7 @@ fn render_imbalance(docs: &[(String, TimelineDoc)]) {
         .iter()
         .cloned()
         .fold((0u64, 1.0f64, 0usize), |acc, r| if r.1 > acc.1 { r } else { acc });
-    println!("cross-file imbalance ({} members, first counter column)", docs.len());
+    println!("cross-node imbalance ({} members, {MEMBER_COLUMN})", docs.len());
     println!(
         "  imbalance    {}  peak {:.2}x at {} (member {} = {})",
         spark(&centi, SPARK_WIDTH, false),

@@ -36,10 +36,15 @@ fn lossy_cell_fingerprints_identical_across_shard_counts() {
     }
 }
 
-/// Fault-free traffic patterns hold the same contract.
+/// Fault-free traffic patterns hold the same contract, at 8 and 16 nodes.
 #[test]
 fn clean_cells_fingerprints_identical_across_shard_counts() {
-    for cell in [all_to_all_cell(8, 2 << 10), incast_cell(8, 4 << 10)] {
+    for cell in [
+        all_to_all_cell(8, 2 << 10),
+        incast_cell(8, 4 << 10),
+        all_to_all_cell(16, 4 << 10),
+        incast_cell(16, 8 << 10),
+    ] {
         let base = run_scale_cell(&cell, 1).unwrap();
         for shards in [2, 4] {
             let r = run_scale_cell(&cell, shards).unwrap();
@@ -48,6 +53,12 @@ fn clean_cells_fingerprints_identical_across_shard_counts() {
                 "cell '{}' diverges at {shards} shards",
                 cell.name
             );
+            decisions_consistent(&base.decisions, &r.decisions).unwrap_or_else(|why| {
+                panic!(
+                    "cell '{}': decision streams diverge at {shards} shards: {why}",
+                    cell.name
+                )
+            });
         }
     }
 }
@@ -58,7 +69,7 @@ fn clean_cells_fingerprints_identical_across_shard_counts() {
 #[test]
 fn unsharded_equals_one_shard() {
     for cell in [lossy_determinism_cell(), all_to_all_cell(16, 16 << 10)] {
-        let (mut flat, events) = run_scale_cell_unsharded(&cell);
+        let (mut flat, events, _) = run_scale_cell_unsharded(&cell, None);
         flat.decisions
             .sort_by_key(|&(key, attempt, ..)| (key, attempt));
         let one = run_scale_cell(&cell, 1).unwrap();
