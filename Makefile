@@ -1,10 +1,13 @@
-# Offline verification pipeline — everything CI runs, runnable locally.
-# All dependencies are vendored (see vendor/), so --offline always works.
+# Offline verification pipeline — everything CI runs, runnable locally: each
+# CI step is one target here. All dependencies are vendored (see vendor/), so
+# --offline always works. SMOKE=1 (e.g. `make bench-chaos SMOKE=1`) runs a
+# bench's reduced CI profile with the same gates and artifacts
+# (bench-failover has one size).
 
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: verify build test doc clippy loc one-core bench-trace bench-failover bench-datapath bench-datapath-smoke bench-attribution bench-attribution-smoke triage-check triage-smoke figures determinism rebaseline bench-backplane backplane-smoke bench-chaos chaos-smoke bench-telemetry bench-telemetry-smoke bench-doctor doctor-smoke perf-smoke perf-row
+.PHONY: verify build test doc clippy loc one-core bench-failover bench-attribution figures determinism rebaseline bench-backplane bench-chaos bench-telemetry bench-doctor perf-smoke perf-row
 
 verify: build test doc clippy one-core
 
@@ -64,27 +67,11 @@ one-core:
 		echo 'one-core: a second event vocabulary (see above); the flight recorder keeps me_trace::Event'; exit 1; \
 	fi
 
-# Traced ping-pong: writes results/BENCH_trace_pingpong.json and asserts the
-# event trace reconciles with the ProtoStats counters.
-bench-trace:
-	$(CARGO) bench $(OFFLINE) -p multiedge-bench --bench trace_pingpong
-
 # Failover ablation: writes results/BENCH_failover.json (goodput
 # before/during/after a scripted rail outage, detection and re-admission
 # latency p50/p99) and asserts convergence to the surviving rail.
 bench-failover:
 	$(CARGO) bench $(OFFLINE) -p multiedge-bench --bench ablation_failover
-
-# Datapath wall-clock throughput + allocation accounting: merges with the
-# recorded pre-refactor baseline, enforces the zero-allocations-per-frame
-# gate, and writes results/BENCH_datapath.json (docs/PERFORMANCE.md).
-bench-datapath:
-	$(CARGO) bench $(OFFLINE) -p multiedge-bench --bench datapath
-
-# CI smoke flavour: few iterations, no JSON, but the zero-allocation gate
-# still fails the run if the clean-network datapath allocates per frame.
-bench-datapath-smoke:
-	DATAPATH_QUICK=1 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench datapath
 
 # Critical-path latency attribution: writes results/BENCH_attribution.json
 # (per-connection / per-rail exclusive phase breakdowns of op latency) and
@@ -92,23 +79,6 @@ bench-datapath-smoke:
 # (docs/OBSERVABILITY.md).
 bench-attribution:
 	$(CARGO) bench $(OFFLINE) -p multiedge-bench --bench attribution
-
-# CI smoke flavour: reduced sweep, same JSON and reconciliation asserts.
-bench-attribution-smoke:
-	ATTRIBUTION_SMOKE=1 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench attribution
-
-# Regression triage gate: re-run the full-profile triage cells and diff
-# their attribution against the committed baselines in results/baselines/.
-# Fails with a phase-naming verdict ("p99 regressed 18%, dominated by
-# +reorder (ordering)") when a cell moved past its noise bound; writes the
-# machine-readable report to results/BENCH_triage.json either way
-# (docs/OBSERVABILITY.md § Regression triage).
-triage-check:
-	$(CARGO) bench $(OFFLINE) -p multiedge-bench --bench triage
-
-# CI smoke flavour: the reduced cell sweep against its own baselines.
-triage-smoke:
-	TRIAGE_SMOKE=1 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench triage
 
 # The paper's figures, tables and ablations: run the eleven harnesses and
 # write each one's stdout to results/<name>.txt (the files EXPERIMENTS.md
@@ -138,14 +108,11 @@ determinism:
 
 # Everything that is pinned to the simulated fabric's exact behaviour, each
 # regenerated by its own path, after an intentional change to that
-# behaviour: the stats_equivalence goldens, the triage baselines of both
-# profiles, the figures, and the four committed BENCH_* reports at full
-# profile (with the telemetry dumps). Commit what it rewrites with the
-# change that moved the numbers.
+# behaviour: the stats_equivalence golden, the figures, and the four
+# committed BENCH_* reports at full profile (with the telemetry dumps).
+# Commit what it rewrites with the change that moved the numbers.
 rebaseline: figures
 	GOLDEN_REGEN=1 $(CARGO) test $(OFFLINE) -q -p multiedge-bench --test stats_equivalence
-	TRIAGE_BASELINE=1 TRIAGE_SMOKE=1 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench triage
-	TRIAGE_BASELINE=1 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench triage
 	$(MAKE) bench-telemetry bench-doctor bench-chaos bench-backplane
 
 # Sim-vs-real transport cross-validation: the identical protocol driver
@@ -153,14 +120,10 @@ rebaseline: figures
 # attributions diffed per phase (docs/BACKPLANE.md). Writes
 # results/backplane/{sim,udp}.json and results/BENCH_backplane.json.
 # Divergence is the measurement, not a failure; the run fails only if a
-# workload cannot complete on a backend.
+# workload cannot complete on a backend. Bounded by `timeout` so a wedged
+# wall-clock poll loop cannot hang the pipeline.
 bench-backplane:
-	$(CARGO) bench $(OFFLINE) -p multiedge-bench --bench backplane
-
-# CI smoke flavour: reduced iterations/rounds, same artifacts, bounded by
-# `timeout` so a wedged wall-clock poll loop cannot hang the pipeline.
-backplane-smoke:
-	BACKPLANE_SMOKE=1 timeout 300 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench backplane
+	timeout 600 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench backplane
 
 # Chaos soak harness: per-schedule chaos/recovery counters on both
 # backends, fingerprints asserted equal, flight dumps written under
@@ -169,12 +132,10 @@ backplane-smoke:
 bench-chaos:
 	timeout 300 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench chaos
 
-# CI smoke flavour: reduced workload, same assertions and artifacts.
-chaos-smoke:
-	CHAOS_SMOKE=1 timeout 300 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench chaos
-
-# Time-resolved telemetry bench: sampler gate (zero allocations per frame,
-# identical stats fingerprint), delta reconciliation against end-of-run
+# Datapath and telemetry bench: the clean datapath allocates nothing per
+# frame (2x2 double difference), the flight recorder and the sampler are
+# purely observational (zero allocations per frame, identical stats
+# fingerprint), delta reconciliation against end-of-run
 # ProtoStats, a rail-outage cell whose timeline localises the outage, a
 # chaos wire cell, and an 8-node incast (members = nodes) whose imbalance
 # diagnosis names the receiver node hot. Writes results/BENCH_telemetry.json
@@ -183,10 +144,6 @@ chaos-smoke:
 # so a wedged drive loop cannot hang the pipeline.
 bench-telemetry:
 	timeout 600 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench telemetry
-
-# CI smoke flavour: reduced iterations, same gates and artifacts.
-bench-telemetry-smoke:
-	TELEMETRY_SMOKE=1 timeout 300 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench telemetry
 
 # Doctor bench: detector gate (zero allocations per sample, bit-identical
 # protocol stats), rail-outage
@@ -198,10 +155,6 @@ bench-telemetry-smoke:
 # loop cannot hang the pipeline.
 bench-doctor:
 	timeout 600 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench doctor
-
-# CI smoke flavour: reduced cells, same gates and artifacts.
-doctor-smoke:
-	DOCTOR_SMOKE=1 timeout 300 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench doctor
 
 # The perf/ benchmark's own checks (BENCHMARK.json): every workload at 2 %
 # of its ops — memory contents, op counts, quiescence, frame accounting —

@@ -234,11 +234,8 @@ fn main() {
                 .set("max", readmit.max()),
         )
         .set("runs", rows);
-    // Manifest-relative so the artifact lands in the workspace-root
-    // results/ regardless of cargo's bench CWD.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    std::fs::write(dir.join("BENCH_failover.json"), doc.render_pretty()).expect("write json");
+    let out = multiedge_bench::results_dir().join("BENCH_failover.json");
+    std::fs::write(out, doc.render_pretty()).expect("write json");
     println!("wrote results/BENCH_failover.json");
 
     // A 1-GbE rail tops out at 125 MB/s: the during-phase must converge to

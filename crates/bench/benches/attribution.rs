@@ -14,7 +14,7 @@
 //! 3. spans vs. `ProtoStats` — completed span count == ops issued, span
 //!    retransmit attributions == retransmission counters' transmissions.
 //!
-//! `ATTRIBUTION_SMOKE=1` runs a reduced sweep (CI); the JSON is written in
+//! `SMOKE=1` runs a reduced sweep (CI); the JSON is written in
 //! both modes and the bench asserts every cell reconciles.
 
 use me_trace::{analyze, Json, PhaseBreakdown, SpanSnapshot, TraceSnapshot, SCHEMA_VERSION};
@@ -182,7 +182,7 @@ fn cell_json(name: &str, workload: &str, size: usize, iters: usize, d: &CellData
 }
 
 fn main() {
-    let smoke = std::env::var("ATTRIBUTION_SMOKE").is_ok();
+    let smoke = multiedge_bench::smoke();
     let iters = if smoke { 24 } else { 120 };
     let size = 32 << 10;
 
@@ -237,9 +237,7 @@ fn main() {
         )
         .set("cells", cells)
         .set("all_reconcile", all_ok);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&path).expect("create results dir");
-    let file = path.join("BENCH_attribution.json");
+    let file = multiedge_bench::results_dir().join("BENCH_attribution.json");
     std::fs::write(&file, doc.render_pretty()).expect("write json");
     println!("wrote results/BENCH_attribution.json (all_reconcile={all_ok})");
     assert!(all_ok, "span attribution failed to reconcile");

@@ -11,19 +11,20 @@
 //!
 //! The diff names every phase where the simulator's cost model and the
 //! real kernel path disagree. Divergence here is *expected* (that is the
-//! measurement — see `docs/BACKPLANE.md`), so unlike the triage gate this
-//! harness never fails on a REGRESSED verdict; it fails only when a
-//! workload cannot complete on a backend at all.
+//! measurement — see `docs/BACKPLANE.md`), so this harness never fails on
+//! a REGRESSED verdict; it fails only when a workload cannot complete on a
+//! backend at all.
 //!
-//! Modes: `BACKPLANE_SMOKE=1` runs the reduced CI profile (fewer
-//! iterations and rounds).
+//! Modes: `SMOKE=1` runs the reduced CI profile (fewer iterations and
+//! rounds).
 
 use me_trace::{DiffConfig, DiffReport, Json, SCHEMA_VERSION};
 use multiedge_bench::backplane::{run_wire_cell, wire_cells, WireBackend};
-use multiedge_bench::triage::{cell_doc, results_dir};
+use multiedge_bench::triage::cell_doc;
+use multiedge_bench::{results_dir, smoke};
 
 fn main() {
-    let smoke = std::env::var("BACKPLANE_SMOKE").is_ok();
+    let smoke = smoke();
     let profile = if smoke { "smoke" } else { "full" };
     let specs = wire_cells(smoke);
 

@@ -13,7 +13,7 @@
 //!   post-mortems, written by triggered dumps during the runs. On a
 //!   failure these are the triage artifact CI uploads.
 //!
-//! Modes: `CHAOS_SMOKE=1` runs the reduced CI profile (smaller workload).
+//! Modes: `SMOKE=1` runs the reduced CI profile (smaller workload).
 //! The harness fails when a schedule cannot complete on a backend (every
 //! schedule is recoverable by construction) or when the backends disagree
 //! on a fingerprint.
@@ -23,7 +23,7 @@
 use me_trace::{Json, SCHEMA_VERSION};
 use multiedge_bench::backplane::WireBackend;
 use multiedge_bench::chaos::{chaos_cells, run_chaos_cell, ChaosCellRun};
-use multiedge_bench::triage::results_dir;
+use multiedge_bench::{results_dir, smoke};
 
 fn run_json(run: &ChaosCellRun) -> Json {
     Json::obj()
@@ -59,7 +59,7 @@ fn repo_relative(path: &str) -> String {
 }
 
 fn main() {
-    let smoke = std::env::var("CHAOS_SMOKE").is_ok();
+    let smoke = smoke();
     let profile = if smoke { "smoke" } else { "full" };
     let dump_root = results_dir().join("chaos_dumps");
     let _ = std::fs::remove_dir_all(&dump_root);
@@ -130,7 +130,6 @@ fn main() {
         .set("profile", profile)
         .set("cells", rows);
     let out = results_dir().join("BENCH_chaos.json");
-    std::fs::create_dir_all(results_dir()).expect("create results dir");
     std::fs::write(&out, doc.render_pretty()).expect("write BENCH_chaos.json");
     println!("wrote {}", out.display());
 }

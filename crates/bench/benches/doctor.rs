@@ -10,14 +10,11 @@
 //! the offline JSONL replay reproduces every online verdict byte-for-byte
 //! (asserted inside each cell). This bench enforces all of it and writes
 //! the committed `results/BENCH_doctor.json` plus
-//! `results/doctor_incidents.json` (every cell's incident report, the
-//! artifact CI uploads on failure).
+//! `results/doctor_incidents.json` (every cell's incident report, which CI
+//! uploads with the other reports).
 //!
-//! Modes (environment variables):
-//!
-//! * default — full cells, all gates, artifacts written.
-//! * `DOCTOR_SMOKE=1` — CI smoke: small cells, every gate still enforced,
-//!   artifacts still written (marked `"mode": "smoke"`).
+//! `SMOKE=1` runs small cells for CI: every gate still enforced, artifacts
+//! still written (marked `"mode": "smoke"`).
 //!
 //! The cost gate is [`multiedge_bench::plane_overhead`] over a sampled run
 //! with and without the monitor: no allocation per extra sample row and an
@@ -30,39 +27,13 @@ use multiedge_bench::doctor::{
     balanced_doctor, chaos_burst_doctor, clean_seeds_doctor, incast_doctor, rail_outage_doctor,
 };
 use multiedge_bench::micro::{run_micro_doctor, run_micro_sampled, MicroKind, MicroResult};
-use multiedge_bench::plane_overhead;
+use multiedge_bench::{plane_overhead, results_dir, smoke, CountingAlloc};
 use multiedge_bench::scale::MEMBER_COUNTER;
 use netsim::time::us;
 use netsim::{Dur, FaultPlan};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-// ---------------------------------------------------------------------------
-// Counting global allocator
-// ---------------------------------------------------------------------------
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size > layout.size() {
-            ALLOC_CALLS.fetch_add(1, Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOC: CountingAlloc = CountingAlloc;
 
 // ---------------------------------------------------------------------------
 // Overhead gate
@@ -84,9 +55,8 @@ fn overhead_gate(iters: usize) -> Json {
             run_micro_sampled(&cfg, kind, 64 << 10, iters, &plan, Some(interval))
         }
     };
-    let allocs = || ALLOC_CALLS.load(Relaxed);
     let rows = |r: &MicroResult| r.timeline.as_ref().map_or(0, |tl| tl.len() as u64);
-    plane_overhead("health monitor", "sample", iters, allocs, run, rows)
+    plane_overhead("health monitor", "sample", iters, run, rows)
         .set("config", "1L-1G")
         .set("kind", "two-way")
 }
@@ -94,13 +64,6 @@ fn overhead_gate(iters: usize) -> Json {
 // ---------------------------------------------------------------------------
 // Report
 // ---------------------------------------------------------------------------
-
-/// Workspace-root `results/` dir, independent of cargo's bench CWD.
-fn results_path(file: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results")
-        .join(file)
-}
 
 fn incident_artifact(cells: &[(&str, &HealthReport)]) -> Json {
     let entries: Vec<Json> = cells
@@ -114,7 +77,7 @@ fn incident_artifact(cells: &[(&str, &HealthReport)]) -> Json {
 }
 
 fn main() {
-    let smoke = std::env::var("DOCTOR_SMOKE").is_ok();
+    let smoke = smoke();
     let iters = if smoke { 10 } else { 40 };
 
     // Warm up lazy runtime initialization outside the measured cells.
@@ -234,7 +197,7 @@ fn main() {
         .set("gate", "incast names node 0 hot; balanced stays clean");
 
     // Incident-report artifact: every cell's full report, uploaded by CI
-    // on failure for post-mortem triage.
+    // for post-mortem triage.
     let clean_reports: Vec<(String, &HealthReport)> = clean
         .iter()
         .map(|(s, r)| (format!("clean_seed_{s}"), r))
@@ -246,9 +209,9 @@ fn main() {
         ("balanced", &bal_health),
     ];
     cells.extend(clean_reports.iter().map(|(n, r)| (n.as_str(), *r)));
-    std::fs::create_dir_all(results_path("")).expect("create results dir");
+    let results = results_dir();
     std::fs::write(
-        results_path("doctor_incidents.json"),
+        results.join("doctor_incidents.json"),
         incident_artifact(&cells).render_pretty(),
     )
     .expect("write incident artifact");
@@ -266,7 +229,7 @@ fn main() {
         .set("clean_seeds", clean_json)
         .set("chaos_burst", chaos_json)
         .set("nodes", nodes_json);
-    std::fs::write(results_path("BENCH_doctor.json"), doc.render_pretty())
+    std::fs::write(results.join("BENCH_doctor.json"), doc.render_pretty())
         .expect("write json");
     println!("wrote results/BENCH_doctor.json and results/doctor_incidents.json");
 }

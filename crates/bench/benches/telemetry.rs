@@ -1,77 +1,101 @@
-//! Telemetry-plane cost and fidelity gates.
+//! Datapath and telemetry-plane cost and fidelity gates.
 //!
-//! The interval sampler ([`me_trace::Timeline`]) promises to be purely
-//! observational: allocation-free on the datapath and bit-identical
-//! protocol behaviour with sampling on (what it costs in frames/wall-s is
-//! `trace.planes_on_fps_ratio` in `perf/`). This bench enforces both, then
-//! runs the time-resolved cells
-//! ([`multiedge_bench::telemetry`]) and writes the committed
-//! `results/BENCH_telemetry.json` plus the
+//! Three cost gates on the clean 1L-1G two-way 64 KiB cell (seed 7), all
+//! read from [`multiedge_bench::CountingAlloc`]:
+//!
+//! * **datapath** — the steady-state datapath allocates nothing per data
+//!   frame (the 2×2 double difference of [`datapath_gate`]);
+//! * **flight recorder** and **sampler** — each plane is purely
+//!   observational ([`multiedge_bench::plane_overhead`]): no allocation per
+//!   frame with it armed and an identical stats fingerprint are asserted;
+//!   the frames/wall-s ratio is printed, not judged (that claim is
+//!   `trace.planes_on_fps_ratio` in `perf/`).
+//!
+//! It then runs the time-resolved cells ([`multiedge_bench::telemetry`])
+//! and writes the committed `results/BENCH_telemetry.json` plus the
 //! `results/telemetry_failover.jsonl` timeline artifact that
 //! `me-inspect timeline` renders.
 //!
-//! Modes (environment variables):
-//!
-//! * default — full cells, all gates, JSON + JSONL artifacts written.
-//! * `TELEMETRY_SMOKE=1` — CI smoke: small cells, every gate still
-//!   enforced, artifacts still written (marked `"mode": "smoke"`).
-//!
-//! The cost gate is [`multiedge_bench::plane_overhead`]: no allocation per
-//! frame with the sampler armed and an identical stats fingerprint are
-//! asserted; the frames/wall-s ratio is printed, not judged.
+//! `SMOKE=1` runs small cells for CI: every gate still enforced, artifacts
+//! still written (marked `"mode": "smoke"`).
 
 use me_trace::{IncidentCause, Json, SCHEMA_VERSION};
 use multiedge::SystemConfig;
-use multiedge_bench::micro::{run_micro_sampled, MicroKind, MicroResult};
-use multiedge_bench::plane_overhead;
+use multiedge_bench::micro::{run_micro, run_micro_sampled, MicroKind, MicroResult};
 use multiedge_bench::scale::MEMBER_COUNTER;
 use multiedge_bench::telemetry::{failover_telemetry, incast_telemetry, wire_telemetry};
+use multiedge_bench::{allocs, plane_overhead, results_dir, smoke, CountingAlloc};
 use netsim::time::us;
 use netsim::Dur;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-// ---------------------------------------------------------------------------
-// Counting global allocator
-// ---------------------------------------------------------------------------
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size > layout.size() {
-            ALLOC_CALLS.fetch_add(1, Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOC: CountingAlloc = CountingAlloc;
 
-// ---------------------------------------------------------------------------
-// Overhead gate
-// ---------------------------------------------------------------------------
+/// The clean 1L-1G two-way cell every gate measures (seed 7).
+fn clean_cfg() -> SystemConfig {
+    let mut cfg = SystemConfig::one_link_1g(2);
+    cfg.seed = 7;
+    cfg
+}
 
-/// The sampler gate on the clean 1L-1G two-way cell, sampled every 1 ms of
-/// virtual time (the production-style cadence: each interval covers ~80
-/// frames, so the row cost amortizes). Every sampled run must also
-/// reconcile exactly.
-fn overhead_gate(iters: usize) -> Json {
+/// The zero-allocation gate: on the clean network the steady-state
+/// datapath allocates nothing per data frame. A run also allocates per run
+/// (setup) and per op (handles, payloads), so a 2×2 grid — `iters` and
+/// `2 * iters` ops × 32 and 64 KiB — is differenced twice: across run
+/// lengths (cancels setup), then across sizes (both columns add the same
+/// ops, so per-op costs cancel), leaving only what scales with frames.
+fn datapath_gate(iters: usize) -> Json {
+    let count = |size: usize, iters: usize| {
+        let a0 = allocs();
+        let r = run_micro(&clean_cfg(), MicroKind::TwoWay, size, iters);
+        ((allocs() - a0) as i64, r.proto.data_frames_sent as i64)
+    };
+    let extra = |size: usize| {
+        let ((a1, f1), (a2, f2)) = (count(size, iters), count(size, 2 * iters));
+        (a2 - a1, f2 - f1)
+    };
+    let ((a_small, f_small), (a_big, f_big)) = (extra(32 << 10), extra(64 << 10));
+    assert!(f_big > f_small, "the grid produced no frame delta");
+    let per_frame = (a_big - a_small) as f64 / (f_big - f_small) as f64;
+    println!("datapath       {per_frame:+.3} allocs/frame");
+    assert!(
+        per_frame.abs() < 0.01,
+        "steady-state allocations per data frame on the clean 1L config: {per_frame:.4} (must be 0)"
+    );
+    Json::obj()
+        .set("config", "1L-1G")
+        .set("kind", "two-way")
+        .set("allocs_per_frame", per_frame)
+        .set(
+            "gate",
+            "2x2 grid (iters x payload size), |double difference allocs_per_frame| < 0.01",
+        )
+}
+
+/// The flight-recorder gate: the always-on recorder (defaults: 4096-event
+/// ring, triggers armed, no dump directory) rides along without
+/// allocating per frame or perturbing the protocol.
+fn flight_recorder_gate(iters: usize) -> Json {
+    let run = |flight: bool, iters: usize| {
+        let mut cfg = clean_cfg();
+        if flight {
+            cfg = cfg.with_flight(me_trace::FlightConfig::default());
+        }
+        run_micro(&cfg, MicroKind::TwoWay, 64 << 10, iters)
+    };
+    let frames = |r: &MicroResult| r.proto.data_frames_sent;
+    plane_overhead("flight recorder", "frame", iters, run, frames)
+        .set("config", "1L-1G")
+        .set("kind", "two-way")
+}
+
+/// The sampler gate, sampled every 1 ms of virtual time (the
+/// production-style cadence: each interval covers ~80 frames, so the row
+/// cost amortizes). Every sampled run must also reconcile exactly.
+fn sampler_gate(iters: usize) -> Json {
     let run = |sampled: bool, iters: usize| {
-        let mut cfg = SystemConfig::one_link_1g(2);
-        cfg.seed = 7;
         let interval = sampled.then_some(Dur(us(1000).as_nanos()));
-        let plan = netsim::FaultPlan::new();
+        let (cfg, plan) = (clean_cfg(), netsim::FaultPlan::new());
         let r = run_micro_sampled(&cfg, MicroKind::TwoWay, 64 << 10, iters, &plan, interval);
         if let (Some(tl), Some(end)) = (&r.timeline, &r.timeline_proto) {
             multiedge_bench::telemetry::reconcile_proto(tl, end)
@@ -79,41 +103,22 @@ fn overhead_gate(iters: usize) -> Json {
         }
         r
     };
-    let allocs = || ALLOC_CALLS.load(Relaxed);
     let frames = |r: &MicroResult| r.proto.data_frames_sent;
-    plane_overhead("sampler", "frame", iters, allocs, run, frames)
+    plane_overhead("sampler", "frame", iters, run, frames)
         .set("config", "1L-1G")
         .set("kind", "two-way")
 }
 
-// ---------------------------------------------------------------------------
-// Report
-// ---------------------------------------------------------------------------
-
-/// Workspace-root `results/` dir, independent of cargo's bench CWD.
-fn results_path(file: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results")
-        .join(file)
-}
-
 fn main() {
-    let smoke = std::env::var("TELEMETRY_SMOKE").is_ok();
+    let smoke = smoke();
     let iters = if smoke { 10 } else { 40 };
 
     // Warm up lazy runtime initialization outside the measured cells.
-    let mut warm = SystemConfig::one_link_1g(2);
-    warm.seed = 7;
-    let _ = run_micro_sampled(
-        &warm,
-        MicroKind::TwoWay,
-        4 << 10,
-        4,
-        &netsim::FaultPlan::new(),
-        None,
-    );
+    let _ = run_micro(&clean_cfg(), MicroKind::TwoWay, 4 << 10, 4);
 
-    let overhead = overhead_gate(iters);
+    let datapath = datapath_gate(iters);
+    let flight = flight_recorder_gate(iters);
+    let sampler = sampler_gate(iters);
 
     let f = failover_telemetry(smoke);
     let end = f.result.timeline_proto.as_ref().expect("sampled");
@@ -186,14 +191,14 @@ fn main() {
         .set("reconciled", true)
         .set("artifacts", "results/telemetry_incast_node{0..7}.jsonl");
 
-    std::fs::create_dir_all(results_path("")).expect("create results dir");
-    std::fs::write(results_path("telemetry_failover.jsonl"), &f.jsonl)
+    let results = results_dir();
+    std::fs::write(results.join("telemetry_failover.jsonl"), &f.jsonl)
         .expect("write failover timeline artifact");
     // One artifact per node: `me-inspect timeline node0.jsonl … node7.jsonl`
     // renders the cross-node imbalance table from these.
     for (i, tl) in t.timelines.iter().enumerate() {
         std::fs::write(
-            results_path(&format!("telemetry_incast_node{i}.jsonl")),
+            results.join(format!("telemetry_incast_node{i}.jsonl")),
             tl.to_jsonl(),
         )
         .expect("write node timeline artifact");
@@ -204,13 +209,14 @@ fn main() {
         .set("mode", if smoke { "smoke" } else { "full" })
         .set(
             "methodology",
-            "off/on pair at two run lengths: fingerprints equal and marginal allocs/frame asserted, fps ratio reported only; base + per-interval deltas reconciled exactly against end-of-run ProtoStats in every sampled cell",
+            "datapath: 2x2 double difference, marginal allocs/frame asserted 0; flight recorder and sampler: off/on pair at two run lengths, fingerprints equal and marginal allocs/frame asserted, fps ratio reported only; base + per-interval deltas reconciled exactly against end-of-run ProtoStats in every sampled cell",
         )
-        .set("overhead", overhead)
+        .set("datapath", datapath)
+        .set("flight_recorder", flight)
+        .set("sampler", sampler)
         .set("failover", failover)
         .set("wire", wire)
         .set("incast", incast);
-    std::fs::write(results_path("BENCH_telemetry.json"), doc.render_pretty())
-        .expect("write json");
+    std::fs::write(results.join("BENCH_telemetry.json"), doc.render_pretty()).expect("write json");
     println!("wrote results/BENCH_telemetry.json and results/telemetry_failover.jsonl");
 }

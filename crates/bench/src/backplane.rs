@@ -3,13 +3,13 @@
 //! Runs the same [`WireEndpoint`] protocol driver — the identical state
 //! machines, byte for byte — over both [`Backplane`] implementations:
 //! the deterministic network simulator and real UDP sockets on loopback.
-//! Each backend produces the same span-attribution cell document the
-//! triage gate uses, with **matching `config`/`workload` strings** so the
-//! diff engine pairs the cells; the backend identity goes in the
-//! `profile` field. `me-inspect diff results/backplane/sim.json
-//! results/backplane/udp.json` then telescopes exactly where the
-//! simulator's cost model and a real kernel/network path disagree,
-//! phase by phase.
+//! Each backend produces the same span-attribution cell document as a
+//! triage cell ([`crate::triage::cell_doc`]), with **matching
+//! `config`/`workload` strings** so the diff engine pairs the cells; the
+//! backend identity goes in the `profile` field. `me-inspect diff
+//! results/backplane/sim.json results/backplane/udp.json` then telescopes
+//! exactly where the simulator's cost model and a real kernel/network path
+//! disagree, phase by phase.
 //!
 //! The UDP rounds run on the wall clock, so unlike triage cells they are
 //! **not** bit-reproducible; the committed `results/BENCH_backplane.json`
@@ -56,8 +56,7 @@ impl WireBackend {
 /// bandwidth-dominated one-way streaming, both striped across two rails.
 ///
 /// The `config` string names the backplane topology (two rails), not a
-/// triage topology — these specs are paired sim-vs-udp, never against
-/// triage baselines.
+/// triage topology — these specs are paired sim-vs-udp only.
 pub fn wire_cells(smoke: bool) -> Vec<CellSpec> {
     let (pp_iters, ow_iters, rounds) = if smoke { (48, 24, 2) } else { (160, 60, 3) };
     vec![

@@ -10,9 +10,9 @@
 pub mod appfig;
 pub mod backplane;
 pub mod chaos;
+pub mod doctor;
 pub mod micro;
 pub mod scale;
-pub mod doctor;
 pub mod telemetry;
 pub mod triage;
 
@@ -22,9 +22,60 @@ pub use micro::{
     MicroResult,
 };
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+/// `SMOKE=1`: run a bench's reduced CI profile — fewer iterations and
+/// cells, every gate still enforced, every artifact still written.
+pub fn smoke() -> bool {
+    std::env::var("SMOKE").is_ok_and(|v| v == "1")
+}
+
+/// The workspace-root `results/` directory, created if missing
+/// (manifest-relative, so it does not depend on the bench process CWD).
+pub fn results_dir() -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    std::fs::create_dir_all(&dir).expect("create results dir");
+    dir
+}
+
+static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting allocation calls (a growing `realloc`
+/// counts as one). A bench that gates allocations installs it with
+/// `#[global_allocator] static ALLOC: CountingAlloc = CountingAlloc;` and
+/// reads the count with [`allocs`].
+pub struct CountingAlloc;
+
+// SAFETY: every method passes its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the count is a relaxed atomic add that
+// neither allocates nor touches the memory handed out.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if new_size > layout.size() {
+            ALLOC_CALLS.fetch_add(1, Relaxed);
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+/// Allocation calls so far in this process: always 0 unless the binary
+/// installed [`CountingAlloc`].
+pub fn allocs() -> u64 {
+    ALLOC_CALLS.load(Relaxed)
+}
+
 /// Compact fingerprint of a micro run's behaviour: FNV-1a over the `Debug`
 /// rendering of its protocol and network counters.
-pub fn stats_fingerprint(r: &MicroResult) -> String {
+fn stats_fingerprint(r: &MicroResult) -> String {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in format!("{:?}|{:?}", r.proto, r.net).bytes() {
         h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
@@ -42,13 +93,12 @@ pub fn stats_fingerprint(r: &MicroResult) -> String {
 /// plane-off pair differences out everything that is not the plane).
 /// Reported, not asserted: the frames/wall-s ratio of the longer pair — one
 /// short wall-clock comparison on a shared host is not evidence; the ≤ 5 %
-/// claim is `trace.planes_on_fps_ratio` in `perf/` (paired, whole-phase).
-/// `allocs` reads the calling binary's counting allocator.
+/// claim is `trace.planes_on_fps_ratio` in `perf/`. Allocations are read
+/// from [`CountingAlloc`], which the calling binary must install.
 pub fn plane_overhead(
     plane: &str,
     unit: &str,
     iters: usize,
-    allocs: fn() -> u64,
     run: impl Fn(bool, usize) -> MicroResult,
     units: impl Fn(&MicroResult) -> u64,
 ) -> me_trace::Json {
@@ -70,6 +120,10 @@ pub fn plane_overhead(
     };
     let (off_1, on_1) = (timed(false, iters), timed(true, iters));
     let (off_2, on_2) = (timed(false, 4 * iters), timed(true, 4 * iters));
+    assert!(
+        off_1.allocs > 0,
+        "no allocation counted: the binary must install multiedge_bench::CountingAlloc"
+    );
     for (off, on) in [(&off_1, &on_1), (&off_2, &on_2)] {
         assert_eq!(
             off.fingerprint, on.fingerprint,

@@ -1,5 +1,5 @@
-//! Regression-triage cells: re-runnable attribution workloads with
-//! committed baselines.
+//! Triage cells: re-runnable attribution workloads in the document shape
+//! `me-inspect diff` reads.
 //!
 //! A triage *cell* is a named micro-benchmark configuration (topology ×
 //! workload × size × iteration count) run over several deterministic
@@ -8,19 +8,18 @@
 //! latency quantiles are kept so the emitted document carries an honest
 //! **cross-seed noise bound**. The simulator is virtual-time
 //! deterministic — re-running a cell on the same build reproduces the
-//! merged document bit for bit, so any diff against a committed baseline
-//! is real protocol movement (or a seed-set change), never wall-clock
-//! jitter.
+//! merged document bit for bit, so a diff between two builds is real
+//! protocol movement, never wall-clock jitter.
 //!
-//! The `triage` bench binary drives these helpers in three modes
-//! (baseline refresh, full gate, CI smoke); integration tests reuse them
-//! with [`run_cell_with`] to inject deliberate slowdowns and assert the
-//! diff engine names the regressed phase.
+//! Nothing gates on these documents: simulated behaviour is pinned exactly
+//! by `tests/stats_equivalence.rs`. The `backplane` bench pairs them
+//! sim-vs-UDP, and the integration tests use [`run_cell_with`] to inject
+//! deliberate slowdowns and assert the diff engine names the phase that
+//! moved — the diagnosis a golden break is read with.
 
 use me_trace::json::SCHEMA_VERSION;
 use me_trace::{analyze, Attribution, Json};
 use multiedge::SystemConfig;
-use std::path::PathBuf;
 
 use crate::micro::{run_micro, MicroKind};
 
@@ -63,69 +62,6 @@ pub fn base_config(name: &str) -> SystemConfig {
         "1L-10G" => SystemConfig::one_link_10g(2),
         other => panic!("unknown triage config '{other}'"),
     }
-}
-
-/// Profile label baked into baseline filenames, so the reduced CI sweep
-/// never diffs against full-profile numbers.
-pub fn profile_name(smoke: bool) -> &'static str {
-    if smoke {
-        "smoke"
-    } else {
-        "full"
-    }
-}
-
-/// The cell sweep for a profile. The smoke profile is a strict subset in
-/// wall-clock (fewer cells, rounds, and iters) but exercises both a
-/// single-rail and a striped topology plus the latency-dominated
-/// ping-pong shape.
-pub fn cells(smoke: bool) -> Vec<CellSpec> {
-    let (iters, rounds) = if smoke { (24, 2) } else { (60, 3) };
-    let mut specs = vec![
-        CellSpec {
-            config: "1L-1G",
-            kind: MicroKind::OneWay,
-            size: 32 << 10,
-            iters,
-            rounds,
-            base_seed: 7_700,
-        },
-        CellSpec {
-            config: "2Lu-1G",
-            kind: MicroKind::TwoWay,
-            size: 32 << 10,
-            iters,
-            rounds,
-            base_seed: 7_800,
-        },
-        CellSpec {
-            config: "1L-10G",
-            kind: MicroKind::PingPong,
-            size: 4 << 10,
-            iters,
-            rounds,
-            base_seed: 7_900,
-        },
-    ];
-    if !smoke {
-        specs.push(CellSpec {
-            config: "2Lu-1G",
-            kind: MicroKind::OneWay,
-            size: 32 << 10,
-            iters,
-            rounds,
-            base_seed: 8_000,
-        });
-        specs.push(CellSpec {
-            config: "4L-1G",
-            kind: MicroKind::TwoWay,
-            size: 32 << 10,
-            iters,
-            rounds,
-            base_seed: 8_100,
-        });
-    }
-    specs
 }
 
 /// One round's end-to-end latency quantiles (the noise-bound inputs).
@@ -171,7 +107,7 @@ pub fn run_cell_with(spec: &CellSpec, tweak: &dyn Fn(&mut SystemConfig)) -> Cell
     CellRun { attr, rounds }
 }
 
-/// Run a cell as configured (the baseline/gate path).
+/// Run a cell as configured.
 pub fn run_cell(spec: &CellSpec) -> CellRun {
     run_cell_with(spec, &|_| {})
 }
@@ -227,21 +163,4 @@ pub fn cell_doc(spec: &CellSpec, profile: &str, run: &CellRun) -> Json {
         )
         .set("rounds_detail", rounds_detail)
         .set("attribution", run.attr.to_json())
-}
-
-/// The workspace-root `results/` directory (manifest-relative, so it does
-/// not depend on the bench process CWD).
-pub fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
-}
-
-/// Where committed baselines live.
-pub fn baselines_dir() -> PathBuf {
-    results_dir().join("baselines")
-}
-
-/// Committed baseline path for a cell
-/// (`results/baselines/<profile>_<config>_<workload>.json`).
-pub fn baseline_path(profile: &str, spec: &CellSpec) -> PathBuf {
-    baselines_dir().join(format!("{profile}_{}_{}.json", spec.config, spec.kind.name()))
 }

@@ -2,8 +2,9 @@
 //! and protocol layer that moved.
 //!
 //! The inputs are JSON artifacts carrying [`PhaseRollup`] sections with
-//! embedded [`LogHistogram`]s (baseline files under `results/baselines/`,
-//! `BENCH_attribution.json` cell arrays, or flight-recorder dumps). Because
+//! embedded [`LogHistogram`]s (`BENCH_attribution.json` cell arrays from
+//! two trees, the backplane bench's per-backend documents, or
+//! flight-recorder dumps). Because
 //! the histograms round-trip exactly, diffing two artifacts is equivalent
 //! to diffing the original in-memory rollups — no re-run needed.
 //!

@@ -50,11 +50,12 @@
 //!    oversized fence stalls, watchdog trips, health incidents);
 //!    `Json::parse` reads the dumps back for the `me-inspect` tool.
 //! 7. **Regression triage** — [`diff`]: compares two attribution artifacts
-//!    (committed baselines, bench outputs, flight dumps) phase by phase
-//!    using the exactly round-tripped histograms, and emits a verdict that
-//!    names the phase and protocol layer that moved
+//!    (bench outputs of two trees, flight dumps) phase by phase using the
+//!    exactly round-tripped histograms, and emits a verdict that names the
+//!    phase and protocol layer that moved
 //!    ("p99 regressed 18%, dominated by +reorder (ordering)"); this is the
-//!    engine behind `me-inspect diff` and the `make triage-check` CI gate.
+//!    engine behind `me-inspect diff`, the tool that diagnoses a broken
+//!    `stats_equivalence` golden (the exact pin of simulated behaviour).
 //! 8. **Online health plane** — [`detect`]: allocation-free streaming
 //!    anomaly detectors (robust z-score, CUSUM, rate-burst) over the
 //!    timeline plane's delta rows, correlated into typed [`Incident`]s

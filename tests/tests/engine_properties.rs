@@ -414,8 +414,9 @@ proptest! {
     }
 }
 
-/// The `engine_ceiling` lane-density shape: `lanes` chains whose events all
-/// share one wheel quantum, each rescheduling itself 3 µs ahead.
+/// The lane-density shape: `lanes` chains whose events all share one wheel
+/// quantum, each rescheduling itself 3 µs ahead (what it costs per event is
+/// `engine.ns_per_event` / `engine.sparse_ns_per_event` in `perf/`).
 fn tick(sim: &Sim, left: u32) {
     if left > 1 {
         sim.schedule_in(ns(3_000), move |sim| tick(sim, left - 1));

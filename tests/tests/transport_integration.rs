@@ -245,9 +245,22 @@ fn traced_pingpong_is_causally_ordered() {
     // With tracing on, a two-node ping-pong must leave a causally consistent
     // event timeline: issue before send, send before the peer's receive,
     // receive before the originator's completion — with timestamps from the
-    // one shared simulated clock.
+    // one shared simulated clock. And with no ring wraparound each node's
+    // event counts must equal its ProtoStats exactly, on one rail and on
+    // striped rails (ordered and unordered).
+    for cfg in [
+        SystemConfig::one_link_1g(2),
+        SystemConfig::two_link_1g_unordered(2),
+        SystemConfig::two_link_1g(2),
+        SystemConfig::one_link_10g(2),
+    ] {
+        traced_pingpong(cfg.with_tracing(4096));
+    }
+}
+
+fn traced_pingpong(cfg: SystemConfig) {
     let iters = 5usize;
-    let cfg = SystemConfig::one_link_1g(2).with_tracing(4096);
+    let name = cfg.name.clone();
     let (sim, _cl, eps, conns) = rig(cfg);
     let (a, b) = (eps[0].clone(), eps[1].clone());
     let (c0, c1) = (conns[0][1].unwrap(), conns[1][0].unwrap());
@@ -273,13 +286,13 @@ fn traced_pingpong_is_causally_ordered() {
 
     let snap0 = eps[0].tracer().snapshot().expect("tracing enabled");
     let snap1 = eps[1].tracer().snapshot().expect("tracing enabled");
-    assert_eq!(snap0.overwritten + snap1.overwritten, 0, "ring too small");
+    assert_eq!(snap0.overwritten + snap1.overwritten, 0, "{name}: ring too small");
 
     // Each ring is an arrival-order timeline of one shared clock.
     for snap in [&snap0, &snap1] {
         let mut prev = 0u64;
         for e in &snap.events {
-            assert!(e.t_ns >= prev, "timeline not monotone at {:?}", e);
+            assert!(e.t_ns >= prev, "{name}: timeline not monotone at {:?}", e);
             prev = e.t_ns;
         }
     }
@@ -296,19 +309,44 @@ fn traced_pingpong_is_causally_ordered() {
     let recv1 = first(&snap1, &|k| matches!(k, EventKind::FrameRecv { .. }));
     let send1 = first(&snap1, &|k| matches!(k, EventKind::FrameSend { .. }));
     let complete0 = first(&snap0, &|k| matches!(k, EventKind::OpComplete { .. }));
-    assert!(issue0 <= send0, "issue {issue0} after send {send0}");
-    assert!(send0 < recv1, "send {send0} not before peer recv {recv1}");
-    assert!(recv1 < send1, "pong sent {send1} before ping arrived {recv1}");
+    assert!(issue0 <= send0, "{name}: issue {issue0} after send {send0}");
+    assert!(send0 < recv1, "{name}: send {send0} not before peer recv {recv1}");
+    assert!(recv1 < send1, "{name}: pong sent {send1} before ping arrived {recv1}");
     assert!(
         recv1 < complete0,
-        "op completed at {complete0} before the frame even arrived at {recv1}"
+        "{name}: op completed at {complete0} before the frame even arrived at {recv1}"
     );
 
-    // Both sides completed all their ops and recorded a latency per op.
+    // Per node, every event count equals its ProtoStats counter: sends
+    // (first transmissions and retransmissions), receives (duplicates emit
+    // none), out-of-order receives, explicit acks, completions, and one
+    // latency sample per completed op.
     for (snap, ep) in [(&snap0, &eps[0]), (&snap1, &eps[1])] {
-        let completes = snap.count_events(|k| matches!(k, EventKind::OpComplete { .. }));
-        assert_eq!(completes, iters as u64);
-        assert_eq!(snap.op_latency_merged().count(), iters as u64);
-        assert_eq!(ep.stats().ops_write, iters as u64);
+        let s = ep.stats();
+        let count = |pred: fn(&EventKind) -> bool| snap.count_events(pred);
+        let ops = s.ops_write + s.ops_read;
+        assert_eq!(s.ops_write, iters as u64, "{name}");
+        assert_eq!(
+            count(|k| matches!(k, EventKind::FrameSend { .. })),
+            s.data_frames_sent + s.read_req_frames_sent + s.retransmits_nack + s.retransmits_rto,
+            "{name}: frame sends"
+        );
+        assert_eq!(
+            count(|k| matches!(k, EventKind::FrameRecv { .. })),
+            s.data_frames_recv,
+            "{name}: frame receives"
+        );
+        assert_eq!(
+            count(|k| matches!(k, EventKind::FrameRecv { in_order: false, .. })),
+            s.ooo_arrivals,
+            "{name}: out-of-order receives"
+        );
+        assert_eq!(
+            count(|k| matches!(k, EventKind::ExplicitAck { .. })),
+            s.explicit_acks_sent,
+            "{name}: explicit acks"
+        );
+        assert_eq!(count(|k| matches!(k, EventKind::OpComplete { .. })), ops, "{name}");
+        assert_eq!(snap.op_latency_merged().count(), ops, "{name}: latency samples");
     }
 }

@@ -1,7 +1,8 @@
 //! End-to-end regression triage: run real triage cells, inject a deliberate
 //! slowdown into one protocol layer on the "new" side, and assert the diff
 //! engine's verdict *names the phase and layer that moved* — the property
-//! `make triage-check` relies on to turn a red CI run into a diagnosis.
+//! `me-inspect diff` relies on to turn a broken `stats_equivalence` golden
+//! into a diagnosis.
 
 use me_trace::diff::layer;
 use me_trace::{diff_cell, diff_docs, DiffConfig, Json, Phase, Verdict};
