@@ -21,7 +21,7 @@
 //! identical stats fingerprint are asserted; the frames/wall-s ratio is
 //! printed, not judged.
 
-use me_trace::{HealthConfig, HealthReport, IncidentCause, Json, SCHEMA_VERSION};
+use me_trace::{HealthReport, IncidentCause, Json, SCHEMA_VERSION};
 use multiedge::SystemConfig;
 use multiedge_bench::doctor::{
     balanced_doctor, chaos_burst_doctor, clean_seeds_doctor, incast_doctor, rail_outage_doctor,
@@ -49,8 +49,7 @@ fn overhead_gate(iters: usize) -> Json {
         let (interval, plan) = (Dur(us(1000).as_nanos()), FaultPlan::new());
         let kind = MicroKind::TwoWay;
         if health {
-            let hc = HealthConfig::default();
-            run_micro_doctor(&cfg, kind, 64 << 10, iters, &plan, interval, hc)
+            run_micro_doctor(&cfg, kind, 64 << 10, iters, &plan, interval)
         } else {
             run_micro_sampled(&cfg, kind, 64 << 10, iters, &plan, Some(interval))
         }

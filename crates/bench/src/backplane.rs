@@ -3,27 +3,67 @@
 //! Runs the same [`WireEndpoint`] protocol driver — the identical state
 //! machines, byte for byte — over both [`Backplane`] implementations:
 //! the deterministic network simulator and real UDP sockets on loopback.
-//! Each backend produces the same span-attribution cell document as a
-//! triage cell ([`crate::triage::cell_doc`]), with **matching
-//! `config`/`workload` strings** so the diff engine pairs the cells; the
-//! backend identity goes in the `profile` field. `me-inspect diff
-//! results/backplane/sim.json results/backplane/udp.json` then telescopes
-//! exactly where the simulator's cost model and a real kernel/network path
-//! disagree, phase by phase.
+//! Each backend's run becomes a span-attribution cell document
+//! ([`cell_doc`]) with **matching `config`/`workload` strings**, so
+//! `me_trace::diff_docs` pairs the cells; the backend identity goes in the
+//! `profile` field. `me-inspect diff results/backplane/sim.json
+//! results/backplane/udp.json` then subtracts, phase by phase, where the
+//! simulator's cost model and a real kernel/network path disagree.
 //!
-//! The UDP rounds run on the wall clock, so unlike triage cells they are
+//! The UDP rounds run on the wall clock, so unlike the simulator they are
 //! **not** bit-reproducible; the committed `results/BENCH_backplane.json`
 //! is a representative sample, not a gate (see `docs/BACKPLANE.md`).
 
 use bytes::Bytes;
-use me_trace::{analyze, Attribution, SpanRecorder, SpanSnapshot};
+use me_trace::{analyze, Attribution, Json, SpanRecorder, SpanSnapshot, SCHEMA_VERSION};
 use multiedge::backplane::{drive, Backplane, SimBackplane, UdpFabric, WireEndpoint};
 use multiedge::{OpFlags, ProtoConfig, SystemConfig};
 use netsim::{build_cluster, Sim};
 use std::cell::Cell;
 
 use crate::micro::MicroKind;
-use crate::triage::{CellSpec, CellRun, RoundStat};
+
+/// One cross-validation cell: a workload run over several rounds (seeds
+/// `base_seed..base_seed + rounds`), merged bucket-wise.
+#[derive(Debug, Clone, Copy)]
+pub struct CellSpec {
+    /// Topology label, the first half of the pairing key.
+    pub config: &'static str,
+    /// Micro-benchmark workload.
+    pub kind: MicroKind,
+    /// Op payload size in bytes.
+    pub size: usize,
+    /// Ops per round.
+    pub iters: usize,
+    /// Rounds merged into the document.
+    pub rounds: u64,
+    /// First seed of the round sweep.
+    pub base_seed: u64,
+}
+
+impl CellSpec {
+    /// Display name, the diff's cell pairing key (`"<config> <workload>"`).
+    pub fn name(&self) -> String {
+        format!("{} {}", self.config, self.kind.name())
+    }
+}
+
+/// A cell's merged attribution as the document `me_trace::diff_docs`
+/// reads: schema-stamped and self-describing (config, workload, seeds),
+/// with the exact histograms.
+pub fn cell_doc(spec: &CellSpec, profile: &str, attr: &Attribution) -> Json {
+    Json::obj()
+        .set("schema_version", SCHEMA_VERSION)
+        .set("kind", "multiedge_attribution_cell")
+        .set("profile", profile)
+        .set("config", spec.config)
+        .set("workload", spec.kind.name())
+        .set("size", spec.size)
+        .set("iters", spec.iters)
+        .set("rounds", spec.rounds)
+        .set("base_seed", spec.base_seed)
+        .set("attribution", attr.to_json())
+}
 
 /// Span-ring capacity for cross-validation rounds.
 const SPAN_CAP: usize = 1 << 16;
@@ -55,8 +95,8 @@ impl WireBackend {
 /// The cross-validation sweep: the latency-dominated ping-pong shape and
 /// bandwidth-dominated one-way streaming, both striped across two rails.
 ///
-/// The `config` string names the backplane topology (two rails), not a
-/// triage topology — these specs are paired sim-vs-udp only.
+/// The `config` string names the backplane topology (two rails); these
+/// specs are paired sim-vs-udp only.
 pub fn wire_cells(smoke: bool) -> Vec<CellSpec> {
     let (pp_iters, ow_iters, rounds) = if smoke { (48, 24, 2) } else { (160, 60, 3) };
     vec![
@@ -87,11 +127,10 @@ fn wire_config(seed: u64) -> SystemConfig {
     cfg
 }
 
-/// Run one cell on one backend: every round on a fresh fabric, rounds
-/// merged bucket-wise exactly like a triage cell.
-pub fn run_wire_cell(spec: &CellSpec, backend: WireBackend) -> CellRun {
+/// Run one cell on one backend: every round on a fresh fabric, the
+/// rounds' attributions merged bucket-wise.
+pub fn run_wire_cell(spec: &CellSpec, backend: WireBackend) -> Attribution {
     let mut attr = Attribution::default();
-    let mut rounds = Vec::new();
     for r in 0..spec.rounds {
         let seed = spec.base_seed + r;
         let cfg = wire_config(seed);
@@ -110,15 +149,9 @@ pub fn run_wire_cell(spec: &CellSpec, backend: WireBackend) -> CellRun {
             }
         };
         assert_eq!(snap.overwritten, 0, "span ring must retain the whole round");
-        let a = analyze(&snap);
-        rounds.push(RoundStat {
-            seed,
-            latency_p50_ns: a.overall.latency_hist.percentile(50.0),
-            latency_p99_ns: a.overall.latency_hist.percentile(99.0),
-        });
-        attr.merge(&a);
+        attr.merge(&analyze(&snap));
     }
-    CellRun { attr, rounds }
+    attr
 }
 
 /// Drive one round of `spec`'s workload over an already-built fabric and

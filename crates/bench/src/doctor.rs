@@ -31,8 +31,8 @@ use crate::scale::{
 };
 use bytes::Bytes;
 use me_trace::{
-    diagnose_member_timelines, HealthConfig, HealthMonitor, HealthReport, IncidentCause,
-    SpanRecorder, Timeline, TimelineDoc,
+    diagnose_member_timelines, HealthMonitor, HealthReport, IncidentCause, SpanRecorder, Timeline,
+    TimelineDoc,
 };
 use multiedge::backplane::{
     drive, Backplane, ChaosConfig, ChaosStats, FaultBackplane, SimBackplane, WireEndpoint,
@@ -42,20 +42,16 @@ use netsim::time::{ms, us};
 use netsim::{build_cluster, FaultPlan, GilbertElliott, Sim};
 
 /// Offline ≡ online gate: replay a finished timeline's JSONL export
-/// through a fresh monitor with the same config and require the rendered
-/// report to match the online one byte-for-byte.
+/// through a fresh monitor and require the rendered report to match the
+/// online one byte-for-byte.
 ///
 /// # Errors
 ///
 /// Returns the two rendered reports when they differ (or a parse error for
 /// a malformed artifact — impossible for `Timeline::to_jsonl` output).
-pub fn offline_matches_online(
-    tl: &Timeline,
-    online: &HealthReport,
-    cfg: HealthConfig,
-) -> Result<(), String> {
+pub fn offline_matches_online(tl: &Timeline, online: &HealthReport) -> Result<(), String> {
     let doc = TimelineDoc::parse_jsonl(&tl.to_jsonl()).map_err(|e| format!("parse: {e}"))?;
-    let mut mon = HealthMonitor::for_doc(&doc, cfg);
+    let mut mon = HealthMonitor::for_doc(&doc);
     mon.replay_doc(&doc);
     let (off, on) = (mon.report().to_json().render(), online.to_json().render());
     if off == on {
@@ -96,11 +92,10 @@ pub fn rail_outage_doctor(smoke: bool) -> RailOutageDoctor {
     let (down, up) = if smoke { (ms(2), ms(5)) } else { (ms(5), ms(12)) };
     let plan = FaultPlan::new().rail_down(down, 1).rail_up(up, 1);
     let iters = if smoke { 60 } else { 160 };
-    let hc = HealthConfig::default();
-    let result = run_micro_doctor(&cfg, MicroKind::OneWay, 32 << 10, iters, &plan, ms(2), hc);
+    let result = run_micro_doctor(&cfg, MicroKind::OneWay, 32 << 10, iters, &plan, ms(2));
     let health = result.health.as_ref().expect("health was armed");
     let tl = result.timeline.as_ref().expect("sampling was requested");
-    offline_matches_online(tl, health, hc).expect("doctor replay must be bit-identical");
+    offline_matches_online(tl, health).expect("doctor replay must be bit-identical");
     let inc = health
         .first(IncidentCause::RailOutage)
         .expect("a dead rail must open a RailOutage incident");
@@ -127,7 +122,6 @@ pub fn rail_outage_doctor(smoke: bool) -> RailOutageDoctor {
 /// report.
 pub fn clean_seeds_doctor(smoke: bool, seeds: &[u64]) -> Vec<(u64, HealthReport)> {
     let iters = if smoke { 24 } else { 80 };
-    let hc = HealthConfig::default();
     seeds
         .iter()
         .map(|&seed| {
@@ -140,11 +134,10 @@ pub fn clean_seeds_doctor(smoke: bool, seeds: &[u64]) -> Vec<(u64, HealthReport)
                 iters,
                 &FaultPlan::new(),
                 ms(1),
-                hc,
             );
             let health = r.health.expect("health was armed");
             let tl = r.timeline.as_ref().expect("sampling was requested");
-            offline_matches_online(tl, &health, hc).expect("doctor replay must be bit-identical");
+            offline_matches_online(tl, &health).expect("doctor replay must be bit-identical");
             (seed, health)
         })
         .collect()
@@ -197,8 +190,7 @@ pub fn chaos_burst_doctor(smoke: bool) -> ChaosBurstDoctor {
     let mut bpb = FaultBackplane::new(bpb, 1, &chaos);
     let spans = SpanRecorder::disabled();
     let (mut a, mut b) = WireEndpoint::pair(&cfg.proto, bpa.rails(), &spans);
-    let hc = HealthConfig::default();
-    a.start_timeline(&bpa, us(200).as_nanos(), 4096, Some(hc));
+    a.start_timeline(&bpa, us(200).as_nanos(), 4096, true);
 
     let iters = if smoke { 24 } else { 96 };
     let size = 16usize << 10;
@@ -230,7 +222,7 @@ pub fn chaos_burst_doctor(smoke: bool) -> ChaosBurstDoctor {
     a.sample_timeline(&mut bpa);
     let health = a.health_report().expect("health was armed");
     let timeline = a.take_timeline().expect("timeline was enabled");
-    offline_matches_online(&timeline, &health, hc).expect("doctor replay must be bit-identical");
+    offline_matches_online(&timeline, &health).expect("doctor replay must be bit-identical");
     ChaosBurstDoctor {
         timeline,
         health,
@@ -247,7 +239,7 @@ pub fn chaos_burst_doctor(smoke: bool) -> ChaosBurstDoctor {
 /// diagnose cross-node imbalance on each node's received data bytes.
 fn node_diagnosis(cell: &ScaleCell) -> HealthReport {
     let (_, _, timelines) = run_scale_cell_unsharded(cell, Some(us(200)));
-    diagnose_member_timelines(&timelines, MEMBER_COUNTER, HealthConfig::default())
+    diagnose_member_timelines(&timelines, MEMBER_COUNTER)
 }
 
 /// The 8-node incast fan-in: the receiver (member 0 = node 0) must be named

@@ -14,7 +14,6 @@ pub mod doctor;
 pub mod micro;
 pub mod scale;
 pub mod telemetry;
-pub mod triage;
 
 pub use appfig::{app_figure, workloads_for_env};
 pub use micro::{

@@ -113,7 +113,7 @@ pub fn run_micro_sampled(
     plan: &FaultPlan,
     sample_interval: Option<Dur>,
 ) -> MicroResult {
-    run_micro_inner(cfg, kind, size, iters, plan, sample_interval, None)
+    run_micro_inner(cfg, kind, size, iters, plan, sample_interval, false)
 }
 
 /// Like [`run_micro_sampled`], but arms the sampler with a streaming
@@ -127,17 +127,8 @@ pub fn run_micro_doctor(
     iters: usize,
     plan: &FaultPlan,
     sample_interval: Dur,
-    health: me_trace::HealthConfig,
 ) -> MicroResult {
-    run_micro_inner(
-        cfg,
-        kind,
-        size,
-        iters,
-        plan,
-        Some(sample_interval),
-        Some(health),
-    )
+    run_micro_inner(cfg, kind, size, iters, plan, Some(sample_interval), true)
 }
 
 fn run_micro_inner(
@@ -147,7 +138,7 @@ fn run_micro_inner(
     iters: usize,
     plan: &FaultPlan,
     sample_interval: Option<Dur>,
-    health: Option<me_trace::HealthConfig>,
+    health: bool,
 ) -> MicroResult {
     let mut cfg = cfg.clone();
     cfg.nodes = 2;
@@ -162,9 +153,12 @@ fn run_micro_inner(
     }
     cluster.apply_fault_plan(&sim, plan);
     let (c0, c1) = Endpoint::connect(&eps[0], &eps[1]);
-    let sampler = sample_interval.map(|iv| match health {
-        Some(hc) => eps[0].start_timeline_with_health(c0, iv, 512, hc),
-        None => eps[0].start_timeline(c0, iv, 512),
+    let sampler = sample_interval.map(|iv| {
+        if health {
+            eps[0].start_timeline_with_health(c0, iv, 512, me_trace::HealthConfig)
+        } else {
+            eps[0].start_timeline(c0, iv, 512)
+        }
     });
 
     // Average host-initiation overhead is measured inside the driver tasks.

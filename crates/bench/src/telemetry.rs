@@ -24,9 +24,7 @@
 use crate::micro::{run_micro_sampled, MicroKind, MicroResult};
 use crate::scale::{incast_cell, run_scale_cell_unsharded, MEMBER_COUNTER};
 use bytes::Bytes;
-use me_trace::{
-    diagnose_member_timelines, imbalance, HealthConfig, HealthReport, SpanRecorder, Timeline,
-};
+use me_trace::{diagnose_member_timelines, imbalance, HealthReport, SpanRecorder, Timeline};
 use multiedge::backplane::{
     drive, Backplane, ChaosConfig, ChaosStats, FaultBackplane, SimBackplane, WireEndpoint,
 };
@@ -138,8 +136,7 @@ pub struct IncastTelemetry {
     pub hot_node: usize,
     /// Imbalance index (`max / mean`) of the per-node received-byte totals.
     pub imbalance: f64,
-    /// The imbalance diagnosis over the per-interval received-byte deltas,
-    /// with [`HealthConfig::default`].
+    /// The imbalance diagnosis over the per-interval received-byte deltas.
     pub health: HealthReport,
 }
 
@@ -167,7 +164,7 @@ pub fn incast_telemetry(smoke: bool) -> IncastTelemetry {
         })
         .collect();
     let (imbalance, hot_node) = imbalance(&totals);
-    let health = diagnose_member_timelines(&timelines, MEMBER_COUNTER, HealthConfig::default());
+    let health = diagnose_member_timelines(&timelines, MEMBER_COUNTER);
     IncastTelemetry {
         timelines,
         hot_node,
@@ -208,7 +205,7 @@ pub fn wire_telemetry(smoke: bool) -> WireTelemetry {
     let mut bpb = FaultBackplane::new(bpb, 1, &chaos);
     let spans = SpanRecorder::disabled();
     let (mut a, mut b) = WireEndpoint::pair(&cfg.proto, bpa.rails(), &spans);
-    a.start_timeline(&bpa, us(200).as_nanos(), 4096, None);
+    a.start_timeline(&bpa, us(200).as_nanos(), 4096, false);
 
     let iters = if smoke { 24 } else { 96 };
     let size = 16usize << 10;

@@ -12,19 +12,21 @@
 //! in nanoseconds. Any divergence — one extra retransmission, one reordered
 //! draw, one nanosecond moved between phases — fails the test.
 //!
-//! To see *which* phase a break moved, run `make bench-attribution` on
-//! both trees and `me-inspect diff` the two `BENCH_attribution.json`
-//! (docs/OBSERVABILITY.md § Diagnosing a golden break). To regenerate
-//! after an *intentional* behaviour change (`make rebaseline` does this
-//! along with every other pinned artifact):
+//! A drifted attributed line names its own phase: the failure message
+//! subtracts the expected line's phase totals and p50/p99 from the actual
+//! line's and prints `me_trace::diff`'s headline — the largest per-op mover
+//! and its protocol layer (docs/OBSERVABILITY.md § Diagnosing a golden
+//! break). To regenerate after an *intentional* behaviour change (`make
+//! rebaseline` does this along with every other pinned artifact):
 //!
 //! ```text
 //! GOLDEN_REGEN=1 cargo test --offline -p multiedge-bench --test stats_equivalence
 //! ```
 
-use me_trace::{analyze, PHASES};
+use me_trace::diff::layer;
+use me_trace::{analyze, RollupDelta, Totals, PHASES};
+use multiedge::SystemConfig;
 use multiedge_bench::micro::{run_micro, MicroKind};
-use multiedge_bench::triage::base_config;
 
 const GOLDEN: &str = include_str!("stats_equivalence.golden");
 const GOLDEN_PATH: &str = concat!(
@@ -50,6 +52,17 @@ const CELLS: [Cell; 8] = [
     ("2Lu-1G", MicroKind::OneWay, 32 << 10, [8_000, 8_001], true),
     ("4L-1G", MicroKind::TwoWay, 32 << 10, [8_100, 8_101], true),
 ];
+
+/// A cell's topology by name.
+fn base_config(name: &str) -> SystemConfig {
+    match name {
+        "1L-1G" => SystemConfig::one_link_1g(2),
+        "2Lu-1G" => SystemConfig::two_link_1g_unordered(2),
+        "4L-1G" => SystemConfig::four_link_1g(2),
+        "1L-10G" => SystemConfig::one_link_10g(2),
+        other => panic!("unknown golden config '{other}'"),
+    }
+}
 
 /// One golden line: the counters, then (for attributed cells) latency
 /// p50/p99 and the per-phase exclusive totals, all in ns. Attributed cells
@@ -80,6 +93,37 @@ fn line((config, kind, size, _, spans): Cell, seed: u64) -> String {
     line + "\n"
 }
 
+/// Read an attributed line back into the [`Totals`] a diff subtracts: ops
+/// (`ops_write + ops_read`), latency p50/p99 and every phase's total.
+/// `None` for the unattributed lines.
+fn totals(line: &str) -> Option<Totals> {
+    let num = |key: &str| -> Option<u64> {
+        let rest = &line[line.find(key)? + key.len()..];
+        rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())].parse().ok()
+    };
+    let mut t = Totals {
+        ops: num("ops_write: ")? + num("ops_read: ")?,
+        p50_ns: num("|latency p50 ")?,
+        p99_ns: num(" p99 ")?,
+        ..Totals::default()
+    };
+    for (ns, p) in t.phase_ns.iter_mut().zip(PHASES) {
+        *ns = num(&format!(" {}=", p.label()))?;
+    }
+    Some(t)
+}
+
+/// The failure text for one drifted line: both lines, then for an
+/// attributed cell the headline naming the phase that moved.
+fn drift(expected: &str, got: &str) -> String {
+    let mut msg = format!("  expected: {expected}\n  got:      {got}");
+    if let (Some(old), Some(new)) = (totals(expected), totals(got)) {
+        let name = got.split(" = ").next().unwrap_or(got).to_string();
+        msg += &format!("\n  => {}", RollupDelta { name, old, new }.headline());
+    }
+    msg
+}
+
 #[test]
 fn stats_identical_for_fixed_seeds() {
     let got: String = CELLS
@@ -94,11 +138,27 @@ fn stats_identical_for_fixed_seeds() {
         .lines()
         .zip(GOLDEN.lines())
         .filter(|(g, e)| g != e)
-        .map(|(g, e)| format!("  expected: {e}\n  got:      {g}"))
+        .map(|(g, e)| drift(e, g))
         .collect();
     assert!(
         drifted.is_empty() && got.lines().count() == GOLDEN.lines().count(),
         "protocol/network stats drifted from {GOLDEN_PATH}:\n{}",
         drifted.join("\n")
     );
+}
+
+/// Moving one phase token of an attributed golden line names that phase
+/// and its layer in the failure message, for every phase.
+#[test]
+fn a_drifted_line_names_its_phase() {
+    let line = GOLDEN.lines().find(|l| totals(l).is_some()).expect("an attributed line");
+    for p in PHASES {
+        let key = format!(" {}=", p.label());
+        let (head, tail) = line.split_once(&key).expect("every phase is on the line");
+        let end = tail.find(' ').unwrap_or(tail.len());
+        let moved: u64 = tail[..end].parse::<u64>().unwrap() + 24_000;
+        let msg = drift(line, &format!("{head}{key}{moved}{}", &tail[end..]));
+        let named = format!("largest mover {} ({}) +1.0us/op", p.label(), layer(p));
+        assert!(msg.contains(&named), "expected `{named}` in:\n{msg}");
+    }
 }

@@ -10,7 +10,7 @@
 //! per rail. [`WireEndpoint`] is the driver that runs the core over either
 //! implementation **unmodified**, which is what makes the simulator's cost
 //! model falsifiable: run the same workload on both backends, snapshot the
-//! same span recorder, and diff the per-phase attributions with
+//! same span recorder, and subtract the per-phase attributions with
 //! `me-inspect diff` (see `docs/BACKPLANE.md`).
 //!
 //! The shape follows the netmod `Endpoint` abstraction from irdest

@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use frame::Frame;
-use me_trace::{EventKind, FlightRecorder, HealthConfig, HealthReport, SpanRecorder, Timeline};
+use me_trace::{EventKind, FlightRecorder, HealthReport, SpanRecorder, Timeline};
 
 use crate::config::ProtoConfig;
 use crate::ops::{Notification, OpFlags, OpKind};
@@ -318,7 +318,7 @@ impl WireEndpoint {
         bp: &B,
         interval_ns: u64,
         capacity: usize,
-        health: Option<HealthConfig>,
+        health: bool,
     ) {
         let start_ns = bp.now_ns();
         self.sampler = Some(self.core.start_sampler(None, interval_ns, capacity, start_ns, health));

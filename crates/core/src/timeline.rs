@@ -105,7 +105,7 @@ impl<T> ProtoCore<T> {
         interval_ns: u64,
         capacity: usize,
         start_ns: u64,
-        health: Option<HealthConfig>,
+        health: bool,
     ) -> CoreSampler {
         let mut b = TimelineBuilder::new();
         let names = ProtoStats::default().monotone_counters().map(|(name, _)| name);
@@ -124,8 +124,8 @@ impl<T> ProtoCore<T> {
             })
             .collect();
         let tl = b.build(interval_ns, capacity, start_ns);
-        let health = health.map(|cfg| {
-            let mon = Rc::new(RefCell::new(HealthMonitor::for_timeline(&tl, cfg)));
+        let health = health.then(|| {
+            let mon = Rc::new(RefCell::new(HealthMonitor::for_timeline(&tl)));
             if self.obs.flight.is_enabled() {
                 let m = mon.clone();
                 let source = Rc::new(move || m.borrow().state_json());
@@ -260,7 +260,7 @@ impl Endpoint {
     /// tasks; call [`EndpointSampler::finish`] after `sim.run()` for the
     /// final reconciliation row.
     pub fn start_timeline(&self, conn: usize, interval: Dur, capacity: usize) -> EndpointSampler {
-        self.start_sampler(conn, interval, capacity, None)
+        self.start_sampler(conn, interval, capacity, false)
     }
 
     /// Like [`Endpoint::start_timeline`], but with a streaming
@@ -274,9 +274,9 @@ impl Endpoint {
         conn: usize,
         interval: Dur,
         capacity: usize,
-        cfg: HealthConfig,
+        _: HealthConfig,
     ) -> EndpointSampler {
-        self.start_sampler(conn, interval, capacity, Some(cfg))
+        self.start_sampler(conn, interval, capacity, true)
     }
 
     fn start_sampler(
@@ -284,7 +284,7 @@ impl Endpoint {
         conn: usize,
         interval: Dur,
         capacity: usize,
-        health: Option<HealthConfig>,
+        health: bool,
     ) -> EndpointSampler {
         let sim = self.sim_handle().clone();
         let (start_ns, interval_ns) = (sim.now().as_nanos(), interval.as_nanos());

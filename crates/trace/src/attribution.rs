@@ -361,8 +361,8 @@ pub fn analyze(snap: &SpanSnapshot) -> Attribution {
 
 impl Attribution {
     /// Merge another attribution in (all rollups and per-rail counters are
-    /// bucket-wise / element-wise additive). The triage runner uses this to
-    /// fold multiple seeds of the same cell into one mergeable document.
+    /// bucket-wise / element-wise additive). The backplane cells use this
+    /// to fold multiple seeds of the same cell into one mergeable document.
     pub fn merge(&mut self, other: &Attribution) {
         self.overall.merge(&other.overall);
         for (k, r) in &other.per_conn {

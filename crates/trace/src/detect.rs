@@ -10,29 +10,29 @@
 //! - **Level shifts** ([`Zscore`]): an EWMA baseline with an EWMA of
 //!   absolute deviation scaled by 1.4826 (the MAD→σ factor for normal
 //!   data) yields a robust z-score; a reading more than
-//!   [`HealthConfig::z_threshold`] scaled deviations from baseline alarms.
+//!   [`Z_THRESHOLD`] scaled deviations from baseline alarms.
 //! - **Slow drifts** ([`Cusum`]): an upward one-sided normalized CUSUM
 //!   over a slow robust baseline, `s ← max(0, s + z − slack)`, accumulates
 //!   small per-interval excursions the z-score alone would never flag and
-//!   alarms when `s` crosses [`HealthConfig::cusum_threshold`].
+//!   alarms when `s` crosses [`CUSUM_THRESHOLD`].
 //! - **Rate bursts** ([`Burst`]): monotone counters that are quiet on a
 //!   healthy path (retransmits, NACKs, duplicates, corruption, rail-down
 //!   events) alarm when one interval's delta is both at least
-//!   [`HealthConfig::burst_floor`] and more than
-//!   [`HealthConfig::burst_factor`] × the counter's own EWMA rate.
+//!   [`BURST_FLOOR`] and more than [`BURST_FACTOR`] × the counter's own
+//!   EWMA rate.
 //!
 //! Rule-based detectors need no baseline: a `rail*.state` gauge equal to
 //! the dead code alarms immediately, and a `fence_buffered` gauge that
-//! stays non-zero for [`HealthConfig::fence_stuck_intervals`] consecutive
-//! rows alarms as a stuck fence.
+//! stays non-zero for [`FENCE_STUCK_INTERVALS`] consecutive rows alarms as
+//! a stuck fence.
 //!
 //! **Diagnosis.** All alarms raised by one row are correlated into a
 //! single probable cause per tick ([`IncidentCause`], picked by severity
 //! priority) and folded into an open [`Incident`] of that cause — or open
 //! a new one, which is what arms the flight recorder's `Anomaly` trigger.
-//! An incident closes after [`HealthConfig::clear_intervals`] consecutive
-//! quiet rows. Everything on the observe path works in storage
-//! preallocated at construction: zero allocations in steady state.
+//! An incident closes after [`CLEAR_INTERVALS`] consecutive quiet rows.
+//! Everything on the observe path works in storage preallocated at
+//! construction: zero allocations in steady state.
 //!
 //! **Offline ≡ online.** The monitor reads nothing but
 //! `(t_ns, row values, stale columns)` — exactly what the JSONL artifact
@@ -49,91 +49,60 @@ use crate::timeline::{imbalance, SourceKind, Timeline, TimelineDoc};
 /// Artifact `kind` stamped into rendered health reports.
 pub const HEALTH_KIND: &str = "multiedge_health";
 
-/// Tuning knobs for the detectors and the incident lifecycle. `Copy` so a
-/// run configuration can embed one by value; [`HealthConfig::default`] is
-/// tuned to stay silent on clean seeded runs (see the `doctor` bench gate)
-/// while catching seeded outages within a few intervals.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// EWMA smoothing factor for the z-score baseline (and burst rates).
-    pub ewma_alpha: f64,
-    /// Slower smoothing factor for the CUSUM reference baseline — slow on
-    /// purpose, so a drift cannot drag its own reference along.
-    pub cusum_alpha: f64,
-    /// Absolute floor on the deviation scale σ (units of the column).
-    pub sigma_floor_abs: f64,
-    /// Relative floor on σ as a fraction of the baseline mean; keeps
-    /// naturally bursty gauges (in-flight occupancy) from alarming on
-    /// ordinary swings.
-    pub sigma_floor_rel: f64,
-    /// CUSUM's own (much tighter) relative σ floor: the slack term already
-    /// absorbs noise, and the z-score's wide floor would swamp exactly the
-    /// slow drifts CUSUM exists to catch.
-    pub cusum_floor_rel: f64,
-    /// |z| at or above this alarms as a level shift.
-    pub z_threshold: f64,
-    /// Per-interval slack subtracted before CUSUM accumulation.
-    pub cusum_slack: f64,
-    /// CUSUM sum at or above this alarms as a drift.
-    pub cusum_threshold: f64,
-    /// Burst rule: delta must exceed this multiple of the EWMA rate.
-    pub burst_factor: f64,
-    /// Burst rule: delta must also be at least this absolute count.
-    pub burst_floor: u64,
-    /// Rows before z/CUSUM may alarm (baselines still warming up).
-    pub warmup: u32,
-    /// Consecutive quiet rows before an open incident closes.
-    pub clear_intervals: u32,
-    /// Consecutive non-zero `fence_buffered` rows before a stall alarms.
-    pub fence_stuck_intervals: u32,
-    /// Encoded `rail*.state` value that means the rail is dead.
-    pub rail_dead_code: u64,
-    /// Cross-member imbalance index (max/mean) at or above this alarms.
-    pub imbalance_threshold: f64,
-    /// Minimum row total before the imbalance index is meaningful.
-    pub imbalance_min_total: u64,
-    /// Consecutive imbalanced rows before the alarm fires.
-    pub imbalance_consecutive: u32,
-    /// Hard cap on recorded incidents; beyond it new opens are counted as
-    /// suppressed instead of allocated.
-    pub max_incidents: usize,
-}
+/// EWMA smoothing factor for the z-score baseline (and burst rates).
+pub const EWMA_ALPHA: f64 = 0.2;
+/// Slower smoothing factor for the CUSUM reference baseline — slow on
+/// purpose, so a drift cannot drag its own reference along.
+pub const CUSUM_ALPHA: f64 = 0.025;
+/// Absolute floor on the deviation scale σ (units of the column).
+pub const SIGMA_FLOOR_ABS: f64 = 1.0;
+/// Relative floor on σ as a fraction of the baseline mean; keeps naturally
+/// bursty gauges (in-flight occupancy) from alarming on ordinary swings.
+pub const SIGMA_FLOOR_REL: f64 = 0.5;
+/// CUSUM's own (much tighter) relative σ floor: the slack term already
+/// absorbs noise, and the z-score's wide floor would swamp exactly the slow
+/// drifts CUSUM exists to catch.
+pub const CUSUM_FLOOR_REL: f64 = 0.05;
+/// |z| at or above this alarms as a level shift.
+pub const Z_THRESHOLD: f64 = 6.0;
+/// Per-interval slack subtracted before CUSUM accumulation.
+pub const CUSUM_SLACK: f64 = 0.5;
+/// CUSUM sum at or above this alarms as a drift.
+pub const CUSUM_THRESHOLD: f64 = 12.0;
+/// Burst rule: delta must exceed this multiple of the EWMA rate.
+pub const BURST_FACTOR: f64 = 8.0;
+/// Burst rule: delta must also be at least this absolute count.
+pub const BURST_FLOOR: u64 = 4;
+/// Rows before z/CUSUM may alarm (baselines still warming up).
+pub const WARMUP: u32 = 8;
+/// Consecutive quiet rows before an open incident closes.
+pub const CLEAR_INTERVALS: u32 = 3;
+/// Consecutive non-zero `fence_buffered` rows before a stall alarms.
+pub const FENCE_STUCK_INTERVALS: u32 = 8;
+/// Encoded `rail*.state` value that means the rail is dead.
+pub const RAIL_DEAD_CODE: u64 = 2;
+/// Cross-member imbalance index (max/mean) at or above this alarms.
+pub const IMBALANCE_THRESHOLD: f64 = 2.5;
+/// Minimum row total before the imbalance index is meaningful.
+pub const IMBALANCE_MIN_TOTAL: u64 = 64;
+/// Consecutive imbalanced rows before the alarm fires.
+pub const IMBALANCE_CONSECUTIVE: u32 = 2;
+/// Hard cap on recorded incidents; beyond it new opens are counted as
+/// suppressed instead of allocated.
+pub const MAX_INCIDENTS: usize = 32;
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            ewma_alpha: 0.2,
-            cusum_alpha: 0.025,
-            sigma_floor_abs: 1.0,
-            sigma_floor_rel: 0.5,
-            cusum_floor_rel: 0.05,
-            z_threshold: 6.0,
-            cusum_slack: 0.5,
-            cusum_threshold: 12.0,
-            burst_factor: 8.0,
-            burst_floor: 4,
-            warmup: 8,
-            clear_intervals: 3,
-            fence_stuck_intervals: 8,
-            rail_dead_code: 2,
-            imbalance_threshold: 2.5,
-            imbalance_min_total: 64,
-            imbalance_consecutive: 2,
-            max_incidents: 32,
-        }
-    }
-}
+/// The detectors' tuning, which has no settable field: the thresholds
+/// above are tuned to stay silent on clean seeded runs (the `doctor` bench
+/// gate) while catching seeded outages within a few intervals. The type
+/// remains only as the argument `Endpoint::start_timeline_with_health`
+/// takes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HealthConfig;
 
-impl HealthConfig {
-    fn sigma(&self, dev: f64, mean: f64) -> f64 {
-        let floor = self.sigma_floor_abs.max(self.sigma_floor_rel * mean.abs());
-        (1.4826 * dev).max(floor)
-    }
-
-    fn cusum_sigma(&self, dev: f64, mean: f64) -> f64 {
-        let floor = self.sigma_floor_abs.max(self.cusum_floor_rel * mean.abs());
-        (1.4826 * dev).max(floor)
-    }
+/// Robust σ: MAD-scaled deviation, floored absolutely and at `floor_rel`
+/// of the baseline mean.
+fn sigma(dev: f64, mean: f64, floor_rel: f64) -> f64 {
+    (1.4826 * dev).max(SIGMA_FLOOR_ABS.max(floor_rel * mean.abs()))
 }
 
 /// Robust streaming z-score: EWMA mean + EWMA absolute deviation scaled by
@@ -148,19 +117,19 @@ pub struct Zscore {
 
 impl Zscore {
     /// Score `x` against the baseline, then update the baseline.
-    pub fn observe(&mut self, x: f64, cfg: &HealthConfig) -> f64 {
+    pub fn observe(&mut self, x: f64) -> f64 {
         if self.seen == 0 {
             self.mean = x;
             self.dev = 0.0;
             self.seen = 1;
             return 0.0;
         }
-        let z = (x - self.mean) / cfg.sigma(self.dev, self.mean);
-        let a = cfg.ewma_alpha;
+        let z = (x - self.mean) / sigma(self.dev, self.mean, SIGMA_FLOOR_REL);
+        let a = EWMA_ALPHA;
         self.mean += a * (x - self.mean);
         self.dev += a * ((x - self.mean).abs() - self.dev);
         self.seen = self.seen.saturating_add(1);
-        if self.seen <= cfg.warmup {
+        if self.seen <= WARMUP {
             0.0
         } else {
             z
@@ -175,7 +144,7 @@ impl Zscore {
 
 /// Upward one-sided normalized CUSUM over a slow robust baseline:
 /// `s ← clamp(s + z − slack)`. The reference baseline moves with the
-/// *slow* [`HealthConfig::cusum_alpha`] so a drift cannot hide by
+/// *slow* [`CUSUM_ALPHA`] so a drift cannot hide by
 /// dragging its own reference along — exactly the case the z-score
 /// misses. Upward-only on purpose: for backlog/occupancy gauges growth is
 /// the pathology, while draining back to zero is recovery (a two-sided
@@ -190,25 +159,25 @@ pub struct Cusum {
 
 impl Cusum {
     /// Accumulate `x`; returns the current CUSUM score (0 during warmup).
-    pub fn observe(&mut self, x: f64, cfg: &HealthConfig) -> f64 {
+    pub fn observe(&mut self, x: f64) -> f64 {
         if self.seen == 0 {
             self.mean = x;
             self.dev = 0.0;
             self.seen = 1;
             return 0.0;
         }
-        let z = (x - self.mean) / cfg.cusum_sigma(self.dev, self.mean);
-        let a = cfg.cusum_alpha;
+        let z = (x - self.mean) / sigma(self.dev, self.mean, CUSUM_FLOOR_REL);
+        let a = CUSUM_ALPHA;
         self.mean += a * (x - self.mean);
         self.dev += a * ((x - self.mean).abs() - self.dev);
         self.seen = self.seen.saturating_add(1);
-        if self.seen <= cfg.warmup {
+        if self.seen <= WARMUP {
             return 0.0;
         }
         // Clamp so a long-running excursion can still decay away once the
         // slow baseline catches up, instead of latching forever.
-        let cap = 4.0 * cfg.cusum_threshold;
-        self.sum = (self.sum + z - cfg.cusum_slack).clamp(0.0, cap);
+        let cap = 4.0 * CUSUM_THRESHOLD;
+        self.sum = (self.sum + z - CUSUM_SLACK).clamp(0.0, cap);
         self.sum
     }
 
@@ -230,11 +199,11 @@ pub struct Burst {
 impl Burst {
     /// Score one interval delta: 0 when quiet, the delta/rate ratio when
     /// the burst rule fires.
-    pub fn observe(&mut self, delta: u64, cfg: &HealthConfig) -> f64 {
+    pub fn observe(&mut self, delta: u64) -> f64 {
         let x = delta as f64;
-        let fired = delta >= cfg.burst_floor && x > cfg.burst_factor * self.ewma;
+        let fired = delta >= BURST_FLOOR && x > BURST_FACTOR * self.ewma;
         let score = if fired { x / self.ewma.max(1.0) } else { 0.0 };
-        self.ewma += cfg.ewma_alpha * (x - self.ewma);
+        self.ewma += EWMA_ALPHA * (x - self.ewma);
         score
     }
 }
@@ -466,7 +435,6 @@ const NO_OPEN: usize = usize::MAX;
 /// collect the verdict with [`HealthMonitor::report`].
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
-    cfg: HealthConfig,
     names: Vec<String>,
     cols: Vec<ColumnState>,
     /// Scratch: alarms raised by the current row. Capacity is fixed at
@@ -487,7 +455,7 @@ impl HealthMonitor {
     /// Build a monitor for sources described by parallel `names`/`kinds`
     /// (column order). All storage the observe path touches is allocated
     /// here.
-    pub fn new(names: &[String], kinds: &[SourceKind], cfg: HealthConfig) -> Self {
+    pub fn new(names: &[String], kinds: &[SourceKind]) -> Self {
         assert_eq!(names.len(), kinds.len(), "names/kinds must be parallel");
         let cols: Vec<ColumnState> = names
             .iter()
@@ -501,11 +469,10 @@ impl HealthMonitor {
             })
             .collect();
         HealthMonitor {
-            cfg,
             names: names.to_vec(),
             tick_alarms: Vec::with_capacity(3 * cols.len() + 1),
             cols,
-            incidents: Vec::with_capacity(cfg.max_incidents),
+            incidents: Vec::with_capacity(MAX_INCIDENTS),
             open_idx: [NO_OPEN; NUM_CAUSES],
             quiet: [0; NUM_CAUSES],
             imbalance_runs: 0,
@@ -516,20 +483,15 @@ impl HealthMonitor {
     }
 
     /// Monitor matching a live [`Timeline`]'s registered sources.
-    pub fn for_timeline(tl: &Timeline, cfg: HealthConfig) -> Self {
-        HealthMonitor::new(tl.names(), tl.kinds(), cfg)
+    pub fn for_timeline(tl: &Timeline) -> Self {
+        HealthMonitor::new(tl.names(), tl.kinds())
     }
 
     /// Monitor matching a parsed [`TimelineDoc`]'s sources.
-    pub fn for_doc(doc: &TimelineDoc, cfg: HealthConfig) -> Self {
+    pub fn for_doc(doc: &TimelineDoc) -> Self {
         let names: Vec<String> = doc.sources.iter().map(|s| s.name.clone()).collect();
         let kinds: Vec<SourceKind> = doc.sources.iter().map(|s| s.kind).collect();
-        HealthMonitor::new(&names, &kinds, cfg)
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
+        HealthMonitor::new(&names, &kinds)
     }
 
     /// Feed one committed row: `values` in column order (deltas for
@@ -551,35 +513,34 @@ impl HealthMonitor {
                 // A re-committed gauge reading is not an observation.
                 continue;
             }
-            let cfg = self.cfg;
             let col = &mut self.cols[c];
             match role {
                 Role::BurstCounter => {
-                    let score = col.burst.observe(v, &cfg);
+                    let score = col.burst.observe(v);
                     if score > 0.0 {
                         self.raise(t_ns, c, AlarmKind::Burst, v, score);
                     }
                 }
                 Role::RailState => {
-                    if v == cfg.rail_dead_code {
+                    if v == RAIL_DEAD_CODE {
                         self.raise(t_ns, c, AlarmKind::RailDead, v, 1000.0);
                     }
                 }
                 Role::BacklogGauge | Role::FenceGauge | Role::GenericGauge => {
                     let x = v as f64;
-                    let z = col.z.observe(x, &cfg);
-                    let s = col.cusum.observe(x, &cfg);
+                    let z = col.z.observe(x);
+                    let s = col.cusum.observe(x);
                     if role == Role::FenceGauge {
                         col.stuck_runs = if v > 0 { col.stuck_runs + 1 } else { 0 };
-                        if col.stuck_runs >= cfg.fence_stuck_intervals {
+                        if col.stuck_runs >= FENCE_STUCK_INTERVALS {
                             let runs = col.stuck_runs;
                             self.raise(t_ns, c, AlarmKind::FenceStuck, v, runs as f64);
                         }
                     }
-                    if z.abs() >= cfg.z_threshold {
+                    if z.abs() >= Z_THRESHOLD {
                         self.raise(t_ns, c, AlarmKind::Level, v, z);
                     }
-                    if s >= cfg.cusum_threshold {
+                    if s >= CUSUM_THRESHOLD {
                         self.raise(t_ns, c, AlarmKind::Drift, v, s);
                     }
                 }
@@ -638,7 +599,7 @@ impl HealthMonitor {
             let slot = cause.ordinal();
             self.quiet[slot] = 0;
             if self.open_idx[slot] == NO_OPEN {
-                if self.incidents.len() < self.cfg.max_incidents {
+                if self.incidents.len() < MAX_INCIDENTS {
                     self.open_idx[slot] = self.incidents.len();
                     self.incidents.push(Incident::open(cause, t_ns));
                     newly_opened = Some(cause);
@@ -665,7 +626,7 @@ impl HealthMonitor {
             };
             if quiet_this_tick {
                 self.quiet[slot] += 1;
-                if self.quiet[slot] >= self.cfg.clear_intervals {
+                if self.quiet[slot] >= CLEAR_INTERVALS {
                     self.incidents[self.open_idx[slot]].closed_t_ns = Some(t_ns);
                     self.open_idx[slot] = NO_OPEN;
                     self.quiet[slot] = 0;
@@ -679,7 +640,7 @@ impl HealthMonitor {
     /// timeline): raises an [`AlarmKind::Imbalance`] alarm — and possibly
     /// opens an [`IncidentCause::IncastImbalance`] incident — when the
     /// max/mean index stays above threshold for
-    /// [`HealthConfig::imbalance_consecutive`] rows. Allocation-free; meant
+    /// [`IMBALANCE_CONSECUTIVE`] rows. Allocation-free; meant
     /// for a monitor whose "columns" are members (see
     /// [`diagnose_imbalance`]).
     pub fn observe_members(&mut self, t_ns: u64, values: &[u64]) -> Option<IncidentCause> {
@@ -687,9 +648,9 @@ impl HealthMonitor {
         self.tick_alarms.clear();
         let total: u64 = values.iter().sum();
         let (index, hot) = imbalance(values);
-        if total >= self.cfg.imbalance_min_total && index >= self.cfg.imbalance_threshold {
+        if total >= IMBALANCE_MIN_TOTAL && index >= IMBALANCE_THRESHOLD {
             self.imbalance_runs += 1;
-            if self.imbalance_runs >= self.cfg.imbalance_consecutive {
+            if self.imbalance_runs >= IMBALANCE_CONSECUTIVE {
                 self.raise(t_ns, hot, AlarmKind::Imbalance, values[hot], index);
             }
         } else {
@@ -819,7 +780,7 @@ pub struct HealthReport {
     pub rows_seen: u64,
     /// Alarms raised across all rows.
     pub alarms_total: u64,
-    /// Incident opens dropped by the [`HealthConfig::max_incidents`] cap.
+    /// Incident opens dropped by the [`MAX_INCIDENTS`] cap.
     pub suppressed_incidents: u64,
 }
 
@@ -906,10 +867,9 @@ pub fn diagnose_imbalance(
     labels: &[String],
     t_ns: &[u64],
     members: &[Vec<u64>],
-    cfg: HealthConfig,
 ) -> HealthReport {
     let kinds = vec![SourceKind::Counter; labels.len()];
-    let mut mon = HealthMonitor::new(labels, &kinds, cfg);
+    let mut mon = HealthMonitor::new(labels, &kinds);
     let rows = members.iter().map(|m| m.len()).min().unwrap_or(0);
     let mut row = vec![0u64; members.len()];
     for (i, &t) in t_ns.iter().enumerate().take(rows) {
@@ -926,11 +886,7 @@ pub fn diagnose_imbalance(
 /// deltas and runs [`diagnose_imbalance`]. Rows are aligned by index; timelines
 /// produced by the same run share the sampling grid, so index alignment is
 /// timestamp alignment.
-pub fn diagnose_member_timelines(
-    timelines: &[Timeline],
-    counter: &str,
-    cfg: HealthConfig,
-) -> HealthReport {
+pub fn diagnose_member_timelines(timelines: &[Timeline], counter: &str) -> HealthReport {
     let labels: Vec<String> = (0..timelines.len()).map(|m| format!("member{m}")).collect();
     let mut members: Vec<Vec<u64>> = Vec::with_capacity(timelines.len());
     let mut t_ns: Vec<u64> = Vec::new();
@@ -945,17 +901,13 @@ pub fn diagnose_member_timelines(
         }
         members.push(series);
     }
-    diagnose_imbalance(&labels, &t_ns, &members, cfg)
+    diagnose_imbalance(&labels, &t_ns, &members)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::timeline::TimelineBuilder;
-
-    fn cfg() -> HealthConfig {
-        HealthConfig::default()
-    }
 
     fn names(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -965,7 +917,7 @@ mod tests {
     fn rail_dead_opens_rail_outage_and_closes_on_recovery() {
         let n = names(&["rail0.state", "in_flight"]);
         let k = [SourceKind::Gauge, SourceKind::Gauge];
-        let mut m = HealthMonitor::new(&n, &k, cfg());
+        let mut m = HealthMonitor::new(&n, &k);
         assert_eq!(m.observe(100, &[0, 5], &[]), None);
         let opened = m.observe(200, &[2, 5], &[]);
         assert_eq!(opened, Some(IncidentCause::RailOutage));
@@ -991,7 +943,7 @@ mod tests {
     fn retransmit_burst_alarm_and_priority_correlation() {
         let n = names(&["retransmits_nack", "rail0.state"]);
         let k = [SourceKind::Counter, SourceKind::Gauge];
-        let mut m = HealthMonitor::new(&n, &k, cfg());
+        let mut m = HealthMonitor::new(&n, &k);
         for t in 1..=5u64 {
             assert_eq!(m.observe(t * 100, &[0, 0], &[]), None, "quiet path");
         }
@@ -1009,7 +961,7 @@ mod tests {
     fn retransmit_storm_alone_is_named() {
         let n = names(&["retransmits_nack"]);
         let k = [SourceKind::Counter];
-        let mut m = HealthMonitor::new(&n, &k, cfg());
+        let mut m = HealthMonitor::new(&n, &k);
         for t in 1..=4u64 {
             m.observe(t * 100, &[0], &[]);
         }
@@ -1023,7 +975,7 @@ mod tests {
     fn stale_gauge_rows_are_skipped() {
         let n = names(&["rail0.state"]);
         let k = [SourceKind::Gauge];
-        let mut m = HealthMonitor::new(&n, &k, cfg());
+        let mut m = HealthMonitor::new(&n, &k);
         m.observe(100, &[0], &[]);
         // Dead code but the row is stale: a re-committed reading must not
         // open an incident.
@@ -1037,7 +989,7 @@ mod tests {
     fn fence_stuck_raises_fence_stall() {
         let n = names(&["fence_buffered"]);
         let k = [SourceKind::Gauge];
-        let mut m = HealthMonitor::new(&n, &k, cfg());
+        let mut m = HealthMonitor::new(&n, &k);
         let mut opened = None;
         for t in 1..=20u64 {
             if let Some(c) = m.observe(t * 100, &[3], &[]) {
@@ -1047,14 +999,14 @@ mod tests {
         }
         let (t, c) = opened.expect("stuck fence must alarm");
         assert_eq!(c, IncidentCause::FenceStall);
-        assert_eq!(t, u64::from(cfg().fence_stuck_intervals));
+        assert_eq!(t, u64::from(FENCE_STUCK_INTERVALS));
     }
 
     #[test]
     fn backlog_step_raises_congestion() {
         let n = names(&["in_flight"]);
         let k = [SourceKind::Gauge];
-        let mut m = HealthMonitor::new(&n, &k, cfg());
+        let mut m = HealthMonitor::new(&n, &k);
         let mut t = 0u64;
         for _ in 0..20 {
             t += 100;
@@ -1073,7 +1025,6 @@ mod tests {
 
     #[test]
     fn cusum_catches_slow_drift_z_misses() {
-        let c = cfg();
         let mut z = Zscore::default();
         let mut cu = Cusum::default();
         let mut z_alarmed = false;
@@ -1082,10 +1033,10 @@ mod tests {
         // z threshold each step but relentless.
         for i in 0..400u64 {
             let x = 100.0 + i as f64 * 0.8;
-            if z.observe(x, &c).abs() >= c.z_threshold {
+            if z.observe(x).abs() >= Z_THRESHOLD {
                 z_alarmed = true;
             }
-            if cu.observe(x, &c) >= c.cusum_threshold {
+            if cu.observe(x) >= CUSUM_THRESHOLD {
                 cusum_alarmed = true;
             }
         }
@@ -1095,16 +1046,15 @@ mod tests {
 
     #[test]
     fn burst_detector_is_quiet_on_steady_rates() {
-        let c = cfg();
         let mut b = Burst::default();
         // A path that always retransmits a little: first row is a burst
         // relative to "never", afterwards the rate is the baseline.
-        assert!(b.observe(10, &c) > 0.0);
+        assert!(b.observe(10) > 0.0);
         for _ in 0..100 {
-            assert_eq!(b.observe(10, &c), 0.0);
+            assert_eq!(b.observe(10), 0.0);
         }
         // A 20× spike over the adapted rate alarms again.
-        assert!(b.observe(200, &c) > 0.0);
+        assert!(b.observe(200) > 0.0);
     }
 
     #[test]
@@ -1117,12 +1067,12 @@ mod tests {
             vec![40; 10],
             vec![40; 10],
         ];
-        let r = diagnose_imbalance(&labels, &t, &hot, cfg());
+        let r = diagnose_imbalance(&labels, &t, &hot);
         let i = r.first(IncidentCause::IncastImbalance).expect("hot member flagged");
         assert_eq!(i.evidence()[0].column, 0);
         assert!(i.is_open());
         let balanced: Vec<Vec<u64>> = vec![vec![100; 10]; 4];
-        let r = diagnose_imbalance(&labels, &t, &balanced, cfg());
+        let r = diagnose_imbalance(&labels, &t, &balanced);
         assert!(r.incidents.is_empty());
     }
 
@@ -1132,7 +1082,7 @@ mod tests {
         let c = b.counter("retransmits_nack");
         let g = b.gauge("rail0.state");
         let mut tl = b.build(100, 64, 0);
-        let mut live = HealthMonitor::for_timeline(&tl, cfg());
+        let mut live = HealthMonitor::for_timeline(&tl);
         let mut raws = 0u64;
         for i in 1..=30u64 {
             raws += if i == 12 { 60 } else { 0 };
@@ -1146,7 +1096,7 @@ mod tests {
         }
         // Offline replay (same rows through a fresh monitor) must render
         // the identical report.
-        let mut replay = HealthMonitor::for_timeline(&tl, cfg());
+        let mut replay = HealthMonitor::for_timeline(&tl);
         replay.replay_timeline(&tl);
         assert_eq!(
             live.report().to_json().render(),
@@ -1154,7 +1104,7 @@ mod tests {
         );
         // And through the JSONL artifact: still bit-identical.
         let doc = TimelineDoc::parse_jsonl(&tl.to_jsonl()).expect("parses");
-        let mut offline = HealthMonitor::for_doc(&doc, cfg());
+        let mut offline = HealthMonitor::for_doc(&doc);
         offline.replay_doc(&doc);
         assert_eq!(
             live.report().to_json().render(),
@@ -1167,29 +1117,29 @@ mod tests {
 
     #[test]
     fn incident_cap_counts_suppressed_opens() {
-        let mut c = cfg();
-        c.max_incidents = 1;
-        c.clear_intervals = 1;
         let n = names(&["rail0.state"]);
         let k = [SourceKind::Gauge];
-        let mut m = HealthMonitor::new(&n, &k, c);
+        let mut m = HealthMonitor::new(&n, &k);
         let mut t = 0;
-        for _ in 0..3 {
+        for _ in 0..=MAX_INCIDENTS {
             t += 100;
             m.observe(t, &[2], &[]); // open (or suppressed)
-            t += 100;
-            m.observe(t, &[0], &[]); // close
+            for _ in 0..CLEAR_INTERVALS {
+                t += 100;
+                m.observe(t, &[0], &[]); // close
+            }
         }
         let r = m.report();
-        assert_eq!(r.incidents.len(), 1);
-        assert_eq!(r.suppressed_incidents, 2);
+        assert_eq!(r.incidents.len(), MAX_INCIDENTS);
+        assert_eq!(r.open_incidents(), 0);
+        assert_eq!(r.suppressed_incidents, 1);
     }
 
     #[test]
     fn report_json_is_schema_stamped() {
         let n = names(&["in_flight"]);
         let k = [SourceKind::Gauge];
-        let m = HealthMonitor::new(&n, &k, cfg());
+        let m = HealthMonitor::new(&n, &k);
         let doc = m.report().to_json();
         crate::json::require_schema(&doc).expect("stamped");
         assert_eq!(doc.get("kind").and_then(|k| k.as_str()), Some(HEALTH_KIND));

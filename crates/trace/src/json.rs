@@ -15,8 +15,8 @@ pub const SCHEMA_VERSION: u64 = 2;
 
 /// Check an artifact's `schema_version` against [`SCHEMA_VERSION`].
 ///
-/// Consumers that feed artifacts back through [`Json::parse`] (the triage
-/// differ, `me-inspect`, bench baseline loaders) call this first so a stale
+/// Consumers that feed artifacts back through [`Json::parse`] (the
+/// attribution diff, `me-inspect`) call this first so a stale
 /// or future-format file fails loudly instead of being silently mis-read.
 pub fn require_schema(doc: &Json) -> Result<u64, String> {
     match doc.get("schema_version").and_then(|v| v.as_u64()) {

@@ -49,19 +49,19 @@
 //!    event is a trigger (RTO backoff past a threshold, rail death,
 //!    oversized fence stalls, watchdog trips, health incidents);
 //!    `Json::parse` reads the dumps back for the `me-inspect` tool.
-//! 7. **Regression triage** — [`diff`]: compares two attribution artifacts
-//!    (bench outputs of two trees, flight dumps) phase by phase using the
-//!    exactly round-tripped histograms, and emits a verdict that names the
-//!    phase and protocol layer that moved
-//!    ("p99 regressed 18%, dominated by +reorder (ordering)"); this is the
-//!    engine behind `me-inspect diff`, the tool that diagnoses a broken
-//!    `stats_equivalence` golden (the exact pin of simulated behaviour).
+//! 7. **Regression diagnosis** — [`diff`]: subtracts two attribution
+//!    rollups phase by phase (op counts, latency p50/p99, every phase's
+//!    exclusive total and per-op delta) and prints one headline naming the
+//!    largest mover and its protocol layer
+//!    ("largest mover reorder (ordering) +6.4us/op"), or `identical`. The
+//!    `stats_equivalence` golden prints it for a drifted line, `me-inspect
+//!    diff` for two artifacts, and the backplane bench for sim vs UDP.
 //! 8. **Online health plane** — [`detect`]: allocation-free streaming
-//!    anomaly detectors (robust z-score, CUSUM, rate-burst) over the
-//!    timeline plane's delta rows, correlated into typed [`Incident`]s
-//!    with a named probable cause; the same engine replays JSONL
-//!    artifacts offline for `me-inspect doctor` with bit-identical
-//!    verdicts.
+//!    anomaly detectors (robust z-score, CUSUM, rate-burst) with fixed
+//!    thresholds over the timeline plane's delta rows, correlated into
+//!    typed [`Incident`]s with a named probable cause; the same engine
+//!    replays JSONL artifacts offline for `me-inspect doctor` with
+//!    bit-identical verdicts.
 //!
 //! ```
 //! use me_trace::{Event, EventKind, Tracer};
@@ -102,7 +102,7 @@ pub use detect::{
     HealthMonitor, HealthReport, Incident, IncidentCause, Zscore, HEALTH_KIND, MAX_EVIDENCE,
     NUM_CAUSES,
 };
-pub use diff::{diff_cell, diff_docs, diff_rollups, CellDiff, DiffConfig, DiffReport, Verdict};
+pub use diff::{diff_docs, diff_rollups, CellDiff, DiffReport, RollupDelta, Totals};
 pub use event::{Event, EventKind, FaultKind};
 pub use flight::{FlightConfig, FlightDump, FlightRecorder};
 pub use hist::LogHistogram;

@@ -1,6 +1,12 @@
 //! `me-inspect`: render a flight-recorder post-mortem dump as a
-//! human-readable event timeline plus a critical-path phase breakdown, and
-//! diff two attribution artifacts for regression triage.
+//! human-readable event timeline plus a critical-path phase breakdown,
+//! subtract two attribution artifacts phase by phase, and render or replay
+//! timeline artifacts.
+//!
+//! Every subcommand exits **0** when it found nothing, **1** on a usage
+//! error or an unreadable artifact, and **2** on a finding: `diff` found a
+//! difference, `timeline` found counters that do not reconcile, or
+//! `doctor` found an incident still open.
 //!
 //! Render a dump produced by a `FlightConfig { dump_dir: Some(..) }` run:
 //!
@@ -8,10 +14,11 @@
 //! cargo run --release --bin me-inspect -- results/flight_0_rail_death.json
 //! ```
 //!
-//! Diff two attribution artifacts (baseline files, `BENCH_attribution.json`
-//! documents, or flight dumps with embedded attribution) — prints the
-//! per-cell phase-delta tables, exits 2 when any cell regressed, and emits
-//! the machine-readable report with `--json`:
+//! Diff two attribution artifacts (`BENCH_attribution.json` documents, the
+//! backplane bench's per-backend documents, or flight dumps with embedded
+//! attribution) — prints each cell's headline and the phases that moved,
+//! exits 2 when anything differs, and emits the machine-readable report
+//! with `--json`:
 //!
 //! ```text
 //! cargo run --release --bin me-inspect -- diff old.json new.json [--json]
@@ -21,7 +28,7 @@
 //! e.g. `results/telemetry_failover.jsonl`) as per-interval sparkline
 //! tables — derived goodput and retransmit rows, per-rail backlog, then
 //! every non-zero source. Pass several per-node artifacts at once to add
-//! the cross-node imbalance table. Exits 2 when a file's telescoping
+//! the cross-node imbalance table. A finding is a file whose telescoping
 //! invariant (`base + Σ deltas == final`) does not hold:
 //!
 //! ```text
@@ -33,8 +40,8 @@
 //! detectors the online [`me_trace::HealthMonitor`] applies at sample
 //! time, producing bit-identical incidents. Several files add the
 //! cross-node imbalance diagnosis (one file per node, each node measured
-//! on its `data_bytes_recv` column). Prints the incident table,
-//! exits 1 when an incident is still open at end of artifact:
+//! on its `data_bytes_recv` column). Prints the incident table; a finding
+//! is an incident still open at end of artifact:
 //!
 //! ```text
 //! cargo run --release --bin me-inspect -- doctor dump.jsonl [more.jsonl ...] [--json]
@@ -49,8 +56,8 @@
 //! trailing window.
 
 use me_trace::{
-    diagnose_imbalance, diff_docs, imbalance, DiffConfig, FlightConfig, HealthConfig,
-    HealthMonitor, HealthReport, Json, SourceKind, TimelineDoc,
+    diagnose_imbalance, diff_docs, imbalance, FlightConfig, HealthMonitor, HealthReport, Json,
+    SourceKind, TimelineDoc,
 };
 use multiedge::{Endpoint, OpFlags, SystemConfig};
 use netsim::time::ms;
@@ -92,18 +99,23 @@ fn load(path: &str) -> Json {
     }
 }
 
-/// `me-inspect diff <old> <new> [--json]`: exit 0 clean, 1 on usage or
-/// unreadable/mismatched artifacts, 2 when a cell regressed.
+/// `me-inspect diff <old> <new> [--json]`: exit 0 identical, 1 on usage or
+/// unreadable/mismatched artifacts, 2 when anything differs.
 fn run_diff(args: &[String]) -> ! {
     let json_out = args.iter().any(|a| a == "--json");
     let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     let [old_path, new_path] = paths.as_slice() else {
-        eprintln!("usage: me-inspect diff <old.json> <new.json> [--json]");
+        eprintln!(
+            "usage: me-inspect diff <old.json> <new.json> [--json]\n\n\
+             Exit codes:\n\
+             \x20 0  every paired cell is identical\n\
+             \x20 1  usage error or unreadable/mismatched artifact\n\
+             \x20 2  a cell differs, or is missing from the new document"
+        );
         std::process::exit(1);
     };
     let (old, new) = (load(old_path), load(new_path));
-    let cfg = DiffConfig::default();
-    let report = match diff_docs(&old, &new, &cfg) {
+    let report = match diff_docs(&old, &new) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("me-inspect: cannot diff {old_path} vs {new_path}: {e}");
@@ -113,18 +125,18 @@ fn run_diff(args: &[String]) -> ! {
     if json_out {
         print!("{}", report.to_json().render_pretty());
     } else {
-        print!("{}", report.render_human(&cfg));
+        print!("{}", report.render_human());
     }
-    std::process::exit(if report.regressed() { 2 } else { 0 });
+    std::process::exit(if report.differs() { 2 } else { 0 });
 }
 
 // ---------------------------------------------------------------------------
 // timeline subcommand
 // ---------------------------------------------------------------------------
 
-/// Read and parse a set of timeline artifacts, exiting with `err_exit` on
-/// the first unreadable or non-timeline file.
-fn load_docs(paths: &[&String], err_exit: i32) -> Vec<(String, TimelineDoc)> {
+/// Read and parse a set of timeline artifacts, exiting with 1 on the
+/// first unreadable or non-timeline file.
+fn load_docs(paths: &[&String]) -> Vec<(String, TimelineDoc)> {
     paths
         .iter()
         .map(|p| {
@@ -132,14 +144,14 @@ fn load_docs(paths: &[&String], err_exit: i32) -> Vec<(String, TimelineDoc)> {
                 Ok(t) => t,
                 Err(e) => {
                     eprintln!("me-inspect: cannot read {p}: {e}");
-                    std::process::exit(err_exit);
+                    std::process::exit(1);
                 }
             };
             match TimelineDoc::parse_jsonl(&text) {
                 Ok(d) => (p.to_string(), d),
                 Err(e) => {
                     eprintln!("me-inspect: {p} is not a timeline artifact: {e}");
-                    std::process::exit(err_exit);
+                    std::process::exit(1);
                 }
             }
         })
@@ -159,8 +171,8 @@ fn run_timeline(args: &[String]) -> ! {
         \n\
         Exit codes:\n\
         \x20 0  every file parses and its telescoping invariant holds\n\
-        \x20 2  a file's counters do not reconcile (base + deltas != final)\n\
-        \x20 1  usage error or unreadable/invalid artifact";
+        \x20 1  usage error or unreadable/invalid artifact\n\
+        \x20 2  a file's counters do not reconcile (base + deltas != final)";
     if args.iter().any(|a| a == "--help") {
         println!("{USAGE}");
         std::process::exit(0);
@@ -172,7 +184,7 @@ fn run_timeline(args: &[String]) -> ! {
         eprintln!("{USAGE}");
         std::process::exit(1);
     }
-    let docs = load_docs(&paths, 1);
+    let docs = load_docs(&paths);
     let mut broken = false;
     for (path, doc) in &docs {
         if let Err(e) = doc.reconcile() {
@@ -181,7 +193,7 @@ fn run_timeline(args: &[String]) -> ! {
         }
     }
     if quiet {
-        // Verdict is the exit code; diagnostics already went to stderr.
+        // The exit code carries the finding; diagnostics went to stderr.
     } else if json_out {
         let files: Vec<Json> = docs.iter().map(|(p, d)| timeline_json(p, d)).collect();
         let mut out = Json::obj()
@@ -208,8 +220,8 @@ fn run_timeline(args: &[String]) -> ! {
 // ---------------------------------------------------------------------------
 
 /// `me-inspect doctor <dump.jsonl> [more.jsonl ...] [--json]`: replay the
-/// streaming health detectors offline. Exit 0 healthy, 1 when an incident
-/// is still open at end of artifact, 2 on usage or unreadable artifacts.
+/// streaming health detectors offline. Exit 0 healthy, 1 on usage or
+/// unreadable artifacts, 2 when an incident is still open at end of artifact.
 fn run_doctor(args: &[String]) -> ! {
     const USAGE: &str = "usage: me-inspect doctor <dump.jsonl> [more.jsonl ...] [--json]\n\
         \n\
@@ -221,8 +233,8 @@ fn run_doctor(args: &[String]) -> ! {
         \n\
         Exit codes:\n\
         \x20 0  no incident open at end of artifact\n\
-        \x20 1  at least one incident still open\n\
-        \x20 2  usage error or unreadable/invalid artifact";
+        \x20 1  usage error or unreadable/invalid artifact\n\
+        \x20 2  at least one incident still open";
     if args.iter().any(|a| a == "--help") {
         println!("{USAGE}");
         std::process::exit(0);
@@ -231,19 +243,18 @@ fn run_doctor(args: &[String]) -> ! {
     let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     if paths.is_empty() {
         eprintln!("{USAGE}");
-        std::process::exit(2);
+        std::process::exit(1);
     }
-    let docs = load_docs(&paths, 2);
-    let cfg = HealthConfig::default();
+    let docs = load_docs(&paths);
     let reports: Vec<(&String, HealthReport)> = docs
         .iter()
         .map(|(p, d)| {
-            let mut mon = HealthMonitor::for_doc(d, cfg);
+            let mut mon = HealthMonitor::for_doc(d);
             mon.replay_doc(d);
             (p, mon.report())
         })
         .collect();
-    let cross = (docs.len() > 1).then(|| cross_diagnosis(&docs, member_series(&docs, 2), cfg));
+    let cross = (docs.len() > 1).then(|| cross_diagnosis(&docs, member_series(&docs)));
     let open: usize = reports.iter().map(|(_, r)| r.open_incidents()).sum::<usize>()
         + cross.as_ref().map_or(0, HealthReport::open_incidents);
     if json_out {
@@ -273,7 +284,7 @@ fn run_doctor(args: &[String]) -> ! {
             print!("{}", c.render_human());
         }
     }
-    std::process::exit(if open > 0 { 1 } else { 0 });
+    std::process::exit(if open > 0 { 2 } else { 0 });
 }
 
 /// The column a file contributes as one member of the cross-node
@@ -282,14 +293,14 @@ fn run_doctor(args: &[String]) -> ! {
 const MEMBER_COLUMN: &str = "data_bytes_recv";
 
 /// Each file's per-interval [`MEMBER_COLUMN`] deltas, one member series per
-/// file; exits with `err_exit` when a file has no such column.
-fn member_series(docs: &[(String, TimelineDoc)], err_exit: i32) -> Vec<Vec<u64>> {
+/// file; exits with 1 when a file has no such column.
+fn member_series(docs: &[(String, TimelineDoc)]) -> Vec<Vec<u64>> {
     docs.iter()
         .map(|(p, d)| match d.column(MEMBER_COLUMN) {
             Some(c) => series(d, c),
             None => {
                 eprintln!("me-inspect: {p} has no {MEMBER_COLUMN} column to compare nodes on");
-                std::process::exit(err_exit);
+                std::process::exit(1);
             }
         })
         .collect()
@@ -297,18 +308,14 @@ fn member_series(docs: &[(String, TimelineDoc)], err_exit: i32) -> Vec<Vec<u64>>
 
 /// Cross-node diagnosis over the member series — the detector-backed
 /// version of the timeline imbalance table.
-fn cross_diagnosis(
-    docs: &[(String, TimelineDoc)],
-    members: Vec<Vec<u64>>,
-    cfg: HealthConfig,
-) -> HealthReport {
+fn cross_diagnosis(docs: &[(String, TimelineDoc)], members: Vec<Vec<u64>>) -> HealthReport {
     let labels: Vec<String> = docs.iter().map(|(p, _)| p.clone()).collect();
     let t_ns: Vec<u64> = docs
         .iter()
         .max_by_key(|(_, d)| d.samples.len())
         .map(|(_, d)| d.samples.iter().map(|(t, _)| *t).collect())
         .unwrap_or_default();
-    diagnose_imbalance(&labels, &t_ns, &members, cfg)
+    diagnose_imbalance(&labels, &t_ns, &members)
 }
 
 /// Eight-level unicode sparkline of a series, bucket-downsampled to at
@@ -440,7 +447,7 @@ fn render_timeline(path: &str, doc: &TimelineDoc) {
 /// The per-interval cross-node imbalance series: each file is one member
 /// (one node), measured on its [`MEMBER_COLUMN`].
 fn imbalance_rows(docs: &[(String, TimelineDoc)]) -> Vec<(u64, f64, usize)> {
-    let members = member_series(docs, 1);
+    let members = member_series(docs);
     let rows = members.iter().map(Vec::len).min().unwrap_or(0);
     (0..rows)
         .map(|i| {

@@ -7,7 +7,10 @@
 //! is a pure function of its row stream (two runs render byte-identical
 //! reports).
 
-use me_trace::{Burst, Cusum, HealthConfig, HealthMonitor, SourceKind, Zscore};
+use me_trace::detect::{
+    BURST_FLOOR, CUSUM_THRESHOLD, SIGMA_FLOOR_ABS, SIGMA_FLOOR_REL, WARMUP, Z_THRESHOLD,
+};
+use me_trace::{Burst, Cusum, HealthMonitor, SourceKind, Zscore};
 use proptest::prelude::*;
 
 /// SplitMix64 — a tiny deterministic generator so "white noise" means
@@ -40,14 +43,13 @@ proptest! {
     /// all-zero series never fires at all.
     #[test]
     fn constant_series_never_alarms(level in 0u64..1_000_000, len in 2usize..300) {
-        let cfg = HealthConfig::default();
         let (mut z, mut c, mut b) = (Zscore::default(), Cusum::default(), Burst::default());
         for i in 0..len {
-            let zs = z.observe(level as f64, &cfg);
-            let cs = c.observe(level as f64, &cfg);
-            let bs = b.observe(level, &cfg);
-            prop_assert!(zs.abs() < cfg.z_threshold, "z alarmed on constant at row {i}: {zs}");
-            prop_assert!(cs < cfg.cusum_threshold, "cusum alarmed on constant at row {i}: {cs}");
+            let zs = z.observe(level as f64);
+            let cs = c.observe(level as f64);
+            let bs = b.observe(level);
+            prop_assert!(zs.abs() < Z_THRESHOLD, "z alarmed on constant at row {i}: {zs}");
+            prop_assert!(cs < CUSUM_THRESHOLD, "cusum alarmed on constant at row {i}: {cs}");
             if i > 0 || level == 0 {
                 prop_assert!(bs == 0.0, "burst fired on established constant rate at row {i}: {bs}");
             }
@@ -64,16 +66,15 @@ proptest! {
         seed in any::<u64>(),
         len in 10usize..400,
     ) {
-        let cfg = HealthConfig::default();
         let mut rng = SplitMix(seed);
         let m = mean as f64;
         let (mut z, mut c) = (Zscore::default(), Cusum::default());
         for i in 0..len {
             let x = rng.range(0.98 * m, 1.02 * m);
-            let zs = z.observe(x, &cfg);
-            let cs = c.observe(x, &cfg);
-            prop_assert!(zs.abs() < cfg.z_threshold, "z alarmed on noise at row {i}: {zs}");
-            prop_assert!(cs < cfg.cusum_threshold, "cusum alarmed on noise at row {i}: {cs}");
+            let zs = z.observe(x);
+            let cs = c.observe(x);
+            prop_assert!(zs.abs() < Z_THRESHOLD, "z alarmed on noise at row {i}: {zs}");
+            prop_assert!(cs < CUSUM_THRESHOLD, "cusum alarmed on noise at row {i}: {cs}");
         }
     }
 
@@ -86,18 +87,17 @@ proptest! {
         warm in 10u32..80,
         extra in 1u64..1_000,
     ) {
-        let cfg = HealthConfig::default();
         let m = level as f64;
-        let floor = cfg.sigma_floor_abs.max(cfg.sigma_floor_rel * m);
-        let step = m + cfg.z_threshold * floor + extra as f64;
+        let floor = SIGMA_FLOOR_ABS.max(SIGMA_FLOOR_REL * m);
+        let step = m + Z_THRESHOLD * floor + extra as f64;
         let mut z = Zscore::default();
-        for i in 0..warm.max(cfg.warmup + 1) {
-            let s = z.observe(m, &cfg);
-            prop_assert!(s.abs() < cfg.z_threshold, "alarmed before the step at row {i}");
+        for i in 0..warm.max(WARMUP + 1) {
+            let s = z.observe(m);
+            prop_assert!(s.abs() < Z_THRESHOLD, "alarmed before the step at row {i}");
         }
-        let s = z.observe(step, &cfg);
+        let s = z.observe(step);
         prop_assert!(
-            s >= cfg.z_threshold,
+            s >= Z_THRESHOLD,
             "step {step} over baseline {m} scored only {s}"
         );
     }
@@ -112,24 +112,23 @@ proptest! {
         base in 500u64..50_000,
         slope_permille in 5u64..20,
     ) {
-        let cfg = HealthConfig::default();
         let m = base as f64;
         let d = m * slope_permille as f64 / 1000.0;
         let (mut z, mut c) = (Zscore::default(), Cusum::default());
-        for _ in 0..=cfg.warmup {
-            z.observe(m, &cfg);
-            c.observe(m, &cfg);
+        for _ in 0..=WARMUP {
+            z.observe(m);
+            c.observe(m);
         }
         let mut cusum_alarmed = false;
         let mut x = m;
         for i in 0..150 {
             x += d;
-            let zs = z.observe(x, &cfg);
+            let zs = z.observe(x);
             prop_assert!(
-                zs.abs() < cfg.z_threshold,
+                zs.abs() < Z_THRESHOLD,
                 "ramp row {i} tripped the z-score ({zs}); the drift is not slow"
             );
-            if c.observe(x, &cfg) >= cfg.cusum_threshold {
+            if c.observe(x) >= CUSUM_THRESHOLD {
                 cusum_alarmed = true;
                 break;
             }
@@ -145,13 +144,12 @@ proptest! {
         quiet in 1usize..200,
         storm in 4u64..100_000,
     ) {
-        let cfg = HealthConfig::default();
-        let storm = storm.max(cfg.burst_floor);
+        let storm = storm.max(BURST_FLOOR);
         let mut b = Burst::default();
         for i in 0..quiet {
-            prop_assert!(b.observe(0, &cfg) == 0.0, "burst fired on quiet row {i}");
+            prop_assert!(b.observe(0) == 0.0, "burst fired on quiet row {i}");
         }
-        prop_assert!(b.observe(storm, &cfg) > 0.0, "storm delta {storm} did not fire");
+        prop_assert!(b.observe(storm) > 0.0, "storm delta {storm} did not fire");
     }
 
     /// The monitor is a pure function of `(t_ns, values, stale_words)`:
@@ -166,9 +164,8 @@ proptest! {
         let names: Vec<String> = ["events", "retransmits_nack", "inflight"]
             .iter().map(|s| s.to_string()).collect();
         let kinds = [SourceKind::Counter, SourceKind::Counter, SourceKind::Gauge];
-        let cfg = HealthConfig::default();
         let run = || {
-            let mut m = HealthMonitor::new(&names, &kinds, cfg);
+            let mut m = HealthMonitor::new(&names, &kinds);
             let mut t = 0u64;
             for (dt, ev, nack, g) in &rows {
                 t += dt;

@@ -1,10 +1,10 @@
-//! Property tests for the histogram comparison machinery behind regression
-//! triage: the quantile-delta is exactly antisymmetric, identical inputs
-//! diff to exactly zero, merging histograms then diffing equals diffing the
-//! jointly-recorded distributions, and the JSON encoding round-trips
-//! bit-exactly — all over random log-bucketed distributions.
+//! Property tests for the comparison machinery behind regression
+//! diagnosis: the per-phase subtraction is exactly antisymmetric,
+//! identical inputs subtract to exactly zero, merging histograms then
+//! diffing equals diffing the jointly-recorded distributions, and the JSON
+//! encoding round-trips bit-exactly — all over random log-bucketed
+//! distributions.
 
-use me_trace::diff::{quantile_log_ratio, rel_shift};
 use me_trace::{diff_rollups, Json, LogHistogram, PhaseRollup};
 use proptest::prelude::*;
 
@@ -24,80 +24,81 @@ fn hist_of(values: &[u64]) -> LogHistogram {
     h
 }
 
+/// A rollup with one op per sample, sample `i` landing in phase
+/// `i % phases`.
+fn rollup_of(values: &[u64]) -> PhaseRollup {
+    let mut r = PhaseRollup::default();
+    for (i, &v) in values.iter().enumerate() {
+        r.ops += 1;
+        r.latency_total_ns += v;
+        r.latency_hist.record(v);
+        let ph = i % r.phase_total_ns.len();
+        r.phase_total_ns[ph] += v;
+        r.phase_hist[ph].record(v);
+    }
+    r
+}
+
 const QUANTILES: [f64; 5] = [10.0, 50.0, 90.0, 99.0, 100.0];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Swapping old and new flips the sign of every quantile delta exactly
-    /// (not just approximately): the log-ratio is a difference of the same
-    /// two IEEE doubles, so antisymmetry holds bit-for-bit.
+    /// Swapping old and new negates every per-op phase delta exactly (not
+    /// just approximately: IEEE rounding is sign-symmetric), swaps the
+    /// p50/p99 sides, and names the same dominant phase.
     #[test]
-    fn quantile_delta_is_antisymmetric(a in samples(), b in samples()) {
-        let (ha, hb) = (hist_of(&a), hist_of(&b));
-        for p in QUANTILES {
-            let fwd = quantile_log_ratio(&ha, &hb, p);
-            let rev = quantile_log_ratio(&hb, &ha, p);
-            prop_assert_eq!(fwd, -rev, "p{}: {} vs {}", p, fwd, rev);
+    fn phase_subtraction_is_antisymmetric(a in samples(), b in samples()) {
+        let (ra, rb) = (rollup_of(&a), rollup_of(&b));
+        let fwd = diff_rollups("x", &ra, &rb);
+        let rev = diff_rollups("x", &rb, &ra);
+        for (f, r) in fwd.per_op_delta_ns().iter().zip(rev.per_op_delta_ns()) {
+            prop_assert_eq!(*f, -r);
         }
+        prop_assert_eq!((fwd.old.p50_ns, fwd.old.p99_ns), (rev.new.p50_ns, rev.new.p99_ns));
+        prop_assert_eq!(
+            fwd.dominant().map(|(p, d)| (p, -d)),
+            rev.dominant()
+        );
     }
 
-    /// A histogram diffed against itself reports exactly zero shift at
-    /// every quantile, and a rollup diffed against itself has zero mass
-    /// movement and zero per-op growth in every phase.
+    /// A rollup subtracted from itself is identical: zero per-op delta in
+    /// every phase, no dominant phase, and an `identical` headline.
     #[test]
     fn identical_inputs_diff_to_exactly_zero(a in samples()) {
-        let h = hist_of(&a);
-        for p in QUANTILES {
-            prop_assert_eq!(quantile_log_ratio(&h, &h, p), 0.0);
-            prop_assert_eq!(rel_shift(quantile_log_ratio(&h, &h, p)), 0.0);
-        }
-        let mut r = PhaseRollup::default();
-        for (i, &v) in a.iter().enumerate() {
-            r.ops += 1;
-            r.latency_total_ns += v;
-            r.latency_hist.record(v);
-            let ph = i % r.phase_total_ns.len();
-            r.phase_total_ns[ph] += v;
-            r.phase_hist[ph].record(v);
-        }
+        let r = rollup_of(&a);
         let d = diff_rollups("self", &r, &r);
-        prop_assert_eq!(d.p50_log_ratio, 0.0);
-        prop_assert_eq!(d.p99_log_ratio, 0.0);
-        for pd in &d.phases {
-            prop_assert_eq!(pd.mass_delta, 0.0);
-            prop_assert_eq!(pd.growth_per_op_ns, 0.0);
-            prop_assert_eq!(pd.p99_log_ratio, 0.0);
+        prop_assert!(d.identical());
+        prop_assert_eq!(d.dominant(), None);
+        prop_assert_eq!(d.headline(), "self: identical");
+        for delta in d.per_op_delta_ns() {
+            prop_assert_eq!(delta, 0.0);
         }
     }
 
     /// Merging per-round histograms and then diffing gives the same answer
     /// as diffing histograms recorded jointly over the concatenated samples
-    /// — the property that makes multi-round baselines mergeable at all.
+    /// — the property that makes multi-round documents mergeable at all.
     #[test]
     fn merge_then_diff_equals_diff_of_merges(
         a1 in samples(), a2 in samples(),
         b1 in samples(), b2 in samples(),
     ) {
-        let mut old_merged = hist_of(&a1);
-        old_merged.merge(&hist_of(&a2));
-        let mut new_merged = hist_of(&b1);
-        new_merged.merge(&hist_of(&b2));
-
+        let mut old_merged = rollup_of(&a1);
+        old_merged.merge(&rollup_of(&a2));
+        let mut new_merged = rollup_of(&b1);
+        new_merged.merge(&rollup_of(&b2));
         let old_joint = hist_of(&[a1.clone(), a2.clone()].concat());
         let new_joint = hist_of(&[b1.clone(), b2.clone()].concat());
-        prop_assert_eq!(&old_merged, &old_joint);
-        prop_assert_eq!(&new_merged, &new_joint);
-        for p in QUANTILES {
-            prop_assert_eq!(
-                quantile_log_ratio(&old_merged, &new_merged, p),
-                quantile_log_ratio(&old_joint, &new_joint, p)
-            );
-        }
+        prop_assert_eq!(&old_merged.latency_hist, &old_joint);
+        prop_assert_eq!(&new_merged.latency_hist, &new_joint);
+        let d = diff_rollups("m", &old_merged, &new_merged);
+        prop_assert_eq!(d.old.p50_ns, old_joint.percentile(50.0));
+        prop_assert_eq!(d.new.p99_ns, new_joint.percentile(99.0));
     }
 
     /// The compact JSON encoding round-trips bit-exactly through the
-    /// renderer and parser, so a committed baseline diffs against a live
+    /// renderer and parser, so a committed artifact diffs against a live
     /// run exactly as the original in-memory histogram would.
     #[test]
     fn hist_json_round_trips_through_text(a in samples()) {
@@ -106,7 +107,7 @@ proptest! {
         let back = LogHistogram::from_json(&Json::parse(&text).unwrap()).unwrap();
         prop_assert_eq!(&back, &h);
         for p in QUANTILES {
-            prop_assert_eq!(quantile_log_ratio(&h, &back, p), 0.0);
+            prop_assert_eq!(h.percentile(p), back.percentile(p));
         }
     }
 }

@@ -242,7 +242,7 @@ fn sim_and_wire_timelines_share_one_column_set() {
     let cluster = build_cluster(&sim, cfg.cluster_spec());
     let (mut bpa, mut bpb) = SimBackplane::pair(&sim, &cluster);
     let (mut a, mut b) = WireEndpoint::pair(&cfg.proto, cfg.rails, &SpanRecorder::disabled());
-    a.start_timeline(&bpa, us(100).as_nanos(), 256, None);
+    a.start_timeline(&bpa, us(100).as_nanos(), 256, false);
     for i in 0..writes {
         let data = Bytes::from(vec![i as u8; size]);
         a.write(0, &mut bpa, i << 16, data, OpFlags::RELAXED);
@@ -270,7 +270,7 @@ fn simulator_sees_a_fence_stall() {
     let plan = FaultPlan::new().rail_down(us(150), 0).rail_up(us(190), 0);
     cluster.apply_fault_plan(&sim, &plan);
     let (c01, c10) = (conns[0][1].unwrap(), conns[1][0].unwrap());
-    let sampler = eps[1].start_timeline_with_health(c10, us(100), 256, HealthConfig::default());
+    let sampler = eps[1].start_timeline_with_health(c10, us(100), 256, HealthConfig);
     let ep = eps[0].clone();
     sim.spawn("writer", async move {
         let first = ep.write_bytes(c01, 0, vec![1u8; 64 << 10], OpFlags::RELAXED).await;
@@ -300,7 +300,7 @@ fn simulator_sees_a_fence_stall() {
 fn idle_tail_is_not_a_stall() {
     let (sim, _cluster, eps, conns) = rig(SystemConfig::two_link_1g_unordered(2));
     let c = conns[0][1].unwrap();
-    let sampler = eps[0].start_timeline_with_health(c, us(100), 256, HealthConfig::default());
+    let sampler = eps[0].start_timeline_with_health(c, us(100), 256, HealthConfig);
     let (ep, clock) = (eps[0].clone(), sim.clone());
     let writer = sim.spawn("writer", async move {
         let mut handles = Vec::new();

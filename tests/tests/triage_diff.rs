@@ -1,105 +1,99 @@
-//! End-to-end regression triage: run real triage cells, inject a deliberate
-//! slowdown into one protocol layer on the "new" side, and assert the diff
-//! engine's verdict *names the phase and layer that moved* — the property
-//! `me-inspect diff` relies on to turn a broken `stats_equivalence` golden
-//! into a diagnosis.
+//! End-to-end regression diagnosis: run real attribution cells, inject a
+//! deliberate slowdown into one protocol layer on the "new" side, and
+//! assert the per-phase subtraction *names the phase and layer that moved*
+//! — the property the `stats_equivalence` golden's failure message and
+//! `me-inspect diff` rely on.
 
 use me_trace::diff::layer;
-use me_trace::{diff_cell, diff_docs, DiffConfig, Json, Phase, Verdict};
-use multiedge_bench::triage::{cell_doc, run_cell, run_cell_with, CellSpec};
-use multiedge_bench::MicroKind;
+use me_trace::{analyze, diff_docs, diff_rollups, Attribution, Json, Phase, RollupDelta, PHASES};
+use multiedge::SystemConfig;
+use multiedge_bench::{run_micro, MicroKind};
 use netsim::time::us_f64;
+
+/// A cell: topology, workload, op size, ops per run, first of two seeds.
+type Cell = (fn(usize) -> SystemConfig, MicroKind, usize, usize, u64);
 
 /// A latency-dominated ping-pong cell: with no pipelining there is no
 /// send-window backpressure to soak up an injected delay, so a slowdown
 /// surfaces in the phase that actually caused it.
-fn pingpong_cell() -> CellSpec {
-    CellSpec {
-        config: "1L-10G",
-        kind: MicroKind::PingPong,
-        size: 4 << 10,
-        iters: 16,
-        rounds: 2,
-        base_seed: 4_200,
+const PINGPONG: Cell = (SystemConfig::one_link_10g, MicroKind::PingPong, 4 << 10, 16, 4_200);
+
+/// Run a cell over two seeds (`base_seed`, `base_seed + 1`) with `tweak`
+/// applied, merging the span attributions.
+fn run((config, kind, size, iters, base_seed): Cell, tweak: &dyn Fn(&mut SystemConfig)) -> Attribution {
+    let mut attr = Attribution::default();
+    for seed in [base_seed, base_seed + 1] {
+        let mut cfg = config(2).with_spans(1 << 16);
+        cfg.seed = seed;
+        tweak(&mut cfg);
+        let snap = run_micro(&cfg, kind, size, iters).spans.expect("spans enabled");
+        assert_eq!(snap.overwritten, 0, "span ring must retain the whole run");
+        attr.merge(&analyze(&snap));
     }
+    attr
 }
 
-/// Run `spec` clean and with `tweak`, and diff old → new as the gate does.
-fn diff_injected(
-    spec: &CellSpec,
-    tweak: &dyn Fn(&mut multiedge::SystemConfig),
-) -> me_trace::CellDiff {
-    let old = cell_doc(spec, "test", &run_cell(spec));
-    let new = cell_doc(spec, "test", &run_cell_with(spec, tweak));
-    diff_cell(&spec.name(), &old, &new, &DiffConfig::default()).expect("cells comparable")
+/// Run the cell clean and with `tweak`, and subtract old from new; also
+/// check that swapping the sides negates every per-op delta exactly.
+fn diff_injected(cell: Cell, tweak: &dyn Fn(&mut SystemConfig)) -> RollupDelta {
+    let (old, new) = (run(cell, &|_| {}), run(cell, tweak));
+    let d = diff_rollups("cell", &old.overall, &new.overall);
+    let rev = diff_rollups("cell", &new.overall, &old.overall);
+    for (f, r) in d.per_op_delta_ns().iter().zip(rev.per_op_delta_ns()) {
+        assert_eq!(*f, -r, "swapping old and new must negate every delta");
+    }
+    assert_eq!(d.dominant().map(|(p, _)| p), rev.dominant().map(|(p, _)| p));
+    d
+}
+
+/// The per-op delta of `phase`.
+fn delta(d: &RollupDelta, phase: Phase) -> f64 {
+    d.per_op_delta_ns()[phase.idx()]
 }
 
 /// The determinism guarantee the whole scheme rests on: the same build
-/// re-running a cell reproduces the document bit for bit, so two identical
-/// builds diff to *exactly* zero — not merely "within noise".
+/// re-running a cell reproduces it bit for bit, so two identical builds
+/// subtract to *exactly* zero.
 #[test]
 fn identical_builds_diff_to_unchanged() {
-    let spec = pingpong_cell();
-    let d = diff_injected(&spec, &|_| {});
-    assert_eq!(d.verdict, Verdict::Unchanged, "headline: {}", d.headline);
-    assert_eq!(d.overall.p50_log_ratio, 0.0);
-    assert_eq!(d.overall.p99_log_ratio, 0.0);
-    for pd in &d.overall.phases {
-        assert_eq!(pd.growth_per_op_ns, 0.0, "{} moved", pd.phase.label());
-    }
+    let d = diff_injected(PINGPONG, &|_| {});
+    assert!(d.identical(), "headline: {}", d.headline());
+    assert_eq!(d.headline(), "cell: identical");
+    assert_eq!(d.per_op_delta_ns(), [0.0; PHASES.len()]);
 }
 
 /// Injected switch-forwarding delay must be pinned on the network layer,
-/// by name, in the human-readable headline. The delay taxes both
-/// directions of a ping-pong — data frames (wire) and the acknowledgement
-/// path back (ack_return) — so either network-layer phase may dominate,
-/// but both must grow and nothing host-side may be blamed.
+/// by name, in the headline. The delay taxes both directions of a
+/// ping-pong — data frames (wire) and the acknowledgement path back
+/// (ack_return) — so either network-layer phase may dominate, but both
+/// must grow and nothing host-side may be blamed.
 #[test]
 fn switch_delay_regression_names_network_layer() {
-    let spec = pingpong_cell();
-    let d = diff_injected(&spec, &|cfg| {
-        cfg.switch_delay += us_f64(20.0);
-    });
-    assert_eq!(d.verdict, Verdict::Regressed, "headline: {}", d.headline);
-    let dom = d.overall.dominant(false).expect("a phase grew");
-    assert!(
-        matches!(dom.phase, Phase::Wire | Phase::AckReturn),
-        "dominant: {}",
-        dom.phase.label()
-    );
-    assert_eq!(layer(dom.phase), "network");
-    assert!(
-        d.headline.contains(&format!("+{}", dom.phase.label()))
-            && d.headline.contains("network"),
-        "headline must name phase and layer: {}",
-        d.headline
-    );
-    let grows = |p: Phase| {
-        d.overall.phases.iter().find(|x| x.phase == p).unwrap().growth_per_op_ns > 0.0
-    };
-    assert!(grows(Phase::Wire), "wire must grow under switch delay");
-    assert!(grows(Phase::AckReturn), "ack return must grow under switch delay");
+    let d = diff_injected(PINGPONG, &|cfg| cfg.switch_delay += us_f64(20.0));
+    let (dom, growth) = d.dominant().expect("a phase grew");
+    assert!(matches!(dom, Phase::Wire | Phase::AckReturn), "dominant: {}", dom.label());
+    assert!(growth > 0.0);
+    assert_eq!(layer(dom), "network");
+    let named = format!("largest mover {} (network)", dom.label());
+    assert!(d.headline().contains(&named), "headline: {}", d.headline());
+    assert!(delta(&d, Phase::Wire) > 0.0, "wire must grow under switch delay");
+    assert!(delta(&d, Phase::AckReturn) > 0.0, "ack return must grow under switch delay");
 }
 
 /// Injected receive-path processing cost must be pinned on rx_process.
 #[test]
 fn rx_proc_regression_names_rx_process_phase() {
-    let spec = pingpong_cell();
-    let d = diff_injected(&spec, &|cfg| {
-        cfg.cost.rx_frame_proc += us_f64(15.0);
-    });
-    assert_eq!(d.verdict, Verdict::Regressed, "headline: {}", d.headline);
-    let dom = d.overall.dominant(false).expect("a phase grew");
-    assert_eq!(dom.phase, Phase::RxProcess, "dominant: {}", dom.phase.label());
+    let d = diff_injected(PINGPONG, &|cfg| cfg.cost.rx_frame_proc += us_f64(15.0));
+    assert_eq!(d.dominant().map(|(p, _)| p), Some(Phase::RxProcess));
     assert!(
-        d.headline.contains("+rx_process"),
-        "headline must name the phase: {}",
-        d.headline
+        d.headline().contains("largest mover rx_process (host rx path) +"),
+        "headline: {}",
+        d.headline()
     );
 }
 
 /// Link jitter on a striped topology produces closely-spaced out-of-order
-/// arrivals: the reorder phase must visibly gain latency mass. (Jitter also
+/// arrivals: the reorder phase must gain per-op time. (Jitter also
 /// inflates raw wire time, so the *dominant* phase may be either — the
 /// point is that the ordering cost is surfaced, not hidden in "wire".)
 #[test]
@@ -107,85 +101,48 @@ fn jitter_on_striped_rails_grows_reorder_mass() {
     // Small enough that the pipelined frames fit inside the send window —
     // with backpressure the window would soak up the delay and the diff
     // would (correctly but unhelpfully for this test) blame send_window.
-    let spec = CellSpec {
-        config: "2Lu-1G",
-        kind: MicroKind::TwoWay,
-        size: 4 << 10,
-        iters: 12,
-        rounds: 2,
-        base_seed: 4_300,
-    };
-    let d = diff_injected(&spec, &|cfg| {
-        cfg.link.jitter = us_f64(300.0);
-    });
-    assert_eq!(d.verdict, Verdict::Regressed, "headline: {}", d.headline);
-    let reorder = d
-        .overall
-        .phases
-        .iter()
-        .find(|p| p.phase == Phase::Reorder)
-        .expect("reorder delta present");
+    let cell: Cell = (SystemConfig::two_link_1g_unordered, MicroKind::TwoWay, 4 << 10, 12, 4_300);
+    let d = diff_injected(cell, &|cfg| cfg.link.jitter = us_f64(300.0));
+    assert!(delta(&d, Phase::Reorder) > 0.0, "reorder must gain per-op time under jitter");
+    let (dom, _) = d.dominant().expect("a phase grew");
     assert!(
-        reorder.growth_per_op_ns > 0.0,
-        "reorder must gain per-op time under jitter (got {} ns)",
-        reorder.growth_per_op_ns
-    );
-    let dom = d.overall.dominant(false).expect("a phase grew");
-    assert!(
-        matches!(dom.phase, Phase::Reorder | Phase::Wire),
+        matches!(dom, Phase::Reorder | Phase::Wire),
         "dominant should be reorder or wire, got {}",
-        dom.phase.label()
+        dom.label()
     );
 }
 
-/// The acceptance-criterion path end to end: two *documents* (as
-/// `me-inspect diff` reads them, with a `cells` array), one carrying an
-/// injected slowdown — the report must regress and its headline must name
-/// the phase, and the machine-readable JSON must carry the same verdict.
+/// The `me-inspect diff` path end to end: two *documents* with a `cells`
+/// array, one carrying an injected slowdown. The report must differ, its
+/// human rendering and machine JSON must carry the same headline, and the
+/// reverse direction must name the same phase with the sign flipped.
 #[test]
 fn document_level_diff_names_regressed_phase() {
-    let spec = pingpong_cell();
-    let wrap = |cell: Json| {
+    let doc = |attr: &Attribution| {
+        let cell = Json::obj()
+            .set("config", "1L-10G")
+            .set("workload", "ping-pong")
+            .set("attribution", attr.to_json());
         Json::obj()
             .set("schema_version", me_trace::SCHEMA_VERSION)
-            .set("bench", "triage")
             .set("cells", vec![cell])
     };
-    let old = wrap(cell_doc(&spec, "test", &run_cell(&spec)));
-    let new = wrap(cell_doc(
-        &spec,
-        "test",
-        &run_cell_with(&spec, &|cfg| {
-            cfg.switch_delay += us_f64(20.0);
-        }),
-    ));
-    let cfg = DiffConfig::default();
-    let report = diff_docs(&old, &new, &cfg).expect("documents diffable");
-    assert!(report.regressed());
-    let dom = report.cells[0]
-        .overall
-        .dominant(false)
-        .expect("a phase grew")
-        .phase;
+    let old = doc(&run(PINGPONG, &|_| {}));
+    let new = doc(&run(PINGPONG, &|cfg| cfg.switch_delay += us_f64(20.0)));
+    let report = diff_docs(&old, &new).expect("documents diffable");
+    assert!(report.differs());
+    let overall = &report.cells[0].overall;
+    let (dom, growth) = overall.dominant().expect("a phase grew");
     assert_eq!(layer(dom), "network", "switch delay is a network-layer fault");
-    let human = report.render_human(&cfg);
-    assert!(
-        human.contains(&format!("+{}", dom.label())) && human.contains("REGRESSED"),
-        "human report must name the phase:\n{human}"
-    );
+    let headline = overall.headline();
+    assert!(headline.starts_with("1L-10G ping-pong: largest mover"), "{headline}");
+    assert!(report.render_human().contains(&headline));
     let json = report.to_json();
-    assert_eq!(json.get("regressed").and_then(|v| v.as_bool()), Some(true));
     me_trace::require_schema(&json).expect("report is schema-stamped");
+    assert_eq!(json.get("differs").and_then(|v| v.as_bool()), Some(true));
+    let cell = &json.get("cells").and_then(|c| c.items()).expect("cells")[0];
+    assert_eq!(cell.get("headline").and_then(|h| h.as_str()), Some(headline.as_str()));
 
-    // And the reverse direction reads as an improvement of the same phase.
-    let rev = diff_docs(&new, &old, &cfg).expect("documents diffable");
-    assert!(!rev.regressed());
-    assert_eq!(rev.cells[0].verdict, Verdict::Improved);
-    let rev_dom = rev.cells[0].overall.dominant(true).expect("a phase shrank");
-    assert_eq!(rev_dom.phase, dom, "improvement mirrors the regression");
-    assert!(
-        rev.cells[0].headline.contains(&format!("-{}", dom.label())),
-        "improvement headline: {}",
-        rev.cells[0].headline
-    );
+    let rev = diff_docs(&new, &old).expect("documents diffable");
+    assert_eq!(rev.cells[0].overall.dominant(), Some((dom, -growth)));
 }
