@@ -49,6 +49,8 @@ loc:
 # any other crates/*/src file is a second fault decision being written. And
 # an event has one vocabulary, me_trace::Event, kept by the tracer and the
 # flight recorder alike; a FlightCode or FlightEvent is a second one.
+# The fabric has one delivery path: a remote channel end is a second one (the
+# brackets keep this file out of a grep for the deleted names).
 ONE_CORE_PARTS = SeqTracker|OpOrdering|TxRing|GapRing|RttEstimator|NackRanges|from_wire|TimelineBuilder|HealthMonitor::
 one-core:
 	@if grep -nE '$(ONE_CORE_PARTS)' crates/core/src/endpoint.rs crates/core/src/backplane/wire.rs; then \
@@ -65,6 +67,9 @@ one-core:
 	fi
 	@if grep -rnE 'FlightCode|FlightEvent' crates tests examples; then \
 		echo 'one-core: a second event vocabulary (see above); the flight recorder keeps me_trace::Event'; exit 1; \
+	fi
+	@if grep -rnE 'Shard[P]lan|Boundary[T]x|Remote[D]est|add_remote[_]|set_boundary[_]tx' crates tests examples; then \
+		echo 'one-core: a second delivery path in the fabric (see above); channel_transmit ends at a switch or a NIC'; exit 1; \
 	fi
 
 # Failover ablation: writes results/BENCH_failover.json (goodput

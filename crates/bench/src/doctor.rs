@@ -27,7 +27,7 @@
 
 use crate::micro::{run_micro_doctor, MicroKind, MicroResult};
 use crate::scale::{
-    all_to_all_cell, incast_cell, run_scale_cell_unsharded, ScaleCell, MEMBER_COUNTER,
+    all_to_all_cell, incast_cell, run_scale_cell, ScaleCell, MEMBER_COUNTER,
 };
 use bytes::Bytes;
 use me_trace::{
@@ -238,7 +238,7 @@ pub fn chaos_burst_doctor(smoke: bool) -> ChaosBurstDoctor {
 /// Run `cell` on one engine with every node sampled every 200 µs and
 /// diagnose cross-node imbalance on each node's received data bytes.
 fn node_diagnosis(cell: &ScaleCell) -> HealthReport {
-    let (_, _, timelines) = run_scale_cell_unsharded(cell, Some(us(200)));
+    let (_, _, timelines) = run_scale_cell(cell, Some(us(200)));
     diagnose_member_timelines(&timelines, MEMBER_COUNTER)
 }
 

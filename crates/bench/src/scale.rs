@@ -1,29 +1,23 @@
-//! Collective-traffic cells, runnable on the sharded engine
-//! ([`netsim::shard`]) or unsharded on one [`Sim`].
+//! Collective-traffic cells on one [`Sim`].
 //!
 //! Two traffic cells exercise the patterns the ROADMAP's marquee
 //! experiments need — an **all-to-all** transpose (every node writes to
-//! every other node) and an **incast** fan-in (everyone writes to node 0) —
-//! each runnable at any shard count with *identical workload structure*:
-//! connections are created with [`Endpoint::connect_remote`] on both sides
-//! in a deterministic mesh order, so connection ids, sequence spaces and
-//! frame contents never depend on how the cluster is partitioned.
+//! every other node) and an **incast** fan-in (everyone writes to node 0).
+//! Connections are created with [`Endpoint::connect_remote`] in a
+//! deterministic mesh order, so connection ids are a function of the node
+//! pair alone.
 //!
 //! Every run extracts a **timing-independent fingerprint** (per node:
 //! operations issued, bytes written, unique data frames/bytes received, and
 //! a checksum of the receiving memory regions) plus the fault-decision
-//! log. The determinism gate (`tests/tests/shard_determinism.rs`) asserts
-//! these match across shard counts {1, 2, 4}. The unsharded run can also
-//! sample every node's timeline: the members an imbalance diagnosis
-//! compares are nodes, each the protocol engine of one host.
+//! log, and can sample every node's timeline: the members an imbalance
+//! diagnosis compares are nodes, each the protocol engine of one host.
 
 use me_trace::Timeline;
 use multiedge::{Endpoint, EndpointSampler, OpFlags, ProtoStats, SystemConfig};
-use netsim::shard::{run_sharded, ShardError, ShardRunConfig};
 use netsim::sync::join_all;
 use netsim::{build_cluster, Dur, FaultDecision, FaultPlan, NetStats, Network, NicId, Sim};
 use std::rc::Rc;
-use std::time::Duration;
 
 /// The timeline counter a node contributes as one member of an imbalance
 /// diagnosis: the data bytes it received.
@@ -54,10 +48,8 @@ pub struct ScaleCell {
     pub cfg: SystemConfig,
     /// Traffic pattern.
     pub pattern: Pattern,
-    /// Scripted fault plan replayed on every shard (empty = fault-free).
+    /// Scripted fault plan (empty = fault-free).
     pub plan: FaultPlan,
-    /// Wall-clock budget per run.
-    pub wall_limit: Duration,
 }
 
 /// The memory region node `writer` writes into on every destination node.
@@ -85,8 +77,7 @@ pub fn mesh_conn_id(node: usize, peer: usize) -> usize {
 /// memory checksum])`.
 pub type NodeFingerprint = (u64, [u64; 5]);
 
-/// What one engine (a shard, or the unsharded simulator) hands back after
-/// quiescence.
+/// What a cell's run hands back after quiescence.
 pub struct EngineOut {
     /// Fingerprints of the nodes it simulated, ascending.
     pub fingerprints: Vec<NodeFingerprint>,
@@ -96,24 +87,6 @@ pub struct EngineOut {
     pub net: NetStats,
     /// Its network's fault-decision log.
     pub decisions: Vec<FaultDecision>,
-}
-
-/// Result of one `(cell, shard count)` run.
-#[derive(Debug, Clone)]
-pub struct ScaleCellResult {
-    /// Synchronization windows executed.
-    pub windows: u64,
-    /// Total simulator events executed, across all shards.
-    pub events: u64,
-    /// Flattened per-node fingerprints, ascending node order.
-    pub fingerprint: Vec<NodeFingerprint>,
-    /// Fault decisions, sorted by `(stream key, attempt)`.
-    pub decisions: Vec<FaultDecision>,
-    /// Cluster-wide protocol stats (timing-dependent fields included —
-    /// reported, but not part of the determinism gate).
-    pub proto: ProtoStats,
-    /// Cluster-wide network stats (ditto).
-    pub net: NetStats,
 }
 
 /// FNV-1a over the memory regions `node` received, per the cell's pattern.
@@ -152,13 +125,13 @@ fn memory_checksum(ep: &Endpoint, node: usize, nodes: usize, pattern: Pattern) -
     h
 }
 
-/// Build the endpoints of `local` (node, its NICs) on one engine — a shard's
-/// slice or the whole cluster — wire the deterministic connection mesh, and
-/// spawn the writer tasks.
-fn setup_nodes(
+/// Build every node's endpoint (`nics[node][rail]`), wire the deterministic
+/// connection mesh, start logging fault decisions and spawn the writer
+/// tasks.
+pub fn setup_nodes(
     sim: &Sim,
     net: &Network,
-    local: &[(usize, &[NicId])],
+    nics: &[Vec<NicId>],
     cfg: &SystemConfig,
     pattern: Pattern,
 ) -> Vec<Endpoint> {
@@ -166,11 +139,8 @@ fn setup_nodes(
     let rc = Rc::new(cfg.clone());
     net.record_fault_decisions(true);
     let mut eps = Vec::new();
-    for &(node, nics) in local {
-        let ep = Endpoint::new(sim, net, node, nics.to_vec(), rc.clone());
-        // Mesh connections via connect_remote on *both* sides — also when
-        // the peer happens to be local — so the connection tables are
-        // bit-identical at every shard count.
+    for (node, nics) in nics.iter().enumerate() {
+        let ep = Endpoint::new(sim, net, node, nics.clone(), rc.clone());
         match pattern {
             Pattern::AllToAll { .. } => {
                 for peer in (0..nodes).filter(|&p| p != node) {
@@ -225,8 +195,8 @@ fn setup_nodes(
     eps
 }
 
-/// Extract one engine's fingerprints, stats, and fault-decision log.
-fn collect_nodes(
+/// Extract the run's fingerprints, stats, and fault-decision log.
+pub fn collect_nodes(
     net: &Network,
     eps: &[Endpoint],
     cfg: &SystemConfig,
@@ -256,25 +226,23 @@ fn collect_nodes(
     }
 }
 
-/// Run one cell unsharded — `build_cluster` on a single [`Sim`] — and
-/// return its outcome plus the events executed: the reference a one-shard
-/// [`run_scale_cell`] must equal exactly.
+/// Run one cell on one [`Sim`] and return its outcome plus the events
+/// executed.
 ///
 /// With `sample_interval`, every node's [`Endpoint::start_timeline`] is
 /// armed at t = 0 and one finished [`Timeline`] per node comes back, in
 /// node order (empty otherwise). The samplers share one engine and one
 /// grid, so row `i` of every timeline covers the same slice of virtual
 /// time. Sampler ticks are events, so a sampled run's event count is not
-/// the reference's.
-pub fn run_scale_cell_unsharded(
+/// the unsampled run's.
+pub fn run_scale_cell(
     cell: &ScaleCell,
     sample_interval: Option<Dur>,
 ) -> (EngineOut, u64, Vec<Timeline>) {
     let sim = Sim::new(cell.cfg.seed);
     let cluster = build_cluster(&sim, cell.cfg.cluster_spec());
     cluster.apply_fault_plan(&sim, &cell.plan);
-    let local: Vec<_> = cluster.nics.iter().map(Vec::as_slice).enumerate().collect();
-    let eps = setup_nodes(&sim, &cluster.net, &local, &cell.cfg, cell.pattern);
+    let eps = setup_nodes(&sim, &cluster.net, &cluster.nics, &cell.cfg, cell.pattern);
     let samplers: Vec<EndpointSampler> = match sample_interval {
         Some(iv) => eps
             .iter()
@@ -290,96 +258,7 @@ pub fn run_scale_cell_unsharded(
     (out, events, timelines)
 }
 
-/// Run one cell at one shard count.
-pub fn run_scale_cell(cell: &ScaleCell, shards: usize) -> Result<ScaleCellResult, ShardError> {
-    let spec = cell.cfg.cluster_spec();
-    let shard_cfg = ShardRunConfig {
-        wall_limit: Some(cell.wall_limit),
-        ..Default::default()
-    };
-    let pattern = cell.pattern;
-    let plan = (!cell.plan.events().is_empty()).then_some(&cell.plan);
-    let (report, outs) = run_sharded(
-        &spec,
-        shards,
-        cell.cfg.seed,
-        plan,
-        &shard_cfg,
-        |sn| {
-            let local: Vec<_> = sn.local_nodes().iter().map(|&n| (n, sn.nics(n))).collect();
-            setup_nodes(sn.sim(), sn.net(), &local, &cell.cfg, pattern)
-        },
-        |sn, eps| collect_nodes(sn.net(), &eps, &cell.cfg, pattern),
-    )?;
-    let mut fingerprint = Vec::new();
-    let mut decisions = Vec::new();
-    let mut proto = ProtoStats::default();
-    let mut net = NetStats::default();
-    for out in outs {
-        fingerprint.extend(out.fingerprints);
-        decisions.extend(out.decisions);
-        proto.merge(&out.proto);
-        net.drops_overflow += out.net.drops_overflow;
-        net.drops_loss += out.net.drops_loss;
-        net.drops_link_down += out.net.drops_link_down;
-        net.corrupted += out.net.corrupted;
-        net.drops_unknown_mac += out.net.drops_unknown_mac;
-        net.channel_frames += out.net.channel_frames;
-        net.channel_bytes += out.net.channel_bytes;
-    }
-    fingerprint.sort_by_key(|&(node, _)| node);
-    decisions.sort_by_key(|&(key, attempt, ..)| (key, attempt));
-    Ok(ScaleCellResult {
-        windows: report.windows,
-        events: report.per_shard.iter().map(|s| s.events).sum(),
-        fingerprint,
-        decisions,
-        proto,
-        net,
-    })
-}
-
-/// Check two runs' fault-decision logs describe the *same random streams*:
-/// identical stream-key sets, and identical `(lost, corrupted)` outcomes
-/// for every `(key, attempt)` both runs drew. (Attempt *counts* per channel
-/// may legitimately differ across shard counts — retransmission schedules
-/// are timing-dependent — but an outcome differing at the same index would
-/// mean the streams themselves diverged.)
-pub fn decisions_consistent(
-    a: &[FaultDecision],
-    b: &[FaultDecision],
-) -> Result<(), String> {
-    use std::collections::{BTreeMap, BTreeSet};
-    let keys = |log: &[FaultDecision]| log.iter().map(|d| d.0).collect::<BTreeSet<u64>>();
-    let (ka, kb) = (keys(a), keys(b));
-    if ka != kb {
-        return Err(format!(
-            "stream-key sets differ: {} vs {} keys",
-            ka.len(),
-            kb.len()
-        ));
-    }
-    let map = |log: &[FaultDecision]| {
-        log.iter()
-            .map(|&(k, at, l, c)| ((k, at), (l, c)))
-            .collect::<BTreeMap<(u64, u64), (bool, bool)>>()
-    };
-    let (ma, mb) = (map(a), map(b));
-    for (idx, va) in &ma {
-        if let Some(vb) = mb.get(idx) {
-            if va != vb {
-                return Err(format!(
-                    "decision at (key={:#x}, attempt={}) differs: {:?} vs {:?}",
-                    idx.0, idx.1, va, vb
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The 64-node all-to-all transpose (four 1-GbE rails so switches spread
-/// evenly across up to four shards).
+/// The all-to-all transpose on 16 1-GbE rails.
 pub fn all_to_all_cell(nodes: usize, bytes: usize) -> ScaleCell {
     let mut cfg = SystemConfig::four_link_1g(nodes);
     cfg.name = format!("all-to-all-{nodes}");
@@ -390,7 +269,6 @@ pub fn all_to_all_cell(nodes: usize, bytes: usize) -> ScaleCell {
         cfg,
         pattern: Pattern::AllToAll { bytes },
         plan: FaultPlan::new(),
-        wall_limit: Duration::from_secs(240),
     }
 }
 
@@ -404,11 +282,10 @@ pub fn incast_cell(nodes: usize, bytes: usize) -> ScaleCell {
         cfg,
         pattern: Pattern::Incast { bytes },
         plan: FaultPlan::new(),
-        wall_limit: Duration::from_secs(240),
     }
 }
 
-/// A lossy chaos cell for the determinism gate: stationary loss +
+/// A lossy chaos cell for the determinism tests: stationary loss +
 /// corruption, a scripted link flap, a NIC stall, and a burst-error window,
 /// all over an 8-node all-to-all.
 pub fn lossy_determinism_cell() -> ScaleCell {
@@ -429,7 +306,6 @@ pub fn lossy_determinism_cell() -> ScaleCell {
         cfg,
         pattern: Pattern::AllToAll { bytes: 6 << 10 },
         plan,
-        wall_limit: Duration::from_secs(120),
     }
 }
 
@@ -451,19 +327,9 @@ mod tests {
     }
 
     #[test]
-    fn tiny_all_to_all_fingerprints_match_across_shard_counts() {
-        let cell = all_to_all_cell(8, 2 << 10);
-        let base = run_scale_cell(&cell, 1).unwrap();
-        for shards in [2, 4] {
-            let r = run_scale_cell(&cell, shards).unwrap();
-            assert_eq!(base.fingerprint, r.fingerprint, "shards={shards}");
-        }
-    }
-
-    #[test]
     fn tiny_incast_completes_and_checksums() {
         let cell = incast_cell(8, 4 << 10);
-        let r = run_scale_cell(&cell, 2).unwrap();
+        let (r, ..) = run_scale_cell(&cell, None);
         // 7 senders × 4 KiB delivered to node 0.
         assert_eq!(r.proto.bytes_written, 7 * (4 << 10));
         assert_eq!(r.proto.data_bytes_recv, 7 * (4 << 10));

@@ -22,7 +22,7 @@
 //! ([`wire_telemetry`]).
 
 use crate::micro::{run_micro_sampled, MicroKind, MicroResult};
-use crate::scale::{incast_cell, run_scale_cell_unsharded, MEMBER_COUNTER};
+use crate::scale::{incast_cell, run_scale_cell, MEMBER_COUNTER};
 use bytes::Bytes;
 use me_trace::{diagnose_member_timelines, imbalance, HealthReport, SpanRecorder, Timeline};
 use multiedge::backplane::{
@@ -146,7 +146,7 @@ pub struct IncastTelemetry {
 /// are the members of the imbalance index and of its diagnosis.
 pub fn incast_telemetry(smoke: bool) -> IncastTelemetry {
     let bytes = if smoke { 32 << 10 } else { 128 << 10 };
-    let (out, _, timelines) = run_scale_cell_unsharded(&incast_cell(8, bytes), Some(us(200)));
+    let (out, _, timelines) = run_scale_cell(&incast_cell(8, bytes), Some(us(200)));
     // Fingerprint column 3 is the node's end-of-run `data_bytes_recv`.
     let totals: Vec<u64> = timelines
         .iter()

@@ -571,7 +571,7 @@ impl Sim {
 
     /// Number of queued entries (wheel + heap). Counts cancelled-timer
     /// tombstones still awaiting their lazy pop, so `0` means the queue is
-    /// truly drained — the shard runtime's quiescence check.
+    /// truly drained — a driver loop's quiescence check.
     pub fn pending_events(&self) -> usize {
         let inner = self.inner.borrow();
         inner.wheel_len + inner.run.len() + inner.heap.len()
@@ -580,8 +580,8 @@ impl Sim {
     /// Timestamp of the earliest queued entry, or `None` when the queue is
     /// empty. Cancelled-timer tombstones count (their entries are popped
     /// lazily), so this is a conservative lower bound on the next time
-    /// anything can execute — exactly what a conservative-lookahead
-    /// scheduler needs for idle fast-forwarding.
+    /// anything can execute — what a windowed driver loop needs to skip
+    /// idle windows.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.inner.borrow_mut().front().map(|(t, _)| t)
     }

@@ -135,7 +135,7 @@ fn unit_f64(u: u64) -> f64 {
 /// One channel's fault oracle: its identity, its attempt counter and the
 /// [`GilbertElliott`] burst process installed on it. Every draw is a pure
 /// function of `(seed, key, attempt, lane)`, so a channel's stream cannot
-/// shift when unrelated events reorder (a different shard count, another
+/// shift when unrelated events reorder (traffic on other channels, another
 /// runtime). Only the burst state evolves, in attempt order, which is
 /// deterministic because one owner drives a channel: a netsim channel, or
 /// one rail of the chaos interposer.
@@ -152,7 +152,7 @@ impl FaultStream {
     /// The stream of `node`'s link on `rail`, one direction of it
     /// (`downlink` = switch→NIC). Keyed by global topology coordinates, so
     /// the same physical link draws the same stream whichever object holds
-    /// it: a whole cluster, one shard's slice, or the interposer.
+    /// it: a simulated cluster or the interposer.
     pub fn link(node: usize, rail: usize, downlink: bool) -> Self {
         Self {
             key: ((node as u64) << 32) | ((rail as u64) << 8) | downlink as u64,

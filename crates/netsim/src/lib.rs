@@ -17,7 +17,8 @@
 //! * [`net`] — frame-granular models of links, store-and-forward switches
 //!   and NICs, with bounded queues (congestion loss) and a transient-fault
 //!   model (random loss / corruption). One delivery path: a frame's fate
-//!   is decided at submit from stateless per-channel streams.
+//!   is decided at submit from stateless per-channel streams, so channels
+//!   are independent and one engine is the whole determinism story.
 //! * [`cpu`] — per-CPU busy-time accounting used to report the paper's
 //!   CPU-utilization figures.
 //! * [`topology`] — the paper's rail-shaped cluster builder.
@@ -25,11 +26,8 @@
 //!   stationary model: timed link outages, flapping, NIC stalls, and
 //!   [`GilbertElliott`] burst loss/corruption ([`FaultPlan`]), and the
 //!   one oracle every frame's fate is drawn from ([`FaultStream`]).
-//! * [`shard`] — conservative-lookahead sharded runtime: partitions a
-//!   cluster across several [`Sim`] instances synchronized by the link
-//!   propagation delay, with a hard cross-shard-count determinism contract
-//!   ([`shard::run_sharded`]) — the witness that the fabric's behaviour
-//!   does not depend on which engine simulates it.
+//! * [`shard`] — a one-shard [`shard::run_sharded`] over [`build_cluster`],
+//!   kept only while the benchmark's `sim_mesh64` names it.
 //!
 //! # Example
 //!
@@ -62,13 +60,9 @@ pub use faults::{
     covered, covering_end, FaultAction, FaultEvent, FaultModel, FaultPlan, FaultStream,
     FaultTarget, GilbertElliott,
 };
-pub use net::{
-    BoundaryTx, ChannelParams, FaultDecision, NetStats, Network, NicId, RemoteDest, RxFrame,
-    SwitchId,
-};
+pub use net::{ChannelParams, FaultDecision, NetStats, Network, NicId, RxFrame, SwitchId};
 pub use shard::{
-    run_sharded, PartitionError, ShardError, ShardMode, ShardNet, ShardPlan, ShardRunConfig,
-    ShardRunReport, ShardStats,
+    run_sharded, ShardError, ShardMode, ShardNet, ShardRunConfig, ShardRunReport, ShardStats,
 };
 pub use time::{Dur, SimTime};
 pub use topology::{build_cluster, Cluster, ClusterSpec, DEFAULT_FAULT_SEED};

@@ -28,11 +28,9 @@
 //! made by the channel's [`FaultStream`]: the stream key is the link's
 //! identity `(node, rail, direction)`, the attempt index counts submissions
 //! on that channel. No draw depends on what other channels do or on how
-//! events interleave, so the same seeded
-//! cluster behaves identically whether one [`Sim`] runs all of it or
-//! [`crate::shard`] splits it across several — and because the arrival time
-//! is known one propagation delay ahead, that delay is the sharded
-//! runtime's lookahead.
+//! events interleave, so the channels are independent: traffic on one link
+//! moves no fate on another (`tests/tests/determinism.rs`). A channel's far
+//! end is a switch or a NIC.
 
 use crate::engine::Sim;
 use crate::faults::{splitmix64, FaultAction, FaultModel, FaultStream, LANE_JITTER};
@@ -95,55 +93,17 @@ pub struct SwitchId(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NicId(pub usize);
 
-/// Where a boundary-crossing frame is headed, in *global* topology terms
-/// (the sharded runtime maps this onto the owning shard's local objects).
-/// Rail topologies have one switch per rail, so a rail index names the
-/// switch unambiguously.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RemoteDest {
-    /// Ingress of the rail's switch (the far end of an uplink channel).
-    Switch {
-        /// Rail (= switch) index.
-        rail: u8,
-    },
-    /// Receive path of a node's NIC (the far end of a downlink channel).
-    Nic {
-        /// Global node index.
-        node: u16,
-        /// Rail (NIC index within the node).
-        rail: u8,
-    },
-}
-
-/// A frame leaving this [`Network`] for a component simulated elsewhere,
-/// produced when a channel's far end is `Endpoint::Remote`.
-#[derive(Debug, Clone)]
-pub struct BoundaryTx {
-    /// Virtual time the frame reaches `dest` (arrival at the switch ingress
-    /// or the NIC's receive path). Always at least one link propagation
-    /// delay after the submitting event — the conservative lookahead bound.
-    pub at: SimTime,
-    /// Which remote component receives the frame.
-    pub dest: RemoteDest,
-    /// The carried frame.
-    pub frame: Frame,
-    /// Whether a transient error already damaged the frame in flight.
-    pub corrupted: bool,
-}
-
 /// One recorded fault decision: `(channel stream key, per-channel attempt
-/// index, lost, corrupted)`. The stream key and attempt index are
-/// shard-count-invariant, so two runs of the same seeded cell at different
-/// shard counts must produce identical logs (the determinism gate).
+/// index, lost, corrupted)`. The stream key names the link direction and
+/// the attempt counts that channel's submissions, so a channel's log is the
+/// same whatever other channels carry (the determinism witness filters a
+/// run's log to some channels and compares).
 pub type FaultDecision = (u64, u64, bool, bool);
 
 #[derive(Debug, Clone, Copy)]
 enum Endpoint {
     Switch(SwitchId),
     Nic(NicId),
-    /// The far end lives in another shard's network; crossing is handed to
-    /// the boundary hook instead of a local event.
-    Remote(RemoteDest),
 }
 
 /// A frame as delivered to a NIC's receive handler.
@@ -266,10 +226,8 @@ struct NetInner {
     /// Seed of the jitter streams, kept separate so a fault seed pins the
     /// loss pattern regardless of timing randomness.
     jitter_seed: u64,
-    /// Hook invoked when a frame's channel terminates at a remote endpoint.
-    boundary_tx: Option<Rc<dyn Fn(BoundaryTx)>>,
     /// When `Some`, every fault decision is appended here (the determinism
-    /// gate compares these logs across shard counts).
+    /// witness compares these logs channel by channel).
     decisions: Option<Vec<FaultDecision>>,
     tracer: Tracer,
     flight: FlightRecorder,
@@ -326,9 +284,8 @@ impl Network {
     /// `fault_seed` ([`ClusterSpec::fault_seed`](crate::topology::ClusterSpec::fault_seed))
     /// and whose jitter streams are keyed by `run_seed`, the seed of the
     /// whole run. The two are independent: a fault seed pins the loss
-    /// pattern whatever the timing randomness. A sharded run gives every
-    /// shard the same `run_seed`, so a link jitters identically wherever it
-    /// is simulated.
+    /// pattern whatever the timing randomness. Both are drawn per channel,
+    /// so a link jitters identically whatever the rest of the fabric does.
     pub fn with_seeds(sim: &Sim, fault: FaultModel, fault_seed: u64, run_seed: u64) -> Self {
         Self {
             sim: sim.clone(),
@@ -339,7 +296,6 @@ impl Network {
                 fault,
                 fault_seed,
                 jitter_seed: splitmix64(run_seed ^ 0x9E6C_63D0_985B_4C9D),
-                boundary_tx: None,
                 decisions: None,
                 tracer: Tracer::disabled(),
                 flight: FlightRecorder::disabled(),
@@ -520,11 +476,9 @@ impl Network {
     /// tx-complete callback, `pre_corrupt` marks a frame an earlier hop
     /// already damaged. One borrow decides the frame's entire fate on this
     /// channel at submit time — link state, queue, jitter, loss, corruption
-    /// — then schedules the arrival or hands the frame to the boundary hook
-    /// when the far end is remote. Link state is checked here only: a frame
-    /// submitted before a link goes down still lands. Because
-    /// `arrival ≥ now + latency`, a cross-shard frame always lands at least
-    /// one propagation delay in the future: the lookahead window.
+    /// — then schedules the arrival at the far end, a switch or a NIC. Link
+    /// state is checked here only: a frame submitted before a link goes
+    /// down still lands.
     /// Returns `false` if the frame never occupied the wire.
     fn channel_transmit(
         &self,
@@ -628,36 +582,16 @@ impl Network {
                     this.deliver_to_nic(sim, nic, f, corrupted);
                 });
             }
-            Endpoint::Remote(dest) => {
-                let hook = self.inner.borrow().boundary_tx.clone();
-                if let Some(hook) = hook {
-                    hook(BoundaryTx {
-                        at: arrival,
-                        dest,
-                        frame: f,
-                        corrupted,
-                    });
-                }
-            }
         }
         true
     }
 
-    /// Install the hook that receives frames terminating on a
-    /// `Endpoint::Remote` channel end. The sharded runtime points this at
-    /// its boundary outbox. Without a hook, remote-bound frames vanish
-    /// silently.
-    pub fn set_boundary_tx(&self, h: impl Fn(BoundaryTx) + 'static) {
-        self.inner.borrow_mut().boundary_tx = Some(Rc::new(h));
-    }
-
     /// Drop every installed callback: per-NIC receive and tx-complete
-    /// handlers and the boundary hook. Protocol layers capture their own
-    /// state (which in turn holds this `Network`) in those closures, so a
-    /// finished cluster is a reference cycle the allocator can never
-    /// reclaim — a long-lived process that builds clusters repeatedly (the
-    /// sharded runtime, sweep harnesses) leaks one full cluster per run
-    /// without this. Call only when the simulation is done: afterwards,
+    /// handlers. Protocol layers capture their own state (which in turn
+    /// holds this `Network`) in those closures, so a finished cluster is a
+    /// reference cycle the allocator can never reclaim — a long-lived
+    /// process that builds clusters repeatedly (sweep harnesses, the
+    /// benchmark) leaks one full cluster per run without this. Call only when the simulation is done: afterwards,
     /// delivered frames fall on the floor.
     pub fn clear_handlers(&self) {
         let mut inner = self.inner.borrow_mut();
@@ -665,60 +599,11 @@ impl Network {
             nic.rx_handler = None;
             nic.tx_complete = None;
         }
-        inner.boundary_tx = None;
     }
 
-    /// Add the NIC→switch leg of a link whose switch lives in another shard
-    /// (rail `rail`'s switch). Same unbounded-DMA-ring queue semantics as
-    /// the uplink half of [`Self::connect`]. The NIC's receive leg stays
-    /// unset — the remote shard owns the downlink and delivers received
-    /// frames via [`Self::inject_nic_rx`].
-    pub fn add_remote_uplink(&self, nic: NicId, rail: u8, params: ChannelParams) -> ChannelId {
-        let mut inner = self.inner.borrow_mut();
-        let up_params = ChannelParams {
-            queue_cap: usize::MAX / 2,
-            ..params
-        };
-        let ch = ChannelId(inner.channels.len());
-        let faults = link_stream(inner.nics[nic.0].mac, false);
-        inner.channels.push(ChannelState::new(
-            up_params,
-            Endpoint::Remote(RemoteDest::Switch { rail }),
-            faults,
-        ));
-        inner.nics[nic.0].tx_channel = Some(ch);
-        ch
-    }
-
-    /// Add the switch→NIC leg of a link whose NIC lives in another shard,
-    /// and register `dst` in the switch table so forwarding finds it. The
-    /// bounded queue models the switch output port, exactly like the
-    /// downlink half of [`Self::connect`].
-    pub fn add_remote_downlink(
-        &self,
-        switch: SwitchId,
-        dst: MacAddr,
-        params: ChannelParams,
-    ) -> ChannelId {
-        let mut inner = self.inner.borrow_mut();
-        let ch = ChannelId(inner.channels.len());
-        inner.channels.push(ChannelState::new(
-            params,
-            Endpoint::Remote(RemoteDest::Nic {
-                node: dst.node,
-                rail: dst.rail,
-            }),
-            link_stream(dst, true),
-        ));
-        inner.switches[switch.0].table.insert(dst, ch);
-        ch
-    }
-
-    /// A frame reaches a local switch's ingress: table lookup now,
-    /// forwarding delay, then transmit on the output port's channel. Must
-    /// be called at the frame's arrival time (the sharded runtime does, for
-    /// boundary frames).
-    pub fn inject_switch_ingress(&self, switch: SwitchId, f: Frame, corrupted: bool) {
+    /// A frame reaches a switch's ingress: table lookup now, forwarding
+    /// delay, then transmit on the output port's channel.
+    fn inject_switch_ingress(&self, switch: SwitchId, f: Frame, corrupted: bool) {
         let (out, delay) = {
             let mut inner = self.inner.borrow_mut();
             let s = &mut inner.switches[switch.0];
@@ -736,19 +621,11 @@ impl Network {
         });
     }
 
-    /// Deliver a boundary frame to a local NIC's receive path. Must be
-    /// called at the frame's arrival time; NIC stalls are honored.
+    /// Deliver a frame to `nic`'s receive path now, as if it had just
+    /// arrived off the wire; NIC stalls are honored.
     pub fn inject_nic_rx(&self, nic: NicId, f: Frame, corrupted: bool) {
         let sim = self.sim.clone();
         self.deliver_to_nic(&sim, nic, f, corrupted);
-    }
-
-    /// Apply a scripted fault to one specific channel — the half of a split
-    /// (cross-shard) link this shard owns. `NicStall` is ignored here: it
-    /// targets the NIC, which its own shard handles via
-    /// [`Self::apply_fault`].
-    pub fn apply_channel_fault(&self, ch: ChannelId, action: FaultAction) {
-        self.inner.borrow_mut().channels[ch.0].apply(action);
     }
 
     /// Start (or stop) logging fault decisions.
@@ -1011,11 +888,9 @@ mod tests {
 
     /// Link state is checked at submit only: a frame already on the wire
     /// when its link goes down still lands, one submitted during the outage
-    /// is counted in `drops_link_down` — the same through
-    /// `Cluster::apply_fault_plan` and `ShardNet::apply_fault_plan`.
+    /// is counted in `drops_link_down`.
     #[test]
-    fn link_down_applies_at_submit_on_both_builders() {
-        use crate::shard::{run_sharded, ShardNet, ShardRunConfig};
+    fn link_down_applies_at_submit() {
         use crate::topology::{build_cluster, ClusterSpec};
         let mut spec = ClusterSpec::gbe_1(2, 1);
         spec.link.jitter = Dur::ZERO;
@@ -1024,57 +899,25 @@ mod tests {
         let plan = crate::faults::FaultPlan::new()
             .link_down(us(5), 0, 0)
             .link_up(us(20), 0, 0);
-        let send_times = [us(0), us(6), us(25)];
-        let traffic = |sim: &Sim, net: &Network, tx: NicId| {
-            for at in send_times {
-                let net = net.clone();
-                sim.schedule_at(SimTime::ZERO + at, move |_| {
-                    net.nic_send(tx, data_frame(MacAddr::new(0, 0), MacAddr::new(1, 0), 1000));
-                });
-            }
-        };
-        let unsharded = {
-            let sim = Sim::new(9);
-            let cluster = build_cluster(&sim, spec);
-            cluster.apply_fault_plan(&sim, &plan);
-            traffic(&sim, &cluster.net, cluster.nics[0][0]);
-            sim.run();
+        let sim = Sim::new(9);
+        let cluster = build_cluster(&sim, spec);
+        cluster.apply_fault_plan(&sim, &plan);
+        let tx = cluster.nics[0][0];
+        for at in [us(0), us(6), us(25)] {
+            let net = cluster.net.clone();
+            sim.schedule_at(SimTime::ZERO + at, move |_| {
+                net.nic_send(tx, data_frame(MacAddr::new(0, 0), MacAddr::new(1, 0), 1000));
+            });
+        }
+        sim.run();
+        assert_eq!(
             (
                 cluster.net.nic_rx_frames(cluster.nics[1][0]),
                 cluster.net.stats().drops_link_down,
-            )
-        };
-        assert_eq!(
-            unsharded,
+            ),
             (2, 1),
             "the mid-wire and post-outage frames land; only the mid-outage one drops"
         );
-        for shards in [1, 2] {
-            let (_, outs) = run_sharded(
-                &spec,
-                shards,
-                9,
-                Some(&plan),
-                &ShardRunConfig::default(),
-                |sn: &ShardNet| {
-                    if sn.is_local(0) {
-                        traffic(sn.sim(), sn.net(), sn.nics(0)[0]);
-                    }
-                },
-                |sn, ()| {
-                    let rx = if sn.is_local(1) {
-                        sn.net().nic_rx_frames(sn.nics(1)[0])
-                    } else {
-                        0
-                    };
-                    (rx, sn.net().stats().drops_link_down)
-                },
-            )
-            .unwrap();
-            let rx: u64 = outs.iter().map(|o| o.0).sum();
-            let down: u64 = outs.iter().map(|o| o.1).sum();
-            assert_eq!((rx, down), unsharded, "shards={shards}");
-        }
     }
 
     #[test]

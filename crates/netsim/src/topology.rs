@@ -3,8 +3,7 @@
 //! The paper's testbeds are "rail" topologies: NIC `r` of every node attaches
 //! to switch `r`. The 16-node 1-GbE cluster has one or two rails; the 4-node
 //! 10-GbE cluster has one. [`build_cluster`] constructs exactly that shape,
-//! with the simulator's seed as the run seed; [`crate::shard::ShardNet`]
-//! builds one shard's slice of the same shape over the same fabric.
+//! with the simulator's seed as the run seed.
 
 use crate::engine::Sim;
 use crate::faults::{FaultModel, FaultPlan, FaultTarget};
