@@ -40,28 +40,34 @@ pub fn results_dir() -> PathBuf {
 }
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// The system allocator, counting allocation calls (a growing `realloc`
-/// counts as one). A bench that gates allocations installs it with
+/// counts as one) and the bytes currently allocated. A bench or test that
+/// gates allocations installs it with
 /// `#[global_allocator] static ALLOC: CountingAlloc = CountingAlloc;` and
-/// reads the count with [`allocs`].
+/// reads the counts with [`allocs`] and [`live_bytes`].
 pub struct CountingAlloc;
 
 // SAFETY: every method passes its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the count is a relaxed atomic add that
-// neither allocates nor touches the memory handed out.
+// upholds the `GlobalAlloc` contract; the counts are relaxed atomic adds
+// that neither allocate nor touch the memory handed out.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Relaxed);
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if new_size > layout.size() {
             ALLOC_CALLS.fetch_add(1, Relaxed);
         }
+        LIVE_BYTES.fetch_add(new_size as u64, Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -70,6 +76,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// installed [`CountingAlloc`].
 pub fn allocs() -> u64 {
     ALLOC_CALLS.load(Relaxed)
+}
+
+/// Heap bytes currently allocated in this process (requested sizes, not
+/// the allocator's rounding): always 0 unless the binary installed
+/// [`CountingAlloc`].
+pub fn live_bytes() -> u64 {
+    LIVE_BYTES.load(Relaxed)
 }
 
 /// Compact fingerprint of a micro run's behaviour: FNV-1a over the `Debug`

@@ -305,14 +305,13 @@ impl Endpoint {
         (ida, idb)
     }
 
-    /// Half of [`Endpoint::connect`] for a peer simulated in another shard,
-    /// where the peer's `Endpoint` handle cannot be touched (it is
-    /// `Rc`-backed and lives on another thread). Both sides must call this
-    /// with mutually consistent arguments; connection ids are deterministic
-    /// (the connection count, in call order), so a deterministic pairing
-    /// scheme — e.g. every node connecting to its mesh peers in ascending
-    /// node order — lets each side compute `peer_conn_id` without
-    /// communication.
+    /// Half of [`Endpoint::connect`], for a caller that builds each node's
+    /// endpoint on its own and connects it before its peers exist (the mesh
+    /// cells of `multiedge_bench::scale`). Both sides must call this with
+    /// mutually consistent arguments; connection ids are deterministic (the
+    /// connection count, in call order), so a deterministic pairing scheme
+    /// — e.g. every node connecting to its mesh peers in ascending node
+    /// order — lets each side compute `peer_conn_id` without communication.
     pub fn connect_remote(&self, peer_node: usize, peer_conn_id: usize) -> usize {
         self.inner
             .borrow_mut()
@@ -414,8 +413,7 @@ impl Endpoint {
         }
         let cost = cm.syscall + cm.copy_cost(len) + per_frame * nframes;
         let op = Op::Write { remote_addr, data };
-        let end = self.initiate(conn, op, cost, flags, handle.clone());
-        sleep_until(&self.sim, end).await;
+        self.initiate(conn, op, cost, flags, handle.clone()).await;
         handle
     }
 
@@ -441,27 +439,30 @@ impl Endpoint {
             remote_addr,
             len,
         };
-        let end = self.initiate(conn, op, cost, flags, handle.clone());
-        sleep_until(&self.sim, end).await;
+        self.initiate(conn, op, cost, flags, handle.clone()).await;
         handle
     }
 
-    /// Charge `op`'s initiation `cost` to the application CPU and hand it to
-    /// the protocol core at the end of the charged slot — the instant this
-    /// returns, until which the caller sleeps.
-    fn initiate(&self, conn: usize, op: Op, cost: Dur, flags: OpFlags, h: OpHandle) -> SimTime {
-        let created_ns = self.sim.now().as_nanos();
+    /// Charge `op`'s initiation `cost` to the application CPU, sleep to the
+    /// end of the charged slot and hand the op to the protocol core there,
+    /// in the issuing task's own wake.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero-cost initiation: the op would be issued inside the
+    /// caller's poll instead of after it (every shipped `CostModel` charges
+    /// at least a syscall).
+    async fn initiate(&self, conn: usize, op: Op, cost: Dur, flags: OpFlags, h: OpHandle) {
+        let created = self.sim.now();
         let end = {
             let mut inner = self.inner.borrow_mut();
             inner.core.count_op(conn, &op);
-            inner.cpu_app.reserve(self.sim.now(), cost).1
+            inner.cpu_app.reserve(created, cost).1
         };
-        let ep = self.clone();
-        self.sim.schedule_at(end, move |sim| {
-            let now_ns = sim.now().as_nanos();
-            ep.drive(|core, host| core.issue(conn, op, flags, h, created_ns, now_ns, host));
-        });
-        end
+        assert!(end > created, "zero-cost op initiation");
+        sleep_until(&self.sim, end).await;
+        let (created_ns, now_ns) = (created.as_nanos(), self.sim.now().as_nanos());
+        self.drive(|core, host| core.issue(conn, op, flags, h, created_ns, now_ns, host));
     }
 
     /// Await the next completion notification (remote writes issued with
@@ -825,6 +826,21 @@ mod tests {
         assert_eq!(got.try_take(), Some(secret));
         assert_eq!(eps[0].stats().ops_read, 1);
         assert!(eps[1].stats().data_frames_sent >= 4); // response frames
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-cost op initiation")]
+    fn zero_cost_initiation_is_refused() {
+        let mut cfg = SystemConfig::one_link_1g(2);
+        cfg.cost.syscall = Dur::ZERO;
+        cfg.cost.frame_build = Dur::ZERO;
+        cfg.cost.dma_post = Dur::ZERO;
+        let (sim, _cluster, eps, (c0, _)) = rig(cfg);
+        let a = eps[0].clone();
+        sim.spawn("reader", async move {
+            a.read(c0, 0x100, 0x200, 64, OpFlags::RELAXED).await;
+        });
+        sim.run();
     }
 
     #[test]

@@ -12,8 +12,6 @@
 
 use netsim::sync::{Flag, FlagWait};
 use netsim::{Sim, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Kind of RDMA operation (§2.2 defines remote read and remote write).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,18 +78,13 @@ impl OpFlags {
     }
 }
 
-#[derive(Debug)]
-struct OpProgress {
-    issued_at: SimTime,
-    completed_at: Option<SimTime>,
-}
-
-/// Handle to an in-flight RDMA operation.
+/// Handle to an in-flight RDMA operation. One allocation: the completion
+/// flag, which also records when the operation completed.
 #[derive(Clone)]
 pub struct OpHandle {
     kind: OpKind,
     len: usize,
-    st: Rc<RefCell<OpProgress>>,
+    issued_at: SimTime,
     flag: Flag,
 }
 
@@ -101,22 +94,15 @@ impl OpHandle {
         Self {
             kind,
             len,
-            st: Rc::new(RefCell::new(OpProgress {
-                issued_at: sim.now(),
-                completed_at: None,
-            })),
+            issued_at: sim.now(),
             flag: Flag::new(sim),
         }
     }
 
-    /// Mark complete (protocol-internal).
+    /// Mark complete at `now` (protocol-internal). Only the first
+    /// completion counts.
     pub(crate) fn complete(&self, now: SimTime) {
-        let mut st = self.st.borrow_mut();
-        if st.completed_at.is_none() {
-            st.completed_at = Some(now);
-        }
-        drop(st);
-        self.flag.fire();
+        self.flag.fire_at(now);
     }
 
     /// Operation kind.
@@ -146,8 +132,7 @@ impl OpHandle {
 
     /// Virtual time from issue to completion, if complete.
     pub fn latency(&self) -> Option<netsim::Dur> {
-        let st = self.st.borrow();
-        st.completed_at.map(|c| c.since(st.issued_at))
+        self.flag.fired_at().map(|c| c.since(self.issued_at))
     }
 }
 

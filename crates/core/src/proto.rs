@@ -265,9 +265,9 @@ pub struct Conn<T> {
     /// are in flight; `[sent_up_to, next_seq)` wait for the window).
     sent_up_to: u64,
     /// In-flight frames `[acked, sent_up_to)` with their transmission
-    /// bookkeeping (rail, send time, Karn retransmission mark), in a
-    /// window-sized ring: O(1) insert/lookup/removal, no per-frame
-    /// allocation.
+    /// bookkeeping (rail, send time, Karn retransmission mark), in a ring
+    /// that grows with the depth in flight up to the window: O(1)
+    /// insert/lookup/removal, no per-frame allocation once grown.
     tx: TxRing,
     /// Built frames awaiting the window, `[sent_up_to, next_seq)` in
     /// sequence order (the front is always `sent_up_to`). Unbounded — a
@@ -304,8 +304,9 @@ pub struct Conn<T> {
     ack_timer_armed: bool,
     nack_timer_armed: bool,
     /// Per-gap-start NACK-dedup state (first seen / last NACKed), in a
-    /// window-sized ring purged below the cumulative ack on every NACK
-    /// check — its live size is window-bounded by construction.
+    /// window-sized ring (allocated on the first gap) purged below the
+    /// cumulative ack on every NACK check — its live size is
+    /// window-bounded by construction.
     gaps: GapRing,
     /// Scratch for [`SeqTracker::missing_ranges_into`] on the NACK timer.
     missing_scratch: Vec<(u64, u64)>,

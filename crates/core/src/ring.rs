@@ -3,12 +3,14 @@
 //! The sliding window bounds how much per-frame bookkeeping can be live at
 //! once: a sender never has more than `window` unacknowledged frames per
 //! direction, and a receiver's gap starts all lie inside the span the sender
-//! may have put on the wire. Both invariants make a fixed-size array indexed
-//! by `seq mod capacity` (capacity = the window rounded up to a power of
-//! two) a drop-in replacement for the seq-keyed maps the hot path used to
+//! may have put on the wire. Both invariants make an array indexed by
+//! `seq mod capacity` (capacity a power of two, at most the window rounded
+//! up) a drop-in replacement for the seq-keyed maps the hot path used to
 //! carry — every insert, lookup and removal is O(1) with **zero
 //! steady-state allocation**, where the `BTreeMap`/`HashMap` versions paid
-//! a node or bucket allocation per frame.
+//! a node or bucket allocation per frame. Neither ring is allocated whole
+//! at connect: the tx ring grows with the depth in flight and the gap ring
+//! appears with the first gap, so an idle connection holds almost nothing.
 //!
 //! Each slot is tagged with the full 64-bit sequence that owns it, so a
 //! stale lookup (a NACK for an already-acked frame, a gap start that has
@@ -22,8 +24,9 @@
 //!   when the gap was first observed and when it was last NACKed, purged
 //!   below the cumulative ack so its live size is window-bounded.
 //!
-//! `docs/PERFORMANCE.md` describes how these rings fit into the datapath
-//! benchmark's zero-allocation budget.
+//! `docs/PERFORMANCE.md` describes how these rings fit into the
+//! zero-allocation-per-frame gate of the telemetry bench
+//! (`make bench-telemetry`).
 
 use frame::Frame;
 use netsim::SimTime;
@@ -45,29 +48,36 @@ pub struct TxSlot {
     pub frame: Frame,
 }
 
-/// Fixed-size ring of in-flight frames, indexed by `seq mod capacity`.
+/// Ring of in-flight frames, indexed by `seq mod capacity`.
 ///
-/// Holds exactly the window `[acked, sent_up_to)`; the window invariant
-/// guarantees distinct live sequences never collide.
+/// Holds exactly the window `[acked, sent_up_to)`. It starts with no slots
+/// and doubles (4, 8, … up to the window rounded up to a power of two)
+/// when an insert would fill it, so a connection pays for the depth it
+/// actually runs at; once grown, insert and remove allocate nothing. The
+/// window invariant guarantees distinct live sequences never collide in
+/// the full-size ring.
 #[derive(Debug)]
 pub struct TxRing {
     slots: Vec<Option<TxSlot>>,
     mask: u64,
     len: usize,
+    /// Largest capacity the ring may grow to (the window, rounded up).
+    max: usize,
 }
 
 impl TxRing {
-    /// Ring sized so `window` in-flight frames never collide.
+    /// Empty ring that grows so `window` in-flight frames never collide.
     pub fn with_window(window: usize) -> Self {
-        let cap = window.max(1).next_power_of_two();
         Self {
-            slots: (0..cap).map(|_| None).collect(),
-            mask: cap as u64 - 1,
+            slots: Vec::new(),
+            mask: 0,
             len: 0,
+            max: window.max(1).next_power_of_two(),
         }
     }
 
-    /// Slot count (a power of two, ≥ the window).
+    /// Slot count: zero until the first insert, then a power of two that
+    /// never exceeds the window rounded up.
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
@@ -86,13 +96,36 @@ impl TxRing {
         (seq & self.mask) as usize
     }
 
-    /// Insert a frame's slot. The window invariant means the target slot
-    /// must be free; a collision is a protocol bug, not an eviction.
+    fn occupied(&self, seq: u64) -> bool {
+        self.slots.get(self.idx(seq)).is_some_and(Option::is_some)
+    }
+
+    /// Double the ring (to at most `max`), re-hashing the live slots. Slots
+    /// distinct modulo the old capacity stay distinct modulo the new one.
+    fn grow(&mut self) {
+        let cap = (self.slots.len() * 2).clamp(4.min(self.max), self.max);
+        let old = std::mem::replace(&mut self.slots, (0..cap).map(|_| None).collect());
+        self.mask = cap as u64 - 1;
+        for slot in old.into_iter().flatten() {
+            let i = self.idx(slot.seq);
+            self.slots[i] = Some(slot);
+        }
+    }
+
+    /// Insert a frame's slot, growing the ring first if the insert would
+    /// fill it or the slot is taken below full size. In the full-size ring
+    /// the window invariant means the target slot must be free; a collision
+    /// there is a protocol bug, not an eviction.
     ///
     /// # Panics
     ///
-    /// Panics if the slot is still occupied (window overrun).
+    /// Panics if the slot is still occupied at full size (window overrun).
     pub fn insert(&mut self, slot: TxSlot) {
+        while self.slots.len() < self.max
+            && (self.len + 1 >= self.slots.len() || self.occupied(slot.seq))
+        {
+            self.grow();
+        }
         let i = self.idx(slot.seq);
         assert!(
             self.slots[i].is_none(),
@@ -106,7 +139,8 @@ impl TxRing {
 
     /// The slot owned by `seq`, if it is still in flight.
     pub fn get(&self, seq: u64) -> Option<&TxSlot> {
-        self.slots[self.idx(seq)]
+        self.slots
+            .get(self.idx(seq))?
             .as_ref()
             .filter(|s| s.seq == seq)
     }
@@ -114,7 +148,7 @@ impl TxRing {
     /// Mutable access to the slot owned by `seq`.
     pub fn get_mut(&mut self, seq: u64) -> Option<&mut TxSlot> {
         let i = self.idx(seq);
-        self.slots[i].as_mut().filter(|s| s.seq == seq)
+        self.slots.get_mut(i)?.as_mut().filter(|s| s.seq == seq)
     }
 
     /// True if `seq` is still in flight.
@@ -125,9 +159,10 @@ impl TxRing {
     /// Remove and return `seq`'s slot (on cumulative-ack advance).
     pub fn remove(&mut self, seq: u64) -> Option<TxSlot> {
         let i = self.idx(seq);
-        if self.slots[i].as_ref().is_some_and(|s| s.seq == seq) {
+        let slot = self.slots.get_mut(i)?;
+        if slot.as_ref().is_some_and(|s| s.seq == seq) {
             self.len -= 1;
-            self.slots[i].take()
+            slot.take()
         } else {
             None
         }
@@ -147,32 +182,36 @@ pub struct GapSlot {
     pub last_nack: Option<SimTime>,
 }
 
-/// Fixed-size ring of per-gap NACK state, keyed by gap-start sequence.
+/// Ring of per-gap NACK state, keyed by gap-start sequence.
 ///
 /// Gap starts always lie in `[cumulative, cumulative + window)`, so with a
 /// capacity of at least the window, distinct live gap starts never collide;
 /// [`GapRing::purge_below`] retires slots the cumulative ack has passed,
 /// which keeps the live count window-bounded (the regression the old
-/// map-based code had to `retain()` against on every timer fire).
+/// map-based code had to `retain()` against on every timer fire). The
+/// window-sized slots are allocated on the first gap, so a receiver that
+/// never sees one never pays for them.
 #[derive(Debug)]
 pub struct GapRing {
     slots: Vec<Option<GapSlot>>,
-    mask: u64,
+    /// Capacity allocated on the first gap (the window, rounded up).
+    cap: usize,
     len: usize,
 }
 
 impl GapRing {
-    /// Ring sized so `window` live gap starts never collide.
+    /// Empty ring that, once used, holds `window` live gap starts without
+    /// collision.
     pub fn with_window(window: usize) -> Self {
-        let cap = window.max(1).next_power_of_two();
         Self {
-            slots: (0..cap).map(|_| None).collect(),
-            mask: cap as u64 - 1,
+            slots: Vec::new(),
+            cap: window.max(1).next_power_of_two(),
             len: 0,
         }
     }
 
-    /// Slot count (a power of two, ≥ the window).
+    /// Slot count: zero until the first gap, then a power of two ≥ the
+    /// window.
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
@@ -187,11 +226,18 @@ impl GapRing {
         self.len == 0
     }
 
+    fn idx(&self, seq: u64) -> usize {
+        (seq & (self.cap as u64 - 1)) as usize
+    }
+
     /// The entry for gap start `seq`, creating it (first seen `now`) if this
     /// gap has not been tracked yet — the ring analogue of
     /// `map.entry(seq).or_insert(now)`.
     pub fn entry(&mut self, seq: u64, now: SimTime) -> &mut GapSlot {
-        let i = (seq & self.mask) as usize;
+        if self.slots.is_empty() {
+            self.slots = vec![None; self.cap];
+        }
+        let i = self.idx(seq);
         if self.slots[i].as_ref().is_none_or(|g| g.seq != seq) {
             if self.slots[i].is_none() {
                 self.len += 1;
@@ -207,7 +253,8 @@ impl GapRing {
 
     /// The entry for gap start `seq`, if tracked.
     pub fn get(&self, seq: u64) -> Option<&GapSlot> {
-        self.slots[(seq & self.mask) as usize]
+        self.slots
+            .get(self.idx(seq))?
             .as_ref()
             .filter(|g| g.seq == seq)
     }
@@ -255,11 +302,11 @@ mod tests {
     #[test]
     fn tx_round_trip_and_tag_check() {
         let mut r = TxRing::with_window(64);
-        assert_eq!(r.capacity(), 64);
         for seq in 0..64u64 {
             r.insert(tx_slot(seq));
         }
         assert_eq!(r.len(), 64);
+        assert_eq!(r.capacity(), 64);
         assert!(r.contains(0));
         assert!(r.contains(63));
         // A stale seq that aliases slot 0 must miss on the tag.
@@ -293,11 +340,95 @@ mod tests {
         r.insert(tx_slot(5)); // 5 mod 4 == 1 while 1 is still live
     }
 
+    /// Capacity after filling a `window`-ring with contiguous sequences.
+    fn full_capacity(window: usize) -> usize {
+        let mut r = TxRing::with_window(window);
+        for seq in 0..window as u64 {
+            r.insert(tx_slot(seq));
+        }
+        r.capacity()
+    }
+
     #[test]
     fn tx_capacity_rounds_up() {
-        assert_eq!(TxRing::with_window(5).capacity(), 8);
-        assert_eq!(TxRing::with_window(1).capacity(), 1);
-        assert_eq!(TxRing::with_window(64).capacity(), 64);
+        assert_eq!(full_capacity(5), 8);
+        assert_eq!(full_capacity(1), 1);
+        assert_eq!(full_capacity(64), 64);
+    }
+
+    #[test]
+    fn tx_growth_doubles_and_stops_at_the_window() {
+        let mut r = TxRing::with_window(48);
+        let mut caps = vec![r.capacity()];
+        // A sliding window of 40 in flight, well past the first lap.
+        for seq in 0..200u64 {
+            if seq >= 40 {
+                r.remove(seq - 40).expect("live");
+            }
+            r.insert(tx_slot(seq));
+            if caps.last() != Some(&r.capacity()) {
+                caps.push(r.capacity());
+            }
+        }
+        assert_eq!(caps, [0, 4, 8, 16, 32, 64]);
+        // Depth 3 never needs more than the first step.
+        let mut r = TxRing::with_window(64);
+        for seq in 0..100u64 {
+            if seq >= 3 {
+                r.remove(seq - 3).expect("live");
+            }
+            r.insert(tx_slot(seq));
+        }
+        assert_eq!(r.capacity(), 4);
+    }
+
+    #[test]
+    fn tx_rehash_keeps_slots_and_tags_across_a_wrap() {
+        // Live sequences straddle the 32-bit wire wrap and every ring lap
+        // boundary along the way; each doubling must re-home every slot.
+        let base = (1u64 << 32) - 5;
+        let mut r = TxRing::with_window(64);
+        for k in 0..40u64 {
+            let mut slot = tx_slot(base + k);
+            slot.rail = (k % 3) as usize;
+            slot.retransmitted = k % 2 == 1;
+            r.insert(slot);
+            for j in 0..=k {
+                let s = r.get(base + j).expect("live slot survives rehash");
+                assert_eq!(
+                    (s.seq, s.rail, s.retransmitted),
+                    (base + j, (j % 3) as usize, j % 2 == 1)
+                );
+                // An alias one lap up (same slot, other tag) misses.
+                assert!(!r.contains(base + j + r.capacity() as u64));
+            }
+        }
+        assert_eq!((r.len(), r.capacity()), (40, 64));
+    }
+
+    #[test]
+    #[should_panic(expected = "window overrun")]
+    fn tx_overrun_still_panics_at_the_window() {
+        let mut r = TxRing::with_window(64);
+        for seq in 0..64u64 {
+            r.insert(tx_slot(seq));
+        }
+        // 64 collides with 0, which is still live, in the full-size ring.
+        r.insert(tx_slot(64));
+    }
+
+    #[test]
+    fn unused_rings_allocate_nothing() {
+        let mut tx = TxRing::with_window(64);
+        assert!(tx.get(3).is_none() && tx.get_mut(3).is_none() && tx.remove(3).is_none());
+        assert_eq!((tx.capacity(), tx.slots.capacity()), (0, 0));
+        // A receiver that never sees a gap only looks up and purges.
+        let mut g = GapRing::with_window(64);
+        assert!(g.get(7).is_none());
+        g.purge_below(1_000);
+        assert_eq!((g.capacity(), g.slots.capacity(), g.len()), (0, 0, 0));
+        g.entry(7, SimTime::ZERO);
+        assert_eq!(g.capacity(), 64);
     }
 
     #[test]

@@ -476,9 +476,10 @@ impl Network {
     /// tx-complete callback, `pre_corrupt` marks a frame an earlier hop
     /// already damaged. One borrow decides the frame's entire fate on this
     /// channel at submit time — link state, queue, jitter, loss, corruption
-    /// — then schedules the arrival at the far end, a switch or a NIC. Link
-    /// state is checked here only: a frame submitted before a link goes
-    /// down still lands.
+    /// — then schedules what happens at the far end: delivery to a NIC, or,
+    /// at a switch, the transmit on its output port one forwarding delay
+    /// after the frame lands. Link state is checked here only: a frame
+    /// submitted before a link goes down still lands.
     /// Returns `false` if the frame never occupied the wire.
     fn channel_transmit(
         &self,
@@ -570,11 +571,27 @@ impl Network {
             // A corrupted frame is forwarded anyway (our switches do not
             // verify FCS, like cheap store-and-forward hardware); the end
             // host's checksum catches it.
+            // The switch's MAC table is static, so its output port is
+            // known now: the frame leaves on it one forwarding delay after
+            // it lands, and that channel decides its fate then.
             Endpoint::Switch(sw) => {
-                let this = self.clone();
-                self.sim.schedule_at(arrival, move |_| {
-                    this.inject_switch_ingress(sw, f, corrupted);
-                });
+                let hop = {
+                    let mut inner = self.inner.borrow_mut();
+                    let s = &mut inner.switches[sw.0];
+                    match s.table.get(&f.dst) {
+                        Some(&out) => Some((out, s.forward_delay)),
+                        None => {
+                            s.drop_unknown += 1;
+                            None
+                        }
+                    }
+                };
+                if let Some((out, delay)) = hop {
+                    let this = self.clone();
+                    self.sim.schedule_at(arrival + delay, move |_| {
+                        this.channel_transmit(out, f, None, corrupted);
+                    });
+                }
             }
             Endpoint::Nic(nic) => {
                 let this = self.clone();
@@ -599,26 +616,6 @@ impl Network {
             nic.rx_handler = None;
             nic.tx_complete = None;
         }
-    }
-
-    /// A frame reaches a switch's ingress: table lookup now, forwarding
-    /// delay, then transmit on the output port's channel.
-    fn inject_switch_ingress(&self, switch: SwitchId, f: Frame, corrupted: bool) {
-        let (out, delay) = {
-            let mut inner = self.inner.borrow_mut();
-            let s = &mut inner.switches[switch.0];
-            match s.table.get(&f.dst) {
-                Some(&out) => (out, s.forward_delay),
-                None => {
-                    s.drop_unknown += 1;
-                    return;
-                }
-            }
-        };
-        let this = self.clone();
-        self.sim.schedule_in(delay, move |_| {
-            this.channel_transmit(out, f, None, corrupted);
-        });
     }
 
     /// Deliver a frame to `nic`'s receive path now, as if it had just

@@ -67,7 +67,7 @@ impl Future for Delay {
 
 #[derive(Default)]
 struct FlagState {
-    fired: bool,
+    fired_at: Option<SimTime>,
     waiters: Vec<TaskId>,
 }
 
@@ -89,14 +89,20 @@ impl Flag {
         }
     }
 
-    /// Fire the flag, waking all waiters. Idempotent.
+    /// Fire the flag now, waking all waiters. Idempotent.
     pub fn fire(&self) {
+        self.fire_at(self.sim.now());
+    }
+
+    /// Fire the flag, recording `at` as the instant it fired, and wake all
+    /// waiters. Idempotent: only the first firing is recorded.
+    pub fn fire_at(&self, at: SimTime) {
         let waiters = {
             let mut st = self.st.borrow_mut();
-            if st.fired {
+            if st.fired_at.is_some() {
                 return;
             }
-            st.fired = true;
+            st.fired_at = Some(at);
             std::mem::take(&mut st.waiters)
         };
         for t in waiters {
@@ -106,7 +112,12 @@ impl Flag {
 
     /// Has the flag fired?
     pub fn is_fired(&self) -> bool {
-        self.st.borrow().fired
+        self.st.borrow().fired_at.is_some()
+    }
+
+    /// The instant the flag fired, if it has.
+    pub fn fired_at(&self) -> Option<SimTime> {
+        self.st.borrow().fired_at
     }
 
     /// Future resolving when the flag fires.
@@ -125,7 +136,7 @@ impl Future for FlagWait {
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let mut st = self.flag.st.borrow_mut();
-        if st.fired {
+        if st.fired_at.is_some() {
             Poll::Ready(())
         } else {
             let task = self.flag.sim.current_task();
@@ -461,6 +472,19 @@ mod tests {
         });
         sim.run().expect_quiescent();
         assert_eq!(*hits.borrow(), 3);
+        assert_eq!(flag.fired_at(), Some(SimTime(5_000)));
+    }
+
+    #[test]
+    fn flag_records_only_the_first_firing() {
+        let sim = Sim::new(0);
+        let flag = Flag::new(&sim);
+        assert_eq!(flag.fired_at(), None);
+        flag.fire_at(SimTime(7));
+        flag.fire_at(SimTime(9));
+        flag.fire();
+        assert!(flag.is_fired());
+        assert_eq!(flag.fired_at(), Some(SimTime(7)));
     }
 
     #[test]

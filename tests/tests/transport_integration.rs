@@ -350,3 +350,31 @@ fn traced_pingpong(cfg: SystemConfig) {
         assert_eq!(snap.op_latency_merged().count(), ops, "{name}: latency samples");
     }
 }
+
+/// Single-frame writes [`single_frame_writes_execute_a_pinned_event_count`]
+/// issues, one at a time.
+const PINNED_WRITES: u64 = 100;
+/// Engine events those writes execute, from the first poll to quiescence.
+const PINNED_WRITE_EVENTS: u64 = 1615;
+
+/// The simulator's cost is its events, so their count is pinned exactly on
+/// the simplest shape there is: `PINNED_WRITES` 64 B writes, each waited
+/// for, on a clean 1L-10G pair. A hop added to (or folded out of) the op or
+/// frame path moves this number; update it only for a deliberate change.
+#[test]
+fn single_frame_writes_execute_a_pinned_event_count() {
+    let (sim, _cl, eps, conns) = rig(SystemConfig::one_link_10g(2));
+    let ep = eps[0].clone();
+    let c = conns[0][1].unwrap();
+    sim.spawn("w", async move {
+        for i in 0..PINNED_WRITES {
+            let h = ep
+                .write_bytes(c, i * 64, payload(i, 64), OpFlags::RELAXED)
+                .await;
+            h.wait().await;
+        }
+    });
+    sim.run().expect_quiescent();
+    assert_eq!(eps[1].stats().data_frames_recv, PINNED_WRITES);
+    assert_eq!(sim.events_executed(), PINNED_WRITE_EVENTS);
+}
