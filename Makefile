@@ -153,8 +153,10 @@ bench-telemetry:
 # Doctor bench: detector gate (zero allocations per sample, bit-identical
 # protocol stats), rail-outage
 # detection within 3 sample intervals, zero false alarms across 8 clean
-# seeds, a chaos burst diagnosed as retransmit_storm, and the 8-node
-# incast/balanced pair (members = nodes). Every cell replays its JSONL
+# seeds, a chaos burst diagnosed as retransmit_storm, a NIC stall diagnosed
+# as congestion_backlog (a short one as nothing), and the 8-node
+# incast/balanced pair (members = nodes); each cause is the first incident
+# of the cell that gates it. Every cell replays its JSONL
 # offline and demands a byte-identical report. Writes results/BENCH_doctor.json and
 # results/doctor_incidents.json. Bounded by `timeout` so a wedged drive
 # loop cannot hang the pipeline.

@@ -13,8 +13,12 @@
 //!    ([`rail_outage_doctor`]).
 //! 2. **No false alarms** — clean runs across a seed sweep open zero
 //!    incidents ([`clean_seeds_doctor`]).
-//! 3. **Named causes** — a chaos loss burst diagnoses as
-//!    `RetransmitStorm` ([`chaos_burst_doctor`]), incast fan-in as
+//! 3. **Named causes** — every cause is the first incident of the cell
+//!    [`cause_gate`] names: a chaos loss burst diagnoses as
+//!    `RetransmitStorm`, at smoke size as nothing else
+//!    ([`chaos_burst_doctor`]), a
+//!    stalled receiver NIC as `CongestionBacklog` inside the stall while a
+//!    short stall opens nothing ([`nic_stall_doctor`]), incast fan-in as
 //!    `IncastImbalance` with the receiver node named hot, and a balanced
 //!    all-to-all stays clean ([`incast_doctor`], [`balanced_doctor`]).
 //! 4. **Offline ≡ online** — replaying the run's JSONL artifact through
@@ -31,15 +35,101 @@ use crate::scale::{
 };
 use bytes::Bytes;
 use me_trace::{
-    diagnose_member_timelines, HealthMonitor, HealthReport, IncidentCause, SpanRecorder, Timeline,
-    TimelineDoc,
+    diagnose_member_timelines, AlarmKind, HealthMonitor, HealthReport, IncidentCause,
+    SpanRecorder, Timeline, TimelineDoc,
 };
 use multiedge::backplane::{
     drive, Backplane, ChaosConfig, ChaosStats, FaultBackplane, SimBackplane, WireEndpoint,
 };
 use multiedge::{OpFlags, SystemConfig};
 use netsim::time::{ms, us};
-use netsim::{build_cluster, FaultPlan, GilbertElliott, Sim};
+use netsim::{build_cluster, Dur, FaultPlan, GilbertElliott, Sim};
+
+/// Where a diagnosis is checked: a doctor bench cell (by its name in
+/// `results/doctor_incidents.json`) whose first incident it decides, or a
+/// named test.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// A doctor bench cell.
+    Cell(&'static str),
+    /// A test outside the doctor bench, as `file::name`.
+    Test(&'static str),
+}
+
+impl Gate {
+    /// `cell:<name>` or `test:<file::name>`, for the bench report.
+    pub fn label(&self) -> String {
+        match self {
+            Gate::Cell(c) => format!("cell:{c}"),
+            Gate::Test(t) => format!("test:{t}"),
+        }
+    }
+}
+
+const FENCE_STALL_TEST: &str = "timeline_properties.rs::simulator_sees_a_fence_stall";
+
+/// The gate of every incident cause. No `_` arm: a new cause does not
+/// compile until its gate is named.
+pub fn cause_gate(cause: IncidentCause) -> Gate {
+    match cause {
+        IncidentCause::RailOutage => Gate::Cell("rail_outage"),
+        IncidentCause::RetransmitStorm => Gate::Cell("chaos_burst"),
+        IncidentCause::FenceStall => Gate::Test(FENCE_STALL_TEST),
+        IncidentCause::IncastImbalance => Gate::Cell("incast"),
+        IncidentCause::CongestionBacklog => Gate::Cell("nic_stall"),
+    }
+}
+
+/// The gate of every detector: the cell whose first incident its alarm
+/// decides. No `_` arm, as in [`cause_gate`].
+pub fn alarm_gate(kind: AlarmKind) -> Gate {
+    match kind {
+        AlarmKind::Drift => Gate::Cell("nic_stall"),
+        AlarmKind::Burst => Gate::Cell("chaos_burst"),
+        AlarmKind::RailDead => Gate::Cell("rail_outage"),
+        AlarmKind::FenceStuck => Gate::Test(FENCE_STALL_TEST),
+        AlarmKind::Imbalance => Gate::Cell("incast"),
+    }
+}
+
+/// The cause-naming gate over a bench run's `(cell, report)` list: each of
+/// `causes` that [`cause_gate`] puts in a doctor cell is that cell's first
+/// incident, and that incident's evidence holds an alarm whose
+/// [`alarm_gate`] is the same cell.
+///
+/// # Errors
+///
+/// Names the first cell that is missing or whose first incident is wrong.
+pub fn check_cause_gates(
+    cells: &[(&str, &HealthReport)],
+    causes: &[IncidentCause],
+) -> Result<(), String> {
+    for &cause in causes {
+        let Gate::Cell(name) = cause_gate(cause) else {
+            continue;
+        };
+        let (_, report) = cells
+            .iter()
+            .find(|(n, _)| *n == name)
+            .ok_or_else(|| format!("cell {name} (gate of {}) did not run", cause.label()))?;
+        let first = report
+            .incidents
+            .first()
+            .ok_or_else(|| format!("cell {name} opened no incident; {} gates it", cause.label()))?;
+        if first.cause != cause {
+            return Err(format!(
+                "cell {name}: first incident is {}, not {}:\n{}",
+                first.cause.label(),
+                cause.label(),
+                report.render_human()
+            ));
+        }
+        if !first.evidence().iter().any(|a| alarm_gate(a.kind) == Gate::Cell(name)) {
+            return Err(format!("cell {name}: no alarm gated by it decided its first incident"));
+        }
+    }
+    Ok(())
+}
 
 /// Offline ≡ online gate: replay a finished timeline's JSONL export
 /// through a fresh monitor and require the rendered report to match the
@@ -78,21 +168,23 @@ pub struct RailOutageDoctor {
     pub detect_intervals: u64,
 }
 
-/// A 2Lu-1G one-way stream through a scripted rail-1 outage with the
-/// health monitor armed, sampled every 2 ms of virtual time. The rail-dead
-/// rule detector must open a `RailOutage` incident within 3 sample
-/// intervals of injection (the protocol's own dead-rail detection latency
-/// is ~3–5 ms, under two intervals at this cadence; the third absorbs grid
-/// alignment), and the offline replay of the run's JSONL artifact must
-/// reproduce the online report byte-for-byte.
-pub fn rail_outage_doctor(smoke: bool) -> RailOutageDoctor {
+/// A 2Lu-1G one-way stream through a scripted rail-1 outage (5–12 ms)
+/// with the health monitor armed, sampled every 2 ms of virtual time. The
+/// rail-dead rule detector must open a `RailOutage` incident, the run's
+/// first, within 3 sample intervals of injection (the protocol's own
+/// dead-rail detection latency is ~3–5 ms, under two intervals at this
+/// cadence; the third absorbs grid alignment), and the offline replay of
+/// the run's JSONL artifact must reproduce the online report
+/// byte-for-byte. The cell has one size: a shorter outage ends before the
+/// strike budget declares the rail dead, and its first incident is the
+/// NACK repair's `RetransmitStorm`.
+pub fn rail_outage_doctor() -> RailOutageDoctor {
     let mut cfg = SystemConfig::two_link_1g_unordered(2);
     cfg.seed = 7;
     cfg.proto.rail_cooldown = ms(4);
-    let (down, up) = if smoke { (ms(2), ms(5)) } else { (ms(5), ms(12)) };
+    let (down, up) = (ms(5), ms(12));
     let plan = FaultPlan::new().rail_down(down, 1).rail_up(up, 1);
-    let iters = if smoke { 60 } else { 160 };
-    let result = run_micro_doctor(&cfg, MicroKind::OneWay, 32 << 10, iters, &plan, ms(2));
+    let result = run_micro_doctor(&cfg, MicroKind::OneWay, 32 << 10, 160, &plan, ms(2));
     let health = result.health.as_ref().expect("health was armed");
     let tl = result.timeline.as_ref().expect("sampling was requested");
     offline_matches_online(tl, health).expect("doctor replay must be bit-identical");
@@ -162,7 +254,10 @@ pub struct ChaosBurstDoctor {
 /// A two-rail wire-endpoint stream over a chaos backplane whose loss is a
 /// mid-stream Gilbert–Elliott burst (clean good state, loss-1.0 bad
 /// state): the NACK/RTO retransmit storm the burst provokes must diagnose
-/// as `RetransmitStorm`, and the offline replay must match.
+/// as `RetransmitStorm`, and the offline replay must match. At smoke size
+/// the storm is the run's one incident; at full size the burst's tail loss
+/// first holds a full window until the RTO, and the ageing ack token opens
+/// a `CongestionBacklog` 0.3 ms before the storm.
 pub fn chaos_burst_doctor(smoke: bool) -> ChaosBurstDoctor {
     const BUDGET_NS: u64 = 20_000_000_000;
     let mut cfg = SystemConfig::two_link_1g(2);
@@ -232,6 +327,42 @@ pub fn chaos_burst_doctor(smoke: bool) -> ChaosBurstDoctor {
 }
 
 // ---------------------------------------------------------------------------
+// NIC-stall cell (simulator endpoint)
+// ---------------------------------------------------------------------------
+
+/// Result of [`nic_stall_doctor`].
+pub struct NicStallDoctor {
+    /// Node 0's health verdict.
+    pub health: HealthReport,
+    /// Virtual time the stall began.
+    pub stall_from_ns: u64,
+    /// Virtual time the stall ended.
+    pub stall_until_ns: u64,
+}
+
+/// A 2Lu-1G one-way stream (64 × 32 KiB relaxed writes, node 0 → node 1,
+/// node 0 sampled every 100 µs) through a `stall`-long freeze of node 1's
+/// rail-0 receive path from 2 ms. The receiver holds the
+/// stream's frames, so node 0's ack token keeps ageing: a 4 ms stall must
+/// first diagnose as `CongestionBacklog` inside the stall window, and a
+/// 300 µs one must open nothing. The offline replay must match.
+pub fn nic_stall_doctor(stall: Dur) -> NicStallDoctor {
+    let cfg = SystemConfig::two_link_1g_unordered(2);
+    let at = ms(2);
+    let plan = FaultPlan::new().nic_stall(at, 1, 0, stall);
+    let r = run_micro_doctor(&cfg, MicroKind::OneWay, 32 << 10, 64, &plan, us(100));
+    let health = r.health.expect("health was armed");
+    let tl = r.timeline.as_ref().expect("sampling was requested");
+    offline_matches_online(tl, &health).expect("doctor replay must be bit-identical");
+    let stall_from_ns = at.as_nanos();
+    NicStallDoctor {
+        health,
+        stall_from_ns,
+        stall_until_ns: stall_from_ns + stall.as_nanos(),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Incast / balanced cells (members = nodes)
 // ---------------------------------------------------------------------------
 
@@ -262,7 +393,9 @@ mod tests {
 
     #[test]
     fn rail_outage_opens_within_three_intervals() {
-        let r = rail_outage_doctor(true);
+        let r = rail_outage_doctor();
+        let health = r.result.health.as_ref().expect("health was armed");
+        assert_eq!(health.incidents[0].cause, IncidentCause::RailOutage);
         assert!(
             r.detect_intervals <= 3,
             "RailOutage opened {} intervals after injection (injected {} ns, opened {} ns)",
@@ -287,14 +420,22 @@ mod tests {
     fn chaos_burst_diagnoses_as_retransmit_storm() {
         let r = chaos_burst_doctor(true);
         assert!(r.chaos.dropped > 0, "the burst must drop frames");
-        let inc = r
-            .health
-            .first(IncidentCause::RetransmitStorm)
-            .expect("a loss burst must diagnose as RetransmitStorm");
+        let causes: Vec<_> = r.health.incidents.iter().map(|i| i.cause).collect();
+        assert_eq!(causes, [IncidentCause::RetransmitStorm], "{}", r.health.render_human());
         assert!(
-            inc.opened_t_ns >= r.burst_at_ns,
+            r.health.incidents[0].opened_t_ns >= r.burst_at_ns,
             "storm cannot open before the burst was armed"
         );
+    }
+
+    #[test]
+    fn nic_stall_diagnoses_as_congestion_inside_the_stall() {
+        let r = nic_stall_doctor(ms(4));
+        let first = r.health.incidents.first().expect("a 4 ms stall must open an incident");
+        assert_eq!(first.cause, IncidentCause::CongestionBacklog, "{}", r.health.render_human());
+        assert!((r.stall_from_ns..r.stall_until_ns).contains(&first.opened_t_ns));
+        let short = nic_stall_doctor(us(300));
+        assert!(short.health.incidents.is_empty(), "{}", short.health.render_human());
     }
 
     #[test]

@@ -57,11 +57,12 @@
 //!    `stats_equivalence` golden prints it for a drifted line, `me-inspect
 //!    diff` for two artifacts, and the backplane bench for sim vs UDP.
 //! 8. **Online health plane** — [`detect`]: allocation-free streaming
-//!    anomaly detectors (robust z-score, CUSUM, rate-burst) with fixed
-//!    thresholds over the timeline plane's delta rows, correlated into
-//!    typed [`Incident`]s with a named probable cause; the same engine
-//!    replays JSONL artifacts offline for `me-inspect doctor` with
-//!    bit-identical verdicts.
+//!    detectors over the timeline plane's delta rows, one per cause a
+//!    gated cell diagnoses (CUSUM on the ack-token age, rate bursts on
+//!    retransmit counters, rail-dead, fence-stuck and imbalance rules),
+//!    correlated into typed [`Incident`]s with a named probable cause; the
+//!    same engine replays JSONL artifacts offline for `me-inspect doctor`
+//!    with bit-identical verdicts.
 //!
 //! ```
 //! use me_trace::{Event, EventKind, Tracer};
@@ -99,8 +100,7 @@ mod tracer;
 pub use attribution::{analyze, Attribution, Phase, PhaseBreakdown, PhaseRollup, PHASES};
 pub use detect::{
     diagnose_imbalance, diagnose_member_timelines, Alarm, AlarmKind, Burst, Cusum, HealthConfig,
-    HealthMonitor, HealthReport, Incident, IncidentCause, Zscore, HEALTH_KIND, MAX_EVIDENCE,
-    NUM_CAUSES,
+    HealthMonitor, HealthReport, Incident, IncidentCause, HEALTH_KIND, MAX_EVIDENCE, NUM_CAUSES,
 };
 pub use diff::{diff_docs, diff_rollups, CellDiff, DiffReport, RollupDelta, Totals};
 pub use event::{Event, EventKind, FaultKind};

@@ -36,7 +36,7 @@
 //! ```
 //!
 //! Replay the streaming health detectors over timeline artifacts offline
-//! (`doctor`): every row runs through the same z-score/CUSUM/burst/rule
+//! (`doctor`): every row runs through the same CUSUM/burst/rule
 //! detectors the online [`me_trace::HealthMonitor`] applies at sample
 //! time, producing bit-identical incidents. Several files add the
 //! cross-node imbalance diagnosis (one file per node, each node measured
@@ -225,8 +225,8 @@ fn run_timeline(args: &[String]) -> ! {
 fn run_doctor(args: &[String]) -> ! {
     const USAGE: &str = "usage: me-inspect doctor <dump.jsonl> [more.jsonl ...] [--json]\n\
         \n\
-        Replays the streaming health detectors (robust z-score, CUSUM, rate\n\
-        burst, rail/fence rules) over timeline artifacts — the same engine the\n\
+        Replays the streaming health detectors (ack-token CUSUM, rate burst,\n\
+        rail/fence rules) over timeline artifacts — the same engine the\n\
         online HealthMonitor runs at sample time, so the incident tables are\n\
         bit-identical. Several per-node files add the cross-node imbalance\n\
         diagnosis on each file's data_bytes_recv column.\n\
