@@ -4,7 +4,8 @@
 //! read from [`multiedge_bench::CountingAlloc`]:
 //!
 //! * **datapath** — the steady-state datapath allocates nothing per data
-//!   frame (the 2×2 double difference of [`datapath_gate`]);
+//!   frame, and a ping-pong op allocates no more than a fixed ceiling (the
+//!   2×2 double difference of [`datapath_gate`]);
 //! * **flight recorder** and **sampler** — each plane is purely
 //!   observational ([`multiedge_bench::plane_overhead`]): no allocation per
 //!   frame with it armed and an identical stats fingerprint are asserted;
@@ -38,16 +39,18 @@ fn clean_cfg() -> SystemConfig {
     cfg
 }
 
-/// The zero-allocation gate: on the clean network the steady-state
-/// datapath allocates nothing per data frame. A run also allocates per run
-/// (setup) and per op (handles, payloads), so a 2×2 grid — `iters` and
-/// `2 * iters` ops × 32 and 64 KiB — is differenced twice: across run
-/// lengths (cancels setup), then across sizes (both columns add the same
-/// ops, so per-op costs cancel), leaving only what scales with frames.
-fn datapath_gate(iters: usize) -> Json {
+/// Marginal allocations per data frame and per op of `kind` on the clean
+/// cell. A run also allocates per run (setup) and per op (handles,
+/// payloads), so a 2×2 grid — `iters` and `2 * iters` iterations × 32 and
+/// 64 KiB — is differenced twice: across run lengths (cancels setup), then
+/// across sizes (both columns add the same ops, so per-op costs cancel),
+/// leaving only what scales with frames. What the small column added
+/// beyond its frames is then per op (every kind issues two ops per
+/// iteration: one per direction, or ping and pong).
+fn marginal_allocs(kind: MicroKind, iters: usize) -> (f64, f64) {
     let count = |size: usize, iters: usize| {
         let a0 = allocs();
-        let r = run_micro(&clean_cfg(), MicroKind::TwoWay, size, iters);
+        let r = run_micro(&clean_cfg(), kind, size, iters);
         ((allocs() - a0) as i64, r.proto.data_frames_sent as i64)
     };
     let extra = |size: usize| {
@@ -57,18 +60,36 @@ fn datapath_gate(iters: usize) -> Json {
     let ((a_small, f_small), (a_big, f_big)) = (extra(32 << 10), extra(64 << 10));
     assert!(f_big > f_small, "the grid produced no frame delta");
     let per_frame = (a_big - a_small) as f64 / (f_big - f_small) as f64;
-    println!("datapath       {per_frame:+.3} allocs/frame");
+    let per_op = (a_small as f64 - per_frame * f_small as f64) / (2 * iters) as f64;
+    (per_frame, per_op)
+}
+
+/// The allocation gates: on the clean network the steady-state datapath
+/// allocates nothing per data frame (two-way streams), and no more per op
+/// than `max_per_op` (ping-pong, where every op's frames fit the window
+/// and its queues drain before the next op).
+fn datapath_gate(iters: usize, max_per_op: f64) -> Json {
+    let (per_frame, _) = marginal_allocs(MicroKind::TwoWay, iters);
+    let (_, per_op) = marginal_allocs(MicroKind::PingPong, iters);
+    println!("datapath       {per_frame:+.3} allocs/frame  {per_op:.4} allocs/op");
     assert!(
         per_frame.abs() < 0.01,
         "steady-state allocations per data frame on the clean 1L config: {per_frame:.4} (must be 0)"
+    );
+    assert!(
+        per_op <= max_per_op + 1e-9,
+        "allocations per ping-pong op on the clean 1L config: {per_op:.4} (at most {max_per_op})"
     );
     Json::obj()
         .set("config", "1L-1G")
         .set("kind", "two-way")
         .set("allocs_per_frame", per_frame)
+        .set("op_kind", "ping-pong")
+        .set("allocs_per_op", per_op)
+        .set("allocs_per_op_max", max_per_op)
         .set(
             "gate",
-            "2x2 grid (iters x payload size), |double difference allocs_per_frame| < 0.01",
+            "2x2 grid (iters x payload size): two-way |double difference allocs_per_frame| < 0.01; ping-pong small-column allocs_per_op <= allocs_per_op_max",
         )
 }
 
@@ -111,12 +132,17 @@ fn sampler_gate(iters: usize) -> Json {
 
 fn main() {
     let smoke = smoke();
-    let iters = if smoke { 10 } else { 40 };
+    // Allocation-per-op ceilings: the counts this grid measured when the
+    // gate was set, 5 per op plus, in the short grid, 0.1 from run-length
+    // doublings of per-run vectors. A send queue that every frame passes
+    // through and that frees its buffer whenever it drains reads 8.1 in
+    // the short grid.
+    let (iters, max_allocs_per_op) = if smoke { (10, 5.1) } else { (40, 5.0) };
 
     // Warm up lazy runtime initialization outside the measured cells.
     let _ = run_micro(&clean_cfg(), MicroKind::TwoWay, 4 << 10, 4);
 
-    let datapath = datapath_gate(iters);
+    let datapath = datapath_gate(iters, max_allocs_per_op);
     let flight = flight_recorder_gate(iters);
     let sampler = sampler_gate(iters);
 
@@ -209,7 +235,7 @@ fn main() {
         .set("mode", if smoke { "smoke" } else { "full" })
         .set(
             "methodology",
-            "datapath: 2x2 double difference, marginal allocs/frame asserted 0; flight recorder and sampler: off/on pair at two run lengths, fingerprints equal and marginal allocs/frame asserted, fps ratio reported only; base + per-interval deltas reconciled exactly against end-of-run ProtoStats in every sampled cell",
+            "datapath: 2x2 double difference, marginal allocs/frame asserted 0 and allocs/op held to a ceiling; flight recorder and sampler: off/on pair at two run lengths, fingerprints equal and marginal allocs/frame asserted, fps ratio reported only; base + per-interval deltas reconciled exactly against end-of-run ProtoStats in every sampled cell",
         )
         .set("datapath", datapath)
         .set("flight_recorder", flight)

@@ -17,12 +17,23 @@
 //! The tracker is generic over the fragment payload type so it can be tested
 //! standalone and reused for both writes and read-requests.
 //!
+//! In-progress operations live in a dense ring indexed by
+//! `op_id - applied_below`, not in an ordered map: the sender's window
+//! bounds that span (every live op above `applied_below` has its first
+//! frame inside the window), so the ring grows to the depth a connection
+//! actually runs at and holds no per-op node. [`ProtoCore`] drops a new
+//! fragment whose op id lies outside `[applied_below, applied_below +
+//! window)` before it gets here; a caller that skips that check pays one
+//! empty slot per op id of span.
+//!
+//! [`ProtoCore`]: crate::proto::ProtoCore
+//!
 //! `DESIGN.md` §4.4 walks one fenced two-rail exchange through this
 //! machinery as an annotated sequence diagram; the time a fragment spends
 //! buffered here is surfaced as `fence_stall`/`fence_release` trace events
 //! and the `fence_stall` histogram (see `docs/OBSERVABILITY.md`).
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Ordering-relevant attributes of one fragment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,8 +56,7 @@ struct OpEntry<T> {
     applied: u64,
     fence_floor: u64,
     fence_backward: bool,
-    /// Seen at least one fragment (entries can exist purely as ordering
-    /// placeholders? No: entries exist only once a fragment arrived).
+    /// Every byte of the op has been applied.
     complete: bool,
     buffered: Vec<(FragMeta, T)>,
 }
@@ -75,7 +85,9 @@ impl<T> Default for Release<T> {
 /// Fence-aware reorder buffer for one connection direction.
 #[derive(Debug)]
 pub struct OpOrdering<T> {
-    ops: BTreeMap<u64, OpEntry<T>>,
+    /// Op `applied_below + i` at index `i`; `None` until its first
+    /// fragment arrives.
+    ops: VecDeque<Option<OpEntry<T>>>,
     /// Every op with id `< applied_below` is fully applied.
     applied_below: u64,
     /// Fragments currently buffered (for stats).
@@ -87,7 +99,7 @@ pub struct OpOrdering<T> {
 impl<T> Default for OpOrdering<T> {
     fn default() -> Self {
         Self {
-            ops: BTreeMap::new(),
+            ops: VecDeque::new(),
             applied_below: 0,
             buffered: 0,
             buffered_peak: 0,
@@ -116,8 +128,14 @@ impl<T> OpOrdering<T> {
         self.buffered_peak
     }
 
+    /// The entry of `meta`'s op, created on its first fragment. The op must
+    /// not be below `applied_below`.
     fn entry(&mut self, meta: &FragMeta) -> &mut OpEntry<T> {
-        self.ops.entry(meta.op_id).or_insert_with(|| OpEntry {
+        let i = (meta.op_id - self.applied_below) as usize;
+        if i >= self.ops.len() {
+            self.ops.resize_with(i + 1, || None);
+        }
+        self.ops[i].get_or_insert_with(|| OpEntry {
             total: meta.op_total,
             applied: 0,
             fence_floor: meta.fence_floor,
@@ -152,11 +170,12 @@ impl<T> OpOrdering<T> {
     /// Like [`Self::offer`], but writes the released fragments and completed
     /// ops into a caller-owned [`Release`] (cleared first), reusing its
     /// vectors' capacity. The hot receive path holds one scratch `Release`
-    /// per connection and calls this to avoid a per-fragment allocation.
+    /// per node and calls this to avoid a per-fragment allocation.
     pub fn offer_into(&mut self, meta: FragMeta, frag: T, out: &mut Release<T>) {
         out.apply.clear();
         out.completed.clear();
-        if self.can_apply(meta.op_id, meta.fence_floor, meta.fence_backward) {
+        let retired = meta.op_id < self.applied_below;
+        if retired || self.can_apply(meta.op_id, meta.fence_floor, meta.fence_backward) {
             self.apply_fragment(meta, frag, out);
             self.cascade(out);
         } else {
@@ -169,6 +188,12 @@ impl<T> OpOrdering<T> {
 
     /// Apply one fragment: count its bytes, emit it, and handle completion.
     fn apply_fragment(&mut self, meta: FragMeta, frag: T, out: &mut Release<T>) {
+        if meta.op_id < self.applied_below {
+            // Only a misbehaving peer sends more of an op that already
+            // completed: the bytes go through, nothing completes again.
+            out.apply.push((meta, frag));
+            return;
+        }
         let e = self.entry(&meta);
         e.applied += meta.len;
         debug_assert!(e.applied <= e.total.max(e.applied));
@@ -185,13 +210,12 @@ impl<T> OpOrdering<T> {
 
     /// Advance `applied_below` past contiguously complete ops and prune.
     fn advance(&mut self) {
-        while let Some(e) = self.ops.get(&self.applied_below) {
-            if e.complete && e.buffered.is_empty() {
-                self.ops.remove(&self.applied_below);
-                self.applied_below += 1;
-            } else {
+        while let Some(Some(e)) = self.ops.front() {
+            if !(e.complete && e.buffered.is_empty()) {
                 break;
             }
+            self.ops.pop_front();
+            self.applied_below += 1;
         }
     }
 
@@ -199,18 +223,15 @@ impl<T> OpOrdering<T> {
     fn cascade(&mut self, out: &mut Release<T>) {
         loop {
             // Find the first op with buffered fragments that can now apply.
-            let candidate = self.ops.iter().find_map(|(&id, e)| {
-                if !e.buffered.is_empty()
-                    && self.can_apply(id, e.fence_floor, e.fence_backward)
-                {
-                    Some(id)
-                } else {
-                    None
-                }
+            let candidate = self.ops.iter().enumerate().find_map(|(i, e)| {
+                let e = e.as_ref()?;
+                let id = self.applied_below + i as u64;
+                (!e.buffered.is_empty() && self.can_apply(id, e.fence_floor, e.fence_backward))
+                    .then_some(i)
             });
-            let Some(id) = candidate else { break };
+            let Some(i) = candidate else { break };
             let frags = {
-                let e = self.ops.get_mut(&id).expect("candidate exists");
+                let e = self.ops[i].as_mut().expect("candidate exists");
                 std::mem::take(&mut e.buffered)
             };
             self.buffered -= frags.len();
@@ -354,6 +375,32 @@ mod tests {
         // Final op-0 fragment + both op-1 fragments released.
         assert_eq!(r.apply.len(), 3);
         assert_eq!(r.completed, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_retired_op_completes_only_once() {
+        let mut o: OpOrdering<Tag> = OpOrdering::new();
+        let r = o.offer(meta(0, 4, 0, false, 4), (0, 0));
+        assert_eq!(r.completed, vec![0]);
+        // Surplus bytes of op 0 — only a misbehaving peer sends them, even
+        // fenced behind a floor — go through without re-completing it or
+        // leaving an entry behind.
+        let r = o.offer(meta(0, 4, 3, true, 4), (0, 1));
+        assert_eq!((r.apply.len(), r.completed.len()), (1, 0));
+        assert_eq!((o.applied_below(), o.buffered(), o.ops.len()), (1, 0, 0));
+    }
+
+    #[test]
+    fn the_ring_spans_only_the_ops_in_progress() {
+        let mut o: OpOrdering<Tag> = OpOrdering::new();
+        // Op 3 arrives first, fenced: slots for ops 0..=3 exist.
+        o.offer(meta(3, 1, 0, true, 1), (3, 0));
+        assert_eq!(o.ops.len(), 4);
+        // Ops 0..=2 complete and release op 3: the ring empties.
+        for op in 0..3 {
+            o.offer(meta(op, 1, 0, false, 1), (op, 0));
+        }
+        assert_eq!((o.applied_below(), o.ops.len()), (4, 0));
     }
 
     #[test]

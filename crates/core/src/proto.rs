@@ -269,8 +269,10 @@ pub struct Conn<T> {
     /// that grows with the depth in flight up to the window: O(1)
     /// insert/lookup/removal, no per-frame allocation once grown.
     tx: TxRing,
-    /// Built frames awaiting the window, `[sent_up_to, next_seq)` in
-    /// sequence order (the front is always `sent_up_to`). Unbounded — a
+    /// Built frames that did not fit the window at issue, in sequence
+    /// order, ending at `next_seq` (between inputs the front is
+    /// `sent_up_to`). A frame that fits goes straight into `tx`, so this
+    /// holds only the overflow of a large or deep burst. Unbounded — a
     /// large issued operation fragments up front — so it stays a queue
     /// rather than joining the window ring.
     send_queue: VecDeque<Frame>,
@@ -304,14 +306,10 @@ pub struct Conn<T> {
     ack_timer_armed: bool,
     nack_timer_armed: bool,
     /// Per-gap-start NACK-dedup state (first seen / last NACKed), in a
-    /// window-sized ring (allocated on the first gap) purged below the
-    /// cumulative ack on every NACK check — its live size is
+    /// ring that grows with the gaps open at once up to the window, purged
+    /// below the cumulative ack on every NACK check — its live size is
     /// window-bounded by construction.
     gaps: GapRing,
-    /// Scratch for [`SeqTracker::missing_ranges_into`] on the NACK timer.
-    missing_scratch: Vec<(u64, u64)>,
-    /// Scratch [`Release`] reused by every `offer_into` on this connection.
-    release_scratch: Release<FragPayload>,
 
     // ---- observability ----
     /// Connection-local slice of the protocol counters: every counter that
@@ -357,8 +355,6 @@ impl<T> Conn<T> {
             ack_timer_armed: false,
             nack_timer_armed: false,
             gaps: GapRing::with_window(proto.window as usize),
-            missing_scratch: Vec::new(),
-            release_scratch: Release::default(),
             stats: ProtoStats::default(),
             fence_stall_start: FastMap::default(),
         }
@@ -434,6 +430,38 @@ impl<T> Conn<T> {
     pub fn window_state_sizes(&self) -> (usize, usize, usize) {
         (self.tx.len(), self.gaps.len(), self.seqs.ooo_held())
     }
+
+    /// Whether a legitimate peer can have sent a frame with header `h`. A
+    /// new data-bearing frame's op id lies in `[applied_below,
+    /// applied_below + window)`: the op at `applied_below` is missing a
+    /// frame at or above the peer's `acked`, every later op adds at least
+    /// one frame after it, and the peer sends nothing at or past `acked +
+    /// window` (both ends run the same window). A duplicate is always
+    /// admissible (it is re-acked at once).
+    fn admissible(&self, h: &FrameHeader, window: u64) -> bool {
+        if !matches!(
+            h.kind,
+            FrameKind::Data | FrameKind::ReadResponse | FrameKind::ReadRequest
+        ) {
+            return true;
+        }
+        let below = self.order.applied_below();
+        let op = from_wire(below, h.op_id);
+        let seq = from_wire(self.seqs.cumulative(), h.seq);
+        op.wrapping_sub(below) < window || self.seqs.seen(seq)
+    }
+}
+
+/// `frame`'s ring slot before its first transmission, which stamps the rail
+/// and the time.
+fn unsent(seq: u64, frame: Frame) -> TxSlot {
+    TxSlot {
+        seq,
+        rail: 0,
+        sent_at: SimTime::ZERO,
+        retransmitted: false,
+        frame,
+    }
 }
 
 /// A remote read to serve once the frame that completed its request has
@@ -496,6 +524,8 @@ pub struct ProtoCore<T> {
     notify_scratch: Vec<Notification>,
     read_done_scratch: Vec<(u64, T)>,
     nack_scratch: Vec<(u32, u32)>,
+    missing_scratch: Vec<(u64, u64)>,
+    release_scratch: Release<FragPayload>,
 }
 
 impl<T> ProtoCore<T> {
@@ -523,6 +553,8 @@ impl<T> ProtoCore<T> {
             notify_scratch: Vec::new(),
             read_done_scratch: Vec::new(),
             nack_scratch: Vec::new(),
+            missing_scratch: Vec::new(),
+            release_scratch: Release::default(),
         }
     }
 
@@ -570,7 +602,9 @@ impl<T> ProtoCore<T> {
     }
 
     /// Received frames dropped at admission because no legitimate peer
-    /// sends them: unknown connection id, or a malformed read request.
+    /// sends them: unknown connection id, a malformed read request, or a
+    /// new data frame whose op id lies outside the window of ops in
+    /// progress.
     pub fn rx_rejected(&self) -> u64 {
         self.rx_rejected
     }
@@ -745,7 +779,7 @@ impl<T> ProtoCore<T> {
         data: Bytes,
         host: &H,
     ) -> (u64, usize, u64) {
-        let node = self.obs.node;
+        let (node, window) = (self.obs.node, self.proto.window);
         let max_payload = self.proto.max_payload.min(host.max_payload());
         // The strictly-ordered 2L mode fences every application op; a read
         // response is the protocol's own op and stays unfenced.
@@ -786,7 +820,7 @@ impl<T> ProtoCore<T> {
             let seq = c.next_seq;
             c.next_seq += 1;
             last_seq = seq;
-            c.send_queue.push_back(Frame {
+            let frame = Frame {
                 // The rail half of both addresses is set at transmit time.
                 src: MacAddr::new(node as u16, 0),
                 dst: MacAddr::new(c.peer_node as u16, 0),
@@ -803,7 +837,14 @@ impl<T> ProtoCore<T> {
                     aux,
                 },
                 payload: data.slice(off..total.min(off + max_payload)),
-            });
+            };
+            if c.send_queue.is_empty() && seq < c.acked + window {
+                // It fits the window: straight into the ring, where
+                // `pump_send` transmits it before this input ends.
+                c.tx.insert(unsent(seq, frame));
+            } else {
+                c.send_queue.push_back(frame);
+            }
         }
         (op_id, nfrags, last_seq)
     }
@@ -821,7 +862,10 @@ impl<T> ProtoCore<T> {
             FrameKind::ReadRequest => read_request_len(&f.payload),
             _ => Some(0),
         };
-        let Some(req_len) = req_len.filter(|_| conn < self.conns.len()) else {
+        let window = self.proto.window;
+        let admissible = |c: &Conn<T>| c.admissible(&f.header, window);
+        let known = self.conns.get(conn).is_some_and(admissible);
+        let Some(req_len) = req_len.filter(|_| known) else {
             self.rx_rejected += 1;
             return;
         };
@@ -1051,7 +1095,7 @@ impl<T> ProtoCore<T> {
             data: f.payload,
         };
         let buffered_before = c.order.buffered();
-        let mut release = std::mem::take(&mut c.release_scratch);
+        let mut release = std::mem::take(&mut self.release_scratch);
         c.order.offer_into(meta, payload, &mut release);
         // The fragment was held back iff the buffer count grew.
         if observed && c.order.buffered() > buffered_before {
@@ -1108,7 +1152,7 @@ impl<T> ProtoCore<T> {
         // Return the drained release buffers for the next frame.
         release.apply.clear();
         release.completed.clear();
-        self.conns[conn].release_scratch = release;
+        self.release_scratch = release;
         let n_notif = notifs.len() as u64;
         self.count(conn, |s| s.notifications += n_notif);
         // Acknowledgement policy, decided on the state this frame found:
@@ -1291,12 +1335,13 @@ impl<T> ProtoCore<T> {
         let repeat = self.proto.nack_repeat;
         let min_age = self.proto.nack_delay;
         let mut due = std::mem::take(&mut self.nack_scratch);
+        let mut missing = std::mem::take(&mut self.missing_scratch);
         let c = &mut self.conns[conn];
-        c.seqs.missing_ranges_into(&mut c.missing_scratch);
+        c.seqs.missing_ranges_into(&mut missing);
         // Retire gap state the cumulative ack has passed; what remains is
         // bounded by the window.
         c.gaps.purge_below(c.seqs.cumulative());
-        for &(from, to) in &c.missing_scratch {
+        for &(from, to) in &missing {
             // Only report gaps that have persisted for at least
             // `nack_delay` — multi-link skew closes younger gaps on its
             // own, and NACKing them would trigger the unnecessary
@@ -1310,8 +1355,9 @@ impl<T> ProtoCore<T> {
                 due.push((to_wire(from), to_wire(to)));
             }
         }
-        let rearm = !c.missing_scratch.is_empty();
+        let rearm = !missing.is_empty();
         c.nack_timer_armed = rearm;
+        self.missing_scratch = missing;
         if !due.is_empty() {
             let ranges = NackRanges { ranges: due };
             self.send_ctrl(conn, Some(&ranges), host);
@@ -1397,21 +1443,19 @@ impl<T> ProtoCore<T> {
                 break;
             }
             let seq = c.sent_up_to;
-            let frame = c
-                .send_queue
-                .pop_front()
-                .expect("send_queue covers [sent_up_to, next_seq)");
+            if !c.tx.contains(seq) {
+                // Queued beyond the window at issue; it fits now.
+                let frame = c
+                    .send_queue
+                    .pop_front()
+                    .expect("the ring and send_queue cover [sent_up_to, next_seq)");
+                c.tx.insert(unsent(seq, frame));
+            }
+            let frame = &c.tx.get(seq).expect("slot just ensured").frame;
             if frame.header.kind != FrameKind::ReadRequest {
                 n += 1;
                 bytes += frame.payload.len() as u64;
             }
-            c.tx.insert(TxSlot {
-                seq,
-                rail: 0,
-                sent_at: SimTime::ZERO,
-                retransmitted: false,
-                frame,
-            });
             self.transmit(conn, seq, false, host);
             self.conns[conn].sent_up_to += 1;
             posted += 1;

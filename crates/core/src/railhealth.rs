@@ -25,6 +25,11 @@
 //! rejoins ([`RailEvent::Readmitted`]); if it is lost the rail returns to
 //! *Dead* for a fresh cooldown. Connections therefore degrade from k rails
 //! to k−1 and recover, instead of blackholing 1/k of their frames.
+//!
+//! A connection whose rails have never lost a frame has nothing to
+//! remember: [`RailSet`] allocates its per-rail records on the first
+//! attributed loss, and until then answers every query from the rail count
+//! alone (every rail healthy, all eligible).
 
 use netsim::time::{Dur, SimTime};
 
@@ -76,7 +81,11 @@ impl RailHealth {
 /// Health tracker for all rails of one connection.
 #[derive(Debug, Clone)]
 pub struct RailSet {
+    /// One record per rail, allocated on the first attributed loss; empty
+    /// while no rail has ever struck.
     rails: Vec<RailHealth>,
+    /// Rails tracked.
+    n: usize,
     degraded_after: u32,
     dead_after: u32,
     cooldown: Dur,
@@ -88,7 +97,8 @@ impl RailSet {
     pub fn new(n: usize, degraded_after: u32, dead_after: u32, cooldown: Dur) -> Self {
         assert!(n <= 64, "rail mask is a u64");
         Self {
-            rails: (0..n).map(|_| RailHealth::new()).collect(),
+            rails: Vec::new(),
+            n,
             degraded_after: degraded_after.max(1),
             dead_after: dead_after.max(2),
             cooldown,
@@ -97,23 +107,27 @@ impl RailSet {
 
     /// Current state of `rail`.
     pub fn state(&self, rail: usize) -> RailState {
-        self.rails[rail].state
+        assert!(rail < self.n, "rail {rail} of {}", self.n);
+        self.rails.get(rail).map_or(RailState::Healthy, |r| r.state)
     }
 
     /// Number of rails tracked.
     pub fn len(&self) -> usize {
-        self.rails.len()
+        self.n
     }
 
     /// True when no rails are tracked (never the case for a built
     /// connection; present for completeness).
     pub fn is_empty(&self) -> bool {
-        self.rails.is_empty()
+        self.n == 0
     }
 
     /// A loss was attributed to `rail` (NACK-triggered retransmit or RTO
     /// hit of a frame it sent). Returns the transition to surface, if any.
     pub fn on_loss(&mut self, rail: usize, seq: u64, now: SimTime) -> Option<RailEvent> {
+        if self.rails.is_empty() {
+            self.rails = (0..self.n).map(|_| RailHealth::new()).collect();
+        }
         let r = &mut self.rails[rail];
         r.strikes = r.strikes.saturating_add(1);
         match r.state {
@@ -147,7 +161,8 @@ impl RailSet {
     /// [`RailEvent::Readmitted`] when this was the probe that revives a
     /// dead rail.
     pub fn on_ack(&mut self, rail: usize, seq: u64) -> Option<RailEvent> {
-        let r = &mut self.rails[rail];
+        // No records: no strikes to clear, no probe to readmit.
+        let r = self.rails.get_mut(rail)?;
         r.strikes = 0;
         match r.state {
             RailState::Probing if r.probe_seq == Some(seq) => {
@@ -171,6 +186,10 @@ impl RailSet {
     /// the caller should fall back to striping over all rails rather than
     /// stall the connection.
     pub fn eligible_mask(&mut self, now: SimTime) -> u64 {
+        if self.rails.is_empty() {
+            // Every rail healthy: bits `0..n`.
+            return u64::MAX.checked_shr(64 - self.n as u32).unwrap_or(0);
+        }
         let mut mask = 0u64;
         for (i, r) in self.rails.iter_mut().enumerate() {
             match r.state {
@@ -196,7 +215,9 @@ impl RailSet {
     /// The scheduler put `seq` onto `rail`: if the rail is probing and has
     /// no probe in flight, this frame becomes the probe.
     pub fn note_sent(&mut self, rail: usize, seq: u64) {
-        let r = &mut self.rails[rail];
+        let Some(r) = self.rails.get_mut(rail) else {
+            return;
+        };
         if r.state == RailState::Probing && r.probe_seq.is_none() {
             r.probe_seq = Some(seq);
         }
@@ -205,6 +226,9 @@ impl RailSet {
     /// Number of rails currently in the striping rotation (healthy,
     /// degraded, or probing).
     pub fn active_rails(&self) -> usize {
+        if self.rails.is_empty() {
+            return self.n;
+        }
         self.rails
             .iter()
             .filter(|r| r.state != RailState::Dead)

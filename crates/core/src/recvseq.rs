@@ -102,9 +102,15 @@ impl SeqTracker {
         }
     }
 
+    /// True if `seq` has already arrived ([`Self::admit`] would call it a
+    /// duplicate).
+    pub fn seen(&self, seq: u64) -> bool {
+        seq < self.cumulative || (seq < self.frontier && self.bit(seq))
+    }
+
     /// Record the arrival of `seq`.
     pub fn admit(&mut self, seq: u64) -> Admit {
-        if seq < self.cumulative || (seq < self.frontier && self.bit(seq)) {
+        if self.seen(seq) {
             return Admit::Duplicate;
         }
         let span = (seq + 1).max(self.frontier) - self.cumulative;

@@ -9,8 +9,11 @@
 //! carry — every insert, lookup and removal is O(1) with **zero
 //! steady-state allocation**, where the `BTreeMap`/`HashMap` versions paid
 //! a node or bucket allocation per frame. Neither ring is allocated whole
-//! at connect: the tx ring grows with the depth in flight and the gap ring
-//! appears with the first gap, so an idle connection holds almost nothing.
+//! at connect: both start empty and double (4, 8, … up to the window
+//! rounded up) when an insert would fill them or finds its slot taken,
+//! re-homing live slots by `seq & mask` — the tx ring with the depth in
+//! flight, the gap ring with the gaps open at once — so a connection holds
+//! only what it carries.
 //!
 //! Each slot is tagged with the full 64-bit sequence that owns it, so a
 //! stale lookup (a NACK for an already-acked frame, a gap start that has
@@ -30,6 +33,20 @@
 
 use frame::Frame;
 use netsim::SimTime;
+
+/// Double a ring's `slots` (from 4, to at most `max`), re-homing every live
+/// slot by its sequence tag, and return the new index mask. Slots distinct
+/// modulo the old capacity stay distinct modulo the new one.
+fn grow<S>(slots: &mut Vec<Option<S>>, max: usize, tag: impl Fn(&S) -> u64) -> u64 {
+    let cap = (slots.len() * 2).clamp(4.min(max), max);
+    let old = std::mem::replace(slots, (0..cap).map(|_| None).collect());
+    let mask = cap as u64 - 1;
+    for slot in old.into_iter().flatten() {
+        let i = (tag(&slot) & mask) as usize;
+        slots[i] = Some(slot);
+    }
+    mask
+}
 
 /// One in-flight frame: the retransmission copy plus the transmission
 /// bookkeeping that used to live in separate seq-keyed maps.
@@ -100,18 +117,6 @@ impl TxRing {
         self.slots.get(self.idx(seq)).is_some_and(Option::is_some)
     }
 
-    /// Double the ring (to at most `max`), re-hashing the live slots. Slots
-    /// distinct modulo the old capacity stay distinct modulo the new one.
-    fn grow(&mut self) {
-        let cap = (self.slots.len() * 2).clamp(4.min(self.max), self.max);
-        let old = std::mem::replace(&mut self.slots, (0..cap).map(|_| None).collect());
-        self.mask = cap as u64 - 1;
-        for slot in old.into_iter().flatten() {
-            let i = self.idx(slot.seq);
-            self.slots[i] = Some(slot);
-        }
-    }
-
     /// Insert a frame's slot, growing the ring first if the insert would
     /// fill it or the slot is taken below full size. In the full-size ring
     /// the window invariant means the target slot must be free; a collision
@@ -124,7 +129,7 @@ impl TxRing {
         while self.slots.len() < self.max
             && (self.len + 1 >= self.slots.len() || self.occupied(slot.seq))
         {
-            self.grow();
+            self.mask = grow(&mut self.slots, self.max, |s| s.seq);
         }
         let i = self.idx(slot.seq);
         assert!(
@@ -188,30 +193,33 @@ pub struct GapSlot {
 /// capacity of at least the window, distinct live gap starts never collide;
 /// [`GapRing::purge_below`] retires slots the cumulative ack has passed,
 /// which keeps the live count window-bounded (the regression the old
-/// map-based code had to `retain()` against on every timer fire). The
-/// window-sized slots are allocated on the first gap, so a receiver that
-/// never sees one never pays for them.
+/// map-based code had to `retain()` against on every timer fire). Like
+/// [`TxRing`] it starts with no slots and doubles from 4 when an entry
+/// would fill it or finds its slot taken, so a receiver pays for the gaps
+/// it has open at once, not for the window. Only the full-size ring
+/// replaces a stale entry whose slot a new gap start claims.
 #[derive(Debug)]
 pub struct GapRing {
     slots: Vec<Option<GapSlot>>,
-    /// Capacity allocated on the first gap (the window, rounded up).
-    cap: usize,
+    mask: u64,
     len: usize,
+    /// Largest capacity the ring may grow to (the window, rounded up).
+    max: usize,
 }
 
 impl GapRing {
-    /// Empty ring that, once used, holds `window` live gap starts without
-    /// collision.
+    /// Empty ring that grows so `window` live gap starts never collide.
     pub fn with_window(window: usize) -> Self {
         Self {
             slots: Vec::new(),
-            cap: window.max(1).next_power_of_two(),
+            mask: 0,
             len: 0,
+            max: window.max(1).next_power_of_two(),
         }
     }
 
-    /// Slot count: zero until the first gap, then a power of two ≥ the
-    /// window.
+    /// Slot count: zero until the first gap, then a power of two that
+    /// never exceeds the window rounded up.
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
@@ -227,18 +235,20 @@ impl GapRing {
     }
 
     fn idx(&self, seq: u64) -> usize {
-        (seq & (self.cap as u64 - 1)) as usize
+        (seq & self.mask) as usize
     }
 
     /// The entry for gap start `seq`, creating it (first seen `now`) if this
     /// gap has not been tracked yet — the ring analogue of
     /// `map.entry(seq).or_insert(now)`.
     pub fn entry(&mut self, seq: u64, now: SimTime) -> &mut GapSlot {
-        if self.slots.is_empty() {
-            self.slots = vec![None; self.cap];
-        }
-        let i = self.idx(seq);
-        if self.slots[i].as_ref().is_none_or(|g| g.seq != seq) {
+        if self.get(seq).is_none() {
+            while self.slots.len() < self.max
+                && (self.len + 1 >= self.slots.len() || self.slots[self.idx(seq)].is_some())
+            {
+                self.mask = grow(&mut self.slots, self.max, |g| g.seq);
+            }
+            let i = self.idx(seq);
             if self.slots[i].is_none() {
                 self.len += 1;
             }
@@ -248,6 +258,7 @@ impl GapRing {
                 last_nack: None,
             });
         }
+        let i = self.idx(seq);
         self.slots[i].as_mut().expect("just ensured occupied")
     }
 
@@ -427,8 +438,27 @@ mod tests {
         assert!(g.get(7).is_none());
         g.purge_below(1_000);
         assert_eq!((g.capacity(), g.slots.capacity(), g.len()), (0, 0, 0));
-        g.entry(7, SimTime::ZERO);
-        assert_eq!(g.capacity(), 64);
+        // The first gap takes 4 slots, not the window.
+        let t0 = SimTime::ZERO;
+        g.entry(1_007, t0);
+        g.entry(1_009, t0);
+        assert_eq!((g.capacity(), g.len()), (4, 2));
+        // Re-entering a tracked gap does not grow the ring.
+        g.entry(1_007, t0 + netsim::time::us(1));
+        assert_eq!((g.capacity(), g.len()), (4, 2));
+        // 1_011 wants 1_007's slot: below full size the ring grows rather
+        // than overwrite, and both gaps stay tracked.
+        g.entry(1_011, t0);
+        assert_eq!((g.capacity(), g.len()), (8, 3));
+        assert!(g.get(1_007).is_some() && g.get(1_011).is_some());
+        // Purging every gap keeps the slots: capacity never shrinks.
+        g.purge_below(2_000);
+        assert_eq!((g.capacity(), g.len()), (8, 0));
+        // Sixty-three gaps open at once reach the window and stop there.
+        for seq in 2_000..2_063 {
+            g.entry(seq, t0);
+        }
+        assert_eq!((g.capacity(), g.len()), (64, 63));
     }
 
     #[test]

@@ -320,3 +320,118 @@ proptest! {
         run(&ops, fates, force_ordered)?;
     }
 }
+
+/// A host for one core fed by hand: it keeps the notifications and counts
+/// the frames the core sends back.
+#[derive(Default)]
+struct Sink {
+    notes: Vec<u64>,
+    sent: usize,
+}
+
+impl Host<u64> for Sink {
+    fn tx_backlog_ns(&self, _rail: usize) -> u64 {
+        0
+    }
+    fn draw(&self, _n: usize) -> usize {
+        0
+    }
+    fn perform(&mut self, _obs: &Observers, _now_ns: u64, effects: &mut Vec<Effect<u64>>) {
+        for e in effects.drain(..) {
+            match e {
+                Effect::Send { .. } => self.sent += 1,
+                Effect::Notify(n) => self.notes.push(n.addr),
+                Effect::Arm { .. } | Effect::OpDone { .. } => {}
+            }
+        }
+    }
+}
+
+/// A one-fragment notifying 16-byte write of op `op` at sequence `seq`,
+/// to a region of its own.
+fn write_frame(seq: u64, op: u64) -> Frame {
+    use frame::{FrameFlags, FrameHeader, FrameKind, MacAddr};
+    let flags = FrameFlags::FIRST_FRAGMENT | FrameFlags::LAST_FRAGMENT | FrameFlags::NOTIFY;
+    Frame {
+        src: MacAddr::new(0, 0),
+        dst: MacAddr::new(1, 0),
+        header: FrameHeader {
+            kind: FrameKind::Data,
+            flags,
+            seq: seq as u32,
+            op_id: op as u32,
+            op_total_len: 16,
+            remote_addr: region(op as usize),
+            ..FrameHeader::default()
+        },
+        payload: Bytes::from(vec![op as u8 + 1; 16]),
+    }
+}
+
+/// A new data frame whose op id lies outside `[applied_below,
+/// applied_below + window)` is dropped before it reaches the reorder
+/// buffer and counted in `rx_rejected`, on both sides of the range; the
+/// in-range edge, duplicates and the ops that follow go through.
+#[test]
+fn out_of_window_op_ids_are_rejected() {
+    let proto = ProtoConfig {
+        window: WINDOW,
+        ..ProtoConfig::default()
+    };
+    let mut rx: ProtoCore<u64> = ProtoCore::new(1, proto, RAILS);
+    rx.connect(0, 0);
+    let mut sink = Sink::default();
+    let mut now = 0;
+    let mut feed = |rx: &mut ProtoCore<u64>, sink: &mut Sink, seq, op| {
+        now += 1_000;
+        rx.on_frame(0, write_frame(seq, op), now, sink);
+    };
+    let untouched =
+        |rx: &ProtoCore<u64>, op: u64| rx.memory.read_vec(region(op as usize), 16) == [0; 16];
+
+    // Op 0 lands: the frontier is op 1, the ops a peer can have in
+    // flight are 1..=WINDOW.
+    feed(&mut rx, &mut sink, 0, 0);
+    assert_eq!(rx.conns()[0].state().applied_below, 1);
+
+    // Fresh sequences carrying op ids just below and just above the range,
+    // and one a wire lap away.
+    feed(&mut rx, &mut sink, 1, 0);
+    feed(&mut rx, &mut sink, WINDOW + 1, WINDOW + 1);
+    feed(&mut rx, &mut sink, 2, 1 + WINDOW + (1 << 20));
+    assert_eq!(rx.rx_rejected(), 3);
+    let s = rx.conns()[0].state();
+    assert_eq!((s.cumulative, s.applied_below, s.fence_buffered), (1, 1, 0));
+    assert_eq!(rx.stats().data_frames_recv, 1);
+    assert!(untouched(&rx, WINDOW + 1), "a rejected frame wrote memory");
+
+    // The edge of the range is a legitimate peer's deepest op; the ops
+    // before it then arrive and everything completes.
+    feed(&mut rx, &mut sink, WINDOW, WINDOW);
+    for op in 1..WINDOW {
+        feed(&mut rx, &mut sink, op, op);
+    }
+    assert_eq!(rx.rx_rejected(), 3);
+    assert_eq!(rx.conns()[0].state().applied_below, WINDOW + 1);
+
+    // A retransmitted duplicate keeps its immediate ack, though its op id
+    // is now below the range.
+    let sent = sink.sent;
+    feed(&mut rx, &mut sink, 3, 3);
+    assert_eq!(rx.rx_rejected(), 3);
+    assert_eq!(rx.stats().dup_frames_recv, 1);
+    assert_eq!(sink.sent, sent + 1, "a duplicate is acked at once");
+
+    // The op id rejected above is legitimate now, and completes.
+    feed(&mut rx, &mut sink, WINDOW + 1, WINDOW + 1);
+    assert_eq!(rx.rx_rejected(), 3);
+    let expect: Vec<u64> = [0, WINDOW]
+        .into_iter()
+        .chain(1..WINDOW)
+        .chain([WINDOW + 1])
+        .map(|op| region(op as usize))
+        .collect();
+    assert_eq!(sink.notes, expect, "one notification per legitimate op");
+    assert!(!untouched(&rx, WINDOW + 1));
+    assert!(rx.conns()[0].quiesced());
+}

@@ -387,6 +387,7 @@ proptest! {
         // wire round-trip below.
         let mut scratch = Vec::new();
         let mut now = netsim::SimTime::ZERO;
+        let mut cap_before = ring.capacity();
 
         for (step, off) in offsets.into_iter().enumerate() {
             now += netsim::time::us(1);
@@ -412,12 +413,19 @@ proptest! {
                     prop_assert_eq!(e.last_nack, m.1, "last_nack at {}", start);
                     e.last_nack = Some(now);
                     m.1 = Some(now);
+                    // The ring grows on need: a power of two holding every
+                    // live gap, never past the window, never shrinking.
+                    let cap = ring.capacity();
+                    prop_assert!(cap.is_power_of_two() && cap >= ring.len(), "capacity {}", cap);
+                    prop_assert!(cap <= WINDOW && cap >= cap_before, "capacity {} after {}", cap, cap_before);
+                    cap_before = cap;
                 }
                 let cum = seqs.cumulative();
                 ring.purge_below(cum);
                 model.retain(|&s, _| s >= cum);
                 prop_assert_eq!(ring.len(), model.len(), "live gaps after purge");
                 prop_assert!(ring.len() <= WINDOW, "gap state exceeds window");
+                prop_assert_eq!(ring.capacity(), cap_before, "purging never shrinks");
             }
         }
 
@@ -429,6 +437,324 @@ proptest! {
             let g = ring.get(s).expect("model entry live in ring");
             prop_assert_eq!(g.first_seen, first);
             prop_assert_eq!(g.last_nack, last);
+        }
+    }
+}
+
+/// The reorder buffer as it was kept before the dense ring: an ordered map
+/// from op id to entry. The reference for `op_ordering_matches_map_reference`.
+#[derive(Default)]
+struct MapOrdering {
+    ops: std::collections::BTreeMap<u64, MapEntry>,
+    applied_below: u64,
+    buffered: usize,
+    buffered_peak: usize,
+}
+
+struct MapEntry {
+    total: u64,
+    applied: u64,
+    fence_floor: u64,
+    fence_backward: bool,
+    complete: bool,
+    buffered: Vec<(FragMeta, u64)>,
+}
+
+impl MapOrdering {
+    fn can_apply(&self, op_id: u64, floor: u64, backward: bool) -> bool {
+        self.applied_below >= floor && !(backward && self.applied_below < op_id)
+    }
+
+    fn entry(&mut self, m: &FragMeta) -> &mut MapEntry {
+        self.ops.entry(m.op_id).or_insert_with(|| MapEntry {
+            total: m.op_total,
+            applied: 0,
+            fence_floor: m.fence_floor,
+            fence_backward: m.fence_backward,
+            complete: false,
+            buffered: Vec::new(),
+        })
+    }
+
+    fn offer(&mut self, m: FragMeta, tag: u64) -> (Vec<u64>, Vec<u64>) {
+        let (mut apply, mut completed) = (Vec::new(), Vec::new());
+        if self.can_apply(m.op_id, m.fence_floor, m.fence_backward) {
+            self.apply(m, tag, &mut apply, &mut completed);
+            loop {
+                let ready = self.ops.iter().find_map(|(&id, e)| {
+                    (!e.buffered.is_empty() && self.can_apply(id, e.fence_floor, e.fence_backward))
+                        .then_some(id)
+                });
+                let Some(id) = ready else { break };
+                let frags = std::mem::take(&mut self.ops.get_mut(&id).expect("ready").buffered);
+                self.buffered -= frags.len();
+                for (m, tag) in frags {
+                    self.apply(m, tag, &mut apply, &mut completed);
+                }
+                self.advance();
+            }
+        } else {
+            self.entry(&m).buffered.push((m, tag));
+            self.buffered += 1;
+            self.buffered_peak = self.buffered_peak.max(self.buffered);
+        }
+        (apply, completed)
+    }
+
+    fn apply(&mut self, m: FragMeta, tag: u64, apply: &mut Vec<u64>, completed: &mut Vec<u64>) {
+        let e = self.entry(&m);
+        e.applied += m.len;
+        let done = !e.complete && e.applied >= e.total;
+        e.complete |= done;
+        apply.push(tag);
+        if done {
+            completed.push(m.op_id);
+            self.advance();
+        }
+    }
+
+    fn advance(&mut self) {
+        while self
+            .ops
+            .get(&self.applied_below)
+            .is_some_and(|e| e.complete && e.buffered.is_empty())
+        {
+            self.ops.remove(&self.applied_below);
+            self.applied_below += 1;
+        }
+    }
+}
+
+/// One rail's record in the eager reference of
+/// `lazy_rail_set_matches_eager_reference`.
+#[derive(Clone, Copy)]
+struct EagerRail {
+    state: multiedge::RailState,
+    strikes: u32,
+    dead_since: netsim::SimTime,
+    probe_seq: Option<u64>,
+}
+
+/// Rail health as it was kept before the records became lazy: one record
+/// per rail from the start.
+struct EagerRails {
+    rails: Vec<EagerRail>,
+    degraded_after: u32,
+    dead_after: u32,
+    cooldown: netsim::Dur,
+}
+
+impl EagerRails {
+    fn on_loss(
+        &mut self,
+        rail: usize,
+        seq: u64,
+        now: netsim::SimTime,
+    ) -> Option<multiedge::RailEvent> {
+        use multiedge::{RailEvent, RailState};
+        let r = &mut self.rails[rail];
+        r.strikes = r.strikes.saturating_add(1);
+        match r.state {
+            RailState::Probing if r.probe_seq == Some(seq) => {
+                (r.state, r.dead_since, r.probe_seq) = (RailState::Dead, now, None);
+                None
+            }
+            RailState::Healthy | RailState::Degraded if r.strikes >= self.dead_after => {
+                (r.state, r.dead_since, r.probe_seq) = (RailState::Dead, now, None);
+                Some(RailEvent::Dead(rail))
+            }
+            RailState::Healthy | RailState::Degraded => {
+                if r.strikes >= self.degraded_after {
+                    r.state = RailState::Degraded;
+                }
+                None
+            }
+            _ => None,
+        }
+    }
+
+    fn on_ack(&mut self, rail: usize, seq: u64) -> Option<multiedge::RailEvent> {
+        use multiedge::{RailEvent, RailState};
+        let r = &mut self.rails[rail];
+        r.strikes = 0;
+        match r.state {
+            RailState::Probing if r.probe_seq == Some(seq) => {
+                (r.state, r.probe_seq) = (RailState::Healthy, None);
+                Some(RailEvent::Readmitted(rail))
+            }
+            RailState::Healthy | RailState::Degraded => {
+                r.state = RailState::Healthy;
+                None
+            }
+            _ => None,
+        }
+    }
+
+    fn eligible_mask(&mut self, now: netsim::SimTime) -> u64 {
+        use multiedge::RailState;
+        let mut mask = 0u64;
+        for (i, r) in self.rails.iter_mut().enumerate() {
+            let eligible = match r.state {
+                RailState::Healthy | RailState::Degraded => true,
+                RailState::Dead if now.since(r.dead_since) >= self.cooldown => {
+                    (r.state, r.probe_seq) = (RailState::Probing, None);
+                    true
+                }
+                RailState::Dead => false,
+                RailState::Probing => r.probe_seq.is_none(),
+            };
+            mask |= u64::from(eligible) << i;
+        }
+        mask
+    }
+
+    fn note_sent(&mut self, rail: usize, seq: u64) {
+        let r = &mut self.rails[rail];
+        if r.state == multiedge::RailState::Probing && r.probe_seq.is_none() {
+            r.probe_seq = Some(seq);
+        }
+    }
+}
+
+/// One step of `lazy_rail_set_matches_eager_reference`.
+#[derive(Debug, Clone, Copy)]
+enum RailOp {
+    Loss(u8, u8),
+    Ack(u8, u8),
+    NoteSent(u8, u8),
+    /// Advance the clock by this many ms, then read the eligibility mask.
+    Mask(u8),
+}
+
+fn arb_rail_op() -> impl Strategy<Value = RailOp> {
+    prop_oneof![
+        (any::<u8>(), 0u8..8).prop_map(|(r, s)| RailOp::Loss(r, s)),
+        (any::<u8>(), 0u8..8).prop_map(|(r, s)| RailOp::Ack(r, s)),
+        (any::<u8>(), 0u8..8).prop_map(|(r, s)| RailOp::NoteSent(r, s)),
+        (0u8..6).prop_map(RailOp::Mask),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The dense-ring reorder buffer releases exactly what the ordered-map
+    /// one did — the same fragments in the same order, the same completed
+    /// ops, the same frontier and buffer counts after every offer — over
+    /// arrival orders a window-bounded sender can produce, with op ids
+    /// pushed up to the window edge and mixed backward/forward fences.
+    #[test]
+    fn op_ordering_matches_map_reference(
+        window in 1u64..9,
+        ops in proptest::collection::vec((1u64..4, any::<bool>(), any::<bool>()), 1..40),
+        picks in proptest::collection::vec(any::<u32>(), 160),
+    ) {
+        // Fragments of op i carry the floor its sender stamps: one past the
+        // latest forward-fenced op before it.
+        let mut floor = 0u64;
+        let mut pool: Vec<(FragMeta, u64)> = Vec::new();
+        for (i, &(nfrag, bwd, fwd)) in ops.iter().enumerate() {
+            for k in 0..nfrag {
+                let meta = FragMeta {
+                    op_id: i as u64,
+                    op_total: nfrag,
+                    fence_floor: floor,
+                    fence_backward: bwd,
+                    len: 1,
+                };
+                pool.push((meta, (i as u64) << 8 | k));
+            }
+            if fwd {
+                floor = i as u64 + 1;
+            }
+        }
+        let mut ring: OpOrdering<u64> = OpOrdering::new();
+        let mut model = MapOrdering::default();
+        let mut picks = picks.into_iter().cycle();
+        while !pool.is_empty() {
+            // Only ops inside [applied_below, applied_below + window) can be
+            // on the wire; the op at the frontier always has a fragment
+            // left, so something is always eligible.
+            let edge = ring.applied_below() + window;
+            let eligible: Vec<usize> = (0..pool.len()).filter(|&i| pool[i].0.op_id < edge).collect();
+            prop_assert!(!eligible.is_empty(), "frontier op has no fragment left");
+            let pick = picks.next().expect("cycled");
+            // One pick in three takes the highest op on offer: the edge.
+            let at = if pick % 3 == 0 {
+                *eligible.iter().max_by_key(|&&i| pool[i].0.op_id).expect("non-empty")
+            } else {
+                eligible[(pick / 3) as usize % eligible.len()]
+            };
+            let (meta, tag) = pool.swap_remove(at);
+            let rel = ring.offer(meta, tag);
+            let (apply, completed) = model.offer(meta, tag);
+            let got: Vec<u64> = rel.apply.iter().map(|&(_, t)| t).collect();
+            prop_assert_eq!(got, apply, "released fragments");
+            prop_assert_eq!(rel.completed, completed, "completed ops");
+            prop_assert_eq!(ring.applied_below(), model.applied_below);
+            prop_assert_eq!(ring.buffered(), model.buffered);
+            prop_assert_eq!(ring.buffered_peak(), model.buffered_peak);
+        }
+        prop_assert_eq!(ring.applied_below(), ops.len() as u64);
+    }
+
+    /// A rail set that allocates its per-rail records on the first
+    /// attributed loss answers exactly like one that holds them from the
+    /// start: the same transitions, eligibility masks, states and live-rail
+    /// counts, over random loss / ack / send / mask sequences on 1–64 rails.
+    #[test]
+    fn lazy_rail_set_matches_eager_reference(
+        n in 1usize..65,
+        degraded_after in 1u32..4,
+        dead_after in 2u32..6,
+        cooldown_ms in 1u64..12,
+        steps in proptest::collection::vec(arb_rail_op(), 1..200),
+    ) {
+        use multiedge::{RailSet, RailState};
+        let cooldown = netsim::time::ms(cooldown_ms);
+        let mut lazy = RailSet::new(n, degraded_after, dead_after, cooldown);
+        let healthy = EagerRail {
+            state: RailState::Healthy,
+            strikes: 0,
+            dead_since: netsim::SimTime::ZERO,
+            probe_seq: None,
+        };
+        let mut eager = EagerRails {
+            rails: vec![healthy; n],
+            degraded_after,
+            dead_after,
+            cooldown,
+        };
+        let mut now = netsim::SimTime::ZERO;
+        // Losses land on the low rails most of the time, so rails die,
+        // probe and come back within a case.
+        let rail = |r: u8| if r < 192 { r as usize % n.min(4) } else { r as usize % n };
+        for step in steps {
+            match step {
+                RailOp::Loss(r, s) => {
+                    let (r, s) = (rail(r), u64::from(s));
+                    prop_assert_eq!(lazy.on_loss(r, s, now), eager.on_loss(r, s, now));
+                }
+                RailOp::Ack(r, s) => {
+                    let (r, s) = (rail(r), u64::from(s));
+                    prop_assert_eq!(lazy.on_ack(r, s), eager.on_ack(r, s));
+                }
+                RailOp::NoteSent(r, s) => {
+                    let (r, s) = (rail(r), u64::from(s));
+                    lazy.note_sent(r, s);
+                    eager.note_sent(r, s);
+                }
+                RailOp::Mask(dt) => {
+                    now += netsim::time::ms(u64::from(dt));
+                    prop_assert_eq!(lazy.eligible_mask(now), eager.eligible_mask(now));
+                }
+            }
+            for r in 0..n {
+                prop_assert_eq!(lazy.state(r), eager.rails[r].state, "rail {}", r);
+            }
+            let live = eager.rails.iter().filter(|r| r.state != RailState::Dead).count();
+            prop_assert_eq!(lazy.active_rails(), live);
+            prop_assert_eq!(lazy.len(), n);
         }
     }
 }
