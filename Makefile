@@ -50,7 +50,10 @@ loc:
 # an event has one vocabulary, me_trace::Event, kept by the tracer and the
 # flight recorder alike; a FlightCode or FlightEvent is a second one.
 # The fabric has one delivery path: a remote channel end is a second one (the
-# brackets keep this file out of a grep for the deleted names).
+# brackets keep this file out of a grep for the deleted names). And the
+# protocol has one observability call, Observers::emit: proto.rs names no
+# span key, leg or recorder and calls no plane directly — the tracer, the
+# span recorder and the flight recorder each fold the events it emits.
 ONE_CORE_PARTS = SeqTracker|OpOrdering|TxRing|GapRing|RttEstimator|NackRanges|from_wire|TimelineBuilder|HealthMonitor::
 one-core:
 	@if grep -nE '$(ONE_CORE_PARTS)' crates/core/src/endpoint.rs crates/core/src/backplane/wire.rs; then \
@@ -70,6 +73,9 @@ one-core:
 	fi
 	@if grep -rnE 'Shard[P]lan|Boundary[T]x|Remote[D]est|add_remote[_]|set_boundary[_]tx' crates tests examples; then \
 		echo 'one-core: a second delivery path in the fabric (see above); channel_transmit ends at a switch or a NIC'; exit 1; \
+	fi
+	@if grep -nE 'Span[R]ecorder|Span[K]ey|Le[g]::|obs\.(span[s]|trace[r]|fligh[t])\.' crates/core/src/proto.rs; then \
+		echo 'one-core: proto.rs reaches past Observers::emit (see above); emit the event and let each plane fold it'; exit 1; \
 	fi
 
 # Failover ablation: writes results/BENCH_failover.json (goodput

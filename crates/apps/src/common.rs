@@ -48,14 +48,6 @@ pub fn chunk_range(total: usize, node: usize, nodes: usize) -> std::ops::Range<u
     start..start + len
 }
 
-/// Maximum absolute difference between two f64 slices.
-pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -157,7 +157,6 @@ pub fn run_chaos_cell(
         fence_stall_trigger_ns: 0,
         dump_on_rail_death: true,
         dump_dir: Some(dump_dir.to_string_lossy().into_owned()),
-        ..FlightConfig::default()
     });
     let proto = chaos_proto();
     match backend {

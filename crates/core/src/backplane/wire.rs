@@ -16,9 +16,10 @@
 //! are ignored here, and a completion is queued the instant the core
 //! reports it (see [`crate::proto`]'s completion contract).
 //!
-//! Span milestones are stamped on the backplane clock with the same
-//! semantics as the simulator endpoint, so `me_trace::analyze` telescopes a
-//! [`WireEndpoint`] run exactly like a simulated one.
+//! Events are stamped on the backplane clock with the same semantics as
+//! the simulator endpoint (a frame's arrival is `BpRx::at_ns`), so
+//! `me_trace::analyze` telescopes a [`WireEndpoint`] run exactly like a
+//! simulated one.
 //!
 //! [`Endpoint`]: crate::Endpoint
 //! [`HostWork`]: crate::proto::HostWork
@@ -249,7 +250,9 @@ impl<B: Backplane> Host<u64> for WireHost<'_, B> {
                     kind,
                     token: created_ns,
                 } => {
-                    obs.op_completed(conn, op, Some(now_ns.saturating_sub(created_ns)), now_ns);
+                    let latency_ns = now_ns.saturating_sub(created_ns);
+                    let event = EventKind::OpComplete { op, latency_ns };
+                    obs.emit(now_ns, Some(conn), None, event);
                     self.io.completions.push_back(CompletedWrite {
                         op,
                         kind,
@@ -499,11 +502,10 @@ impl WireEndpoint {
 
     fn apply_rx<B: Backplane>(&mut self, bp: &mut B, rx: BpRx) {
         let conn = rx.frame.header.conn as usize;
-        self.core.span_arrival(&rx.frame, rx.at_ns);
         let now = bp.now_ns();
-        let io = &mut self.io;
+        let (rail, io) = (rx.rail as usize, &mut self.io);
         self.core
-            .on_frame(rx.rail as usize, rx.frame, now, &mut WireHost { bp, io });
+            .on_frame(rail, rx.frame, rx.at_ns, now, &mut WireHost { bp, io });
         if let Some(since) = self.io.buffered_since.get_mut(conn) {
             *since = if self.core.conns()[conn].state().fence_buffered > 0 {
                 since.or(Some(now))

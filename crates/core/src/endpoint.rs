@@ -48,7 +48,11 @@ use std::rc::Rc;
 
 /// An event waiting in the NIC's moderated-interrupt queue.
 enum ModItem {
-    Rx(RxFrame),
+    /// A received frame and when it reached the NIC, ns.
+    Rx(Frame, u64),
+    /// A received frame the fabric damaged: only its processing cost is
+    /// left to charge.
+    Corrupt(Dur),
     TxComplete,
 }
 
@@ -65,10 +69,6 @@ struct EndpointInner {
     /// The armed moderation timer, cancelled in O(1) when the frame cap
     /// fires the batch early ([`TimerId::NONE`] when none is armed).
     irq_timer: TimerId,
-    /// Scratch buffers reused across hot-path calls (drained, never shrunk)
-    /// so the steady-state datapath performs no heap allocation.
-    irq_batch: Vec<ModItem>,
-    applies_scratch: Vec<(SimTime, Frame)>,
 }
 
 /// A node's MultiEdge protocol instance. Cheap to clone (shared state).
@@ -175,12 +175,9 @@ enum Wake {
 /// the completion on every observability plane.
 fn complete_op(obs: &Observers, conn: usize, op: u64, h: &OpHandle, sim: &Sim) {
     h.complete(sim.now());
-    obs.op_completed(
-        conn,
-        op,
-        h.latency().map(|l| l.as_nanos()),
-        sim.now().as_nanos(),
-    );
+    let latency_ns = h.latency().map_or(0, |l| l.as_nanos());
+    let event = EventKind::OpComplete { op, latency_ns };
+    obs.emit(sim.now().as_nanos(), Some(conn), None, event);
 }
 
 impl Endpoint {
@@ -209,8 +206,6 @@ impl Endpoint {
                 irq_pending: VecDeque::new(),
                 irq_armed: false,
                 irq_timer: TimerId::NONE,
-                irq_batch: Vec::new(),
-                applies_scratch: Vec::new(),
             })),
             notifications: Channel::new(sim),
         };
@@ -317,11 +312,6 @@ impl Endpoint {
             .borrow_mut()
             .core
             .connect(peer_node, peer_conn_id)
-    }
-
-    /// Peer node of connection `conn`.
-    pub fn conn_peer(&self, conn: usize) -> usize {
-        self.core(|c| c.conns()[conn].peer_node())
     }
 
     /// The simulator this endpoint runs on (for crate-internal samplers).
@@ -480,11 +470,6 @@ impl Endpoint {
         self.notifications.close();
     }
 
-    /// Non-blocking notification poll.
-    pub fn try_notification(&self) -> Option<Notification> {
-        self.notifications.try_pop()
-    }
-
     /// Test hook: per-connection hot-path state sizes that the window must
     /// bound — (in-flight tx frames, live NACK-dedup gap entries, frames
     /// held out of order by the receiver).
@@ -547,7 +532,9 @@ impl Endpoint {
         self.core(|c| c.obs.spans.clone())
     }
 
-    /// Install a (shared) span recorder on this endpoint.
+    /// Install a (shared) span recorder on this endpoint, before its
+    /// connections are made: the recorder keys a span's receive side by
+    /// the peers their `Connect` events name.
     pub fn set_span_recorder(&self, spans: SpanRecorder) {
         self.inner.borrow_mut().core.obs.spans = spans;
     }
@@ -593,10 +580,10 @@ impl Endpoint {
     // ------------------------------------------------------------------
 
     /// Per-frame receive processing cost (header parse + copy to user).
-    fn rx_cost(cm: &CostModel, rx: &RxFrame) -> Dur {
+    fn rx_cost(cm: &CostModel, f: &Frame) -> Dur {
         let mut cost = cm.rx_frame_proc;
-        if rx.frame.is_data() {
-            cost += cm.copy_cost(rx.frame.payload.len());
+        if f.is_data() {
+            cost += cm.copy_cost(f.payload.len());
         }
         cost
     }
@@ -610,20 +597,17 @@ impl Endpoint {
     /// pending events), and one interrupt then processes the whole batch.
     fn on_rx(&self, rx: RxFrame) {
         let now = self.sim.now();
+        // Physical arrival at the NIC travels with the frame to the core,
+        // so interrupt-moderation delay shows up as RxProcess time in the
+        // attribution.
+        let arrived = now.as_nanos();
         let mut inner = self.inner.borrow_mut();
-        // Physical arrival at the NIC: stamped before the poll/moderate
-        // decision so interrupt-moderation delay shows up as RxProcess time
-        // in the attribution. Corrupted frames carry untrustworthy headers
-        // and are never admitted, so they are not stamped.
-        if !rx.corrupted {
-            inner.core.span_arrival(&rx.frame, now.as_nanos());
-        }
         if inner.cpu_proto.available_at() > now {
             // Protocol thread active: polled, no interrupt.
             inner.core.host_stats().rx_coalesced += 1;
             let event = EventKind::RxPoll { batch: 1 };
             inner.core.obs.emit(now.as_nanos(), None, None, event);
-            let cost = Self::rx_cost(&inner.cfg.cost, &rx);
+            let cost = Self::rx_cost(&inner.cfg.cost, &rx.frame);
             let (_, end) = inner.cpu_proto.reserve(now, cost);
             if rx.corrupted {
                 inner.core.host_stats().corrupt_frames += 1;
@@ -631,9 +615,14 @@ impl Endpoint {
             }
             drop(inner);
             let ep = self.clone();
-            self.sim.schedule_at(end, move |_| ep.apply_rx(rx.frame));
+            self.sim
+                .schedule_at(end, move |_| ep.apply_rx(rx.frame, arrived));
         } else {
-            inner.irq_pending.push_back(ModItem::Rx(rx));
+            let item = match rx.corrupted {
+                true => ModItem::Corrupt(Self::rx_cost(&inner.cfg.cost, &rx.frame)),
+                false => ModItem::Rx(rx.frame, arrived),
+            };
+            inner.irq_pending.push_back(item);
             self.moderate(inner);
         }
     }
@@ -690,73 +679,61 @@ impl Endpoint {
         }
     }
 
-    /// One interrupt processes the entire pending batch.
+    /// One interrupt processes the entire pending batch: each frame is
+    /// handed to the core at the end of its charged processing slot.
     fn fire_irq(&self) {
-        let applies = {
-            let mut inner = self.inner.borrow_mut();
-            if inner.irq_pending.is_empty() {
-                return;
-            }
-            let mut batch = std::mem::take(&mut inner.irq_batch);
-            batch.clear();
-            while let Some(item) = inner.irq_pending.pop_front() {
-                batch.push(item);
-            }
-            let n_rx = batch.iter().filter(|i| matches!(i, ModItem::Rx(_))).count() as u64;
-            let n_tx = batch.len() as u64 - n_rx;
-            // One interrupt for the batch; attribute it to the receive path
-            // if any receive event is present.
-            let now = self.sim.now();
-            let stats = inner.core.host_stats();
-            let event = if n_rx > 0 {
-                stats.rx_interrupts += 1;
-                stats.rx_coalesced += n_rx - 1;
-                stats.tx_coalesced += n_tx;
-                EventKind::RxInterrupt {
-                    batch: batch.len() as u32,
-                }
-            } else {
-                stats.tx_interrupts += 1;
-                stats.tx_coalesced += n_tx - 1;
-                EventKind::TxInterrupt
-            };
-            inner.core.obs.emit(now.as_nanos(), None, None, event);
-            let cm = inner.cfg.cost.clone();
-            inner.cpu_proto.reserve(now, cm.interrupt + cm.kthread_wake);
-            let mut applies = std::mem::take(&mut inner.applies_scratch);
-            applies.clear();
-            for item in batch.drain(..) {
-                match item {
-                    ModItem::Rx(rx) => {
-                        let cost = Self::rx_cost(&cm, &rx);
-                        let (_, end) = inner.cpu_proto.reserve(now, cost);
-                        if rx.corrupted {
-                            inner.core.host_stats().corrupt_frames += 1;
-                        } else {
-                            applies.push((end, rx.frame));
-                        }
-                    }
-                    ModItem::TxComplete => {
-                        inner.cpu_proto.reserve(now, cm.tx_complete_proc);
-                    }
-                }
-            }
-            inner.irq_batch = batch;
-            applies
-        };
-        let mut applies = applies;
-        for (at, f) in applies.drain(..) {
-            let ep = self.clone();
-            self.sim.schedule_at(at, move |_| ep.apply_rx(f));
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let batch = inner.irq_pending.len() as u64;
+        if batch == 0 {
+            return;
         }
-        self.inner.borrow_mut().applies_scratch = applies;
+        let is_rx = |i: &&ModItem| !matches!(i, ModItem::TxComplete);
+        let n_rx = inner.irq_pending.iter().filter(is_rx).count() as u64;
+        let n_tx = batch - n_rx;
+        // One interrupt for the batch; attribute it to the receive path
+        // if any receive event is present.
+        let now = self.sim.now();
+        let stats = inner.core.host_stats();
+        let event = if n_rx > 0 {
+            stats.rx_interrupts += 1;
+            stats.rx_coalesced += n_rx - 1;
+            stats.tx_coalesced += n_tx;
+            EventKind::RxInterrupt {
+                batch: batch as u32,
+            }
+        } else {
+            stats.tx_interrupts += 1;
+            stats.tx_coalesced += n_tx - 1;
+            EventKind::TxInterrupt
+        };
+        inner.core.obs.emit(now.as_nanos(), None, None, event);
+        let cm = inner.cfg.cost.clone();
+        inner.cpu_proto.reserve(now, cm.interrupt + cm.kthread_wake);
+        for item in inner.irq_pending.drain(..) {
+            match item {
+                ModItem::Rx(f, arrived) => {
+                    let (_, end) = inner.cpu_proto.reserve(now, Self::rx_cost(&cm, &f));
+                    let ep = self.clone();
+                    self.sim.schedule_at(end, move |_| ep.apply_rx(f, arrived));
+                }
+                ModItem::Corrupt(cost) => {
+                    inner.cpu_proto.reserve(now, cost);
+                    inner.core.host_stats().corrupt_frames += 1;
+                }
+                ModItem::TxComplete => {
+                    inner.cpu_proto.reserve(now, cm.tx_complete_proc);
+                }
+            }
+        }
     }
 
-    /// Hand a received frame to the protocol core (runs at the end of its
-    /// charged processing slot).
-    fn apply_rx(&self, f: Frame) {
+    /// Hand a received frame, which reached the NIC at `arrived`, to the
+    /// protocol core (runs at the end of its charged processing slot).
+    fn apply_rx(&self, f: Frame, arrived: u64) {
         let now = self.sim.now().as_nanos();
-        self.drive(|core, host| core.on_frame(f.dst.rail as usize, f, now, host));
+        let rail = f.dst.rail as usize;
+        self.drive(|core, host| core.on_frame(rail, f, arrived, now, host));
     }
 }
 
@@ -1225,7 +1202,7 @@ mod tests {
                 s.kind
             );
             assert_eq!(b.latency_ns, s.complete - s.created);
-            assert!(s.frames >= 1 && s.rails_used != 0);
+            assert!(s.crit_rail < 2, "the deciding rail is one of the two");
             span_latency_sum += b.latency_ns;
         }
         // Reconcile against the tracer: both observed the same two ops.

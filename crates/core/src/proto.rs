@@ -34,8 +34,16 @@
 //! byte of it was admitted by the peer's receive window), a read's response
 //! data has been applied to local memory. *When the application learns* is
 //! the driver's decision — the simulator adds its wake-up cost, the wire
-//! driver queues the completion at once — and the driver stamps that
-//! instant through [`Observers::op_completed`].
+//! driver queues the completion at once — and the driver emits
+//! `OpComplete` at that instant.
+//!
+//! # Observability
+//!
+//! The core calls one observability function, [`Observers::emit`]: every
+//! fact it knows (an op issued, a frame sent or admitted, an ack, a fence
+//! release, an op done, a read served) is one [`EventKind`], and the
+//! tracer, the op-span recorder and the flight recorder each fold the same
+//! event.
 
 use crate::config::ProtoConfig;
 use crate::memory::AppMemory;
@@ -50,7 +58,8 @@ use crate::seqspace::{from_wire, to_wire};
 use crate::stats::ProtoStats;
 use bytes::Bytes;
 use frame::{FastMap, Frame, FrameFlags, FrameHeader, FrameKind, MacAddr, NackRanges};
-use me_trace::{Event, EventKind, FlightRecorder, Leg, SpanKey, SpanKind, SpanRecorder, Tracer};
+use me_trace::EventKind;
+pub use me_trace::Observers;
 use netsim::time::{Dur, SimTime};
 use std::collections::VecDeque;
 
@@ -138,7 +147,7 @@ pub trait Host<T> {
     }
 
     /// Transmit backlog of `rail` in nanoseconds of wire time (consulted by
-    /// queue-aware scheduling and the span recorder's rail-queue phase).
+    /// queue-aware scheduling, and by `FrameSend` when a plane observes).
     fn tx_backlog_ns(&self, rail: usize) -> u64;
 
     /// One uniform draw from `0..n`, for
@@ -154,61 +163,6 @@ pub trait Host<T> {
     /// receiving application — notifications, then finished reads — always
     /// arrives as the tail of one call.
     fn perform(&mut self, obs: &Observers, now_ns: u64, effects: &mut Vec<Effect<T>>);
-}
-
-/// The observability handles one endpoint records into. A disabled handle
-/// costs one branch per call site.
-#[derive(Clone)]
-pub struct Observers {
-    /// The node these handles stamp events for.
-    pub node: usize,
-    /// Event tracer.
-    pub tracer: Tracer,
-    /// Causal op-span recorder (shared across a cluster).
-    pub spans: SpanRecorder,
-    /// Always-on flight recorder.
-    pub flight: FlightRecorder,
-}
-
-impl Observers {
-    /// Stamp "the application learned op `op` completed" at `now_ns` on
-    /// every plane. Drivers call this at the instant they define as
-    /// completion (module docs).
-    pub fn op_completed(&self, conn: usize, op: u64, latency_ns: Option<u64>, now_ns: u64) {
-        self.spans.op_completed(self.key(conn, op), now_ns);
-        if let Some(lat) = latency_ns {
-            self.tracer.op_latency(conn as u32, lat);
-        }
-        let latency_ns = latency_ns.unwrap_or(0);
-        let event = EventKind::OpComplete { op, latency_ns };
-        self.emit(now_ns, Some(conn), None, event);
-    }
-
-    /// Record one event on this node into the tracer and the flight
-    /// recorder: the same [`Event`] for both, one branch per disabled
-    /// plane. Every protocol event site calls this, and only this.
-    #[inline]
-    pub(crate) fn emit(&self, now_ns: u64, conn: Option<usize>, rail: Option<u32>, kind: EventKind) {
-        let e = Event {
-            t_ns: now_ns,
-            node: self.node as u32,
-            conn: conn.map(|c| c as u32),
-            rail,
-            kind,
-        };
-        self.tracer.emit(e);
-        self.flight.record(e);
-    }
-
-    /// Span key of op `op` issued by this node on `conn`.
-    #[inline]
-    fn key(&self, conn: usize, op: u64) -> SpanKey {
-        SpanKey::new(self.node, conn, to_wire(op))
-    }
-
-    fn observed(&self) -> bool {
-        self.tracer.is_enabled() || self.spans.is_enabled() || self.flight.is_enabled()
-    }
 }
 
 /// Payload of a fragment travelling through the reorder machinery.
@@ -358,11 +312,6 @@ impl<T> Conn<T> {
             stats: ProtoStats::default(),
             fence_stall_start: FastMap::default(),
         }
-    }
-
-    /// Node at the other end.
-    pub fn peer_node(&self) -> usize {
-        self.peer_node
     }
 
     /// Unacknowledged frames currently on the wire.
@@ -533,12 +482,7 @@ impl<T> ProtoCore<T> {
     /// every observability plane disabled.
     pub fn new(node: usize, proto: ProtoConfig, rails: usize) -> Self {
         Self {
-            obs: Observers {
-                node,
-                tracer: Tracer::disabled(),
-                spans: SpanRecorder::disabled(),
-                flight: FlightRecorder::disabled(),
-            },
+            obs: Observers::disabled(node),
             memory: AppMemory::new(),
             proto,
             nrails: rails,
@@ -567,7 +511,14 @@ impl<T> ProtoCore<T> {
         );
         let conn = Conn::new(peer_node, peer_conn_id as u32, &self.proto, self.nrails);
         self.conns.push(conn);
-        self.conns.len() - 1
+        let id = self.conns.len() - 1;
+        let (peer_node, peer_conn) = (peer_node as u32, peer_conn_id as u32);
+        let event = EventKind::Connect {
+            peer_node,
+            peer_conn,
+        };
+        self.obs.emit(self.now_ns(), Some(id), None, event);
+        id
     }
 
     /// The protocol parameters this instance runs with.
@@ -686,12 +637,6 @@ impl<T> ProtoCore<T> {
         self.now.as_nanos()
     }
 
-    /// Span key of op `op` issued by `conn`'s peer.
-    fn peer_key(&self, conn: usize, op: u64) -> SpanKey {
-        let c = &self.conns[conn];
-        SpanKey::new(c.peer_node, c.peer_conn_id as usize, to_wire(op))
-    }
-
     /// Hand the buffered effects to the driver.
     fn flush<H: Host<T>>(&mut self, host: &mut H) {
         if self.effects.is_empty() {
@@ -723,14 +668,14 @@ impl<T> ProtoCore<T> {
         host: &mut H,
     ) -> u64 {
         self.now = SimTime(now_ns);
-        let (op_id, span_kind, nfrags, bytes) = match op {
+        let (op_id, read, bytes) = match op {
             Op::Write { remote_addr, data } => {
                 let bytes = data.len() as u64;
-                let (op_id, nfrags, last_seq) =
+                let (op_id, _, last_seq) =
                     self.queue_op(conn, FrameKind::Data, flags, remote_addr, 0, data, host);
                 let c = &mut self.conns[conn];
                 c.pending_write_ops.push_back((last_seq, op_id, token));
-                (op_id, SpanKind::Write, nfrags, bytes)
+                (op_id, false, bytes)
             }
             Op::Read {
                 local_addr,
@@ -750,15 +695,16 @@ impl<T> ProtoCore<T> {
                 let (op_id, ..) =
                     self.queue_op(conn, kind, flags, remote_addr, local_addr, payload, host);
                 self.conns[conn].pending_reads.insert(op_id, token);
-                (op_id, SpanKind::Read, 1, len as u64)
+                (op_id, true, len as u64)
             }
         };
-        let event = EventKind::OpIssue { op: op_id, bytes };
+        let event = EventKind::OpIssue {
+            op: op_id,
+            bytes,
+            created_ns,
+            read,
+        };
         self.obs.emit(now_ns, Some(conn), None, event);
-        let key = self.obs.key(conn, op_id);
-        self.obs
-            .spans
-            .op_issued(key, span_kind, created_ns, now_ns, nfrags as u32, bytes);
         self.pump_send(conn, false, host);
         self.ensure_rto(conn);
         self.flush(host);
@@ -853,10 +799,18 @@ impl<T> ProtoCore<T> {
     // Receive path
     // ------------------------------------------------------------------
 
-    /// A frame arrived on `rail`. Frames no legitimate peer sends are
-    /// dropped here, before they touch connection state, and counted in
+    /// A frame, which reached the node's NIC at `arrived_ns`, is processed
+    /// from `rail`. Frames no legitimate peer sends are dropped here, before
+    /// they touch connection state, and counted in
     /// [`ProtoCore::rx_rejected`].
-    pub fn on_frame<H: Host<T>>(&mut self, rail: usize, f: Frame, now_ns: u64, host: &mut H) {
+    pub fn on_frame<H: Host<T>>(
+        &mut self,
+        rail: usize,
+        f: Frame,
+        arrived_ns: u64,
+        now_ns: u64,
+        host: &mut H,
+    ) {
         let conn = f.header.conn as usize;
         let req_len = match f.header.kind {
             FrameKind::ReadRequest => read_request_len(&f.payload),
@@ -886,7 +840,7 @@ impl<T> ProtoCore<T> {
                 self.process_nack(conn, &f, rail as u32, host);
             }
             FrameKind::Data | FrameKind::ReadResponse | FrameKind::ReadRequest => {
-                self.process_data(conn, f, rail as u32, req_len, host);
+                self.process_data(conn, f, rail as u32, req_len, arrived_ns, host);
             }
             FrameKind::Connect | FrameKind::ConnectAck => {
                 // Setup is collapsed into `connect` on both drivers.
@@ -950,7 +904,8 @@ impl<T> ProtoCore<T> {
             .is_some_and(|(last, _, _)| *last < ack)
         {
             let (_, op, token) = c.pending_write_ops.pop_front().expect("checked front");
-            self.obs.spans.ack_rx(self.obs.key(conn, op), now_ns);
+            self.obs
+                .emit(now_ns, Some(conn), None, EventKind::OpDone { op });
             self.effects.push(Effect::OpDone {
                 conn,
                 op,
@@ -1029,10 +984,11 @@ impl<T> ProtoCore<T> {
         f: Frame,
         rail: u32,
         req_len: u64,
+        arrived_ns: u64,
         host: &mut H,
     ) {
         let (now, now_ns) = (self.now, self.now_ns());
-        let node = self.obs.node;
+        let observed = self.obs.observed();
         let bytes = match f.header.kind {
             FrameKind::ReadRequest => 0,
             _ => f.payload.len() as u64,
@@ -1054,23 +1010,22 @@ impl<T> ProtoCore<T> {
             s.data_bytes_recv += bytes;
             s.ooo_arrivals += u64::from(!in_order);
         });
-        let event = EventKind::FrameRecv { seq, in_order };
-        self.obs.emit(now_ns, Some(conn), Some(rail), event);
-        if self.obs.spans.is_enabled() {
-            // Reorder admission; a write's last fragment also joins the
-            // cumulative-ack waiter queue.
-            if let Some((key, leg, true)) = self.span_of(conn, &f, false) {
-                self.obs.spans.frame_admitted(key, leg, now_ns);
-                if f.header.kind == FrameKind::Data {
-                    self.obs.spans.await_cum(node, conn, seq, key);
-                }
-            }
+        if observed {
+            let (op, resp, critical) = frame_op(&f.header);
             let cum = self.conns[conn].seqs.cumulative();
-            self.obs.spans.cum_advanced(node, conn, cum, now_ns);
+            let event = EventKind::FrameRecv {
+                seq,
+                in_order,
+                op,
+                resp,
+                critical,
+                cum,
+                arrived_ns,
+            };
+            self.obs.emit(now_ns, Some(conn), Some(rail), event);
         }
 
         // Reconstruct op-level fields and run the fence machinery.
-        let observed = self.obs.observed();
         let c = &mut self.conns[conn];
         let op_id = from_wire(c.order.applied_below(), f.header.op_id);
         let meta = FragMeta {
@@ -1100,13 +1055,22 @@ impl<T> ProtoCore<T> {
         // The fragment was held back iff the buffer count grew.
         if observed && c.order.buffered() > buffered_before {
             c.fence_stall_start.entry(op_id).or_insert(now);
-            let event = EventKind::FenceStall { op: op_id };
+            let (origin_op, _) = origin_op(&c.op_meta, op_id);
+            let event = EventKind::FenceStall { op: origin_op };
             self.obs.emit(now_ns, Some(conn), None, event);
         }
         if observed {
             for (m, _) in &release.apply {
-                if let Some(start) = self.conns[conn].fence_stall_start.remove(&m.op_id) {
-                    self.fence_released(conn, m.op_id, now.since(start).as_nanos());
+                let c = &mut self.conns[conn];
+                if let Some(start) = c.fence_stall_start.remove(&m.op_id) {
+                    let stalled_ns = now.since(start).as_nanos();
+                    let (op, resp) = origin_op(&c.op_meta, m.op_id);
+                    let event = EventKind::FenceRelease {
+                        op,
+                        stalled_ns,
+                        resp,
+                    };
+                    self.obs.emit(now_ns, Some(conn), None, event);
                 }
             }
         }
@@ -1126,23 +1090,15 @@ impl<T> ProtoCore<T> {
                 continue;
             };
             match mi.kind {
-                FrameKind::Data => {
-                    let origin = self.peer_key(conn, op);
-                    self.obs.spans.delivered(origin, now_ns, 0);
-                    if mi.notify {
-                        notifs.push(Notification {
-                            from_node: self.conns[conn].peer_node,
-                            addr: mi.start_addr,
-                            len: mi.total as usize,
-                        });
-                    }
-                }
+                FrameKind::Data if mi.notify => notifs.push(Notification {
+                    from_node: self.conns[conn].peer_node,
+                    addr: mi.start_addr,
+                    len: mi.total as usize,
+                }),
                 FrameKind::ReadRequest => serves.push((mi.start_addr, mi.aux, mi.req_len, op)),
                 FrameKind::ReadResponse => {
                     let read_id = mi.aux;
                     if let Some(token) = self.conns[conn].pending_reads.remove(&read_id) {
-                        let key = self.obs.key(conn, read_id);
-                        self.obs.spans.resp_released(key, now_ns);
                         reads_done.push((read_id, token));
                     }
                 }
@@ -1173,6 +1129,8 @@ impl<T> ProtoCore<T> {
             self.effects.push(Effect::Notify(n));
         }
         for (op, token) in reads_done.drain(..) {
+            self.obs
+                .emit(now_ns, Some(conn), None, EventKind::OpDone { op });
             self.effects.push(Effect::OpDone {
                 conn,
                 op,
@@ -1195,28 +1153,6 @@ impl<T> ProtoCore<T> {
         }
     }
 
-    /// A fence released receive op `op` after `stalled_ns`: trace it and
-    /// attribute the stall to the right span leg — a held write delivery is
-    /// informational (acking is not blocked), a held read request delays
-    /// the serve, a held read response delays the initiator's release.
-    fn fence_released(&self, conn: usize, op: u64, stalled_ns: u64) {
-        let (obs, now_ns) = (&self.obs, self.now_ns());
-        obs.tracer.fence_stall(conn as u32, stalled_ns);
-        if let Some(mi) = self.conns[conn].op_meta.get(&op) {
-            let origin = self.peer_key(conn, op);
-            match mi.kind {
-                FrameKind::Data => obs.spans.delivered(origin, now_ns, stalled_ns),
-                FrameKind::ReadRequest => obs.spans.fence_req(origin, stalled_ns),
-                FrameKind::ReadResponse => {
-                    obs.spans.fence_resp(obs.key(conn, mi.aux), stalled_ns);
-                }
-                _ => {}
-            }
-        }
-        let event = EventKind::FenceRelease { op, stalled_ns };
-        obs.emit(now_ns, Some(conn), None, event);
-    }
-
     /// Target-side service of a remote read: build and send the response op.
     fn serve_read<H: Host<T>>(
         &mut self,
@@ -1228,8 +1164,8 @@ impl<T> ProtoCore<T> {
         host: &mut H,
     ) {
         let data = self.memory.read_bytes(read_addr, len);
-        let origin = self.peer_key(conn, initiator_op);
-        self.obs.spans.serve_started(origin, self.now_ns());
+        let event = EventKind::ReadServe { op: initiator_op };
+        self.obs.emit(self.now_ns(), Some(conn), None, event);
         let (kind, flags) = (FrameKind::ReadResponse, OpFlags::RELAXED);
         let (_, nfrags, _) = self.queue_op(conn, kind, flags, resp_buf, initiator_op, data, host);
         let frags = nfrags as u64;
@@ -1325,7 +1261,6 @@ impl<T> ProtoCore<T> {
             }
         };
         obs.emit(now_ns, Some(conn), Some(rail as u32), event);
-        obs.spans.ack_sent(obs.node, conn, cum, now_ns);
         host.work(HostWork::CtrlFrame);
         effects.push(Effect::Send { rail, frame });
     }
@@ -1497,63 +1432,44 @@ impl<T> ProtoCore<T> {
         slot.retransmitted |= retransmit;
         f.src = MacAddr::new(node as u16, rail as u8);
         f.dst = MacAddr::new(c.peer_node as u16, rail as u8);
-        let obs = &self.obs;
-        let rail32 = rail as u32;
-        let event = EventKind::FrameSend { seq, retransmit };
-        obs.emit(now_ns, Some(conn), Some(rail32), event);
-        if obs.spans.is_enabled() {
+        if self.obs.observed() {
             // The frame joins the rail's transmit backlog behind whatever
             // is already queued: that backlog is the RailQueue phase.
-            let queue_ns = host.tx_backlog_ns(rail);
-            if let Some((key, leg, crit)) = self.span_of(conn, &f, true) {
-                obs.spans
-                    .frame_tx(key, leg, crit, retransmit, rail32, queue_ns, now_ns);
-            }
-            // Every data-bearing frame piggybacks the cumulative ack.
-            obs.spans.ack_sent(node, conn, cum, now_ns);
+            let backlog_ns = host.tx_backlog_ns(rail);
+            let (op, resp, critical) = frame_op(&f.header);
+            let event = EventKind::FrameSend {
+                seq,
+                retransmit,
+                op,
+                resp,
+                critical,
+                backlog_ns,
+            };
+            self.obs.emit(now_ns, Some(conn), Some(rail as u32), event);
         }
         self.effects.push(Effect::Send { rail, frame: f });
     }
+}
 
-    // ------------------------------------------------------------------
-    // Span stamping
-    // ------------------------------------------------------------------
-
-    /// The span a data-bearing frame on `conn` belongs to, the leg of it
-    /// the frame travels on, and whether the frame is span-critical (the
-    /// last fragment of a write or read response, or a read request).
-    /// `sending` tells which side of the connection this node is for `f`.
-    /// Spans are keyed by the *origin* of the op, which every header
-    /// identifies without any lookup table: the sender of a request-leg
-    /// frame, the receiver of a response-leg one.
-    fn span_of(&self, conn: usize, f: &Frame, sending: bool) -> Option<(SpanKey, Leg, bool)> {
-        let last = f.header.flags.contains(FrameFlags::LAST_FRAGMENT);
-        let (leg, op, critical) = match f.header.kind {
-            FrameKind::Data => (Leg::Req, f.header.op_id, last),
-            FrameKind::ReadRequest => (Leg::Req, f.header.op_id, true),
-            FrameKind::ReadResponse => (Leg::Resp, to_wire(f.header.aux), last),
-            _ => return None,
-        };
-        let key = if (leg == Leg::Req) == sending {
-            self.obs.key(conn, u64::from(op))
-        } else {
-            self.peer_key(conn, u64::from(op))
-        };
-        Some((key, leg, critical))
+/// The op a data-bearing frame belongs to, by the 32-bit wire id its origin
+/// gave it (a read response names the read it answers in `aux`), whether
+/// it travels the op's response leg, and whether it can complete its leg:
+/// a write's or a response's last fragment, or a read request.
+fn frame_op(h: &FrameHeader) -> (u32, bool, bool) {
+    let last = h.flags.contains(FrameFlags::LAST_FRAGMENT);
+    match h.kind {
+        FrameKind::ReadResponse => (to_wire(h.aux), true, last),
+        FrameKind::ReadRequest => (h.op_id, false, true),
+        _ => (h.op_id, false, last),
     }
+}
 
-    /// Stamp the physical-arrival milestone of `f`. Drivers call this at
-    /// the instant the frame reached the node — which may be well before
-    /// [`ProtoCore::on_frame`] gets to process it (interrupt moderation, a
-    /// late poll), and that delay is what the attribution shows.
-    pub fn span_arrival(&self, f: &Frame, at_ns: u64) {
-        let conn = f.header.conn as usize;
-        if !self.obs.spans.is_enabled() || conn >= self.conns.len() {
-            return;
-        }
-        if let Some((key, leg, true)) = self.span_of(conn, f, false) {
-            self.obs.spans.frame_arrival(key, leg, at_ns);
-        }
+/// Receive op `op` by its origin's id, and whether it is a read response
+/// (whose origin is the read it answers).
+fn origin_op(meta: &FastMap<u64, OpMetaInfo>, op: u64) -> (u64, bool) {
+    match meta.get(&op) {
+        Some(mi) if mi.kind == FrameKind::ReadResponse => (mi.aux, true),
+        _ => (op, false),
     }
 }
 

@@ -463,15 +463,6 @@ impl Network {
         inner.flight.record(e);
     }
 
-    /// Whether `nic`'s link is administratively up (its transmit leg).
-    pub fn link_is_up(&self, nic: NicId) -> bool {
-        let inner = self.inner.borrow();
-        match inner.nics[nic.0].tx_channel {
-            Some(ch) => inner.channels[ch.0].link_up,
-            None => false,
-        }
-    }
-
     /// Serialize `f` onto channel `ch`; `completion_nic` receives the
     /// tx-complete callback, `pre_corrupt` marks a frame an earlier hop
     /// already damaged. One borrow decides the frame's entire fate on this

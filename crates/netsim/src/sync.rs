@@ -313,16 +313,6 @@ impl<T> Channel<T> {
         }
     }
 
-    /// Has the channel been closed?
-    pub fn is_closed(&self) -> bool {
-        self.st.borrow().closed
-    }
-
-    /// Pop without waiting.
-    pub fn try_pop(&self) -> Option<T> {
-        self.st.borrow_mut().queue.pop_front()
-    }
-
     /// Number of queued items.
     pub fn len(&self) -> usize {
         self.st.borrow().queue.len()

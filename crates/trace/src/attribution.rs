@@ -425,26 +425,21 @@ impl Attribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{Leg, SpanKey, SpanRecorder};
-
-    fn k(op: u32) -> SpanKey {
-        SpanKey::new(0, 0, op)
-    }
+    use crate::span::{Feed, SpanRecorder};
 
     #[test]
     fn write_breakdown_telescopes_exactly() {
         let r = SpanRecorder::enabled(4);
-        let key = k(0);
-        r.op_issued(key, SpanKind::Write, 100, 180, 1, 4096);
-        r.frame_tx(key, Leg::Req, true, false, 0, 40, 250);
-        r.frame_tx(key, Leg::Req, true, true, 1, 10, 900);
-        r.frame_arrival(key, Leg::Req, 1400);
-        r.frame_admitted(key, Leg::Req, 1450);
-        r.await_cum(1, 0, 0, key);
-        r.cum_advanced(1, 0, 1, 1500);
-        r.ack_sent(1, 0, 1, 1600);
-        r.ack_rx(key, 2100);
-        r.op_completed(key, 2200);
+        let f = Feed::new(&r, 0);
+        f.issue(0, false, 100, 180, 4096);
+        f.send(0, 0, true, false, 0, 40, 250);
+        f.send(0, 0, true, true, 1, 10, 900);
+        // The last fragment (seq 1) admits ahead of seq 0.
+        f.recv(1, 1, 0, true, 0, 1400, 1450);
+        f.recv(1, 0, 0, false, 2, 1480, 1500);
+        f.ack(1, 2, 1600);
+        f.done(0, 2100);
+        f.complete(0, 2200);
         let b = PhaseBreakdown::from_span(&r.snapshot().unwrap().spans[0]);
         assert_eq!(b.latency_ns, 2100);
         assert_eq!(b.phases.iter().sum::<u64>(), b.latency_ns);
@@ -465,19 +460,17 @@ mod tests {
     #[test]
     fn read_breakdown_with_fences_telescopes_exactly() {
         let r = SpanRecorder::enabled(4);
-        let key = k(1);
-        r.op_issued(key, SpanKind::Read, 0, 50, 1, 8192);
-        r.frame_tx(key, Leg::Req, true, false, 0, 0, 60);
-        r.frame_arrival(key, Leg::Req, 500);
-        r.frame_admitted(key, Leg::Req, 520);
-        r.fence_req(key, 30); // request held 30ns of an 80ns hold by a fence
-        r.serve_started(key, 600);
-        r.frame_tx(key, Leg::Resp, true, false, 1, 20, 650);
-        r.frame_arrival(key, Leg::Resp, 1200);
-        r.frame_admitted(key, Leg::Resp, 1230);
-        r.fence_resp(key, 1000); // claims more than the hold: clamped
-        r.resp_released(key, 1300);
-        r.op_completed(key, 1400);
+        let f = Feed::new(&r, 0);
+        f.issue(1, true, 0, 50, 8192);
+        f.send(0, 1, true, false, 0, 0, 60);
+        f.recv(1, 0, 1, true, 1, 500, 520);
+        f.fence(false, 1, 30, 600); // request held 30ns of an 80ns hold by a fence
+        f.serve(1, 600);
+        f.send(1, 1, true, false, 1, 20, 650);
+        f.recv(0, 0, 1, true, 1, 1200, 1230);
+        f.fence(true, 1, 1000, 1300); // claims more than the hold: clamped
+        f.done(1, 1300);
+        f.complete(1, 1400);
         let b = PhaseBreakdown::from_span(&r.snapshot().unwrap().spans[0]);
         assert_eq!(b.latency_ns, 1400);
         assert_eq!(b.phases.iter().sum::<u64>(), b.latency_ns);
@@ -498,9 +491,9 @@ mod tests {
         // A span that never made it past issue (e.g. snapshotted after a
         // forced completion) must still attribute exactly.
         let r = SpanRecorder::enabled(4);
-        let key = k(2);
-        r.op_issued(key, SpanKind::Write, 10, 25, 1, 64);
-        r.op_completed(key, 500);
+        let f = Feed::new(&r, 0);
+        f.issue(2, false, 10, 25, 64);
+        f.complete(2, 500);
         let b = PhaseBreakdown::from_span(&r.snapshot().unwrap().spans[0]);
         assert_eq!(b.latency_ns, 490);
         assert_eq!(b.phases.iter().sum::<u64>(), 490);
@@ -512,8 +505,9 @@ mod tests {
     fn rollup_merge_matches_sequential_adds() {
         let mk = |lat: u64| {
             let r = SpanRecorder::enabled(2);
-            r.op_issued(k(0), SpanKind::Write, 0, 0, 1, 10);
-            r.op_completed(k(0), lat);
+            let f = Feed::new(&r, 0);
+            f.issue(0, false, 0, 0, 10);
+            f.complete(0, lat);
             PhaseBreakdown::from_span(&r.snapshot().unwrap().spans[0])
         };
         let (a, b) = (mk(100), mk(300));
@@ -535,12 +529,11 @@ mod tests {
     #[test]
     fn rollup_json_round_trip_is_exact() {
         let r = SpanRecorder::enabled(4);
-        let key = k(0);
-        r.op_issued(key, SpanKind::Write, 100, 180, 1, 4096);
-        r.frame_tx(key, Leg::Req, true, false, 0, 40, 250);
-        r.frame_arrival(key, Leg::Req, 1400);
-        r.frame_admitted(key, Leg::Req, 1450);
-        r.op_completed(key, 2200);
+        let f = Feed::new(&r, 0);
+        f.issue(0, false, 100, 180, 4096);
+        f.send(0, 0, true, false, 0, 40, 250);
+        f.recv(1, 0, 0, true, 1, 1400, 1450);
+        f.complete(0, 2200);
         let mut roll = PhaseRollup::default();
         roll.add(&PhaseBreakdown::from_span(&r.snapshot().unwrap().spans[0]));
         let text = roll.to_json().render_pretty();
@@ -567,12 +560,11 @@ mod tests {
     fn attribution_merge_matches_joint_analysis() {
         let mk = |op: u32, lat: u64, rail: u32| {
             let r = SpanRecorder::enabled(4);
-            let key = SpanKey::new(0, op as usize % 2, op);
-            r.op_issued(key, SpanKind::Write, 0, 10, 1, 100);
-            r.frame_tx(key, Leg::Req, true, false, rail, 5, 20);
-            r.frame_arrival(key, Leg::Req, lat / 2);
-            r.frame_admitted(key, Leg::Req, lat / 2 + 10);
-            r.op_completed(key, lat);
+            let f = Feed::new(&r, op % 2);
+            f.issue(op, false, 0, 10, 100);
+            f.send(0, op, true, false, rail, 5, 20);
+            f.recv(1, 0, op, true, 1, lat / 2, lat / 2 + 10);
+            f.complete(op, lat);
             r.snapshot().unwrap()
         };
         let (s1, s2) = (mk(0, 1_000, 0), mk(1, 3_000, 1));
@@ -592,13 +584,12 @@ mod tests {
     #[test]
     fn analyze_groups_by_conn_and_rail() {
         let r = SpanRecorder::enabled(8);
-        for (conn, rail) in [(0usize, 0u32), (1, 1)] {
-            let key = SpanKey::new(0, conn, 7);
-            r.op_issued(key, SpanKind::Write, 0, 10, 1, 100);
-            r.frame_tx(key, Leg::Req, true, false, rail, 5, 20);
-            r.frame_arrival(key, Leg::Req, 200);
-            r.frame_admitted(key, Leg::Req, 210);
-            r.op_completed(key, 400);
+        for (conn, rail) in [(0, 0), (1, 1)] {
+            let f = Feed::new(&r, conn);
+            f.issue(7, false, 0, 10, 100);
+            f.send(0, 7, true, false, rail, 5, 20);
+            f.recv(1, 0, 7, true, 1, 200, 210);
+            f.complete(7, 400);
         }
         let attr = analyze(&r.snapshot().unwrap());
         assert_eq!(attr.overall.ops, 2);

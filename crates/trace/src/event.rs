@@ -9,34 +9,81 @@ use crate::json::Json;
 /// trigger post-mortems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
+    /// The connection this event names was set up toward `peer_conn` on
+    /// `peer_node`: the key that ties a receive-side event to the op's
+    /// origin.
+    Connect {
+        /// Node at the other end.
+        peer_node: u32,
+        /// The other end's id for this connection.
+        peer_conn: u32,
+    },
     /// An RDMA operation (write/read) was issued by the application.
     OpIssue {
         /// Operation id (per-connection, monotonically increasing).
         op: u64,
         /// Bytes written, or requested by a read.
         bytes: u64,
+        /// When the application asked (before the initiation cost), ns.
+        created_ns: u64,
+        /// A remote read (else a remote write).
+        read: bool,
+    },
+    /// The protocol finished with an operation: a write's covering ack
+    /// arrived, or a read's response data was applied. The application
+    /// learns of it later ([`EventKind::OpComplete`]).
+    OpDone {
+        /// Operation id.
+        op: u64,
     },
     /// The application learned an operation completed.
     OpComplete {
         /// Operation id.
         op: u64,
-        /// Issue → completion latency in ns (0 when the driver has none).
+        /// Issue → completion latency in ns.
         latency_ns: u64,
     },
-    /// A data or read-request frame was handed to a NIC.
+    /// A data-bearing frame (data, read request or read response) was
+    /// handed to a NIC.
     FrameSend {
         /// Connection-local sequence number.
         seq: u64,
         /// True when this is a NACK- or RTO-driven retransmission.
         retransmit: bool,
+        /// The frame's op, by the 32-bit wire id its origin gave it (a read
+        /// response carries the read it answers).
+        op: u32,
+        /// The frame travels the op's response leg (a read response); its
+        /// origin is then the receiving end.
+        resp: bool,
+        /// The frame can complete its leg: a write's or a response's last
+        /// fragment, or a read request.
+        critical: bool,
+        /// The rail's transmit backlog ahead of the frame, ns.
+        backlog_ns: u64,
     },
-    /// A data frame was accepted by the receive path.
+    /// A data-bearing frame was admitted by the receive path.
     FrameRecv {
         /// Connection-local sequence number.
         seq: u64,
         /// False when the frame arrived ahead of the expected sequence
         /// (an out-of-order arrival in the paper's §4 sense).
         in_order: bool,
+        /// As [`EventKind::FrameSend`].
+        op: u32,
+        /// As [`EventKind::FrameSend`].
+        resp: bool,
+        /// As [`EventKind::FrameSend`].
+        critical: bool,
+        /// The receive cumulative sequence after the admission.
+        cum: u64,
+        /// When this copy of the frame reached the node's NIC, ns.
+        arrived_ns: u64,
+    },
+    /// The target began serving a remote read.
+    ReadServe {
+        /// The read's id on its initiator.
+        op: u64,
     },
     /// A piggybacked cumulative ACK advanced the sender's window.
     AckPiggyback {
@@ -67,15 +114,18 @@ pub enum EventKind {
     },
     /// A fragment could not be applied because a fence held it back.
     FenceStall {
-        /// Operation id of the held fragment.
+        /// The held op, by its origin's id (a read response: the read it
+        /// answers).
         op: u64,
     },
     /// A previously stalled operation became applicable.
     FenceRelease {
-        /// Operation id released.
+        /// The released op, as [`EventKind::FenceStall`].
         op: u64,
         /// How long it was held in the reorder buffer, in ns.
         stalled_ns: u64,
+        /// The fence held the op's response leg (a read response).
+        resp: bool,
     },
     /// An RX interrupt fired (after NIC moderation) and served a batch.
     RxInterrupt {
@@ -169,17 +219,17 @@ impl FaultKind {
     }
 }
 
-/// A named payload field.
-type Field = Option<(&'static str, Json)>;
-
 impl EventKind {
     /// Short stable label for reports and JSON (`frame_send`, `rto_fire`, …).
     pub fn label(&self) -> &'static str {
         match self {
+            EventKind::Connect { .. } => "connect",
             EventKind::OpIssue { .. } => "op_issue",
+            EventKind::OpDone { .. } => "op_done",
             EventKind::OpComplete { .. } => "op_complete",
             EventKind::FrameSend { .. } => "frame_send",
             EventKind::FrameRecv { .. } => "frame_recv",
+            EventKind::ReadServe { .. } => "read_serve",
             EventKind::AckPiggyback { .. } => "ack_piggyback",
             EventKind::ExplicitAck { .. } => "explicit_ack",
             EventKind::NackSend { .. } => "nack_send",
@@ -202,41 +252,104 @@ impl EventKind {
         }
     }
 
-    /// The payload's named fields, in declaration order (at most two).
-    /// Every renderer reads this one list.
-    fn fields(&self) -> impl Iterator<Item = (&'static str, Json)> {
+    /// The payload's named fields, in declaration order. Every renderer
+    /// reads this one list.
+    fn fields(&self) -> Vec<(&'static str, Json)> {
         use EventKind::*;
-        let num = |name, v: u64| Some((name, Json::from(v)));
-        let flag = |name, v: bool| Some((name, Json::from(v)));
-        let label = |name, v: &str| Some((name, Json::from(v)));
-        let f: [Field; 2] = match *self {
-            OpIssue { op, bytes } => [num("op", op), num("bytes", bytes)],
-            OpComplete { op, latency_ns } => [num("op", op), num("latency_ns", latency_ns)],
-            FrameSend { seq, retransmit } => [num("seq", seq), flag("retransmit", retransmit)],
-            FrameRecv { seq, in_order } => [num("seq", seq), flag("in_order", in_order)],
-            AckPiggyback { ack } | ExplicitAck { ack } => [num("ack", ack), None],
-            NackSend { cum, gaps } => [num("cum", cum), num("gaps", gaps.into())],
-            NackRecv { gaps } => [num("gaps", gaps.into()), None],
-            RtoFire { seq } => [num("seq", seq), None],
-            FenceStall { op } => [num("op", op), None],
-            FenceRelease { op, stalled_ns } => [num("op", op), num("stalled_ns", stalled_ns)],
-            RxInterrupt { batch } | RxPoll { batch } => [num("batch", batch.into()), None],
+        let num = |name, v: u64| (name, Json::from(v));
+        let flag = |name, v: bool| (name, Json::from(v));
+        let label = |name, v: &str| (name, Json::from(v));
+        match *self {
+            Connect {
+                peer_node,
+                peer_conn,
+            } => {
+                vec![
+                    num("peer_node", peer_node.into()),
+                    num("peer_conn", peer_conn.into()),
+                ]
+            }
+            OpIssue {
+                op,
+                bytes,
+                created_ns,
+                read,
+            } => {
+                let created = num("created_ns", created_ns);
+                vec![
+                    num("op", op),
+                    num("bytes", bytes),
+                    created,
+                    flag("read", read),
+                ]
+            }
+            OpDone { op } | ReadServe { op } | FenceStall { op } => vec![num("op", op)],
+            OpComplete { op, latency_ns } => vec![num("op", op), num("latency_ns", latency_ns)],
+            FrameSend {
+                seq,
+                retransmit,
+                op,
+                resp,
+                critical,
+                backlog_ns,
+            } => vec![
+                num("seq", seq),
+                flag("retransmit", retransmit),
+                num("op", op.into()),
+                flag("resp", resp),
+                flag("critical", critical),
+                num("backlog_ns", backlog_ns),
+            ],
+            FrameRecv {
+                seq,
+                in_order,
+                op,
+                resp,
+                critical,
+                cum,
+                arrived_ns,
+            } => vec![
+                num("seq", seq),
+                flag("in_order", in_order),
+                num("op", op.into()),
+                flag("resp", resp),
+                flag("critical", critical),
+                num("cum", cum),
+                num("arrived_ns", arrived_ns),
+            ],
+            AckPiggyback { ack } | ExplicitAck { ack } => vec![num("ack", ack)],
+            NackSend { cum, gaps } => vec![num("cum", cum), num("gaps", gaps.into())],
+            NackRecv { gaps } => vec![num("gaps", gaps.into())],
+            RtoFire { seq } => vec![num("seq", seq)],
+            FenceRelease {
+                op,
+                stalled_ns,
+                resp,
+            } => {
+                vec![
+                    num("op", op),
+                    num("stalled_ns", stalled_ns),
+                    flag("resp", resp),
+                ]
+            }
+            RxInterrupt { batch } | RxPoll { batch } => vec![num("batch", batch.into())],
             FrameDrop { channel, seq } | FrameCorrupt { channel, seq } => {
-                [num("channel", channel.into()), num("seq", seq.into())]
+                vec![num("channel", channel.into()), num("seq", seq.into())]
             }
-            FaultInjected { fault } => [label("fault", fault.label()), None],
+            FaultInjected { fault } => vec![label("fault", fault.label())],
             RtoBackoff { rto_ns, backoff } => {
-                [num("rto_ns", rto_ns), num("backoff", backoff.into())]
+                vec![num("rto_ns", rto_ns), num("backoff", backoff.into())]
             }
-            Watchdog { error, idle_ns } => [num("error", error), num("idle_ns", idle_ns)],
-            Anomaly { cause, open } => [label("cause", cause.label()), num("open", open.into())],
-            TxInterrupt | TxPoll | RailDown | RailUp => [None, None],
-        };
-        f.into_iter().flatten()
+            Watchdog { error, idle_ns } => vec![num("error", error), num("idle_ns", idle_ns)],
+            Anomaly { cause, open } => {
+                vec![label("cause", cause.label()), num("open", open.into())]
+            }
+            TxInterrupt | TxPoll | RailDown | RailUp => Vec::new(),
+        }
     }
 }
 
-/// A timestamped, attributed protocol event. `Copy` and at most 56 bytes:
+/// A timestamped, attributed protocol event. `Copy` and at most 64 bytes:
 /// recording one is a store into a preallocated ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
@@ -252,7 +365,7 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-const _: () = assert!(std::mem::size_of::<Event>() <= 56);
+const _: () = assert!(std::mem::size_of::<Event>() <= 64);
 
 impl Event {
     /// One-line human rendering used by the timeline reporter.

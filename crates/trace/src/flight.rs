@@ -3,7 +3,7 @@
 //!
 //! The full [`crate::Tracer`] keeps one ring per endpoint plus histograms and
 //! is meant for benches; the flight recorder is its production-grade
-//! sibling, one ring per cluster. Recording an event is one 56-byte store
+//! sibling, one ring per cluster. Recording an event is one 64-byte store
 //! into a ring of [`RING_EVENTS`] preallocated at enable time — nothing on
 //! the clean path allocates, so the recorder can stay enabled in
 //! production-style runs (the datapath bench gates 0 allocs/frame). The
@@ -22,12 +22,15 @@ use crate::span::SpanRecorder;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Events the ring retains (preallocated; ~224 KiB).
+/// Events the ring retains (preallocated; 256 KiB).
 pub const RING_EVENTS: usize = 4096;
+
+/// Dumps retained; further triggers are counted but suppressed.
+pub const MAX_DUMPS: usize = 8;
 
 /// Flight recorder knobs. The defaults suit production-style runs: dumps on
 /// the third RTO backoff, rail death, a fence stall past 10 ms, a watchdog
-/// trip or a health incident, at most 8 dumps retained.
+/// trip or a health incident.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightConfig {
     /// Dump when a connection's RTO backoff exponent reaches this value
@@ -38,15 +41,6 @@ pub struct FlightConfig {
     pub fence_stall_trigger_ns: u64,
     /// Dump when rail health declares a rail Dead.
     pub dump_on_rail_death: bool,
-    /// Retain at most this many dumps (further triggers are counted but
-    /// suppressed).
-    pub max_dumps: usize,
-    /// Suppress a dump whose trigger label matches the previous dump of
-    /// that label within this window (0 disables deduplication). Without
-    /// it a flapping rail can exhaust `max_dumps` on identical
-    /// post-mortems and mask a later *distinct* incident; suppressed
-    /// duplicates are counted per trigger ([`FlightRecorder::dedup_counts`]).
-    pub dedup_window_ns: u64,
     /// When set, each dump is also written to
     /// `<dump_dir>/flight_<idx>_<trigger>.json`.
     pub dump_dir: Option<String>,
@@ -58,8 +52,6 @@ impl Default for FlightConfig {
             rto_backoff_trigger: 3,
             fence_stall_trigger_ns: 10_000_000,
             dump_on_rail_death: true,
-            max_dumps: 8,
-            dedup_window_ns: 0,
             dump_dir: None,
         }
     }
@@ -113,10 +105,6 @@ struct FlightState {
     ring: EventRing,
     dumps: Vec<FlightDump>,
     dumps_suppressed: u64,
-    /// Per trigger label: time of the last *taken* dump (dedup anchor).
-    last_dump: Vec<(String, u64)>,
-    /// Per trigger label: duplicates suppressed by the dedup window.
-    dedup_suppressed: Vec<(String, u64)>,
     spans: SpanRecorder,
     context: Vec<ContextSource>,
 }
@@ -142,8 +130,6 @@ impl FlightRecorder {
                 ring: EventRing::new(RING_EVENTS),
                 dumps: Vec::new(),
                 dumps_suppressed: 0,
-                last_dump: Vec::new(),
-                dedup_suppressed: Vec::new(),
                 spans: SpanRecorder::disabled(),
                 context: Vec::new(),
             }))),
@@ -205,23 +191,7 @@ impl FlightRecorder {
         // and may re-enter this recorder while doing so.
         let (idx, mut doc, sources, dir) = {
             let mut s = state.borrow_mut();
-            if s.cfg.dedup_window_ns > 0 {
-                let dup = s
-                    .last_dump
-                    .iter()
-                    .find(|(l, _)| l == trigger)
-                    .is_some_and(|&(_, last)| t_ns.saturating_sub(last) < s.cfg.dedup_window_ns);
-                if dup {
-                    // Identical-trigger dump inside the window: count it
-                    // per trigger instead of burning the dump budget.
-                    match s.dedup_suppressed.iter_mut().find(|(l, _)| l == trigger) {
-                        Some(e) => e.1 += 1,
-                        None => s.dedup_suppressed.push((trigger.to_string(), 1)),
-                    }
-                    return None;
-                }
-            }
-            if s.dumps.len() >= s.cfg.max_dumps {
+            if s.dumps.len() >= MAX_DUMPS {
                 s.dumps_suppressed += 1;
                 return None;
             }
@@ -266,10 +236,6 @@ impl FlightRecorder {
             path,
             json: doc.clone(),
         });
-        match s.last_dump.iter_mut().find(|(l, _)| l == trigger) {
-            Some(e) => e.1 = t_ns,
-            None => s.last_dump.push((trigger.to_string(), t_ns)),
-        }
         Some(doc)
     }
 
@@ -278,15 +244,6 @@ impl FlightRecorder {
         self.inner
             .as_ref()
             .map(|s| s.borrow().dumps.clone())
-            .unwrap_or_default()
-    }
-
-    /// Per-trigger duplicate dumps suppressed by
-    /// [`FlightConfig::dedup_window_ns`] (label, count), first-seen order.
-    pub fn dedup_counts(&self) -> Vec<(String, u64)> {
-        self.inner
-            .as_ref()
-            .map(|s| s.borrow().dedup_suppressed.clone())
             .unwrap_or_default()
     }
 
@@ -334,6 +291,10 @@ mod tests {
         EventKind::FrameSend {
             seq,
             retransmit: false,
+            op: 0,
+            resp: false,
+            critical: false,
+            backlog_ns: 0,
         }
     }
 
@@ -392,49 +353,16 @@ mod tests {
 
     #[test]
     fn dumps_are_bounded_and_suppressed_after() {
-        let fr = FlightRecorder::enabled(FlightConfig {
-            max_dumps: 2,
-            ..FlightConfig::default()
-        });
-        assert!(fr.force_dump(1).is_some());
-        assert!(fr.force_dump(2).is_some());
-        assert!(fr.force_dump(3).is_none());
-        let (_, taken, suppressed) = fr.counters();
-        assert_eq!((taken, suppressed), (2, 1));
-    }
-
-    #[test]
-    fn dedup_window_suppresses_identical_triggers_only() {
-        let fr = FlightRecorder::enabled(FlightConfig {
-            dedup_window_ns: 1_000,
-            max_dumps: 8,
-            ..FlightConfig::default()
-        });
-        // A flapping rail: three deaths inside the window → one dump.
-        fr.record(rail_down(100, 0));
-        fr.record(rail_down(400, 0));
-        fr.record(rail_down(900, 1));
-        assert_eq!(fr.counters().1, 1);
-        // A *distinct* trigger inside the window still dumps: the window
-        // is per trigger label, so the flap cannot mask it.
-        fr.record(ev(
-            950,
-            EventKind::Watchdog {
-                error: 2,
-                idle_ns: 5_000,
-            },
-        ));
-        assert_eq!(fr.counters().1, 2);
-        // Past the window the same trigger dumps again.
-        fr.record(rail_down(1_200, 0));
-        assert_eq!(fr.counters().1, 3);
-        assert_eq!(
-            fr.dedup_counts(),
-            vec![("rail_death".to_string(), 2)],
-            "duplicates counted per trigger"
+        let fr = FlightRecorder::enabled(FlightConfig::default());
+        for t in 0..=MAX_DUMPS as u64 {
+            fr.record(rail_down(t, 0));
+        }
+        assert!(
+            fr.force_dump(100).is_none(),
+            "the budget holds for forced dumps too"
         );
-        let (_, _, budget_suppressed) = fr.counters();
-        assert_eq!(budget_suppressed, 0, "dedup does not burn the dump budget");
+        let (_, taken, suppressed) = fr.counters();
+        assert_eq!((taken, suppressed), (MAX_DUMPS, 2));
     }
 
     #[test]
@@ -516,11 +444,24 @@ mod tests {
     #[test]
     fn dump_round_trips_through_parser() {
         let fr = FlightRecorder::enabled(FlightConfig::default());
-        fr.record(ev(10, EventKind::OpIssue { op: 7, bytes: 4096 }));
+        let (op, bytes, created_ns, read) = (7, 4096, 0, false);
+        fr.record(ev(
+            10,
+            EventKind::OpIssue {
+                op,
+                bytes,
+                created_ns,
+                read,
+            },
+        ));
         let stalled_ns = 15_000_000;
         fr.record(ev(
             20_000_000,
-            EventKind::FenceRelease { op: 7, stalled_ns },
+            EventKind::FenceRelease {
+                op: 7,
+                stalled_ns,
+                resp: false,
+            },
         ));
         let dumps = fr.dumps();
         assert_eq!(dumps.len(), 1, "fence stall past bound must dump");

@@ -34,9 +34,11 @@
 //!
 //! 4. **Op spans** — [`SpanRecorder`] / [`OpSpan`]: every RDMA op owns a
 //!    milestone record keyed by its origin `(node, conn, wire op id)`,
-//!    stamped at issue, per-rail transmission, arrival, reorder admission,
-//!    ack emission/return, and completion, forming a small causal DAG per
-//!    op.
+//!    folded from the same events — issue, per-rail transmission, arrival,
+//!    reorder admission, ack emission/return, completion — forming a small
+//!    causal DAG per op. [`Observers::emit`] is the one emission point: it
+//!    hands each event to the tracer, the span recorder and the flight
+//!    recorder alike.
 //! 5. **Critical-path attribution** — [`attribution::analyze`] walks
 //!    completed spans and splits each op's end-to-end latency into
 //!    *exclusive* phases ([`attribution::Phase`]: fence stall, send-window
@@ -68,11 +70,12 @@
 //! use me_trace::{Event, EventKind, Tracer};
 //!
 //! let t = Tracer::enabled(1024);
-//! let kind = EventKind::FrameSend { seq: 0, retransmit: false };
-//! t.emit(Event { t_ns: 10, node: 0, conn: Some(0), rail: Some(1), kind });
-//! t.op_latency(0, 27_500);
+//! let kind = EventKind::OpIssue { op: 0, bytes: 64, created_ns: 0, read: false };
+//! t.emit(Event { t_ns: 10, node: 0, conn: Some(0), rail: None, kind });
+//! let kind = EventKind::OpComplete { op: 0, latency_ns: 27_500 };
+//! t.emit(Event { t_ns: 27_500, node: 0, conn: Some(0), rail: None, kind });
 //! let snap = t.snapshot().unwrap();
-//! assert_eq!(snap.events.len(), 1);
+//! assert_eq!(snap.events.len(), 2);
 //! assert_eq!(snap.op_latency[&0].count(), 1);
 //! ```
 //!
@@ -91,6 +94,7 @@ pub mod event;
 pub mod flight;
 pub mod hist;
 pub mod json;
+mod observers;
 pub mod report;
 pub mod ring;
 pub mod span;
@@ -107,8 +111,9 @@ pub use event::{Event, EventKind, FaultKind};
 pub use flight::{FlightConfig, FlightDump, FlightRecorder};
 pub use hist::LogHistogram;
 pub use json::{require_schema, Json, SCHEMA_VERSION};
+pub use observers::Observers;
 pub use ring::EventRing;
-pub use span::{Leg, OpSpan, SpanKey, SpanKind, SpanRecorder, SpanSnapshot};
+pub use span::{OpSpan, SpanKey, SpanKind, SpanRecorder, SpanSnapshot};
 pub use timeline::{
     imbalance, SourceId, SourceInfo, SourceKind, Timeline, TimelineBuilder, TimelineDoc,
     TIMELINE_KIND,

@@ -151,15 +151,39 @@ mod tests {
             rail,
             kind,
         };
-        t.emit(ev(5, None, EventKind::OpIssue { op: 1, bytes: 64 }));
+        let (op, bytes, created_ns, read) = (1, 64, 0, false);
+        t.emit(ev(
+            5,
+            None,
+            EventKind::OpIssue {
+                op,
+                bytes,
+                created_ns,
+                read,
+            },
+        ));
         let send = EventKind::FrameSend {
             seq: 7,
             retransmit: false,
+            op: 1,
+            resp: false,
+            critical: true,
+            backlog_ns: 0,
         };
         t.emit(ev(9, Some(2), send));
-        t.op_latency(0, 30_000);
         t.wire_time(2, 12_000);
-        t.fence_stall(0, 800);
+        let (stalled_ns, resp) = (800, false);
+        t.emit(ev(
+            20,
+            None,
+            EventKind::FenceRelease {
+                op,
+                stalled_ns,
+                resp,
+            },
+        ));
+        let latency_ns = 30_000;
+        t.emit(ev(30, None, EventKind::OpComplete { op, latency_ns }));
         let snap = t.snapshot().unwrap();
         let s = summary(&snap);
         assert!(s.contains("op_issue"), "{s}");
@@ -173,8 +197,10 @@ mod tests {
         let seq = sent.get("seq").and_then(|v| v.as_u64());
         assert_eq!(seq, Some(7), "payload reaches the JSON");
         assert_eq!(sent.get("rail").unwrap().as_u64(), Some(2));
+        assert_eq!(snap.op_latency[&0].sum(), 30_000, "folded from op_complete");
+        assert_eq!(snap.fence_stall[&0].sum(), 800, "folded from fence_release");
         let tl = timeline(&snap, 1);
-        assert!(tl.contains("frame_send"), "{tl}");
+        assert!(tl.contains("op_complete"), "{tl}");
         assert!(tl.contains("earlier events"), "{tl}");
     }
 }

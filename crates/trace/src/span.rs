@@ -1,25 +1,26 @@
-//! Causal operation spans: per-op milestone records threaded through the
-//! protocol.
+//! Causal operation spans: per-op milestone records folded from the event
+//! stream.
 //!
 //! The flat event ring answers "what happened when", but attributing one
 //! operation's end-to-end latency needs *causality*: which transmission of
 //! the op's critical frame mattered, when the receiver's cumulative sequence
 //! passed it, when the covering acknowledgement left and returned. A
-//! [`SpanRecorder`] collects exactly that: every RDMA op owns one
-//! [`OpSpan`] keyed by its **origin** (issuing node, issuing connection id,
-//! wire op id) — a key every endpoint on the path can recompute from frame
-//! headers alone, so no alias table is needed — and the protocol stamps
-//! monotone milestones into it as the op moves through issue, send window,
-//! per-rail transmission, the wire, receive reorder, acknowledgement and
-//! completion. Completed spans land in a bounded ring; the
-//! [`crate::attribution`] module turns them into exclusive phase
-//! breakdowns.
+//! [`SpanRecorder`] rebuilds exactly that from the [`Event`]s the nodes emit
+//! (it subscribes to [`crate::Observers::emit`] like the tracer and the
+//! flight recorder): every RDMA op owns one [`OpSpan`] keyed by its
+//! **origin** (issuing node, issuing connection id, wire op id). A frame
+//! event names its op by the origin's id and says which leg it travels, and
+//! each connection end's `Connect` names its peer, so a receive-side event
+//! finds the origin's span without an alias table. Completed spans land in
+//! a bounded ring; the [`crate::attribution`] module turns them into
+//! exclusive phase breakdowns.
 //!
 //! The recorder follows the [`crate::Tracer`] pattern: a disabled handle is
-//! a `None` and every record call is one branch; all enabled clones share
-//! one state, so a whole simulated cluster records into a single, causally
+//! a `None` and recording is one branch; all enabled clones share one
+//! state, so a whole simulated cluster folds into a single, causally
 //! consistent span set.
 
+use crate::event::{Event, EventKind};
 use crate::hist::LogHistogram;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -48,10 +49,7 @@ impl Hasher for SpanHasher {
 type SpanMap<V> = HashMap<u64, V, BuildHasherDefault<SpanHasher>>;
 
 /// The globally unique identity of an operation: the node and connection id
-/// where it was issued plus its 32-bit wire op id. Computable at every
-/// protocol site from frame headers (`op_id` for data/read-request frames,
-/// `aux` for read-response frames), which is what makes the span layer
-/// alias-free.
+/// where it was issued plus its 32-bit wire op id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanKey {
     /// Issuing node index.
@@ -107,15 +105,6 @@ impl SpanKind {
     }
 }
 
-/// Which leg of the op a frame belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Leg {
-    /// The origin→peer leg (write data frames, the read request).
-    Req,
-    /// The peer→origin leg (read response frames).
-    Resp,
-}
-
 /// One operation's milestone record. All times are simulation nanoseconds;
 /// `0` means "not stamped" (the attribution clamp treats an unstamped
 /// milestone as coincident with its predecessor, so a partially stamped
@@ -125,7 +114,7 @@ pub enum Leg {
 /// that leg: the `LAST_FRAGMENT` data frame, the read request, or the
 /// `LAST_FRAGMENT` read-response frame. Transmission milestones
 /// (`first_tx`/`last_tx`/queue/rail) track that frame only; retransmission
-/// and rail rollups cover every frame of the op.
+/// counts cover every frame of the op.
 #[derive(Debug, Clone, Copy)]
 pub struct OpSpan {
     /// Origin identity.
@@ -134,17 +123,11 @@ pub struct OpSpan {
     pub kind: SpanKind,
     /// Payload bytes moved by the op.
     pub bytes: u64,
-    /// Data frames the op fragments into (request frames for reads count 1).
-    pub frames: u32,
     /// Retransmitted frame transmissions attributed to this op (any leg).
     pub retransmits: u32,
-    /// Bitmask of rails any of this op's frames were transmitted on.
-    pub rails_used: u32,
     /// Rail that carried the last pre-admission transmission of the
     /// critical request-leg frame (`u32::MAX` = unknown).
     pub crit_rail: u32,
-    /// Same, response leg.
-    pub resp_rail: u32,
 
     /// Application called write/read (same instant the handle's latency
     /// clock starts, so span total == handle latency exactly).
@@ -157,7 +140,7 @@ pub struct OpSpan {
     pub last_tx: u64,
     /// NIC transmit backlog ahead of that last transmission, ns.
     pub tx_queue: u64,
-    /// That frame's delivery at the receiving NIC.
+    /// Arrival at the receiving NIC of the copy of that frame admitted.
     pub arrival: u64,
     /// Its admission by the receive path (sequence tracker).
     pub admit: u64,
@@ -190,24 +173,23 @@ pub struct OpSpan {
     /// Fence stall on the response leg (reads: response held at the
     /// initiator before applying).
     pub fence_resp_ns: u64,
-    /// Write-only, informational: when the receiver fully applied the data
-    /// (not on the sender-observed completion path, which ends at the ack).
-    pub delivered: u64,
-    /// Write-only, informational: receiver-side fence stall before apply.
-    pub recv_fence_ns: u64,
+}
+
+/// Set milestone `m` to `t` unless it is already stamped.
+fn stamp(m: &mut u64, t: u64) {
+    if *m == 0 {
+        *m = t;
+    }
 }
 
 impl OpSpan {
-    fn new(key: SpanKey, kind: SpanKind, created: u64, issue: u64, frames: u32, bytes: u64) -> Self {
+    fn new(key: SpanKey, kind: SpanKind, created: u64, issue: u64, bytes: u64) -> Self {
         OpSpan {
             key,
             kind,
             bytes,
-            frames,
             retransmits: 0,
-            rails_used: 0,
             crit_rail: u32::MAX,
-            resp_rail: u32::MAX,
             created,
             issue,
             first_tx: 0,
@@ -228,28 +210,69 @@ impl OpSpan {
             complete: 0,
             fence_req_ns: 0,
             fence_resp_ns: 0,
-            delivered: 0,
-            recv_fence_ns: 0,
+        }
+    }
+
+    /// One of the op's frames went to a NIC: a critical frame moves its
+    /// leg's transmission milestones until that leg is admitted.
+    fn sent(
+        &mut self,
+        resp: bool,
+        critical: bool,
+        retransmit: bool,
+        rail: u32,
+        queue: u64,
+        t: u64,
+    ) {
+        self.retransmits += u32::from(retransmit);
+        if !critical {
+            return;
+        }
+        if !resp && self.admit == 0 {
+            stamp(&mut self.first_tx, t);
+            self.last_tx = t;
+            self.tx_queue = queue;
+            self.crit_rail = rail;
+        } else if resp && self.resp_admit == 0 {
+            stamp(&mut self.resp_first_tx, t);
+            self.resp_last_tx = t;
+            self.resp_queue = queue;
+        }
+    }
+
+    /// The leg's critical frame, which reached the NIC at `arrived`, was
+    /// admitted at `t`.
+    fn admitted(&mut self, resp: bool, arrived: u64, t: u64) {
+        let (arrival, admit) = match resp {
+            false => (&mut self.arrival, &mut self.admit),
+            true => (&mut self.resp_arrival, &mut self.resp_admit),
+        };
+        if *admit == 0 {
+            *arrival = arrived;
+            *admit = t;
         }
     }
 }
 
-/// Per-(receiving node, receiving connection) queues of ops waiting for the
-/// cumulative sequence / an outgoing ack to pass their last frame.
+/// One connection end as the fold knows it.
 #[derive(Default)]
-struct RecvWaiters {
-    /// (last frame seq, span key): admitted last fragments waiting for the
-    /// cumulative sequence to pass them.
+struct End {
+    /// The other end's (node, conn), from this end's `Connect`.
+    peer: Option<(u32, u32)>,
+    /// The receive cumulative after the last admission here.
+    cum: u64,
+    /// (last frame seq, packed span key): admitted write ops waiting for
+    /// the cumulative sequence to pass their last frame.
     await_cum: VecDeque<(u64, u64)>,
-    /// Same, waiting for an outgoing acknowledgement to cover them.
+    /// Same, waiting for an outgoing acknowledgement to cover it.
     await_ack: VecDeque<(u64, u64)>,
 }
 
 struct SpanState {
     /// Spans in flight, keyed by packed [`SpanKey`].
     active: SpanMap<OpSpan>,
-    /// Receiver-side waiter queues, keyed by packed (node, conn).
-    waiters: SpanMap<RecvWaiters>,
+    /// Connection ends, keyed by packed (node, conn).
+    ends: SpanMap<End>,
     /// Completed spans, oldest first, bounded.
     done: VecDeque<OpSpan>,
     done_cap: usize,
@@ -269,24 +292,208 @@ struct SpanState {
 /// (counted) rather than growing memory without limit.
 const MAX_ACTIVE: usize = 1 << 16;
 
+fn end_key(node: u32, conn: u32) -> u64 {
+    (u64::from(node) << 16) | (u64::from(conn) & 0xFFFF)
+}
+
 impl SpanState {
-    fn rail(&mut self, rail: u32) -> usize {
+    fn end(&mut self, node: u32, conn: u32) -> &mut End {
+        self.ends.entry(end_key(node, conn)).or_default()
+    }
+
+    /// Packed key of op `op` seen from end `(node, conn)`: this end's own
+    /// when it is the origin, else its peer's.
+    fn origin(&self, node: u32, conn: u32, op: u32, local: bool) -> Option<u64> {
+        let (node, conn) = match local {
+            true => (node, conn),
+            false => self.ends.get(&end_key(node, conn))?.peer?,
+        };
+        Some(SpanKey::new(node as usize, conn as usize, op).pack())
+    }
+
+    /// The active span of op `op` seen from `(node, conn)`, if any.
+    fn span(&mut self, node: u32, conn: u32, op: u32, local: bool) -> Option<&mut OpSpan> {
+        let key = self.origin(node, conn, op, local)?;
+        self.active.get_mut(&key)
+    }
+
+    /// Fold one event into the spans it moves.
+    fn fold(&mut self, e: &Event) {
+        let (node, t) = (e.node, e.t_ns);
+        let Some(conn) = e.conn else { return };
+        match e.kind {
+            EventKind::Connect {
+                peer_node,
+                peer_conn,
+            } => self.end(node, conn).peer = Some((peer_node, peer_conn)),
+            EventKind::OpIssue {
+                op,
+                bytes,
+                created_ns,
+                read,
+            } => {
+                if self.active.len() >= MAX_ACTIVE {
+                    self.dropped_active += 1;
+                    return;
+                }
+                let key = SpanKey::new(node as usize, conn as usize, op as u32);
+                let kind = if read {
+                    SpanKind::Read
+                } else {
+                    SpanKind::Write
+                };
+                let span = OpSpan::new(key, kind, created_ns, t, bytes);
+                self.active.insert(key.pack(), span);
+            }
+            EventKind::FrameSend {
+                retransmit,
+                op,
+                resp,
+                critical,
+                backlog_ns,
+                ..
+            } => {
+                let rail = e.rail.unwrap_or(0);
+                self.rail_sent(rail, retransmit, backlog_ns);
+                if let Some(span) = self.span(node, conn, op, !resp) {
+                    span.sent(resp, critical, retransmit, rail, backlog_ns, t);
+                }
+                // Every data-bearing frame piggybacks the cumulative ack.
+                let cum = self.end(node, conn).cum;
+                self.ack_sent(node, conn, cum, t);
+            }
+            EventKind::FrameRecv {
+                seq,
+                op,
+                resp,
+                critical,
+                cum,
+                arrived_ns,
+                ..
+            } => {
+                if critical {
+                    if let Some(key) = self.origin(node, conn, op, resp) {
+                        let write = self.active.get_mut(&key).is_some_and(|span| {
+                            span.admitted(resp, arrived_ns, t);
+                            span.kind == SpanKind::Write
+                        });
+                        if write {
+                            self.end(node, conn).await_cum.push_back((seq, key));
+                        }
+                    }
+                }
+                self.end(node, conn).cum = cum;
+                self.cum_advanced(node, conn, t);
+            }
+            EventKind::ExplicitAck { ack } | EventKind::NackSend { cum: ack, .. } => {
+                self.ack_sent(node, conn, ack, t)
+            }
+            EventKind::ReadServe { op } => {
+                if let Some(span) = self.span(node, conn, op as u32, false) {
+                    stamp(&mut span.serve, t);
+                }
+            }
+            EventKind::FenceRelease {
+                op,
+                stalled_ns,
+                resp,
+            } => {
+                // A held write delivery is informational: the ack path does
+                // not wait for it.
+                if let Some(span) = self.span(node, conn, op as u32, resp) {
+                    match (span.kind, resp) {
+                        (SpanKind::Read, false) => span.fence_req_ns += stalled_ns,
+                        (SpanKind::Read, true) => span.fence_resp_ns += stalled_ns,
+                        (SpanKind::Write, _) => {}
+                    }
+                }
+            }
+            EventKind::OpDone { op } => {
+                if let Some(span) = self.span(node, conn, op as u32, true) {
+                    match span.kind {
+                        SpanKind::Write => stamp(&mut span.ack_rx, t),
+                        SpanKind::Read => stamp(&mut span.released, t),
+                    }
+                }
+            }
+            EventKind::OpComplete { op, .. } => {
+                let key = SpanKey::new(node as usize, conn as usize, op as u32);
+                let Some(mut span) = self.active.remove(&key.pack()) else {
+                    return;
+                };
+                span.complete = t;
+                self.completed_total += 1;
+                if self.done.len() == self.done_cap {
+                    self.done.pop_front();
+                    self.overwritten += 1;
+                }
+                self.done.push_back(span);
+            }
+            _ => {}
+        }
+    }
+
+    fn rail_sent(&mut self, rail: u32, retransmit: bool, queue_ns: u64) {
         let r = rail as usize;
         while self.rail_queue.len() <= r {
             self.rail_queue.push(LogHistogram::new());
             self.rail_frames.push(0);
             self.rail_retransmits.push(0);
         }
-        r
+        self.rail_queue[r].record(queue_ns);
+        self.rail_frames[r] += 1;
+        self.rail_retransmits[r] += u64::from(retransmit);
+    }
+
+    /// End `(node, conn)`'s cumulative advanced: stamp `cum` on every
+    /// waiting write whose last frame it passed and move it to the ack
+    /// queue. Admission order is not sequence order under multi-rail skew,
+    /// so the whole queue is scanned — it holds the ops of one window.
+    fn cum_advanced(&mut self, node: u32, conn: u32, t: u64) {
+        let Self { ends, active, .. } = self;
+        let Some(end) = ends.get_mut(&end_key(node, conn)) else {
+            return;
+        };
+        let End {
+            cum,
+            await_cum,
+            await_ack,
+            ..
+        } = end;
+        await_cum.retain(|&(seq, key)| {
+            if seq >= *cum {
+                return true;
+            }
+            if let Some(span) = active.get_mut(&key) {
+                stamp(&mut span.cum, t);
+            }
+            await_ack.push_back((seq, key));
+            false
+        });
+    }
+
+    /// End `(node, conn)` sent an acknowledgement (piggybacked, explicit or
+    /// on a NACK) of every sequence below `ack`: stamp `ack_tx` on the
+    /// writes it newly covers.
+    fn ack_sent(&mut self, node: u32, conn: u32, ack: u64, t: u64) {
+        let Self { ends, active, .. } = self;
+        let Some(end) = ends.get_mut(&end_key(node, conn)) else {
+            return;
+        };
+        end.await_ack.retain(|&(seq, key)| {
+            if seq >= ack {
+                return true;
+            }
+            if let Some(span) = active.get_mut(&key) {
+                stamp(&mut span.ack_tx, t);
+            }
+            false
+        });
     }
 }
 
-fn recv_key(node: usize, conn: usize) -> u64 {
-    ((node as u64) << 16) | (conn as u64 & 0xFFFF)
-}
-
 /// Cheaply cloneable span-recording handle (the [`crate::Tracer`] pattern:
-/// disabled = one branch per call, enabled clones share one state).
+/// disabled = one branch per event, enabled clones share one state).
 #[derive(Clone, Default)]
 pub struct SpanRecorder {
     inner: Option<Rc<RefCell<SpanState>>>,
@@ -303,7 +510,7 @@ impl SpanRecorder {
         SpanRecorder {
             inner: Some(Rc::new(RefCell::new(SpanState {
                 active: SpanMap::default(),
-                waiters: SpanMap::default(),
+                ends: SpanMap::default(),
                 done: VecDeque::with_capacity(completed_capacity.max(1)),
                 done_cap: completed_capacity.max(1),
                 completed_total: 0,
@@ -321,270 +528,12 @@ impl SpanRecorder {
         self.inner.is_some()
     }
 
-    /// An operation was issued: open its span. `created_ns` is when the
-    /// application called in (the handle's latency origin); `now_ns` is when
-    /// initiation finished and frames were queued.
-    pub fn op_issued(
-        &self,
-        key: SpanKey,
-        kind: SpanKind,
-        created_ns: u64,
-        now_ns: u64,
-        frames: u32,
-        bytes: u64,
-    ) {
-        let Some(state) = &self.inner else { return };
-        let mut s = state.borrow_mut();
-        if s.active.len() >= MAX_ACTIVE {
-            s.dropped_active += 1;
-            return;
-        }
-        s.active.insert(
-            key.pack(),
-            OpSpan::new(key, kind, created_ns, now_ns, frames, bytes),
-        );
-    }
-
-    /// A data-bearing frame of the op went to a NIC. `critical` marks the
-    /// leg's completing frame (LAST_FRAGMENT / read request); `queue_ns` is
-    /// the NIC's transmit backlog at submission.
-    #[allow(clippy::too_many_arguments)]
-    pub fn frame_tx(
-        &self,
-        key: SpanKey,
-        leg: Leg,
-        critical: bool,
-        retransmit: bool,
-        rail: u32,
-        queue_ns: u64,
-        now_ns: u64,
-    ) {
-        let Some(state) = &self.inner else { return };
-        let mut s = state.borrow_mut();
-        let r = s.rail(rail);
-        s.rail_queue[r].record(queue_ns);
-        s.rail_frames[r] += 1;
-        if retransmit {
-            s.rail_retransmits[r] += 1;
-        }
-        let Some(span) = s.active.get_mut(&key.pack()) else {
-            return;
-        };
-        span.rails_used |= 1u32.checked_shl(rail).unwrap_or(0);
-        if retransmit {
-            span.retransmits += 1;
-        }
-        if !critical {
-            return;
-        }
-        match leg {
-            Leg::Req if span.admit == 0 => {
-                if span.first_tx == 0 {
-                    span.first_tx = now_ns;
-                }
-                span.last_tx = now_ns;
-                span.tx_queue = queue_ns;
-                span.crit_rail = rail;
-            }
-            Leg::Resp if span.resp_admit == 0 => {
-                if span.resp_first_tx == 0 {
-                    span.resp_first_tx = now_ns;
-                }
-                span.resp_last_tx = now_ns;
-                span.resp_queue = queue_ns;
-                span.resp_rail = rail;
-            }
-            _ => {}
-        }
-    }
-
-    /// The leg's critical frame was delivered by the receiving NIC
-    /// (pre-admission; the latest delivery before admission wins).
-    pub fn frame_arrival(&self, key: SpanKey, leg: Leg, now_ns: u64) {
-        self.with_span(key, |span| match leg {
-            Leg::Req => {
-                if span.admit == 0 {
-                    span.arrival = now_ns;
-                }
-            }
-            Leg::Resp => {
-                if span.resp_admit == 0 {
-                    span.resp_arrival = now_ns;
-                }
-            }
-        });
-    }
-
-    /// The leg's critical frame was admitted by the sequence tracker.
-    pub fn frame_admitted(&self, key: SpanKey, leg: Leg, now_ns: u64) {
-        self.with_span(key, |span| match leg {
-            Leg::Req => {
-                if span.admit == 0 {
-                    span.admit = now_ns;
-                }
-            }
-            Leg::Resp => {
-                if span.resp_admit == 0 {
-                    span.resp_admit = now_ns;
-                }
-            }
-        });
-    }
-
-    /// Register a write op (its last frame just admitted at the receiver
-    /// endpoint `(node, conn)` with sequence `last_seq`) to be stamped when
-    /// the cumulative sequence, then an outgoing ack, pass it.
-    pub fn await_cum(&self, node: usize, conn: usize, last_seq: u64, key: SpanKey) {
-        let Some(state) = &self.inner else { return };
-        let mut s = state.borrow_mut();
-        s.waiters
-            .entry(recv_key(node, conn))
-            .or_default()
-            .await_cum
-            .push_back((last_seq, key.pack()));
-    }
-
-    /// The receiver endpoint's cumulative sequence advanced to `cum`: stamp
-    /// the `cum` milestone of every waiting op whose last frame it passed
-    /// and move them to the ack queue.
-    pub fn cum_advanced(&self, node: usize, conn: usize, cum: u64, now_ns: u64) {
-        let Some(state) = &self.inner else { return };
-        let mut s = state.borrow_mut();
-        let rk = recv_key(node, conn);
-        let Some(w) = s.waiters.get_mut(&rk) else {
-            return;
-        };
-        if w.await_cum.is_empty() {
-            return;
-        }
-        // Admission order is not sequence order under multi-rail skew, so
-        // scan rather than pop from the front. The queue is bounded by the
-        // ops concurrently inside one window — small by construction.
-        let mut i = 0;
-        let mut passed: Vec<(u64, u64)> = Vec::new();
-        while i < w.await_cum.len() {
-            if w.await_cum[i].0 < cum {
-                passed.push(w.await_cum.remove(i).expect("index checked"));
-            } else {
-                i += 1;
-            }
-        }
-        for &(seq, pk) in &passed {
-            if let Some(span) = s.active.get_mut(&pk) {
-                if span.cum == 0 {
-                    span.cum = now_ns;
-                }
-            }
-            s.waiters
-                .get_mut(&rk)
-                .expect("waiters entry exists")
-                .await_ack
-                .push_back((seq, pk));
-        }
-    }
-
-    /// The receiver endpoint sent an acknowledgement (piggybacked, explicit
-    /// or on a NACK) covering sequences below `ack`: stamp `ack_tx` for
-    /// every op it newly covers.
-    pub fn ack_sent(&self, node: usize, conn: usize, ack: u64, now_ns: u64) {
-        let Some(state) = &self.inner else { return };
-        let mut s = state.borrow_mut();
-        let Some(w) = s.waiters.get_mut(&recv_key(node, conn)) else {
-            return;
-        };
-        if w.await_ack.is_empty() {
-            return;
-        }
-        let mut i = 0;
-        let mut covered: Vec<u64> = Vec::new();
-        while i < w.await_ack.len() {
-            if w.await_ack[i].0 < ack {
-                covered.push(w.await_ack.remove(i).expect("index checked").1);
-            } else {
-                i += 1;
-            }
-        }
-        for pk in covered {
-            if let Some(span) = s.active.get_mut(&pk) {
-                if span.ack_tx == 0 {
-                    span.ack_tx = now_ns;
-                }
-            }
-        }
-    }
-
-    /// The sender's window advanced past the op (the covering ack arrived).
-    pub fn ack_rx(&self, key: SpanKey, now_ns: u64) {
-        self.with_span(key, |span| {
-            if span.ack_rx == 0 {
-                span.ack_rx = now_ns;
-            }
-        });
-    }
-
-    /// The read's target began serving the response.
-    pub fn serve_started(&self, key: SpanKey, now_ns: u64) {
-        self.with_span(key, |span| {
-            if span.serve == 0 {
-                span.serve = now_ns;
-            }
-        });
-    }
-
-    /// All of the read's response data applied at the initiator.
-    pub fn resp_released(&self, key: SpanKey, now_ns: u64) {
-        self.with_span(key, |span| {
-            if span.released == 0 {
-                span.released = now_ns;
-            }
-        });
-    }
-
-    /// A fence held the op's request leg back for `stalled_ns` before its
-    /// completion path could proceed (reads: the request at the target).
-    pub fn fence_req(&self, key: SpanKey, stalled_ns: u64) {
-        self.with_span(key, |span| span.fence_req_ns += stalled_ns);
-    }
-
-    /// A fence held the response leg back (reads: the response at the
-    /// initiator).
-    pub fn fence_resp(&self, key: SpanKey, stalled_ns: u64) {
-        self.with_span(key, |span| span.fence_resp_ns += stalled_ns);
-    }
-
-    /// Write-only, informational: the receiver fully applied the op's data
-    /// after `recv_fence_ns` of fence hold.
-    pub fn delivered(&self, key: SpanKey, now_ns: u64, recv_fence_ns: u64) {
-        self.with_span(key, |span| {
-            if span.delivered == 0 {
-                span.delivered = now_ns;
-            }
-            span.recv_fence_ns += recv_fence_ns;
-        });
-    }
-
-    /// The op's handle completed: close the span and move it to the
-    /// completed ring.
-    pub fn op_completed(&self, key: SpanKey, now_ns: u64) {
-        let Some(state) = &self.inner else { return };
-        let mut s = state.borrow_mut();
-        let Some(mut span) = s.active.remove(&key.pack()) else {
-            return;
-        };
-        span.complete = now_ns;
-        s.completed_total += 1;
-        if s.done.len() == s.done_cap {
-            s.done.pop_front();
-            s.overwritten += 1;
-        }
-        s.done.push_back(span);
-    }
-
-    fn with_span(&self, key: SpanKey, f: impl FnOnce(&mut OpSpan)) {
+    /// Fold one event. A recorder must see every event of the connections
+    /// it attributes from their `Connect` on.
+    #[inline]
+    pub fn record(&self, e: &Event) {
         if let Some(state) = &self.inner {
-            if let Some(span) = state.borrow_mut().active.get_mut(&key.pack()) {
-                f(span);
-            }
+            state.borrow_mut().fold(e);
         }
     }
 
@@ -627,6 +576,144 @@ pub struct SpanSnapshot {
     pub rail_retransmits: Vec<u64>,
 }
 
+/// The events of ops between node 0 and node 1 over one connection, for
+/// recorder and attribution tests: node 0 issues on `conn`, node 1's end of
+/// it has the same id.
+#[cfg(test)]
+pub(crate) struct Feed<'a> {
+    pub(crate) r: &'a SpanRecorder,
+    conn: u32,
+}
+
+#[cfg(test)]
+impl<'a> Feed<'a> {
+    /// Connect both ends of `conn`.
+    pub(crate) fn new(r: &'a SpanRecorder, conn: u32) -> Self {
+        let f = Feed { r, conn };
+        for (node, peer_node) in [(0, 1), (1, 0)] {
+            let peer_conn = conn;
+            f.ev(
+                node,
+                0,
+                None,
+                EventKind::Connect {
+                    peer_node,
+                    peer_conn,
+                },
+            );
+        }
+        f
+    }
+
+    fn ev(&self, node: u32, t_ns: u64, rail: Option<u32>, kind: EventKind) {
+        let conn = Some(self.conn);
+        self.r.record(&Event {
+            t_ns,
+            node,
+            conn,
+            rail,
+            kind,
+        });
+    }
+
+    pub(crate) fn issue(&self, op: u32, read: bool, created_ns: u64, t: u64, bytes: u64) {
+        let op = op.into();
+        self.ev(
+            0,
+            t,
+            None,
+            EventKind::OpIssue {
+                op,
+                bytes,
+                created_ns,
+                read,
+            },
+        );
+    }
+
+    /// `node` sends a frame of `op` on `rail` (the response leg from node 1).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn send(
+        &self,
+        node: u32,
+        op: u32,
+        critical: bool,
+        retransmit: bool,
+        rail: u32,
+        backlog_ns: u64,
+        t: u64,
+    ) {
+        let (seq, resp) = (0, node == 1);
+        let kind = EventKind::FrameSend {
+            seq,
+            retransmit,
+            op,
+            resp,
+            critical,
+            backlog_ns,
+        };
+        self.ev(node, t, Some(rail), kind);
+    }
+
+    /// `node` admits frame `seq` of `op`, which arrived at `arrived_ns`,
+    /// leaving its cumulative at `cum`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn recv(
+        &self,
+        node: u32,
+        seq: u64,
+        op: u32,
+        critical: bool,
+        cum: u64,
+        arrived_ns: u64,
+        t: u64,
+    ) {
+        let (in_order, resp) = (true, node == 0);
+        let kind = EventKind::FrameRecv {
+            seq,
+            in_order,
+            op,
+            resp,
+            critical,
+            cum,
+            arrived_ns,
+        };
+        self.ev(node, t, Some(0), kind);
+    }
+
+    pub(crate) fn ack(&self, node: u32, ack: u64, t: u64) {
+        self.ev(node, t, Some(0), EventKind::ExplicitAck { ack });
+    }
+
+    pub(crate) fn serve(&self, op: u32, t: u64) {
+        self.ev(1, t, None, EventKind::ReadServe { op: op.into() });
+    }
+
+    /// A fence held `op`'s leg on the receiving node for `stalled_ns`.
+    pub(crate) fn fence(&self, resp: bool, op: u32, stalled_ns: u64, t: u64) {
+        let (node, op) = (u32::from(!resp), op.into());
+        self.ev(
+            node,
+            t,
+            None,
+            EventKind::FenceRelease {
+                op,
+                stalled_ns,
+                resp,
+            },
+        );
+    }
+
+    pub(crate) fn done(&self, op: u32, t: u64) {
+        self.ev(0, t, None, EventKind::OpDone { op: op.into() });
+    }
+
+    pub(crate) fn complete(&self, op: u32, t: u64) {
+        let (op, latency_ns) = (op.into(), 0);
+        self.ev(0, t, None, EventKind::OpComplete { op, latency_ns });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,8 +726,9 @@ mod tests {
     fn disabled_recorder_is_inert() {
         let r = SpanRecorder::disabled();
         assert!(!r.is_enabled());
-        r.op_issued(k(0), SpanKind::Write, 1, 2, 1, 10);
-        r.op_completed(k(0), 9);
+        let f = Feed::new(&r, 0);
+        f.issue(0, false, 1, 2, 10);
+        f.complete(0, 9);
         assert!(r.snapshot().is_none());
     }
 
@@ -653,28 +741,26 @@ mod tests {
     #[test]
     fn write_span_full_milestone_chain() {
         let r = SpanRecorder::enabled(8);
-        let key = k(0);
-        r.op_issued(key, SpanKind::Write, 100, 150, 2, 3000);
-        r.frame_tx(key, Leg::Req, false, false, 0, 5, 160);
-        r.frame_tx(key, Leg::Req, true, false, 1, 7, 170);
-        r.frame_arrival(key, Leg::Req, 300);
-        r.frame_admitted(key, Leg::Req, 310);
-        r.await_cum(1, 0, 1, key);
-        r.cum_advanced(1, 0, 2, 310);
-        r.ack_sent(1, 0, 2, 320);
-        r.ack_rx(key, 450);
-        r.op_completed(key, 460);
+        let f = Feed::new(&r, 0);
+        f.issue(0, false, 100, 150, 3000);
+        f.send(0, 0, false, false, 0, 5, 160);
+        f.send(0, 0, true, false, 1, 7, 170);
+        f.recv(1, 0, 0, false, 1, 290, 300);
+        f.recv(1, 1, 0, true, 2, 305, 310);
+        f.ack(1, 2, 320);
+        f.done(0, 450);
+        f.complete(0, 460);
         let snap = r.snapshot().unwrap();
         assert_eq!(snap.spans.len(), 1);
         let s = &snap.spans[0];
+        assert_eq!(s.key, k(0));
         assert_eq!(
             (s.created, s.issue, s.first_tx, s.last_tx),
             (100, 150, 170, 170)
         );
-        assert_eq!((s.arrival, s.admit, s.cum), (300, 310, 310));
+        assert_eq!((s.arrival, s.admit, s.cum), (305, 310, 310));
         assert_eq!((s.ack_tx, s.ack_rx, s.complete), (320, 450, 460));
         assert_eq!(s.crit_rail, 1);
-        assert_eq!(s.rails_used, 0b11);
         assert_eq!(s.tx_queue, 7);
         assert_eq!(snap.rail_frames, vec![1, 1]);
     }
@@ -682,17 +768,17 @@ mod tests {
     #[test]
     fn retransmit_updates_last_tx_until_admit() {
         let r = SpanRecorder::enabled(8);
-        let key = k(1);
-        r.op_issued(key, SpanKind::Write, 0, 10, 1, 100);
-        r.frame_tx(key, Leg::Req, true, false, 0, 0, 20);
-        r.frame_tx(key, Leg::Req, true, true, 0, 3, 80);
-        r.frame_arrival(key, Leg::Req, 120);
-        r.frame_admitted(key, Leg::Req, 125);
-        // Post-admission duplicate must not move the frozen milestones.
-        r.frame_tx(key, Leg::Req, true, true, 0, 9, 200);
-        r.op_completed(key, 300);
+        let f = Feed::new(&r, 0);
+        f.issue(1, false, 0, 10, 100);
+        f.send(0, 1, true, false, 0, 0, 20);
+        f.send(0, 1, true, true, 0, 3, 80);
+        f.recv(1, 0, 1, true, 1, 120, 125);
+        // A post-admission duplicate must not move the frozen milestones.
+        f.send(0, 1, true, true, 0, 9, 200);
+        f.complete(1, 300);
         let s = r.snapshot().unwrap().spans[0];
         assert_eq!((s.first_tx, s.last_tx, s.tx_queue), (20, 80, 3));
+        assert_eq!((s.arrival, s.admit), (120, 125));
         assert_eq!(s.retransmits, 2);
         assert_eq!(r.snapshot().unwrap().rail_retransmits, vec![2]);
     }
@@ -700,32 +786,61 @@ mod tests {
     #[test]
     fn cum_advance_handles_out_of_order_admission() {
         let r = SpanRecorder::enabled(8);
-        let (ka, kb) = (k(10), k(11));
-        r.op_issued(ka, SpanKind::Write, 0, 1, 1, 1);
-        r.op_issued(kb, SpanKind::Write, 0, 2, 1, 1);
-        // Op B (seq 5) admits before op A (seq 3).
-        r.await_cum(2, 0, 5, kb);
-        r.await_cum(2, 0, 3, ka);
-        r.cum_advanced(2, 0, 4, 100); // passes A only
-        r.cum_advanced(2, 0, 6, 200); // passes B
-        r.ack_sent(2, 0, 6, 250);
-        r.ack_rx(ka, 300);
-        r.ack_rx(kb, 300);
-        r.op_completed(ka, 310);
-        r.op_completed(kb, 310);
+        let f = Feed::new(&r, 0);
+        f.issue(10, false, 0, 1, 1);
+        f.issue(11, false, 0, 2, 1);
+        // Op B (seq 5) admits before op A (seq 3); the cumulative passes A
+        // first, then B.
+        f.recv(1, 5, 11, true, 3, 90, 90);
+        f.recv(1, 3, 10, true, 4, 100, 100);
+        f.recv(1, 4, 11, false, 6, 200, 200);
+        // A data frame from node 1 piggybacks the cumulative (6).
+        f.send(1, 99, false, false, 0, 0, 250);
+        f.done(10, 300);
+        f.done(11, 300);
+        f.complete(10, 310);
+        f.complete(11, 310);
         let snap = r.snapshot().unwrap();
-        let a = snap.spans.iter().find(|s| s.key == ka).unwrap();
-        let b = snap.spans.iter().find(|s| s.key == kb).unwrap();
+        let a = snap.spans.iter().find(|s| s.key == k(10)).unwrap();
+        let b = snap.spans.iter().find(|s| s.key == k(11)).unwrap();
         assert_eq!((a.cum, b.cum), (100, 200));
         assert_eq!((a.ack_tx, b.ack_tx), (250, 250));
     }
 
     #[test]
+    fn read_span_stamps_both_legs_from_the_peer_end() {
+        let r = SpanRecorder::enabled(8);
+        let f = Feed::new(&r, 2);
+        f.issue(4, true, 0, 10, 8192);
+        f.send(0, 4, true, false, 0, 0, 20);
+        f.recv(1, 0, 4, true, 1, 90, 100);
+        f.fence(false, 4, 30, 100);
+        f.serve(4, 100);
+        f.send(1, 4, true, false, 1, 6, 110);
+        f.recv(0, 0, 4, true, 1, 190, 200);
+        f.fence(true, 4, 5, 200);
+        f.done(4, 200);
+        f.complete(4, 260);
+        let s = r.snapshot().unwrap().spans[0];
+        assert_eq!(s.key, SpanKey::new(0, 2, 4));
+        assert_eq!((s.arrival, s.admit, s.serve), (90, 100, 100));
+        assert_eq!((s.resp_first_tx, s.resp_queue), (110, 6));
+        assert_eq!((s.resp_arrival, s.resp_admit, s.released), (190, 200, 200));
+        assert_eq!((s.fence_req_ns, s.fence_resp_ns), (30, 5));
+        assert_eq!(
+            (s.cum, s.ack_tx, s.ack_rx),
+            (0, 0, 0),
+            "a read waits on no ack"
+        );
+    }
+
+    #[test]
     fn done_ring_is_bounded() {
         let r = SpanRecorder::enabled(2);
+        let f = Feed::new(&r, 0);
         for op in 0..5u32 {
-            r.op_issued(k(op), SpanKind::Write, 0, 1, 1, 1);
-            r.op_completed(k(op), 10);
+            f.issue(op, false, 0, 1, 1);
+            f.complete(op, 10);
         }
         let snap = r.snapshot().unwrap();
         assert_eq!(snap.spans.len(), 2);

@@ -51,23 +51,22 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Record one event.
+    /// Record one event. The per-connection op-latency and fence-stall
+    /// histograms are folds over the events that carry their samples,
+    /// `OpComplete` and `FenceRelease`.
     #[inline]
     pub fn emit(&self, e: Event) {
         if let Some(state) = &self.inner {
-            state.borrow_mut().ring.push(e);
-        }
-    }
-
-    /// Record an op issue→completion latency sample for `conn`.
-    pub fn op_latency(&self, conn: u32, ns: u64) {
-        if let Some(state) = &self.inner {
-            state
-                .borrow_mut()
-                .op_latency
-                .entry(conn)
-                .or_default()
-                .record(ns);
+            let mut s = state.borrow_mut();
+            s.ring.push(e);
+            let (hists, ns) = match e.kind {
+                EventKind::OpComplete { latency_ns, .. } => (&mut s.op_latency, latency_ns),
+                EventKind::FenceRelease { stalled_ns, .. } => (&mut s.fence_stall, stalled_ns),
+                _ => return,
+            };
+            if let Some(conn) = e.conn {
+                hists.entry(conn).or_default().record(ns);
+            }
         }
     }
 
@@ -79,18 +78,6 @@ impl Tracer {
                 .borrow_mut()
                 .wire_time
                 .entry(link)
-                .or_default()
-                .record(ns);
-        }
-    }
-
-    /// Record how long a fence held a fragment back on `conn`.
-    pub fn fence_stall(&self, conn: u32, ns: u64) {
-        if let Some(state) = &self.inner {
-            state
-                .borrow_mut()
-                .fence_stall
-                .entry(conn)
                 .or_default()
                 .record(ns);
         }

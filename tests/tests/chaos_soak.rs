@@ -260,7 +260,6 @@ fn flight_for(dir: &std::path::Path, dump_on_rail_death: bool) -> FlightRecorder
         fence_stall_trigger_ns: 0,
         dump_on_rail_death,
         dump_dir: Some(dir.to_string_lossy().into_owned()),
-        ..FlightConfig::default()
     })
 }
 

@@ -447,7 +447,6 @@ fn rto_backoff_outage_class_dumps_post_mortem() {
         fence_stall_trigger_ns: 0,
         dump_on_rail_death: false,
         dump_dir: Some(flight_dir("soak_fr_rto_backoff").to_string_lossy().into_owned()),
-        ..FlightConfig::default()
     };
     let mut cfg = SystemConfig::two_link_1g_unordered(2);
     cfg.seed = 22;
@@ -472,7 +471,6 @@ fn fence_stall_outage_class_dumps_post_mortem() {
         fence_stall_trigger_ns: 1_000_000,
         dump_on_rail_death: false,
         dump_dir: Some(flight_dir("soak_fr_fence_stall").to_string_lossy().into_owned()),
-        ..FlightConfig::default()
     };
     let mut cfg = SystemConfig::two_link_1g(2);
     cfg.seed = 23;

@@ -252,7 +252,7 @@ fn run(ops: &[OpSpec], fates: Vec<u8>, force_ordered: bool) -> Result<(), String
         };
         match ev {
             Event::Frame { rail, frame, .. } => {
-                cores[node].on_frame(rail, frame, key.0, &mut host);
+                cores[node].on_frame(rail, frame, key.0, key.0, &mut host);
             }
             Event::Timer { timer, .. } => {
                 host.out.armed.remove(&(timer as u8));
@@ -384,7 +384,7 @@ fn out_of_window_op_ids_are_rejected() {
     let mut now = 0;
     let mut feed = |rx: &mut ProtoCore<u64>, sink: &mut Sink, seq, op| {
         now += 1_000;
-        rx.on_frame(0, write_frame(seq, op), now, sink);
+        rx.on_frame(0, write_frame(seq, op), now, now, sink);
     };
     let untouched =
         |rx: &ProtoCore<u64>, op: u64| rx.memory.read_vec(region(op as usize), 16) == [0; 16];
