@@ -53,7 +53,10 @@ loc:
 # brackets keep this file out of a grep for the deleted names). And the
 # protocol has one observability call, Observers::emit: proto.rs names no
 # span key, leg or recorder and calls no plane directly — the tracer, the
-# span recorder and the flight recorder each fold the events it emits.
+# span recorder and the flight recorder each fold the events it emits. A
+# payload made from application memory is built in memory.rs only, cut from
+# the page table copy-on-write: read_bytes or BytesMut in the core or a
+# driver is an op's private copy of bytes its pages already hold.
 ONE_CORE_PARTS = SeqTracker|OpOrdering|TxRing|GapRing|RttEstimator|NackRanges|from_wire|TimelineBuilder|HealthMonitor::
 one-core:
 	@if grep -nE '$(ONE_CORE_PARTS)' crates/core/src/endpoint.rs crates/core/src/backplane/wire.rs; then \
@@ -76,6 +79,9 @@ one-core:
 	fi
 	@if grep -nE 'Span[R]ecorder|Span[K]ey|Le[g]::|obs\.(span[s]|trace[r]|fligh[t])\.' crates/core/src/proto.rs; then \
 		echo 'one-core: proto.rs reaches past Observers::emit (see above); emit the event and let each plane fold it'; exit 1; \
+	fi
+	@if grep -nE 'read_bytes|BytesMut' crates/core/src/proto.rs crates/core/src/endpoint.rs crates/core/src/backplane/wire.rs; then \
+		echo 'one-core: a payload buffer built outside memory.rs (see above); cut it from the page table with AppMemory::fragments'; exit 1; \
 	fi
 
 # Failover ablation: writes results/BENCH_failover.json (goodput

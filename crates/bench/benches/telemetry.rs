@@ -5,7 +5,9 @@
 //!
 //! * **datapath** — the steady-state datapath allocates nothing per data
 //!   frame, and a ping-pong op allocates no more than a fixed ceiling (the
-//!   2×2 double difference of [`datapath_gate`]);
+//!   2×2 double difference of [`datapath_gate`]); a 64 B ping-pong op
+//!   written from endpoint memory has a ceiling of its own
+//!   ([`smallop_gate`]);
 //! * **flight recorder** and **sampler** — each plane is purely
 //!   observational ([`multiedge_bench::plane_overhead`]): no allocation per
 //!   frame with it armed and an identical stats fingerprint are asserted;
@@ -21,13 +23,14 @@
 //! still written (marked `"mode": "smoke"`).
 
 use me_trace::{IncidentCause, Json, SCHEMA_VERSION};
-use multiedge::SystemConfig;
+use multiedge::{Endpoint, OpFlags, SystemConfig};
 use multiedge_bench::micro::{run_micro, run_micro_sampled, MicroKind, MicroResult};
 use multiedge_bench::scale::MEMBER_COUNTER;
 use multiedge_bench::telemetry::{failover_telemetry, incast_telemetry, wire_telemetry};
 use multiedge_bench::{allocs, plane_overhead, results_dir, smoke, CountingAlloc};
 use netsim::time::us;
-use netsim::Dur;
+use netsim::{build_cluster, Dur, Sim};
+use std::rc::Rc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -93,6 +96,64 @@ fn datapath_gate(iters: usize, max_per_op: f64) -> Json {
         )
 }
 
+/// Run `iters` round trips of a 64 B ping-pong on the clean cell, each
+/// write sourced from endpoint memory ([`Endpoint::write`]) and notifying.
+fn smallop_pingpong(iters: usize) {
+    const SRC: u64 = 0x8000;
+    let cfg = Rc::new(clean_cfg());
+    let sim = Sim::new(cfg.seed);
+    let cluster = build_cluster(&sim, cfg.cluster_spec());
+    let eps = Endpoint::for_cluster(&sim, &cluster, cfg);
+    let (c0, c1) = Endpoint::connect(&eps[0], &eps[1]);
+    for ep in &eps {
+        ep.mem_write(SRC, &[ep.node() as u8 + 1; 64]);
+    }
+    let notify = OpFlags::RELAXED.with_notify();
+    let (a, b) = (eps[0].clone(), eps[1].clone());
+    sim.spawn("smallop-ping", async move {
+        for _ in 0..iters {
+            let _h = a.write(c0, SRC, 0x1000, 64, notify).await;
+            a.next_notification().await.expect("pong");
+        }
+    });
+    sim.spawn("smallop-pong", async move {
+        for _ in 0..iters {
+            b.next_notification().await.expect("ping");
+            let _h = b.write(c1, SRC, 0x1000, 64, notify).await;
+        }
+    });
+    sim.run().expect_quiescent();
+}
+
+/// The small-op gate: allocations per op of a 64 B ping-pong written from
+/// endpoint memory, held to `max_per_op`. Every frame of it is one op, so
+/// the difference of two run lengths (setup cancels) over the ops it adds
+/// is the per-op count; a 64 B payload lies in one page and is cut from
+/// it without a copy.
+fn smallop_gate(iters: usize, max_per_op: f64) -> Json {
+    let count = |iters: usize| {
+        let a0 = allocs();
+        smallop_pingpong(iters);
+        allocs() - a0
+    };
+    let (a1, a2) = (count(iters), count(2 * iters));
+    let per_op = (a2 as f64 - a1 as f64) / (2 * iters) as f64;
+    println!("small op       {per_op:.4} allocs/op (64 B ping-pong from memory)");
+    assert!(
+        per_op <= max_per_op + 1e-9,
+        "allocations per 64 B ping-pong op from memory on the clean 1L config: {per_op:.4} (at most {max_per_op})"
+    );
+    Json::obj()
+        .set("config", "1L-1G")
+        .set("kind", "ping-pong 64 B from memory")
+        .set("allocs_per_op", per_op)
+        .set("allocs_per_op_max", max_per_op)
+        .set(
+            "gate",
+            "run-length difference: allocs_per_op <= allocs_per_op_max",
+        )
+}
+
 /// The flight-recorder gate: the always-on recorder (defaults: 4096-event
 /// ring, triggers armed, no dump directory) rides along without
 /// allocating per frame or perturbing the protocol.
@@ -138,11 +199,16 @@ fn main() {
     // through and that frees its buffer whenever it drains reads 8.1 in
     // the short grid.
     let (iters, max_allocs_per_op) = if smoke { (10, 5.1) } else { (40, 5.0) };
+    // The 64 B small op from memory measured 4 per op in both profiles
+    // while every memory-sourced write copied its payload, and 3 since it
+    // is cut from the page it lies in.
+    let max_smallop_allocs_per_op = 3.0;
 
     // Warm up lazy runtime initialization outside the measured cells.
     let _ = run_micro(&clean_cfg(), MicroKind::TwoWay, 4 << 10, 4);
 
     let datapath = datapath_gate(iters, max_allocs_per_op);
+    let smallop = smallop_gate(iters, max_smallop_allocs_per_op);
     let flight = flight_recorder_gate(iters);
     let sampler = sampler_gate(iters);
 
@@ -235,9 +301,10 @@ fn main() {
         .set("mode", if smoke { "smoke" } else { "full" })
         .set(
             "methodology",
-            "datapath: 2x2 double difference, marginal allocs/frame asserted 0 and allocs/op held to a ceiling; flight recorder and sampler: off/on pair at two run lengths, fingerprints equal and marginal allocs/frame asserted, fps ratio reported only; base + per-interval deltas reconciled exactly against end-of-run ProtoStats in every sampled cell",
+            "datapath: 2x2 double difference, marginal allocs/frame asserted 0 and allocs/op held to a ceiling; smallop: 64 B ping-pong from memory, run-length difference, allocs/op held to a ceiling; flight recorder and sampler: off/on pair at two run lengths, fingerprints equal and marginal allocs/frame asserted, fps ratio reported only; base + per-interval deltas reconciled exactly against end-of-run ProtoStats in every sampled cell",
         )
         .set("datapath", datapath)
+        .set("smallop", smallop)
         .set("flight_recorder", flight)
         .set("sampler", sampler)
         .set("failover", failover)

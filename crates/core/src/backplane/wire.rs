@@ -450,6 +450,7 @@ impl WireEndpoint {
         data: Bytes,
         flags: OpFlags,
     ) -> u64 {
+        let data = data.into();
         self.issue(conn, bp, Op::Write { remote_addr, data }, flags)
     }
 

@@ -29,6 +29,7 @@
 //! completes the [`OpHandle`] (see [`crate::proto`]'s completion contract).
 
 use crate::config::{CostModel, SystemConfig};
+use crate::memory::Payload;
 use crate::ops::{Notification, OpFlags, OpHandle, OpKind};
 use crate::proto::{Effect, Host, HostWork, Observers, Op, ProtoCore, TimerKind};
 use crate::railhealth::RailState;
@@ -358,6 +359,13 @@ impl Endpoint {
     /// `remote_addr` in the peer's address space. The returned future
     /// resolves (with the operation handle) once the *initiation* cost has
     /// been paid; completion is tracked by the handle.
+    ///
+    /// The peer receives the bytes `[local_addr, local_addr + len)` held
+    /// *as of issue*: the instant this future resolves, at the end of the
+    /// initiation slot that pays for the copy. The frames share the pages
+    /// copy-on-write ([`crate::memory`]), so the application may overwrite
+    /// the source as soon as the future resolves, and every
+    /// retransmission still carries the issue-time bytes.
     pub async fn write(
         &self,
         conn: usize,
@@ -366,7 +374,10 @@ impl Endpoint {
         len: usize,
         flags: OpFlags,
     ) -> OpHandle {
-        let data = self.core(|c| c.memory.read_bytes(local_addr, len));
+        let data = Payload::Memory {
+            addr: local_addr,
+            len,
+        };
         self.write_payload(conn, remote_addr, data, flags).await
     }
 
@@ -379,17 +390,16 @@ impl Endpoint {
         data: Vec<u8>,
         flags: OpFlags,
     ) -> OpHandle {
-        self.write_payload(conn, remote_addr, Bytes::from(data), flags)
-            .await
+        let data = Payload::Bytes(Bytes::from(data));
+        self.write_payload(conn, remote_addr, data, flags).await
     }
 
-    /// Common body of the two write calls: the payload is already in the
-    /// buffer the frames will share.
+    /// Common body of the two write calls.
     async fn write_payload(
         &self,
         conn: usize,
         remote_addr: u64,
-        data: Bytes,
+        data: Payload,
         flags: OpFlags,
     ) -> OpHandle {
         let len = data.len();

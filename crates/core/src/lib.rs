@@ -81,7 +81,7 @@ pub use backplane::{
 };
 pub use config::{CostModel, ProtoConfig, SystemConfig};
 pub use endpoint::Endpoint;
-pub use memory::{AppMemory, PAGE_SIZE};
+pub use memory::{AppMemory, Payload, PAGE_SIZE};
 pub use ops::{Notification, OpFlags, OpHandle, OpKind};
 pub use proto::ProtoCore;
 pub use railhealth::{RailEvent, RailSet, RailState};

@@ -46,7 +46,7 @@
 //! event.
 
 use crate::config::ProtoConfig;
-use crate::memory::AppMemory;
+use crate::memory::{AppMemory, Payload};
 use crate::ops::{Notification, OpFlags, OpKind};
 use crate::order::{FragMeta, OpOrdering, Release};
 use crate::railhealth::{RailEvent, RailSet, RailState};
@@ -433,8 +433,8 @@ pub enum Op {
     Write {
         /// Destination in the peer's memory.
         remote_addr: u64,
-        /// The bytes to write.
-        data: Bytes,
+        /// The bytes to write: memory is read when the op is issued.
+        data: Payload,
     },
     /// Fetch `len` bytes at the peer's `remote_addr` into `local_addr`.
     Read {
@@ -686,7 +686,7 @@ impl<T> ProtoCore<T> {
                 self.count(conn, |s| s.read_req_frames_sent += 1);
                 // The payload carries the requested length; a read never
                 // notifies.
-                let payload = Bytes::copy_from_slice(&(len as u64).to_le_bytes());
+                let payload = Bytes::copy_from_slice(&(len as u64).to_le_bytes()).into();
                 let flags = OpFlags {
                     notify: false,
                     ..flags
@@ -713,7 +713,9 @@ impl<T> ProtoCore<T> {
 
     /// Fragment one operation into frames on `conn`'s send queue: assign
     /// the op id and fence floor, one sequence number per fragment, and the
-    /// first/last-fragment marks. Returns (op id, fragments, last seq).
+    /// first/last-fragment marks. A payload from memory is cut from the
+    /// page table here ([`AppMemory::fragments`]). Returns (op id,
+    /// fragments, last seq).
     #[allow(clippy::too_many_arguments)]
     fn queue_op<H: Host<T>>(
         &mut self,
@@ -722,7 +724,7 @@ impl<T> ProtoCore<T> {
         flags: OpFlags,
         addr: u64,
         aux: u64,
-        data: Bytes,
+        data: Payload,
         host: &H,
     ) -> (u64, usize, u64) {
         let (node, window) = (self.obs.node, self.proto.window);
@@ -747,14 +749,14 @@ impl<T> ProtoCore<T> {
         if base.contains(FrameFlags::FENCE_FORWARD) {
             c.last_fwd_op = Some(op_id);
         }
-        let total = data.len();
         let op_total_len = match kind {
             FrameKind::ReadRequest => 0,
-            _ => total as u32,
+            _ => data.len() as u32,
         };
-        let nfrags = total.div_ceil(max_payload).max(1);
+        let frags = self.memory.fragments(data, max_payload);
+        let nfrags = frags.len();
         let mut last_seq = 0;
-        for i in 0..nfrags {
+        for (i, payload) in frags.enumerate() {
             let off = i * max_payload;
             let mut fl = base;
             if i == 0 {
@@ -782,7 +784,7 @@ impl<T> ProtoCore<T> {
                     remote_addr: addr + off as u64,
                     aux,
                 },
-                payload: data.slice(off..total.min(off + max_payload)),
+                payload,
             };
             if c.send_queue.is_empty() && seq < c.acked + window {
                 // It fits the window: straight into the ring, where
@@ -1163,7 +1165,10 @@ impl<T> ProtoCore<T> {
         initiator_op: u64,
         host: &mut H,
     ) {
-        let data = self.memory.read_bytes(read_addr, len);
+        let data = Payload::Memory {
+            addr: read_addr,
+            len,
+        };
         let event = EventKind::ReadServe { op: initiator_op };
         self.obs.emit(self.now_ns(), Some(conn), None, event);
         let (kind, flags) = (FrameKind::ReadResponse, OpFlags::RELAXED);

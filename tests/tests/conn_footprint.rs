@@ -10,10 +10,11 @@
 //! is its own process so the counting allocator sees nothing but these
 //! tests, which take turns.
 
-use multiedge::{Endpoint, OpFlags, SystemConfig};
-use multiedge_bench::{live_bytes, CountingAlloc};
+use multiedge::{AppMemory, Endpoint, OpFlags, Payload, SystemConfig, PAGE_SIZE};
+use multiedge_bench::{allocs, live_bytes, CountingAlloc};
 use netsim::sync::join_all;
 use netsim::{build_cluster, Sim};
+use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Mutex;
 
@@ -28,9 +29,17 @@ const IDLE_CONN_BUDGET: u64 = 1 << 10;
 
 /// Heap a connection end may hold after one all-to-all 8 KiB round has run
 /// to quiescence, struct included. The count also shares out over the ends
-/// what the simulator and fabric keep of the round (about 3.8 KiB an end:
-/// queue capacity), so this budget moves with them too.
+/// what the simulator keeps of the round, about 3.8 KiB an end. Most of it
+/// (3.4 KiB) is the capacity the engine's event slab and timer-wheel arena
+/// keep, 65 536 slots of 176 B and 65 536 of 40 B, sized by the round's
+/// peak of live closures (37 325 in a `sim_mesh64` round), so this budget
+/// moves with them too.
 const CARRIED_CONN_BUDGET: u64 = 6_656;
+
+/// Heap an issued, unacknowledged 8 KiB write from memory may hold: its
+/// frames, handle and events, but not a copy of its payload, which shares
+/// the source pages (about 1.5 KiB; a private copy makes it 8.2 KiB).
+const IN_FLIGHT_OP_BUDGET: u64 = 4 << 10;
 
 /// Payload of each write in the carried round.
 const OP_BYTES: usize = 8 << 10;
@@ -101,4 +110,86 @@ fn carried_connection_holds_at_most_6_5_kib() {
         per_end <= CARRIED_CONN_BUDGET,
         "a connection that carried one round holds {per_end} B of heap, over its {CARRIED_CONN_BUDGET} B budget"
     );
+}
+
+#[test]
+fn in_flight_writes_share_their_source_pages() {
+    const BURST: usize = 16;
+    const SRC: u64 = 0x10_0000;
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = SystemConfig::one_link_1g(2);
+    let sim = Sim::new(1);
+    let cluster = build_cluster(&sim, cfg.cluster_spec());
+    let eps = Endpoint::for_cluster(&sim, &cluster, Rc::new(cfg));
+    let (conn, _) = Endpoint::connect(&eps[0], &eps[1]);
+    eps[0].mem_write(SRC, &[7; BURST * OP_BYTES]);
+    eps[1].mem_write(DST, &[0; OP_BYTES]);
+    let held = Rc::new(Cell::new(0));
+    let (ep, out) = (eps[0].clone(), held.clone());
+    sim.spawn("bursts", async move {
+        // The first burst grows the simulator's and the connection's
+        // queues; the second, issued into them, is measured.
+        for burst in 0..2 {
+            let mut handles = Vec::with_capacity(BURST);
+            let (before, acks) = (live_bytes(), ep.stats().ctrl_frames_recv);
+            for i in 0..BURST {
+                let src = SRC + (i * OP_BYTES) as u64;
+                handles.push(ep.write(conn, src, DST, OP_BYTES, OpFlags::RELAXED).await);
+            }
+            out.set(live_bytes().saturating_sub(before));
+            assert_eq!(ep.stats().ctrl_frames_recv, acks, "an ack arrived mid-burst {burst}");
+            let waits: Vec<_> = handles.iter().map(|h| h.wait()).collect();
+            join_all(waits).await;
+        }
+    });
+    sim.run().expect_quiescent();
+    assert_eq!(eps[1].mem_read(DST, OP_BYTES), [7; OP_BYTES]);
+    let per_op = held.get() / BURST as u64;
+    println!("in-flight 8 KiB write from memory: {per_op} B of heap");
+    assert!(
+        per_op <= IN_FLIGHT_OP_BUDGET,
+        "an in-flight write holds {per_op} B of heap, over its {IN_FLIGHT_OP_BUDGET} B budget: is its payload a copy?"
+    );
+}
+
+/// Cutting a payload from memory allocates its copy buffer, if any, and
+/// nothing else: at most once, and not at all when no fragment straddles a
+/// page boundary. (The rest of the contract of `AppMemory::fragments` is a
+/// property test next to it; the count needs this binary's allocator.)
+#[test]
+fn cutting_a_payload_allocates_at_most_its_copy_buffer() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let page = PAGE_SIZE as u64;
+    let mut m = AppMemory::new();
+    m.write(page, &vec![5; 3 * PAGE_SIZE]);
+    // Pages 1–3 are resident, 0 and 4 are not; the first cut of a page
+    // that is not resident builds this thread's zero page.
+    m.fragments(Payload::Memory { addr: 0, len: 1 }, 1).for_each(drop);
+    for addr in [0, 1, page - 1, page - 64, 2 * page - 700, 3 * page + 5] {
+        for len in [0, 1, 64, 1450, PAGE_SIZE, 5020, 3 * PAGE_SIZE + 100] {
+            for max in [1, 64, 1450, PAGE_SIZE, 5000] {
+                let straddles = (0..len).step_by(max).any(|off| {
+                    let (a, n) = (addr + off as u64, max.min(len - off));
+                    (a % page) as usize + n > PAGE_SIZE
+                });
+                // The count is process-wide and the test harness's own
+                // thread may allocate meanwhile: the least of three cuts
+                // is this one's.
+                let n = (0..3)
+                    .map(|_| {
+                        let a0 = allocs();
+                        let src = Payload::Memory { addr, len };
+                        let cut: usize = m.fragments(src, max).map(|f| f.len()).sum();
+                        assert_eq!(cut, len);
+                        allocs() - a0
+                    })
+                    .min()
+                    .unwrap_or_default();
+                assert!(
+                    n <= u64::from(straddles),
+                    "{addr:#x}+{len} at {max}: {n} allocations (straddles: {straddles})"
+                );
+            }
+        }
+    }
 }

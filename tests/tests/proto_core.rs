@@ -16,7 +16,7 @@
 use bytes::Bytes;
 use frame::Frame;
 use multiedge::proto::{Effect, Host, Observers, Op, ProtoCore, TimerKind};
-use multiedge::{Notification, OpFlags, ProtoConfig};
+use multiedge::{Notification, OpFlags, Payload, ProtoConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -55,13 +55,15 @@ enum Event {
 
 /// The channel and the clock: a time-ordered event queue plus the script of
 /// per-frame fates, consumed one per frame sent; past its end the channel
-/// is fair.
+/// is fair. `drops` names frames, by sending node and sequence number,
+/// whose first copy is lost whatever the script says.
 struct World {
     now: u64,
     queue: BTreeMap<(u64, u64), Event>,
     next_id: u64,
     fates: Vec<u8>,
     sent: usize,
+    drops: BTreeSet<(usize, u32)>,
 }
 
 impl World {
@@ -73,6 +75,9 @@ impl World {
     fn send(&mut self, to: usize, rail: usize, frame: Frame) {
         let fate = self.fates.get(self.sent).copied();
         self.sent += 1;
+        if self.drops.remove(&(1 - to, frame.header.seq)) {
+            return;
+        }
         let Some(fate) = fate else {
             return self.push(self.now + FAIR_DELAY_NS, Event::Frame { to, rail, frame });
         };
@@ -190,6 +195,7 @@ fn run(ops: &[OpSpec], fates: Vec<u8>, force_ordered: bool) -> Result<(), String
         next_id: 0,
         fates,
         sent: 0,
+        drops: BTreeSet::new(),
     };
 
     // The reference: what each write must leave at node 1, what each read
@@ -223,7 +229,7 @@ fn run(ops: &[OpSpec], fates: Vec<u8>, force_ordered: bool) -> Result<(), String
             last_write = Some(i);
             let req = Op::Write {
                 remote_addr: region(i),
-                data: Bytes::from(data.clone()),
+                data: Bytes::from(data.clone()).into(),
             };
             (req, data)
         };
@@ -236,29 +242,9 @@ fn run(ops: &[OpSpec], fates: Vec<u8>, force_ordered: bool) -> Result<(), String
     };
     let mut seen_notes = 0;
     let mut events = 0u32;
-    while let Some((&key, _)) = world.queue.first_key_value() {
-        let ev = world.queue.remove(&key).expect("first key");
-        world.now = key.0;
+    while step(&mut cores, &mut out, &mut world) {
         events += 1;
         prop_assert!(events < 200_000, "no quiescence after {events} events");
-        let node = match &ev {
-            Event::Frame { to, .. } => *to,
-            Event::Timer { node, .. } => *node,
-        };
-        let mut host = TestHost {
-            node,
-            world: &mut world,
-            out: &mut out[node],
-        };
-        match ev {
-            Event::Frame { rail, frame, .. } => {
-                cores[node].on_frame(rail, frame, key.0, key.0, &mut host);
-            }
-            Event::Timer { timer, .. } => {
-                host.out.armed.remove(&(timer as u8));
-                cores[node].on_timer(0, timer, key.0, &mut host);
-            }
-        }
         for c in &cores {
             prop_assert!(c.conns()[0].in_flight() <= WINDOW, "window exceeded");
         }
@@ -434,4 +420,151 @@ fn out_of_window_op_ids_are_rejected() {
     assert_eq!(sink.notes, expect, "one notification per legitimate op");
     assert!(!untouched(&rx, WINDOW + 1));
     assert!(rx.conns()[0].quiesced());
+}
+
+/// Two connected cores (default protocol, fragments of [`FRAG`] bytes) over
+/// a fair channel that loses the first copy of each frame in `drops`.
+fn lossy_pair(drops: &[(usize, u32)]) -> (Vec<ProtoCore<u64>>, [Outbox; 2], World) {
+    let mut cores: Vec<ProtoCore<u64>> = (0..2)
+        .map(|n| ProtoCore::new(n, ProtoConfig::default(), RAILS))
+        .collect();
+    cores[0].connect(1, 0);
+    cores[1].connect(0, 0);
+    let world = World {
+        now: 0,
+        queue: BTreeMap::new(),
+        next_id: 0,
+        fates: Vec::new(),
+        sent: 0,
+        drops: drops.iter().copied().collect(),
+    };
+    (cores, [Outbox::default(), Outbox::default()], world)
+}
+
+/// Deliver the next event; false once the queue is empty.
+fn step(cores: &mut [ProtoCore<u64>], out: &mut [Outbox; 2], world: &mut World) -> bool {
+    let Some((&key, _)) = world.queue.first_key_value() else {
+        return false;
+    };
+    let ev = world.queue.remove(&key).expect("first key");
+    world.now = key.0;
+    let node = match &ev {
+        Event::Frame { to, .. } => *to,
+        Event::Timer { node, .. } => *node,
+    };
+    let mut host = TestHost {
+        node,
+        world,
+        out: &mut out[node],
+    };
+    match ev {
+        Event::Frame { rail, frame, .. } => {
+            cores[node].on_frame(rail, frame, key.0, key.0, &mut host);
+        }
+        Event::Timer { timer, .. } => {
+            host.out.armed.remove(&(timer as u8));
+            cores[node].on_timer(0, timer, key.0, &mut host);
+        }
+    }
+    true
+}
+
+/// A write from memory sends the bytes its source held at issue. The
+/// application overwrites the source as soon as `issue` returns (where the
+/// simulator's write future resolves), and the first copies of an in-page
+/// fragment (seq 0) and of the fragment that straddles the page boundary
+/// (seq 2) are lost: their retransmissions must still carry the old bytes.
+#[test]
+fn a_write_sends_its_source_as_of_issue() {
+    // Five fragments: two in page 3, one across the boundary, two in page 4.
+    const SRC: u64 = 0x4000 - 100;
+    const DST: u64 = 0x9000;
+    let (old, new) = (pattern(200, 1), pattern(200, 2));
+    let (mut cores, mut out, mut world) = lossy_pair(&[(0, 0), (0, 2)]);
+    cores[0].memory.write(SRC, &old);
+    let mut host = TestHost {
+        node: 0,
+        world: &mut world,
+        out: &mut out[0],
+    };
+    let op = Op::Write {
+        remote_addr: DST,
+        data: Payload::Memory {
+            addr: SRC,
+            len: 200,
+        },
+    };
+    cores[0].issue(0, op, OpFlags::RELAXED, 7, 0, 0, &mut host);
+    cores[0].memory.write(SRC, &new);
+    while step(&mut cores, &mut out, &mut world) {}
+
+    assert_eq!(out[0].done, [7]);
+    assert!(world.drops.is_empty(), "both planned losses happened");
+    let s = cores[0].stats();
+    assert_eq!(s.retransmits_nack + s.retransmits_rto, 2);
+    assert_eq!(
+        cores[1].memory.read_vec(DST, 200),
+        old,
+        "the peer got the issue-time bytes"
+    );
+    assert_eq!(
+        cores[0].memory.read_vec(SRC, 200),
+        new,
+        "the sender keeps its own write"
+    );
+    assert!(cores.iter().all(|c| c.conns()[0].quiesced()));
+}
+
+/// A served read returns the bytes as of the serve. The reader asks for a
+/// region and, right behind the request, writes new bytes over it; the
+/// target serves the read, then applies the write, and the first copy of
+/// the response's first fragment is lost, so its retransmission leaves
+/// after the overwrite.
+#[test]
+fn a_served_read_returns_its_source_as_of_the_serve() {
+    const AT: u64 = 0x8000 + 10;
+    const LOCAL: u64 = 0x2_0000;
+    let (old, new) = (pattern(100, 3), pattern(100, 4));
+    let (mut cores, mut out, mut world) = lossy_pair(&[(1, 0)]);
+    cores[1].memory.write(AT, &old);
+    let mut host = TestHost {
+        node: 0,
+        world: &mut world,
+        out: &mut out[0],
+    };
+    let read = Op::Read {
+        local_addr: LOCAL,
+        remote_addr: AT,
+        len: 100,
+    };
+    cores[0].issue(0, read, OpFlags::RELAXED, 1, 0, 0, &mut host);
+    let write = Op::Write {
+        remote_addr: AT,
+        data: Bytes::from(new.clone()).into(),
+    };
+    cores[0].issue(0, write, OpFlags::RELAXED, 2, 0, 0, &mut host);
+
+    // Up to the overwrite: the read is served, its response not complete.
+    while cores[1].memory.read_vec(AT, 100) != new {
+        assert!(
+            step(&mut cores, &mut out, &mut world),
+            "the write never landed"
+        );
+    }
+    assert!(
+        !out[0].done.contains(&1),
+        "the read completed before the overwrite"
+    );
+    while step(&mut cores, &mut out, &mut world) {}
+
+    out[0].done.sort_unstable();
+    assert_eq!(out[0].done, [1, 2]);
+    assert!(world.drops.is_empty(), "the planned loss happened");
+    assert!(cores[1].stats().retransmits_nack + cores[1].stats().retransmits_rto >= 1);
+    assert_eq!(
+        cores[0].memory.read_vec(LOCAL, 100),
+        old,
+        "the reader got the bytes as of the serve"
+    );
+    assert!(cores.iter().all(|c| c.conns()[0].quiesced()));
 }
