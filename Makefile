@@ -43,7 +43,10 @@ loc:
 # anywhere else under crates/core/src fails the target, comments included. The
 # bytes a frame is made of get the same rule: under crates/frame the word may
 # appear in src/fcs.rs only (the one feature-detected dispatch into the
-# hardware CRC), and under vendor/bytes nowhere. A frame's fate has one
+# hardware CRC), and under vendor/bytes nowhere. The simulator's is its
+# engine's: under crates/netsim/src the word may appear in engine.rs only
+# (closures stored in place in cache-line slots, and the prefetch of the
+# next one). A frame's fate has one
 # oracle too: netsim::faults::FaultStream, used by netsim's channels and the
 # chaos interposer alike; a Gilbert–Elliott transition probability named in
 # any other crates/*/src file is a second fault decision being written. And
@@ -67,6 +70,9 @@ one-core:
 	fi
 	@if grep -rnw unsafe crates/frame vendor/bytes --exclude=fcs.rs; then \
 		echo 'one-core: unsafe under crates/frame outside src/fcs.rs, or under vendor/bytes (see above)'; exit 1; \
+	fi
+	@if grep -rnw unsafe crates/netsim/src --exclude=engine.rs; then \
+		echo 'one-core: unsafe under crates/netsim/src outside engine.rs (see above); it belongs there'; exit 1; \
 	fi
 	@if grep -rnE 'p_good_to_bad|p_bad_to_good' crates/*/src | grep -v '^crates/netsim/src/faults.rs:'; then \
 		echo 'one-core: a fault decision outside crates/netsim/src/faults.rs (see above); FaultStream is the one oracle'; exit 1; \

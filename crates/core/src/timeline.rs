@@ -15,8 +15,8 @@
 //!
 //! A driver owns only the *when*. [`WireEndpoint`](crate::WireEndpoint)
 //! checks the due grid in its `poll`. [`Endpoint::start_timeline`] arms a
-//! self-rescheduling simulator event whose closure is stored inline in the
-//! engine's event slab; it disarms itself once the simulation has no live
+//! self-rescheduling simulator event whose closure is stored in place in
+//! one of the engine's closure slots; it disarms itself once the simulation has no live
 //! tasks left, so an armed sampler never prevents [`netsim::Sim::run`] from
 //! quiescing, and [`EndpointSampler::finish`] then takes one final row so
 //! the summed per-interval deltas reconcile *exactly* with the endpoint's

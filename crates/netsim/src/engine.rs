@@ -12,28 +12,27 @@
 //! # Mechanical sympathy
 //!
 //! The event queue is the innermost loop of every benchmark, so it avoids
-//! per-event heap traffic twice over:
+//! per-event heap traffic and waits on memory as little as it can:
 //!
-//! * **Inline closures.** Event closures live in a slab of fixed 160-byte
-//!   buffers (`InlineEvent`) instead of a `Box<dyn FnOnce>` each; only
-//!   closures too big for the buffer fall back to a box. A closure is
-//!   written straight into its slab slot when scheduled and moved out
-//!   exactly once, by its own monomorphized `call`, when it runs — queue
-//!   entries carry a 4-byte handle. The protocol's hot closures (a handful
-//!   of `Rc` handles plus a frame) fit inline, so steady-state scheduling
-//!   allocates nothing.
+//! * **Closures in cache-line slots.** An event closure is written straight
+//!   into a slot of one, two or three 64-byte lines, the smallest that
+//!   holds it (a larger or over-aligned one is boxed), and moved out once,
+//!   by its own monomorphized `call`, when it runs; queue entries carry a
+//!   4-byte handle. Each class grows in blocks that never move, so it holds
+//!   what its own peak needs and a slot's address is stable. Handing out an
+//!   event prefetches the slot of the one after it.
 //!
 //! * **A staging timer wheel in front of one heap.** An event for a later
 //!   quantum (2^15 ns) lands in a hashed wheel (slot = quantum mod wheel
-//!   size) as an O(1) prepend to an unordered chain. When the drain reaches
-//!   a quantum, its chain is moved out whole into the *run*, a vector
-//!   sorted once and popped from the back. Everything else goes to the
-//!   `BinaryHeap`: events beyond the wheel horizon, and events scheduled
-//!   into the quantum already being drained — O(log n) in the entries that
-//!   share the quantum, never a walk over them. The pop loop takes the
-//!   `(time, seq)` minimum of run and heap, and every staged entry is
-//!   later than both, so execution order — and therefore every RNG draw
-//!   and statistic — is bit-identical to a heap-only engine.
+//!   size), in the slot's newest chunk of seven entries. When the drain
+//!   reaches a quantum, its chunks are copied out into the *run*, a vector
+//!   sorted once and popped from the back. Everything
+//!   else goes to the `BinaryHeap`: events beyond the wheel horizon, and
+//!   events scheduled into the quantum already being drained — O(log n) in
+//!   the entries that share the quantum, never a walk over them. The pop
+//!   loop takes the `(time, seq)` minimum of run and heap, and every staged
+//!   entry is later than both, so execution order — and therefore every
+//!   RNG draw and statistic — is bit-identical to a heap-only engine.
 //!   [`Sim::queue_stats`] counts how the queue was used.
 //!
 //! High-churn timers (interrupt moderation and the like) can additionally be
@@ -63,95 +62,201 @@ use std::task::{Context, Poll, Waker};
 pub struct TaskId(u32);
 
 // ---------------------------------------------------------------------------
-// Inline event storage
+// Event storage
 // ---------------------------------------------------------------------------
 
-/// Closure payload capacity of an `InlineEvent`. Sized for the protocol's
-/// receive/transmit closures (endpoint handle + frame ≈ 120 bytes).
-const INLINE_BYTES: usize = 160;
-const INLINE_WORDS: usize = INLINE_BYTES / 16;
+/// Slots, chunks and prefetches are sized in cache lines.
+const LINE: usize = 64;
+/// A storage block holds at most 2^9 items; the first holds a 4 KiB page
+/// of them and each later one twice the one before.
+const BLOCK_SHIFT: u32 = 9;
 
-struct EventVtable {
-    call: unsafe fn(*mut u8, &Sim),
-    drop_in_place: unsafe fn(*mut u8),
+/// Items in blocks that never move, indexed `block << BLOCK_SHIFT | pos`.
+/// Released items are reused first, so the count pushed is the peak in use.
+struct Pool<T> {
+    blocks: Vec<Vec<T>>,
+    free: Vec<u32>,
 }
 
-unsafe fn call_impl<F: FnOnce(&Sim)>(p: *mut u8, sim: &Sim) {
-    // Safety: `p` points at a valid, initialized `F` that is read exactly
-    // once (the vtable is cleared by the caller before invoking).
+impl<T> Default for Pool<T> {
+    fn default() -> Self {
+        Self {
+            blocks: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Pool<T> {
+    /// A released item, left as it was, else a fresh `vacant()`.
+    fn take(&mut self, vacant: impl FnOnce() -> T) -> u32 {
+        if let Some(i) = self.free.pop() {
+            return i;
+        }
+        let cap = |k: usize| ((4096 / size_of::<T>()) << k.min(9)).min(1 << BLOCK_SHIFT);
+        let k = self.blocks.len();
+        if k == 0 || self.blocks[k - 1].len() == cap(k - 1) {
+            // Pushes stay within this capacity: the block never moves.
+            self.blocks.push(Vec::with_capacity(cap(k)));
+        }
+        let k = self.blocks.len() - 1;
+        self.blocks[k].push(vacant());
+        let i = k << BLOCK_SHIFT | (self.blocks[k].len() - 1);
+        u32::try_from(i).expect("a pool index fits in 32 bits")
+    }
+
+    fn at(&mut self, i: u32) -> &mut T {
+        &mut self.blocks[(i >> BLOCK_SHIFT) as usize][i as usize % (1 << BLOCK_SHIFT)]
+    }
+
+    fn peak(&self) -> u64 {
+        self.blocks.iter().map(Vec::len).sum::<usize>() as u64
+    }
+}
+
+/// A stored closure's one entry point: [`finish`] for its type.
+type Finish = unsafe fn(*mut u8, Option<&Sim>);
+
+/// Move the `F` at `p` out and run it on `sim`, or drop it without one.
+/// # Safety
+/// `p` holds a live `F` that nothing reads or drops afterwards.
+unsafe fn finish<F: FnOnce(&Sim)>(p: *mut u8, sim: Option<&Sim>) {
+    // SAFETY: the caller hands over the only live `F` at `p`.
     let f = unsafe { std::ptr::read(p.cast::<F>()) };
-    f(sim);
+    if let Some(sim) = sim {
+        f(sim);
+    }
 }
 
-unsafe fn drop_impl<F>(p: *mut u8) {
-    // Safety: same ownership contract as `call_impl`.
-    unsafe { std::ptr::drop_in_place(p.cast::<F>()) }
+/// A closure stored in place: `W` words at the start of a line-aligned
+/// slot, its [`Finish`] in the slot's last word.
+#[repr(C, align(64))]
+struct EventSlot<const W: usize> {
+    buf: [MaybeUninit<u64>; W],
+    /// `None` while empty or once taken — the Drop guard: a live entry
+    /// point means the buffer holds a value to destroy.
+    finish: Option<Finish>,
 }
 
-struct Vt<F>(std::marker::PhantomData<F>);
+/// Closure words of a slot of one, two and three lines (56, 120, 184 B).
+const ONE_LINE: usize = LINE / 8 - 1;
+const TWO_LINES: usize = 2 * LINE / 8 - 1;
+const THREE_LINES: usize = 3 * LINE / 8 - 1;
+const _: () = assert!(size_of::<EventSlot<THREE_LINES>>() == 3 * LINE);
 
-impl<F: FnOnce(&Sim) + 'static> Vt<F> {
-    const VTABLE: EventVtable = EventVtable {
-        call: call_impl::<F>,
-        drop_in_place: drop_impl::<F>,
-    };
-}
-
-/// One slot of the event slab: a `FnOnce(&Sim)` stored in place (no
-/// allocation) when it fits in [`INLINE_BYTES`], with a boxed fallback for
-/// oversized closures.
-struct InlineEvent {
-    buf: [MaybeUninit<u128>; INLINE_WORDS],
-    /// `None` while the slot is empty or once its closure has been taken
-    /// (invoked or discarded) — also the Drop guard: a live vtable means
-    /// the buffer holds a value to destroy.
-    vtable: Option<&'static EventVtable>,
-}
-
-impl InlineEvent {
-    /// A slot holding no closure.
+impl<const W: usize> EventSlot<W> {
     fn empty() -> Self {
         Self {
-            buf: [MaybeUninit::uninit(); INLINE_WORDS],
-            vtable: None,
+            buf: [MaybeUninit::uninit(); W],
+            finish: None,
         }
     }
 
-    /// Move `f` into this (empty) slot, boxing it first when it does not fit.
+    /// Move `f` into this (empty) slot.
     fn put<F: FnOnce(&Sim) + 'static>(&mut self, f: F) {
-        if std::mem::size_of::<F>() <= INLINE_BYTES && std::mem::align_of::<F>() <= 16 {
-            self.put_inline(f)
-        } else {
-            // The box itself (a 16-byte fat pointer) is stored inline; its
-            // `FnOnce` impl forwards to the heap closure.
-            let boxed: Box<dyn FnOnce(&Sim)> = Box::new(f);
-            self.put_inline(boxed)
-        }
-    }
-
-    fn put_inline<F: FnOnce(&Sim) + 'static>(&mut self, f: F) {
-        assert!(std::mem::size_of::<F>() <= INLINE_BYTES && std::mem::align_of::<F>() <= 16);
-        debug_assert!(self.vtable.is_none(), "slot already holds a closure");
-        // SAFETY: the buffer is 16-byte aligned and large enough (asserted
-        // above, at compile time); ownership of `f` moves into it. A closure
-        // already there would leak, not be read.
+        assert!(size_of::<F>() <= W * 8 && align_of::<F>() <= LINE);
+        debug_assert!(self.finish.is_none(), "slot already holds a closure");
+        // SAFETY: the buffer starts the `align(64)` slot and holds `F`
+        // (asserted above); a closure already there would leak, not be read.
         unsafe { std::ptr::write(self.buf.as_mut_ptr().cast::<F>(), f) };
-        self.vtable = Some(&Vt::<F>::VTABLE);
+        self.finish = Some(finish::<F>);
     }
 
-    /// Destroy the closure without running it (no-op once taken).
-    fn discard(&mut self) {
-        if let Some(vt) = self.vtable.take() {
-            // SAFETY: a live vtable means the buffer still owns the closure;
-            // taking it makes this the only drop.
-            unsafe { (vt.drop_in_place)(self.buf.as_mut_ptr().cast::<u8>()) }
+    /// Empty the slot, handing back its closure to run or drop exactly once.
+    fn take(&mut self) -> Option<(Finish, *mut u8)> {
+        Some((self.finish.take()?, self.buf.as_mut_ptr().cast::<u8>()))
+    }
+}
+
+impl<const W: usize> Drop for EventSlot<W> {
+    fn drop(&mut self) {
+        if let Some((finish, p)) = self.take() {
+            // SAFETY: the slot owned the closure; taking it makes this its only drop.
+            unsafe { finish(p, None) }
         }
     }
 }
 
-impl Drop for InlineEvent {
-    fn drop(&mut self) {
-        self.discard();
+impl<const W: usize> Pool<EventSlot<W>> {
+    fn put<F: FnOnce(&Sim) + 'static>(&mut self, f: F) -> u32 {
+        let i = self.take(EventSlot::empty);
+        self.at(i).put(f);
+        i
+    }
+
+    fn release(&mut self, i: u32) -> Option<(Finish, *mut u8)> {
+        self.free.push(i);
+        self.at(i).take()
+    }
+
+    fn prefetch(&mut self, i: u32) {
+        let p = std::ptr::from_mut(self.at(i)).cast::<u8>();
+        for line in 0..size_of::<EventSlot<W>>() / LINE {
+            prefetch_line(p.wrapping_add(line * LINE));
+        }
+    }
+}
+
+/// A hint that the line at `p` is read soon; no-op off x86-64.
+#[cfg(target_arch = "x86_64")]
+fn prefetch_line(p: *const u8) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    // SAFETY: a prefetch is a hint that never faults, whatever the address.
+    unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>()) }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn prefetch_line(_: *const u8) {}
+
+/// Handle of a stored closure: its slot class (lines − 1) in the low two
+/// bits, its index in that class's pool above them.
+#[derive(Clone, Copy)]
+struct SlotRef(u32);
+
+/// Every queued closure, in the smallest slot class that holds it; a larger
+/// or over-aligned one is boxed into a one-line slot.
+#[derive(Default)]
+struct Closures {
+    one: Pool<EventSlot<ONE_LINE>>,
+    two: Pool<EventSlot<TWO_LINES>>,
+    three: Pool<EventSlot<THREE_LINES>>,
+}
+
+impl Closures {
+    fn store<F: FnOnce(&Sim) + 'static>(&mut self, f: F) -> SlotRef {
+        let size = size_of::<F>();
+        if align_of::<F>() > LINE || size > THREE_LINES * 8 {
+            let boxed: Box<dyn FnOnce(&Sim)> = Box::new(f);
+            return self.store(boxed);
+        }
+        let (class, i) = if size <= ONE_LINE * 8 {
+            (0, self.one.put(f))
+        } else if size <= TWO_LINES * 8 {
+            (1, self.two.put(f))
+        } else {
+            (2, self.three.put(f))
+        };
+        assert!(i < 1 << 30, "a pool index fits in a handle");
+        SlotRef(i << 2 | class)
+    }
+
+    /// Free slot `h`, handing back its closure. The bytes stay at their
+    /// stable address until a later `store` reuses the slot: consume them
+    /// before anything can schedule.
+    fn release(&mut self, h: SlotRef) -> Option<(Finish, *mut u8)> {
+        match h.0 & 3 {
+            0 => self.one.release(h.0 >> 2),
+            1 => self.two.release(h.0 >> 2),
+            _ => self.three.release(h.0 >> 2),
+        }
+    }
+
+    fn prefetch(&mut self, h: SlotRef) {
+        match h.0 & 3 {
+            0 => self.one.prefetch(h.0 >> 2),
+            1 => self.two.prefetch(h.0 >> 2),
+            _ => self.three.prefetch(h.0 >> 2),
+        }
     }
 }
 
@@ -186,12 +291,12 @@ struct TimerRec {
 // Queue entries
 // ---------------------------------------------------------------------------
 
-/// What a queue entry runs. `Call` holds a handle into the event slab
+/// What a queue entry runs. `Call` holds a handle to the closure's slot
 /// rather than the closure itself, keeping queue entries small and `Copy` —
-/// heap sifts and run sorts move 32 bytes, not a 160-byte closure buffer.
+/// heap sifts and run sorts move 32 bytes, not a closure.
 #[derive(Clone, Copy)]
 enum What {
-    Call(u32),
+    Call(SlotRef),
     Poll(TaskId),
 }
 
@@ -199,11 +304,13 @@ enum What {
 struct Scheduled {
     time: SimTime,
     seq: u64,
-    /// Slab handle of the owning timer, or [`TimerId::NONE`]. A cancelled
+    /// Handle of the owning timer, or [`TimerId::NONE`]. A cancelled
     /// timer's entry is skipped at pop time.
     timer: TimerId,
     what: What,
 }
+
+const _: () = assert!(size_of::<What>() == 8 && size_of::<Scheduled>() == 32);
 
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
@@ -244,9 +351,11 @@ pub struct QueueStats {
     pub heap_pops: u64,
     /// Upper bound on the key comparisons spent placing events while
     /// scheduling them: the heap's depth, ⌊log₂ len⌋, per heap insertion (a
-    /// sift-up compares at most once per level); a wheel prepend compares
+    /// sift-up compares at most once per level); a wheel insert compares
     /// nothing.
     pub order_steps: u64,
+    /// Most closures held at once in one-, two- and three-line slots.
+    pub slots_peak: [u64; 3],
 }
 
 /// log2 of the wheel quantum in nanoseconds (2^15 ns ≈ 32.8 µs).
@@ -256,21 +365,23 @@ const QUANTUM_SHIFT: u32 = 15;
 /// to the heap.
 const WHEEL_SLOTS: u64 = 1 << 12;
 
-/// Null arena index.
+/// Null chunk index.
 const NIL: u32 = u32::MAX;
+/// Entries per wheel chunk: what four cache lines hold beside two links.
+const CHUNK_ENTRIES: usize = 7;
 
-/// One wheel entry in the shared arena: the event plus the next link of its
-/// slot's chain. Slots chain into one arena rather than owning a `Vec`
-/// each — a fresh simulation touches a new slot every quantum of virtual
-/// time, and growing per-slot storage there would allocate in proportion to
-/// simulated time. The arena's capacity tracks the maximum number of
-/// *concurrent* wheel entries instead, so its growth is bounded and the
-/// steady state allocates nothing.
+/// Some of a wheel slot's entries, linked to its older chunks. Chunks come
+/// from one pool, not a `Vec` per slot (which would allocate in proportion
+/// to simulated time), so storage follows the most concurrent entries.
+#[repr(C, align(64))]
 #[derive(Clone, Copy)]
-struct WheelEntry {
-    ev: Scheduled,
+struct Chunk {
+    entries: [Scheduled; CHUNK_ENTRIES],
+    len: u32,
     next: u32,
 }
+
+const _: () = assert!(size_of::<Chunk>() == 4 * LINE);
 
 fn quantum(t: SimTime) -> u64 {
     t.as_nanos() >> QUANTUM_SHIFT
@@ -287,11 +398,9 @@ struct SimInner {
     now: SimTime,
     seq: u64,
     heap: BinaryHeap<Scheduled>,
-    /// Head of each slot's arena chain (`NIL` when empty), in push order.
+    /// Each slot's newest chunk (`NIL` when empty); only it may have room.
     wheel: Vec<u32>,
-    /// Backing store for every slot's entry chain.
-    wheel_arena: Vec<WheelEntry>,
-    wheel_free: Vec<u32>,
+    chunks: Pool<Chunk>,
     /// Entries staged in the wheel (the run is not counted).
     wheel_len: usize,
     /// The slot being drained, moved out of the wheel and sorted descending
@@ -303,11 +412,8 @@ struct SimInner {
     wheel_min_q: u64,
     timers: Vec<TimerRec>,
     timer_free: Vec<u32>,
-    /// Slab of queued closures, addressed by [`What::Call`] handles. Slots
-    /// are recycled through `event_free`, so the steady state allocates
-    /// nothing per event.
-    event_store: Vec<InlineEvent>,
-    event_free: Vec<u32>,
+    /// Queued closures, addressed by [`What::Call`] handles.
+    closures: Closures,
     tasks: Vec<Option<Task>>,
     live_tasks: usize,
     current_task: Option<TaskId>,
@@ -318,29 +424,6 @@ struct SimInner {
 }
 
 impl SimInner {
-    /// Park a closure in the event slab, returning its handle. The closure
-    /// is written straight into its slot, never staged on the stack.
-    fn store_event<F: FnOnce(&Sim) + 'static>(&mut self, f: F) -> u32 {
-        let i = self.event_free.pop().unwrap_or_else(|| {
-            self.event_store.push(InlineEvent::empty());
-            (self.event_store.len() - 1) as u32
-        });
-        self.event_store[i as usize].put(f);
-        i
-    }
-
-    /// Release slab slot `i` for reuse, handing back its closure as a raw
-    /// `(vtable, buffer)` pair. Only the vtable is cleared (that alone
-    /// disarms the slot's Drop); the closure bytes stay where they are until
-    /// the next [`SimInner::store_event`] overwrites them, so the caller
-    /// must consume them before anything can schedule.
-    fn release_event(&mut self, i: u32) -> Option<(&'static EventVtable, *mut u8)> {
-        self.event_free.push(i);
-        let slot = &mut self.event_store[i as usize];
-        let vt = slot.vtable.take()?;
-        Some((vt, slot.buf.as_mut_ptr().cast::<u8>()))
-    }
-
     /// Assign the next sequence number and enqueue: later quanta inside the
     /// horizon are staged in the wheel, everything else goes to the heap.
     fn push_event(&mut self, at: SimTime, timer: TimerId, what: What) {
@@ -364,17 +447,23 @@ impl SimInner {
             return;
         }
         let s = (q % WHEEL_SLOTS) as usize;
-        let entry = WheelEntry {
-            ev,
-            next: self.wheel[s],
-        };
-        self.wheel[s] = if let Some(i) = self.wheel_free.pop() {
-            self.wheel_arena[i as usize] = entry;
-            i
-        } else {
-            self.wheel_arena.push(entry);
-            (self.wheel_arena.len() - 1) as u32
-        };
+        let head = self.wheel[s];
+        match (head != NIL).then(|| self.chunks.at(head)) {
+            Some(c) if (c.len as usize) < CHUNK_ENTRIES => {
+                c.entries[c.len as usize] = ev;
+                c.len += 1;
+            }
+            _ => {
+                let i = self.chunks.take(|| Chunk {
+                    entries: [ev; CHUNK_ENTRIES],
+                    len: 0,
+                    next: NIL,
+                });
+                let c = self.chunks.at(i);
+                (c.entries[0], c.len, c.next) = (ev, 1, head);
+                self.wheel[s] = i;
+            }
+        }
         self.wheel_len += 1;
         self.wheel_min_q = self.wheel_min_q.min(q);
     }
@@ -404,10 +493,11 @@ impl SimInner {
         self.heap.extend(self.run.drain(..));
         let mut i = std::mem::replace(&mut self.wheel[(q % WHEEL_SLOTS) as usize], NIL);
         while i != NIL {
-            let e = self.wheel_arena[i as usize];
-            self.run.push(e.ev);
-            self.wheel_free.push(i);
-            i = e.next;
+            let c = self.chunks.at(i);
+            self.run.extend_from_slice(&c.entries[..c.len as usize]);
+            let next = c.next;
+            self.chunks.free.push(i);
+            i = next;
         }
         self.wheel_len -= self.run.len();
         let stats = &mut self.queue_stats;
@@ -460,9 +550,11 @@ impl SimInner {
                     // Cancelled: drop the closure without running it. The
                     // clock and event counter are untouched — a later live
                     // event will advance them past this point anyway.
-                    if let What::Call(idx) = ev.what {
-                        self.event_store[idx as usize].discard();
-                        self.event_free.push(idx);
+                    if let What::Call(h) = ev.what {
+                        if let Some((finish, p)) = self.closures.release(h) {
+                            // SAFETY: `release` emptied the slot: the only drop.
+                            unsafe { finish(p, None) }
+                        }
                     }
                     continue;
                 }
@@ -473,6 +565,15 @@ impl SimInner {
             }
             self.now = ev.time;
             self.events_executed += 1;
+            // Prefetch the closure that runs next: the run's tail, or the
+            // heap's top if earlier (`Scheduled` orders earliest greatest).
+            let next = match (self.run.last(), self.heap.peek()) {
+                (Some(r), Some(h)) if h > r => Some(h.what),
+                (r, h) => r.or(h).map(|e| e.what),
+            };
+            if let Some(What::Call(h)) = next {
+                self.closures.prefetch(h);
+            }
             return Some(ev);
         }
     }
@@ -538,16 +639,14 @@ impl Sim {
                 seq: 0,
                 heap: BinaryHeap::new(),
                 wheel: vec![NIL; WHEEL_SLOTS as usize],
-                wheel_arena: Vec::new(),
-                wheel_free: Vec::new(),
+                chunks: Pool::default(),
                 wheel_len: 0,
                 run: Vec::new(),
                 run_q: 0,
                 wheel_min_q: 0,
                 timers: Vec::new(),
                 timer_free: Vec::new(),
-                event_store: Vec::new(),
-                event_free: Vec::new(),
+                closures: Closures::default(),
                 tasks: Vec::new(),
                 live_tasks: 0,
                 current_task: None,
@@ -588,7 +687,12 @@ impl Sim {
 
     /// Queue-shape counters since creation (see [`QueueStats`]).
     pub fn queue_stats(&self) -> QueueStats {
-        self.inner.borrow().queue_stats
+        let inner = self.inner.borrow();
+        let c = &inner.closures;
+        QueueStats {
+            slots_peak: [c.one.peak(), c.two.peak(), c.three.peak()],
+            ..inner.queue_stats
+        }
     }
 
     /// Number of spawned tasks that have not yet completed.
@@ -611,8 +715,8 @@ impl Sim {
     /// Schedule `f` to run at absolute time `at` (clamped to now).
     pub fn schedule_at(&self, at: SimTime, f: impl FnOnce(&Sim) + 'static) {
         let mut inner = self.inner.borrow_mut();
-        let idx = inner.store_event(f);
-        inner.push_event(at, TimerId::NONE, What::Call(idx));
+        let h = inner.closures.store(f);
+        inner.push_event(at, TimerId::NONE, What::Call(h));
     }
 
     /// Schedule `f` to run after `d`.
@@ -626,8 +730,8 @@ impl Sim {
     pub fn schedule_timer_at(&self, at: SimTime, f: impl FnOnce(&Sim) + 'static) -> TimerId {
         let mut inner = self.inner.borrow_mut();
         let id = inner.alloc_timer();
-        let idx = inner.store_event(f);
-        inner.push_event(at, id, What::Call(idx));
+        let h = inner.closures.store(f);
+        inner.push_event(at, id, What::Call(h));
         id
     }
 
@@ -767,47 +871,36 @@ impl Sim {
         }
     }
 
-    /// Execute one popped queue entry.
-    fn dispatch(&self, what: What) {
-        match what {
-            What::Call(idx) => {
-                let taken = self.inner.borrow_mut().release_event(idx);
-                if let Some((vt, p)) = taken {
-                    // SAFETY: the vtable was live, so `p` holds the closure
-                    // and clearing it made this the only read. The slot is
-                    // already on the free list, but nothing has run since
-                    // the borrow above ended, so no `store_event` can have
-                    // reused or moved it; `call` moves the closure to its
-                    // own stack frame before running it.
-                    unsafe { (vt.call)(p, self) }
+    /// Pop and execute the earliest event due by `limit`, if there is one.
+    fn step(&self, limit: Option<SimTime>) -> bool {
+        let Some(ev) = self.inner.borrow_mut().pop_next(limit) else {
+            return false;
+        };
+        match ev.what {
+            What::Call(h) => {
+                let taken = self.inner.borrow_mut().closures.release(h);
+                if let Some((finish, p)) = taken {
+                    // SAFETY: the slot was live, so `p` holds the closure
+                    // and emptying it made this the only read. Its block
+                    // never moves or is freed while the simulator lives, and
+                    // nothing has run since `release` to reuse the slot;
+                    // `finish` moves the closure out before running it.
+                    unsafe { finish(p, Some(self)) }
                 }
             }
             What::Poll(id) => self.poll_task(id),
         }
+        true
     }
 
     /// Run until the event queue is empty or virtual time would exceed
     /// `limit` (if given). Returns a report including any stuck tasks.
     pub fn run_with_limit(&self, limit: Option<SimTime>) -> RunReport {
-        loop {
-            let next = {
-                let mut inner = self.inner.borrow_mut();
-                match inner.pop_next(limit) {
-                    None => break,
-                    Some(ev) => ev,
-                }
-            };
-            self.dispatch(next.what);
-        }
-        let inner = self.inner.borrow();
+        while self.step(limit) {}
         RunReport {
-            end_time: inner.now,
-            events: inner.events_executed,
-            stuck_tasks: inner
-                .tasks
-                .iter()
-                .filter_map(|t| t.as_ref().map(|t| t.name.clone()))
-                .collect(),
+            end_time: self.now(),
+            events: self.events_executed(),
+            stuck_tasks: self.stuck_task_names(),
         }
     }
 
@@ -833,24 +926,14 @@ impl Sim {
     /// point clamps new events to `at.max(now)` — nothing can be scheduled
     /// in the skipped-over span.
     pub fn advance_until(&self, limit: SimTime, mut stop: impl FnMut() -> bool) -> SimTime {
-        loop {
-            if stop() {
-                return self.now();
-            }
-            let next = {
+        while !stop() {
+            if !self.step(Some(limit)) {
                 let mut inner = self.inner.borrow_mut();
-                match inner.pop_next(Some(limit)) {
-                    None => break,
-                    Some(ev) => ev,
-                }
-            };
-            self.dispatch(next.what);
+                inner.now = inner.now.max(limit);
+                return inner.now;
+            }
         }
-        let mut inner = self.inner.borrow_mut();
-        if inner.now < limit {
-            inner.now = limit;
-        }
-        inner.now
+        self.now()
     }
 }
 
@@ -858,6 +941,7 @@ impl Sim {
 mod tests {
     use super::*;
     use crate::time::{ms, us};
+    use std::cell::Cell;
 
     #[test]
     fn events_run_in_time_order_with_fifo_ties() {
@@ -1017,25 +1101,124 @@ mod tests {
         assert_eq!(*hits.borrow(), vec![99]);
     }
 
-    #[test]
-    fn oversized_closures_fall_back_to_box() {
-        // Capture far more than INLINE_BYTES; the event must still run and
-        // drop cleanly (including when never invoked).
-        let sim = Sim::new(0);
-        let big = [7u8; 4 * INLINE_BYTES];
-        let sum: Rc<RefCell<u64>> = Rc::default();
-        let s = sum.clone();
-        sim.schedule_in(us(1), move |_| {
-            *s.borrow_mut() = big.iter().map(|&b| b as u64).sum();
-        });
-        sim.run().expect_quiescent();
-        assert_eq!(*sum.borrow(), 7 * 4 * INLINE_BYTES as u64);
+    thread_local! {
+        /// Runs and drops of [`Capture`]s on this test thread.
+        static RUNS: Cell<u32> = const { Cell::new(0) };
+        static DROPS: Cell<u32> = const { Cell::new(0) };
+    }
 
-        // Never-invoked oversized closure: cancelled timer drops the box.
-        let big2 = vec![1u8; 4 * INLINE_BYTES];
-        let id = sim.schedule_timer_in(us(1), move |_| drop(big2));
-        sim.cancel_timer(id);
+    /// `N` bytes of byte-aligned capture that count their drops, so a
+    /// closure holding one is exactly `N` bytes.
+    struct Capture<const N: usize>([u8; N]);
+
+    impl<const N: usize> Drop for Capture<N> {
+        fn drop(&mut self) {
+            DROPS.set(DROPS.get() + 1);
+        }
+    }
+
+    /// Capture whose alignment is past a cache line.
+    #[repr(align(128))]
+    struct OverAligned(u8);
+
+    impl Drop for OverAligned {
+        fn drop(&mut self) {
+            DROPS.set(DROPS.get() + 1);
+        }
+    }
+
+    fn sized<const N: usize>() -> impl FnOnce(&Sim) + 'static {
+        let c = Capture([1; N]);
+        let f = move |_: &Sim| {
+            let c = c;
+            RUNS.set(RUNS.get() + u32::from(c.0[N - 1]));
+        };
+        assert_eq!(std::mem::size_of_val(&f), N);
+        f
+    }
+
+    fn over_aligned() -> impl FnOnce(&Sim) + 'static {
+        let c = OverAligned(1);
+        let f = move |_: &Sim| {
+            let c = c;
+            RUNS.set(RUNS.get() + u32::from(c.0));
+        };
+        assert_eq!(std::mem::align_of_val(&f), 128);
+        f
+    }
+
+    /// One closure shape: how to make it, and the class (as
+    /// [`QueueStats::slots_peak`] counts it) it must land in.
+    fn run_dropped_cancelled_pending<F: FnOnce(&Sim) + 'static>(
+        make: impl Fn() -> F,
+        class: usize,
+        what: &str,
+    ) {
+        let counts = || (RUNS.get(), DROPS.get());
+        let mut peak = [0; 3];
+        peak[class] = 1;
+        let (runs, drops) = counts();
+        let sim = Sim::new(0);
+        sim.schedule_in(us(1), make());
         sim.run().expect_quiescent();
+        assert_eq!(counts(), (runs + 1, drops + 1), "{what}: run");
+        assert_eq!(sim.queue_stats().slots_peak, peak, "{what}: class");
+
+        let sim = Sim::new(0);
+        let id = sim.schedule_timer_in(us(1), make());
+        assert!(sim.cancel_timer(id));
+        sim.run().expect_quiescent();
+        assert_eq!(counts(), (runs + 1, drops + 2), "{what}: cancelled");
+
+        let sim = Sim::new(0);
+        sim.schedule_in(us(1), make());
+        drop(sim);
+        assert_eq!(counts(), (runs + 1, drops + 3), "{what}: pending at drop");
+    }
+
+    #[test]
+    fn pool_blocks_grow_from_a_page_and_never_move() {
+        let mut pool: Pool<Chunk> = Pool::default();
+        let vacant = || Chunk {
+            entries: [Scheduled {
+                time: SimTime::ZERO,
+                seq: 0,
+                timer: TimerId::NONE,
+                what: What::Poll(TaskId(0)),
+            }; CHUNK_ENTRIES],
+            len: 0,
+            next: NIL,
+        };
+        let ids: Vec<u32> = (0..3_000).map(|_| pool.take(vacant)).collect();
+        let addrs: Vec<*const Chunk> = ids.iter().map(|&i| &raw const *pool.at(i)).collect();
+        // A page of 256-byte chunks, then doubling to 512 per block.
+        let caps: Vec<usize> = pool.blocks.iter().map(Vec::capacity).collect();
+        assert_eq!(caps, [16, 32, 64, 128, 256, 512, 512, 512, 512, 512]);
+        for &i in ids.iter().rev().take(1_000) {
+            pool.free.push(i);
+        }
+        for _ in 0..1_500 {
+            pool.take(vacant);
+        }
+        assert_eq!(pool.peak(), 3_500, "released items are reused first");
+        let stable = ids
+            .iter()
+            .zip(&addrs)
+            .all(|(&i, &a)| std::ptr::eq(pool.at(i), a));
+        assert!(stable, "an item moved when its pool grew");
+    }
+
+    #[test]
+    fn closures_take_the_smallest_slot_class_at_its_edges() {
+        // One line holds 56 B of closure, two 120 B, three 184 B; anything
+        // larger or aligned past a line is boxed into a one-line slot.
+        run_dropped_cancelled_pending(sized::<56>, 0, "56 B");
+        run_dropped_cancelled_pending(sized::<57>, 1, "57 B");
+        run_dropped_cancelled_pending(sized::<120>, 1, "120 B");
+        run_dropped_cancelled_pending(sized::<121>, 2, "121 B");
+        run_dropped_cancelled_pending(sized::<184>, 2, "184 B");
+        run_dropped_cancelled_pending(sized::<185>, 0, "185 B, boxed");
+        run_dropped_cancelled_pending(over_aligned, 0, "align 128, boxed");
     }
 
     #[test]
@@ -1108,21 +1291,30 @@ mod tests {
     #[test]
     fn every_closure_is_dropped_exactly_once() {
         // Run, cancelled, and still queued when the simulator goes away:
-        // each path must release the closure's captures once.
+        // each path must release the closure's captures once, in every
+        // slot class and boxed.
+        fn schedule<const PAD: usize>(sim: &Sim, token: &Rc<()>) {
+            let pad = |t: Rc<()>| {
+                let pad = [0u8; PAD];
+                move |_: &Sim| drop((t, pad))
+            };
+            sim.schedule_in(us(1), pad(token.clone()));
+            let id = sim.schedule_timer_in(us(2), pad(token.clone()));
+            sim.cancel_timer(id);
+            for far in [us(50), ms(300)] {
+                sim.schedule_in(far, pad(token.clone()));
+            }
+        }
         let token = Rc::new(());
         let sim = Sim::new(0);
-        let t = token.clone();
-        sim.schedule_in(us(1), move |_| drop(t));
-        let t = token.clone();
-        let id = sim.schedule_timer_in(us(2), move |_| drop(t));
-        sim.cancel_timer(id);
-        for far in [us(50), ms(300)] {
-            let t = token.clone();
-            sim.schedule_in(far, move |_| drop(t));
-        }
-        assert_eq!(Rc::strong_count(&token), 5);
+        schedule::<0>(&sim, &token);
+        schedule::<100>(&sim, &token);
+        schedule::<160>(&sim, &token);
+        schedule::<400>(&sim, &token);
+        assert_eq!(sim.queue_stats().slots_peak, [8, 4, 4]);
+        assert_eq!(Rc::strong_count(&token), 17);
         sim.run_with_limit(Some(SimTime::ZERO + us(10)));
-        assert_eq!(Rc::strong_count(&token), 3, "ran one, discarded one");
+        assert_eq!(Rc::strong_count(&token), 9, "ran four, discarded four");
         drop(sim);
         assert_eq!(Rc::strong_count(&token), 1, "queued closures leaked");
     }

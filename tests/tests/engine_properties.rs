@@ -3,10 +3,12 @@
 //! * **Order is a heap's order.** A random program — absolute and relative
 //!   times with same-instant ties, events that schedule into the quantum
 //!   being drained, entries beyond the ~134 ms wheel horizon, timers armed,
-//!   cancelled and re-armed, `advance_until` idle jumps and early stops,
+//!   cancelled and re-armed, bursts that fill more than one wheel chunk of
+//!   a quantum, `advance_until` idle jumps and early stops,
 //!   `next_event_time` peeks, and scheduling from outside between them — runs
 //!   on the engine and on a reference model that is nothing but one binary
-//!   heap. The executed `(time, event)` sequence, the clock, the event count
+//!   heap. Each kind of event captures a size drawn from every closure slot
+//!   class (one, two and three cache lines) and the boxed fallback. The executed `(time, event)` sequence, the clock, the event count
 //!   and the pending count must agree after every step.
 //! * **Scheduling is O(log n).** 4 096 self-rescheduling lanes sharing one
 //!   wheel quantum spend at most `2·log₂(n)` ordering steps per event, by the
@@ -29,6 +31,11 @@ const HORIZON_NS: u64 = QUANTUM_NS << 12;
 const SPAWN_BUDGET: u32 = 4_000;
 /// Marks a cancel's result in [`Trace::log`], apart from any template index.
 const CANCEL_TAG: u64 = 1 << 32;
+/// Wheel entries per chunk, as the engine stores a quantum's chain.
+const CHUNK_ENTRIES: u64 = 7;
+/// Bytes of padding an event closure captures beside its 16 B of state, one
+/// per closure size: a one-, two- or three-line slot, or boxed.
+const PADS: [usize; 4] = [0, 80, 160, 400];
 
 /// When a scheduled event is due.
 #[derive(Debug, Clone, Copy)]
@@ -61,6 +68,15 @@ enum Step {
     Peek,
     /// Schedule from outside the event loop.
     Inject(Action),
+    /// Schedule `n` events of kind `target` (every other one a timer) into
+    /// the quantum `quanta` ahead, then cancel every `cancel_every`-th timer
+    /// armed, newest first.
+    Burst {
+        quanta: u64,
+        n: u64,
+        target: usize,
+        cancel_every: usize,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -68,6 +84,8 @@ struct Program {
     /// `templates[i]` is what an event of kind `i` does; spawn targets are
     /// taken modulo the table, and the spawn budget ends every program.
     templates: Vec<Vec<Action>>,
+    /// `pads[i]` indexes [`PADS`]: the capture size of an event of kind `i`.
+    pads: Vec<usize>,
     steps: Vec<Step>,
 }
 
@@ -88,6 +106,8 @@ trait Host {
     fn now(&self) -> u64;
     fn schedule(self: &Rc<Self>, when: When, template: usize, timer: bool);
     fn cancel(&self, k: usize) -> bool;
+    /// Timers armed so far.
+    fn armed(&self) -> usize;
     fn world(&self) -> &World;
 }
 
@@ -129,6 +149,24 @@ fn apply<H: Host>(host: &Rc<H>, action: Action) {
     }
 }
 
+/// Run one [`Step::Burst`]: every entry lands in the same quantum, so its
+/// wheel slot chains more than one chunk when `n` exceeds a chunk.
+fn burst<H: Host>(host: &Rc<H>, quanta: u64, n: u64, target: usize, cancel_every: usize) {
+    let base = (host.now() / QUANTUM_NS + quanta) * QUANTUM_NS;
+    let before = host.armed();
+    for i in 0..n {
+        let spawn = Action::Spawn {
+            when: When::At(base + i * 7_919 % QUANTUM_NS),
+            target,
+            timer: i % 2 == 0,
+        };
+        apply(host, spawn);
+    }
+    for k in (before..host.armed()).rev().step_by(cancel_every) {
+        apply(host, Action::Cancel(k));
+    }
+}
+
 /// Run one event of kind `template`.
 fn fire<H: Host>(host: &Rc<H>, template: usize) {
     let w = host.world();
@@ -143,16 +181,21 @@ fn fire<H: Host>(host: &Rc<H>, template: usize) {
 struct EngineHost {
     sim: Sim,
     world: World,
+    pads: Vec<usize>,
     timers: RefCell<Vec<TimerId>>,
 }
 
-impl Host for EngineHost {
-    fn now(&self) -> u64 {
-        self.sim.now().as_nanos()
+/// An event closure of kind `template` carrying `P` bytes of padding.
+fn padded<const P: usize>(me: Rc<EngineHost>, template: usize) -> impl FnOnce(&Sim) + 'static {
+    let pad = [0u8; P];
+    move |_: &Sim| {
+        std::hint::black_box(pad);
+        fire(&me, template)
     }
-    fn schedule(self: &Rc<Self>, when: When, template: usize, timer: bool) {
-        let me = self.clone();
-        let f = move |_: &Sim| fire(&me, template);
+}
+
+impl EngineHost {
+    fn arm(self: &Rc<Self>, when: When, timer: bool, f: impl FnOnce(&Sim) + 'static) {
         match (when, timer) {
             (When::In(d), false) => self.sim.schedule_in(Dur(d), f),
             (When::At(t), false) => self.sim.schedule_at(SimTime(t), f),
@@ -166,9 +209,27 @@ impl Host for EngineHost {
             }
         }
     }
+}
+
+impl Host for EngineHost {
+    fn now(&self) -> u64 {
+        self.sim.now().as_nanos()
+    }
+    fn schedule(self: &Rc<Self>, when: When, template: usize, timer: bool) {
+        let me = self.clone();
+        match PADS[self.pads[template]] {
+            0 => self.arm(when, timer, padded::<0>(me, template)),
+            80 => self.arm(when, timer, padded::<80>(me, template)),
+            160 => self.arm(when, timer, padded::<160>(me, template)),
+            _ => self.arm(when, timer, padded::<400>(me, template)),
+        }
+    }
     fn cancel(&self, k: usize) -> bool {
         let timers = self.timers.borrow();
         !timers.is_empty() && self.sim.cancel_timer(timers[k % timers.len()])
+    }
+    fn armed(&self) -> usize {
+        self.timers.borrow().len()
     }
     fn world(&self) -> &World {
         &self.world
@@ -179,6 +240,7 @@ fn run_engine(p: &Program) -> Trace {
     let host = Rc::new(EngineHost {
         sim: Sim::new(0),
         world: World::new(p),
+        pads: p.pads.clone(),
         timers: RefCell::default(),
     });
     let sim = &host.sim;
@@ -202,6 +264,12 @@ fn run_engine(p: &Program) -> Trace {
             }
             Step::Peek => peek = sim.next_event_time().map(|t| t.as_nanos()),
             Step::Inject(action) => apply(&host, action),
+            Step::Burst {
+                quanta,
+                n,
+                target,
+                cancel_every,
+            } => burst(&host, quanta, n, target, cancel_every),
         }
         checkpoint(peek);
     }
@@ -263,6 +331,9 @@ impl Host for ModelHost {
             timers[i] = TimerState::Cancelled;
         }
         pending
+    }
+    fn armed(&self) -> usize {
+        self.timers.borrow().len()
     }
     fn world(&self) -> &World {
         &self.world
@@ -336,6 +407,12 @@ fn run_model(p: &Program) -> Trace {
             }
             Step::Peek => peek = host.heap.borrow().peek().map(|e| e.0 .0),
             Step::Inject(action) => apply(&host, action),
+            Step::Burst {
+                quanta,
+                n,
+                target,
+                cancel_every,
+            } => burst(&host, quanta, n, target, cancel_every),
         }
         checkpoint(peek);
     }
@@ -390,15 +467,36 @@ fn arb_step() -> impl Strategy<Value = Step> {
             dt,
             stop_after: u64::MAX,
         }),
+        // One to four chunks' worth of one quantum, a few quanta out.
+        (
+            1u64..6,
+            CHUNK_ENTRIES + 1..4 * CHUNK_ENTRIES,
+            0usize..64,
+            1usize..4
+        )
+            .prop_map(|(quanta, n, target, cancel_every)| Step::Burst {
+                quanta,
+                n,
+                target,
+                cancel_every,
+            }),
     ]
 }
 
 fn arb_program() -> impl Strategy<Value = Program> {
+    let template = (proptest::collection::vec(arb_action(), 0..4), 0..PADS.len());
     (
-        proptest::collection::vec(proptest::collection::vec(arb_action(), 0..4), 1..24),
+        proptest::collection::vec(template, 1..24),
         proptest::collection::vec(arb_step(), 1..60),
     )
-        .prop_map(|(templates, steps)| Program { templates, steps })
+        .prop_map(|(templates, steps)| {
+            let (templates, pads) = templates.into_iter().unzip();
+            Program {
+                templates,
+                pads,
+                steps,
+            }
+        })
 }
 
 proptest! {
