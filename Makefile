@@ -59,7 +59,9 @@ loc:
 # span recorder and the flight recorder each fold the events it emits. A
 # payload made from application memory is built in memory.rs only, cut from
 # the page table copy-on-write: read_bytes or BytesMut in the core or a
-# driver is an op's private copy of bytes its pages already hold.
+# driver is an op's private copy of bytes its pages already hold. Armed
+# timers are the core's state too: the wire driver naming TimerKind, or
+# keeping deadlines or a buffered_since clock, is a shadow copy of it.
 ONE_CORE_PARTS = SeqTracker|OpOrdering|TxRing|GapRing|RttEstimator|NackRanges|from_wire|TimelineBuilder|HealthMonitor::
 one-core:
 	@if grep -nE '$(ONE_CORE_PARTS)' crates/core/src/endpoint.rs crates/core/src/backplane/wire.rs; then \
@@ -88,6 +90,9 @@ one-core:
 	fi
 	@if grep -nE 'read_bytes|BytesMut' crates/core/src/proto.rs crates/core/src/endpoint.rs crates/core/src/backplane/wire.rs; then \
 		echo 'one-core: a payload buffer built outside memory.rs (see above); cut it from the page table with AppMemory::fragments'; exit 1; \
+	fi
+	@if grep -nE 'TimerKind|deadlines|buffered_since' crates/core/src/backplane/wire.rs; then \
+		echo 'one-core: the wire driver shadows the core timers (see above); read next_deadline and call fire_due'; exit 1; \
 	fi
 
 # Failover ablation: writes results/BENCH_failover.json (goodput

@@ -31,7 +31,7 @@ mod wire;
 
 pub use chaos::{ChaosConfig, ChaosStats, FaultBackplane};
 pub use sim::SimBackplane;
-pub use udp::{UdpBackplane, UdpFabric, UdpFabricConfig, UdpFabricStats, UdpRxError};
+pub use udp::{UdpBackplane, UdpFabric, UdpFabricStats, UdpRxError};
 pub use wire::{
     drain, drive, drive_with, CompletedWrite, DriveLimits, WireConnState, WireEndpoint, WireError,
 };

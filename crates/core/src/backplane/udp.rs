@@ -92,31 +92,18 @@ const MAX_SEGMENTS: usize = 64;
 /// Most parked [`UdpRxError`]s retained before the oldest are discarded.
 const RX_ERROR_LOG: usize = 32;
 
-/// How the idle loop in [`Backplane::advance`] waits (see
-/// [`UdpFabric::new_with`]). The defaults spin briefly for the
-/// microsecond-scale loopback latencies, then yield, then sleep — so a
-/// long protocol deadline (a backed-off RTO during a blackout) does not
-/// burn a core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UdpFabricConfig {
-    /// Busy-spin iterations before starting to yield the core.
-    pub spin_before_yield: u32,
-    /// `yield_now` iterations before falling back to sleeping.
-    pub yields_before_sleep: u32,
-    /// Sleep granularity once spinning and yielding are exhausted (capped
-    /// by the remaining deadline).
-    pub idle_sleep: Duration,
-}
+/// Busy-spin turns of the idle loop in [`Backplane::advance`]: it spins
+/// briefly for the microsecond-scale loopback latencies, then yields, then
+/// sleeps in slices of [`IDLE_SLEEP`] (capped by the remaining deadline) —
+/// so a long protocol deadline (a backed-off RTO during a blackout) does
+/// not burn a core.
+const SPINS_BEFORE_YIELD: u32 = 64;
 
-impl Default for UdpFabricConfig {
-    fn default() -> Self {
-        Self {
-            spin_before_yield: 64,
-            yields_before_sleep: 256,
-            idle_sleep: Duration::from_micros(50),
-        }
-    }
-}
+/// `yield_now` turns before the idle loop falls back to sleeping.
+const YIELDS_BEFORE_SLEEP: u32 = 256;
+
+/// The idle loop's sleep slice.
+const IDLE_SLEEP: Duration = Duration::from_micros(50);
 
 /// Why a received datagram was dropped instead of delivered.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -281,34 +268,11 @@ pub struct UdpFabric {
     swept: [Cell<bool>; 2],
     /// Wall-clock epoch: `now_ns` is elapsed time since this instant.
     epoch: Instant,
-    /// Idle-wait behavior of `advance`.
-    cfg: UdpFabricConfig,
-    /// Total segments delivered (the advance early-stop signal).
-    delivered: Cell<u64>,
-    /// Segments dropped on checksum failure.
-    corrupt_dropped: Cell<u64>,
-    /// Segments dropped as structurally invalid.
-    malformed_dropped: Cell<u64>,
-    /// Segments dropped for an unexpected source address.
-    unknown_source_dropped: Cell<u64>,
+    /// The socket-path counters; `delivered` is also the advance
+    /// early-stop signal.
+    stats: Cell<UdpFabricStats>,
     /// Bounded log of receive errors (newest kept, oldest discarded).
     rx_errors: RefCell<VecDeque<UdpRxError>>,
-    /// Errors evicted from `rx_errors` unread (overflow observability).
-    rx_errors_dropped: Cell<u64>,
-    /// `send_to` + `sendmsg` calls made.
-    send_calls: Cell<u64>,
-    /// `poll` calls made.
-    poll_calls: Cell<u64>,
-    /// `recvmsg` calls made.
-    recv_calls: Cell<u64>,
-    /// `recvmsg` calls that returned `WouldBlock`.
-    recv_would_block: Cell<u64>,
-    /// `recvmsg` calls that returned more than one segment.
-    recv_coalesced: Cell<u64>,
-    /// Frames of refused sends.
-    tx_failed: Cell<u64>,
-    /// `poll` failures and `recvmsg` failures other than `WouldBlock`.
-    rx_socket_errors: Cell<u64>,
     /// Optional flight recorder: corrupt drops are noted as trace events.
     flight: RefCell<FlightRecorder>,
     /// The fabric's one datagram-sized buffer: the run
@@ -319,22 +283,12 @@ pub struct UdpFabric {
 }
 
 impl UdpFabric {
-    /// Bind `2 × rails` loopback sockets with the default
-    /// [`UdpFabricConfig`].
+    /// Bind `2 × rails` loopback sockets.
     ///
     /// # Errors
     ///
     /// Returns any socket `bind`/configuration error verbatim.
     pub fn new(rails: usize) -> std::io::Result<Rc<UdpFabric>> {
-        Self::new_with(rails, UdpFabricConfig::default())
-    }
-
-    /// Bind `2 × rails` loopback sockets with explicit idle-wait behavior.
-    ///
-    /// # Errors
-    ///
-    /// Returns any socket `bind`/configuration error verbatim.
-    pub fn new_with(rails: usize, cfg: UdpFabricConfig) -> std::io::Result<Rc<UdpFabric>> {
         assert!(rails >= 1, "a fabric needs at least one rail");
         let mut sockets: Vec<Vec<UdpSocket>> = Vec::with_capacity(2);
         let mut segmentation = true;
@@ -365,20 +319,8 @@ impl UdpFabric {
             queues: [RefCell::default(), RefCell::default()],
             swept: [Cell::new(false), Cell::new(false)],
             epoch: Instant::now(),
-            cfg,
-            delivered: Cell::new(0),
-            corrupt_dropped: Cell::new(0),
-            malformed_dropped: Cell::new(0),
-            unknown_source_dropped: Cell::new(0),
+            stats: Cell::default(),
             rx_errors: RefCell::new(VecDeque::new()),
-            rx_errors_dropped: Cell::new(0),
-            send_calls: Cell::new(0),
-            poll_calls: Cell::new(0),
-            recv_calls: Cell::new(0),
-            recv_would_block: Cell::new(0),
-            recv_coalesced: Cell::new(0),
-            tx_failed: Cell::new(0),
-            rx_socket_errors: Cell::new(0),
             flight: RefCell::new(FlightRecorder::disabled()),
             buf: RefCell::new(vec![0u8; MAX_DATAGRAM].into_boxed_slice()),
         }))
@@ -400,27 +342,14 @@ impl UdpFabric {
 
     /// Socket-path counters.
     pub fn stats(&self) -> UdpFabricStats {
-        UdpFabricStats {
-            delivered: self.delivered.get(),
-            frames_corrupt_dropped: self.corrupt_dropped.get(),
-            frames_malformed_dropped: self.malformed_dropped.get(),
-            unknown_source_dropped: self.unknown_source_dropped.get(),
-            rx_errors_dropped: self.rx_errors_dropped.get(),
-            send_calls: self.send_calls.get(),
-            poll_calls: self.poll_calls.get(),
-            recv_calls: self.recv_calls.get(),
-            recv_would_block: self.recv_would_block.get(),
-            recv_coalesced: self.recv_coalesced.get(),
-            tx_failed: self.tx_failed.get(),
-            rx_socket_errors: self.rx_socket_errors.get(),
-        }
+        self.stats.get()
     }
 
-    /// Segments that failed to decode and were dropped — corrupt plus
-    /// malformed, the FCS stand-in (kept for callers of the pre-split
-    /// counter).
-    pub fn decode_dropped(&self) -> u64 {
-        self.corrupt_dropped.get() + self.malformed_dropped.get()
+    /// Apply `f` to the counters.
+    fn count(&self, f: impl FnOnce(&mut UdpFabricStats)) {
+        let mut s = self.stats.get();
+        f(&mut s);
+        self.stats.set(s);
     }
 
     /// The oldest retained receive error, if any (the log keeps the newest
@@ -514,7 +443,7 @@ impl UdpFabric {
             log.pop_front();
             // Eviction is silent data loss without a counter: the drop
             // stays visible in `stats()` even after the detail is gone.
-            add(&self.rx_errors_dropped, 1);
+            self.count(|s| s.rx_errors_dropped += 1);
         }
         log.push_back(err);
     }
@@ -526,12 +455,12 @@ impl UdpFabric {
         let mut ready = self.poll_sets[node].borrow_mut();
         let mut buf = self.buf.borrow_mut();
         'sweep: loop {
-            add(&self.poll_calls, 1);
+            self.count(|s| s.poll_calls += 1);
             match ready.poll_now() {
                 Ok(0) => break,
                 Ok(_) => {}
                 Err(_) => {
-                    add(&self.rx_socket_errors, 1);
+                    self.count(|s| s.rx_socket_errors += 1);
                     break;
                 }
             }
@@ -540,17 +469,19 @@ impl UdpFabric {
                 if !ready.ready(rail) {
                     continue;
                 }
-                add(&self.recv_calls, 1);
+                self.count(|s| s.recv_calls += 1);
                 match sys::recv_segments(sock, &mut buf) {
                     Ok(rx) => self.admit(node, rail, now, &rx, &buf),
                     // The kernel dropped what `poll` saw (a bad UDP
                     // checksum); the next `poll` no longer reports it.
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => add(&self.recv_would_block, 1),
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        self.count(|s| s.recv_would_block += 1)
+                    }
                     // Any other socket error ends this sweep like a dropped
                     // frame would (the protocol recovers via NACK/RTO), but
                     // is counted so it cannot pass for loss on the wire.
                     Err(_) => {
-                        add(&self.rx_socket_errors, 1);
+                        self.count(|s| s.rx_socket_errors += 1);
                         break 'sweep;
                     }
                 }
@@ -566,7 +497,7 @@ impl UdpFabric {
     /// length; the frames' payloads are slices of it.
     fn admit(&self, node: usize, rail: usize, now: u64, rx: &Received, buf: &[u8]) {
         if rx.truncated {
-            add(&self.malformed_dropped, 1);
+            self.count(|s| s.frames_malformed_dropped += 1);
             let err = CodecError::BadLength {
                 declared: rx.len,
                 available: buf.len(),
@@ -577,13 +508,13 @@ impl UdpFabric {
         // An empty datagram is still one (malformed) segment.
         let segments = rx.len.div_ceil(rx.seg_len).max(1);
         if rx.from != self.peer_addrs[node][rail] {
-            add(&self.unknown_source_dropped, segments as u64);
+            self.count(|s| s.unknown_source_dropped += segments as u64);
             let from = rx.from;
             self.push_rx_error(UdpRxError::UnknownSource { node, rail, from });
             return;
         }
         if segments > 1 {
-            add(&self.recv_coalesced, 1);
+            self.count(|s| s.recv_coalesced += 1);
         }
         let src = MacAddr::new((1 - node) as u16, rail as u8);
         let dst = MacAddr::new(node as u16, rail as u8);
@@ -598,10 +529,10 @@ impl UdpFabric {
                         at_ns: now,
                         frame,
                     });
-                    add(&self.delivered, 1);
+                    self.count(|s| s.delivered += 1);
                 }
                 Err(err @ CodecError::Checksum { .. }) => {
-                    add(&self.corrupt_dropped, 1);
+                    self.count(|s| s.frames_corrupt_dropped += 1);
                     let (channel, seq) = (rail as u32, 0);
                     self.flight.borrow().record(Event {
                         t_ns: now,
@@ -613,7 +544,7 @@ impl UdpFabric {
                     self.push_rx_error(UdpRxError::Corrupt { node, rail, err });
                 }
                 Err(err) => {
-                    add(&self.malformed_dropped, 1);
+                    self.count(|s| s.frames_malformed_dropped += 1);
                     self.push_rx_error(UdpRxError::Malformed { node, rail, err });
                 }
             }
@@ -634,7 +565,7 @@ impl UdpFabric {
         bytes: &[u8],
     ) -> usize {
         let (sock, to) = (&self.sockets[node][rail], self.peer_addrs[node][rail]);
-        add(&self.send_calls, 1);
+        self.count(|s| s.send_calls += 1);
         let sent = if frames == 1 {
             sock.send_to(bytes, to)
         } else {
@@ -643,7 +574,7 @@ impl UdpFabric {
         if sent.is_ok() {
             return frames;
         }
-        add(&self.tx_failed, frames as u64);
+        self.count(|s| s.tx_failed += frames as u64);
         0
     }
 
@@ -693,10 +624,6 @@ impl UdpFabric {
         frames.clear();
         accepted
     }
-}
-
-fn add(counter: &Cell<u64>, n: u64) {
-    counter.set(counter.get() + n);
 }
 
 /// One node's view of a [`UdpFabric`].
@@ -768,13 +695,12 @@ impl Backplane for UdpBackplane {
     }
 
     fn advance(&mut self, until_ns: u64) -> u64 {
-        let base = self.fabric.delivered.get();
-        let cfg = self.fabric.cfg;
+        let base = self.fabric.stats().delivered;
         let mut spins = 0u32;
         loop {
             self.fabric.poll_node(0);
             self.fabric.poll_node(1);
-            if self.fabric.delivered.get() != base {
+            if self.fabric.stats().delivered != base {
                 return self.fabric.now_ns();
             }
             let now = self.fabric.now_ns();
@@ -786,13 +712,13 @@ impl Backplane for UdpBackplane {
             // (delayed acks, a backed-off RTO during a blackout) — sleep in
             // bounded slices instead of burning the core.
             spins = spins.saturating_add(1);
-            if spins < cfg.spin_before_yield {
+            if spins < SPINS_BEFORE_YIELD {
                 std::hint::spin_loop();
-            } else if spins < cfg.spin_before_yield.saturating_add(cfg.yields_before_sleep) {
+            } else if spins < SPINS_BEFORE_YIELD + YIELDS_BEFORE_SLEEP {
                 std::thread::yield_now();
             } else {
                 let remaining = Duration::from_nanos(until_ns - now);
-                std::thread::sleep(cfg.idle_sleep.min(remaining));
+                std::thread::sleep(IDLE_SLEEP.min(remaining));
             }
         }
     }
@@ -849,7 +775,7 @@ mod tests {
         let seqs = sweep_until(&fabric, |s| s.unknown_source_dropped == 3);
         let s = fabric.stats();
         assert_eq!(
-            (s.unknown_source_dropped, s.delivered, fabric.decode_dropped()),
+            (s.unknown_source_dropped, s.delivered, s.frames_corrupt_dropped + s.frames_malformed_dropped),
             (3, 0, 0),
             "{s:?}"
         );

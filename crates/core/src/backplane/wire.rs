@@ -31,13 +31,13 @@ use bytes::Bytes;
 use frame::Frame;
 use me_trace::{EventKind, FlightRecorder, HealthReport, SpanRecorder, Timeline};
 
-use crate::config::ProtoConfig;
+use crate::config::{ProtoConfig, RTO_STORM_CAP};
 use crate::ops::{Notification, OpFlags, OpKind};
-use crate::proto::{ConnState, Effect, Host, Observers, Op, ProtoCore, TimerKind};
+use crate::proto::{ConnState, Effect, Host, Observers, Op, ProtoCore};
 use crate::stats::ProtoStats;
 use crate::timeline::CoreSampler;
 
-use super::{Backplane, BpRx};
+use super::Backplane;
 
 /// An operation the protocol has finished with: a write acknowledged by
 /// the peer, or a read whose response data has been applied locally.
@@ -60,8 +60,7 @@ pub struct CompletedWrite {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
     /// The peer stopped responding: RTO backoff reached the
-    /// [`ProtoConfig::rto_storm_cap`] storm cap without acknowledgement
-    /// progress.
+    /// [`RTO_STORM_CAP`] storm cap without acknowledgement progress.
     PeerUnreachable {
         /// The endpoint whose retransmissions go unanswered.
         node: usize,
@@ -191,13 +190,6 @@ pub struct WireEndpoint {
 /// Where the core's effects land between polls. An op's completion token
 /// is the backplane clock at issue.
 struct WireIo {
-    /// Armed protocol deadlines per connection, indexed by [`TimerKind`]
-    /// (backplane clock, ns; `None` = unarmed).
-    deadlines: Vec<[Option<u64>; 3]>,
-    /// Per connection, when its reorder buffer last went from empty to
-    /// non-empty (`None` while empty) — the liveness watchdog's fence-stall
-    /// clock, tracked whether or not any observer is enabled.
-    buffered_since: Vec<Option<u64>>,
     notifications: VecDeque<Notification>,
     completions: VecDeque<CompletedWrite>,
     /// The frames of the [`Host::perform`] call in progress, on their way to
@@ -241,9 +233,8 @@ impl<B: Backplane> Host<u64> for WireHost<'_, B> {
                     frame.dst = self.bp.peer_mac(rail);
                     self.io.tx.push((rail, frame));
                 }
-                Effect::Arm { conn, timer, at_ns } => {
-                    self.io.deadlines[conn][timer as usize] = Some(at_ns);
-                }
+                // The core keeps the due instant; `fire_due` fires it.
+                Effect::Arm { .. } => {}
                 Effect::OpDone {
                     conn,
                     op,
@@ -280,8 +271,8 @@ impl WireEndpoint {
         let mut a = Self::new(0, proto, rails, spans.clone());
         let mut b = Self::new(1, proto, rails, spans.clone());
         // The peer's connection id is 0 on both sides by construction.
-        a.connect(1, 0);
-        b.connect(0, 0);
+        a.core.connect(1, 0);
+        b.core.connect(0, 0);
         (a, b)
     }
 
@@ -291,8 +282,6 @@ impl WireEndpoint {
         Self {
             core,
             io: WireIo {
-                deadlines: Vec::new(),
-                buffered_since: Vec::new(),
                 notifications: VecDeque::new(),
                 completions: VecDeque::new(),
                 tx: Vec::new(),
@@ -300,12 +289,6 @@ impl WireEndpoint {
             },
             sampler: None,
         }
-    }
-
-    fn connect(&mut self, peer_node: usize, peer_conn_id: usize) {
-        self.core.connect(peer_node, peer_conn_id);
-        self.io.deadlines.push([None; 3]);
-        self.io.buffered_since.push(None);
     }
 
     /// Start time-resolved telemetry: one row of [`ProtoCore::sample`]'s
@@ -383,13 +366,7 @@ impl WireEndpoint {
     /// a caller reports instead of waiting on completions that cannot
     /// arrive.
     pub fn abort_pending(&mut self, conn: usize) -> Vec<u64> {
-        self.io.deadlines[conn] = [None; 3];
         self.core.abort_pending(conn)
-    }
-
-    /// Earliest instant any connection's reorder buffer became non-empty.
-    fn oldest_buffered_since(&self) -> Option<u64> {
-        self.io.buffered_since.iter().flatten().min().copied()
     }
 
     /// This endpoint's node id.
@@ -436,7 +413,7 @@ impl WireEndpoint {
 
     /// Earliest armed protocol deadline across all connections, if any.
     pub fn next_deadline(&self) -> Option<u64> {
-        self.io.deadlines.iter().flatten().flatten().min().copied()
+        self.core.next_deadline()
     }
 
     /// Issue a remote write of `data` to `remote_addr` on `conn`. Returns
@@ -487,52 +464,36 @@ impl WireEndpoint {
     /// Drain received frames and fire due timers. Returns true when any
     /// protocol work happened (the caller's idle signal).
     pub fn poll<B: Backplane>(&mut self, bp: &mut B) -> bool {
-        let mut progressed = false;
+        let received = self.receive(bp);
+        let fired = self.fire_due(bp, bp.now_ns());
+        self.sample_if_due(bp);
+        received | fired
+    }
+
+    /// Hand every frame `bp` holds to the core. Returns whether there was
+    /// one; `false` means a sweep of the rails found nothing.
+    fn receive<B: Backplane>(&mut self, bp: &mut B) -> bool {
+        let mut received = false;
         while let Some(rx) = bp.next() {
-            progressed = true;
-            self.apply_rx(bp, rx);
+            received = true;
+            let (now, rail, io) = (bp.now_ns(), rx.rail as usize, &mut self.io);
+            self.core
+                .on_frame(rail, rx.frame, rx.at_ns, now, &mut WireHost { bp, io });
         }
-        let progressed = progressed | self.fire_timers(bp);
-        if let Some(s) = &self.sampler {
-            if s.due(bp.now_ns()) {
-                self.sample_timeline(bp);
-            }
-        }
-        progressed
+        received
     }
 
-    fn apply_rx<B: Backplane>(&mut self, bp: &mut B, rx: BpRx) {
-        let conn = rx.frame.header.conn as usize;
-        let now = bp.now_ns();
-        let (rail, io) = (rx.rail as usize, &mut self.io);
-        self.core
-            .on_frame(rail, rx.frame, rx.at_ns, now, &mut WireHost { bp, io });
-        if let Some(since) = self.io.buffered_since.get_mut(conn) {
-            *since = if self.core.conns()[conn].state().fence_buffered > 0 {
-                since.or(Some(now))
-            } else {
-                None
-            };
-        }
+    /// Fire, now, every timer due by `due_ns`. Returns true if any fired.
+    fn fire_due<B: Backplane>(&mut self, bp: &mut B, due_ns: u64) -> bool {
+        let (now, io) = (bp.now_ns(), &mut self.io);
+        self.core.fire_due(due_ns, now, &mut WireHost { bp, io })
     }
 
-    /// Fire every deadline that is due. Returns true if anything fired.
-    fn fire_timers<B: Backplane>(&mut self, bp: &mut B) -> bool {
-        let now = bp.now_ns();
-        let mut fired = false;
-        for conn in 0..self.io.deadlines.len() {
-            for timer in [TimerKind::Ack, TimerKind::Nack, TimerKind::Rto] {
-                let deadline = &mut self.io.deadlines[conn][timer as usize];
-                if deadline.is_some_and(|d| d <= now) {
-                    fired = true;
-                    *deadline = None;
-                    let io = &mut self.io;
-                    self.core
-                        .on_timer(conn, timer, now, &mut WireHost { bp, io });
-                }
-            }
+    /// Commit a timeline row if one is due.
+    fn sample_if_due<B: Backplane>(&mut self, bp: &mut B) {
+        if self.sampler.as_ref().is_some_and(|s| s.due(bp.now_ns())) {
+            self.sample_timeline(bp);
         }
-        fired
     }
 }
 
@@ -549,7 +510,7 @@ fn classify_stall(a: &WireEndpoint, b: &WireEndpoint, idle_ns: u64) -> WireError
     }
     for ep in [a, b] {
         let backoff = ep.core.max_backoff();
-        if backoff >= ep.core.proto().rto_storm_cap {
+        if backoff >= RTO_STORM_CAP {
             return WireError::PeerUnreachable {
                 node: ep.node(),
                 backoff,
@@ -576,9 +537,17 @@ fn classify_stall(a: &WireEndpoint, b: &WireEndpoint, idle_ns: u64) -> WireError
 
 /// Run two endpoints over a shared fabric until `done`, under explicit
 /// liveness bounds: interleaves receive processing, timer fires and the
-/// caller's reaction logic (`react` runs after each poll round — post
-/// replies, count notifications), and sleeps to the earliest armed
-/// deadline when both endpoints go idle.
+/// caller's reaction logic (`react` runs after each round — post replies,
+/// count notifications), and sleeps to the earliest armed deadline when
+/// both endpoints go idle.
+///
+/// A round keeps the simulator's order, in which no timer fires ahead of a
+/// frame that reached its node earlier: it drains both endpoints' rails
+/// until a full sweep finds nothing, then fires only the earliest deadline
+/// across both that was due when that sweep began, and repeats until
+/// nothing is. So a thread
+/// descheduled past a timeout cannot fire one node's RTO before the peer
+/// has read the frames already waiting for it.
 ///
 /// A **progress watchdog** guards the loop: if no real protocol progress
 /// (acknowledgement/cumulative/fence frontiers, receive counters — *not*
@@ -603,8 +572,28 @@ pub fn drive_with<BA: Backplane, BB: Backplane>(
     let mut last_token = a.core.progress_token().wrapping_add(b.core.progress_token());
     let mut last_progress = start;
     loop {
-        let pa = a.poll(bpa);
-        let pb = b.poll(bpb);
+        let mut worked = false;
+        loop {
+            // Only a deadline that was due when the last, empty sweep began
+            // may fire: frames that had arrived by then are all read.
+            let swept_at = loop {
+                let t = bpa.now_ns();
+                if !(a.receive(bpa) | b.receive(bpb)) {
+                    break t;
+                }
+                worked = true;
+            };
+            match (a.next_deadline(), b.next_deadline()) {
+                (Some(da), db) if da <= swept_at && db.is_none_or(|db| da <= db) => {
+                    a.fire_due(bpa, da)
+                }
+                (_, Some(db)) if db <= swept_at => b.fire_due(bpb, db),
+                _ => break,
+            };
+            worked = true;
+        }
+        a.sample_if_due(bpa);
+        b.sample_if_due(bpb);
         react(a, bpa, b, bpb);
         if done(a, b) {
             return Ok(bpa.now_ns() - start);
@@ -620,7 +609,7 @@ pub fn drive_with<BA: Backplane, BB: Backplane>(
             // The dedicated fence watchdog fires even while other traffic
             // keeps the progress token moving.
             [&*a, &*b].into_iter().find_map(|ep| {
-                let since = ep.oldest_buffered_since()?;
+                let since = ep.core.fence_stall_since()?;
                 let stalled_ns = now.saturating_sub(since);
                 (stalled_ns > limits.fence_stall_limit_ns).then(|| WireError::FenceStallExceeded {
                     node: ep.node(),
@@ -643,7 +632,7 @@ pub fn drive_with<BA: Backplane, BB: Backplane>(
             }
             return Err(err);
         }
-        if pa || pb {
+        if worked {
             continue;
         }
         // Idle: sleep to the earliest protocol deadline (or a probe tick

@@ -1,7 +1,34 @@
 //! Protocol configuration, host cost model, and the paper's system setups.
 
-use netsim::time::{us_f64, Dur};
+use netsim::time::{ms, us_f64, Dur};
 use netsim::{ChannelParams, FaultModel};
+
+/// How long an observed sequence gap may persist before a NACK is sent.
+/// Covers multi-link skew: frames arriving out of order but closely spaced
+/// must not trigger spurious retransmissions. Above the worst-case
+/// multi-rail skew (≈ window/rails × frame time ≈ 1.6 ms at 1 GbE), so skew
+/// never masquerades as loss, yet far below the 10 ms coarse timeout.
+pub const NACK_DELAY: Dur = ms(2);
+
+/// Minimum spacing between NACKs for the same missing range.
+pub const NACK_REPEAT: Dur = ms(4);
+
+/// Lower clamp on the adaptive retransmission timeout. Kept at or above
+/// [`NACK_DELAY`] so ordinary multi-rail skew is always recovered by the
+/// cheaper NACK path first.
+pub const RTO_MIN: Dur = ms(2);
+
+/// Consecutive losses attributed to one rail after which it is marked
+/// *degraded* (visible in health state; still striped onto).
+pub const RAIL_DEGRADED_AFTER: u32 = 3;
+
+/// RTO backoff exponent at which the endpoint is treated as facing an
+/// unreachable peer: the wire driver's watchdog reports
+/// `WireError::PeerUnreachable` once backoff reaches this value, and the
+/// flight recorder notes every backoff on the way there. 10 doublings from
+/// [`RTO_MIN`] is ≈ 2 s of silence at the default clamps — far past any
+/// recoverable loss pattern.
+pub const RTO_STORM_CAP: u32 = 10;
 
 /// Flow-control / reliability parameters (§2.4 of the paper).
 #[derive(Debug, Clone)]
@@ -13,49 +40,29 @@ pub struct ProtoConfig {
     pub ack_every: u32,
     /// ... or after this much time with acknowledgement state pending.
     pub delayed_ack_timeout: Dur,
-    /// How long an observed sequence gap may persist before a NACK is sent.
-    /// Covers multi-link skew: frames arriving out of order but closely
-    /// spaced must not trigger spurious retransmissions.
-    pub nack_delay: Dur,
-    /// Minimum spacing between NACKs for the same missing range.
-    pub nack_repeat: Dur,
     /// Initial coarse-grain retransmission timeout, used until the adaptive
     /// RFC 6298-style estimator ([`crate::rtt::RttEstimator`]) has its first
     /// RTT sample. If no acknowledgement progress happens for the current
     /// (adaptive, backed-off) timeout while frames are unacknowledged, the
     /// last transmitted frame is retransmitted (§2.4).
     pub rto_initial: Dur,
-    /// Lower clamp on the adaptive retransmission timeout. Keep above the
-    /// NACK delay so ordinary multi-rail skew is always recovered by the
-    /// cheaper NACK path first.
-    pub rto_min: Dur,
-    /// Upper clamp on the adaptive timeout after exponential backoff.
+    /// Upper clamp on the adaptive timeout after exponential backoff
+    /// ([`RTO_MIN`] is the lower one).
     pub rto_max: Dur,
-    /// Consecutive losses attributed to one rail after which it is marked
-    /// *degraded* (visible in health state; still striped onto).
-    pub rail_degraded_after: u32,
     /// Consecutive attributed losses after which a rail is declared *dead*
     /// and excluded from striping until a re-admission probe succeeds.
     pub rail_dead_after: u32,
     /// How long a dead rail sits out before one probe frame may test it for
     /// re-admission.
     pub rail_cooldown: Dur,
-    /// RTO backoff exponent at which the endpoint is treated as facing an
-    /// unreachable peer: the wire driver's watchdog reports
-    /// `WireError::PeerUnreachable` once backoff reaches this value, and
-    /// the flight recorder notes every backoff on the way there. Keeps a
-    /// dead-peer retransmit storm bounded to `rto_storm_cap` doublings.
-    pub rto_storm_cap: u32,
     /// Most frames one NACK may trigger retransmissions for. Gaps beyond
     /// the cap are recovered by the receiver's repeated NACKs
-    /// (`nack_repeat` pacing), so a single control frame can never unleash
+    /// ([`NACK_REPEAT`] pacing), so a single control frame can never unleash
     /// a full-window retransmit burst onto an already-lossy fabric.
     pub nack_resend_burst: u32,
     /// Force both fences on every operation (the paper's strictly-ordered
     /// 2L mode, as opposed to the relaxed 2Lu mode).
     pub force_ordered: bool,
-    /// Maximum payload bytes per frame.
-    pub max_payload: usize,
     /// Link-scheduling policy for spatial parallelism (§2.5; the paper uses
     /// round-robin — alternatives exist for the scheduling ablation).
     pub sched: crate::sched::SchedPolicy,
@@ -70,25 +77,14 @@ impl Default for ProtoConfig {
             window: 64,
             ack_every: 24,
             delayed_ack_timeout: us_f64(300.0),
-            // Above the worst-case multi-rail skew (≈ window/rails × frame
-            // time ≈ 1.6 ms at 1 GbE), so skew never masquerades as loss,
-            // yet far below the 10 ms coarse timeout.
-            nack_delay: us_f64(2_000.0),
-            nack_repeat: us_f64(4_000.0),
-            rto_initial: netsim::time::ms(10),
-            rto_min: netsim::time::ms(2),
-            rto_max: netsim::time::ms(100),
-            rail_degraded_after: 3,
+            rto_initial: ms(10),
+            rto_max: ms(100),
             rail_dead_after: 8,
-            rail_cooldown: netsim::time::ms(20),
-            // 10 doublings from rto_min is ≈ 2 s of silence at the default
-            // clamps — far past any recoverable loss pattern.
-            rto_storm_cap: 10,
+            rail_cooldown: ms(20),
             // Half the default window: one NACK recovers a burst loss in
             // two paced rounds instead of one unbounded salvo.
             nack_resend_burst: 32,
             force_ordered: false,
-            max_payload: frame::MAX_PAYLOAD,
             sched: crate::sched::SchedPolicy::RoundRobin,
         }
     }

@@ -65,10 +65,9 @@ struct EndpointInner {
     cpu_proto: CpuTimeline,
     /// Events waiting for the moderated interrupt to fire.
     irq_pending: VecDeque<ModItem>,
-    /// A moderation timer is armed.
-    irq_armed: bool,
     /// The armed moderation timer, cancelled in O(1) when the frame cap
-    /// fires the batch early ([`TimerId::NONE`] when none is armed).
+    /// fires the batch early ([`TimerId::NONE`] when none is armed; a
+    /// cancelled timer's closure never runs).
     irq_timer: TimerId,
 }
 
@@ -205,7 +204,6 @@ impl Endpoint {
                 cpu_app: CpuTimeline::new(),
                 cpu_proto: CpuTimeline::new(),
                 irq_pending: VecDeque::new(),
-                irq_armed: false,
                 irq_timer: TimerId::NONE,
             })),
             notifications: Channel::new(sim),
@@ -406,7 +404,7 @@ impl Endpoint {
         let handle = OpHandle::new(&self.sim, OpKind::Write, len);
         let cfg = self.inner.borrow().cfg.clone();
         let cm = &cfg.cost;
-        let nframes = len.div_ceil(cfg.proto.max_payload).max(1) as u64;
+        let nframes = len.div_ceil(frame::MAX_PAYLOAD).max(1) as u64;
         let mut per_frame = cm.frame_build + cm.dma_post;
         if cm.unmaskable_tx_irq {
             per_frame += cm.tx_irq_send_tax;
@@ -493,15 +491,15 @@ impl Endpoint {
         self.core(|c| c.stats())
     }
 
-    /// Snapshot of the connection-local slice of the protocol statistics.
+    /// Snapshot of one connection's protocol statistics.
     ///
     /// Every connection-attributable counter (operations, frames sent and
-    /// received, acks, nacks, retransmissions) is maintained both here and
-    /// in the endpoint-global [`Endpoint::stats`]; summing this over all
-    /// connections reproduces the global value for those counters. The
-    /// interrupt/coalescing counters and `corrupt_frames` are only global:
-    /// one moderated interrupt serves a batch that may mix connections, and
-    /// a corrupted frame's header cannot be trusted for attribution.
+    /// received, acks, nacks, retransmissions) is kept here only:
+    /// [`Endpoint::stats`] is these summed over all connections, plus the
+    /// host counters. The interrupt/coalescing counters and
+    /// `corrupt_frames` are the host's: one moderated interrupt serves a
+    /// batch that may mix connections, and a corrupted frame's header
+    /// cannot be trusted for attribution.
     pub fn conn_stats(&self, conn: usize) -> ProtoStats {
         self.core(|c| c.conns()[conn].stats())
     }
@@ -659,31 +657,18 @@ impl Endpoint {
     /// the moderation timer.
     fn moderate(&self, mut inner: std::cell::RefMut<'_, EndpointInner>) {
         if inner.irq_pending.len() >= inner.cfg.cost.rx_irq_frames {
-            inner.irq_armed = false;
             // Cancel any armed timer in O(1); its slot fires as a no-op.
             let timer = std::mem::replace(&mut inner.irq_timer, TimerId::NONE);
             drop(inner);
             self.sim.cancel_timer(timer);
             self.fire_irq();
-        } else if !inner.irq_armed {
-            inner.irq_armed = true;
+        } else if inner.irq_timer == TimerId::NONE {
             let delay = inner.cfg.cost.rx_irq_delay;
             drop(inner);
             let ep = self.clone();
             let id = self.sim.schedule_timer_in(delay, move |_| {
-                let fire = {
-                    let mut inner = ep.inner.borrow_mut();
-                    inner.irq_timer = TimerId::NONE;
-                    if inner.irq_armed {
-                        inner.irq_armed = false;
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if fire {
-                    ep.fire_irq();
-                }
+                ep.inner.borrow_mut().irq_timer = TimerId::NONE;
+                ep.fire_irq();
             });
             self.inner.borrow_mut().irq_timer = id;
         }

@@ -27,6 +27,18 @@
 //! [`WireEndpoint`](crate::WireEndpoint) (poll/deadline loop over a
 //! [`Backplane`](crate::Backplane)).
 //!
+//! # One owner per fact
+//!
+//! The core owns the due instant of every armed timer: each connection
+//! records when its delayed-ack, NACK and RTO timers are due,
+//! [`ProtoCore::next_deadline`] reads the earliest and
+//! [`ProtoCore::fire_due`] fires what is due, so no driver keeps a copy.
+//! [`Effect::Arm`] is the simulator's cue to schedule its engine event at
+//! the instant the core recorded. Counters are kept once too: each
+//! connection counts what it does, and [`ProtoCore::stats`] is their sum
+//! plus the host counters a driver owns (interrupts, coalescing, corrupt
+//! frames).
+//!
 //! # Completion contract
 //!
 //! [`Effect::OpDone`] means *the protocol is finished with the op at `now`*:
@@ -45,7 +57,7 @@
 //! tracer, the op-span recorder and the flight recorder each fold the same
 //! event.
 
-use crate::config::ProtoConfig;
+use crate::config::{ProtoConfig, NACK_DELAY, NACK_REPEAT, RAIL_DEGRADED_AFTER, RTO_MIN};
 use crate::memory::{AppMemory, Payload};
 use crate::ops::{Notification, OpFlags, OpKind};
 use crate::order::{FragMeta, OpOrdering, Release};
@@ -112,8 +124,11 @@ pub enum Effect<T> {
         /// The frame, addresses and piggybacked ack filled in.
         frame: Frame,
     },
-    /// Call [`ProtoCore::on_timer`] for `(conn, timer)` at `at_ns`. Each
-    /// timer is armed at most once until it fires.
+    /// Timer `(conn, timer)` is now due at `at_ns`. The core owns the due
+    /// instant ([`ProtoCore::next_deadline`], [`ProtoCore::fire_due`]); this
+    /// is the simulator's cue to schedule the engine event that calls
+    /// [`ProtoCore::on_timer`] then. Each timer is armed at most once until
+    /// it fires.
     Arm {
         /// Connection the timer belongs to.
         conn: usize,
@@ -141,7 +156,7 @@ pub enum Effect<T> {
 /// What the core asks of its driver.
 pub trait Host<T> {
     /// Largest fragment payload the transport carries, in bytes, where
-    /// that is a tighter bound than [`ProtoConfig::max_payload`].
+    /// that is a tighter bound than [`frame::MAX_PAYLOAD`].
     fn max_payload(&self) -> usize {
         usize::MAX
     }
@@ -241,7 +256,8 @@ pub struct Conn<T> {
     sched: LinkScheduler,
     /// Last time the cumulative ack advanced (for the coarse timeout).
     last_progress: SimTime,
-    rto_armed: bool,
+    /// Due instant (ns) of each armed timer, indexed by [`TimerKind`].
+    due: [Option<u64>; 3],
     /// Per-rail health state machine driving the striping eligibility mask.
     rails: RailSet,
     /// Rail that most recently delivered any frame from the peer; control
@@ -254,11 +270,13 @@ pub struct Conn<T> {
     // ---- receive direction ----
     seqs: SeqTracker,
     order: OpOrdering<FragPayload>,
+    /// When the reorder buffer last went from empty to non-empty (`None`
+    /// while empty): the fence-stall clock, kept whether or not any
+    /// observer is enabled.
+    buffered_since: Option<u64>,
     op_meta: FastMap<u64, OpMetaInfo>,
     /// Data frames received since the last acknowledgement we sent.
     frames_since_ack: u32,
-    ack_timer_armed: bool,
-    nack_timer_armed: bool,
     /// Per-gap-start NACK-dedup state (first seen / last NACKed), in a
     /// ring that grows with the gaps open at once up to the window, purged
     /// below the cumulative ack on every NACK check — its live size is
@@ -266,10 +284,8 @@ pub struct Conn<T> {
     gaps: GapRing,
 
     // ---- observability ----
-    /// Connection-local slice of the protocol counters: every counter that
-    /// can be attributed to one connection is incremented here *and* in the
-    /// endpoint-global [`ProtoStats`] (interrupt/coalescing counters stay
-    /// global because one interrupt batch mixes connections).
+    /// This connection's protocol counters: the node's are these summed
+    /// over its connections, plus the host counters ([`ProtoCore::stats`]).
     stats: ProtoStats,
     /// Receive ops currently held back by a fence, keyed by op id →
     /// stall start time. Populated only while an observer (tracer, span
@@ -293,21 +309,20 @@ impl<T> Conn<T> {
             pending_reads: FastMap::default(),
             sched: LinkScheduler::new(proto.sched),
             last_progress: SimTime::ZERO,
-            rto_armed: false,
+            due: [None; 3],
             rails: RailSet::new(
                 nrails,
-                proto.rail_degraded_after,
+                RAIL_DEGRADED_AFTER,
                 proto.rail_dead_after,
                 proto.rail_cooldown,
             ),
             last_rx_rail: None,
-            rtt: RttEstimator::new(proto.rto_initial, proto.rto_min, proto.rto_max),
+            rtt: RttEstimator::new(proto.rto_initial, RTO_MIN, proto.rto_max),
             seqs: SeqTracker::with_window(proto.window as usize),
             order: OpOrdering::new(),
+            buffered_since: None,
             op_meta: FastMap::default(),
             frames_since_ack: 0,
-            ack_timer_armed: false,
-            nack_timer_armed: false,
             gaps: GapRing::with_window(proto.window as usize),
             stats: ProtoStats::default(),
             fence_stall_start: FastMap::default(),
@@ -457,7 +472,9 @@ pub struct ProtoCore<T> {
     proto: ProtoConfig,
     nrails: usize,
     conns: Vec<Conn<T>>,
-    stats: ProtoStats,
+    /// The host-side counters a driver owns (interrupts, coalescing,
+    /// corrupt frames); every other field stays zero here.
+    host: ProtoStats,
     /// NACK-triggered retransmissions suppressed by the
     /// [`ProtoConfig::nack_resend_burst`] cap, and frames rejected at
     /// admission. Endpoint-local: [`ProtoStats`] is fingerprinted.
@@ -487,7 +504,7 @@ impl<T> ProtoCore<T> {
             proto,
             nrails: rails,
             conns: Vec::new(),
-            stats: ProtoStats::default(),
+            host: ProtoStats::default(),
             storm_suppressed: 0,
             rx_rejected: 0,
             now: SimTime::ZERO,
@@ -531,19 +548,20 @@ impl<T> ProtoCore<T> {
         &self.conns
     }
 
-    /// Endpoint-wide protocol statistics (reorder peak folded in).
+    /// Endpoint-wide protocol statistics: the connections' counters
+    /// summed (peaks maxed), plus the host counters.
     pub fn stats(&self) -> ProtoStats {
-        let mut s = self.stats;
+        let mut s = self.host;
         for c in &self.conns {
-            s.reorder_peak = s.reorder_peak.max(c.order.buffered_peak() as u64);
+            s.merge(&c.stats());
         }
         s
     }
 
-    /// The endpoint-wide counters, for the host-side ones a driver owns
-    /// (interrupts, coalescing, corrupt frames).
+    /// The host-side counters a driver owns (interrupts, coalescing,
+    /// corrupt frames).
     pub fn host_stats(&mut self) -> &mut ProtoStats {
-        &mut self.stats
+        &mut self.host
     }
 
     /// NACK-triggered retransmissions suppressed by the
@@ -570,10 +588,12 @@ impl<T> ProtoCore<T> {
     /// frontiers. Timer fires and retransmissions deliberately do not move
     /// it — a peer retransmitting into a dead fabric is not progressing.
     pub fn progress_token(&self) -> u64 {
-        let s = &self.stats;
-        let recv = s.data_frames_recv + s.ctrl_frames_recv + s.dup_frames_recv + s.notifications;
-        let frontiers = |c: &Conn<T>| c.acked + c.seqs.cumulative() + c.order.applied_below();
-        recv + self.conns.iter().map(frontiers).sum::<u64>()
+        let token = |c: &Conn<T>| {
+            let s = &c.stats;
+            let recv = s.data_frames_recv + s.ctrl_frames_recv + s.dup_frames_recv + s.notifications;
+            recv + c.acked + c.seqs.cumulative() + c.order.applied_below()
+        };
+        self.conns.iter().map(token).sum()
     }
 
     /// True when every connection is [`Conn::quiesced`].
@@ -596,11 +616,22 @@ impl<T> ProtoCore<T> {
         self.conns.iter().map(|c| c.order.buffered()).sum()
     }
 
+    /// Earliest instant any connection's reorder buffer became non-empty.
+    pub fn fence_stall_since(&self) -> Option<u64> {
+        self.conns.iter().filter_map(|c| c.buffered_since).min()
+    }
+
+    /// Earliest due instant of any armed timer.
+    pub fn next_deadline(&self) -> Option<u64> {
+        self.conns.iter().flat_map(|c| c.due).flatten().min()
+    }
+
     /// Count `op` as asked for by the application. Separate from
     /// [`ProtoCore::issue`] because a driver may charge an initiation cost
     /// between the request and the instant the frames are built.
     pub fn count_op(&mut self, conn: usize, op: &Op) {
-        self.count(conn, |s| match op {
+        let s = &mut self.conns[conn].stats;
+        match op {
             Op::Write { data, .. } => {
                 s.ops_write += 1;
                 s.bytes_written += data.len() as u64;
@@ -609,7 +640,7 @@ impl<T> ProtoCore<T> {
                 s.ops_read += 1;
                 s.bytes_read += *len as u64;
             }
-        });
+        }
     }
 
     /// Abandon connection `conn`'s in-flight sends after a fatal error:
@@ -618,19 +649,11 @@ impl<T> ProtoCore<T> {
     pub fn abort_pending(&mut self, conn: usize) -> Vec<u64> {
         let c = &mut self.conns[conn];
         c.send_queue.clear();
-        c.ack_timer_armed = false;
-        c.nack_timer_armed = false;
-        c.rto_armed = false;
+        c.due = [None; 3];
         let mut ops: Vec<u64> = c.pending_write_ops.drain(..).map(|(_, op, _)| op).collect();
         ops.extend(c.pending_reads.drain().map(|(op, _)| op));
         ops.sort_unstable();
         ops
-    }
-
-    /// Apply `f` to the endpoint-wide and the connection-local counters.
-    fn count(&mut self, conn: usize, f: impl Fn(&mut ProtoStats)) {
-        f(&mut self.stats);
-        f(&mut self.conns[conn].stats);
     }
 
     fn now_ns(&self) -> u64 {
@@ -683,7 +706,7 @@ impl<T> ProtoCore<T> {
                 len,
             } => {
                 assert!(len > 0, "zero-length remote read");
-                self.count(conn, |s| s.read_req_frames_sent += 1);
+                self.conns[conn].stats.read_req_frames_sent += 1;
                 // The payload carries the requested length; a read never
                 // notifies.
                 let payload = Bytes::copy_from_slice(&(len as u64).to_le_bytes()).into();
@@ -728,7 +751,7 @@ impl<T> ProtoCore<T> {
         host: &H,
     ) -> (u64, usize, u64) {
         let (node, window) = (self.obs.node, self.proto.window);
-        let max_payload = self.proto.max_payload.min(host.max_payload());
+        let max_payload = frame::MAX_PAYLOAD.min(host.max_payload());
         // The strictly-ordered 2L mode fences every application op; a read
         // response is the protocol's own op and stays unfenced.
         let force = self.proto.force_ordered && kind != FrameKind::ReadResponse;
@@ -836,9 +859,9 @@ impl<T> ProtoCore<T> {
         // Piggybacked cumulative ack (every frame carries one).
         self.process_ack(conn, f.header.ack, rail as u32, host);
         match f.header.kind {
-            FrameKind::Ack => self.count(conn, |s| s.ctrl_frames_recv += 1),
+            FrameKind::Ack => self.conns[conn].stats.ctrl_frames_recv += 1,
             FrameKind::Nack => {
-                self.count(conn, |s| s.ctrl_frames_recv += 1);
+                self.conns[conn].stats.ctrl_frames_recv += 1;
                 self.process_nack(conn, &f, rail as u32, host);
             }
             FrameKind::Data | FrameKind::ReadResponse | FrameKind::ReadRequest => {
@@ -856,9 +879,7 @@ impl<T> ProtoCore<T> {
     /// `rail` is the rail that delivered the frame carrying the ack.
     fn process_ack<H: Host<T>>(&mut self, conn: usize, wire_ack: u32, rail: u32, host: &mut H) {
         let (now, now_ns) = (self.now, self.now_ns());
-        let Self {
-            conns, stats, obs, ..
-        } = self;
+        let Self { conns, obs, .. } = self;
         let c = &mut conns[conn];
         let ack = from_wire(c.acked, wire_ack);
         if ack <= c.acked || ack > c.next_seq {
@@ -888,7 +909,6 @@ impl<T> ProtoCore<T> {
                 rtt_sample = Some(now.since(slot.sent_at));
             }
             if let Some(RailEvent::Readmitted(r)) = c.rails.on_ack(slot.rail, seq) {
-                stats.rail_up_events += 1;
                 c.stats.rail_up_events += 1;
                 obs.emit(now_ns, Some(conn), Some(r as u32), EventKind::RailUp);
             }
@@ -959,14 +979,13 @@ impl<T> ProtoCore<T> {
                 continue;
             };
             if let Some(RailEvent::Dead(r)) = c.rails.on_loss(lost_on, seq, now) {
-                self.stats.rail_down_events += 1;
                 c.stats.rail_down_events += 1;
                 let rail = Some(r as u32);
                 self.obs.emit(now_ns, Some(conn), rail, EventKind::RailDown);
             }
         }
         let n = to_resend.len() as u64;
-        self.count(conn, |s| s.retransmits_nack += n);
+        c.stats.retransmits_nack += n;
         let gaps = ranges.ranges.len() as u32;
         self.obs
             .emit(now_ns, Some(conn), Some(rail), EventKind::NackRecv { gaps });
@@ -999,7 +1018,7 @@ impl<T> ProtoCore<T> {
         let seq = from_wire(c.seqs.cumulative(), f.header.seq);
         let in_order = match c.seqs.admit(seq) {
             Admit::Duplicate => {
-                self.count(conn, |s| s.dup_frames_recv += 1);
+                c.stats.dup_frames_recv += 1;
                 // Immediate explicit ack: recovers from lost acks (§2.4
                 // corner cases — "link failures and lost acknowledgments").
                 self.send_ctrl(conn, None, host);
@@ -1007,11 +1026,10 @@ impl<T> ProtoCore<T> {
             }
             Admit::New { in_order } => in_order,
         };
-        self.count(conn, |s| {
-            s.data_frames_recv += 1;
-            s.data_bytes_recv += bytes;
-            s.ooo_arrivals += u64::from(!in_order);
-        });
+        let s = &mut c.stats;
+        s.data_frames_recv += 1;
+        s.data_bytes_recv += bytes;
+        s.ooo_arrivals += u64::from(!in_order);
         if observed {
             let (op, resp, critical) = frame_op(&f.header);
             let cum = self.conns[conn].seqs.cumulative();
@@ -1054,6 +1072,10 @@ impl<T> ProtoCore<T> {
         let buffered_before = c.order.buffered();
         let mut release = std::mem::take(&mut self.release_scratch);
         c.order.offer_into(meta, payload, &mut release);
+        c.buffered_since = match c.order.buffered() {
+            0 => None,
+            _ => c.buffered_since.or(Some(now_ns)),
+        };
         // The fragment was held back iff the buffer count grew.
         if observed && c.order.buffered() > buffered_before {
             c.fence_stall_start.entry(op_id).or_insert(now);
@@ -1111,16 +1133,15 @@ impl<T> ProtoCore<T> {
         release.apply.clear();
         release.completed.clear();
         self.release_scratch = release;
-        let n_notif = notifs.len() as u64;
-        self.count(conn, |s| s.notifications += n_notif);
         // Acknowledgement policy, decided on the state this frame found:
         // a read served below piggybacks the ack on its response frames and
         // so clears the obligation again.
         let c = &mut self.conns[conn];
+        c.stats.notifications += notifs.len() as u64;
         c.frames_since_ack += 1;
         let ack_now = c.frames_since_ack >= self.proto.ack_every;
-        let arm_ack = !ack_now && !std::mem::replace(&mut c.ack_timer_armed, true);
-        let arm_nack = c.seqs.has_gap() && !std::mem::replace(&mut c.nack_timer_armed, true);
+        let arm_ack = !ack_now && c.due[TimerKind::Ack as usize].is_none();
+        let arm_nack = c.seqs.has_gap() && c.due[TimerKind::Nack as usize].is_none();
 
         for (read_addr, resp_buf, len, initiator_op) in serves.drain(..) {
             self.serve_read(conn, read_addr, resp_buf, len as usize, initiator_op, host);
@@ -1151,7 +1172,7 @@ impl<T> ProtoCore<T> {
             self.arm(conn, TimerKind::Ack, self.proto.delayed_ack_timeout);
         }
         if arm_nack {
-            self.arm(conn, TimerKind::Nack, self.proto.nack_delay);
+            self.arm(conn, TimerKind::Nack, NACK_DELAY);
         }
     }
 
@@ -1193,11 +1214,10 @@ impl<T> ProtoCore<T> {
         host: &mut H,
     ) {
         self.now = SimTime(now_ns);
+        self.conns[conn].due[timer as usize] = None;
         match timer {
             TimerKind::Ack => {
-                let c = &mut self.conns[conn];
-                c.ack_timer_armed = false;
-                if c.frames_since_ack > 0 {
+                if self.conns[conn].frames_since_ack > 0 {
                     self.send_ctrl(conn, None, host);
                 }
             }
@@ -1207,9 +1227,27 @@ impl<T> ProtoCore<T> {
         self.flush(host);
     }
 
-    /// Ask the driver to fire `(conn, timer)` after `delay`.
+    /// Fire every armed timer due by `due_ns` at `now_ns`, in (connection,
+    /// [`TimerKind`]) order. Returns whether any fired. A driver that keeps
+    /// the engine's order passes its earliest [`ProtoCore::next_deadline`]
+    /// as `due_ns`; one that fires whatever is due passes `now_ns`.
+    pub fn fire_due<H: Host<T>>(&mut self, due_ns: u64, now_ns: u64, host: &mut H) -> bool {
+        let mut fired = false;
+        for conn in 0..self.conns.len() {
+            for timer in [TimerKind::Ack, TimerKind::Nack, TimerKind::Rto] {
+                if self.conns[conn].due[timer as usize].is_some_and(|d| d <= due_ns) {
+                    fired = true;
+                    self.on_timer(conn, timer, now_ns, host);
+                }
+            }
+        }
+        fired
+    }
+
+    /// Arm `(conn, timer)` to fire after `delay`.
     fn arm(&mut self, conn: usize, timer: TimerKind, delay: Dur) {
         let at_ns = (self.now + delay).as_nanos();
+        self.conns[conn].due[timer as usize] = Some(at_ns);
         self.effects.push(Effect::Arm { conn, timer, at_ns });
     }
 
@@ -1219,7 +1257,6 @@ impl<T> ProtoCore<T> {
         let (now, now_ns) = (self.now, self.now_ns());
         let Self {
             conns,
-            stats,
             obs,
             effects,
             nrails,
@@ -1253,13 +1290,11 @@ impl<T> ProtoCore<T> {
         };
         let event = match nack {
             None => {
-                stats.explicit_acks_sent += 1;
                 c.stats.explicit_acks_sent += 1;
                 c.frames_since_ack = 0;
                 EventKind::ExplicitAck { ack: cum }
             }
             Some(r) => {
-                stats.nacks_sent += 1;
                 c.stats.nacks_sent += 1;
                 let gaps = r.ranges.len() as u32;
                 EventKind::NackSend { cum, gaps }
@@ -1272,8 +1307,6 @@ impl<T> ProtoCore<T> {
 
     fn nack_check_fire<H: Host<T>>(&mut self, conn: usize, host: &mut H) {
         let now = self.now;
-        let repeat = self.proto.nack_repeat;
-        let min_age = self.proto.nack_delay;
         let mut due = std::mem::take(&mut self.nack_scratch);
         let mut missing = std::mem::take(&mut self.missing_scratch);
         let c = &mut self.conns[conn];
@@ -1283,20 +1316,19 @@ impl<T> ProtoCore<T> {
         c.gaps.purge_below(c.seqs.cumulative());
         for &(from, to) in &missing {
             // Only report gaps that have persisted for at least
-            // `nack_delay` — multi-link skew closes younger gaps on its
+            // `NACK_DELAY` — multi-link skew closes younger gaps on its
             // own, and NACKing them would trigger the unnecessary
             // retransmissions the paper's delayed-NACK design avoids.
             let g = c.gaps.entry(from, now);
-            if now.since(g.first_seen) < min_age {
+            if now.since(g.first_seen) < NACK_DELAY {
                 continue;
             }
-            if g.last_nack.is_none_or(|t| now.since(t) >= repeat) {
+            if g.last_nack.is_none_or(|t| now.since(t) >= NACK_REPEAT) {
                 g.last_nack = Some(now);
                 due.push((to_wire(from), to_wire(to)));
             }
         }
         let rearm = !missing.is_empty();
-        c.nack_timer_armed = rearm;
         self.missing_scratch = missing;
         if !due.is_empty() {
             let ranges = NackRanges { ranges: due };
@@ -1306,15 +1338,14 @@ impl<T> ProtoCore<T> {
         }
         self.nack_scratch = due;
         if rearm {
-            self.arm(conn, TimerKind::Nack, min_age);
+            self.arm(conn, TimerKind::Nack, NACK_DELAY);
         }
     }
 
     /// Arm the coarse retransmission timeout if frames are unacknowledged.
     fn ensure_rto(&mut self, conn: usize) {
-        let c = &mut self.conns[conn];
-        if !c.rto_armed && c.acked != c.next_seq {
-            c.rto_armed = true;
+        let c = &self.conns[conn];
+        if c.due[TimerKind::Rto as usize].is_none() && c.acked != c.next_seq {
             let rto = c.rtt.current_rto();
             self.arm(conn, TimerKind::Rto, rto);
         }
@@ -1322,11 +1353,8 @@ impl<T> ProtoCore<T> {
 
     fn rto_fire<H: Host<T>>(&mut self, conn: usize, host: &mut H) {
         let (now, now_ns) = (self.now, self.now_ns());
-        let Self {
-            conns, stats, obs, ..
-        } = self;
+        let Self { conns, obs, .. } = self;
         let c = &mut conns[conn];
-        c.rto_armed = false;
         if c.acked == c.next_seq {
             // Everything was acknowledged while the timer ran: it lapses,
             // and the next issue arms a fresh one.
@@ -1344,27 +1372,21 @@ impl<T> ProtoCore<T> {
             let rto_ns = c.rtt.current_rto().as_nanos();
             let lost_on = c.tx.get(seq).map(|s| s.rail);
             let rail_ev = lost_on.and_then(|r| c.rails.on_loss(r, seq, now));
-            for s in [&mut *stats, &mut c.stats] {
-                s.retransmits_rto += 1;
-                s.rto_backoff_max = s.rto_backoff_max.max(u64::from(backoff));
-            }
+            let s = &mut c.stats;
+            s.retransmits_rto += 1;
+            s.rto_backoff_max = s.rto_backoff_max.max(u64::from(backoff));
             let lost_on = lost_on.map(|r| r as u32);
             obs.emit(now_ns, Some(conn), lost_on, EventKind::RtoFire { seq });
             let event = EventKind::RtoBackoff { rto_ns, backoff };
             obs.emit(now_ns, Some(conn), lost_on, event);
-            if rail_ev.is_some() {
-                c.stats.rail_down_events += 1;
-            }
             if let Some(RailEvent::Dead(r)) = rail_ev {
-                stats.rail_down_events += 1;
+                c.stats.rail_down_events += 1;
                 obs.emit(now_ns, Some(conn), Some(r as u32), EventKind::RailDown);
             }
             host.work(HostWork::Retransmit { frames: 1 });
             self.transmit(conn, seq, true, host);
         }
-        let c = &mut self.conns[conn];
-        c.rto_armed = true;
-        let rto = c.rtt.current_rto();
+        let rto = self.conns[conn].rtt.current_rto();
         self.arm(conn, TimerKind::Rto, rto);
     }
 
@@ -1406,13 +1428,12 @@ impl<T> ProtoCore<T> {
         if proto_ctx {
             host.work(HostWork::WindowPost { frames: posted });
         }
-        self.count(conn, |s| {
-            s.data_frames_sent += n;
-            s.data_bytes_sent += bytes;
-        });
         // Any data frame piggybacks the ack state: the receiver-side
         // obligations are satisfied by it.
-        self.conns[conn].frames_since_ack = 0;
+        let c = &mut self.conns[conn];
+        c.stats.data_frames_sent += n;
+        c.stats.data_bytes_sent += bytes;
+        c.frames_since_ack = 0;
     }
 
     /// Fetch the stored frame for `seq`, refresh its piggybacked ack,

@@ -93,7 +93,7 @@ pub struct RailSet {
 
 impl RailSet {
     /// Tracker for `n` rails with the given thresholds (see
-    /// [`crate::ProtoConfig::rail_degraded_after`] and friends).
+    /// [`crate::config::RAIL_DEGRADED_AFTER`] and friends).
     pub fn new(n: usize, degraded_after: u32, dead_after: u32, cooldown: Dur) -> Self {
         assert!(n <= 64, "rail mask is a u64");
         Self {

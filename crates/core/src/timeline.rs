@@ -190,7 +190,7 @@ impl<T> ProtoCore<T> {
         let Some(health) = &s.health else { return };
         let i = s.tl.len() - 1;
         let (t, vals) = s.tl.row(i);
-        let opened = health.borrow_mut().observe(t, vals, s.tl.stale_words(i));
+        let opened = health.borrow_mut().observe(t, vals);
         // The monitor borrow is released before the flight recorder runs:
         // its dump evaluates the `health` context source.
         if let Some(cause) = opened {

@@ -12,8 +12,7 @@
 //! * [`Sim`] — event queue + virtual clock + a cooperative, single-threaded
 //!   async task executor ([`Sim::spawn`]). Deterministic for a given seed.
 //! * [`sync`] — futures for simulation tasks: [`sync::sleep`],
-//!   [`sync::Flag`], [`sync::Channel`], [`sync::Semaphore`],
-//!   [`sync::join_all`].
+//!   [`sync::Flag`], [`sync::Channel`], [`sync::join_all`].
 //! * [`net`] — frame-granular models of links, store-and-forward switches
 //!   and NICs, with bounded queues (congestion loss) and a transient-fault
 //!   model (random loss / corruption). One delivery path: a frame's fate

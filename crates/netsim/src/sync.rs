@@ -352,79 +352,6 @@ impl<T> Future for ChannelPop<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Semaphore
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct SemState {
-    permits: usize,
-    waiters: Vec<TaskId>,
-}
-
-/// Counting semaphore (used e.g. to bound outstanding operations).
-#[derive(Clone)]
-pub struct Semaphore {
-    sim: Sim,
-    st: Rc<RefCell<SemState>>,
-}
-
-impl Semaphore {
-    /// Semaphore with `permits` initial permits.
-    pub fn new(sim: &Sim, permits: usize) -> Self {
-        Self {
-            sim: sim.clone(),
-            st: Rc::new(RefCell::new(SemState {
-                permits,
-                waiters: Vec::new(),
-            })),
-        }
-    }
-
-    /// Return one permit, waking waiters.
-    pub fn release(&self) {
-        let waiters = {
-            let mut st = self.st.borrow_mut();
-            st.permits += 1;
-            std::mem::take(&mut st.waiters)
-        };
-        for t in waiters {
-            self.sim.wake_task(t);
-        }
-    }
-
-    /// Future resolving once a permit is taken.
-    pub fn acquire(&self) -> SemAcquire {
-        SemAcquire { sem: self.clone() }
-    }
-
-    /// Currently available permits.
-    pub fn permits(&self) -> usize {
-        self.st.borrow().permits
-    }
-}
-
-/// Future returned by [`Semaphore::acquire`].
-pub struct SemAcquire {
-    sem: Semaphore,
-}
-
-impl Future for SemAcquire {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        let mut st = self.sem.st.borrow_mut();
-        if st.permits > 0 {
-            st.permits -= 1;
-            Poll::Ready(())
-        } else {
-            let task = self.sem.sim.current_task();
-            register(&mut st.waiters, task);
-            Poll::Pending
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,29 +502,6 @@ mod tests {
         });
         sim.run().expect_quiescent();
         assert_eq!(got.try_take(), Some(None));
-    }
-
-    #[test]
-    fn semaphore_bounds_concurrency() {
-        let sim = Sim::new(0);
-        let sem = Semaphore::new(&sim, 2);
-        let active: Rc<RefCell<(u32, u32)>> = Rc::default(); // (current, max)
-        for i in 0..5 {
-            let (sm, a, s) = (sem.clone(), active.clone(), sim.clone());
-            sim.spawn(format!("t{i}"), async move {
-                sm.acquire().await;
-                {
-                    let mut g = a.borrow_mut();
-                    g.0 += 1;
-                    g.1 = g.1.max(g.0);
-                }
-                sleep(&s, us(10)).await;
-                a.borrow_mut().0 -= 1;
-                sm.release();
-            });
-        }
-        sim.run().expect_quiescent();
-        assert_eq!(active.borrow().1, 2);
     }
 
     #[test]

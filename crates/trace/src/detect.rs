@@ -33,13 +33,11 @@
 //! construction: zero allocations in steady state.
 //!
 //! **Offline ≡ online.** The monitor reads nothing but
-//! `(t_ns, row values, stale columns)` — exactly what the JSONL artifact
-//! retains — so replaying a dump through [`HealthMonitor::replay_doc`]
+//! `(t_ns, row values)` — exactly what the JSONL artifact retains — so replaying a dump through [`HealthMonitor::replay_doc`]
 //! reproduces bit-identical incidents to the live monitor, provided the
 //! ring retained every row (no eviction). Scores are quantized to
 //! milli-units ([`Alarm::score_milli`]) so reports render identically on
-//! any platform. Stale gauge columns (see [`Timeline::stale_words`]) are
-//! skipped entirely: a re-committed reading is not an observation.
+//! any platform.
 
 use crate::json::{Json, SCHEMA_VERSION};
 use crate::timeline::{imbalance, SourceKind, Timeline, TimelineDoc};
@@ -436,22 +434,16 @@ impl HealthMonitor {
     }
 
     /// Feed one committed row: `values` in column order (deltas for
-    /// counters, raw for gauges), `stale_words` the row's stale bitmask
-    /// (empty slice = nothing stale). Returns the cause of an incident
-    /// *newly opened* by this row — the caller's cue to arm the flight
-    /// recorder. Allocation-free.
-    pub fn observe(&mut self, t_ns: u64, values: &[u64], stale_words: &[u64]) -> Option<IncidentCause> {
+    /// counters, raw for gauges). Returns the cause of an incident *newly
+    /// opened* by this row — the caller's cue to arm the flight recorder.
+    /// Allocation-free.
+    pub fn observe(&mut self, t_ns: u64, values: &[u64]) -> Option<IncidentCause> {
         self.rows_seen += 1;
         self.tick_alarms.clear();
         let n = self.cols.len().min(values.len());
         for (c, &v) in values.iter().enumerate().take(n) {
             let role = self.cols[c].role;
             if role == Role::Ignore {
-                continue;
-            }
-            let stale = stale_words.get(c / 64).is_some_and(|w| w >> (c % 64) & 1 == 1);
-            if stale {
-                // A re-committed gauge reading is not an observation.
                 continue;
             }
             let col = &mut self.cols[c];
@@ -641,13 +633,8 @@ impl HealthMonitor {
     /// Produces bit-identical incidents to the online monitor when the
     /// artifact retained every committed row.
     pub fn replay_doc(&mut self, doc: &TimelineDoc) {
-        let mut words = vec![0u64; doc.sources.len().div_ceil(64)];
-        for (i, (t, vals)) in doc.samples.iter().enumerate() {
-            words.fill(0);
-            for &c in &doc.stale[i] {
-                words[c / 64] |= 1 << (c % 64);
-            }
-            self.observe(*t, vals, &words);
+        for (t, vals) in &doc.samples {
+            self.observe(*t, vals);
         }
     }
 }
@@ -835,15 +822,15 @@ mod tests {
         let n = names(&["rail0.state", "in_flight"]);
         let k = [SourceKind::Gauge, SourceKind::Gauge];
         let mut m = HealthMonitor::new(&n, &k);
-        assert_eq!(m.observe(100, &[0, 5], &[]), None);
-        let opened = m.observe(200, &[2, 5], &[]);
+        assert_eq!(m.observe(100, &[0, 5]), None);
+        let opened = m.observe(200, &[2, 5]);
         assert_eq!(opened, Some(IncidentCause::RailOutage));
         // Still dead: same incident, no new open.
-        assert_eq!(m.observe(300, &[2, 5], &[]), None);
+        assert_eq!(m.observe(300, &[2, 5]), None);
         assert_eq!(m.open_incidents(), 1);
         // Recovered: closes after clear_intervals quiet rows.
         for t in [400, 500, 600] {
-            assert_eq!(m.observe(t, &[0, 5], &[]), None);
+            assert_eq!(m.observe(t, &[0, 5]), None);
         }
         assert_eq!(m.open_incidents(), 0);
         let r = m.report();
@@ -862,11 +849,11 @@ mod tests {
         let k = [SourceKind::Counter, SourceKind::Gauge];
         let mut m = HealthMonitor::new(&n, &k);
         for t in 1..=5u64 {
-            assert_eq!(m.observe(t * 100, &[0, 0], &[]), None, "quiet path");
+            assert_eq!(m.observe(t * 100, &[0, 0]), None, "quiet path");
         }
         // Burst + rail death in the same row correlate into RailOutage
         // (higher priority), with the burst alarm kept as evidence.
-        let opened = m.observe(600, &[50, 2], &[]);
+        let opened = m.observe(600, &[50, 2]);
         assert_eq!(opened, Some(IncidentCause::RailOutage));
         let r = m.report();
         assert_eq!(r.incidents.len(), 1);
@@ -880,26 +867,12 @@ mod tests {
         let k = [SourceKind::Counter];
         let mut m = HealthMonitor::new(&n, &k);
         for t in 1..=4u64 {
-            m.observe(t * 100, &[0], &[]);
+            m.observe(t * 100, &[0]);
         }
         assert_eq!(
-            m.observe(500, &[40], &[]),
+            m.observe(500, &[40]),
             Some(IncidentCause::RetransmitStorm)
         );
-    }
-
-    #[test]
-    fn stale_gauge_rows_are_skipped() {
-        let n = names(&["rail0.state"]);
-        let k = [SourceKind::Gauge];
-        let mut m = HealthMonitor::new(&n, &k);
-        m.observe(100, &[0], &[]);
-        // Dead code but the row is stale: a re-committed reading must not
-        // open an incident.
-        assert_eq!(m.observe(200, &[2], &[0b1]), None);
-        assert_eq!(m.report().alarms_total, 0);
-        // Same value, fresh row: alarms.
-        assert_eq!(m.observe(300, &[2], &[]), Some(IncidentCause::RailOutage));
     }
 
     #[test]
@@ -909,7 +882,7 @@ mod tests {
         let mut m = HealthMonitor::new(&n, &k);
         let mut opened = None;
         for t in 1..=20u64 {
-            if let Some(c) = m.observe(t * 100, &[3], &[]) {
+            if let Some(c) = m.observe(t * 100, &[3]) {
                 opened = Some((t, c));
                 break;
             }
@@ -927,12 +900,12 @@ mod tests {
         let mut t = 0u64;
         for _ in 0..20 {
             t += 100;
-            assert_eq!(m.observe(t, &[40], &[]), None, "steady level is clean");
+            assert_eq!(m.observe(t, &[40]), None, "steady level is clean");
         }
         let mut opened = None;
         for _ in 0..6 {
             t += 100;
-            if let Some(c) = m.observe(t, &[4000], &[]) {
+            if let Some(c) = m.observe(t, &[4000]) {
                 opened = Some(c);
                 break;
             }
@@ -949,7 +922,7 @@ mod tests {
         for v in [40, 4000] {
             for _ in 0..20 {
                 t += 100;
-                assert_eq!(m.observe(t, &[v, v, v], &[]), None);
+                assert_eq!(m.observe(t, &[v, v, v]), None);
             }
         }
         assert_eq!(m.report().alarms_total, 0);
@@ -1002,8 +975,7 @@ mod tests {
             tl.sample(i * 100);
             let i = tl.len() - 1;
             let (t, vals) = tl.row(i);
-            let stale = tl.stale_words(i).to_vec();
-            live.observe(t, vals, &stale);
+            live.observe(t, vals);
         }
         // Offline replay through the JSONL artifact must render the
         // identical report.
@@ -1027,10 +999,10 @@ mod tests {
         let mut t = 0;
         for _ in 0..=MAX_INCIDENTS {
             t += 100;
-            m.observe(t, &[2], &[]); // open (or suppressed)
+            m.observe(t, &[2]); // open (or suppressed)
             for _ in 0..CLEAR_INTERVALS {
                 t += 100;
-                m.observe(t, &[0], &[]); // close
+                m.observe(t, &[0]); // close
             }
         }
         let r = m.report();

@@ -368,26 +368,6 @@ pub struct Event {
 const _: () = assert!(std::mem::size_of::<Event>() <= 64);
 
 impl Event {
-    /// One-line human rendering used by the timeline reporter.
-    pub fn render(&self) -> String {
-        let (t, label, node) = (self.t_ns, self.kind.label(), self.node);
-        let mut s = format!("{t:>12} ns  {label:<13} node={node}");
-        if let Some(c) = self.conn {
-            s.push_str(&format!(" conn={c}"));
-        }
-        if let Some(r) = self.rail {
-            s.push_str(&format!(" rail={r}"));
-        }
-        for (name, v) in self.kind.fields() {
-            let v = match v {
-                Json::Str(label) => label,
-                v => v.render(),
-            };
-            s.push_str(&format!(" {name}={v}"));
-        }
-        s
-    }
-
     /// The event as one JSON object: `t_ns`, `kind`, `node`, `conn` and
     /// `rail` when set, then the payload's named fields. Trace reports and
     /// flight dumps both write this form.

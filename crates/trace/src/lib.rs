@@ -18,10 +18,8 @@
 //!    sub-buckets (HdrHistogram-style, ≈3% relative error), mergeable, used
 //!    for op issue→completion latency, frame wire time, and fence-stall
 //!    duration, keyed per connection or per link.
-//! 3. **Reporters** — a human-readable summary/timeline dump
-//!    ([`report::summary`], [`report::timeline`]) and a dependency-free
-//!    JSON emitter ([`json::Json`], [`report::snapshot_to_json`]) that the
-//!    bench crate uses to write `BENCH_*.json` files carrying protocol
+//! 3. **Reporters** — a dependency-free JSON emitter ([`json::Json`],
+//!    [`report::snapshot_to_json`]) that the bench crate uses to write `BENCH_*.json` files carrying protocol
 //!    internals, not just wall time.
 //!
 //! The entry point is [`Tracer`]: a cheaply cloneable handle that is either

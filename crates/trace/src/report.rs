@@ -1,5 +1,5 @@
-//! Reporters: human-readable summary/timeline and the JSON form consumed by
-//! the bench harnesses.
+//! Reporters: the JSON form of a trace snapshot, consumed by the bench
+//! harnesses.
 
 use crate::event::Event;
 use crate::hist::LogHistogram;
@@ -11,18 +11,6 @@ use std::collections::BTreeMap;
 const REPORT_PERCENTILES: [(&str, f64); 4] =
     [("p50", 50.0), ("p90", 90.0), ("p99", 99.0), ("p999", 99.9)];
 
-fn hist_line(name: &str, h: &LogHistogram) -> String {
-    format!(
-        "  {name:<24} n={:<8} min={:<10} p50={:<10} p99={:<10} max={:<10} mean={:.1} ns",
-        h.count(),
-        h.min(),
-        h.percentile(50.0),
-        h.percentile(99.0),
-        h.max(),
-        h.mean()
-    )
-}
-
 /// Retained events per kind label.
 fn counts_by_kind(snap: &TraceSnapshot) -> BTreeMap<&'static str, u64> {
     let mut by_kind = BTreeMap::new();
@@ -30,60 +18,6 @@ fn counts_by_kind(snap: &TraceSnapshot) -> BTreeMap<&'static str, u64> {
         *by_kind.entry(e.kind.label()).or_default() += 1;
     }
     by_kind
-}
-
-/// Human-readable roll-up: event counts by kind, then every histogram with
-/// its headline percentiles.
-pub fn summary(snap: &TraceSnapshot) -> String {
-    let mut out = String::new();
-    out.push_str("trace summary\n");
-    out.push_str(&format!(
-        "  events retained: {} (plus {} overwritten by ring wraparound)\n",
-        snap.events.len(),
-        snap.overwritten
-    ));
-    for (label, n) in &counts_by_kind(snap) {
-        out.push_str(&format!("  {label:<16} {n}\n"));
-    }
-    if !snap.op_latency.is_empty() {
-        out.push_str("op latency (issue -> completion), per connection:\n");
-        for (conn, h) in &snap.op_latency {
-            out.push_str(&hist_line(&format!("conn {conn}"), h));
-            out.push('\n');
-        }
-    }
-    if !snap.wire_time.is_empty() {
-        out.push_str("frame wire time, per link:\n");
-        for (link, h) in &snap.wire_time {
-            out.push_str(&hist_line(&format!("link {link}"), h));
-            out.push('\n');
-        }
-    }
-    if !snap.fence_stall.is_empty() {
-        out.push_str("fence stall duration, per connection:\n");
-        for (conn, h) in &snap.fence_stall {
-            out.push_str(&hist_line(&format!("conn {conn}"), h));
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Human-readable dump of the last `max_events` events, oldest first.
-pub fn timeline(snap: &TraceSnapshot, max_events: usize) -> String {
-    let mut out = String::new();
-    let skip = snap.events.len().saturating_sub(max_events);
-    if snap.overwritten > 0 || skip > 0 {
-        out.push_str(&format!(
-            "... {} earlier events not shown ...\n",
-            snap.overwritten + skip as u64
-        ));
-    }
-    for e in snap.events.iter().skip(skip) {
-        out.push_str(&e.render());
-        out.push('\n');
-    }
-    out
 }
 
 /// JSON form of one histogram: count/min/max/mean plus the headline
@@ -185,10 +119,9 @@ mod tests {
         let latency_ns = 30_000;
         t.emit(ev(30, None, EventKind::OpComplete { op, latency_ns }));
         let snap = t.snapshot().unwrap();
-        let s = summary(&snap);
-        assert!(s.contains("op_issue"), "{s}");
-        assert!(s.contains("frame wire time"), "{s}");
         let j = snapshot_to_json(&snap).render();
+        assert!(j.contains("\"op_issue\":1"), "{j}");
+        assert!(j.contains("\"wire_time_ns_by_link\":{\"2\""), "{j}");
         assert!(j.contains("\"op_latency_ns_by_conn\""), "{j}");
         assert!(j.contains("\"p99_ns\""), "{j}");
         let json = snapshot_to_json(&snap);
@@ -199,8 +132,5 @@ mod tests {
         assert_eq!(sent.get("rail").unwrap().as_u64(), Some(2));
         assert_eq!(snap.op_latency[&0].sum(), 30_000, "folded from op_complete");
         assert_eq!(snap.fence_stall[&0].sum(), 800, "folded from fence_release");
-        let tl = timeline(&snap, 1);
-        assert!(tl.contains("op_complete"), "{tl}");
-        assert!(tl.contains("earlier events"), "{tl}");
     }
 }

@@ -22,15 +22,9 @@
 //! event on virtual time, a wire driver polls [`Timeline::due`] against
 //! `Backplane::now_ns` wall time — the timeline itself never reads a clock.
 //!
-//! **Staleness.** A gauge column whose [`Timeline::set`] was not called
-//! since the previous commit would otherwise silently re-commit the last
-//! staged reading as if it were fresh. Each row therefore carries a stale
-//! bitmask (one bit per gauge column, packed into 64-bit words) that marks
-//! such re-committed readings; the mask is exported as the optional `"s"`
-//! row field and surfaced by [`TimelineDoc::is_stale`] /
-//! [`TimelineDoc::decode_flagged`] so downstream detectors can skip
-//! fabricated values. Counter columns never go stale: an unchanged raw
-//! reading legitimately encodes a zero delta.
+//! **Freshness.** A row commits the latest staged reading of every
+//! column; a sampler sets every column before each commit (the protocol's
+//! does), so no row re-commits an old gauge reading as fresh.
 //!
 //! **Export.** [`Timeline::to_jsonl`] emits one schema-versioned header
 //! line plus one compact JSON object per row; [`TimelineDoc::parse_jsonl`]
@@ -116,20 +110,16 @@ impl TimelineBuilder {
         assert!(capacity > 0, "timeline capacity must be non-zero");
         assert!(!self.names.is_empty(), "timeline needs at least one source");
         let n = self.names.len();
-        let words = n.div_ceil(64);
         Timeline {
             interval_ns,
             capacity,
             names: self.names,
             kinds: self.kinds,
             vals: vec![0; capacity * n],
-            stale: vec![0; capacity * words],
-            stale_words_per_row: words,
             times: vec![0; capacity],
             head: 0,
             len: 0,
             cur: vec![0; n],
-            touched: vec![false; n],
             last_raw: vec![0; n],
             base_raw: vec![0; n],
             base_time_ns: start_ns,
@@ -150,18 +140,11 @@ pub struct Timeline {
     kinds: Vec<SourceKind>,
     /// `capacity` rows × `names.len()` columns, flat, ring-indexed by row.
     vals: Vec<u64>,
-    /// `capacity` rows × `stale_words_per_row` bitmask words, flat: bit `c`
-    /// of a row's mask marks gauge column `c` as a re-committed (stale)
-    /// reading.
-    stale: Vec<u64>,
-    stale_words_per_row: usize,
     times: Vec<u64>,
     head: usize,
     len: usize,
     /// Staging row: the latest raw reading per source.
     cur: Vec<u64>,
-    /// Whether [`Timeline::set`] touched the column since the last commit.
-    touched: Vec<bool>,
     /// Raw reading per source at the last committed row.
     last_raw: Vec<u64>,
     /// Raw reading per source at the base (just before the oldest retained
@@ -231,7 +214,6 @@ impl Timeline {
     #[inline]
     pub fn set(&mut self, id: SourceId, raw: u64) {
         self.cur[id.0] = raw;
-        self.touched[id.0] = true;
     }
 
     /// Is a sample due at `now_ns`? The driver calls this from whatever
@@ -263,8 +245,6 @@ impl Timeline {
             self.evicted += 1;
         }
         let row = (self.head + self.len) % self.capacity;
-        let words = self.stale_words_per_row;
-        self.stale[row * words..(row + 1) * words].fill(0);
         for c in 0..n {
             self.vals[row * n + c] = match self.kinds[c] {
                 SourceKind::Counter => {
@@ -272,16 +252,9 @@ impl Timeline {
                     self.last_raw[c] = self.cur[c];
                     d
                 }
-                SourceKind::Gauge => {
-                    if !self.touched[c] {
-                        // Re-committed reading: no `set` this interval.
-                        self.stale[row * words + c / 64] |= 1 << (c % 64);
-                    }
-                    self.cur[c]
-                }
+                SourceKind::Gauge => self.cur[c],
             };
         }
-        self.touched.fill(false);
         self.times[row] = now_ns;
         self.len += 1;
         self.samples_total += 1;
@@ -296,22 +269,6 @@ impl Timeline {
         let n = self.names.len();
         let row = (self.head + i) % self.capacity;
         (self.times[row], &self.vals[row * n..(row + 1) * n])
-    }
-
-    /// Stale bitmask words of retained row `i` (0 = oldest): bit `c` marks
-    /// gauge column `c` as a re-committed reading (no [`Timeline::set`]
-    /// in that interval).
-    pub fn stale_words(&self, i: usize) -> &[u64] {
-        assert!(i < self.len, "row {i} out of {} retained", self.len);
-        let w = self.stale_words_per_row;
-        let row = (self.head + i) % self.capacity;
-        &self.stale[row * w..(row + 1) * w]
-    }
-
-    /// Was column `c` of retained row `i` committed stale?
-    pub fn is_stale(&self, i: usize, c: usize) -> bool {
-        let words = self.stale_words(i);
-        c < self.names.len() && words[c / 64] >> (c % 64) & 1 == 1
     }
 
     /// Sum of retained deltas (counters) or retained raw values (gauges)
@@ -360,19 +317,9 @@ impl Timeline {
         out.push('\n');
         for i in 0..self.len {
             let (t, vals) = self.row(i);
-            let mut row = Json::obj()
+            let row = Json::obj()
                 .set("t_ns", t)
                 .set("v", vals.iter().map(|&v| Json::from(v)).collect::<Vec<_>>());
-            // Stale columns are exported as an index list (not the raw mask
-            // words): small, exact under the f64-backed JSON number model,
-            // and readable in the artifact.
-            let stale: Vec<Json> = (0..vals.len())
-                .filter(|&c| self.is_stale(i, c))
-                .map(Json::from)
-                .collect();
-            if !stale.is_empty() {
-                row = row.set("s", stale);
-            }
             out.push_str(&row.render());
             out.push('\n');
         }
@@ -408,10 +355,6 @@ pub struct TimelineDoc {
     pub sources: Vec<SourceInfo>,
     /// Retained rows: `(t_ns, per-column values)`.
     pub samples: Vec<(u64, Vec<u64>)>,
-    /// Per-row stale column indices (sorted), parallel to `samples`. A
-    /// listed gauge column was re-committed without a fresh reading that
-    /// interval — detectors should skip it.
-    pub stale: Vec<Vec<usize>>,
 }
 
 impl TimelineDoc {
@@ -457,7 +400,6 @@ impl TimelineDoc {
             })
             .collect::<Result<_, String>>()?;
         let mut samples = Vec::new();
-        let mut stale = Vec::new();
         for (i, line) in lines.enumerate() {
             let row = Json::parse(line).map_err(|e| format!("row {i}: {e}"))?;
             let t = row
@@ -478,21 +420,7 @@ impl TimelineDoc {
                     sources.len()
                 ));
             }
-            let mut cols: Vec<usize> = match row.get("s").and_then(|v| v.items()) {
-                Some(items) => items
-                    .iter()
-                    .map(|v| {
-                        v.as_u64()
-                            .map(|c| c as usize)
-                            .filter(|&c| c < sources.len())
-                            .ok_or_else(|| format!("row {i}: bad stale column"))
-                    })
-                    .collect::<Result<_, String>>()?,
-                None => Vec::new(),
-            };
-            cols.sort_unstable();
             samples.push((t, vals));
-            stale.push(cols);
         }
         Ok(TimelineDoc {
             interval_ns: num("interval_ns")?,
@@ -501,30 +429,12 @@ impl TimelineDoc {
             samples_total: num("samples_total")?,
             sources,
             samples,
-            stale,
         })
     }
 
     /// Column index of a source by name.
     pub fn column(&self, name: &str) -> Option<usize> {
         self.sources.iter().position(|s| s.name == name)
-    }
-
-    /// Was column `c` of row `i` committed stale (re-committed gauge
-    /// reading with no fresh `set` that interval)?
-    pub fn is_stale(&self, i: usize, c: usize) -> bool {
-        self.stale.get(i).is_some_and(|cols| cols.contains(&c))
-    }
-
-    /// Like [`TimelineDoc::decode`], but each point also carries its stale
-    /// flag so consumers (the doctor, plots) can skip re-committed gauge
-    /// readings instead of treating them as fresh observations.
-    pub fn decode_flagged(&self, c: usize) -> Vec<(u64, u64, bool)> {
-        self.decode(c)
-            .into_iter()
-            .enumerate()
-            .map(|(i, (t, raw))| (t, raw, self.is_stale(i, c)))
-            .collect()
     }
 
     /// Reconstruct the raw reading series for column `c` at each retained
@@ -699,31 +609,6 @@ mod tests {
         assert_ne!(text, bad, "tamper target present");
         let doc = TimelineDoc::parse_jsonl(&bad).expect("still parses");
         assert!(doc.reconcile().is_err());
-    }
-
-    #[test]
-    fn untouched_gauges_are_marked_stale_and_round_trip() {
-        let (mut tl, c, g) = two_source_tl(8);
-        tl.set(c, 1);
-        tl.set(g, 7);
-        tl.sample(100);
-        tl.set(c, 2); // gauge untouched this interval: re-committed reading
-        tl.sample(200);
-        tl.set(c, 2);
-        tl.set(g, 3);
-        tl.sample(300);
-        assert!(!tl.is_stale(0, 1));
-        assert!(tl.is_stale(1, 1));
-        assert!(!tl.is_stale(1, 0), "counters never go stale");
-        assert!(!tl.is_stale(2, 1));
-        assert_eq!(tl.stale_words(1), &[2][..]);
-        let doc = TimelineDoc::parse_jsonl(&tl.to_jsonl()).expect("parses");
-        assert!(!doc.is_stale(0, 1) && doc.is_stale(1, 1) && !doc.is_stale(2, 1));
-        assert_eq!(
-            doc.decode_flagged(1),
-            vec![(100, 7, false), (200, 7, true), (300, 3, false)]
-        );
-        doc.reconcile().expect("stale bits do not disturb telescoping");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 use bytes::Bytes;
 use me_trace::{FlightConfig, FlightRecorder, SpanRecorder};
 use multiedge::backplane::{
-    drive, Backplane, BpRx, ChaosConfig, FaultBackplane, SimBackplane, UdpFabric, UdpFabricConfig,
-    UdpFabricStats, UdpRxError, WireEndpoint,
+    drive, Backplane, BpRx, ChaosConfig, FaultBackplane, SimBackplane, UdpFabric, UdpFabricStats,
+    UdpRxError, WireEndpoint,
 };
 use multiedge::{OpFlags, ProtoStats, SystemConfig};
 use netsim::{build_cluster, Sim};
@@ -96,7 +96,8 @@ fn udp_round_trip_preserves_data_and_invariants() {
         "all ops applied in fence order"
     );
     // Nothing was mangled on the wire.
-    assert_eq!(fabric.decode_dropped(), 0);
+    let f = fabric.stats();
+    assert_eq!(f.frames_corrupt_dropped + f.frames_malformed_dropped, 0);
     let stats = a.stats();
     assert_eq!(stats.ops_write, writes.len() as u64);
     assert_eq!(stats.retransmits(), 0, "loopback run must be loss-free");
@@ -131,7 +132,8 @@ fn udp_mtu_boundary_fragmentation() {
             (frames, len as u64),
             "fragmentation of a {len}-byte write (MTU {mtu})"
         );
-        assert_eq!(fabric.decode_dropped(), 0);
+        let f = fabric.stats();
+        assert_eq!(f.frames_corrupt_dropped + f.frames_malformed_dropped, 0);
     }
 }
 
@@ -515,7 +517,6 @@ fn udp_corrupt_datagram_splits_from_malformed() {
         (1, 1, 0),
         "the two decode-failure classes stay distinct and deliver nothing"
     );
-    assert_eq!(fabric.decode_dropped(), 2, "legacy combined counter still sums");
 }
 
 /// The receive-error log is bounded: overflowing it must evict the oldest
@@ -690,17 +691,11 @@ fn flight_dump_carries_chaos_and_fabric_context() {
     assert_eq!(parsed, doc);
 }
 
-/// The advance idle loop honors its configured spin budget: with tiny
-/// spin/yield budgets it must still return at (not far past) the deadline
-/// by sleeping, and with nothing arriving it reaches the deadline.
+/// The advance idle loop spends its spin and yield budget, then sleeps:
+/// with nothing arriving it waits out the deadline and reaches it.
 #[test]
 fn udp_advance_idle_loop_respects_deadline_with_spin_budget() {
-    let cfg = UdpFabricConfig {
-        spin_before_yield: 4,
-        yields_before_sleep: 4,
-        idle_sleep: std::time::Duration::from_micros(200),
-    };
-    let fabric = UdpFabric::new_with(1, cfg).expect("bind loopback sockets");
+    let fabric = UdpFabric::new(1).expect("bind loopback sockets");
     let (mut bpa, _bpb) = fabric.pair();
     let start = std::time::Instant::now();
     let until = bpa.now_ns() + 5_000_000;
@@ -819,7 +814,7 @@ proptest! {
         }
         prop_assert_eq!(s.send_calls, maximal_runs(rails, &lens), "{:?} {:?}", lens, s);
         prop_assert_eq!(
-            (s.delivered, s.tx_failed, s.recv_would_block, fabric.decode_dropped()),
+            (s.delivered, s.tx_failed, s.recv_would_block, s.frames_corrupt_dropped + s.frames_malformed_dropped),
             (sent.len() as u64, 0, 0, 0),
             "{:?}", s
         );

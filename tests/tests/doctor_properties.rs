@@ -112,7 +112,7 @@ proptest! {
         prop_assert!(b.observe(storm) > 0.0, "storm delta {storm} did not fire");
     }
 
-    /// The monitor is a pure function of `(t_ns, values, stale_words)`:
+    /// The monitor is a pure function of `(t_ns, values)`:
     /// feeding the same arbitrary row stream twice renders byte-identical
     /// reports — the determinism the offline `me-inspect doctor` replay
     /// contract rests on.
@@ -129,7 +129,7 @@ proptest! {
             let mut t = 0u64;
             for (dt, ev, nack, g) in &rows {
                 t += dt;
-                m.observe(t, &[*ev, *nack, *g], &[0]);
+                m.observe(t, &[*ev, *nack, *g]);
             }
             m.report().to_json().render()
         };

@@ -568,3 +568,28 @@ fn a_served_read_returns_its_source_as_of_the_serve() {
     );
     assert!(cores.iter().all(|c| c.conns()[0].quiesced()));
 }
+
+/// The core owns its armed timers: an issue arms the RTO at the instant
+/// `next_deadline` reports, `fire_due` fires nothing before it and the
+/// timer at it, and an abort disarms every timer.
+#[test]
+fn the_core_owns_its_armed_timers() {
+    let proto = ProtoConfig::default();
+    let rto = proto.rto_initial.as_nanos();
+    let mut core = ProtoCore::<u64>::new(0, proto, RAILS);
+    core.connect(1, 0);
+    let mut host = Sink::default();
+    assert_eq!(core.next_deadline(), None);
+    let data = Payload::Bytes(Bytes::from(vec![7u8; 64]));
+    let write = Op::Write { remote_addr: 0x1000, data };
+    core.issue(0, write, OpFlags::RELAXED, 0, 1_000, 1_000, &mut host);
+    let due = 1_000 + rto;
+    assert_eq!(core.next_deadline(), Some(due), "the RTO, armed at issue");
+    assert!(!core.fire_due(due - 1, due - 1, &mut host), "nothing is due yet");
+    assert!(core.fire_due(due, due, &mut host));
+    assert_eq!(core.stats().retransmits_rto, 1, "no ack came back: the RTO resent");
+    assert_eq!(core.stats(), core.conns()[0].stats(), "the node's counters are its one connection's");
+    assert!(core.next_deadline().is_some_and(|d| d > due), "re-armed, backed off");
+    assert_eq!(core.abort_pending(0), vec![0]);
+    assert_eq!(core.next_deadline(), None);
+}
