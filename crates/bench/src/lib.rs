@@ -22,6 +22,7 @@ pub use micro::{
 };
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -39,22 +40,32 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation calls made by this thread. Const-initialized and without
+    /// a destructor, so the allocator can count in it at any time.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator, counting allocation calls (a growing `realloc`
-/// counts as one) and the bytes currently allocated. A bench or test that
-/// gates allocations installs it with
+/// Count one allocation call on the calling thread.
+fn count_alloc() {
+    ALLOC_CALLS.with(|n| n.set(n.get() + 1));
+}
+
+/// The system allocator, counting each thread's allocation calls (a
+/// growing `realloc` counts as one) and the bytes currently allocated in
+/// the process. A bench or test that gates allocations installs it with
 /// `#[global_allocator] static ALLOC: CountingAlloc = CountingAlloc;` and
 /// reads the counts with [`allocs`] and [`live_bytes`].
 pub struct CountingAlloc;
 
 // SAFETY: every method passes its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counts are relaxed atomic adds
-// that neither allocate nor touch the memory handed out.
+// upholds the `GlobalAlloc` contract; the counts are a thread-local add and
+// relaxed atomic adds, which neither allocate nor touch the memory handed
+// out.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Relaxed);
+        count_alloc();
         LIVE_BYTES.fetch_add(layout.size() as u64, Relaxed);
         System.alloc(layout)
     }
@@ -64,7 +75,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if new_size > layout.size() {
-            ALLOC_CALLS.fetch_add(1, Relaxed);
+            count_alloc();
         }
         LIVE_BYTES.fetch_add(new_size as u64, Relaxed);
         LIVE_BYTES.fetch_sub(layout.size() as u64, Relaxed);
@@ -72,10 +83,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Allocation calls so far in this process: always 0 unless the binary
-/// installed [`CountingAlloc`].
+/// Allocation calls the calling thread has made so far, so a count is not
+/// disturbed by other threads (a test harness printing, say): always 0
+/// unless the binary installed [`CountingAlloc`].
 pub fn allocs() -> u64 {
-    ALLOC_CALLS.load(Relaxed)
+    ALLOC_CALLS.with(Cell::get)
 }
 
 /// Heap bytes currently allocated in this process (requested sizes, not

@@ -6,7 +6,7 @@
 //! little-endian `u32`s. Ranges may wrap modulo 2^32 (`from > to` is legal
 //! and means the range crosses the wrap point).
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 /// A set of missing sequence ranges carried by a NACK frame.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -36,14 +36,15 @@ impl NackRanges {
 
     /// Serialize to a frame payload. Truncates to [`MAX_RANGES_PER_NACK`]
     /// ranges; the remaining gaps will be re-reported by a later NACK.
+    /// One allocation: the records are written in place.
     pub fn encode(&self) -> Bytes {
         let n = self.ranges.len().min(MAX_RANGES_PER_NACK);
-        let mut buf = Vec::with_capacity(n * 8);
-        for &(from, to) in &self.ranges[..n] {
-            buf.extend_from_slice(&from.to_le_bytes());
-            buf.extend_from_slice(&to.to_le_bytes());
+        let mut buf = BytesMut::zeroed(n * 8);
+        for (rec, &(from, to)) in buf.chunks_exact_mut(8).zip(&self.ranges[..n]) {
+            rec[..4].copy_from_slice(&from.to_le_bytes());
+            rec[4..].copy_from_slice(&to.to_le_bytes());
         }
-        Bytes::from(buf)
+        buf.freeze()
     }
 
     /// Parse a NACK payload. Trailing partial records are ignored (a damaged

@@ -38,9 +38,11 @@ const IDLE_CONN_BUDGET: u64 = 1 << 10;
 const CARRIED_CONN_BUDGET: u64 = 5_120;
 
 /// Heap an issued, unacknowledged 8 KiB write from memory may hold: its
-/// frames, handle and events, but not a copy of its payload, which shares
-/// the source pages (about 1.5 KiB; a private copy makes it 8.2 KiB).
-const IN_FLIGHT_OP_BUDGET: u64 = 4 << 10;
+/// frames, handle and events, but no copy of its payload, which is cut
+/// from the run its source was written as (about 64 B; copying the one
+/// fragment that straddles a page boundary adds 1.5 KiB, a private copy of
+/// the payload 8.2 KiB).
+const IN_FLIGHT_OP_BUDGET: u64 = 512;
 
 /// Payload of each write in the carried round.
 const OP_BYTES: usize = 8 << 10;
@@ -156,43 +158,57 @@ fn in_flight_writes_share_their_source_pages() {
 }
 
 /// Cutting a payload from memory allocates its copy buffer, if any, and
-/// nothing else: at most once, and not at all when no fragment straddles a
-/// page boundary. (The rest of the contract of `AppMemory::fragments` is a
-/// property test next to it; the count needs this binary's allocator.)
+/// nothing else: once when a fragment crosses from one buffer into
+/// another (a page, a run, or the zero page of a page never written), and
+/// not at all when every fragment that straddles a page boundary lies
+/// inside one run. (The rest of the contract of `AppMemory::fragments` is
+/// a property test next to it; the count needs this binary's allocator,
+/// and counts this thread's allocations only.)
 #[test]
 fn cutting_a_payload_allocates_at_most_its_copy_buffer() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let page = PAGE_SIZE as u64;
     let mut m = AppMemory::new();
+    // Pages 1–3 are one run, 4 a page of its own, 5–6 a run; 0 and 7 were
+    // never written.
     m.write(page, &vec![5; 3 * PAGE_SIZE]);
-    // Pages 1–3 are resident, 0 and 4 are not; the first cut of a page
-    // that is not resident builds this thread's zero page.
+    m.write(4 * page, &vec![6; PAGE_SIZE]);
+    m.write(5 * page, &vec![7; 2 * PAGE_SIZE]);
+    let run_of = |p: u64| match p {
+        1..=3 => Some(1),
+        5..=6 => Some(5),
+        _ => None,
+    };
+    // The first cut of a page that is not resident builds this thread's
+    // zero page.
     m.fragments(Payload::Memory { addr: 0, len: 1 }, 1).for_each(drop);
-    for addr in [0, 1, page - 1, page - 64, 2 * page - 700, 3 * page + 5] {
+    let mut in_run = 0;
+    for addr in [0, 1, page - 1, page - 64, 2 * page - 700, 3 * page + 5, 5 * page + 9] {
         for len in [0, 1, 64, 1450, PAGE_SIZE, 5020, 3 * PAGE_SIZE + 100] {
             for max in [1, 64, 1450, PAGE_SIZE, 5000] {
-                let straddles = (0..len).step_by(max).any(|off| {
-                    let (a, n) = (addr + off as u64, max.min(len - off));
-                    (a % page) as usize + n > PAGE_SIZE
-                });
-                // The count is process-wide and the test harness's own
-                // thread may allocate meanwhile: the least of three cuts
-                // is this one's.
-                let n = (0..3)
-                    .map(|_| {
-                        let a0 = allocs();
-                        let src = Payload::Memory { addr, len };
-                        let cut: usize = m.fragments(src, max).map(|f| f.len()).sum();
-                        assert_eq!(cut, len);
-                        allocs() - a0
-                    })
-                    .min()
-                    .unwrap_or_default();
-                assert!(
-                    n <= u64::from(straddles),
-                    "{addr:#x}+{len} at {max}: {n} allocations (straddles: {straddles})"
+                let mut crosses = false;
+                for off in (0..len).step_by(max) {
+                    let a = addr + off as u64;
+                    let (first, last) = (a / page, (a + max.min(len - off) as u64 - 1) / page);
+                    if first < last {
+                        let run = run_of(first);
+                        let one_run = run.is_some() && (first..=last).all(|p| run_of(p) == run);
+                        in_run += u64::from(one_run);
+                        crosses |= !one_run;
+                    }
+                }
+                let a0 = allocs();
+                let src = Payload::Memory { addr, len };
+                let cut: usize = m.fragments(src, max).map(|f| f.len()).sum();
+                let n = allocs() - a0;
+                assert_eq!(cut, len);
+                assert_eq!(
+                    n,
+                    u64::from(crosses),
+                    "{addr:#x}+{len} at {max}: {n} allocations (crosses buffers: {crosses})"
                 );
             }
         }
     }
+    assert!(in_run > 0, "no fragment straddled a page inside a run");
 }

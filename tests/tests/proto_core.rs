@@ -474,14 +474,44 @@ fn step(cores: &mut [ProtoCore<u64>], out: &mut [Outbox; 2], world: &mut World) 
 /// simulator's write future resolves), and the first copies of an in-page
 /// fragment (seq 0) and of the fragment that straddles the page boundary
 /// (seq 2) are lost: their retransmissions must still carry the old bytes.
+/// Here the source's two pages were written one at a time, so the
+/// straddler is a copy.
 #[test]
 fn a_write_sends_its_source_as_of_issue() {
+    write_sends_its_source_as_of_issue(false);
+}
+
+/// The same, with the source written in one go, so its two pages are one
+/// run and the straddler is a slice of it: the overwrite copies each page
+/// out of the run the payloads hold.
+#[test]
+fn a_write_from_a_run_sends_its_source_as_of_issue() {
+    write_sends_its_source_as_of_issue(true);
+}
+
+fn write_sends_its_source_as_of_issue(run: bool) {
     // Five fragments: two in page 3, one across the boundary, two in page 4.
     const SRC: u64 = 0x4000 - 100;
     const DST: u64 = 0x9000;
     let (old, new) = (pattern(200, 1), pattern(200, 2));
     let (mut cores, mut out, mut world) = lossy_pair(&[(0, 0), (0, 2)]);
-    cores[0].memory.write(SRC, &old);
+    if run {
+        cores[0].memory.write(SRC, &old);
+    } else {
+        cores[0].memory.write(SRC, &old[..100]);
+        cores[0].memory.write(SRC + 100, &old[100..]);
+    }
+    let src = Payload::Memory {
+        addr: SRC,
+        len: 200,
+    };
+    let cut: Vec<Bytes> = cores[0].memory.fragments(src.clone(), FRAG).collect();
+    let adjacent = cut[2].as_ptr() == cut[1].as_ptr().wrapping_add(FRAG);
+    assert_eq!(
+        adjacent, run,
+        "the straddler is a slice iff the source is a run"
+    );
+    drop(cut);
     let mut host = TestHost {
         node: 0,
         world: &mut world,
@@ -489,10 +519,7 @@ fn a_write_sends_its_source_as_of_issue() {
     };
     let op = Op::Write {
         remote_addr: DST,
-        data: Payload::Memory {
-            addr: SRC,
-            len: 200,
-        },
+        data: src,
     };
     cores[0].issue(0, op, OpFlags::RELAXED, 7, 0, 0, &mut host);
     cores[0].memory.write(SRC, &new);
