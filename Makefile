@@ -137,8 +137,9 @@ determinism:
 # Everything that is pinned to the simulated fabric's exact behaviour, each
 # regenerated by its own path, after an intentional change to that
 # behaviour: the stats_equivalence golden, the figures, and the four
-# committed BENCH_* reports at full profile (with the telemetry dumps).
-# Commit what it rewrites with the change that moved the numbers.
+# committed BENCH_* reports at full profile (the doctor bench also writes
+# the timeline dumps and doctor_incidents.json). Commit what it rewrites
+# with the change that moved the numbers.
 rebaseline: figures
 	GOLDEN_REGEN=1 $(CARGO) test $(OFFLINE) -q -p multiedge-bench --test stats_equivalence
 	$(MAKE) bench-telemetry bench-doctor bench-chaos bench-backplane
@@ -160,29 +161,34 @@ bench-backplane:
 bench-chaos:
 	timeout 300 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench chaos
 
-# Datapath and telemetry bench: the clean datapath allocates nothing per
-# frame (2x2 double difference), the flight recorder and the sampler are
-# purely observational (zero allocations per frame, identical stats
-# fingerprint), delta reconciliation against end-of-run
-# ProtoStats, a rail-outage cell whose timeline localises the outage, a
-# chaos wire cell, and an 8-node incast (members = nodes) whose imbalance
-# diagnosis names the receiver node hot. Writes results/BENCH_telemetry.json
-# plus timeline JSONL dumps (one per incast node) for `me-inspect timeline`
-# and `me-inspect doctor`. Bounded by `timeout`
-# so a wedged drive loop cannot hang the pipeline.
+# Datapath cost bench: the clean datapath allocates nothing per frame (2x2
+# double difference), a ping-pong op and a 64 B op from memory stay under
+# their allocation ceilings, and the flight recorder is purely
+# observational (zero allocations per frame, identical stats fingerprint).
+# Writes results/BENCH_telemetry.json. The sampler's gates and the timeline
+# dumps are bench-doctor's. Bounded by `timeout` so a wedged run cannot
+# hang the pipeline.
 bench-telemetry:
 	timeout 600 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench telemetry
 
-# Doctor bench: detector gate (zero allocations per sample, bit-identical
-# protocol stats), rail-outage
-# detection within 3 sample intervals, zero false alarms across 8 clean
-# seeds, a chaos burst diagnosed as retransmit_storm, a NIC stall diagnosed
-# as congestion_backlog (a short one as nothing), and the 8-node
-# incast/balanced pair (members = nodes); each cause is the first incident
-# of the cell that gates it. Every cell replays its JSONL
-# offline and demands a byte-identical report. Writes results/BENCH_doctor.json and
-# results/doctor_incidents.json. Bounded by `timeout` so a wedged drive
-# loop cannot hang the pipeline.
+# Timeline and health bench: every scenario runs once with the sampler and
+# its health monitor armed. Sampler+monitor off/on gate (zero allocations
+# per frame, bit-identical protocol stats, exact reconciliation) and a
+# 1 ms vs 250 us sampled pair (zero allocations per sample row); a
+# rail-outage cell that reconciles exactly, localises the retransmits and
+# the dead rail, and opens rail_outage within 3 sample intervals; zero
+# false alarms across 8 clean seeds; a chaos burst that reconciles and
+# diagnoses as retransmit_storm; a NIC stall diagnosed as
+# congestion_backlog (a short one as nothing); and the 8-node
+# incast/balanced pair (members = nodes), every incast node reconciled and
+# the receiver named hot by totals and by diagnosis. Each cause is the
+# first incident of the cell that gates it, and every cell replays its
+# JSONL offline and demands a byte-identical report. Writes
+# results/BENCH_doctor.json, results/doctor_incidents.json and the timeline
+# dumps results/telemetry_failover.jsonl (the rail-outage run) and
+# results/telemetry_incast_node{0..7}.jsonl for `me-inspect timeline` and
+# `me-inspect doctor`. Bounded by `timeout` so a wedged drive loop cannot
+# hang the pipeline.
 bench-doctor:
 	timeout 600 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench doctor
 

@@ -1,35 +1,31 @@
-//! Datapath and telemetry-plane cost and fidelity gates.
+//! Datapath and flight-recorder cost gates.
 //!
-//! Three cost gates on the clean 1L-1G two-way 64 KiB cell (seed 7), all
-//! read from [`multiedge_bench::CountingAlloc`]:
+//! Three cost gates on the clean 1L-1G cell (seed 7), all read from
+//! [`multiedge_bench::CountingAlloc`]:
 //!
 //! * **datapath** — the steady-state datapath allocates nothing per data
 //!   frame, and a ping-pong op allocates no more than a fixed ceiling (the
 //!   2×2 double difference of [`datapath_gate`]); a 64 B ping-pong op
 //!   written from endpoint memory has a ceiling of its own
 //!   ([`smallop_gate`]);
-//! * **flight recorder** and **sampler** — each plane is purely
-//!   observational ([`multiedge_bench::plane_overhead`]): no allocation per
-//!   frame with it armed and an identical stats fingerprint are asserted;
-//!   the frames/wall-s ratio is printed, not judged (that claim is
-//!   `trace.planes_on_fps_ratio` in `perf/`).
+//! * **flight recorder** — the always-on recorder on the two-way 64 KiB
+//!   stream is purely observational ([`multiedge_bench::plane_overhead`]):
+//!   no allocation per frame with it armed and an identical stats
+//!   fingerprint are asserted; the frames/wall-s ratio is printed, not
+//!   judged (that claim is `trace.planes_on_fps_ratio` in `perf/`).
 //!
-//! It then runs the time-resolved cells ([`multiedge_bench::telemetry`])
-//! and writes the committed `results/BENCH_telemetry.json` plus the
-//! `results/telemetry_failover.jsonl` timeline artifact that
-//! `me-inspect timeline` renders.
+//! The sampler's and the health monitor's gates, and the timeline
+//! artifacts, are the doctor bench's. This bench writes the committed
+//! `results/BENCH_telemetry.json`.
 //!
-//! `SMOKE=1` runs small cells for CI: every gate still enforced, artifacts
-//! still written (marked `"mode": "smoke"`).
+//! `SMOKE=1` runs small cells for CI: every gate still enforced, the
+//! report still written (marked `"mode": "smoke"`).
 
-use me_trace::{IncidentCause, Json, SCHEMA_VERSION};
+use me_trace::{Json, SCHEMA_VERSION};
 use multiedge::{Endpoint, OpFlags, SystemConfig};
-use multiedge_bench::micro::{run_micro, run_micro_sampled, MicroKind, MicroResult};
-use multiedge_bench::scale::MEMBER_COUNTER;
-use multiedge_bench::telemetry::{failover_telemetry, incast_telemetry, wire_telemetry};
+use multiedge_bench::micro::{run_micro, MicroKind, MicroResult};
 use multiedge_bench::{allocs, plane_overhead, results_dir, smoke, CountingAlloc};
-use netsim::time::us;
-use netsim::{build_cluster, Dur, Sim};
+use netsim::{build_cluster, Sim};
 use std::rc::Rc;
 
 #[global_allocator]
@@ -171,26 +167,6 @@ fn flight_recorder_gate(iters: usize) -> Json {
         .set("kind", "two-way")
 }
 
-/// The sampler gate, sampled every 1 ms of virtual time (the
-/// production-style cadence: each interval covers ~80 frames, so the row
-/// cost amortizes). Every sampled run must also reconcile exactly.
-fn sampler_gate(iters: usize) -> Json {
-    let run = |sampled: bool, iters: usize| {
-        let interval = sampled.then_some(Dur(us(1000).as_nanos()));
-        let (cfg, plan) = (clean_cfg(), netsim::FaultPlan::new());
-        let r = run_micro_sampled(&cfg, MicroKind::TwoWay, 64 << 10, iters, &plan, interval);
-        if let (Some(tl), Some(end)) = (&r.timeline, &r.timeline_proto) {
-            multiedge_bench::telemetry::reconcile_proto(tl, end)
-                .expect("sampled datapath run must reconcile exactly");
-        }
-        r
-    };
-    let frames = |r: &MicroResult| r.proto.data_frames_sent;
-    plane_overhead("sampler", "frame", iters, run, frames)
-        .set("config", "1L-1G")
-        .set("kind", "two-way")
-}
-
 fn main() {
     let smoke = smoke();
     // Allocation-per-op ceilings: the counts this grid measured when the
@@ -210,106 +186,19 @@ fn main() {
     let datapath = datapath_gate(iters, max_allocs_per_op);
     let smallop = smallop_gate(iters, max_smallop_allocs_per_op);
     let flight = flight_recorder_gate(iters);
-    let sampler = sampler_gate(iters);
 
-    let f = failover_telemetry(smoke);
-    let end = f.result.timeline_proto.as_ref().expect("sampled");
-    println!(
-        "failover {} rows  {} retransmit intervals  {} rail-dead intervals  ({} retransmits total)",
-        f.rows,
-        f.retransmit_intervals,
-        f.rail_dead_intervals,
-        end.retransmits()
-    );
-    assert!(f.retransmit_intervals >= 1, "outage must localise to intervals");
-    assert!(f.rail_dead_intervals >= 1, "dead rail must localise to intervals");
-    let failover = Json::obj()
-        .set("config", "2Lu-1G")
-        .set("kind", "one-way")
-        .set("rows", f.rows)
-        .set("retransmit_intervals", f.retransmit_intervals)
-        .set("rail_dead_intervals", f.rail_dead_intervals)
-        .set("retransmits_total", end.retransmits())
-        .set("reconciled", true)
-        .set("artifact", "results/telemetry_failover.jsonl");
-
-    let w = wire_telemetry(smoke);
-    println!(
-        "wire     {} rows  {} retransmit intervals  chaos dropped {}",
-        w.timeline.len(),
-        w.retransmit_intervals,
-        w.chaos.dropped
-    );
-    assert!(w.retransmit_intervals >= 1, "chaos loss must localise to intervals");
-    let wire = Json::obj()
-        .set("config", "BP-2L+chaos(drop=0.02)")
-        .set("kind", "one-way")
-        .set("rows", w.timeline.len())
-        .set("retransmit_intervals", w.retransmit_intervals)
-        .set("chaos_dropped", w.chaos.dropped)
-        .set("retransmits_total", w.end.retransmits())
-        .set("reconciled", true);
-
-    // Node 0 is the incast receiver: the member the index and the
-    // diagnosis must name hot.
-    let t = incast_telemetry(smoke);
-    let inc = t
-        .health
-        .first(IncidentCause::IncastImbalance)
-        .expect("incast must diagnose as IncastImbalance");
-    let hot = inc.evidence()[0].column;
-    println!(
-        "incast   {} nodes  hot node {}  imbalance {:.2}x  incident on member {} \
-         ({} alarms, {} rows)",
-        t.timelines.len(),
-        t.hot_node,
-        t.imbalance,
-        hot,
-        inc.alarms,
-        t.timelines[0].len()
-    );
-    assert_eq!(t.hot_node, 0, "imbalance index must name the receiver node");
-    assert_eq!(hot, 0, "the diagnosis must name the receiver node");
-    let incast = Json::obj()
-        .set("config", "2Lu-1G incast-8, members = nodes")
-        .set("member_counter", MEMBER_COUNTER)
-        .set("members", t.timelines.len())
-        .set("rows", t.timelines[0].len())
-        .set("hot_node", t.hot_node)
-        .set("imbalance", t.imbalance)
-        .set("incident_member", hot)
-        .set("incident_opened_t_ns", inc.opened_t_ns)
-        .set("incident_alarms", inc.alarms)
-        .set("reconciled", true)
-        .set("artifacts", "results/telemetry_incast_node{0..7}.jsonl");
-
-    let results = results_dir();
-    std::fs::write(results.join("telemetry_failover.jsonl"), &f.jsonl)
-        .expect("write failover timeline artifact");
-    // One artifact per node: `me-inspect timeline node0.jsonl … node7.jsonl`
-    // renders the cross-node imbalance table from these.
-    for (i, tl) in t.timelines.iter().enumerate() {
-        std::fs::write(
-            results.join(format!("telemetry_incast_node{i}.jsonl")),
-            tl.to_jsonl(),
-        )
-        .expect("write node timeline artifact");
-    }
     let doc = Json::obj()
         .set("schema_version", SCHEMA_VERSION)
         .set("bench", "telemetry")
         .set("mode", if smoke { "smoke" } else { "full" })
         .set(
             "methodology",
-            "datapath: 2x2 double difference, marginal allocs/frame asserted 0 and allocs/op held to a ceiling; smallop: 64 B ping-pong from memory, run-length difference, allocs/op held to a ceiling; flight recorder and sampler: off/on pair at two run lengths, fingerprints equal and marginal allocs/frame asserted, fps ratio reported only; base + per-interval deltas reconciled exactly against end-of-run ProtoStats in every sampled cell",
+            "datapath: 2x2 double difference, marginal allocs/frame asserted 0 and allocs/op held to a ceiling; smallop: 64 B ping-pong from memory, run-length difference, allocs/op held to a ceiling; flight recorder: off/on pair at two run lengths, fingerprints equal and marginal allocs/frame asserted, fps ratio reported only",
         )
         .set("datapath", datapath)
         .set("smallop", smallop)
-        .set("flight_recorder", flight)
-        .set("sampler", sampler)
-        .set("failover", failover)
-        .set("wire", wire)
-        .set("incast", incast);
-    std::fs::write(results.join("BENCH_telemetry.json"), doc.render_pretty()).expect("write json");
-    println!("wrote results/BENCH_telemetry.json and results/telemetry_failover.jsonl");
+        .set("flight_recorder", flight);
+    std::fs::write(results_dir().join("BENCH_telemetry.json"), doc.render_pretty())
+        .expect("write json");
+    println!("wrote results/BENCH_telemetry.json");
 }

@@ -16,7 +16,7 @@
 
 use bytes::Bytes;
 use me_trace::{analyze, Attribution, Json, SpanRecorder, SpanSnapshot, SCHEMA_VERSION};
-use multiedge::backplane::{drive, Backplane, SimBackplane, UdpFabric, WireEndpoint};
+use multiedge::backplane::{drive_with, Backplane, DriveLimits, SimBackplane, UdpFabric, WireEndpoint};
 use multiedge::{OpFlags, ProtoConfig, SystemConfig};
 use netsim::{build_cluster, Sim};
 use std::cell::Cell;
@@ -179,7 +179,7 @@ fn run_round<BA: Backplane, BB: Backplane>(
             let replies = Cell::new(0usize);
             let initiated = Cell::new(1usize);
             a.write(0, bpa, addr, payload.clone(), OpFlags::RELAXED.with_notify());
-            drive(
+            drive_with(
                 &mut a,
                 bpa,
                 &mut b,
@@ -203,7 +203,7 @@ fn run_round<BA: Backplane, BB: Backplane>(
                         && a.conn_state(0).acked == a.conn_state(0).next_seq
                         && b.conn_state(0).acked == b.conn_state(0).next_seq
                 },
-                BUDGET_NS,
+                DriveLimits::budget(BUDGET_NS),
             )
             .unwrap_or_else(|e| panic!("{} ping-pong round stalled: {e}", spec.config));
         }
@@ -212,7 +212,7 @@ fn run_round<BA: Backplane, BB: Backplane>(
             let iters = spec.iters;
             let issued = Cell::new(0usize);
             let completed = Cell::new(0usize);
-            drive(
+            drive_with(
                 &mut a,
                 bpa,
                 &mut b,
@@ -229,7 +229,7 @@ fn run_round<BA: Backplane, BB: Backplane>(
                     }
                 },
                 |_a, _b| completed.get() == iters,
-                BUDGET_NS,
+                DriveLimits::budget(BUDGET_NS),
             )
             .unwrap_or_else(|e| panic!("{} one-way round stalled: {e}", spec.config));
         }

@@ -1,47 +1,52 @@
-//! Health-plane (doctor) cells: drivers behind `cargo bench --bench
-//! doctor`.
+//! Observability cells: drivers behind `cargo bench --bench doctor`.
 //!
-//! The telemetry cells prove the timeline plane records faithfully; these
-//! cells prove the detection layer on top of it ([`me_trace::detect`])
-//! *diagnoses* faithfully. Each one runs a seeded workload with the
-//! streaming [`me_trace::HealthMonitor`] armed and returns the incident
-//! verdict next to the ground truth of the injected fault, so the harness
-//! can enforce the health plane's promises:
+//! Each cell runs a seeded workload once, with the interval sampler and its
+//! streaming [`me_trace::HealthMonitor`] armed, and returns the timeline
+//! and the incident verdict next to the ground truth of the injected
+//! fault. The harness reads both planes' promises off that one run:
 //!
-//! 1. **Detection latency** — a scripted rail outage opens a `RailOutage`
+//! 1. **Exact reconciliation** — for every monotone [`ProtoStats`]
+//!    counter, `base + Σ per-interval deltas == end-of-run value`, no
+//!    sampling loss, no off-by-one at the edges ([`reconcile_proto`]; the
+//!    rail-outage and chaos-burst cells), and every incast node's received
+//!    bytes telescope to its end-of-run count.
+//! 2. **Localisation** — the rows name the intervals of a retransmit burst
+//!    and of a dead rail, which the aggregates can only count
+//!    ([`retransmit_intervals`]).
+//! 3. **Detection latency** — a scripted rail outage opens a `RailOutage`
 //!    incident within a bounded number of sample intervals of injection
 //!    ([`rail_outage_doctor`]).
-//! 2. **No false alarms** — clean runs across a seed sweep open zero
+//! 4. **No false alarms** — clean runs across a seed sweep open zero
 //!    incidents ([`clean_seeds_doctor`]).
-//! 3. **Named causes** — every cause is the first incident of the cell
+//! 5. **Named causes** — every cause is the first incident of the cell
 //!    [`cause_gate`] names: a chaos loss burst diagnoses as
 //!    `RetransmitStorm`, at smoke size as nothing else
 //!    ([`chaos_burst_doctor`]), a
 //!    stalled receiver NIC as `CongestionBacklog` inside the stall while a
 //!    short stall opens nothing ([`nic_stall_doctor`]), incast fan-in as
-//!    `IncastImbalance` with the receiver node named hot, and a balanced
-//!    all-to-all stays clean ([`incast_doctor`], [`balanced_doctor`]).
-//! 4. **Offline ≡ online** — replaying the run's JSONL artifact through
+//!    `IncastImbalance` with the receiver node named hot (by the
+//!    received-byte totals too), and a balanced all-to-all stays clean
+//!    ([`incast_doctor`], [`balanced_doctor`]).
+//! 6. **Offline ≡ online** — replaying the run's JSONL artifact through
 //!    [`me_trace::HealthMonitor::replay_doc`] reproduces the online
 //!    monitor's report byte-for-byte (every cell that exports JSONL).
 //!
-//! The overhead gate (detectors add no allocations per sample and ≤5%
-//! frames/wall-s) lives in the bench binary, which owns the counting
-//! allocator and the wall clock.
+//! The overhead gates (the sampler and its monitor add no allocations per
+//! data frame or per sample row and leave the stats fingerprint unchanged)
+//! live in the bench binary, which owns the counting allocator and the wall clock.
 
-use crate::micro::{run_micro_doctor, MicroKind, MicroResult};
-use crate::scale::{
-    all_to_all_cell, incast_cell, run_scale_cell, ScaleCell, MEMBER_COUNTER,
-};
+use crate::micro::{run_micro_sampled, MicroKind, MicroResult};
+use crate::scale::{all_to_all_cell, incast_cell, run_scale_cell, MEMBER_COUNTER};
 use bytes::Bytes;
 use me_trace::{
-    diagnose_member_timelines, AlarmKind, HealthMonitor, HealthReport, IncidentCause,
+    diagnose_member_timelines, imbalance, AlarmKind, HealthMonitor, HealthReport, IncidentCause,
     SpanRecorder, Timeline, TimelineDoc,
 };
 use multiedge::backplane::{
-    drive, Backplane, ChaosConfig, ChaosStats, FaultBackplane, SimBackplane, WireEndpoint,
+    drive_with, Backplane, ChaosConfig, ChaosStats, DriveLimits, FaultBackplane, SimBackplane,
+    WireEndpoint,
 };
-use multiedge::{OpFlags, SystemConfig};
+use multiedge::{rail_state_code, OpFlags, ProtoStats, RailState, SystemConfig};
 use netsim::time::{ms, us};
 use netsim::{build_cluster, Dur, FaultPlan, GilbertElliott, Sim};
 
@@ -151,13 +156,49 @@ pub fn offline_matches_online(tl: &Timeline, online: &HealthReport) -> Result<()
     }
 }
 
+/// Exact reconciliation gate: every monotone [`ProtoStats`] counter in
+/// `end` must equal the timeline's `base + Σ retained deltas` for the
+/// column of the same name.
+///
+/// # Errors
+///
+/// Returns the first counter whose telescoped sum disagrees with the
+/// end-of-run aggregate (or that the timeline does not carry at all).
+pub fn reconcile_proto(tl: &Timeline, end: &ProtoStats) -> Result<(), String> {
+    for (name, value) in end.monotone_counters() {
+        let id = tl
+            .source_id(name)
+            .ok_or_else(|| format!("timeline has no column {name}"))?;
+        let sum = tl.base_raw(id) + tl.column_sum(id);
+        if sum != value {
+            return Err(format!(
+                "{name}: base + Σ deltas = {sum}, end-of-run = {value}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Rows whose retransmit delta (NACK + RTO) is non-zero.
+pub fn retransmit_intervals(tl: &Timeline) -> usize {
+    let nack = tl.source_id("retransmits_nack").expect("retransmits_nack column");
+    let rto = tl.source_id("retransmits_rto").expect("retransmits_rto column");
+    (0..tl.len())
+        .filter(|&i| {
+            let vals = tl.row(i).1;
+            vals[nack.index()] + vals[rto.index()] > 0
+        })
+        .count()
+}
+
 // ---------------------------------------------------------------------------
 // Rail-outage cell (simulator endpoint)
 // ---------------------------------------------------------------------------
 
 /// Result of [`rail_outage_doctor`].
 pub struct RailOutageDoctor {
-    /// The underlying run (timeline + health report inside).
+    /// The underlying run (timeline, node-0 end stats and health report
+    /// inside).
     pub result: MicroResult,
     /// Virtual time the fault plan killed rail 1.
     pub injected_ns: u64,
@@ -166,10 +207,16 @@ pub struct RailOutageDoctor {
     /// Detection latency in sample intervals:
     /// `ceil((opened - injected) / interval)`.
     pub detect_intervals: u64,
+    /// Rows whose retransmit delta was non-zero.
+    pub retransmit_intervals: usize,
+    /// Rows at which rail 1's health gauge read `Dead`.
+    pub rail_dead_intervals: usize,
 }
 
-/// A 2Lu-1G one-way stream through a scripted rail-1 outage (5–12 ms)
-/// with the health monitor armed, sampled every 2 ms of virtual time. The
+/// A 2Lu-1G one-way stream (160 × 32 KiB, seed 7) through a scripted
+/// rail-1 outage (5–12 ms), sampled every 2 ms of virtual time. The
+/// timeline must reconcile exactly with node 0's end-of-run stats; its
+/// rows localise the retransmit burst and the dead-rail window. The
 /// rail-dead rule detector must open a `RailOutage` incident, the run's
 /// first, within 3 sample intervals of injection (the protocol's own
 /// dead-rail detection latency is ~3–5 ms, under two intervals at this
@@ -184,9 +231,11 @@ pub fn rail_outage_doctor() -> RailOutageDoctor {
     cfg.proto.rail_cooldown = ms(4);
     let (down, up) = (ms(5), ms(12));
     let plan = FaultPlan::new().rail_down(down, 1).rail_up(up, 1);
-    let result = run_micro_doctor(&cfg, MicroKind::OneWay, 32 << 10, 160, &plan, ms(2));
-    let health = result.health.as_ref().expect("health was armed");
+    let result = run_micro_sampled(&cfg, MicroKind::OneWay, 32 << 10, 160, &plan, Some(ms(2)));
+    let health = result.health.as_ref().expect("sampling was requested");
     let tl = result.timeline.as_ref().expect("sampling was requested");
+    let end = result.timeline_proto.as_ref().expect("sampling was requested");
+    reconcile_proto(tl, end).expect("rail-outage timeline must reconcile exactly");
     offline_matches_online(tl, health).expect("doctor replay must be bit-identical");
     let inc = health
         .first(IncidentCause::RailOutage)
@@ -196,11 +245,19 @@ pub fn rail_outage_doctor() -> RailOutageDoctor {
     let detect_intervals = opened_ns
         .saturating_sub(injected_ns)
         .div_ceil(tl.interval_ns());
+    let rail1 = tl.source_id("rail1.state").expect("rail 1 gauge");
+    let dead = rail_state_code(RailState::Dead);
+    let rail_dead_intervals = (0..tl.len())
+        .filter(|&i| tl.row(i).1[rail1.index()] == dead)
+        .count();
+    let retransmit_intervals = retransmit_intervals(tl);
     RailOutageDoctor {
         result,
         injected_ns,
         opened_ns,
         detect_intervals,
+        retransmit_intervals,
+        rail_dead_intervals,
     }
 }
 
@@ -219,15 +276,9 @@ pub fn clean_seeds_doctor(smoke: bool, seeds: &[u64]) -> Vec<(u64, HealthReport)
         .map(|&seed| {
             let mut cfg = SystemConfig::two_link_1g_unordered(2);
             cfg.seed = seed;
-            let r = run_micro_doctor(
-                &cfg,
-                MicroKind::TwoWay,
-                32 << 10,
-                iters,
-                &FaultPlan::new(),
-                ms(1),
-            );
-            let health = r.health.expect("health was armed");
+            let plan = FaultPlan::new();
+            let r = run_micro_sampled(&cfg, MicroKind::TwoWay, 32 << 10, iters, &plan, Some(ms(1)));
+            let health = r.health.expect("sampling was requested");
             let tl = r.timeline.as_ref().expect("sampling was requested");
             offline_matches_online(tl, &health).expect("doctor replay must be bit-identical");
             (seed, health)
@@ -243,21 +294,26 @@ pub fn clean_seeds_doctor(smoke: bool, seeds: &[u64]) -> Vec<(u64, HealthReport)
 pub struct ChaosBurstDoctor {
     /// The finished wire-endpoint timeline (node 0 side).
     pub timeline: Timeline,
+    /// Node 0's end-of-run protocol stats.
+    pub end: ProtoStats,
     /// Node 0's health verdict.
     pub health: HealthReport,
     /// Node 0 interposer's chaos decisions for the run.
     pub chaos: ChaosStats,
     /// Virtual time the burst-loss process was armed.
     pub burst_at_ns: u64,
+    /// Rows whose retransmit delta was non-zero.
+    pub retransmit_intervals: usize,
 }
 
 /// A two-rail wire-endpoint stream over a chaos backplane whose loss is a
 /// mid-stream Gilbert–Elliott burst (clean good state, loss-1.0 bad
-/// state): the NACK/RTO retransmit storm the burst provokes must diagnose
-/// as `RetransmitStorm`, and the offline replay must match. At smoke size
-/// the storm is the run's one incident; at full size the burst's tail loss
-/// first holds a full window until the RTO, and the ageing ack token opens
-/// a `CongestionBacklog` 0.3 ms before the storm.
+/// state): the timeline must reconcile exactly and localise the
+/// retransmits, the NACK/RTO retransmit storm the burst provokes must
+/// diagnose as `RetransmitStorm`, and the offline replay must match. At
+/// smoke size the storm is the run's one incident; at full size the
+/// burst's tail loss first holds a full window until the RTO, and the
+/// ageing ack token opens a `CongestionBacklog` 0.3 ms before the storm.
 pub fn chaos_burst_doctor(smoke: bool) -> ChaosBurstDoctor {
     const BUDGET_NS: u64 = 20_000_000_000;
     let mut cfg = SystemConfig::two_link_1g(2);
@@ -285,7 +341,7 @@ pub fn chaos_burst_doctor(smoke: bool) -> ChaosBurstDoctor {
     let mut bpb = FaultBackplane::new(bpb, 1, &chaos);
     let spans = SpanRecorder::disabled();
     let (mut a, mut b) = WireEndpoint::pair(&cfg.proto, bpa.rails(), &spans);
-    a.start_timeline(&bpa, us(200).as_nanos(), 4096, true);
+    a.start_timeline(&bpa, us(200).as_nanos(), 4096);
 
     let iters = if smoke { 24 } else { 96 };
     let size = 16usize << 10;
@@ -300,7 +356,7 @@ pub fn chaos_burst_doctor(smoke: bool) -> ChaosBurstDoctor {
             OpFlags::RELAXED,
         );
     }
-    drive(
+    drive_with(
         &mut a,
         &mut bpa,
         &mut b,
@@ -310,16 +366,22 @@ pub fn chaos_burst_doctor(smoke: bool) -> ChaosBurstDoctor {
             let (sa, sb) = (a.conn_state(0), b.conn_state(0));
             sa.acked == sa.next_seq && sb.applied_below == ops && !sb.has_gap
         },
-        BUDGET_NS,
+        DriveLimits::budget(BUDGET_NS),
     )
     .expect("chaos-burst stream must complete after the burst clears");
 
+    // One final row after the drive loop so the deltas telescope to the
+    // end-of-run aggregates exactly.
     a.sample_timeline(&mut bpa);
-    let health = a.health_report().expect("health was armed");
-    let timeline = a.take_timeline().expect("timeline was enabled");
+    let end = a.stats();
+    let health = a.health_report().expect("the timeline was started");
+    let timeline = a.take_timeline().expect("the timeline was started");
+    reconcile_proto(&timeline, &end).expect("chaos-burst timeline must reconcile exactly");
     offline_matches_online(&timeline, &health).expect("doctor replay must be bit-identical");
     ChaosBurstDoctor {
+        retransmit_intervals: retransmit_intervals(&timeline),
         timeline,
+        end,
         health,
         chaos: bpa.stats(),
         burst_at_ns: burst_at.as_nanos(),
@@ -350,8 +412,8 @@ pub fn nic_stall_doctor(stall: Dur) -> NicStallDoctor {
     let cfg = SystemConfig::two_link_1g_unordered(2);
     let at = ms(2);
     let plan = FaultPlan::new().nic_stall(at, 1, 0, stall);
-    let r = run_micro_doctor(&cfg, MicroKind::OneWay, 32 << 10, 64, &plan, us(100));
-    let health = r.health.expect("health was armed");
+    let r = run_micro_sampled(&cfg, MicroKind::OneWay, 32 << 10, 64, &plan, Some(us(100)));
+    let health = r.health.expect("sampling was requested");
     let tl = r.timeline.as_ref().expect("sampling was requested");
     offline_matches_online(tl, &health).expect("doctor replay must be bit-identical");
     let stall_from_ns = at.as_nanos();
@@ -366,25 +428,58 @@ pub fn nic_stall_doctor(stall: Dur) -> NicStallDoctor {
 // Incast / balanced cells (members = nodes)
 // ---------------------------------------------------------------------------
 
-/// Run `cell` on one engine with every node sampled every 200 µs and
-/// diagnose cross-node imbalance on each node's received data bytes.
-fn node_diagnosis(cell: &ScaleCell) -> HealthReport {
-    let (_, _, timelines) = run_scale_cell(cell, Some(us(200)));
-    diagnose_member_timelines(&timelines, MEMBER_COUNTER)
+/// Result of [`incast_doctor`].
+pub struct IncastDoctor {
+    /// One timeline per node, node order (node 0 is the receiver).
+    pub timelines: Vec<Timeline>,
+    /// Node that received the most data bytes overall (expected: node 0).
+    pub hot_node: usize,
+    /// Imbalance index (`max / mean`) of the per-node received-byte totals.
+    pub imbalance: f64,
+    /// The imbalance diagnosis over the per-interval received-byte deltas.
+    pub health: HealthReport,
 }
 
-/// The 8-node incast fan-in: the receiver (member 0 = node 0) must be named
-/// hot by an `IncastImbalance` incident.
-pub fn incast_doctor(smoke: bool) -> HealthReport {
+/// The 8-node incast fan-in on one engine, every node sampled every
+/// 200 µs of virtual time. Each node's `data_bytes_recv` telescopes to its
+/// end-of-run count exactly (asserted here); the per-node deltas are the
+/// members of the imbalance diagnosis, which must name the receiver
+/// (member 0 = node 0) hot by an `IncastImbalance` incident.
+pub fn incast_doctor(smoke: bool) -> IncastDoctor {
     let bytes = if smoke { 32 << 10 } else { 128 << 10 };
-    node_diagnosis(&incast_cell(8, bytes))
+    let (out, _, timelines) = run_scale_cell(&incast_cell(8, bytes), Some(us(200)));
+    // Fingerprint column 3 is the node's end-of-run `data_bytes_recv`.
+    let totals: Vec<u64> = timelines
+        .iter()
+        .zip(&out.fingerprints)
+        .map(|(tl, (node, fp))| {
+            let id = tl
+                .source_id(MEMBER_COUNTER)
+                .expect("node timelines carry the member counter");
+            let sum = tl.base_raw(id) + tl.column_sum(id);
+            assert_eq!(
+                sum, fp[3],
+                "node {node}: base + Σ deltas of {MEMBER_COUNTER} != ProtoStats"
+            );
+            sum
+        })
+        .collect();
+    let (imbalance, hot_node) = imbalance(&totals);
+    let health = diagnose_member_timelines(&timelines, MEMBER_COUNTER);
+    IncastDoctor {
+        timelines,
+        hot_node,
+        imbalance,
+        health,
+    }
 }
 
 /// The balanced 8-node all-to-all under the same diagnosis: the report
 /// must stay clean.
 pub fn balanced_doctor(smoke: bool) -> HealthReport {
     let bytes = if smoke { 8 << 10 } else { 32 << 10 };
-    node_diagnosis(&all_to_all_cell(8, bytes))
+    let (_, _, timelines) = run_scale_cell(&all_to_all_cell(8, bytes), Some(us(200)));
+    diagnose_member_timelines(&timelines, MEMBER_COUNTER)
 }
 
 #[cfg(test)]
@@ -394,7 +489,7 @@ mod tests {
     #[test]
     fn rail_outage_opens_within_three_intervals() {
         let r = rail_outage_doctor();
-        let health = r.result.health.as_ref().expect("health was armed");
+        let health = r.result.health.as_ref().expect("sampling was requested");
         assert_eq!(health.incidents[0].cause, IncidentCause::RailOutage);
         assert!(
             r.detect_intervals <= 3,
@@ -403,6 +498,21 @@ mod tests {
             r.injected_ns,
             r.opened_ns
         );
+        // The cell reconciled exactly; its rows localise the outage.
+        let tl = r.result.timeline.as_ref().expect("sampling was requested");
+        assert!(tl.len() >= 5, "expected a multi-interval run, got {}", tl.len());
+        assert!(
+            r.retransmit_intervals >= 1,
+            "the outage must surface as retransmit intervals"
+        );
+        assert!(
+            r.rail_dead_intervals >= 1,
+            "rail 1 must read Dead during the outage window"
+        );
+        // The JSONL artifact round-trips and carries the same invariant.
+        let doc = TimelineDoc::parse_jsonl(&tl.to_jsonl()).expect("parse");
+        doc.reconcile().expect("telescoping holds in the artifact");
+        assert_eq!(doc.samples.len(), tl.len());
     }
 
     #[test]
@@ -426,6 +536,14 @@ mod tests {
             r.health.incidents[0].opened_t_ns >= r.burst_at_ns,
             "storm cannot open before the burst was armed"
         );
+        // The cell reconciled exactly; its rows localise the recovery.
+        assert!(
+            r.retransmit_intervals >= 1,
+            "loss recovery must surface as retransmit intervals"
+        );
+        assert!(r.end.retransmits() > 0);
+        let doc = TimelineDoc::parse_jsonl(&r.timeline.to_jsonl()).expect("parse");
+        doc.reconcile().expect("telescoping holds in the artifact");
     }
 
     #[test]
@@ -440,8 +558,12 @@ mod tests {
 
     #[test]
     fn incast_flags_receiver_node_and_balanced_stays_clean() {
-        let report = incast_doctor(true);
-        let i = report
+        // The cell itself asserts each node's data_bytes_recv reconciles.
+        let r = incast_doctor(true);
+        assert_eq!(r.timelines.len(), 8, "one timeline per node");
+        assert_eq!(r.hot_node, 0, "the receiver must dominate received bytes");
+        let i = r
+            .health
             .first(IncidentCause::IncastImbalance)
             .expect("incast must diagnose as IncastImbalance");
         let hot = i.evidence()[0].column as usize;

@@ -13,7 +13,6 @@ pub mod chaos;
 pub mod doctor;
 pub mod micro;
 pub mod scale;
-pub mod telemetry;
 
 pub use appfig::{app_figure, workloads_for_env};
 pub use micro::{

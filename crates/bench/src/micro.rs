@@ -71,7 +71,7 @@ pub struct MicroResult {
     /// aggregate the timeline's per-interval deltas must reconcile with.
     pub timeline_proto: Option<multiedge::ProtoStats>,
     /// Node 0's streaming health verdict when the run was started via
-    /// [`run_micro_doctor`]; `None` otherwise.
+    /// [`run_micro_sampled`]; `None` otherwise.
     pub health: Option<me_trace::HealthReport>,
 }
 
@@ -103,8 +103,8 @@ pub fn run_micro_with_plan(
 /// [`Endpoint::start_timeline`] sampler every
 /// `sample_interval` of virtual time (capacity 512 rows — micro runs span
 /// milliseconds, and a bigger preallocation would dominate the short
-/// runs' wall time), publishing the finished timeline and node 0's
-/// end-of-run stats in the result.
+/// runs' wall time), publishing the finished timeline, node 0's
+/// end-of-run stats and its health verdict in the result.
 pub fn run_micro_sampled(
     cfg: &SystemConfig,
     kind: MicroKind,
@@ -112,33 +112,6 @@ pub fn run_micro_sampled(
     iters: usize,
     plan: &FaultPlan,
     sample_interval: Option<Dur>,
-) -> MicroResult {
-    run_micro_inner(cfg, kind, size, iters, plan, sample_interval, false)
-}
-
-/// Like [`run_micro_sampled`], but arms the sampler with a streaming
-/// [`me_trace::HealthMonitor`] ([`Endpoint::start_timeline_with_health`]):
-/// the anomaly detectors run at every sample tick and the verdict lands in
-/// [`MicroResult::health`].
-pub fn run_micro_doctor(
-    cfg: &SystemConfig,
-    kind: MicroKind,
-    size: usize,
-    iters: usize,
-    plan: &FaultPlan,
-    sample_interval: Dur,
-) -> MicroResult {
-    run_micro_inner(cfg, kind, size, iters, plan, Some(sample_interval), true)
-}
-
-fn run_micro_inner(
-    cfg: &SystemConfig,
-    kind: MicroKind,
-    size: usize,
-    iters: usize,
-    plan: &FaultPlan,
-    sample_interval: Option<Dur>,
-    health: bool,
 ) -> MicroResult {
     let mut cfg = cfg.clone();
     cfg.nodes = 2;
@@ -153,13 +126,7 @@ fn run_micro_inner(
     }
     cluster.apply_fault_plan(&sim, plan);
     let (c0, c1) = Endpoint::connect(&eps[0], &eps[1]);
-    let sampler = sample_interval.map(|iv| {
-        if health {
-            eps[0].start_timeline_with_health(c0, iv, 512, me_trace::HealthConfig)
-        } else {
-            eps[0].start_timeline(c0, iv, 512)
-        }
-    });
+    let sampler = sample_interval.map(|iv| eps[0].start_timeline(c0, iv, 512));
 
     // Average host-initiation overhead is measured inside the driver tasks.
     let (a, b) = (eps[0].clone(), eps[1].clone());
@@ -243,8 +210,7 @@ fn run_micro_inner(
 
     let report = sim.run();
     report.expect_quiescent();
-    let (timeline, health) = sampler.map(|s| s.finish_with_health()).unzip();
-    let health = health.flatten();
+    let (timeline, health) = sampler.map(|s| s.finish()).unzip();
     let timeline_proto = timeline.as_ref().map(|_| eps[0].stats());
     let (elapsed, avg_init_ns) = elapsed_task.try_take().expect("driver finished");
     let elapsed_s = elapsed.as_secs_f64();

@@ -252,7 +252,7 @@ pub fn run_scale_cell(
     };
     sim.run().expect_quiescent();
     let events = sim.events_executed();
-    let timelines = samplers.into_iter().map(EndpointSampler::finish).collect();
+    let timelines = samplers.into_iter().map(|s| s.finish().0).collect();
     let out = collect_nodes(&cluster.net, &eps, &cell.cfg, cell.pattern);
     cluster.net.clear_handlers();
     (out, events, timelines)

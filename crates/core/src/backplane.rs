@@ -33,7 +33,7 @@ pub use chaos::{ChaosConfig, ChaosStats, FaultBackplane};
 pub use sim::SimBackplane;
 pub use udp::{UdpBackplane, UdpFabric, UdpFabricStats, UdpRxError};
 pub use wire::{
-    drain, drive, drive_with, CompletedWrite, DriveLimits, WireConnState, WireEndpoint, WireError,
+    drain, drive_with, CompletedWrite, DriveLimits, WireConnState, WireEndpoint, WireError,
 };
 
 /// One frame delivered by a backplane, tagged with the rail it arrived on

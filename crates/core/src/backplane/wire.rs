@@ -164,9 +164,8 @@ pub struct DriveLimits {
 }
 
 impl DriveLimits {
-    /// The legacy single-budget shape [`drive`] uses: the budget is the
-    /// progress window, the hard ceiling is four times that, no dedicated
-    /// fence watchdog.
+    /// The single-budget shape: the budget is the progress window, the
+    /// hard ceiling is four times that, no dedicated fence watchdog.
     pub fn budget(budget_ns: u64) -> Self {
         Self {
             progress_timeout_ns: budget_ns,
@@ -294,26 +293,19 @@ impl WireEndpoint {
     /// Start time-resolved telemetry: one row of [`ProtoCore::sample`]'s
     /// column set per `interval_ns` of the backplane clock (virtual on the
     /// simulator, wall on UDP) from now on, at most `capacity` retained
-    /// rows. With `health`, a streaming monitor runs on every committed
-    /// row, a newly opened incident arms the flight recorder's `Anomaly`
-    /// trigger, and detector state rides along in dumps (call
+    /// rows. A streaming health monitor runs on every committed row, a
+    /// newly opened incident arms the flight recorder's `Anomaly` trigger,
+    /// and detector state rides along in dumps (call
     /// [`WireEndpoint::set_flight`] first). Rows are committed from inside
     /// [`WireEndpoint::poll`] when due.
-    pub fn start_timeline<B: Backplane>(
-        &mut self,
-        bp: &B,
-        interval_ns: u64,
-        capacity: usize,
-        health: bool,
-    ) {
+    pub fn start_timeline<B: Backplane>(&mut self, bp: &B, interval_ns: u64, capacity: usize) {
         let start_ns = bp.now_ns();
-        self.sampler = Some(self.core.start_sampler(None, interval_ns, capacity, start_ns, health));
+        self.sampler = Some(self.core.start_sampler(None, interval_ns, capacity, start_ns));
     }
 
-    /// Snapshot the health verdict, if the timeline was started with a
-    /// monitor.
+    /// Snapshot the health verdict, if the timeline was started.
     pub fn health_report(&self) -> Option<HealthReport> {
-        self.sampler.as_ref()?.health_report()
+        self.sampler.as_ref().map(CoreSampler::health_report)
     }
 
     /// Commit one timeline row right now (no-op before
@@ -662,21 +654,6 @@ pub fn drive_with<BA: Backplane, BB: Backplane>(
     }
 }
 
-/// [`drive_with`] under the legacy single-budget shape
-/// ([`DriveLimits::budget`]): `budget_ns` without protocol progress — or
-/// four times it in total — trips the watchdog.
-pub fn drive<BA: Backplane, BB: Backplane>(
-    a: &mut WireEndpoint,
-    bpa: &mut BA,
-    b: &mut WireEndpoint,
-    bpb: &mut BB,
-    react: impl FnMut(&mut WireEndpoint, &mut BA, &mut WireEndpoint, &mut BB),
-    done: impl FnMut(&WireEndpoint, &WireEndpoint) -> bool,
-    budget_ns: u64,
-) -> Result<u64, WireError> {
-    drive_with(a, bpa, b, bpb, react, done, DriveLimits::budget(budget_ns))
-}
-
 /// Graceful shutdown: drive both endpoints until every connection has
 /// quiesced ([`WireEndpoint::quiesced`]) — queued sends flushed and
 /// acknowledged, receive gaps closed, fences drained — so the caller can
@@ -729,14 +706,14 @@ mod tests {
             Bytes::from(payload.clone()),
             OpFlags::RELAXED.with_notify(),
         );
-        drive(
+        drive_with(
             &mut a,
             &mut bpa,
             &mut b,
             &mut bpb,
             |_, _, _, _| {},
             |a, _| a.conn_state(0).acked == a.conn_state(0).next_seq,
-            1_000_000_000,
+            DriveLimits::budget(1_000_000_000),
         )
         .expect("completes");
         let done = a.take_completion().expect("write completion queued");
@@ -775,14 +752,14 @@ mod tests {
                 OpFlags::ORDERED,
             );
         }
-        drive(
+        drive_with(
             &mut a,
             &mut bpa,
             &mut b,
             &mut bpb,
             |_, _, _, _| {},
             |a, _| a.conn_state(0).acked == a.conn_state(0).next_seq,
-            1_000_000_000,
+            DriveLimits::budget(1_000_000_000),
         )
         .expect("completes");
         assert_eq!(b.mem_read(0x2000, 4096), vec![3u8; 4096]);

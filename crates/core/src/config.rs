@@ -1,6 +1,6 @@
 //! Protocol configuration, host cost model, and the paper's system setups.
 
-use netsim::time::{ms, us_f64, Dur};
+use netsim::time::{ms, us, us_f64, Dur};
 use netsim::{ChannelParams, FaultModel};
 
 /// How long an observed sequence gap may persist before a NACK is sent.
@@ -12,6 +12,17 @@ pub const NACK_DELAY: Dur = ms(2);
 
 /// Minimum spacing between NACKs for the same missing range.
 pub const NACK_REPEAT: Dur = ms(4);
+
+/// Send an explicit ACK after this much time with acknowledgement state
+/// pending, if `ack_every` frames have not arrived first.
+pub const DELAYED_ACK_TIMEOUT: Dur = us(300);
+
+/// Initial coarse-grain retransmission timeout, used until the adaptive
+/// RFC 6298-style estimator ([`crate::rtt::RttEstimator`]) has its first
+/// RTT sample. If no acknowledgement progress happens for the current
+/// (adaptive, backed-off) timeout while frames are unacknowledged, the last
+/// transmitted frame is retransmitted (§2.4).
+pub const RTO_INITIAL: Dur = ms(10);
 
 /// Lower clamp on the adaptive retransmission timeout. Kept at or above
 /// [`NACK_DELAY`] so ordinary multi-rail skew is always recovered by the
@@ -36,16 +47,9 @@ pub struct ProtoConfig {
     /// Sliding-window size in frames (fixed at "compile time" in the paper;
     /// a config knob here so the window-sweep ablation can vary it).
     pub window: u64,
-    /// Send an explicit ACK after this many unacknowledged data frames.
+    /// Send an explicit ACK after this many unacknowledged data frames (or
+    /// after [`DELAYED_ACK_TIMEOUT`]).
     pub ack_every: u32,
-    /// ... or after this much time with acknowledgement state pending.
-    pub delayed_ack_timeout: Dur,
-    /// Initial coarse-grain retransmission timeout, used until the adaptive
-    /// RFC 6298-style estimator ([`crate::rtt::RttEstimator`]) has its first
-    /// RTT sample. If no acknowledgement progress happens for the current
-    /// (adaptive, backed-off) timeout while frames are unacknowledged, the
-    /// last transmitted frame is retransmitted (§2.4).
-    pub rto_initial: Dur,
     /// Upper clamp on the adaptive timeout after exponential backoff
     /// ([`RTO_MIN`] is the lower one).
     pub rto_max: Dur,
@@ -76,8 +80,6 @@ impl Default for ProtoConfig {
             // traffic cannot swamp a switch output buffer.
             window: 64,
             ack_every: 24,
-            delayed_ack_timeout: us_f64(300.0),
-            rto_initial: ms(10),
             rto_max: ms(100),
             rail_dead_after: 8,
             rail_cooldown: ms(20),

@@ -735,7 +735,7 @@ impl Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::time::{ms, us};
+    use crate::config::DELAYED_ACK_TIMEOUT;
     use netsim::{build_cluster, FaultModel};
 
     /// Build a 2-node test rig with the given config.
@@ -1037,7 +1037,6 @@ mod tests {
             loss_rate: 0.30,
             corrupt_rate: 0.0,
         };
-        cfg.proto.rto_initial = ms(2);
         cfg.seed = 99;
         let (sim, _cluster, eps, (c0, _)) = rig(cfg);
         let a = eps[0].clone();
@@ -1052,6 +1051,7 @@ mod tests {
         report.expect_quiescent();
         assert_eq!(done.try_take(), Some(true));
         assert_eq!(eps[1].mem_read(0, 40_000), vec![0xabu8; 40_000]);
+        assert!(eps[0].stats().retransmits_rto > 0, "the coarse timer fired");
     }
 
     #[test]
@@ -1143,7 +1143,6 @@ mod tests {
         // come from the delayed-ack timer, completing the op.
         let mut cfg = SystemConfig::one_link_1g(2);
         cfg.proto.ack_every = 16;
-        cfg.proto.delayed_ack_timeout = us(80);
         let (sim, _cluster, eps, (c0, _)) = rig(cfg);
         let a = eps[0].clone();
         let done = sim.spawn("writer", async move {
@@ -1156,7 +1155,7 @@ mod tests {
         assert_eq!(done.try_take(), Some(true));
         assert_eq!(eps[1].stats().explicit_acks_sent, 1);
         // The ack waited for the delayed-ack timeout.
-        assert!(report.end_time.as_nanos() >= 80_000);
+        assert!(report.end_time.as_nanos() >= DELAYED_ACK_TIMEOUT.as_nanos());
     }
 
     #[test]

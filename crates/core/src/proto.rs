@@ -57,7 +57,10 @@
 //! tracer, the op-span recorder and the flight recorder each fold the same
 //! event.
 
-use crate::config::{ProtoConfig, NACK_DELAY, NACK_REPEAT, RAIL_DEGRADED_AFTER, RTO_MIN};
+use crate::config::{
+    ProtoConfig, DELAYED_ACK_TIMEOUT, NACK_DELAY, NACK_REPEAT, RAIL_DEGRADED_AFTER, RTO_INITIAL,
+    RTO_MIN,
+};
 use crate::memory::{AppMemory, Payload};
 use crate::ops::{Notification, OpFlags, OpKind};
 use crate::order::{FragMeta, OpOrdering, Release};
@@ -317,7 +320,7 @@ impl<T> Conn<T> {
                 proto.rail_cooldown,
             ),
             last_rx_rail: None,
-            rtt: RttEstimator::new(proto.rto_initial, RTO_MIN, proto.rto_max),
+            rtt: RttEstimator::new(RTO_INITIAL, RTO_MIN, proto.rto_max),
             seqs: SeqTracker::with_window(proto.window as usize),
             order: OpOrdering::new(),
             buffered_since: None,
@@ -1169,7 +1172,7 @@ impl<T> ProtoCore<T> {
             self.send_ctrl(conn, None, host);
         }
         if arm_ack {
-            self.arm(conn, TimerKind::Ack, self.proto.delayed_ack_timeout);
+            self.arm(conn, TimerKind::Ack, DELAYED_ACK_TIMEOUT);
         }
         if arm_nack {
             self.arm(conn, TimerKind::Nack, NACK_DELAY);

@@ -7,11 +7,11 @@
 //! its age, and the dynamic state the aggregates cannot show, aggregated
 //! over all of the node's connections — send-window occupancy, live rails,
 //! RTO and its backoff, fence-held fragments, per-rail health and transmit
-//! backlog. [`ProtoCore::sample`] fills one row and, when a
-//! [`HealthMonitor`] is attached, runs the detectors on it and raises the
-//! flight recorder's `Anomaly` trigger for a newly opened incident. Every
-//! reading lands in storage preallocated at start, so sampling adds no
-//! allocations to the datapath (the telemetry bench gates this).
+//! backlog. [`ProtoCore::sample`] fills one row, runs the sampler's
+//! [`HealthMonitor`] on it and raises the flight recorder's `Anomaly`
+//! trigger for a newly opened incident. Every reading lands in storage
+//! preallocated at start, so sampling adds no allocations to the datapath
+//! (the doctor bench gates this).
 //!
 //! A driver owns only the *when*. [`WireEndpoint`](crate::WireEndpoint)
 //! checks the due grid in its `poll`. [`Endpoint::start_timeline`] arms a
@@ -20,7 +20,7 @@
 //! tasks left, so an armed sampler never prevents [`netsim::Sim::run`] from
 //! quiescing, and [`EndpointSampler::finish`] then takes one final row so
 //! the summed per-interval deltas reconcile *exactly* with the endpoint's
-//! end-of-run [`ProtoStats`].
+//! end-of-run [`ProtoStats`] and the health verdict covers the whole run.
 
 use crate::endpoint::Endpoint;
 use crate::proto::{Host, ProtoCore};
@@ -44,8 +44,9 @@ pub fn rail_state_code(s: RailState) -> u64 {
 }
 
 /// The sample ring of one node's protocol instance, its source handles,
-/// the progress-token tracker behind `token_age_ns`, and the optional
-/// streaming health monitor (see the module docs for the column set).
+/// the progress-token tracker behind `token_age_ns`, and the streaming
+/// health monitor that reads every row (see the module docs for the column
+/// set).
 /// Built by [`ProtoCore::start_sampler`], filled by [`ProtoCore::sample`].
 pub struct CoreSampler {
     tl: Timeline,
@@ -66,7 +67,7 @@ pub struct CoreSampler {
     token_moved_ns: u64,
     /// Shared so the flight recorder's `health` context source reads
     /// detector state at dump time without re-borrowing the sampler.
-    health: Option<Rc<RefCell<HealthMonitor>>>,
+    health: Rc<RefCell<HealthMonitor>>,
 }
 
 impl CoreSampler {
@@ -75,9 +76,9 @@ impl CoreSampler {
         self.tl.due(now_ns)
     }
 
-    /// Snapshot the health verdict, if a monitor is attached.
-    pub fn health_report(&self) -> Option<HealthReport> {
-        self.health.as_ref().map(|h| h.borrow().report())
+    /// Snapshot the health verdict so far.
+    pub fn health_report(&self) -> HealthReport {
+        self.health.borrow().report()
     }
 
     /// The sample ring.
@@ -94,18 +95,17 @@ impl CoreSampler {
 impl<T> ProtoCore<T> {
     /// Register the column set for this instance's rails: one row every
     /// `interval_ns`, at most `capacity` retained rows (oldest evicted
-    /// beyond that), grid anchored at `start_ns`. With `health`, a
-    /// streaming [`HealthMonitor`] runs on every committed row and its
-    /// state rides along in flight dumps as the `health` context source
-    /// (attach the flight recorder first). `conn` only attributes the
-    /// `anomaly` event a newly opened incident emits.
+    /// beyond that), grid anchored at `start_ns`. A streaming
+    /// [`HealthMonitor`] runs on every committed row and its state rides
+    /// along in flight dumps as the `health` context source (attach the
+    /// flight recorder first). `conn` only attributes the `anomaly` event a
+    /// newly opened incident emits.
     pub fn start_sampler(
         &self,
         conn: Option<usize>,
         interval_ns: u64,
         capacity: usize,
         start_ns: u64,
-        health: bool,
     ) -> CoreSampler {
         let mut b = TimelineBuilder::new();
         let names = ProtoStats::default().monotone_counters().map(|(name, _)| name);
@@ -124,15 +124,12 @@ impl<T> ProtoCore<T> {
             })
             .collect();
         let tl = b.build(interval_ns, capacity, start_ns);
-        let health = health.then(|| {
-            let mon = Rc::new(RefCell::new(HealthMonitor::for_timeline(&tl)));
-            if self.obs.flight.is_enabled() {
-                let m = mon.clone();
-                let source = Rc::new(move || m.borrow().state_json());
-                self.obs.flight.add_context_source("health", source);
-            }
-            mon
-        });
+        let health = Rc::new(RefCell::new(HealthMonitor::for_timeline(&tl)));
+        if self.obs.flight.is_enabled() {
+            let m = health.clone();
+            let source = Rc::new(move || m.borrow().state_json());
+            self.obs.flight.add_context_source("health", source);
+        }
         CoreSampler {
             tl,
             conn,
@@ -150,9 +147,9 @@ impl<T> ProtoCore<T> {
         }
     }
 
-    /// Read every registered signal and commit one row stamped `now_ns`;
-    /// with a monitor attached, run the detectors on the committed row and
-    /// report a newly opened incident to the flight recorder.
+    /// Read every registered signal and commit one row stamped `now_ns`,
+    /// run the detectors on it and report a newly opened incident to the
+    /// flight recorder.
     /// Allocation-free.
     ///
     /// Gauges aggregate over all connections: `in_flight` and
@@ -187,14 +184,13 @@ impl<T> ProtoCore<T> {
             s.tl.set(backlog, host.tx_backlog_ns(r));
         }
         s.tl.sample(now_ns);
-        let Some(health) = &s.health else { return };
         let i = s.tl.len() - 1;
         let (t, vals) = s.tl.row(i);
-        let opened = health.borrow_mut().observe(t, vals);
+        let opened = s.health.borrow_mut().observe(t, vals);
         // The monitor borrow is released before the flight recorder runs:
         // its dump evaluates the `health` context source.
         if let Some(cause) = opened {
-            let open = health.borrow().open_incidents() as u32;
+            let open = s.health.borrow().open_incidents() as u32;
             let event = EventKind::Anomaly { cause, open };
             self.obs.emit(now_ns, s.conn, None, event);
         }
@@ -211,26 +207,15 @@ pub struct EndpointSampler {
 
 impl EndpointSampler {
     /// Stop re-arming, take one final reconciliation row at the current
-    /// virtual time, and return the finished timeline. Call after
-    /// `sim.run()`: the final row makes `base + Σ deltas` equal the
-    /// endpoint's end-of-run stats exactly.
-    pub fn finish(self) -> Timeline {
-        self.finish_with_health().0
-    }
-
-    /// [`EndpointSampler::finish`], plus the health verdict *including*
-    /// the final row, if this sampler was started with a monitor
-    /// ([`Endpoint::start_timeline_with_health`]).
-    pub fn finish_with_health(self) -> (Timeline, Option<HealthReport>) {
+    /// virtual time, and return the finished timeline with the health
+    /// verdict including that row. Call after `sim.run()`: the final row
+    /// makes `base + Σ deltas` equal the endpoint's end-of-run stats
+    /// exactly.
+    pub fn finish(self) -> (Timeline, HealthReport) {
         self.stop.set(true);
         self.ep.sample(&mut self.sampler.borrow_mut());
         let s = self.sampler.borrow();
         (s.timeline().clone(), s.health_report())
-    }
-
-    /// Snapshot the health verdict so far, if a monitor is attached.
-    pub fn health_report(&self) -> Option<HealthReport> {
-        self.sampler.borrow().health_report()
     }
 }
 
@@ -254,42 +239,19 @@ impl Endpoint {
     /// Arm a recurring virtual-time sampler on this endpoint: one timeline
     /// row every `interval`, at most `capacity` retained rows (oldest
     /// evicted beyond that). Every column aggregates over all of the
-    /// endpoint's connections ([`ProtoCore::sample`]); `conn` only names
-    /// the connection a health incident's `anomaly` event is attributed to.
-    /// The sampler disarms itself when the simulation runs out of live
-    /// tasks; call [`EndpointSampler::finish`] after `sim.run()` for the
-    /// final reconciliation row.
+    /// endpoint's connections ([`ProtoCore::sample`]), and the streaming
+    /// [`HealthMonitor`] reads every row (zero allocations in steady
+    /// state): a newly opened incident arms the flight recorder's `Anomaly`
+    /// trigger, and the detector state rides along in dumps as the `health`
+    /// context source. `conn` only names the connection a health
+    /// incident's `anomaly` event is attributed to. The sampler disarms
+    /// itself when the simulation runs out of live tasks; call
+    /// [`EndpointSampler::finish`] after `sim.run()` for the final
+    /// reconciliation row and the verdict.
     pub fn start_timeline(&self, conn: usize, interval: Dur, capacity: usize) -> EndpointSampler {
-        self.start_sampler(conn, interval, capacity, false)
-    }
-
-    /// Like [`Endpoint::start_timeline`], but with a streaming
-    /// [`HealthMonitor`] attached: the detectors run at every sample tick
-    /// (zero allocations in steady state), a newly opened incident arms
-    /// the flight recorder's `Anomaly` trigger, and the detector state
-    /// rides along in dumps as the `health` context source. Collect the
-    /// verdict with [`EndpointSampler::finish_with_health`].
-    pub fn start_timeline_with_health(
-        &self,
-        conn: usize,
-        interval: Dur,
-        capacity: usize,
-        _: HealthConfig,
-    ) -> EndpointSampler {
-        self.start_sampler(conn, interval, capacity, true)
-    }
-
-    fn start_sampler(
-        &self,
-        conn: usize,
-        interval: Dur,
-        capacity: usize,
-        health: bool,
-    ) -> EndpointSampler {
         let sim = self.sim_handle().clone();
         let (start_ns, interval_ns) = (sim.now().as_nanos(), interval.as_nanos());
-        let sampler =
-            self.core(|c| c.start_sampler(Some(conn), interval_ns, capacity, start_ns, health));
+        let sampler = self.core(|c| c.start_sampler(Some(conn), interval_ns, capacity, start_ns));
         let sampler = Rc::new(RefCell::new(sampler));
         let stop = Rc::new(Cell::new(false));
         arm(&sim, self.clone(), sampler.clone(), stop.clone(), interval);
@@ -298,5 +260,17 @@ impl Endpoint {
             sampler,
             stop,
         }
+    }
+
+    /// [`Endpoint::start_timeline`]: every sampler carries a monitor. Kept
+    /// for callers that still name a [`HealthConfig`].
+    pub fn start_timeline_with_health(
+        &self,
+        conn: usize,
+        interval: Dur,
+        capacity: usize,
+        _: HealthConfig,
+    ) -> EndpointSampler {
+        self.start_timeline(conn, interval, capacity)
     }
 }

@@ -83,9 +83,9 @@ pub const MAX_INCIDENTS: usize = 32;
 
 /// The detectors' tuning, which has no settable field: the thresholds
 /// above are tuned to stay silent on clean seeded runs (the `doctor` bench
-/// gate) while catching seeded outages within a few intervals. The type
-/// remains only as the argument `Endpoint::start_timeline_with_health`
-/// takes.
+/// gate) while catching seeded outages within a few intervals. Every
+/// sampler carries a monitor; the type remains only as the argument of
+/// `Endpoint::start_timeline_with_health`, an alias of `start_timeline`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthConfig;
 

@@ -25,9 +25,10 @@
 //! ```
 //!
 //! Render an interval-sampled timeline artifact (`Timeline::to_jsonl`,
-//! e.g. `results/telemetry_failover.jsonl`) as per-interval sparkline
-//! tables — derived goodput and retransmit rows, per-rail backlog, then
-//! every non-zero source. Pass several per-node artifacts at once to add
+//! e.g. `results/telemetry_failover.jsonl`, the doctor bench's rail-outage
+//! run, or its per-node `results/telemetry_incast_node*.jsonl`) as
+//! per-interval sparkline tables — derived goodput and retransmit rows,
+//! per-rail backlog, then every non-zero source. Pass several per-node artifacts at once to add
 //! the cross-node imbalance table. A finding is a file whose telescoping
 //! invariant (`base + Σ deltas == final`) does not hold:
 //!
@@ -40,7 +41,9 @@
 //! detectors the online [`me_trace::HealthMonitor`] applies at sample
 //! time, producing bit-identical incidents. Several files add the
 //! cross-node imbalance diagnosis (one file per node, each node measured
-//! on its `data_bytes_recv` column). Prints the incident table; a finding
+//! on its `data_bytes_recv` column). Replaying
+//! `results/telemetry_failover.jsonl` reproduces the doctor bench's
+//! online rail-outage report. Prints the incident table; a finding
 //! is an incident still open at end of artifact:
 //!
 //! ```text

@@ -7,8 +7,8 @@
 use bytes::Bytes;
 use me_trace::{FlightConfig, FlightRecorder, SpanRecorder};
 use multiedge::backplane::{
-    drive, Backplane, BpRx, ChaosConfig, FaultBackplane, SimBackplane, UdpFabric, UdpFabricStats,
-    UdpRxError, WireEndpoint,
+    drive_with, Backplane, BpRx, ChaosConfig, DriveLimits, FaultBackplane, SimBackplane, UdpFabric,
+    UdpFabricStats, UdpRxError, WireEndpoint,
 };
 use multiedge::{OpFlags, ProtoStats, SystemConfig};
 use netsim::{build_cluster, Sim};
@@ -34,7 +34,7 @@ fn drive_until_quiesced<BA: Backplane, BB: Backplane>(
     b: &mut WireEndpoint,
     bpb: &mut BB,
 ) {
-    drive(
+    drive_with(
         a,
         bpa,
         b,
@@ -44,7 +44,7 @@ fn drive_until_quiesced<BA: Backplane, BB: Backplane>(
             a.conn_state(0).acked == a.conn_state(0).next_seq
                 && b.conn_state(0).acked == b.conn_state(0).next_seq
         },
-        BUDGET_NS,
+        DriveLimits::budget(BUDGET_NS),
     )
     .expect("loopback transfer quiesces");
 }
@@ -413,7 +413,7 @@ fn run_fingerprint<BA: Backplane, BB: Backplane>(
         OpFlags::RELAXED.with_fence_backward(),
     );
     let replied = Cell::new(false);
-    drive(
+    drive_with(
         &mut a,
         bpa,
         &mut b,
@@ -431,7 +431,7 @@ fn run_fingerprint<BA: Backplane, BB: Backplane>(
             }
         },
         |a, b| replied.get() && a.quiesced() && b.quiesced(),
-        BUDGET_NS,
+        DriveLimits::budget(BUDGET_NS),
     )
     .expect("fingerprint workload quiesces");
     assert_eq!(a.mem_read(0x31_0000, 7_000), patterned(7_000, 0x51));
@@ -836,7 +836,7 @@ fn udp_stream_spends_a_fraction_of_a_system_call_per_frame() {
         WireEndpoint::pair(&multiedge::ProtoConfig::default(), 2, &SpanRecorder::disabled());
     let data = Bytes::from(patterned(32 << 10, 0x5A));
     let (issued, completed) = (Cell::new(0u64), Cell::new(0u64));
-    drive(
+    drive_with(
         &mut a,
         &mut bpa,
         &mut b,
@@ -852,7 +852,7 @@ fn udp_stream_spends_a_fraction_of_a_system_call_per_frame() {
             }
         },
         |_, _| completed.get() == OPS,
-        BUDGET_NS,
+        DriveLimits::budget(BUDGET_NS),
     )
     .expect("stream completes");
     assert_eq!(b.mem_read(0x10_0000, 32 << 10), &data[..]);

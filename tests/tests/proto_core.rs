@@ -15,6 +15,7 @@
 
 use bytes::Bytes;
 use frame::Frame;
+use multiedge::config::RTO_INITIAL;
 use multiedge::proto::{Effect, Host, Observers, Op, ProtoCore, TimerKind};
 use multiedge::{Notification, OpFlags, Payload, ProtoConfig};
 use proptest::prelude::*;
@@ -602,7 +603,7 @@ fn a_served_read_returns_its_source_as_of_the_serve() {
 #[test]
 fn the_core_owns_its_armed_timers() {
     let proto = ProtoConfig::default();
-    let rto = proto.rto_initial.as_nanos();
+    let rto = RTO_INITIAL.as_nanos();
     let mut core = ProtoCore::<u64>::new(0, proto, RAILS);
     core.connect(1, 0);
     let mut host = Sink::default();

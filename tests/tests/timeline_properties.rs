@@ -7,18 +7,18 @@
 //! cumulative series the sampler observed.
 //!
 //! Below them, the protocol's one sampler (`ProtoCore::sample`) end to end:
-//! the simulator and the wire driver commit the same column set, a fence
-//! stall is visible on the simulator, and an idle tail is not a stall.
+//! the simulator and the wire driver commit the same column set and both
+//! carry a health monitor, a fence stall is visible on the simulator, and
+//! an idle tail is not a stall.
 
 use bytes::Bytes;
 use integration_tests::rig;
 use me_trace::{
-    imbalance, HealthConfig, IncidentCause, SourceKind, SpanRecorder, Timeline, TimelineBuilder,
-    TimelineDoc,
+    imbalance, IncidentCause, SourceKind, SpanRecorder, Timeline, TimelineBuilder, TimelineDoc,
 };
 use multiedge::backplane::{drain, DriveLimits, SimBackplane, WireEndpoint};
 use multiedge::{OpFlags, SystemConfig};
-use multiedge_bench::telemetry::reconcile_proto;
+use multiedge_bench::doctor::reconcile_proto;
 use netsim::time::us;
 use netsim::{build_cluster, FaultPlan, Sim};
 use proptest::prelude::*;
@@ -235,14 +235,14 @@ fn sim_and_wire_timelines_share_one_column_set() {
         }
     });
     sim.run().expect_quiescent();
-    let sim_tl = sampler.finish();
+    let (sim_tl, _) = sampler.finish();
     reconcile_proto(&sim_tl, &eps[0].stats()).expect("simulator timeline reconciles");
 
     let sim = Sim::new(cfg.seed);
     let cluster = build_cluster(&sim, cfg.cluster_spec());
     let (mut bpa, mut bpb) = SimBackplane::pair(&sim, &cluster);
     let (mut a, mut b) = WireEndpoint::pair(&cfg.proto, cfg.rails, &SpanRecorder::disabled());
-    a.start_timeline(&bpa, us(100).as_nanos(), 256, false);
+    a.start_timeline(&bpa, us(100).as_nanos(), 256);
     for i in 0..writes {
         let data = Bytes::from(vec![i as u8; size]);
         a.write(0, &mut bpa, i << 16, data, OpFlags::RELAXED);
@@ -258,6 +258,40 @@ fn sim_and_wire_timelines_share_one_column_set() {
     assert!(sim_tl.len() > 4 && wire_tl.len() > 4, "multi-interval runs");
 }
 
+/// Every sampler carries a health monitor: started on either driver
+/// without naming health, it yields a `HealthReport` that has read every
+/// committed row, and a clean write opens no incident.
+#[test]
+fn every_sampler_reports_health_on_both_drivers() {
+    let cfg = SystemConfig::two_link_1g_unordered(2);
+    let (sim, _cluster, eps, conns) = rig(cfg.clone());
+    let c = conns[0][1].unwrap();
+    let sampler = eps[0].start_timeline(c, us(100), 256);
+    let ep = eps[0].clone();
+    sim.spawn("writer", async move {
+        let h = ep.write_bytes(c, 0, vec![1u8; 48 << 10], OpFlags::RELAXED).await;
+        h.wait().await;
+    });
+    sim.run().expect_quiescent();
+    let (tl, health) = sampler.finish();
+    assert_eq!(health.rows_seen, tl.len() as u64, "the monitor reads every row");
+    assert!(health.incidents.is_empty(), "{}", health.render_human());
+
+    let sim = Sim::new(cfg.seed);
+    let cluster = build_cluster(&sim, cfg.cluster_spec());
+    let (mut bpa, mut bpb) = SimBackplane::pair(&sim, &cluster);
+    let (mut a, mut b) = WireEndpoint::pair(&cfg.proto, cfg.rails, &SpanRecorder::disabled());
+    a.start_timeline(&bpa, us(100).as_nanos(), 256);
+    a.write(0, &mut bpa, 0, Bytes::from(vec![1u8; 48 << 10]), OpFlags::RELAXED);
+    drain(&mut a, &mut bpa, &mut b, &mut bpb, DriveLimits::budget(1_000_000_000))
+        .expect("wire write completes");
+    a.sample_timeline(&mut bpa);
+    let health = a.health_report().expect("the timeline was started");
+    let tl = a.take_timeline().expect("the timeline was started");
+    assert_eq!(health.rows_seen, tl.len() as u64, "the monitor reads every row");
+    assert!(health.incidents.is_empty(), "{}", health.render_human());
+}
+
 /// A backward-fenced write held behind a predecessor that lost frames:
 /// the receiver's `fence_buffered` gauge stays non-zero until the NACK
 /// (2 ms) recovers the gap, and the monitor names it a fence stall — on
@@ -270,7 +304,7 @@ fn simulator_sees_a_fence_stall() {
     let plan = FaultPlan::new().rail_down(us(150), 0).rail_up(us(190), 0);
     cluster.apply_fault_plan(&sim, &plan);
     let (c01, c10) = (conns[0][1].unwrap(), conns[1][0].unwrap());
-    let sampler = eps[1].start_timeline_with_health(c10, us(100), 256, HealthConfig);
+    let sampler = eps[1].start_timeline(c10, us(100), 256);
     let ep = eps[0].clone();
     sim.spawn("writer", async move {
         let first = ep.write_bytes(c01, 0, vec![1u8; 64 << 10], OpFlags::RELAXED).await;
@@ -280,8 +314,7 @@ fn simulator_sees_a_fence_stall() {
         second.wait().await;
     });
     sim.run().expect_quiescent();
-    let (tl, health) = sampler.finish_with_health();
-    let health = health.expect("monitor attached");
+    let (tl, health) = sampler.finish();
     let fence = tl.source_id("fence_buffered").expect("shared column");
     let held = (0..tl.len()).filter(|&i| tl.row(i).1[fence.index()] > 0).count();
     assert!(held >= 8, "fragments held across {held} rows only");
@@ -300,7 +333,7 @@ fn simulator_sees_a_fence_stall() {
 fn idle_tail_is_not_a_stall() {
     let (sim, _cluster, eps, conns) = rig(SystemConfig::two_link_1g_unordered(2));
     let c = conns[0][1].unwrap();
-    let sampler = eps[0].start_timeline_with_health(c, us(100), 256, HealthConfig);
+    let sampler = eps[0].start_timeline(c, us(100), 256);
     let (ep, clock) = (eps[0].clone(), sim.clone());
     let writer = sim.spawn("writer", async move {
         let mut handles = Vec::new();
@@ -315,11 +348,10 @@ fn idle_tail_is_not_a_stall() {
     });
     sim.run().expect_quiescent();
     let done_ns = writer.try_take().expect("writer finished");
-    let (tl, health) = sampler.finish_with_health();
+    let (tl, health) = sampler.finish();
     let (t_last, last) = tl.row(tl.len() - 1);
     assert!(t_last > done_ns + 100_000, "no idle tail: {t_last} vs {done_ns}");
     let age = tl.source_id("token_age_ns").expect("shared column");
     assert_eq!(last[age.index()], 0, "an idle endpoint is not a stalled one");
-    let health = health.expect("monitor attached");
     assert!(health.incidents.is_empty(), "{}", health.render_human());
 }

@@ -8,7 +8,8 @@
 use bytes::Bytes;
 use frame::{Frame, MacAddr};
 use me_trace::SpanRecorder;
-use multiedge::backplane::{drive, Backplane, BpRx, WireEndpoint};
+use multiedge::backplane::{drive_with, Backplane, BpRx, DriveLimits, WireEndpoint};
+use multiedge::config::RTO_INITIAL;
 use multiedge::{OpFlags, ProtoConfig};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -101,21 +102,21 @@ fn stalled_write() -> (MemBackplane, MemBackplane, WireEndpoint, WireEndpoint) {
     let data = Bytes::from(vec![0x5A; proto.ack_every as usize * MTU]);
     a.write(0, &mut bpa, 0x1000, data, OpFlags::RELAXED);
     let clock = &bpa.wire.now_ns;
-    clock.set(clock.get() + 3 * proto.rto_initial.as_nanos());
+    clock.set(clock.get() + 3 * RTO_INITIAL.as_nanos());
     (bpa, bpb, a, b)
 }
 
 #[test]
 fn a_stalled_drive_reads_waiting_frames_before_firing_a_timeout() {
     let (mut bpa, mut bpb, mut a, mut b) = stalled_write();
-    drive(
+    drive_with(
         &mut a,
         &mut bpa,
         &mut b,
         &mut bpb,
         |_, _, _, _| {},
         |a, _| a.conn_state(0).acked == a.conn_state(0).next_seq,
-        1_000_000_000,
+        DriveLimits::budget(1_000_000_000),
     )
     .expect("the write completes");
     assert!(a.take_completion().is_some());
