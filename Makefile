@@ -1,13 +1,13 @@
 # Offline verification pipeline — everything CI runs, runnable locally: each
 # CI step is one target here. All dependencies are vendored (see vendor/), so
-# --offline always works. SMOKE=1 (e.g. `make bench-chaos SMOKE=1`) runs a
+# --offline always works. SMOKE=1 (e.g. `make bench-doctor SMOKE=1`) runs a
 # bench's reduced CI profile with the same gates and artifacts
 # (bench-failover has one size).
 
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: verify build test doc clippy loc one-core bench-failover bench-attribution figures determinism rebaseline bench-backplane bench-chaos bench-telemetry bench-doctor perf-smoke perf-row
+.PHONY: verify build test doc clippy loc one-core bench-failover bench-attribution figures determinism rebaseline bench-backplane bench-telemetry bench-doctor perf-smoke perf-row
 
 verify: build test doc clippy one-core
 
@@ -136,13 +136,13 @@ determinism:
 
 # Everything that is pinned to the simulated fabric's exact behaviour, each
 # regenerated by its own path, after an intentional change to that
-# behaviour: the stats_equivalence golden, the figures, and the four
+# behaviour: the stats_equivalence golden, the figures, and the three
 # committed BENCH_* reports at full profile (the doctor bench also writes
 # the timeline dumps and doctor_incidents.json). Commit what it rewrites
 # with the change that moved the numbers.
 rebaseline: figures
 	GOLDEN_REGEN=1 $(CARGO) test $(OFFLINE) -q -p multiedge-bench --test stats_equivalence
-	$(MAKE) bench-telemetry bench-doctor bench-chaos bench-backplane
+	$(MAKE) bench-telemetry bench-doctor bench-backplane
 
 # Sim-vs-real transport cross-validation: the identical protocol driver
 # over the netsim backplane and over real UDP sockets on loopback, span
@@ -153,13 +153,6 @@ rebaseline: figures
 # wall-clock poll loop cannot hang the pipeline.
 bench-backplane:
 	timeout 600 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench backplane
-
-# Chaos soak harness: per-schedule chaos/recovery counters on both
-# backends, fingerprints asserted equal, flight dumps written under
-# results/chaos_dumps/, report to results/BENCH_chaos.json. Bounded by
-# `timeout` so a wedged wall-clock loop cannot hang the pipeline.
-bench-chaos:
-	timeout 300 $(CARGO) bench $(OFFLINE) -p multiedge-bench --bench chaos
 
 # Datapath cost bench: the clean datapath allocates nothing per frame (2x2
 # double difference), a ping-pong op and a 64 B op from memory stay under

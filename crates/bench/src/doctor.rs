@@ -36,7 +36,9 @@
 //! live in the bench binary, which owns the counting allocator and the wall clock.
 
 use crate::micro::{run_micro_sampled, MicroKind, MicroResult};
-use crate::scale::{all_to_all_cell, incast_cell, run_scale_cell, MEMBER_COUNTER};
+use crate::scale::{
+    all_to_all_cell, incast_cell, run_scale_cell, EngineOut, ScaleCell, MEMBER_COUNTER,
+};
 use bytes::Bytes;
 use me_trace::{
     diagnose_member_timelines, imbalance, AlarmKind, HealthMonitor, HealthReport, IncidentCause,
@@ -440,6 +442,23 @@ pub struct IncastDoctor {
     pub health: HealthReport,
 }
 
+/// Run `cell` with every node sampled every 200 µs and return its timelines
+/// in node order. An imbalance shows only across nodes, so no node's own
+/// health monitor may open an incident (asserted here).
+fn run_sampled_nodes(cell: &ScaleCell) -> (EngineOut, Vec<Timeline>) {
+    let (out, _, sampled) = run_scale_cell(cell, Some(us(200)));
+    let timelines = sampled
+        .into_iter()
+        .enumerate()
+        .map(|(node, (tl, health))| {
+            let clean = health.incidents.is_empty();
+            assert!(clean, "{} node {node}'s own monitor:\n{}", cell.name, health.render_human());
+            tl
+        })
+        .collect();
+    (out, timelines)
+}
+
 /// The 8-node incast fan-in on one engine, every node sampled every
 /// 200 µs of virtual time. Each node's `data_bytes_recv` telescopes to its
 /// end-of-run count exactly (asserted here); the per-node deltas are the
@@ -447,7 +466,7 @@ pub struct IncastDoctor {
 /// (member 0 = node 0) hot by an `IncastImbalance` incident.
 pub fn incast_doctor(smoke: bool) -> IncastDoctor {
     let bytes = if smoke { 32 << 10 } else { 128 << 10 };
-    let (out, _, timelines) = run_scale_cell(&incast_cell(8, bytes), Some(us(200)));
+    let (out, timelines) = run_sampled_nodes(&incast_cell(8, bytes));
     // Fingerprint column 3 is the node's end-of-run `data_bytes_recv`.
     let totals: Vec<u64> = timelines
         .iter()
@@ -478,7 +497,7 @@ pub fn incast_doctor(smoke: bool) -> IncastDoctor {
 /// must stay clean.
 pub fn balanced_doctor(smoke: bool) -> HealthReport {
     let bytes = if smoke { 8 << 10 } else { 32 << 10 };
-    let (_, _, timelines) = run_scale_cell(&all_to_all_cell(8, bytes), Some(us(200)));
+    let (_, timelines) = run_sampled_nodes(&all_to_all_cell(8, bytes));
     diagnose_member_timelines(&timelines, MEMBER_COUNTER)
 }
 

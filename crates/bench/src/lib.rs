@@ -9,7 +9,6 @@
 
 pub mod appfig;
 pub mod backplane;
-pub mod chaos;
 pub mod doctor;
 pub mod micro;
 pub mod scale;

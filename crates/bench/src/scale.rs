@@ -13,7 +13,7 @@
 //! log, and can sample every node's timeline: the members an imbalance
 //! diagnosis compares are nodes, each the protocol engine of one host.
 
-use me_trace::Timeline;
+use me_trace::{HealthReport, Timeline};
 use multiedge::{Endpoint, EndpointSampler, OpFlags, ProtoStats, SystemConfig};
 use netsim::sync::join_all;
 use netsim::{build_cluster, Dur, FaultDecision, FaultPlan, NetStats, Network, NicId, Sim};
@@ -230,15 +230,15 @@ pub fn collect_nodes(
 /// executed.
 ///
 /// With `sample_interval`, every node's [`Endpoint::start_timeline`] is
-/// armed at t = 0 and one finished [`Timeline`] per node comes back, in
-/// node order (empty otherwise). The samplers share one engine and one
-/// grid, so row `i` of every timeline covers the same slice of virtual
-/// time. Sampler ticks are events, so a sampled run's event count is not
-/// the unsampled run's.
+/// armed at t = 0 and one finished [`Timeline`] per node comes back with
+/// that node's own [`HealthReport`], in node order (empty otherwise). The
+/// samplers share one engine and one grid, so row `i` of every timeline
+/// covers the same slice of virtual time. Sampler ticks are events, so a
+/// sampled run's event count is not the unsampled run's.
 pub fn run_scale_cell(
     cell: &ScaleCell,
     sample_interval: Option<Dur>,
-) -> (EngineOut, u64, Vec<Timeline>) {
+) -> (EngineOut, u64, Vec<(Timeline, HealthReport)>) {
     let sim = Sim::new(cell.cfg.seed);
     let cluster = build_cluster(&sim, cell.cfg.cluster_spec());
     cluster.apply_fault_plan(&sim, &cell.plan);
@@ -252,10 +252,10 @@ pub fn run_scale_cell(
     };
     sim.run().expect_quiescent();
     let events = sim.events_executed();
-    let timelines = samplers.into_iter().map(|s| s.finish().0).collect();
+    let sampled = samplers.into_iter().map(EndpointSampler::finish).collect();
     let out = collect_nodes(&cluster.net, &eps, &cell.cfg, cell.pattern);
     cluster.net.clear_handlers();
-    (out, events, timelines)
+    (out, events, sampled)
 }
 
 /// The all-to-all transpose on 16 1-GbE rails.

@@ -629,8 +629,9 @@ pub fn drive_with<BA: Backplane, BB: Backplane>(
         }
         // Idle: sleep to the earliest protocol deadline (or a probe tick
         // when nothing is armed), stopping early on any frame delivery —
-        // but never past the watchdog's own trip points, so a dead fabric
-        // surfaces the typed error promptly instead of oversleeping.
+        // but never past the watchdog's own trip points (the fence limit's
+        // too), so a dead fabric or a held fence surfaces the typed error
+        // promptly instead of oversleeping.
         let fallback = now + 1_000_000;
         let deadline = [a.next_deadline(), b.next_deadline()]
             .into_iter()
@@ -638,18 +639,20 @@ pub fn drive_with<BA: Backplane, BB: Backplane>(
             .min()
             .unwrap_or(fallback)
             .max(now + 1);
-        let wake = deadline
-            .min(
-                last_progress
-                    .saturating_add(limits.progress_timeout_ns)
-                    .saturating_add(1),
-            )
-            .min(
-                start
-                    .saturating_add(limits.hard_budget_ns)
-                    .saturating_add(1),
-            )
-            .max(now + 1);
+        let fence_trip = [&*a, &*b]
+            .into_iter()
+            .filter(|_| limits.fence_stall_limit_ns > 0)
+            .filter_map(|ep| ep.core.fence_stall_since())
+            .map(|since| since.saturating_add(limits.fence_stall_limit_ns));
+        let wake = [
+            last_progress.saturating_add(limits.progress_timeout_ns),
+            start.saturating_add(limits.hard_budget_ns),
+        ]
+        .into_iter()
+        .chain(fence_trip)
+        .map(|trip| trip.saturating_add(1))
+        .fold(deadline, u64::min)
+        .max(now + 1);
         bpa.advance(wake);
     }
 }

@@ -213,9 +213,10 @@ impl EndpointSampler {
     /// exactly.
     pub fn finish(self) -> (Timeline, HealthReport) {
         self.stop.set(true);
-        self.ep.sample(&mut self.sampler.borrow_mut());
-        let s = self.sampler.borrow();
-        (s.timeline().clone(), s.health_report())
+        let mut s = self.sampler.borrow_mut();
+        self.ep.sample(&mut s);
+        // Move the ring out: a queued re-arm holds the Rc but stops at the flag.
+        (std::mem::take(&mut s.tl), s.health_report())
     }
 }
 

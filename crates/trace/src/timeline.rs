@@ -132,7 +132,7 @@ impl TimelineBuilder {
 
 /// The preallocated sample ring. See the [module docs](self) for the
 /// encoding and eviction contract.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     interval_ns: u64,
     capacity: usize,

@@ -1,17 +1,19 @@
-//! Chaos soak: identical seeded fault schedules driven through the
-//! backend-agnostic [`FaultBackplane`] interposer over BOTH backends —
-//! the deterministic simulator and real UDP loopback sockets. Every
-//! schedule must end in exactly-once delivery with fence ordering intact,
-//! and the two backends must agree on every timing-independent protocol
-//! counter. Liveness scenarios (total blackout) must terminate with a
-//! typed [`WireError`] and a `watchdog` flight dump instead of hanging;
-//! rail blackouts must leave a `rail_death` post-mortem artifact.
+//! Chaos soak, the one chaos harness: identical seeded fault schedules
+//! driven through the backend-agnostic [`FaultBackplane`] interposer over
+//! BOTH backends — the deterministic simulator and real UDP loopback
+//! sockets. Every schedule must end in exactly-once delivery with fence
+//! ordering intact, and the two backends must agree on every
+//! timing-independent protocol counter. On the simulator a schedule must
+//! also inject what it is named for. Liveness scenarios (total blackout)
+//! must terminate with a typed [`WireError`] and a `watchdog` flight dump
+//! instead of hanging; rail blackouts must leave a `rail_death`
+//! post-mortem artifact on both backends.
 
 use bytes::Bytes;
 use me_trace::{FlightConfig, FlightRecorder, SpanRecorder};
 use multiedge::backplane::{
-    drain, drive_with, Backplane, ChaosConfig, DriveLimits, FaultBackplane, SimBackplane,
-    UdpFabric, WireEndpoint, WireError,
+    drain, drive_with, Backplane, ChaosConfig, ChaosStats, DriveLimits, FaultBackplane,
+    SimBackplane, UdpBackplane, UdpFabric, WireEndpoint, WireError,
 };
 use multiedge::{OpFlags, ProtoConfig, SystemConfig};
 use netsim::time::ms;
@@ -39,7 +41,9 @@ fn chaos_proto() -> ProtoConfig {
 }
 
 fn patterned(len: usize, salt: u8) -> Vec<u8> {
-    (0..len).map(|i| (i as u8).wrapping_mul(31) ^ salt).collect()
+    (0..len)
+        .map(|i| (i as u8).wrapping_mul(31) ^ salt)
+        .collect()
 }
 
 /// The soak workload: mixed sizes, relaxed and fenced ops, one notify.
@@ -52,6 +56,32 @@ fn workload() -> Vec<(u64, Vec<u8>, OpFlags)> {
         (0x10_0000, patterned(5_000, 5), OpFlags::ORDERED_NOTIFY),
         (0x20_0000, patterned(16_000, 6), OpFlags::RELAXED),
     ]
+}
+
+/// Both nodes' backplanes, each wrapped in the chaos interposer.
+type Pair<B> = (FaultBackplane<B>, FaultBackplane<B>);
+
+fn wrap<B: Backplane>((a, b): (B, B), chaos: &ChaosConfig) -> Pair<B> {
+    (
+        FaultBackplane::new(a, 0, chaos),
+        FaultBackplane::new(b, 1, chaos),
+    )
+}
+
+/// Two nodes on two rails of the simulated fabric, under `chaos`.
+fn sim_pair(chaos: &ChaosConfig) -> Pair<SimBackplane> {
+    let cfg = SystemConfig::two_link_1g(2);
+    let sim = Sim::new(cfg.seed);
+    let cluster = build_cluster(&sim, cfg.cluster_spec());
+    wrap(SimBackplane::pair(&sim, &cluster), chaos)
+}
+
+/// Two nodes on two rails of real UDP loopback sockets, under `chaos`.
+fn udp_pair(chaos: &ChaosConfig) -> Pair<UdpBackplane> {
+    wrap(
+        UdpFabric::new(2).expect("bind loopback sockets").pair(),
+        chaos,
+    )
 }
 
 /// Timing-independent fingerprint of a *completed* chaos run. Unique
@@ -75,18 +105,32 @@ struct ChaosFingerprint {
 /// Outcome of one schedule on one backend.
 struct ChaosRun {
     fp: ChaosFingerprint,
+    /// What the two interposers injected, added together.
+    chaos: ChaosStats,
     storm_suppressed: u64,
 }
 
+fn sum(a: ChaosStats, b: ChaosStats) -> ChaosStats {
+    ChaosStats {
+        frames_seen: a.frames_seen + b.frames_seen,
+        dropped: a.dropped + b.dropped,
+        duplicated: a.duplicated + b.duplicated,
+        reordered: a.reordered + b.reordered,
+        corrupt_dropped: a.corrupt_dropped + b.corrupt_dropped,
+        blackout_dropped: a.blackout_dropped + b.blackout_dropped,
+        stall_held: a.stall_held + b.stall_held,
+        delayed: a.delayed + b.delayed,
+    }
+}
+
 /// Issue the workload from node 0, drive both endpoints to completion
-/// under `limits`, and assert the exactly-once / fence-ordering contract
-/// before returning the fingerprint. `label` names the backend+schedule in
-/// assertion messages.
-fn run_schedule<BA: Backplane, BB: Backplane>(
+/// under [`soak_limits`], and assert the exactly-once / fence-ordering
+/// contract before returning the fingerprint. `flight`, when given, is
+/// wired to both endpoints and both interposers. `label` names the
+/// backend+schedule in assertion messages.
+fn run_schedule<B: Backplane>(
     proto: &ProtoConfig,
-    bpa: &mut BA,
-    bpb: &mut BB,
-    limits: DriveLimits,
+    (mut bpa, mut bpb): Pair<B>,
     flight: Option<&FlightRecorder>,
     label: &str,
 ) -> Result<ChaosRun, WireError> {
@@ -95,25 +139,27 @@ fn run_schedule<BA: Backplane, BB: Backplane>(
     if let Some(fr) = flight {
         a.set_flight(fr);
         b.set_flight(fr);
+        bpa.set_flight(fr);
+        bpb.set_flight(fr);
     }
     let writes = workload();
     let total_ops = writes.len() as u64;
     let mut ops = Vec::new();
     for (addr, data, flags) in &writes {
-        ops.push(a.write(0, bpa, *addr, Bytes::from(data.clone()), *flags));
+        ops.push(a.write(0, &mut bpa, *addr, Bytes::from(data.clone()), *flags));
     }
     drive_with(
         &mut a,
-        bpa,
+        &mut bpa,
         &mut b,
-        bpb,
+        &mut bpb,
         |_, _, _, _| {},
         |a, b| {
             let sa = a.conn_state(0);
             let sb = b.conn_state(0);
             sa.acked == sa.next_seq && sb.applied_below == total_ops && !sb.has_gap
         },
-        limits,
+        soak_limits(),
     )?;
 
     // Exactly-once delivery: every byte of every op is present exactly as
@@ -126,19 +172,32 @@ fn run_schedule<BA: Backplane, BB: Backplane>(
         );
     }
     let completed: Vec<u64> = std::iter::from_fn(|| a.take_completion().map(|c| c.op)).collect();
-    assert_eq!(completed, ops, "[{label}] ops complete exactly once, in order");
+    assert_eq!(
+        completed, ops,
+        "[{label}] ops complete exactly once, in order"
+    );
     let n = b
         .take_notification()
         .unwrap_or_else(|| panic!("[{label}] the notify op must notify"));
-    assert_eq!((n.from_node, n.addr), (0, 0x10_0000), "[{label}] notification");
+    assert_eq!(
+        (n.from_node, n.addr),
+        (0, 0x10_0000),
+        "[{label}] notification"
+    );
     assert!(
         b.take_notification().is_none(),
         "[{label}] notification arrives exactly once"
     );
     // Fence ordering: every op applied in order, nothing left buffered.
     let sb = b.conn_state(0);
-    assert_eq!(sb.applied_below, total_ops, "[{label}] all ops fence-applied");
-    assert_eq!(sb.fence_buffered, 0, "[{label}] no fragment left behind a fence");
+    assert_eq!(
+        sb.applied_below, total_ops,
+        "[{label}] all ops fence-applied"
+    );
+    assert_eq!(
+        sb.fence_buffered, 0,
+        "[{label}] no fragment left behind a fence"
+    );
     assert!(!sb.has_gap, "[{label}] no receive gap after completion");
 
     let sa = a.stats();
@@ -154,54 +213,19 @@ fn run_schedule<BA: Backplane, BB: Backplane>(
             cumulative: sb.cumulative,
             completions: completed.len() as u64,
         },
+        chaos: sum(bpa.stats(), bpb.stats()),
         storm_suppressed: a.storm_suppressed() + b.storm_suppressed(),
     })
 }
 
-/// Run one schedule over the simulator backend, both ends wrapped in the
-/// interposer.
-fn run_on_sim(
-    proto: &ProtoConfig,
-    chaos: &ChaosConfig,
-    flight: Option<&FlightRecorder>,
-    label: &str,
-) -> Result<ChaosRun, WireError> {
-    let cfg = SystemConfig::two_link_1g(2);
-    let sim = Sim::new(cfg.seed);
-    let cluster = build_cluster(&sim, cfg.cluster_spec());
-    let (bpa, bpb) = SimBackplane::pair(&sim, &cluster);
-    let mut ca = FaultBackplane::new(bpa, 0, chaos);
-    let mut cb = FaultBackplane::new(bpb, 1, chaos);
-    if let Some(fr) = flight {
-        ca.set_flight(fr);
-        cb.set_flight(fr);
-    }
-    run_schedule(proto, &mut ca, &mut cb, soak_limits(), flight, label)
-}
-
-/// Run the same schedule over real UDP loopback sockets.
-fn run_on_udp(
-    proto: &ProtoConfig,
-    chaos: &ChaosConfig,
-    flight: Option<&FlightRecorder>,
-    label: &str,
-) -> Result<ChaosRun, WireError> {
-    let fabric = UdpFabric::new(2).expect("bind loopback sockets");
-    let (bpa, bpb) = fabric.pair();
-    let mut ca = FaultBackplane::new(bpa, 0, chaos);
-    let mut cb = FaultBackplane::new(bpb, 1, chaos);
-    if let Some(fr) = flight {
-        ca.set_flight(fr);
-        cb.set_flight(fr);
-    }
-    run_schedule(proto, &mut ca, &mut cb, soak_limits(), flight, label)
-}
+/// Whether a run's [`ChaosStats`] show what its schedule is named for.
+type Injects = fn(&ChaosStats) -> bool;
 
 /// The seeded schedules of the soak: random loss/dup/reorder/corruption, a
-/// Gilbert–Elliott burst process, and a scripted NIC stall. (Scenarios
-/// with scripted blackouts get dedicated tests below because they also
-/// assert flight-dump artifacts.)
-fn schedules() -> Vec<(&'static str, ChaosConfig)> {
+/// Gilbert–Elliott burst process, and a scripted NIC stall, each with the
+/// counters it must move. (Scenarios with scripted blackouts get dedicated
+/// tests below because they also assert flight-dump artifacts.)
+fn schedules() -> Vec<(&'static str, ChaosConfig, Injects)> {
     vec![
         (
             "lossy",
@@ -209,34 +233,46 @@ fn schedules() -> Vec<(&'static str, ChaosConfig)> {
                 .with_drop(0.05)
                 .with_dup(0.02)
                 .with_reorder(0.05, 200_000)
-                .with_corrupt(0.01),
+                .with_corrupt(0.02),
+            |s| s.dropped > 0 && s.duplicated > 0 && s.reordered > 0 && s.corrupt_dropped > 0,
         ),
         (
             "bursty",
-            ChaosConfig::new(0xB00B5).with_reorder(0.03, 100_000).with_plan(
-                FaultPlan::new().burst(
+            ChaosConfig::new(0xB00B5)
+                .with_reorder(0.03, 100_000)
+                .with_plan(FaultPlan::new().burst(
                     ms(0),
                     FaultTarget::Rail { rail: 0 },
                     GilbertElliott::bursty_loss(0.02, 0.4, 0.6),
-                ),
-            ),
+                )),
+            |s| s.dropped > 0,
         ),
         (
             "stall",
             ChaosConfig::new(0x5EED)
                 .with_drop(0.03)
                 .with_plan(FaultPlan::new().nic_stall(ms(0), 1, 0, ms(3))),
+            |s| s.stall_held > 0,
         ),
     ]
 }
 
+/// Every schedule completes exactly once on both backends, with identical
+/// fingerprints. Only the simulator, which is deterministic, is held to
+/// the injection check: on UDP a stall at t = 0 can be over before the
+/// first wall-clock send.
 #[test]
 fn seeded_schedules_deliver_exactly_once_on_both_backends() {
     let proto = chaos_proto();
-    for (name, chaos) in schedules() {
-        let sim = run_on_sim(&proto, &chaos, None, &format!("sim/{name}"))
+    for (name, chaos, injects) in schedules() {
+        let sim = run_schedule(&proto, sim_pair(&chaos), None, &format!("sim/{name}"))
             .unwrap_or_else(|e| panic!("sim run of schedule '{name}' failed: {e}"));
-        let udp = run_on_udp(&proto, &chaos, None, &format!("udp/{name}"))
+        assert!(
+            injects(&sim.chaos),
+            "schedule '{name}' did not inject what it is named for on the simulator: {:?}",
+            sim.chaos
+        );
+        let udp = run_schedule(&proto, udp_pair(&chaos), None, &format!("udp/{name}"))
             .unwrap_or_else(|e| panic!("udp run of schedule '{name}' failed: {e}"));
         assert_eq!(
             sim.fp, udp.fp,
@@ -246,15 +282,11 @@ fn seeded_schedules_deliver_exactly_once_on_both_backends() {
     }
 }
 
-/// A unique-per-test scratch dir under the target directory.
-fn scratch(name: &str) -> std::path::PathBuf {
+/// A flight recorder whose only dump trigger is the one under test,
+/// dumping into a unique-per-test scratch dir under the target directory.
+fn flight_for(name: &str, dump_on_rail_death: bool) -> FlightRecorder {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// A flight recorder whose only dump trigger is the one under test.
-fn flight_for(dir: &std::path::Path, dump_on_rail_death: bool) -> FlightRecorder {
     FlightRecorder::enabled(FlightConfig {
         rto_backoff_trigger: 0,
         fence_stall_trigger_ns: 0,
@@ -264,23 +296,34 @@ fn flight_for(dir: &std::path::Path, dump_on_rail_death: bool) -> FlightRecorder
 }
 
 /// One rail dark from the start: the run must complete on the surviving
-/// rail, rail health must declare the dead rail, and the flight recorder
-/// must leave a `rail_death` post-mortem artifact — on both backends.
+/// rail with the same fingerprint on both backends, rail health must
+/// declare the dead rail, and the flight recorder must leave a
+/// `rail_death` post-mortem artifact — on both backends.
 #[test]
 fn rail_blackout_completes_and_dumps_rail_death() {
     let proto = chaos_proto();
     let chaos = ChaosConfig::new(0xDEAD).with_plan(FaultPlan::new().rail_down(ms(0), 1));
-    for backend in ["sim", "udp"] {
-        let dir = scratch(&format!("chaos_rail_death_{backend}"));
-        let fr = flight_for(&dir, true);
-        let label = format!("{backend}/rail-blackout");
-        let run = match backend {
-            "sim" => run_on_sim(&proto, &chaos, Some(&fr), &label),
-            _ => run_on_udp(&proto, &chaos, Some(&fr), &label),
-        }
-        .unwrap_or_else(|e| panic!("[{label}] must survive on the live rail: {e}"));
-        assert_eq!(run.fp.ops_write, workload().len() as u64);
+    let sim_fr = flight_for("chaos_rail_death_sim", true);
+    let udp_fr = flight_for("chaos_rail_death_udp", true);
+    let sim = run_schedule(&proto, sim_pair(&chaos), Some(&sim_fr), "sim/rail-blackout")
+        .unwrap_or_else(|e| panic!("[sim/rail-blackout] must survive on the live rail: {e}"));
+    let udp = run_schedule(&proto, udp_pair(&chaos), Some(&udp_fr), "udp/rail-blackout")
+        .unwrap_or_else(|e| panic!("[udp/rail-blackout] must survive on the live rail: {e}"));
+    assert_eq!(sim.fp.ops_write, workload().len() as u64);
+    assert!(
+        sim.chaos.blackout_dropped > 0,
+        "the blackout must drop frames on the simulator: {:?}",
+        sim.chaos
+    );
+    assert_eq!(
+        sim.fp, udp.fp,
+        "rail blackout: timing-independent fingerprints must be identical across backends"
+    );
 
+    for (label, fr) in [
+        ("sim/rail-blackout", &sim_fr),
+        ("udp/rail-blackout", &udp_fr),
+    ] {
         let dumps = fr.dumps();
         assert!(
             dumps.iter().any(|d| d.trigger == "rail_death"),
@@ -289,7 +332,10 @@ fn rail_blackout_completes_and_dumps_rail_death() {
             dumps.iter().map(|d| d.trigger.clone()).collect::<Vec<_>>()
         );
         let dump = dumps.iter().find(|d| d.trigger == "rail_death").unwrap();
-        let path = dump.path.as_ref().expect("dump_dir set => artifact written");
+        let path = dump
+            .path
+            .as_ref()
+            .expect("dump_dir set => artifact written");
         let text = std::fs::read_to_string(path).expect("dump artifact readable");
         let parsed = me_trace::Json::parse(&text).expect("artifact is valid JSON");
         assert_eq!(
@@ -305,73 +351,66 @@ fn rail_blackout_completes_and_dumps_rail_death() {
 /// `watchdog` flight dump, on both backends.
 #[test]
 fn total_blackout_trips_typed_error_within_deadline() {
-    let proto = chaos_proto();
-    let chaos = ChaosConfig::new(0x0FF)
-        .with_plan(FaultPlan::new().rail_down(ms(0), 0).rail_down(ms(0), 1));
+    let chaos =
+        ChaosConfig::new(0x0FF).with_plan(FaultPlan::new().rail_down(ms(0), 0).rail_down(ms(0), 1));
+    blackout_trips("sim", sim_pair(&chaos));
+    blackout_trips("udp", udp_pair(&chaos));
+}
+
+fn blackout_trips<B: Backplane>(backend: &str, (mut ca, mut cb): Pair<B>) {
     // Tight bounds: the wall clock proves the "never hangs" claim on UDP.
     let limits = DriveLimits {
         progress_timeout_ns: 300_000_000,
         hard_budget_ns: 5_000_000_000,
         fence_stall_limit_ns: 0,
     };
-    for backend in ["sim", "udp"] {
-        let dir = scratch(&format!("chaos_watchdog_{backend}"));
-        let fr = flight_for(&dir, false);
-        let spans = SpanRecorder::disabled();
-        let (mut a, mut b) = WireEndpoint::pair(&proto, 2, &spans);
-        a.set_flight(&fr);
-        b.set_flight(&fr);
-        let started = std::time::Instant::now();
-        let err = if backend == "sim" {
-            let cfg = SystemConfig::two_link_1g(2);
-            let sim = Sim::new(cfg.seed);
-            let cluster = build_cluster(&sim, cfg.cluster_spec());
-            let (bpa, bpb) = SimBackplane::pair(&sim, &cluster);
-            let mut ca = FaultBackplane::new(bpa, 0, &chaos);
-            let mut cb = FaultBackplane::new(bpb, 1, &chaos);
-            let op = a.write(0, &mut ca, 0x1000, Bytes::from(patterned(10_000, 9)), OpFlags::ORDERED);
-            let res = drain(&mut a, &mut ca, &mut b, &mut cb, limits);
-            (op, res)
-        } else {
-            let fabric = UdpFabric::new(2).expect("bind loopback sockets");
-            let (bpa, bpb) = fabric.pair();
-            let mut ca = FaultBackplane::new(bpa, 0, &chaos);
-            let mut cb = FaultBackplane::new(bpb, 1, &chaos);
-            let op = a.write(0, &mut ca, 0x1000, Bytes::from(patterned(10_000, 9)), OpFlags::ORDERED);
-            let res = drain(&mut a, &mut ca, &mut b, &mut cb, limits);
-            (op, res)
-        };
-        let (op, res) = err;
-        let err = res.expect_err("a fully dark fabric cannot quiesce");
-        // UDP runs on the wall clock: the typed error must arrive within
-        // the hard budget (plus slack for a loaded CI machine), which is
-        // the "never hangs" guarantee in wall time.
-        assert!(
-            started.elapsed() < std::time::Duration::from_secs(20),
-            "[{backend}] watchdog must trip within its deadline, took {:?}",
-            started.elapsed()
-        );
-        assert!(
-            matches!(
-                err,
-                WireError::PeerUnreachable { .. }
-                    | WireError::AllRailsDead { .. }
-                    | WireError::Stalled { .. }
-            ),
-            "[{backend}] blackout classifies as unreachable/dead-rails, got {err}"
-        );
-        // The watchdog trip left a post-mortem dump on disk.
-        let dumps = fr.dumps();
-        assert!(
-            dumps.iter().any(|d| d.trigger == "watchdog"),
-            "[{backend}] watchdog trip must dump (got {:?})",
-            dumps.iter().map(|d| d.trigger.clone()).collect::<Vec<_>>()
-        );
-        // Graceful failure: the casualty list names the abandoned op and
-        // the endpoint stops retrying.
-        let casualties = a.abort_pending(0);
-        assert_eq!(casualties, vec![op], "[{backend}] abort reports the lost op");
-    }
+    let fr = flight_for(&format!("chaos_watchdog_{backend}"), false);
+    let spans = SpanRecorder::disabled();
+    let (mut a, mut b) = WireEndpoint::pair(&chaos_proto(), ca.rails(), &spans);
+    a.set_flight(&fr);
+    b.set_flight(&fr);
+    let started = std::time::Instant::now();
+    let op = a.write(
+        0,
+        &mut ca,
+        0x1000,
+        Bytes::from(patterned(10_000, 9)),
+        OpFlags::ORDERED,
+    );
+    let err = drain(&mut a, &mut ca, &mut b, &mut cb, limits)
+        .expect_err("a fully dark fabric cannot quiesce");
+    // UDP runs on the wall clock: the typed error must arrive within
+    // the hard budget (plus slack for a loaded CI machine), which is
+    // the "never hangs" guarantee in wall time.
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(20),
+        "[{backend}] watchdog must trip within its deadline, took {:?}",
+        started.elapsed()
+    );
+    assert!(
+        matches!(
+            err,
+            WireError::PeerUnreachable { .. }
+                | WireError::AllRailsDead { .. }
+                | WireError::Stalled { .. }
+        ),
+        "[{backend}] blackout classifies as unreachable/dead-rails, got {err}"
+    );
+    // The watchdog trip left a post-mortem dump on disk.
+    let dumps = fr.dumps();
+    assert!(
+        dumps.iter().any(|d| d.trigger == "watchdog"),
+        "[{backend}] watchdog trip must dump (got {:?})",
+        dumps.iter().map(|d| d.trigger.clone()).collect::<Vec<_>>()
+    );
+    // Graceful failure: the casualty list names the abandoned op and
+    // the endpoint stops retrying.
+    let casualties = a.abort_pending(0);
+    assert_eq!(
+        casualties,
+        vec![op],
+        "[{backend}] abort reports the lost op"
+    );
 }
 
 /// Graceful shutdown under loss: `drain` flushes queued sends, closes
@@ -379,44 +418,30 @@ fn total_blackout_trips_typed_error_within_deadline() {
 /// abandons nothing.
 #[test]
 fn drain_quiesces_under_loss_on_both_backends() {
-    let proto = chaos_proto();
     let chaos = ChaosConfig::new(0xD0D0).with_drop(0.06).with_dup(0.02);
-    let spans = SpanRecorder::disabled();
-    let writes = workload();
+    drain_quiesces("sim", sim_pair(&chaos));
+    drain_quiesces("udp", udp_pair(&chaos));
+}
 
-    // Sim backend.
-    {
-        let cfg = SystemConfig::two_link_1g(2);
-        let sim = Sim::new(cfg.seed);
-        let cluster = build_cluster(&sim, cfg.cluster_spec());
-        let (bpa, bpb) = SimBackplane::pair(&sim, &cluster);
-        let mut ca = FaultBackplane::new(bpa, 0, &chaos);
-        let mut cb = FaultBackplane::new(bpb, 1, &chaos);
-        let (mut a, mut b) = WireEndpoint::pair(&proto, 2, &spans);
-        for (addr, data, flags) in &writes {
-            a.write(0, &mut ca, *addr, Bytes::from(data.clone()), *flags);
-        }
-        drain(&mut a, &mut ca, &mut b, &mut cb, soak_limits()).expect("sim drain");
-        assert!(a.quiesced() && b.quiesced(), "sim: both sides quiesced");
-        for (addr, data, _) in &writes {
-            assert_eq!(&b.mem_read(*addr, data.len()), data);
-        }
+fn drain_quiesces<B: Backplane>(backend: &str, (mut ca, mut cb): Pair<B>) {
+    let spans = SpanRecorder::disabled();
+    let (mut a, mut b) = WireEndpoint::pair(&chaos_proto(), ca.rails(), &spans);
+    let writes = workload();
+    for (addr, data, flags) in &writes {
+        a.write(0, &mut ca, *addr, Bytes::from(data.clone()), *flags);
     }
-    // UDP backend.
-    {
-        let fabric = UdpFabric::new(2).expect("bind loopback sockets");
-        let (bpa, bpb) = fabric.pair();
-        let mut ca = FaultBackplane::new(bpa, 0, &chaos);
-        let mut cb = FaultBackplane::new(bpb, 1, &chaos);
-        let (mut a, mut b) = WireEndpoint::pair(&proto, 2, &spans);
-        for (addr, data, flags) in &writes {
-            a.write(0, &mut ca, *addr, Bytes::from(data.clone()), *flags);
-        }
-        drain(&mut a, &mut ca, &mut b, &mut cb, soak_limits()).expect("udp drain");
-        assert!(a.quiesced() && b.quiesced(), "udp: both sides quiesced");
-        for (addr, data, _) in &writes {
-            assert_eq!(&b.mem_read(*addr, data.len()), data);
-        }
+    drain(&mut a, &mut ca, &mut b, &mut cb, soak_limits())
+        .unwrap_or_else(|e| panic!("{backend} drain: {e}"));
+    assert!(
+        a.quiesced() && b.quiesced(),
+        "{backend}: both sides quiesced"
+    );
+    for (addr, data, _) in &writes {
+        assert_eq!(
+            &b.mem_read(*addr, data.len()),
+            data,
+            "{backend}: payload at {addr:#x}"
+        );
     }
 }
 
@@ -429,7 +454,8 @@ fn nack_storm_cap_suppresses_and_still_completes() {
     let mut proto = chaos_proto();
     proto.nack_resend_burst = 1;
     let chaos = ChaosConfig::new(0x57012).with_drop(0.20);
-    let run = run_on_sim(&proto, &chaos, None, "sim/storm").expect("storm run completes");
+    let run =
+        run_schedule(&proto, sim_pair(&chaos), None, "sim/storm").expect("storm run completes");
     assert!(
         run.storm_suppressed > 0,
         "heavy loss with burst budget 1 must suppress some NACK resends"

@@ -3,12 +3,13 @@
 //! core. The witness is a pair of in-memory backplanes that deliver at once,
 //! as loopback does, on a clock the test sets: a jump of the clock past the
 //! RTO between a send and the peer's next poll is a drive thread that was
-//! descheduled, made exact.
+//! descheduled, made exact. The same pair, told to lose the first frame
+//! sent, witnesses that an idle drive wakes for the fence watchdog.
 
 use bytes::Bytes;
 use frame::{Frame, MacAddr};
 use me_trace::SpanRecorder;
-use multiedge::backplane::{drive_with, Backplane, BpRx, DriveLimits, WireEndpoint};
+use multiedge::backplane::{drive_with, Backplane, BpRx, DriveLimits, WireEndpoint, WireError};
 use multiedge::config::RTO_INITIAL;
 use multiedge::{OpFlags, ProtoConfig};
 use std::cell::{Cell, RefCell};
@@ -19,14 +20,17 @@ use std::rc::Rc;
 /// the moment its last frame is received.
 const MTU: usize = 1024;
 
-/// What both ends share: the clock and each node's inbox.
+/// What both ends share: the clock, each node's inbox, and whether the
+/// next frame sent is lost.
 #[derive(Default)]
 struct Wire {
     now_ns: Cell<u64>,
     inbox: [RefCell<VecDeque<BpRx>>; 2],
+    drop_next: Cell<bool>,
 }
 
-/// One node's end of a [`Wire`]: one rail, delivery at once, no loss.
+/// One node's end of a [`Wire`]: one rail, delivery at once, no loss
+/// unless [`Wire::drop_next`] is set.
 struct MemBackplane {
     wire: Rc<Wire>,
     node: usize,
@@ -67,6 +71,9 @@ impl Backplane for MemBackplane {
     }
 
     fn send(&mut self, rail: usize, frame: Frame) -> bool {
+        if self.wire.drop_next.replace(false) {
+            return true;
+        }
         let at_ns = self.now_ns();
         let rx = BpRx {
             rail: rail as u32,
@@ -138,4 +145,52 @@ fn polling_one_endpoint_fires_what_is_due_on_it() {
     let (mut bpa, _bpb, mut a, _b) = stalled_write();
     assert!(a.poll(&mut bpa));
     assert_eq!(a.stats().retransmits_rto, 1);
+}
+
+#[test]
+fn an_idle_drive_wakes_for_the_fence_watchdog() {
+    // The first copy of seq 0 is lost, so the backward-fenced write behind
+    // the relaxed one sits buffered at node 1 until the NACK repairs it.
+    // The drive has nothing to do meanwhile; it must wake when the fence
+    // limit runs out, not at the next protocol deadline.
+    let limit_ns = 500_000;
+    let (mut bpa, mut bpb) = pair();
+    let (mut a, mut b) = WireEndpoint::pair(&ProtoConfig::default(), 1, &SpanRecorder::disabled());
+    bpa.wire.drop_next.set(true);
+    a.write(
+        0,
+        &mut bpa,
+        0x1000,
+        Bytes::from(vec![1; 2 * MTU]),
+        OpFlags::RELAXED,
+    );
+    let fenced = OpFlags::RELAXED.with_fence_backward();
+    a.write(0, &mut bpa, 0x8000, Bytes::from(vec![2; MTU]), fenced);
+    let limits = DriveLimits {
+        fence_stall_limit_ns: limit_ns,
+        ..DriveLimits::budget(1_000_000_000)
+    };
+    let err = drive_with(
+        &mut a,
+        &mut bpa,
+        &mut b,
+        &mut bpb,
+        |_, _, _, _| {},
+        |_, _| false,
+        limits,
+    )
+    .expect_err("the fence stall must trip");
+    let WireError::FenceStallExceeded {
+        stalled_ns,
+        buffered,
+        ..
+    } = err
+    else {
+        panic!("expected FenceStallExceeded, got {err}");
+    };
+    assert!(buffered >= 1, "the fenced write is held");
+    assert!(
+        stalled_ns < 2 * limit_ns,
+        "tripped {stalled_ns} ns into the stall, limit {limit_ns} ns"
+    );
 }
