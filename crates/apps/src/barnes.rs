@@ -249,7 +249,8 @@ impl Workload for Barnes {
                     let idx: Vec<usize> = (0..n).collect();
                     let tree = build_octree(&idx, &all_pos, &all_mass, [-2.0; 3], 8.0);
                     // Tree build cost: ~2 units per body.
-                    node.compute(us_f64(2.0 * n as f64 * NS_PER_UNIT / 1e3)).await;
+                    node.compute(us_f64(2.0 * n as f64 * NS_PER_UNIT / 1e3))
+                        .await;
                     // Forces + integration for owned bodies. Compute is
                     // charged by the same per-body formula the sequential
                     // model uses, so speedups are internally consistent.

@@ -231,10 +231,8 @@ impl Workload for Lu {
                         let mut d = read_block(&node, arr, off).await;
                         factor_diag(&mut d);
                         arr.write(&node, off, &d).await;
-                        node.compute(us_f64(
-                            (B * B * B) as f64 / 3.0 * NS_PER_UNIT / 1e3,
-                        ))
-                        .await;
+                        node.compute(us_f64((B * B * B) as f64 / 3.0 * NS_PER_UNIT / 1e3))
+                            .await;
                     }
                     node.barrier(0).await;
                     // Prefetch everything this step needs in one burst: the
@@ -261,10 +259,8 @@ impl Workload for Lu {
                             let mut blk = read_block(&node, arr, off).await;
                             solve_row(&mut blk, &diag);
                             arr.write(&node, off, &blk).await;
-                            node.compute(us_f64(
-                                (B * B * B) as f64 / 2.0 * NS_PER_UNIT / 1e3,
-                            ))
-                            .await;
+                            node.compute(us_f64((B * B * B) as f64 / 2.0 * NS_PER_UNIT / 1e3))
+                                .await;
                         }
                     }
                     for i in (k + 1)..nb {
@@ -273,10 +269,8 @@ impl Workload for Lu {
                             let mut blk = read_block(&node, arr, off).await;
                             solve_col(&mut blk, &diag);
                             arr.write(&node, off, &blk).await;
-                            node.compute(us_f64(
-                                (B * B * B) as f64 / 2.0 * NS_PER_UNIT / 1e3,
-                            ))
-                            .await;
+                            node.compute(us_f64((B * B * B) as f64 / 2.0 * NS_PER_UNIT / 1e3))
+                                .await;
                         }
                     }
                     node.barrier(0).await;
@@ -291,10 +285,8 @@ impl Workload for Lu {
                                 let mut blk = read_block(&node, arr, off).await;
                                 update_interior(&mut blk, &l, &u);
                                 arr.write(&node, off, &blk).await;
-                                node.compute(us_f64(
-                                    (B * B * B) as f64 * NS_PER_UNIT / 1e3,
-                                ))
-                                .await;
+                                node.compute(us_f64((B * B * B) as f64 * NS_PER_UNIT / 1e3))
+                                    .await;
                             }
                         }
                     }

@@ -122,8 +122,16 @@ fn trace(px: usize, py: usize, w: usize, h: usize, scene: &[Sphere]) -> (u32, u6
         }
         let Some((t, si)) = best else { break };
         let s = &scene[si];
-        let p = [orig[0] + t * dir[0], orig[1] + t * dir[1], orig[2] + t * dir[2]];
-        let mut n = [(p[0] - s.c[0]) / s.r, (p[1] - s.c[1]) / s.r, (p[2] - s.c[2]) / s.r];
+        let p = [
+            orig[0] + t * dir[0],
+            orig[1] + t * dir[1],
+            orig[2] + t * dir[2],
+        ];
+        let mut n = [
+            (p[0] - s.c[0]) / s.r,
+            (p[1] - s.c[1]) / s.r,
+            (p[2] - s.c[2]) / s.r,
+        ];
         let nn = (n[0] * n[0] + n[1] * n[1] + n[2] * n[2]).sqrt();
         for k in n.iter_mut() {
             *k /= nn;

@@ -34,7 +34,9 @@ pub fn scaled_workloads() -> Vec<Box<dyn Workload>> {
             steps: 2,
         }),
         Box::new(Fft { m: 18 }),
-        Box::new(Lu { n: 32 * crate::lu::B }),
+        Box::new(Lu {
+            n: 32 * crate::lu::B,
+        }),
         Box::new(Radix { keys: 1 << 20 }),
         Box::new(Raytrace {
             width: 128,
@@ -67,7 +69,9 @@ pub fn tiny_workloads() -> Vec<Box<dyn Workload>> {
             steps: 1,
         }),
         Box::new(Fft { m: 8 }),
-        Box::new(Lu { n: 2 * crate::lu::B }),
+        Box::new(Lu {
+            n: 2 * crate::lu::B,
+        }),
         Box::new(Radix { keys: 2048 }),
         Box::new(Raytrace {
             width: 32,

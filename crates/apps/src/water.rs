@@ -194,17 +194,14 @@ impl Grid {
 /// parallel kernel: per-molecule full neighbor sum, no symmetry).
 /// Note: molecules do not migrate between cells across steps (small DT,
 /// re-binning clamped — documented simplification mirrored here).
-fn host_spatial(
-    cells: &mut [Vec<Molecule>],
-    grid: &Grid,
-    steps: usize,
-) {
+fn host_spatial(cells: &mut [Vec<Molecule>], grid: &Grid, steps: usize) {
     for _ in 0..steps {
         let snapshot: Vec<Vec<[f64; 3]>> = cells
             .iter()
             .map(|c| c.iter().map(|&(_, p, _)| p).collect())
             .collect();
-        #[allow(clippy::needless_range_loop)] // `c` is compared against neighbor ids, not just an index
+        #[allow(clippy::needless_range_loop)]
+        // `c` is compared against neighbor ids, not just an index
         for c in 0..cells.len() {
             let neigh = grid.neighbors(c);
             for mi in 0..cells[c].len() {
@@ -287,7 +284,9 @@ impl Water {
                 let my = chunk_range(n, me, p);
                 pos.write(&node, my.start, &init_pos[my.clone()]).await;
                 vel.write(&node, my.start, &vec![[0.0; 3]; my.len()]).await;
-                force.write(&node, my.start, &vec![[0.0; 3]; my.len()]).await;
+                force
+                    .write(&node, my.start, &vec![[0.0; 3]; my.len()])
+                    .await;
                 node.barrier(0).await;
                 for _ in 0..steps {
                     let all = pos.read(&node, 0..n).await;

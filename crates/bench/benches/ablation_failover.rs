@@ -102,9 +102,15 @@ fn run_seed(seed: u64) -> SeedRun {
         "seed {seed}: exactly-once delivery violated"
     );
     assert!(tx.rail_down_events >= 1, "seed {seed}: rail never died");
-    assert!(tx.rail_up_events >= 1, "seed {seed}: rail never re-admitted");
     assert!(
-        eps[0].rail_states(c0).iter().all(|s| *s == RailState::Healthy),
+        tx.rail_up_events >= 1,
+        "seed {seed}: rail never re-admitted"
+    );
+    assert!(
+        eps[0]
+            .rail_states(c0)
+            .iter()
+            .all(|s| *s == RailState::Healthy),
         "seed {seed}: rails not healthy at the end: {:?}",
         eps[0].rail_states(c0)
     );
@@ -207,7 +213,10 @@ fn main() {
         .set("schema_version", SCHEMA_VERSION)
         .set("bench", "ablation_failover")
         .set("config", "2Lu-1G")
-        .set("fault_plan", format!("rail 1 down at {T_DOWN_MS} ms, up at {T_UP_MS} ms"))
+        .set(
+            "fault_plan",
+            format!("rail 1 down at {T_DOWN_MS} ms, up at {T_UP_MS} ms"),
+        )
         .set("total_bytes", TOTAL)
         .set("seeds", seeds.len())
         .set(

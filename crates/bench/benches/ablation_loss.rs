@@ -48,7 +48,14 @@ fn main() {
     // the i.i.d. column next to it.
     let mut b = Table::new(
         "Ablation: loss shape at matched mean (1L-1G one-way, 1MB ops)",
-        &["mean loss", "shape", "MB/s", "retransmits", "rto", "extra-frames"],
+        &[
+            "mean loss",
+            "shape",
+            "MB/s",
+            "retransmits",
+            "rto",
+            "extra-frames",
+        ],
     );
     for (p_g2b, p_b2g) in [(5e-4, 0.2495), (5e-3, 0.2450)] {
         let ge = GilbertElliott::bursty_loss(p_g2b, p_b2g, 0.5);

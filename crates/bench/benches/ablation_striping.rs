@@ -11,7 +11,12 @@ use netsim::time::us_f64;
 
 fn main() {
     // MultiEdge on 1 and 2 rails (simulated end to end).
-    let me1 = run_micro(&SystemConfig::one_link_1g(2), MicroKind::OneWay, 1 << 20, 12);
+    let me1 = run_micro(
+        &SystemConfig::one_link_1g(2),
+        MicroKind::OneWay,
+        1 << 20,
+        12,
+    );
     let me2 = run_micro(
         &SystemConfig::two_link_1g_unordered(2),
         MicroKind::OneWay,
@@ -39,8 +44,16 @@ fn main() {
         "Ablation: one slow link out of four (byte striping stalls on the slowest slice)",
         &["scenario", "MB/s"],
     );
-    t2.row(vec!["4 healthy links".into(), fmt_f(healthy.throughput(unit) / 1e6)]);
-    t2.row(vec!["3 healthy + 1 at 10%".into(), fmt_f(skew.throughput(unit) / 1e6)]);
+    t2.row(vec![
+        "4 healthy links".into(),
+        fmt_f(healthy.throughput(unit) / 1e6),
+    ]);
+    t2.row(vec![
+        "3 healthy + 1 at 10%".into(),
+        fmt_f(skew.throughput(unit) / 1e6),
+    ]);
     t2.print();
-    println!("frame-level striping degrades proportionally; byte striping collapses to the slow link");
+    println!(
+        "frame-level striping degrades proportionally; byte striping collapses to the slow link"
+    );
 }

@@ -66,9 +66,7 @@ fn run_mixed_cell(cfg: &SystemConfig, iters: usize) -> CellData {
                 OpFlags::RELAXED
             };
             let addr = 0x1_0000 + (i as u64 % 8) * 0x4000;
-            let h = a
-                .write_bytes(c0, addr, vec![i as u8; 8 << 10], flags)
-                .await;
+            let h = a.write_bytes(c0, addr, vec![i as u8; 8 << 10], flags).await;
             handles.push(h);
             if i % 3 == 0 {
                 let h = a.read(c0, 0x100, addr, 4 << 10, OpFlags::RELAXED).await;
@@ -133,9 +131,7 @@ fn reconcile(d: &CellData) -> (Json, bool) {
     for (i, t) in d.traces.iter().enumerate() {
         for (conn, h) in &t.op_latency {
             let r = att.per_conn.get(&(i as u16, *conn as u16));
-            per_conn_ok &= r.is_some_and(|r| {
-                r.latency_total_ns == h.sum() && r.ops == h.count()
-            });
+            per_conn_ok &= r.is_some_and(|r| r.latency_total_ns == h.sum() && r.ops == h.count());
         }
     }
     let complete = spans.overwritten == 0 && spans.dropped_active == 0;

@@ -40,7 +40,11 @@ fn main() {
                 attr.overall.latency_hist.percentile(50.0) as f64 / 1e3,
                 attr.overall.latency_hist.percentile(99.0) as f64 / 1e3,
             );
-            docs.push(cell_doc(spec, &format!("{}-{profile}", backend.name()), &attr));
+            docs.push(cell_doc(
+                spec,
+                &format!("{}-{profile}", backend.name()),
+                &attr,
+            ));
         }
         backend_docs.push((backend, docs));
     }
@@ -64,7 +68,8 @@ fn main() {
 
     let udp = suites.pop().expect("udp suite");
     let sim = suites.pop().expect("sim suite");
-    let report = me_trace::diff_docs(&sim, &udp).unwrap_or_else(|e| panic!("sim-vs-udp diff failed: {e}"));
+    let report =
+        me_trace::diff_docs(&sim, &udp).unwrap_or_else(|e| panic!("sim-vs-udp diff failed: {e}"));
     println!();
     print!("{}", report.render_human());
     assert!(

@@ -36,10 +36,7 @@ fn main() {
                 row.push(fmt_f(r.cpu_util_pct));
                 nrow.push(fmt_pct(r.proto.ooo_fraction()));
                 nrow.push(fmt_pct(r.proto.extra_frame_fraction()));
-                nrow.push(format!(
-                    "{}",
-                    r.net.drops_overflow + r.net.drops_loss
-                ));
+                nrow.push(format!("{}", r.net.drops_overflow + r.net.drops_loss));
             }
             t.row(row);
             net_rows.push(nrow);
@@ -62,9 +59,7 @@ fn main() {
         }
         nt.print();
     }
-    println!(
-        "paper targets: one-way ≈120 MB/s (1L-1G), ≈240 MB/s (2L-1G), ≈1100 MB/s (1L-10G);"
-    );
+    println!("paper targets: one-way ≈120 MB/s (1L-1G), ≈240 MB/s (2L-1G), ≈1100 MB/s (1L-10G);");
     println!(
         "ping-pong 10G ≈710 MB/s; two-way 10G ≈1500 MB/s; min latency ≈30 us; 2L ooo ≈45-50%; extra ≤5.5%"
     );

@@ -10,7 +10,11 @@ fn main() {
         Ok("tiny") => vec![4],
         _ => vec![16],
     };
-    app_figure("Figure 5 (2L-1G ordered)", SystemConfig::two_link_1g, &counts);
+    app_figure(
+        "Figure 5 (2L-1G ordered)",
+        SystemConfig::two_link_1g,
+        &counts,
+    );
     println!("paper shape: ooo 10-50% (reorder every 2-10 frames); extra traffic <= 10%;");
     println!("protocol CPU <= 12%; execution times similar to 1L-1G");
 }

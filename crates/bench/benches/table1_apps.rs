@@ -26,5 +26,7 @@ fn main() {
         ]);
     }
     t.print();
-    println!("(sequential times are the calibrated cost model; see DESIGN.md §4.2 and EXPERIMENTS.md)");
+    println!(
+        "(sequential times are the calibrated cost model; see DESIGN.md §4.2 and EXPERIMENTS.md)"
+    );
 }

@@ -198,7 +198,10 @@ fn main() {
         .set("datapath", datapath)
         .set("smallop", smallop)
         .set("flight_recorder", flight);
-    std::fs::write(results_dir().join("BENCH_telemetry.json"), doc.render_pretty())
-        .expect("write json");
+    std::fs::write(
+        results_dir().join("BENCH_telemetry.json"),
+        doc.render_pretty(),
+    )
+    .expect("write json");
     println!("wrote results/BENCH_telemetry.json");
 }

@@ -48,9 +48,7 @@ pub fn app_figure(
     let &max_n = node_counts.iter().max().expect("non-empty node counts");
     let mut bd = Table::new(
         format!("{figure}: execution-time breakdown at {max_n} nodes"),
-        &[
-            "app", "compute", "data-wait", "sync", "other", "protoCPU",
-        ],
+        &["app", "compute", "data-wait", "sync", "other", "protoCPU"],
     );
     let mut net = Table::new(
         format!("{figure}: network statistics at {max_n} nodes"),

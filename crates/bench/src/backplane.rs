@@ -16,7 +16,9 @@
 
 use bytes::Bytes;
 use me_trace::{analyze, Attribution, Json, SpanRecorder, SpanSnapshot, SCHEMA_VERSION};
-use multiedge::backplane::{drive_with, Backplane, DriveLimits, SimBackplane, UdpFabric, WireEndpoint};
+use multiedge::backplane::{
+    drive_with, Backplane, DriveLimits, SimBackplane, UdpFabric, WireEndpoint,
+};
 use multiedge::{OpFlags, ProtoConfig, SystemConfig};
 use netsim::{build_cluster, Sim};
 use std::cell::Cell;
@@ -178,7 +180,13 @@ fn run_round<BA: Backplane, BB: Backplane>(
             let iters = spec.iters;
             let replies = Cell::new(0usize);
             let initiated = Cell::new(1usize);
-            a.write(0, bpa, addr, payload.clone(), OpFlags::RELAXED.with_notify());
+            a.write(
+                0,
+                bpa,
+                addr,
+                payload.clone(),
+                OpFlags::RELAXED.with_notify(),
+            );
             drive_with(
                 &mut a,
                 bpa,
@@ -186,13 +194,25 @@ fn run_round<BA: Backplane, BB: Backplane>(
                 bpb,
                 |a, bpa, b, bpb| {
                     while b.take_notification().is_some() {
-                        b.write(0, bpb, addr, payload.clone(), OpFlags::RELAXED.with_notify());
+                        b.write(
+                            0,
+                            bpb,
+                            addr,
+                            payload.clone(),
+                            OpFlags::RELAXED.with_notify(),
+                        );
                     }
                     while a.take_notification().is_some() {
                         replies.set(replies.get() + 1);
                         if initiated.get() < iters {
                             initiated.set(initiated.get() + 1);
-                            a.write(0, bpa, addr, payload.clone(), OpFlags::RELAXED.with_notify());
+                            a.write(
+                                0,
+                                bpa,
+                                addr,
+                                payload.clone(),
+                                OpFlags::RELAXED.with_notify(),
+                            );
                         }
                     }
                 },
@@ -221,9 +241,7 @@ fn run_round<BA: Backplane, BB: Backplane>(
                     while a.take_completion().is_some() {
                         completed.set(completed.get() + 1);
                     }
-                    while issued.get() < iters
-                        && issued.get() - completed.get() < ONEWAY_INFLIGHT
-                    {
+                    while issued.get() < iters && issued.get() - completed.get() < ONEWAY_INFLIGHT {
                         issued.set(issued.get() + 1);
                         a.write(0, bpa, addr, payload.clone(), OpFlags::RELAXED);
                     }

@@ -299,7 +299,11 @@ pub fn lossy_determinism_cell() -> ScaleCell {
     let plan = FaultPlan::new()
         .flap_link(ms(2), 3, 0, ms(1), ms(1), 2)
         .nic_stall(ms(4), 5, 1, us(300))
-        .burst(ms(1), bursty, netsim::GilbertElliott::bursty_loss(0.02, 0.3, 0.6))
+        .burst(
+            ms(1),
+            bursty,
+            netsim::GilbertElliott::bursty_loss(0.02, 0.3, 0.6),
+        )
         .clear_burst(ms(6), bursty);
     ScaleCell {
         name: "lossy_determinism_8".to_string(),

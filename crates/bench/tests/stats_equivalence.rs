@@ -99,7 +99,11 @@ fn line((config, kind, size, _, spans): Cell, seed: u64) -> String {
 fn totals(line: &str) -> Option<Totals> {
     let num = |key: &str| -> Option<u64> {
         let rest = &line[line.find(key)? + key.len()..];
-        rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())].parse().ok()
+        rest[..rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len())]
+            .parse()
+            .ok()
     };
     let mut t = Totals {
         ops: num("ops_write: ")? + num("ops_read: ")?,
@@ -151,7 +155,10 @@ fn stats_identical_for_fixed_seeds() {
 /// and its layer in the failure message, for every phase.
 #[test]
 fn a_drifted_line_names_its_phase() {
-    let line = GOLDEN.lines().find(|l| totals(l).is_some()).expect("an attributed line");
+    let line = GOLDEN
+        .lines()
+        .find(|l| totals(l).is_some())
+        .expect("an attributed line");
     for p in PHASES {
         let key = format!(" {}=", p.label());
         let (head, tail) = line.split_once(&key).expect("every phase is on the line");

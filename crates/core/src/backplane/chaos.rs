@@ -350,7 +350,10 @@ impl<B: Backplane> Backplane for FaultBackplane<B> {
         }
 
         let mut release = now;
-        if lane.faults.hit(seed, attempt, LANE_REORDER, self.cfg.reorder) {
+        if lane
+            .faults
+            .hit(seed, attempt, LANE_REORDER, self.cfg.reorder)
+        {
             bump(&self.stats, |s| s.reordered += 1);
             release = release.saturating_add(self.cfg.reorder_delay_ns);
         }
@@ -536,7 +539,11 @@ mod tests {
             for seq in 0..64 {
                 bp.send(rail, test_frame(seq));
             }
-            bp.inner().sent.iter().map(|&(_, seq)| seq).collect::<Vec<_>>()
+            bp.inner()
+                .sent
+                .iter()
+                .map(|&(_, seq)| seq)
+                .collect::<Vec<_>>()
         };
         assert_eq!(survivors(0, 1), survivors(0, 1));
         // Different lanes draw different streams (overwhelmingly likely to
@@ -547,7 +554,9 @@ mod tests {
 
     #[test]
     fn blackout_window_drops_then_recovers() {
-        let plan = netsim::FaultPlan::new().rail_down(ms(1), 0).rail_up(ms(2), 0);
+        let plan = netsim::FaultPlan::new()
+            .rail_down(ms(1), 0)
+            .rail_up(ms(2), 0);
         let cfg = ChaosConfig::new(1).with_plan(plan);
         let mut bp = FaultBackplane::new(MockBp::new(1), 0, &cfg);
         bp.send(0, test_frame(0)); // t=0: before the blackout

@@ -148,14 +148,12 @@ impl std::fmt::Display for UdpRxError {
                 f,
                 "datagram from unknown source {from} on node {node} rail {rail}"
             ),
-            UdpRxError::Corrupt { node, rail, err } => write!(
-                f,
-                "corrupt datagram on node {node} rail {rail}: {err:?}"
-            ),
-            UdpRxError::Malformed { node, rail, err } => write!(
-                f,
-                "malformed datagram on node {node} rail {rail}: {err:?}"
-            ),
+            UdpRxError::Corrupt { node, rail, err } => {
+                write!(f, "corrupt datagram on node {node} rail {rail}: {err:?}")
+            }
+            UdpRxError::Malformed { node, rail, err } => {
+                write!(f, "malformed datagram on node {node} rail {rail}: {err:?}")
+            }
         }
     }
 }
@@ -769,13 +767,19 @@ mod tests {
     fn coalesced_datagram_from_a_foreign_socket_is_refused_whole() {
         let fabric = UdpFabric::new(1).expect("bind loopback sockets");
         let foreign = UdpSocket::bind("127.0.0.1:0").expect("bind foreign socket");
-        let bytes: Vec<u8> = (0..3).flat_map(|seq| encode_frame(&data_frame(seq))).collect();
+        let bytes: Vec<u8> = (0..3)
+            .flat_map(|seq| encode_frame(&data_frame(seq)))
+            .collect();
         sys::send_segments(&foreign, fabric.local_addr(1, 0), bytes.len() / 3, &bytes)
             .expect("send from foreign socket");
         let seqs = sweep_until(&fabric, |s| s.unknown_source_dropped == 3);
         let s = fabric.stats();
         assert_eq!(
-            (s.unknown_source_dropped, s.delivered, s.frames_corrupt_dropped + s.frames_malformed_dropped),
+            (
+                s.unknown_source_dropped,
+                s.delivered,
+                s.frames_corrupt_dropped + s.frames_malformed_dropped
+            ),
             (3, 0, 0),
             "{s:?}"
         );
@@ -783,7 +787,11 @@ mod tests {
         let from = foreign.local_addr().unwrap();
         assert_eq!(
             fabric.take_rx_error(),
-            Some(UdpRxError::UnknownSource { node: 1, rail: 0, from }),
+            Some(UdpRxError::UnknownSource {
+                node: 1,
+                rail: 0,
+                from
+            }),
             "one typed error names the offender"
         );
         assert!(fabric.take_rx_error().is_none());
@@ -794,13 +802,19 @@ mod tests {
     #[test]
     fn without_gro_every_frame_is_its_own_send() {
         let mut fabric = UdpFabric::new(1).expect("bind loopback sockets");
-        Rc::get_mut(&mut fabric).expect("not shared yet").segmentation = false;
+        Rc::get_mut(&mut fabric)
+            .expect("not shared yet")
+            .segmentation = false;
         let mut batch: Vec<(usize, Frame)> = (0..3).map(|seq| (0, data_frame(seq))).collect();
         assert_eq!(fabric.send_batch(0, &mut batch), 3);
         assert!(batch.is_empty());
         let seqs = sweep_until(&fabric, |s| s.delivered == 3);
         let s = fabric.stats();
         assert_eq!(seqs, [0, 1, 2]);
-        assert_eq!((s.send_calls, s.recv_coalesced, s.tx_failed), (3, 0, 0), "{s:?}");
+        assert_eq!(
+            (s.send_calls, s.recv_coalesced, s.tx_failed),
+            (3, 0, 0),
+            "{s:?}"
+        );
     }
 }

@@ -300,7 +300,10 @@ impl WireEndpoint {
     /// [`WireEndpoint::poll`] when due.
     pub fn start_timeline<B: Backplane>(&mut self, bp: &B, interval_ns: u64, capacity: usize) {
         let start_ns = bp.now_ns();
-        self.sampler = Some(self.core.start_sampler(None, interval_ns, capacity, start_ns));
+        self.sampler = Some(
+            self.core
+                .start_sampler(None, interval_ns, capacity, start_ns),
+        );
     }
 
     /// Snapshot the health verdict, if the timeline was started.
@@ -561,7 +564,10 @@ pub fn drive_with<BA: Backplane, BB: Backplane>(
     limits: DriveLimits,
 ) -> Result<u64, WireError> {
     let start = bpa.now_ns();
-    let mut last_token = a.core.progress_token().wrapping_add(b.core.progress_token());
+    let mut last_token = a
+        .core
+        .progress_token()
+        .wrapping_add(b.core.progress_token());
     let mut last_progress = start;
     loop {
         let mut worked = false;
@@ -591,7 +597,10 @@ pub fn drive_with<BA: Backplane, BB: Backplane>(
             return Ok(bpa.now_ns() - start);
         }
         let now = bpa.now_ns();
-        let token = a.core.progress_token().wrapping_add(b.core.progress_token());
+        let token = a
+            .core
+            .progress_token()
+            .wrapping_add(b.core.progress_token());
         if token != last_token {
             last_token = token;
             last_progress = now;
@@ -723,8 +732,10 @@ mod tests {
         assert_eq!(done.op, 0);
         assert!(done.completed_ns >= done.created_ns);
         assert_eq!(b.mem_read(0x10_000, payload.len()), payload);
-        assert_eq!(b.take_notification().map(|n| (n.from_node, n.addr, n.len)),
-            Some((0, 0x10_000, payload.len())));
+        assert_eq!(
+            b.take_notification().map(|n| (n.from_node, n.addr, n.len)),
+            Some((0, 0x10_000, payload.len()))
+        );
         let s = a.stats();
         assert_eq!(s.ops_write, 1);
         assert_eq!(s.data_frames_sent, 7);

@@ -327,7 +327,11 @@ impl Endpoint {
 
     /// Health state of every rail, from connection `conn`'s sending side.
     pub fn rail_states(&self, conn: usize) -> Vec<RailState> {
-        self.core(|c| (0..c.rails()).map(|r| c.conns()[conn].rail_state(r)).collect())
+        self.core(|c| {
+            (0..c.rails())
+                .map(|r| c.conns()[conn].rail_state(r))
+                .collect()
+        })
     }
 
     /// Connection `conn`'s current adaptive retransmission timeout
@@ -768,7 +772,10 @@ mod tests {
             (n.from_node, n.addr, n.len)
         });
         sim.run().expect_quiescent();
-        assert_eq!(notified.try_take(), Some((0usize, 0x10_000u64, 10_000usize)));
+        assert_eq!(
+            notified.try_take(),
+            Some((0usize, 0x10_000u64, 10_000usize))
+        );
         assert_eq!(eps[1].mem_read(0x10_000, payload.len()), payload);
         let lat = done.try_take().unwrap();
         assert!(lat > Dur::ZERO);
@@ -1082,12 +1089,16 @@ mod tests {
         let a = eps[0].clone();
         let b = eps[1].clone();
         let ta = sim.spawn("a", async move {
-            let h = a.write_bytes(c0, 0x1000, vec![3u8; 50_000], OpFlags::RELAXED).await;
+            let h = a
+                .write_bytes(c0, 0x1000, vec![3u8; 50_000], OpFlags::RELAXED)
+                .await;
             h.wait().await;
             true
         });
         let tb = sim.spawn("b", async move {
-            let h = b.write_bytes(c1, 0x2000, vec![4u8; 50_000], OpFlags::RELAXED).await;
+            let h = b
+                .write_bytes(c1, 0x2000, vec![4u8; 50_000], OpFlags::RELAXED)
+                .await;
             h.wait().await;
             true
         });
@@ -1170,7 +1181,12 @@ mod tests {
         let a = eps[0].clone();
         let done = sim.spawn("rw", async move {
             let hw = a
-                .write_bytes(c0, 0x1000, vec![5u8; 30_000], OpFlags::RELAXED.with_notify())
+                .write_bytes(
+                    c0,
+                    0x1000,
+                    vec![5u8; 30_000],
+                    OpFlags::RELAXED.with_notify(),
+                )
                 .await;
             hw.wait().await;
             let hr = a.read(c0, 0x100, 0x1000, 9_000, OpFlags::RELAXED).await;
@@ -1214,7 +1230,9 @@ mod tests {
         let (sim, _cluster, eps, (c0, _)) = rig(cfg);
         let a = eps[0].clone();
         sim.spawn("writer", async move {
-            let h = a.write_bytes(c0, 0, vec![7u8; 20_000], OpFlags::RELAXED).await;
+            let h = a
+                .write_bytes(c0, 0, vec![7u8; 20_000], OpFlags::RELAXED)
+                .await;
             h.wait().await;
         });
         sim.run().expect_quiescent();

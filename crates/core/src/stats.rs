@@ -199,8 +199,7 @@ impl CpuSnapshot {
         if elapsed.as_nanos() == 0 {
             return 0.0;
         }
-        (self.app_busy.as_nanos() + self.proto_busy.as_nanos()) as f64
-            / elapsed.as_nanos() as f64
+        (self.app_busy.as_nanos() + self.proto_busy.as_nanos()) as f64 / elapsed.as_nanos() as f64
     }
 }
 
@@ -241,7 +240,9 @@ mod tests {
     /// so that a field added to the struct shows up here unasked.
     fn fields(s: &ProtoStats) -> Vec<(String, u64)> {
         let text = format!("{s:?}");
-        let body = text.trim_start_matches("ProtoStats {").trim_end_matches('}');
+        let body = text
+            .trim_start_matches("ProtoStats {")
+            .trim_end_matches('}');
         let field = |f: &str| {
             let (name, v) = f.trim().split_once(": ").expect("name: value");
             (name.to_string(), v.parse().expect("u64 field"))
@@ -258,7 +259,10 @@ mod tests {
         let counters = stats.monotone_counters().map(|(name, _)| name);
         for (name, _) in fields(&stats) {
             let (counter, peak) = (counters.contains(&&*name), PEAKS.contains(&&*name));
-            assert!(counter != peak, "{name}: in monotone_counters() xor a max-merged peak");
+            assert!(
+                counter != peak,
+                "{name}: in monotone_counters() xor a max-merged peak"
+            );
         }
         assert_eq!(counters.len() + PEAKS.len(), fields(&stats).len());
     }

@@ -108,9 +108,15 @@ impl<T> ProtoCore<T> {
         start_ns: u64,
     ) -> CoreSampler {
         let mut b = TimelineBuilder::new();
-        let names = ProtoStats::default().monotone_counters().map(|(name, _)| name);
+        let names = ProtoStats::default()
+            .monotone_counters()
+            .map(|(name, _)| name);
         let extra = ["rx_rejected", "storm_suppressed", "progress_token"];
-        let counters = names.into_iter().chain(extra).map(|n| b.counter(n)).collect();
+        let counters = names
+            .into_iter()
+            .chain(extra)
+            .map(|n| b.counter(n))
+            .collect();
         let token_age_ns = b.gauge("token_age_ns");
         let in_flight = b.gauge("in_flight");
         let active_rails = b.gauge("active_rails");

@@ -95,10 +95,7 @@ impl<T: Pod> SharedArray<T> {
         let bytes = node
             .read_bytes(self.addr(range.start), (range.end - range.start) * T::SIZE)
             .await;
-        bytes
-            .chunks_exact(T::SIZE)
-            .map(T::read_from)
-            .collect()
+        bytes.chunks_exact(T::SIZE).map(T::read_from).collect()
     }
 
     /// Write `data` starting at element `start` via `node`'s cache.

@@ -6,9 +6,9 @@ use crate::node::DsmNode;
 use crate::stats::DsmStats;
 use frame::FastMap;
 use me_stats::Breakdown;
+use multiedge::PAGE_SIZE;
 use multiedge::{Endpoint, SystemConfig};
 use netsim::{build_cluster, Sim};
-use multiedge::PAGE_SIZE;
 use std::cell::RefCell;
 use std::rc::Rc;
 

@@ -88,7 +88,10 @@ mod tests {
         let runs = diff_runs(&twin, &cur);
         assert_eq!(
             runs,
-            vec![DiffRun { offset: 4, len: 3 }, DiffRun { offset: 10, len: 1 }]
+            vec![
+                DiffRun { offset: 4, len: 3 },
+                DiffRun { offset: 10, len: 1 }
+            ]
         );
     }
 
@@ -129,6 +132,12 @@ mod tests {
         let twin = vec![0u8; 4096];
         let cur = vec![1u8; 4096];
         let runs = diff_runs(&twin, &cur);
-        assert_eq!(runs, vec![DiffRun { offset: 0, len: 4096 }]);
+        assert_eq!(
+            runs,
+            vec![DiffRun {
+                offset: 0,
+                len: 4096
+            }]
+        );
     }
 }

@@ -38,10 +38,7 @@ pub fn expand_ranges(ranges: &[PageRange]) -> impl Iterator<Item = u64> + '_ {
 
 /// Union several range lists (as a merged range list).
 pub fn union_ranges(lists: &[&[PageRange]]) -> Vec<PageRange> {
-    let mut pages: Vec<u64> = lists
-        .iter()
-        .flat_map(|l| expand_ranges(l))
-        .collect();
+    let mut pages: Vec<u64> = lists.iter().flat_map(|l| expand_ranges(l)).collect();
     pages.sort_unstable();
     pages.dedup();
     merge_pages(pages)
@@ -236,11 +233,17 @@ mod tests {
     #[test]
     fn union_overlapping() {
         let a = vec![PageRange { start: 0, count: 4 }];
-        let b = vec![PageRange { start: 2, count: 4 }, PageRange { start: 9, count: 1 }];
+        let b = vec![
+            PageRange { start: 2, count: 4 },
+            PageRange { start: 9, count: 1 },
+        ];
         let u = union_ranges(&[&a, &b]);
         assert_eq!(
             u,
-            vec![PageRange { start: 0, count: 6 }, PageRange { start: 9, count: 1 }]
+            vec![
+                PageRange { start: 0, count: 6 },
+                PageRange { start: 9, count: 1 }
+            ]
         );
     }
 
@@ -250,7 +253,10 @@ mod tests {
             CtlMsg::LockRequest { lock: 7 },
             CtlMsg::LockGrant {
                 lock: 7,
-                notices: vec![PageRange { start: 100, count: 3 }],
+                notices: vec![PageRange {
+                    start: 100,
+                    count: 3,
+                }],
             },
             CtlMsg::LockRelease {
                 lock: 7,

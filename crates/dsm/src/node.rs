@@ -18,9 +18,7 @@
 //!   that task, mirroring GeNIMA's design goal.
 
 use crate::diff::{diff_bytes, diff_runs};
-use crate::layout::{
-    self, home_of, is_mailbox, mailbox_slot, page_addr, pages_covering,
-};
+use crate::layout::{self, home_of, is_mailbox, mailbox_slot, page_addr, pages_covering};
 use crate::msg::{merge_pages, union_ranges, CtlMsg, PageRange};
 use crate::stats::DsmStats;
 use frame::FastMap;
@@ -263,10 +261,7 @@ impl DsmNode {
                 let home = self.home(page);
                 let conn = self.conn_to(home);
                 let a = page_addr(page);
-                let h = self
-                    .ep
-                    .read(conn, a, a, PAGE_SIZE, OpFlags::RELAXED)
-                    .await;
+                let h = self.ep.read(conn, a, a, PAGE_SIZE, OpFlags::RELAXED).await;
                 self.inner.borrow_mut().stats.page_fetches += 1;
                 handles.push((page, h));
             }
@@ -357,10 +352,7 @@ impl DsmNode {
             }
             for run in runs {
                 let a = page_addr(page) + run.offset as u64;
-                let h = self
-                    .ep
-                    .write(conn, a, a, run.len, OpFlags::RELAXED)
-                    .await;
+                let h = self.ep.write(conn, a, a, run.len, OpFlags::RELAXED).await;
                 handles.push(h);
             }
         }
@@ -465,7 +457,11 @@ impl DsmNode {
         flag.wait().await;
         let notices = {
             let mut inner = self.inner.borrow_mut();
-            inner.lock_waits.remove(&lock).expect("wait present").notices
+            inner
+                .lock_waits
+                .remove(&lock)
+                .expect("wait present")
+                .notices
         };
         self.invalidate(&notices).await;
         let mut inner = self.inner.borrow_mut();
@@ -479,7 +475,8 @@ impl DsmNode {
         let t0 = self.sim.now();
         let notices = self.flush_dirty().await;
         let mgr = self.lock_manager(lock);
-        self.deliver(mgr, CtlMsg::LockRelease { lock, notices }).await;
+        self.deliver(mgr, CtlMsg::LockRelease { lock, notices })
+            .await;
         let mut inner = self.inner.borrow_mut();
         inner.stats.sync_ns += self.sim.now().since(t0).as_nanos();
     }

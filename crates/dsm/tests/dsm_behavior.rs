@@ -74,7 +74,8 @@ fn false_sharing_on_one_page_preserves_all_writers() {
         // Interleaved slots: node i writes slots i, i+nodes, i+2*nodes, ...
         let mut i = me;
         while i < 512 {
-            arr.set(&node, i, (me as u64 + 1) * 1_000_000 + i as u64).await;
+            arr.set(&node, i, (me as u64 + 1) * 1_000_000 + i as u64)
+                .await;
             i += nodes;
         }
         node.barrier(0).await;
@@ -144,7 +145,10 @@ fn barrier_joins_all_nodes_in_time() {
     });
     let last_arrival = *arrivals.borrow().iter().max().unwrap();
     for &r in releases.borrow().iter() {
-        assert!(r >= last_arrival, "release {r} before last arrival {last_arrival}");
+        assert!(
+            r >= last_arrival,
+            "release {r} before last arrival {last_arrival}"
+        );
     }
 }
 

@@ -65,7 +65,10 @@ impl std::fmt::Display for CodecError {
                 "bad payload length: declared {declared}, available {available}"
             ),
             Self::Checksum { expected, actual } => {
-                write!(f, "checksum mismatch: header {expected:#x}, computed {actual:#x}")
+                write!(
+                    f,
+                    "checksum mismatch: header {expected:#x}, computed {actual:#x}"
+                )
             }
         }
     }

@@ -102,6 +102,10 @@ mod tests {
                 h.finish() & 63
             })
             .collect();
-        assert!(low.len() > 32, "only {} distinct low-6-bit values", low.len());
+        assert!(
+            low.len() > 32,
+            "only {} distinct low-6-bit values",
+            low.len()
+        );
     }
 }

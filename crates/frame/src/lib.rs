@@ -87,10 +87,7 @@ impl Frame {
     /// True if this frame carries RDMA data (write fragment or read
     /// response fragment).
     pub fn is_data(&self) -> bool {
-        matches!(
-            self.header.kind,
-            FrameKind::Data | FrameKind::ReadResponse
-        )
+        matches!(self.header.kind, FrameKind::Data | FrameKind::ReadResponse)
     }
 }
 
@@ -108,8 +105,14 @@ mod tests {
         };
         // Header alone is below the Ethernet minimum payload; the frame is
         // padded to 46 bytes and then the fixed 38-byte overhead applies.
-        assert_eq!(f.ethernet_payload_len(), ETHERNET_MIN_PAYLOAD.max(HEADER_LEN));
-        assert_eq!(f.wire_len(), f.ethernet_payload_len() + ETHERNET_WIRE_OVERHEAD);
+        assert_eq!(
+            f.ethernet_payload_len(),
+            ETHERNET_MIN_PAYLOAD.max(HEADER_LEN)
+        );
+        assert_eq!(
+            f.wire_len(),
+            f.ethernet_payload_len() + ETHERNET_WIRE_OVERHEAD
+        );
     }
 
     #[test]

@@ -1012,14 +1012,18 @@ mod tests {
         let mut expect = Vec::new();
         for &t_us in &[250_000u64, 3, 140_000, 7, 500_000, 7, 33, 160_000] {
             let l = log.clone();
-            sim.schedule_in(us(t_us), move |sim| l.borrow_mut().push(sim.now().as_nanos()));
+            sim.schedule_in(us(t_us), move |sim| {
+                l.borrow_mut().push(sim.now().as_nanos())
+            });
             expect.push(t_us * 1_000);
         }
         let l = log.clone();
         sim.schedule_in(us(1), move |sim| {
             // From t=1µs, +200ms is beyond the horizon (heap), +5µs is not.
             let l2 = l.clone();
-            sim.schedule_in(ms(200), move |sim| l2.borrow_mut().push(sim.now().as_nanos()));
+            sim.schedule_in(ms(200), move |sim| {
+                l2.borrow_mut().push(sim.now().as_nanos())
+            });
             let l3 = l.clone();
             sim.schedule_in(us(5), move |sim| l3.borrow_mut().push(sim.now().as_nanos()));
         });
@@ -1093,9 +1097,9 @@ mod tests {
                 sim.cancel_timer(id);
             }
             let h = hits.clone();
-            last = Some(sim.schedule_timer_in(us(10 + (i % 7) as u64), move |_| {
-                h.borrow_mut().push(i)
-            }));
+            last = Some(
+                sim.schedule_timer_in(us(10 + (i % 7) as u64), move |_| h.borrow_mut().push(i)),
+            );
         }
         sim.run().expect_quiescent();
         assert_eq!(*hits.borrow(), vec![99]);

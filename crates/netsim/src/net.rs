@@ -428,7 +428,13 @@ impl Network {
             n.rx_handler.clone()
         };
         if let Some(h) = handler {
-            h(sim, RxFrame { frame: f, corrupted });
+            h(
+                sim,
+                RxFrame {
+                    frame: f,
+                    corrupted,
+                },
+            );
         }
     }
 
@@ -766,10 +772,7 @@ mod tests {
                 net.nic_send(a, data_frame(MacAddr::new(0, 0), MacAddr::new(2, 0), 1400)),
                 "uplink must backpressure, not drop"
             );
-            assert!(net.nic_send(
-                b,
-                data_frame(MacAddr::new(1, 0), MacAddr::new(2, 0), 1400)
-            ));
+            assert!(net.nic_send(b, data_frame(MacAddr::new(1, 0), MacAddr::new(2, 0), 1400)));
         }
         sim.run();
         let stats = net.stats();

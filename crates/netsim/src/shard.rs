@@ -4,8 +4,8 @@
 //! clock `sim_mesh64` fingerprints is unchanged. It goes with ROADMAP 1(c).
 
 use crate::net::{Network, NicId};
-use crate::{engine::Sim, faults::FaultPlan, time::SimTime};
 use crate::topology::{build_cluster, Cluster, ClusterSpec};
+use crate::{engine::Sim, faults::FaultPlan, time::SimTime};
 use std::time::{Duration, Instant};
 
 /// The one engine, behind the partitioned runtime's accessors.
@@ -119,7 +119,11 @@ pub fn run_sharded<S, Out>(
     }
     let sim = Sim::new(seed);
     let cluster = build_cluster(&sim, *spec);
-    let sn = ShardNet { sim, cluster, nodes: (0..spec.nodes).collect() };
+    let sn = ShardNet {
+        sim,
+        cluster,
+        nodes: (0..spec.nodes).collect(),
+    };
     if let Some(plan) = fault_plan {
         sn.cluster.apply_fault_plan(&sn.sim, plan);
     }
@@ -132,7 +136,8 @@ pub fn run_sharded<S, Out>(
         }
         let (before, t0) = (sn.sim.events_executed(), Instant::now());
         // `advance_until` is inclusive: stop one nanosecond before the end.
-        sn.sim.advance_until(SimTime((window + 1) * lookahead - 1), || false);
+        sn.sim
+            .advance_until(SimTime((window + 1) * lookahead - 1), || false);
         let t1 = Instant::now();
         st.advance_ns += (t1 - t0).as_nanos() as u64;
         st.idle_windows += u64::from(sn.sim.events_executed() == before);
@@ -145,7 +150,13 @@ pub fn run_sharded<S, Out>(
             None => return Err(ShardError::StuckTasks(sn.sim.stuck_task_names())),
         }
     }
-    Ok((ShardRunReport { windows, per_shard: vec![st] }, vec![collect(&sn, state)]))
+    Ok((
+        ShardRunReport {
+            windows,
+            per_shard: vec![st],
+        },
+        vec![collect(&sn, state)],
+    ))
 }
 
 #[cfg(test)]
@@ -197,9 +208,10 @@ mod tests {
                 let counts: Rc<Vec<Cell<u64>>> = Rc::new((0..4).map(|_| Cell::new(0)).collect());
                 for &node in sn.local_nodes() {
                     let c = counts.clone();
-                    sn.net().set_rx_handler(sn.nics(node)[0], move |_, _: RxFrame| {
-                        c[node].set(c[node].get() + 1);
-                    });
+                    sn.net()
+                        .set_rx_handler(sn.nics(node)[0], move |_, _: RxFrame| {
+                            c[node].set(c[node].get() + 1);
+                        });
                     for peer in (0..4u16).filter(|&p| p as usize != node) {
                         let f = Frame {
                             src: MacAddr::new(node as u16, 0),
@@ -229,8 +241,19 @@ mod tests {
             wall_limit: Some(Duration::from_millis(50)),
             ..Default::default()
         };
-        let err = run_sharded(&spec(4, 1), 1, 0, None, &cfg, |sn| tick(sn.sim()), |_, _| ());
-        assert!(matches!(err, Err(ShardError::WallClockExceeded(_))), "{err:?}");
+        let err = run_sharded(
+            &spec(4, 1),
+            1,
+            0,
+            None,
+            &cfg,
+            |sn| tick(sn.sim()),
+            |_, _| (),
+        );
+        assert!(
+            matches!(err, Err(ShardError::WallClockExceeded(_))),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -246,7 +269,8 @@ mod tests {
             None,
             &cfg,
             |sn: &ShardNet| {
-                sn.sim().spawn("never-completes", std::future::pending::<()>());
+                sn.sim()
+                    .spawn("never-completes", std::future::pending::<()>());
             },
             |_, _| (),
         )

@@ -112,11 +112,7 @@ pub fn build_cluster(sim: &Sim, spec: ClusterSpec) -> Cluster {
         }
         nics.push(row);
     }
-    Cluster {
-        net,
-        nics,
-        spec,
-    }
+    Cluster { net, nics, spec }
 }
 
 #[cfg(test)]

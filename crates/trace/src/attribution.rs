@@ -284,7 +284,8 @@ impl PhaseRollup {
             retransmits: num("retransmits")?,
             latency_total_ns: num("latency_total_ns")?,
             latency_hist: LogHistogram::from_json(
-                j.get("latency_hist").ok_or("rollup: missing latency_hist")?,
+                j.get("latency_hist")
+                    .ok_or("rollup: missing latency_hist")?,
             )?,
             ..PhaseRollup::default()
         };
@@ -372,7 +373,8 @@ impl Attribution {
             self.per_rail.entry(*k).or_default().merge(r);
         }
         if self.rail_queue.len() < other.rail_queue.len() {
-            self.rail_queue.resize(other.rail_queue.len(), LogHistogram::new());
+            self.rail_queue
+                .resize(other.rail_queue.len(), LogHistogram::new());
         }
         for (h, o) in self.rail_queue.iter_mut().zip(&other.rail_queue) {
             h.merge(o);
@@ -384,9 +386,14 @@ impl Attribution {
             *f += o;
         }
         if self.rail_retransmits.len() < other.rail_retransmits.len() {
-            self.rail_retransmits.resize(other.rail_retransmits.len(), 0);
+            self.rail_retransmits
+                .resize(other.rail_retransmits.len(), 0);
         }
-        for (f, o) in self.rail_retransmits.iter_mut().zip(&other.rail_retransmits) {
+        for (f, o) in self
+            .rail_retransmits
+            .iter_mut()
+            .zip(&other.rail_retransmits)
+        {
             *f += o;
         }
         self.overwritten += other.overwritten;
@@ -577,7 +584,10 @@ mod tests {
             merged.overall.latency_total_ns,
             analyze(&s1).overall.latency_total_ns + analyze(&s2).overall.latency_total_ns
         );
-        assert_eq!(merged.overall.phase_sum_ns(), merged.overall.latency_total_ns);
+        assert_eq!(
+            merged.overall.phase_sum_ns(),
+            merged.overall.latency_total_ns
+        );
         assert_eq!(merged.rail_frames, vec![1, 1]);
     }
 

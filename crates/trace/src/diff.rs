@@ -64,7 +64,10 @@ impl RollupDelta {
     pub fn dominant(&self) -> Option<(Phase, f64)> {
         let deltas = self.per_op_delta_ns();
         let net: f64 = deltas.iter().sum();
-        let moved = PHASES.into_iter().zip(deltas).filter(|&(_, d)| d != 0.0 && d * net >= 0.0);
+        let moved = PHASES
+            .into_iter()
+            .zip(deltas)
+            .filter(|&(_, d)| d != 0.0 && d * net >= 0.0);
         moved.max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
     }
 
@@ -90,10 +93,22 @@ impl RollupDelta {
 /// Subtract two rollups.
 pub fn diff_rollups(name: &str, old: &PhaseRollup, new: &PhaseRollup) -> RollupDelta {
     let totals = |r: &PhaseRollup| {
-        let (p50_ns, p99_ns) = (r.latency_hist.percentile(50.0), r.latency_hist.percentile(99.0));
-        Totals { ops: r.ops, p50_ns, p99_ns, phase_ns: r.phase_total_ns }
+        let (p50_ns, p99_ns) = (
+            r.latency_hist.percentile(50.0),
+            r.latency_hist.percentile(99.0),
+        );
+        Totals {
+            ops: r.ops,
+            p50_ns,
+            p99_ns,
+            phase_ns: r.phase_total_ns,
+        }
     };
-    RollupDelta { name: name.to_string(), old: totals(old), new: totals(new) }
+    RollupDelta {
+        name: name.to_string(),
+        old: totals(old),
+        new: totals(new),
+    }
 }
 
 /// One paired cell.
@@ -108,7 +123,9 @@ pub struct CellDiff {
 /// A cell document's rollups: `overall` first, then connections and rails.
 fn rollups(doc: &Json) -> Result<Vec<(String, PhaseRollup)>, String> {
     let a = doc.get("attribution").unwrap_or(doc);
-    let overall = a.get("overall").ok_or("document has no attribution section")?;
+    let overall = a
+        .get("overall")
+        .ok_or("document has no attribution section")?;
     let mut out = vec![(String::new(), PhaseRollup::from_json(overall)?)];
     for key in ["per_conn", "per_rail"] {
         for (k, v) in a.get(key).and_then(Json::entries).unwrap_or(&[]) {
@@ -120,10 +137,17 @@ fn rollups(doc: &Json) -> Result<Vec<(String, PhaseRollup)>, String> {
 
 fn diff_cell(name: &str, old: &Json, new: &Json) -> Result<CellDiff, String> {
     let (old, new) = (rollups(old)?, rollups(new)?);
-    let paired = |(k, o): &(String, _)| Some(diff_rollups(k, o, &new.iter().find(|n| n.0 == *k)?.1));
+    let paired =
+        |(k, o): &(String, _)| Some(diff_rollups(k, o, &new.iter().find(|n| n.0 == *k)?.1));
     let mut parts = old.iter().filter_map(paired);
-    let overall = RollupDelta { name: name.to_string(), ..parts.next().expect("overall pairs") };
-    Ok(CellDiff { overall, parts: parts.collect() })
+    let overall = RollupDelta {
+        name: name.to_string(),
+        ..parts.next().expect("overall pairs")
+    };
+    Ok(CellDiff {
+        overall,
+        parts: parts.collect(),
+    })
 }
 
 /// A diff between two artifacts, cell by cell.
@@ -145,7 +169,11 @@ impl DiffReport {
     pub fn to_json(&self) -> Json {
         let parts = |c: &CellDiff| c.parts.iter().map(rollup_json).collect::<Vec<_>>();
         let cell = |c: &CellDiff| rollup_json(&c.overall).set("parts", parts(c));
-        let missing: Vec<Json> = self.missing.iter().map(|s| Json::from(s.as_str())).collect();
+        let missing: Vec<Json> = self
+            .missing
+            .iter()
+            .map(|s| Json::from(s.as_str()))
+            .collect();
         Json::obj()
             .set("schema_version", SCHEMA_VERSION)
             .set("kind", "multiedge_attribution_diff")
@@ -167,15 +195,25 @@ impl DiffReport {
             out.extend(parts.iter().map(|part| format!("   {}\n", part.headline())));
             out.push('\n');
         }
-        out.extend(self.missing.iter().map(|m| format!("cell '{m}' missing from the new document\n")));
+        out.extend(
+            self.missing
+                .iter()
+                .map(|m| format!("cell '{m}' missing from the new document\n")),
+        );
         let differ = self.cells.iter().filter(|c| !c.overall.identical()).count();
-        out + &format!("diff: {} cell(s) compared, {differ} differ\n", self.cells.len())
+        out + &format!(
+            "diff: {} cell(s) compared, {differ} differ\n",
+            self.cells.len()
+        )
     }
 }
 
 /// `{phase label: value}` in [`PHASES`] order.
 fn by_phase<T: Copy + Into<Json>>(values: &[T; PHASES.len()]) -> Json {
-    PHASES.iter().zip(values).fold(Json::obj(), |j, (p, &v)| j.set(p.label(), v))
+    PHASES
+        .iter()
+        .zip(values)
+        .fold(Json::obj(), |j, (p, &v)| j.set(p.label(), v))
 }
 
 fn rollup_json(d: &RollupDelta) -> Json {
@@ -217,8 +255,15 @@ pub fn diff_docs(old: &Json, new: &Json) -> Result<DiffReport, String> {
 /// shape); a cell is named `"<config> <workload>"`.
 fn cells_of(doc: &Json) -> Vec<(String, &Json)> {
     let name = |c: &Json| {
-        let key: Vec<&str> = ["config", "workload"].iter().filter_map(|k| c.get(k)?.as_str()).collect();
-        if key.is_empty() { "attribution".to_string() } else { key.join(" ") }
+        let key: Vec<&str> = ["config", "workload"]
+            .iter()
+            .filter_map(|k| c.get(k)?.as_str())
+            .collect();
+        if key.is_empty() {
+            "attribution".to_string()
+        } else {
+            key.join(" ")
+        }
     };
     match doc.get("cells").and_then(|c| c.items()) {
         Some(items) => items.iter().map(|c| (name(c), c)).collect(),
@@ -313,21 +358,35 @@ mod tests {
         let d = diff_rollups("2Lu-1G two-way", &old, &new);
         assert_eq!(d.dominant(), Some((Phase::Reorder, 250_000.0)));
         let h = d.headline();
-        assert!(h.starts_with("2Lu-1G two-way: largest mover reorder (ordering) +250.0us/op"), "{h}");
+        assert!(
+            h.starts_with("2Lu-1G two-way: largest mover reorder (ordering) +250.0us/op"),
+            "{h}"
+        );
         // Reversed, the same phase moves the other way.
         let rev = diff_rollups("2Lu-1G two-way", &new, &old);
         assert_eq!(rev.dominant(), Some((Phase::Reorder, -250_000.0)));
-        assert!(rev.headline().contains("reorder (ordering) -250.0us/op"), "{}", rev.headline());
+        assert!(
+            rev.headline().contains("reorder (ordering) -250.0us/op"),
+            "{}",
+            rev.headline()
+        );
     }
 
     #[test]
     fn op_count_drift_is_flagged_as_incomparable() {
         let old = rollup(&[100_000, 120_000], Phase::Wire);
         let new = rollup(&[100_000, 120_000, 140_000], Phase::Wire);
-        let report = diff_docs(&doc("1L-1G", "one-way", &old), &doc("1L-1G", "one-way", &new)).unwrap();
+        let report = diff_docs(
+            &doc("1L-1G", "one-way", &old),
+            &doc("1L-1G", "one-way", &new),
+        )
+        .unwrap();
         assert!(report.differs());
         let h = report.cells[0].overall.headline();
-        assert!(h.contains("op count changed 2 -> 3") && h.contains("wire (network)"), "{h}");
+        assert!(
+            h.contains("op count changed 2 -> 3") && h.contains("wire (network)"),
+            "{h}"
+        );
     }
 
     #[test]
@@ -335,9 +394,16 @@ mod tests {
         // +4 % on every op: inside any noise floor, and a real difference.
         let old = rollup(&[100_000; 8], Phase::Wire);
         let new = rollup(&[104_000; 8], Phase::Wire);
-        let report = diff_docs(&doc("1L-1G", "one-way", &old), &doc("1L-1G", "one-way", &new)).unwrap();
+        let report = diff_docs(
+            &doc("1L-1G", "one-way", &old),
+            &doc("1L-1G", "one-way", &new),
+        )
+        .unwrap();
         assert!(report.differs());
-        assert_eq!(report.cells[0].overall.dominant(), Some((Phase::Wire, 4_000.0)));
+        assert_eq!(
+            report.cells[0].overall.dominant(),
+            Some((Phase::Wire, 4_000.0))
+        );
         // One nanosecond moved between phases still names a phase.
         let mut moved = old.clone();
         moved.phase_total_ns[Phase::Wire.idx()] -= 1;

@@ -199,7 +199,9 @@ impl LogHistogram {
             let floor: u64 = floor
                 .parse()
                 .map_err(|_| format!("hist: bad bucket floor '{floor}'"))?;
-            let c: u64 = c.parse().map_err(|_| format!("hist: bad bucket count '{c}'"))?;
+            let c: u64 = c
+                .parse()
+                .map_err(|_| format!("hist: bad bucket count '{c}'"))?;
             let i = bucket_index(floor);
             if bucket_floor(i) != floor {
                 return Err(format!("hist: {floor} is not a bucket floor"));
@@ -208,7 +210,9 @@ impl LogHistogram {
             total += c;
         }
         if total != count {
-            return Err(format!("hist: bucket counts sum to {total}, expected {count}"));
+            return Err(format!(
+                "hist: bucket counts sum to {total}, expected {count}"
+            ));
         }
         h.count = count;
         h.sum = num("sum")?;
@@ -297,7 +301,7 @@ mod tests {
         assert_eq!(h.percentile(100.0), h.percentile(200.0));
         assert!(h.percentile(100.0) <= h.max());
         assert!(h.percentile(100.0) >= 983_040); // within 3% below 1e6
-        // p25 covers exactly the first sample (ceil(0.25*4) = 1).
+                                                 // p25 covers exactly the first sample (ceil(0.25*4) = 1).
         assert_eq!(h.percentile(25.0), 10);
     }
 
@@ -369,19 +373,38 @@ mod tests {
         for (bad, why) in [
             (Json::obj(), "missing count"),
             (
-                Json::obj().set("count", 1u64).set("sum", 100u64).set("min", 100u64).set("max", 100u64),
+                Json::obj()
+                    .set("count", 1u64)
+                    .set("sum", 100u64)
+                    .set("min", 100u64)
+                    .set("max", 100u64),
                 "missing buckets",
             ),
             (
-                Json::obj().set("count", 1u64).set("sum", 100u64).set("min", 100u64).set("max", 100u64).set("buckets", "101:1"),
+                Json::obj()
+                    .set("count", 1u64)
+                    .set("sum", 100u64)
+                    .set("min", 100u64)
+                    .set("max", 100u64)
+                    .set("buckets", "101:1"),
                 "non-floor bucket",
             ),
             (
-                Json::obj().set("count", 1u64).set("sum", 100u64).set("min", 100u64).set("max", 100u64).set("buckets", "96:2"),
+                Json::obj()
+                    .set("count", 1u64)
+                    .set("sum", 100u64)
+                    .set("min", 100u64)
+                    .set("max", 100u64)
+                    .set("buckets", "96:2"),
                 "count/bucket mismatch",
             ),
             (
-                Json::obj().set("count", 1u64).set("sum", 100u64).set("min", 200u64).set("max", 100u64).set("buckets", "96:1"),
+                Json::obj()
+                    .set("count", 1u64)
+                    .set("sum", 100u64)
+                    .set("min", 200u64)
+                    .set("max", 100u64)
+                    .set("buckets", "96:1"),
                 "min above max",
             ),
         ] {

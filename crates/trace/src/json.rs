@@ -482,7 +482,10 @@ mod tests {
             .set("f", 0.5)
             .set("s", "a\"b")
             .set("a", vec![Json::from(1u64), Json::Null, Json::from(true)]);
-        assert_eq!(j.render(), r#"{"n":3,"f":0.5,"s":"a\"b","a":[1,null,true]}"#);
+        assert_eq!(
+            j.render(),
+            r#"{"n":3,"f":0.5,"s":"a\"b","a":[1,null,true]}"#
+        );
     }
 
     #[test]
@@ -504,7 +507,12 @@ mod tests {
             .set("empty_arr", Vec::<Json>::new())
             .set(
                 "a",
-                vec![Json::from(1u64), Json::Null, Json::from(false), Json::from("x")],
+                vec![
+                    Json::from(1u64),
+                    Json::Null,
+                    Json::from(false),
+                    Json::from("x"),
+                ],
             );
         for text in [j.render(), j.render_pretty()] {
             assert_eq!(Json::parse(&text).unwrap(), j, "source: {text}");

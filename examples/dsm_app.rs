@@ -10,7 +10,11 @@ use multiedge::SystemConfig;
 
 fn main() {
     let app = Fft { m: 14 }; // 16K complex points
-    println!("running {} ({}) on 8 nodes over 1L-1G...", app.name(), app.problem());
+    println!(
+        "running {} ({}) on 8 nodes over 1L-1G...",
+        app.name(),
+        app.problem()
+    );
     let run = run_app(SystemConfig::one_link_1g(8), &app);
     println!(
         "verified OK. parallel time {:.2} ms, modeled sequential {:.2} ms, speedup {:.2}",

@@ -31,7 +31,11 @@ fn main() {
         });
         sim.run().expect_quiescent();
         let dt = done.try_take().unwrap();
-        assert_eq!(eps[1].mem_read(0, 2_000_000), expected, "data must be exact");
+        assert_eq!(
+            eps[1].mem_read(0, 2_000_000),
+            expected,
+            "data must be exact"
+        );
         let st = eps[0].stats();
         let st1 = eps[1].stats();
         println!(

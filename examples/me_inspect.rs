@@ -165,7 +165,8 @@ fn load_docs(paths: &[&String]) -> Vec<(String, TimelineDoc)> {
 /// exit 0 clean, 1 on usage or unreadable/invalid artifacts, 2 when any
 /// file's counter columns fail the telescoping invariant.
 fn run_timeline(args: &[String]) -> ! {
-    const USAGE: &str = "usage: me-inspect timeline <dump.jsonl> [more.jsonl ...] [--json] [--quiet]\n\
+    const USAGE: &str =
+        "usage: me-inspect timeline <dump.jsonl> [more.jsonl ...] [--json] [--quiet]\n\
         \n\
         Renders interval-sampled timeline artifacts as per-interval sparkline\n\
         tables (a machine-readable report with --json; --quiet suppresses all\n\
@@ -258,12 +259,19 @@ fn run_doctor(args: &[String]) -> ! {
         })
         .collect();
     let cross = (docs.len() > 1).then(|| cross_diagnosis(&docs, member_series(&docs)));
-    let open: usize = reports.iter().map(|(_, r)| r.open_incidents()).sum::<usize>()
+    let open: usize = reports
+        .iter()
+        .map(|(_, r)| r.open_incidents())
+        .sum::<usize>()
         + cross.as_ref().map_or(0, HealthReport::open_incidents);
     if json_out {
         let files: Vec<Json> = reports
             .iter()
-            .map(|(p, r)| Json::obj().set("path", p.as_str()).set("report", r.to_json()))
+            .map(|(p, r)| {
+                Json::obj()
+                    .set("path", p.as_str())
+                    .set("report", r.to_json())
+            })
             .collect();
         let mut out = Json::obj()
             .set("kind", "me_inspect_doctor")
@@ -467,12 +475,18 @@ fn render_imbalance(docs: &[(String, TimelineDoc)]) {
         return;
     }
     // Sparkline in hundredths so 1.00x maps to the floor of the scale.
-    let centi: Vec<u64> = rows.iter().map(|(_, idx, _)| (idx * 100.0) as u64).collect();
-    let peak = rows
+    let centi: Vec<u64> = rows
         .iter()
-        .cloned()
-        .fold((0u64, 1.0f64, 0usize), |acc, r| if r.1 > acc.1 { r } else { acc });
-    println!("cross-node imbalance ({} members, {MEMBER_COLUMN})", docs.len());
+        .map(|(_, idx, _)| (idx * 100.0) as u64)
+        .collect();
+    let peak = rows.iter().cloned().fold(
+        (0u64, 1.0f64, 0usize),
+        |acc, r| if r.1 > acc.1 { r } else { acc },
+    );
+    println!(
+        "cross-node imbalance ({} members, {MEMBER_COLUMN})",
+        docs.len()
+    );
     println!(
         "  imbalance    {}  peak {:.2}x at {} (member {} = {})",
         spark(&centi, SPARK_WIDTH, false),
@@ -505,7 +519,12 @@ fn timeline_json(path: &str, doc: &TimelineDoc) -> Json {
         .set("rows", doc.samples.len())
         .set("evicted", doc.evicted)
         .set("samples_total", doc.samples_total)
-        .set("retransmits_total", series2(doc, "retransmits_nack", "retransmits_rto").iter().sum::<u64>())
+        .set(
+            "retransmits_total",
+            series2(doc, "retransmits_nack", "retransmits_rto")
+                .iter()
+                .sum::<u64>(),
+        )
         .set("sources", sources)
 }
 
@@ -540,7 +559,12 @@ fn demo_dump() -> Json {
         let mut handles = Vec::new();
         for i in 0..48usize {
             let h = a
-                .write_bytes(c0, (i * 0x10000) as u64, vec![i as u8; 64 << 10], OpFlags::RELAXED)
+                .write_bytes(
+                    c0,
+                    (i * 0x10000) as u64,
+                    vec![i as u8; 64 << 10],
+                    OpFlags::RELAXED,
+                )
                 .await;
             handles.push(h);
         }
@@ -566,9 +590,18 @@ fn render(doc: &Json) {
         eprintln!("me-inspect: input is JSON but not a multiedge_flight_dump");
         std::process::exit(1);
     }
-    let s = |k: &str| doc.get(k).and_then(|v| v.as_str()).unwrap_or("?").to_string();
+    let s = |k: &str| {
+        doc.get(k)
+            .and_then(|v| v.as_str())
+            .unwrap_or("?")
+            .to_string()
+    };
     let n = |k: &str| doc.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
-    println!("flight dump  trigger={}  at {}", s("trigger"), fmt_ns(n("t_ns")));
+    println!(
+        "flight dump  trigger={}  at {}",
+        s("trigger"),
+        fmt_ns(n("t_ns"))
+    );
     println!(
         "events: {} recorded, {} retained in ring",
         n("events_total"),
@@ -581,7 +614,10 @@ fn render(doc: &Json) {
         let start = if all || events.len() <= window {
             0
         } else {
-            println!("… {} earlier events elided (ME_INSPECT_ALL=1 shows all)", events.len() - window);
+            println!(
+                "… {} earlier events elided (ME_INSPECT_ALL=1 shows all)",
+                events.len() - window
+            );
             events.len() - window
         };
         println!("\n  {:>12}  {:<13} {:<14} detail", "t", "event", "where");
@@ -610,7 +646,10 @@ fn render(doc: &Json) {
                 fmt_ns(f("nic_queue_p99_ns")),
             );
         }
-        let overwritten = att.get("spans_overwritten").and_then(|v| v.as_u64()).unwrap_or(0);
+        let overwritten = att
+            .get("spans_overwritten")
+            .and_then(|v| v.as_u64())
+            .unwrap_or(0);
         if overwritten > 0 {
             println!("  (span ring wrapped: {overwritten} completed ops not attributed)");
         }
@@ -641,9 +680,17 @@ fn print_event(e: &Json, prev: &mut Option<u64>) {
             None => format!("{k}={}", v.render()),
         })
         .collect();
-    let gap = prev.map_or(String::new(), |p| format!("  (+{})", fmt_ns(t.saturating_sub(p))));
+    let gap = prev.map_or(String::new(), |p| {
+        format!("  (+{})", fmt_ns(t.saturating_sub(p)))
+    });
     *prev = Some(t);
-    println!("  {:>12}  {:<13} {:<14} {}{gap}", fmt_ns(t), kind, place, detail.join(" "));
+    println!(
+        "  {:>12}  {:<13} {:<14} {}{gap}",
+        fmt_ns(t),
+        kind,
+        place,
+        detail.join(" ")
+    );
 }
 
 /// Rollup summary: latency percentiles, then phases sorted by share.
@@ -674,7 +721,11 @@ fn print_rollup(name: &str, r: &Json) {
     rows.sort_by_key(|r| std::cmp::Reverse(r.1));
     for (label, total, frac) in rows {
         let bar = "#".repeat((frac * 40.0).round() as usize);
-        println!("    {label:<13} {:>10}  {:>5.1}%  {bar}", fmt_ns(total), frac * 100.0);
+        println!(
+            "    {label:<13} {:>10}  {:>5.1}%  {bar}",
+            fmt_ns(total),
+            frac * 100.0
+        );
     }
 }
 

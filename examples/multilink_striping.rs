@@ -30,13 +30,18 @@ fn run(rails: usize) {
             .await;
         // Control message: ordered behind the bulk + notify (the DSM idiom).
         let ctl = a
-            .write_bytes(c0, 0x900_0000, b"bulk done".to_vec(), OpFlags::ORDERED_NOTIFY)
+            .write_bytes(
+                c0,
+                0x900_0000,
+                b"bulk done".to_vec(),
+                OpFlags::ORDERED_NOTIFY,
+            )
             .await;
         h.wait().await;
         ctl.wait().await;
         let dt = s.now().since(t0);
         println!(
-            "{rails} rail(s): {:7.1} MB/s", 
+            "{rails} rail(s): {:7.1} MB/s",
             (8 << 20) as f64 / dt.as_secs_f64() / 1e6
         );
     });

@@ -22,7 +22,12 @@ fn main() {
     sim.spawn("initiator", async move {
         // 1. Remote write with a notification at the target.
         let h = a
-            .write_bytes(c0, 0x1000, b"hello, multiedge!".to_vec(), OpFlags::RELAXED.with_notify())
+            .write_bytes(
+                c0,
+                0x1000,
+                b"hello, multiedge!".to_vec(),
+                OpFlags::RELAXED.with_notify(),
+            )
             .await;
         h.wait().await;
         println!(

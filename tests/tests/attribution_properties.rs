@@ -124,7 +124,10 @@ fn run_case(ops: Vec<MixedOp>, rails: usize, loss: f64, seed: u64) {
     let hist_count: u64 = trace.op_latency.values().map(|h| h.count()).sum();
     let hist_sum: u64 = trace.op_latency.values().map(|h| h.sum()).sum();
     assert_eq!(hist_count, n_ops, "tracer saw every op");
-    assert_eq!(hist_sum, span_latency_sum, "span and tracer latencies agree");
+    assert_eq!(
+        hist_sum, span_latency_sum,
+        "span and tracer latencies agree"
+    );
 }
 
 /// Every op's `OpDone` precedes its `OpComplete`; every read has exactly

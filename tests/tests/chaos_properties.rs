@@ -109,7 +109,10 @@ fn run_cadence(cfg: &ChaosConfig, gaps: &[u64]) -> Vec<(usize, u32)> {
 /// round-robin submission with zero hold-back: lost and corrupted frames
 /// vanish, a duplicate doubles.
 fn predicted(cfg: &ChaosConfig, n: usize) -> Vec<(usize, u32)> {
-    let mut lanes = [FaultStream::link(0, 0, false), FaultStream::link(0, 1, false)];
+    let mut lanes = [
+        FaultStream::link(0, 0, false),
+        FaultStream::link(0, 1, false),
+    ];
     let mut out = Vec::new();
     for i in 0..n {
         let rail = i % 2;
@@ -151,7 +154,10 @@ fn interposer_lane_decides_like_the_netsim_uplink() {
     }
     sim.run();
     let log = net.take_fault_decisions();
-    assert!(log.iter().map(|d| d.1).eq(0..u64::from(N)), "one attempt per frame");
+    assert!(
+        log.iter().map(|d| d.1).eq(0..u64::from(N)),
+        "one attempt per frame"
+    );
     let netsim: Vec<(bool, bool)> = log.iter().map(|&(_, _, l, c)| (l, c)).collect();
 
     let cfg = ChaosConfig::new(SEED)

@@ -142,7 +142,11 @@ fn in_flight_writes_share_their_source_pages() {
                 handles.push(ep.write(conn, src, DST, OP_BYTES, OpFlags::RELAXED).await);
             }
             out.set(live_bytes().saturating_sub(before));
-            assert_eq!(ep.stats().ctrl_frames_recv, acks, "an ack arrived mid-burst {burst}");
+            assert_eq!(
+                ep.stats().ctrl_frames_recv,
+                acks,
+                "an ack arrived mid-burst {burst}"
+            );
             let waits: Vec<_> = handles.iter().map(|h| h.wait()).collect();
             join_all(waits).await;
         }
@@ -181,9 +185,18 @@ fn cutting_a_payload_allocates_at_most_its_copy_buffer() {
     };
     // The first cut of a page that is not resident builds this thread's
     // zero page.
-    m.fragments(Payload::Memory { addr: 0, len: 1 }, 1).for_each(drop);
+    m.fragments(Payload::Memory { addr: 0, len: 1 }, 1)
+        .for_each(drop);
     let mut in_run = 0;
-    for addr in [0, 1, page - 1, page - 64, 2 * page - 700, 3 * page + 5, 5 * page + 9] {
+    for addr in [
+        0,
+        1,
+        page - 1,
+        page - 64,
+        2 * page - 700,
+        3 * page + 5,
+        5 * page + 9,
+    ] {
         for len in [0, 1, 64, 1450, PAGE_SIZE, 5020, 3 * PAGE_SIZE + 100] {
             for max in [1, 64, 1450, PAGE_SIZE, 5000] {
                 let mut crosses = false;

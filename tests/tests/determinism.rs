@@ -68,7 +68,15 @@ fn run(pairs: &[(usize, usize)]) -> ([NodeOut; 2], Vec<FaultDecision>) {
     cluster.net.record_fault_decisions(true);
     let rc = Rc::new(cfg);
     let eps: Vec<Endpoint> = (0..4)
-        .map(|node| Endpoint::new(&sim, &cluster.net, node, cluster.nics[node].clone(), rc.clone()))
+        .map(|node| {
+            Endpoint::new(
+                &sim,
+                &cluster.net,
+                node,
+                cluster.nics[node].clone(),
+                rc.clone(),
+            )
+        })
         .collect();
     let handles: Rc<RefCell<Vec<Vec<OpHandle>>>> = Rc::new(RefCell::new(vec![Vec::new(); 4]));
     for &(a, b) in pairs {

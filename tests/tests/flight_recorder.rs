@@ -50,13 +50,20 @@ fn rail_outage_triggers_post_mortem_dump_artifact() {
         }
     });
     sim.run().expect_quiescent();
-    assert_eq!(eps[1].mem_read(0, expect.len()), expect, "data must be exact");
+    assert_eq!(
+        eps[1].mem_read(0, expect.len()),
+        expect,
+        "data must be exact"
+    );
 
     // The outage must have produced at least one triggered dump.
     let fr = eps[0].flight_recorder();
     assert!(fr.is_enabled());
     let dumps = fr.dumps();
-    assert!(!dumps.is_empty(), "rail outage produced no post-mortem dump");
+    assert!(
+        !dumps.is_empty(),
+        "rail outage produced no post-mortem dump"
+    );
     let dump = &dumps[0];
     assert_eq!(dump.trigger, "rail_death");
 
@@ -75,7 +82,10 @@ fn rail_outage_triggers_post_mortem_dump_artifact() {
     );
 
     // The timeline is non-empty and contains the rail_down event itself.
-    let events = parsed.get("events").and_then(|e| e.items()).expect("events");
+    let events = parsed
+        .get("events")
+        .and_then(|e| e.items())
+        .expect("events");
     assert!(!events.is_empty());
     assert!(
         events

@@ -22,7 +22,11 @@ fn unsharded_equals_one_shard() {
             Some(&cell.plan),
             &ShardRunConfig::default(),
             |sn: &ShardNet| {
-                let nics: Vec<_> = sn.local_nodes().iter().map(|&n| sn.nics(n).to_vec()).collect();
+                let nics: Vec<_> = sn
+                    .local_nodes()
+                    .iter()
+                    .map(|&n| sn.nics(n).to_vec())
+                    .collect();
                 setup_nodes(sn.sim(), sn.net(), &nics, &cell.cfg, cell.pattern)
             },
             |sn, eps| {

@@ -138,7 +138,13 @@ fn remote_reads_observe_prior_writes_under_load() {
                 .await;
             w.wait().await;
             let r = ep
-                .read(c, 0x80_0000, 0x1000, 50_000, OpFlags::RELAXED.with_fence_backward())
+                .read(
+                    c,
+                    0x80_0000,
+                    0x1000,
+                    50_000,
+                    OpFlags::RELAXED.with_fence_backward(),
+                )
                 .await;
             r.wait().await;
             assert_eq!(ep.mem_read(0x80_0000, 50_000), data, "round {i}");
@@ -163,7 +169,12 @@ fn sixteen_node_incast_congestion_recovers() {
         let c = conns[i][0].unwrap();
         sim.spawn(format!("blast-{i}"), async move {
             let h = ep
-                .write_bytes(c, (i as u64) << 20, payload(i as u64, size), OpFlags::RELAXED)
+                .write_bytes(
+                    c,
+                    (i as u64) << 20,
+                    payload(i as u64, size),
+                    OpFlags::RELAXED,
+                )
                 .await;
             h.wait().await;
         });
@@ -286,7 +297,11 @@ fn traced_pingpong(cfg: SystemConfig) {
 
     let snap0 = eps[0].tracer().snapshot().expect("tracing enabled");
     let snap1 = eps[1].tracer().snapshot().expect("tracing enabled");
-    assert_eq!(snap0.overwritten + snap1.overwritten, 0, "{name}: ring too small");
+    assert_eq!(
+        snap0.overwritten + snap1.overwritten,
+        0,
+        "{name}: ring too small"
+    );
 
     // Each ring is an arrival-order timeline of one shared clock.
     for snap in [&snap0, &snap1] {
@@ -310,8 +325,14 @@ fn traced_pingpong(cfg: SystemConfig) {
     let send1 = first(&snap1, &|k| matches!(k, EventKind::FrameSend { .. }));
     let complete0 = first(&snap0, &|k| matches!(k, EventKind::OpComplete { .. }));
     assert!(issue0 <= send0, "{name}: issue {issue0} after send {send0}");
-    assert!(send0 < recv1, "{name}: send {send0} not before peer recv {recv1}");
-    assert!(recv1 < send1, "{name}: pong sent {send1} before ping arrived {recv1}");
+    assert!(
+        send0 < recv1,
+        "{name}: send {send0} not before peer recv {recv1}"
+    );
+    assert!(
+        recv1 < send1,
+        "{name}: pong sent {send1} before ping arrived {recv1}"
+    );
     assert!(
         recv1 < complete0,
         "{name}: op completed at {complete0} before the frame even arrived at {recv1}"
@@ -337,7 +358,13 @@ fn traced_pingpong(cfg: SystemConfig) {
             "{name}: frame receives"
         );
         assert_eq!(
-            count(|k| matches!(k, EventKind::FrameRecv { in_order: false, .. })),
+            count(|k| matches!(
+                k,
+                EventKind::FrameRecv {
+                    in_order: false,
+                    ..
+                }
+            )),
             s.ooo_arrivals,
             "{name}: out-of-order receives"
         );
@@ -346,8 +373,16 @@ fn traced_pingpong(cfg: SystemConfig) {
             s.explicit_acks_sent,
             "{name}: explicit acks"
         );
-        assert_eq!(count(|k| matches!(k, EventKind::OpComplete { .. })), ops, "{name}");
-        assert_eq!(snap.op_latency_merged().count(), ops, "{name}: latency samples");
+        assert_eq!(
+            count(|k| matches!(k, EventKind::OpComplete { .. })),
+            ops,
+            "{name}"
+        );
+        assert_eq!(
+            snap.op_latency_merged().count(),
+            ops,
+            "{name}: latency samples"
+        );
     }
 }
 

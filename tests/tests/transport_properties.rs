@@ -18,15 +18,20 @@ struct WriteOp {
 }
 
 fn arb_op() -> impl Strategy<Value = WriteOp> {
-    (0u8..8, 1usize..20_000, any::<u8>(), any::<bool>(), any::<bool>()).prop_map(
-        |(bucket, len, fill, bwd, fwd)| WriteOp {
+    (
+        0u8..8,
+        1usize..20_000,
+        any::<u8>(),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(|(bucket, len, fill, bwd, fwd)| WriteOp {
             bucket,
             len,
             fill,
             bwd,
             fwd,
-        },
-    )
+        })
 }
 
 fn run_case(ops: Vec<WriteOp>, rails: usize, loss: f64, seed: u64) {
@@ -68,12 +73,7 @@ fn run_case(ops: Vec<WriteOp>, rails: usize, loss: f64, seed: u64) {
                 flags.fence_backward = true;
             }
             let h = ep
-                .write_bytes(
-                    c,
-                    (op.bucket as u64) << 20,
-                    vec![op.fill; op.len],
-                    flags,
-                )
+                .write_bytes(c, (op.bucket as u64) << 20, vec![op.fill; op.len], flags)
                 .await;
             handles.push(h);
         }
@@ -89,7 +89,10 @@ fn run_case(ops: Vec<WriteOp>, rails: usize, loss: f64, seed: u64) {
             continue;
         }
         let got = eps[1].mem_read((b as u64) << 20, want.len());
-        assert_eq!(&got, want, "bucket {b} diverged (rails={rails} loss={loss})");
+        assert_eq!(
+            &got, want,
+            "bucket {b} diverged (rails={rails} loss={loss})"
+        );
     }
 }
 

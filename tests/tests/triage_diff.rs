@@ -16,17 +16,28 @@ type Cell = (fn(usize) -> SystemConfig, MicroKind, usize, usize, u64);
 /// A latency-dominated ping-pong cell: with no pipelining there is no
 /// send-window backpressure to soak up an injected delay, so a slowdown
 /// surfaces in the phase that actually caused it.
-const PINGPONG: Cell = (SystemConfig::one_link_10g, MicroKind::PingPong, 4 << 10, 16, 4_200);
+const PINGPONG: Cell = (
+    SystemConfig::one_link_10g,
+    MicroKind::PingPong,
+    4 << 10,
+    16,
+    4_200,
+);
 
 /// Run a cell over two seeds (`base_seed`, `base_seed + 1`) with `tweak`
 /// applied, merging the span attributions.
-fn run((config, kind, size, iters, base_seed): Cell, tweak: &dyn Fn(&mut SystemConfig)) -> Attribution {
+fn run(
+    (config, kind, size, iters, base_seed): Cell,
+    tweak: &dyn Fn(&mut SystemConfig),
+) -> Attribution {
     let mut attr = Attribution::default();
     for seed in [base_seed, base_seed + 1] {
         let mut cfg = config(2).with_spans(1 << 16);
         cfg.seed = seed;
         tweak(&mut cfg);
-        let snap = run_micro(&cfg, kind, size, iters).spans.expect("spans enabled");
+        let snap = run_micro(&cfg, kind, size, iters)
+            .spans
+            .expect("spans enabled");
         assert_eq!(snap.overwritten, 0, "span ring must retain the whole run");
         attr.merge(&analyze(&snap));
     }
@@ -71,13 +82,23 @@ fn identical_builds_diff_to_unchanged() {
 fn switch_delay_regression_names_network_layer() {
     let d = diff_injected(PINGPONG, &|cfg| cfg.switch_delay += us_f64(20.0));
     let (dom, growth) = d.dominant().expect("a phase grew");
-    assert!(matches!(dom, Phase::Wire | Phase::AckReturn), "dominant: {}", dom.label());
+    assert!(
+        matches!(dom, Phase::Wire | Phase::AckReturn),
+        "dominant: {}",
+        dom.label()
+    );
     assert!(growth > 0.0);
     assert_eq!(layer(dom), "network");
     let named = format!("largest mover {} (network)", dom.label());
     assert!(d.headline().contains(&named), "headline: {}", d.headline());
-    assert!(delta(&d, Phase::Wire) > 0.0, "wire must grow under switch delay");
-    assert!(delta(&d, Phase::AckReturn) > 0.0, "ack return must grow under switch delay");
+    assert!(
+        delta(&d, Phase::Wire) > 0.0,
+        "wire must grow under switch delay"
+    );
+    assert!(
+        delta(&d, Phase::AckReturn) > 0.0,
+        "ack return must grow under switch delay"
+    );
 }
 
 /// Injected receive-path processing cost must be pinned on rx_process.
@@ -86,7 +107,8 @@ fn rx_proc_regression_names_rx_process_phase() {
     let d = diff_injected(PINGPONG, &|cfg| cfg.cost.rx_frame_proc += us_f64(15.0));
     assert_eq!(d.dominant().map(|(p, _)| p), Some(Phase::RxProcess));
     assert!(
-        d.headline().contains("largest mover rx_process (host rx path) +"),
+        d.headline()
+            .contains("largest mover rx_process (host rx path) +"),
         "headline: {}",
         d.headline()
     );
@@ -101,9 +123,18 @@ fn jitter_on_striped_rails_grows_reorder_mass() {
     // Small enough that the pipelined frames fit inside the send window —
     // with backpressure the window would soak up the delay and the diff
     // would (correctly but unhelpfully for this test) blame send_window.
-    let cell: Cell = (SystemConfig::two_link_1g_unordered, MicroKind::TwoWay, 4 << 10, 12, 4_300);
+    let cell: Cell = (
+        SystemConfig::two_link_1g_unordered,
+        MicroKind::TwoWay,
+        4 << 10,
+        12,
+        4_300,
+    );
     let d = diff_injected(cell, &|cfg| cfg.link.jitter = us_f64(300.0));
-    assert!(delta(&d, Phase::Reorder) > 0.0, "reorder must gain per-op time under jitter");
+    assert!(
+        delta(&d, Phase::Reorder) > 0.0,
+        "reorder must gain per-op time under jitter"
+    );
     let (dom, _) = d.dominant().expect("a phase grew");
     assert!(
         matches!(dom, Phase::Reorder | Phase::Wire),
@@ -133,15 +164,25 @@ fn document_level_diff_names_regressed_phase() {
     assert!(report.differs());
     let overall = &report.cells[0].overall;
     let (dom, growth) = overall.dominant().expect("a phase grew");
-    assert_eq!(layer(dom), "network", "switch delay is a network-layer fault");
+    assert_eq!(
+        layer(dom),
+        "network",
+        "switch delay is a network-layer fault"
+    );
     let headline = overall.headline();
-    assert!(headline.starts_with("1L-10G ping-pong: largest mover"), "{headline}");
+    assert!(
+        headline.starts_with("1L-10G ping-pong: largest mover"),
+        "{headline}"
+    );
     assert!(report.render_human().contains(&headline));
     let json = report.to_json();
     me_trace::require_schema(&json).expect("report is schema-stamped");
     assert_eq!(json.get("differs").and_then(|v| v.as_bool()), Some(true));
     let cell = &json.get("cells").and_then(|c| c.items()).expect("cells")[0];
-    assert_eq!(cell.get("headline").and_then(|h| h.as_str()), Some(headline.as_str()));
+    assert_eq!(
+        cell.get("headline").and_then(|h| h.as_str()),
+        Some(headline.as_str())
+    );
 
     let rev = diff_docs(&new, &old).expect("documents diffable");
     assert_eq!(rev.cells[0].overall.dominant(), Some((dom, -growth)));
