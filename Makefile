@@ -7,9 +7,13 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: verify build test doc clippy loc one-core bench-failover bench-attribution figures determinism rebaseline bench-backplane bench-telemetry bench-doctor perf-smoke perf-row
+.PHONY: verify fmt build test doc clippy loc one-core bench-failover bench-attribution figures determinism rebaseline bench-backplane bench-telemetry bench-doctor perf-smoke perf-row
 
-verify: build test doc clippy one-core
+verify: fmt build test doc clippy one-core
+
+# The tree is rustfmt-clean (default settings); `cargo fmt --all` fixes it.
+fmt:
+	$(CARGO) fmt --all --check
 
 build:
 	$(CARGO) build $(OFFLINE) --release

@@ -8,8 +8,10 @@
 //! `[cumulative, frontier)` never exceeds the sender's window, so
 //! out-of-order arrivals are a *bitmap ring* indexed by `seq mod capacity`
 //! instead of an ordered set — admit is O(1) with zero steady-state
-//! allocation. The ring grows by doubling if a caller (tests, reference
-//! models) pushes a wider span than it was sized for.
+//! allocation. The ring never grows: the caller admits nothing at or past
+//! `cumulative + window` (the protocol core rejects such a frame before it
+//! reaches the tracker), so a ring sized by [`SeqTracker::with_window`]
+//! always holds the live span.
 
 /// What [`SeqTracker::admit`] decided about an arriving frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +57,7 @@ impl SeqTracker {
         Self::with_window(MIN_CAP)
     }
 
-    /// Fresh tracker pre-sized so a live span of `window` sequences never
-    /// reallocates.
+    /// Fresh tracker whose ring holds a live span of `window` sequences.
     pub fn with_window(window: usize) -> Self {
         let cap = window.max(MIN_CAP).next_power_of_two();
         Self {
@@ -86,37 +87,23 @@ impl SeqTracker {
         self.bits[(i >> 6) as usize] &= !(1u64 << (i & 63));
     }
 
-    /// Double the ring until `span` fits, re-hashing the live bits.
-    fn grow(&mut self, span: u64) {
-        let mut cap = self.cap();
-        while cap < span {
-            cap *= 2;
-        }
-        let old = std::mem::replace(&mut self.bits, vec![0u64; (cap / 64) as usize]);
-        let old_cap = (old.len() * 64) as u64;
-        for seq in self.cumulative..self.frontier {
-            let i = seq & (old_cap - 1);
-            if old[(i >> 6) as usize] & (1u64 << (i & 63)) != 0 {
-                self.set_bit(seq);
-            }
-        }
-    }
-
     /// True if `seq` has already arrived ([`Self::admit`] would call it a
     /// duplicate).
     pub fn seen(&self, seq: u64) -> bool {
         seq < self.cumulative || (seq < self.frontier && self.bit(seq))
     }
 
-    /// Record the arrival of `seq`.
+    /// Record the arrival of `seq`, which must lie below `cumulative` plus
+    /// the ring's capacity (the window it was sized for).
     pub fn admit(&mut self, seq: u64) -> Admit {
         if self.seen(seq) {
             return Admit::Duplicate;
         }
-        let span = (seq + 1).max(self.frontier) - self.cumulative;
-        if span > self.cap() {
-            self.grow(span);
-        }
+        assert!(
+            seq - self.cumulative < self.cap(),
+            "seq {seq} outside the window at cumulative {}",
+            self.cumulative
+        );
         let in_order = seq == self.cumulative;
         self.frontier = self.frontier.max(seq + 1);
         if in_order {
@@ -158,9 +145,17 @@ impl SeqTracker {
     /// what a NACK should report — written into a caller-owned scratch
     /// vector (cleared first) so the hot path reuses its capacity.
     pub fn missing_ranges_into(&self, out: &mut Vec<(u64, u64)>) {
+        self.missing_in(self.cumulative, self.frontier, out);
+    }
+
+    /// The missing half-open ranges that lie in `[from, to)`, cut at both
+    /// ends, written into `out` (cleared first). Walks `to - from`
+    /// sequences.
+    pub fn missing_in(&self, from: u64, to: u64, out: &mut Vec<(u64, u64)>) {
         out.clear();
+        let (from, to) = (from.max(self.cumulative), to.min(self.frontier));
         let mut run_start = None;
-        for seq in self.cumulative..self.frontier {
+        for seq in from..to {
             if self.bit(seq) {
                 if let Some(start) = run_start.take() {
                     out.push((start, seq));
@@ -170,7 +165,7 @@ impl SeqTracker {
             }
         }
         if let Some(start) = run_start {
-            out.push((start, self.frontier));
+            out.push((start, to));
         }
     }
 
@@ -256,11 +251,12 @@ mod tests {
     }
 
     #[test]
-    fn span_wider_than_initial_capacity_grows() {
-        let mut t = SeqTracker::new();
+    fn a_full_window_span_fits_the_ring() {
+        let mut t = SeqTracker::with_window(1000);
         t.admit(0);
-        // Far beyond the 128-seq initial ring: forces a rebuild that must
-        // preserve the held-out-of-order bits.
+        // The deepest sequence a peer may send, past the 128-seq minimum
+        // ring: it fits the ring sized for the window, and the bits held
+        // out of order survive later arrivals.
         t.admit(1000);
         t.admit(500);
         assert_eq!(t.admit(1000), Admit::Duplicate);
@@ -269,6 +265,21 @@ mod tests {
         assert_eq!(t.frontier(), 1001);
         assert_eq!(t.ooo_held(), 2);
         assert_eq!(t.missing_ranges(), vec![(1, 500), (501, 1000)]);
+    }
+
+    #[test]
+    fn missing_in_cuts_the_ranges_at_both_ends() {
+        let mut t = SeqTracker::new();
+        for s in [0u64, 2, 5, 6, 9] {
+            t.admit(s);
+        }
+        let mut out = Vec::new();
+        t.missing_in(0, 4, &mut out);
+        assert_eq!(out, vec![(1, 2), (3, 4)]);
+        t.missing_in(4, 100, &mut out);
+        assert_eq!(out, vec![(4, 5), (7, 9)]);
+        t.missing_in(5, 7, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

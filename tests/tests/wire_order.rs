@@ -4,7 +4,8 @@
 //! as loopback does, on a clock the test sets: a jump of the clock past the
 //! RTO between a send and the peer's next poll is a drive thread that was
 //! descheduled, made exact. The same pair, told to lose the first frame
-//! sent, witnesses that an idle drive wakes for the fence watchdog.
+//! each node sends, witnesses that an idle drive wakes for the fence
+//! watchdog.
 
 use bytes::Bytes;
 use frame::{Frame, MacAddr};
@@ -21,16 +22,16 @@ use std::rc::Rc;
 const MTU: usize = 1024;
 
 /// What both ends share: the clock, each node's inbox, and whether the
-/// next frame sent is lost.
+/// next frame each node sends is lost.
 #[derive(Default)]
 struct Wire {
     now_ns: Cell<u64>,
     inbox: [RefCell<VecDeque<BpRx>>; 2],
-    drop_next: Cell<bool>,
+    drop_next: [Cell<bool>; 2],
 }
 
 /// One node's end of a [`Wire`]: one rail, delivery at once, no loss
-/// unless [`Wire::drop_next`] is set.
+/// unless its [`Wire::drop_next`] flag is set.
 struct MemBackplane {
     wire: Rc<Wire>,
     node: usize,
@@ -71,7 +72,7 @@ impl Backplane for MemBackplane {
     }
 
     fn send(&mut self, rail: usize, frame: Frame) -> bool {
-        if self.wire.drop_next.replace(false) {
+        if self.wire.drop_next[self.node].replace(false) {
             return true;
         }
         let at_ns = self.now_ns();
@@ -150,13 +151,17 @@ fn polling_one_endpoint_fires_what_is_due_on_it() {
 #[test]
 fn an_idle_drive_wakes_for_the_fence_watchdog() {
     // The first copy of seq 0 is lost, so the backward-fenced write behind
-    // the relaxed one sits buffered at node 1 until the NACK repairs it.
-    // The drive has nothing to do meanwhile; it must wake when the fence
-    // limit runs out, not at the next protocol deadline.
+    // the relaxed one sits buffered at node 1 until a NACK repairs it. Seq
+    // 1 proves the loss on the one rail, but the NACK sent for it at once
+    // is lost too, and the repeat waits for the NACK timer. The drive has
+    // nothing to do meanwhile; it must wake when the fence limit runs out,
+    // not at the next protocol deadline.
     let limit_ns = 500_000;
     let (mut bpa, mut bpb) = pair();
     let (mut a, mut b) = WireEndpoint::pair(&ProtoConfig::default(), 1, &SpanRecorder::disabled());
-    bpa.wire.drop_next.set(true);
+    for node in 0..2 {
+        bpa.wire.drop_next[node].set(true);
+    }
     a.write(
         0,
         &mut bpa,
@@ -189,6 +194,11 @@ fn an_idle_drive_wakes_for_the_fence_watchdog() {
         panic!("expected FenceStallExceeded, got {err}");
     };
     assert!(buffered >= 1, "the fenced write is held");
+    assert_eq!(
+        b.stats().nacks_sent,
+        1,
+        "only the lost proven NACK went out"
+    );
     assert!(
         stalled_ns < 2 * limit_ns,
         "tripped {stalled_ns} ns into the stall, limit {limit_ns} ns"
