@@ -124,11 +124,13 @@ figures:
 		$(CARGO) bench $(OFFLINE) -q -p multiedge-bench --bench $$b > results/$$b.txt || exit 1; \
 	done; echo "figures: $(words $(FIGURES)) files under results/ in $$(( $$(date +%s) - t0 )) s"
 
-# Seed => bit-identical across processes: run one micro figure and one DSM
-# app figure twice, each run its own process (so a randomly seeded hasher
-# would differ between them), and cmp the outputs, kept under
-# target/determinism/. Same tree, so any difference is nondeterminism.
-DETERMINISM = fig2_micro fig3_apps_1l1g
+# Seed => bit-identical across processes: run one micro figure, one DSM
+# app figure and the loss sweep (the figure that runs the repair path, whose
+# repair-interval estimate is floating-point timing state) twice, each run
+# its own process (so a randomly seeded hasher would differ between them),
+# and cmp the outputs, kept under target/determinism/. Same tree, so any
+# difference is nondeterminism.
+DETERMINISM = fig2_micro fig3_apps_1l1g ablation_loss
 determinism:
 	@$(CARGO) bench $(OFFLINE) -q -p multiedge-bench --no-run $(DETERMINISM:%=--bench %)
 	@d=target/determinism; mkdir -p $$d; for b in $(DETERMINISM); do \

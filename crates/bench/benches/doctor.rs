@@ -267,10 +267,10 @@ fn main() {
         c.retransmit_intervals >= 1,
         "loss recovery must localise to intervals"
     );
-    // At full size the repair of the burst's last lost frames waits for
-    // the NACK timer, and the ageing ack token opens a second storm
-    // incident (a repair stall) after the first has closed. The
-    // one-incident gate holds at smoke size only.
+    // At full size the ack token ages while the burst's last lost frames
+    // are repaired, and opens a second storm incident (a repair stall)
+    // after the first has closed. The one-incident gate holds at smoke
+    // size only.
     if smoke {
         assert_eq!(
             c.health.incidents.len(),
@@ -280,7 +280,13 @@ fn main() {
         );
     }
     let chaos_json = Json::obj()
-        .set("config", "BP-2L+chaos(burst GE 0.15/0.3 loss 0.6)")
+        .set(
+            "config",
+            match smoke {
+                true => "BP-2L+chaos(burst GE 0.15/0.2 loss 0.6)",
+                false => "BP-2L+chaos(burst GE 0.15/0.3 loss 0.6)",
+            },
+        )
         .set("kind", "one-way")
         .set("chaos_dropped", c.chaos.dropped)
         .set("burst_at_ns", c.burst_at_ns)

@@ -325,13 +325,14 @@ pub struct ChaosBurstDoctor {
 }
 
 /// A two-rail wire-endpoint stream over a chaos backplane whose loss is a
-/// mid-stream Gilbert–Elliott burst (clean good state, loss-1.0 bad
-/// state): the timeline must reconcile exactly and localise the
-/// retransmits, the NACK/RTO retransmit storm the burst provokes must
-/// diagnose as `RetransmitStorm`, and the offline replay must match. At
-/// smoke size the storm is the run's one incident, opened by the ack token
-/// ageing while repairs the burst also dropped are awaited; at full size
-/// a second storm incident of that kind follows the first.
+/// mid-stream Gilbert–Elliott burst (clean good state, lossy bad state):
+/// the timeline must reconcile exactly and localise the retransmits, the
+/// NACK/RTO retransmit storm the burst provokes must diagnose as
+/// `RetransmitStorm`, and the offline replay must match. At smoke size the
+/// storm is the run's one incident, opened by a burst of NACK
+/// retransmissions; at full size a second storm incident follows the
+/// first, opened by the ack token ageing while repairs the burst also
+/// dropped are awaited.
 pub fn chaos_burst_doctor(smoke: bool) -> ChaosBurstDoctor {
     const BUDGET_NS: u64 = 20_000_000_000;
     let mut cfg = SystemConfig::two_link_1g(2);
@@ -344,15 +345,18 @@ pub fn chaos_burst_doctor(smoke: bool) -> ChaosBurstDoctor {
     let cluster = build_cluster(&sim, cfg.cluster_spec());
     let (bpa, bpb) = SimBackplane::pair(&sim, &cluster);
     // The smoke stream only spans ~2 ms of virtual time, so the burst
-    // window scales with the run. Bad states are short (mean ~3 frames)
-    // and lossy rather than absolute: enough to provoke a NACK retransmit
-    // storm without stalling the stream.
-    let (burst_at, burst_off) = if smoke {
-        (us(500), ms(2))
+    // window scales with the run. Bad states are short and lossy rather
+    // than absolute: enough to provoke a NACK retransmit storm without
+    // stalling the stream. At full size they last ~3 frames on average.
+    // The smoke burst's last ~5: with ~3 its losses are repaired within a
+    // repair round trip, spread over rows below the burst floor, and
+    // leave no stall behind, so the short run shows no storm at all.
+    let (burst_at, burst_off, to_good) = if smoke {
+        (us(500), ms(2), 0.2)
     } else {
-        (ms(2), ms(4))
+        (ms(2), ms(4), 0.3)
     };
-    let ge = GilbertElliott::bursty_loss(0.15, 0.3, 0.6);
+    let ge = GilbertElliott::bursty_loss(0.15, to_good, 0.6);
     let plan = FaultPlan::new()
         .burst(burst_at, netsim::FaultTarget::Rail { rail: 0 }, ge)
         .burst(burst_at, netsim::FaultTarget::Rail { rail: 1 }, ge)

@@ -6,16 +6,20 @@ use netsim::{ChannelParams, FaultModel};
 /// The fallback for a gap that cannot be proven lost: how long it may
 /// persist before a NACK is sent. A gap that every rail has passed (each
 /// rail delivers in order, and each has delivered a later sequence) is
-/// lost, not late, and is NACKed at once; this delay then spaces that
-/// NACK's repeats. A gap with no such proof (a rail the peer stopped
-/// using, a tail loss, a lost NACK) waits it out, so multi-link skew never
-/// triggers spurious retransmissions: it is above the worst-case
-/// multi-rail skew (≈ window/rails × frame time ≈ 1.6 ms at 1 GbE), yet far
-/// below the 10 ms coarse timeout.
+/// lost, not late, and is NACKed at once. Its NACK is repeated once the
+/// repair is overdue: after the receiver's measured repair round trip
+/// ([`crate::rtt::RepairEstimator`]), doubled per repeat, never later than
+/// this delay, and exactly this delay until a first repair has been timed.
+/// A gap with no such proof (a rail the peer stopped using, a tail loss)
+/// waits this delay out, so multi-link skew never triggers spurious
+/// retransmissions: it is above the worst-case multi-rail skew (≈
+/// window/rails × frame time ≈ 1.6 ms at 1 GbE), yet far below the 10 ms
+/// coarse timeout.
 pub const NACK_DELAY: Dur = ms(2);
 
 /// Minimum spacing between NACKs for the same missing range when the gap
-/// was not proven lost ([`NACK_DELAY`] spaces a proven one's).
+/// was not proven lost (a proven one's repeats follow the repair interval,
+/// see [`NACK_DELAY`]).
 pub const NACK_REPEAT: Dur = ms(4);
 
 /// Send an explicit ACK after this much time with acknowledgement state
@@ -65,9 +69,10 @@ pub struct ProtoConfig {
     /// re-admission.
     pub rail_cooldown: Dur,
     /// Most frames one NACK may trigger retransmissions for. Gaps beyond
-    /// the cap are recovered by the receiver's repeated NACKs
-    /// ([`NACK_REPEAT`] pacing), so a single control frame can never unleash
-    /// a full-window retransmit burst onto an already-lossy fabric.
+    /// the cap are recovered by the receiver's repeated NACKs (paced by
+    /// the repair interval, see [`NACK_DELAY`], or by [`NACK_REPEAT`]), so
+    /// a single control frame can never unleash a full-window retransmit
+    /// burst onto an already-lossy fabric.
     pub nack_resend_burst: u32,
     /// Force both fences on every operation (the paper's strictly-ordered
     /// 2L mode, as opposed to the relaxed 2Lu mode).

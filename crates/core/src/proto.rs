@@ -67,7 +67,7 @@ use crate::order::{FragMeta, OpOrdering, Release};
 use crate::railhealth::{RailEvent, RailSet, RailState};
 use crate::recvseq::{Admit, SeqTracker};
 use crate::ring::{GapRing, TxRing, TxSlot};
-use crate::rtt::RttEstimator;
+use crate::rtt::{RepairEstimator, RttEstimator};
 use crate::sched::LinkScheduler;
 use crate::seqspace::{from_wire, to_wire};
 use crate::stats::ProtoStats;
@@ -286,13 +286,17 @@ pub struct Conn<T> {
     /// window-bounded by construction.
     gaps: GapRing,
     /// One past the highest data-bearing sequence admitted as new on each
-    /// rail. A rail delivers in order, so a sequence still missing below
-    /// every rail's mark was lost, not overtaken. Empty until the first
+    /// rail, as a 32-bit wire value ([`every_rail_passed`] expands it). A
+    /// rail delivers in order, so a sequence still missing below every
+    /// rail's mark was lost, not overtaken. Empty until the first
     /// data-bearing frame, so an idle connection keeps no buffer for it.
-    rail_marks: Vec<u64>,
+    rail_marks: Vec<u32>,
     /// Every sequence missing below this was NACKed as proven lost when
     /// the smallest rail mark passed it.
     proven_below: u64,
+    /// How long a proven gap's repair takes: the interval after which its
+    /// NACK is repeated.
+    repair: RepairEstimator,
 
     // ---- observability ----
     /// This connection's protocol counters: the node's are these summed
@@ -337,6 +341,7 @@ impl<T> Conn<T> {
             gaps: GapRing::with_window(proto.window as usize),
             rail_marks: Vec::new(),
             proven_below: 0,
+            repair: RepairEstimator::default(),
             stats: ProtoStats::default(),
             fence_stall_start: FastMap::default(),
         }
@@ -365,6 +370,12 @@ impl<T> Conn<T> {
     /// Smoothed RTT, once at least one sample exists.
     pub fn srtt(&self) -> Option<Dur> {
         self.rtt.srtt()
+    }
+
+    /// How long a proven gap waits after its NACK before the next, backoff
+    /// included ([`RepairEstimator::interval`]).
+    pub fn repair_interval(&self) -> Dur {
+        self.repair.interval()
     }
 
     /// Exponential-backoff level of the RTO (0 = not backed off).
@@ -964,14 +975,13 @@ impl<T> ProtoCore<T> {
     /// unleash a full-window salvo.
     fn process_nack<H: Host<T>>(&mut self, conn: usize, f: &Frame, rail: u32, host: &mut H) {
         let (now, now_ns) = (self.now, self.now_ns());
-        let ranges = NackRanges::decode(&f.payload);
         let window = self.proto.window;
         let burst_cap = u64::from(self.proto.nack_resend_burst.max(1)).min(window) as usize;
         let mut to_resend = std::mem::take(&mut self.resend_scratch);
         to_resend.clear();
         let mut suppressed = 0u64;
         let c = &mut self.conns[conn];
-        'outer: for &(wf, wt) in &ranges.ranges {
+        'outer: for (wf, wt) in NackRanges::parse(&f.payload) {
             let from = from_wire(c.acked, wf);
             let to = from_wire(c.acked, wt);
             if to <= from {
@@ -1005,7 +1015,7 @@ impl<T> ProtoCore<T> {
         }
         let n = to_resend.len() as u64;
         c.stats.retransmits_nack += n;
-        let gaps = ranges.ranges.len() as u32;
+        let gaps = NackRanges::count(&f.payload) as u32;
         self.obs
             .emit(now_ns, Some(conn), Some(rail), EventKind::NackRecv { gaps });
         host.work(HostWork::Retransmit { frames: n });
@@ -1049,9 +1059,14 @@ impl<T> ProtoCore<T> {
         if c.rail_marks.is_empty() {
             c.rail_marks.resize(nrails, 0);
         }
+        let cum = c.seqs.cumulative();
         if let Some(mark) = c.rail_marks.get_mut(rail as usize) {
-            *mark = (*mark).max(seq + 1);
+            if from_wire(cum, *mark) <= seq {
+                *mark = to_wire(seq + 1);
+            }
         }
+        let retransmit = f.header.flags.contains(FrameFlags::RETRANSMIT);
+        c.repair.on_arrival(f.header.seq, retransmit, now);
         let s = &mut c.stats;
         s.data_frames_recv += 1;
         s.data_bytes_recv += bytes;
@@ -1199,7 +1214,8 @@ impl<T> ProtoCore<T> {
             self.arm(conn, TimerKind::Ack, DELAYED_ACK_TIMEOUT);
         }
         if arm_nack {
-            self.arm(conn, TimerKind::Nack, NACK_DELAY);
+            let interval = self.conns[conn].repair.interval();
+            self.arm(conn, TimerKind::Nack, interval);
         }
     }
 
@@ -1338,15 +1354,18 @@ impl<T> ProtoCore<T> {
     /// gap open this costs one comparison; with one open, a minimum over
     /// the rail marks, and a walk only over sequences not proven before.
     /// A gap with no such proof (a rail the peer stopped using, a tail
-    /// loss, a lost NACK) waits for the NACK timer.
+    /// loss) waits for the NACK timer, and so does the repeat of a NACK
+    /// that was lost. The first gap of the NACK times the repair
+    /// ([`RepairEstimator::on_nack`]).
     fn nack_proven<H: Host<T>>(&mut self, conn: usize, host: &mut H) {
         let now = self.now;
         let c = &mut self.conns[conn];
         if !c.seqs.has_gap() {
             return;
         }
-        let proven = c.rail_marks.iter().copied().min().unwrap_or(0);
-        let from = c.proven_below.max(c.seqs.cumulative());
+        let cum = c.seqs.cumulative();
+        let proven = every_rail_passed(&c.rail_marks, cum);
+        let from = c.proven_below.max(cum);
         if proven <= from {
             return;
         }
@@ -1357,6 +1376,9 @@ impl<T> ProtoCore<T> {
         for &(from, to) in &missing {
             c.gaps.entry(from, now).last_nack = Some(now);
             due.push((to_wire(from), to_wire(to)));
+        }
+        if let Some(&(first, _)) = due.first() {
+            c.repair.on_nack(first, now);
         }
         self.missing_scratch = missing;
         self.send_nack(conn, due, host);
@@ -1371,21 +1393,23 @@ impl<T> ProtoCore<T> {
         // Retire gap state the cumulative ack has passed; what remains is
         // bounded by the window.
         c.gaps.purge_below(c.seqs.cumulative());
-        // The next check is due in `NACK_DELAY`, or when a proven gap's
-        // repeat falls due if that is sooner.
-        let mut next = now + NACK_DELAY;
+        let interval = c.repair.interval();
+        // The earliest last NACK of a proven gap (none is later than now).
+        let mut oldest = now;
+        let mut repeated = false;
         for &(from, to) in &missing {
             let g = c.gaps.entry(from, now);
             if from < c.proven_below {
-                // Proven lost and NACKed at once: repeat after
-                // `NACK_DELAY`. A gap whose front was repaired since has a
-                // new start, and counts as NACKed now.
+                // Proven lost and NACKed at once: repeat once its repair is
+                // overdue. A gap whose front was repaired since has a new
+                // start, and counts as NACKed now.
                 let last = g.last_nack.get_or_insert(now);
-                if now.since(*last) >= NACK_DELAY {
+                if now.since(*last) >= interval {
                     *last = now;
+                    repeated = true;
                     due.push((to_wire(from), to_wire(to)));
                 }
-                next = next.min(*last + NACK_DELAY);
+                oldest = oldest.min(*last);
                 continue;
             }
             // Any other gap is reported only once it has persisted for
@@ -1401,6 +1425,12 @@ impl<T> ProtoCore<T> {
                 due.push((to_wire(from), to_wire(to)));
             }
         }
+        if repeated {
+            c.repair.on_repeat();
+        }
+        // The next check is due in one repair interval, or when a proven
+        // gap's repeat falls due if that is sooner.
+        let next = oldest + c.repair.interval();
         let rearm = !missing.is_empty();
         self.missing_scratch = missing;
         self.send_nack(conn, due, host);
@@ -1578,10 +1608,37 @@ fn origin_op(meta: &FastMap<u64, OpMetaInfo>, op: u64) -> (u64, bool) {
     }
 }
 
+/// The sequence every rail has delivered past: the smallest rail mark, each
+/// expanded against the cumulative ack `cum`. A mark more than 2^31
+/// sequences behind `cum` reads as ahead, which is harmless: a rail that
+/// far behind carries only lost frames.
+fn every_rail_passed(marks: &[u32], cum: u64) -> u64 {
+    marks.iter().map(|&m| from_wire(cum, m)).min().unwrap_or(0)
+}
+
 /// Pick the rail for `c`'s next frame among the rails its health tracking
 /// leaves eligible.
 fn pick_rail<T, H: Host<T>>(c: &mut Conn<T>, nrails: usize, now: SimTime, host: &H) -> usize {
     let mask = c.rails.eligible_mask(now);
     let backlog = |i| host.tx_backlog_ns(i);
     c.sched.pick(nrails, mask, backlog, |n| host.draw(n))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_mark_far_behind_reads_as_ahead() {
+        let cum = (3 << 32) + 100;
+        let ahead = to_wire(cum + 5);
+        // A rail that lags by less than 2^31 holds the proof back.
+        let lagging = to_wire(cum - 1_000);
+        assert_eq!(every_rail_passed(&[ahead, lagging], cum), cum - 1_000);
+        // One that lags by more reads as ahead: the other rail proves.
+        let far = to_wire(cum - (1 << 31) - 7);
+        assert_eq!(from_wire(cum, far), cum + (1 << 31) - 7);
+        assert_eq!(every_rail_passed(&[ahead, far], cum), cum + 5);
+        assert_eq!(every_rail_passed(&[], cum), 0);
+    }
 }

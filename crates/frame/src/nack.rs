@@ -47,16 +47,20 @@ impl NackRanges {
         buf.freeze()
     }
 
-    /// Parse a NACK payload. Trailing partial records are ignored (a damaged
-    /// NACK costs only a retransmission-timeout fallback, never correctness).
-    pub fn decode(payload: &[u8]) -> Self {
-        let mut ranges = Vec::with_capacity(payload.len() / 8);
-        for chunk in payload.chunks_exact(8) {
-            let from = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            let to = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-            ranges.push((from, to));
-        }
-        Self { ranges }
+    /// The ranges of a NACK payload, read in place. Trailing partial
+    /// records are ignored (a damaged NACK costs only a
+    /// retransmission-timeout fallback, never correctness).
+    pub fn parse(payload: &[u8]) -> impl Iterator<Item = (u32, u32)> + '_ {
+        payload.chunks_exact(8).map(|rec| {
+            let from = u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]);
+            let to = u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]);
+            (from, to)
+        })
+    }
+
+    /// How many ranges [`NackRanges::parse`] reads from `payload`.
+    pub fn count(payload: &[u8]) -> usize {
+        payload.len() / 8
     }
 }
 
@@ -64,12 +68,18 @@ impl NackRanges {
 mod tests {
     use super::*;
 
+    fn decode(payload: &[u8]) -> NackRanges {
+        NackRanges {
+            ranges: NackRanges::parse(payload).collect(),
+        }
+    }
+
     #[test]
     fn round_trip() {
         let n = NackRanges {
             ranges: vec![(5, 9), (100, 101), (u32::MAX - 1, 3)],
         };
-        assert_eq!(NackRanges::decode(&n.encode()), n);
+        assert_eq!(decode(&n.encode()), n);
     }
 
     #[test]
@@ -87,7 +97,7 @@ mod tests {
         let n = NackRanges {
             ranges: (0..200u32).map(|i| (i * 10, i * 10 + 1)).collect(),
         };
-        let decoded = NackRanges::decode(&n.encode());
+        let decoded = decode(&n.encode());
         assert_eq!(decoded.ranges.len(), MAX_RANGES_PER_NACK);
         assert_eq!(decoded.ranges[..], n.ranges[..MAX_RANGES_PER_NACK]);
     }
@@ -97,6 +107,6 @@ mod tests {
         let n = NackRanges::single(1, 2);
         let mut bytes = n.encode().to_vec();
         bytes.extend_from_slice(&[1, 2, 3]); // partial record
-        assert_eq!(NackRanges::decode(&bytes), n);
+        assert_eq!(decode(&bytes), n);
     }
 }

@@ -15,7 +15,7 @@
 
 use bytes::Bytes;
 use frame::Frame;
-use multiedge::config::RTO_INITIAL;
+use multiedge::config::{NACK_DELAY, RTO_INITIAL};
 use multiedge::proto::{Effect, Host, Observers, Op, ProtoCore, TimerKind};
 use multiedge::{Notification, OpFlags, Payload, ProtoConfig};
 use proptest::prelude::*;
@@ -56,8 +56,9 @@ enum Event {
 
 /// The channel and the clock: a time-ordered event queue plus the script of
 /// per-frame fates, consumed one per frame sent; past its end the channel
-/// is fair. `drops` names frames, by sending node and sequence number,
-/// whose first copy is lost whatever the script says. With `fifo` set the
+/// is fair. `drops` names frames, by sending node and sequence number, one
+/// lost copy per entry whatever the script says: a frame named twice loses
+/// its first copy and its first retransmission. With `fifo` set the
 /// fates are ignored: frame `i` takes `fifo[i % len]` ns, but never
 /// arrives before the frame sent ahead of it on its rail (`rail_last`).
 struct World {
@@ -66,7 +67,7 @@ struct World {
     next_id: u64,
     fates: Vec<u8>,
     sent: usize,
-    drops: BTreeSet<(usize, u32)>,
+    drops: Vec<(usize, u32)>,
     fifo: Vec<u64>,
     rail_last: [u64; RAILS],
 }
@@ -79,7 +80,7 @@ impl World {
             next_id: 0,
             fates,
             sent: 0,
-            drops: drops.iter().copied().collect(),
+            drops: drops.to_vec(),
             fifo,
             rail_last: [0; RAILS],
         }
@@ -95,7 +96,9 @@ impl World {
     fn send(&mut self, to: usize, rail: usize, frame: Frame) {
         let fate = self.fates.get(self.sent).copied();
         self.sent += 1;
-        if self.drops.remove(&(1 - to, frame.header.seq)) {
+        let key = (1 - to, frame.header.seq);
+        if let Some(i) = self.drops.iter().position(|&d| d == key) {
+            self.drops.remove(i);
             return;
         }
         if !self.fifo.is_empty() {
@@ -442,7 +445,7 @@ fn out_of_window_op_ids_are_rejected() {
 }
 
 /// Two connected cores (default protocol, fragments of [`FRAG`] bytes) over
-/// a fair channel that loses the first copy of each frame in `drops`.
+/// a fair channel that loses a copy of a frame per entry in `drops`.
 fn lossy_pair(drops: &[(usize, u32)]) -> (Vec<ProtoCore<u64>>, [Outbox; 2], World) {
     let mut cores: Vec<ProtoCore<u64>> = (0..2)
         .map(|n| ProtoCore::new(n, ProtoConfig::default(), RAILS))
@@ -703,13 +706,100 @@ fn a_loss_every_rail_has_passed_is_nacked_at_once() {
     assert!(cores.iter().all(|c| c.conns()[0].quiesced()));
 }
 
+/// Node 0 writes four fragments, seqs `base..base + 4`, at the current
+/// instant, and a copy of seq `base + 1` is lost per count of `lost` (its
+/// first copy, then its retransmissions); then every event runs out.
+/// Returns the instants, counted from the write, at which node 1 sent
+/// NACKs. Round robin puts `base + 1` and `base + 3` on one rail, so the
+/// loss is proven when `base + 3` arrives, one flight time in.
+fn nacks_for_a_loss(
+    cores: &mut [ProtoCore<u64>],
+    out: &mut [Outbox; 2],
+    world: &mut World,
+    base: u32,
+    lost: usize,
+) -> Vec<u64> {
+    let t0 = world.now;
+    world.drops.extend(std::iter::repeat_n((0, base + 1), lost));
+    let data = pattern(4 * FRAG, u64::from(base));
+    let mut host = TestHost {
+        node: 0,
+        world,
+        out: &mut out[0],
+    };
+    let write = Op::Write {
+        remote_addr: 0x1000,
+        data: Bytes::from(data.clone()).into(),
+    };
+    cores[0].issue(0, write, OpFlags::RELAXED, 0, t0, t0, &mut host);
+    let mut nacks = Vec::new();
+    let mut seen = cores[1].stats().nacks_sent;
+    while step(cores, out, world) {
+        let sent = cores[1].stats().nacks_sent;
+        nacks.extend((seen..sent).map(|_| world.now - t0));
+        seen = sent;
+    }
+    assert!(world.drops.is_empty(), "every planned loss happened");
+    assert_eq!(cores[1].memory.read_vec(0x1000, 4 * FRAG), data);
+    nacks
+}
+
+/// Node 1's repair interval, in ns.
+fn repair_ns(cores: &[ProtoCore<u64>]) -> u64 {
+    cores[1].conns()[0].repair_interval().as_nanos()
+}
+
+/// A lost repair is NACKed again once the measured repair round trip is
+/// overdue. The first loss (seq 1) is NACKed one flight in, and its
+/// retransmission is back two flights later: a 20 us sample, so the
+/// interval is SRTT + 4 RTTVAR = 20 + 4 x 10 = 60 us. A later loss (seq 5)
+/// whose retransmission is lost too is NACKed again 60 us after its first
+/// NACK, not `NACK_DELAY` later, and nothing waits for the RTO.
+#[test]
+fn a_lost_repair_is_nacked_again_after_the_measured_round_trip() {
+    let (mut cores, mut out, mut world) = lossy_pair(&[]);
+    assert_eq!(repair_ns(&cores), NACK_DELAY.as_nanos(), "no sample yet");
+    let f = FAIR_DELAY_NS;
+    let nacks = nacks_for_a_loss(&mut cores, &mut out, &mut world, 0, 1);
+    assert_eq!(nacks, [f]);
+    assert_eq!(repair_ns(&cores), 60_000, "seeded by a 20 us repair");
+    let nacks = nacks_for_a_loss(&mut cores, &mut out, &mut world, 4, 2);
+    assert_eq!(nacks, [f, f + 60_000], "repeated one interval later");
+    let tx = cores[0].stats();
+    assert_eq!((tx.retransmits_nack, tx.retransmits_rto), (3, 0));
+    assert!(cores.iter().all(|c| c.conns()[0].quiesced()));
+}
+
+/// Each repeat without a fresh sample in between doubles the interval, and
+/// the next sample ends the backoff. After a 20 us first repair (60 us),
+/// seq 5 is lost three times: NACKs at 10, 70 and 190 us, and the
+/// retransmission that finally lands answers a repeat, so it is no sample
+/// (Karn) and the interval stays doubled twice, 240 us. Seq 9's repair is
+/// a first-time one again, another 20 us sample: RTTVAR falls to 7.5 us
+/// and the interval to 20 + 4 x 7.5 = 50 us.
+#[test]
+fn the_repair_interval_doubles_per_repeat_and_resets_on_a_sample() {
+    let (mut cores, mut out, mut world) = lossy_pair(&[]);
+    let f = FAIR_DELAY_NS;
+    nacks_for_a_loss(&mut cores, &mut out, &mut world, 0, 1);
+    assert_eq!(repair_ns(&cores), 60_000);
+    let nacks = nacks_for_a_loss(&mut cores, &mut out, &mut world, 4, 3);
+    assert_eq!(nacks, [f, f + 60_000, f + 180_000], "60 us, then 120 us");
+    assert_eq!(repair_ns(&cores), 240_000, "two repeats, no sample");
+    let nacks = nacks_for_a_loss(&mut cores, &mut out, &mut world, 8, 1);
+    assert_eq!(nacks, [f]);
+    assert_eq!(repair_ns(&cores), 50_000, "a sample ends the backoff");
+    assert_eq!(cores[0].stats().retransmits_rto, 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Skew across rails is not loss. Each rail delivers in order, each
     /// frame after its own delay of up to 500 us — so one rail can deliver
     /// a whole window before the other delivers its first frame — and
-    /// nothing is lost: no NACK may be sent and nothing retransmitted.
+    /// nothing is lost: no NACK may be sent, nothing retransmitted, and
+    /// the repair interval never leaves `NACK_DELAY`.
     #[test]
     fn per_rail_fifo_skew_is_never_nacked(
         ops in proptest::collection::vec(arb_op(), 1..14),
@@ -739,7 +829,12 @@ proptest! {
             };
             cores[0].issue(0, req, op.flags, i as u64, 0, 0, &mut host);
         }
-        while step(&mut cores, &mut out, &mut world) {}
+        while step(&mut cores, &mut out, &mut world) {
+            for c in &cores {
+                let repair = c.conns()[0].repair_interval();
+                prop_assert_eq!(repair, NACK_DELAY, "no proven gap, yet a repair interval");
+            }
+        }
 
         prop_assert_eq!(out[0].done.len(), ops.len(), "every op completes");
         for c in &cores {

@@ -105,7 +105,7 @@ proptest! {
     #[test]
     fn nack_ranges_round_trip(ranges in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..64)) {
         let n = NackRanges { ranges: ranges.clone() };
-        prop_assert_eq!(NackRanges::decode(&n.encode()).ranges, ranges);
+        prop_assert_eq!(NackRanges::parse(&n.encode()).collect::<Vec<_>>(), ranges);
     }
 
     /// Wire sequence reconstruction is exact within a ±2^31 window.
