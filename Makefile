@@ -129,7 +129,9 @@ figures:
 # repair-interval estimate is floating-point timing state) twice, each run
 # its own process (so a randomly seeded hasher would differ between them),
 # and cmp the outputs, kept under target/determinism/. Same tree, so any
-# difference is nondeterminism.
+# difference is nondeterminism. The first copy must also equal the
+# committed results/<figure>.txt: a figure the tree no longer produces is
+# stale (`make figures` rewrites it).
 DETERMINISM = fig2_micro fig3_apps_1l1g ablation_loss
 determinism:
 	@$(CARGO) bench $(OFFLINE) -q -p multiedge-bench --no-run $(DETERMINISM:%=--bench %)
@@ -138,7 +140,8 @@ determinism:
 			$(CARGO) bench $(OFFLINE) -q -p multiedge-bench --bench $$b > $$d/$$b.$$i || exit 1; \
 		done; \
 		cmp $$d/$$b.1 $$d/$$b.2 || { echo "determinism: $$b differs between two processes"; exit 1; }; \
-	done; echo "determinism: $(DETERMINISM) byte-identical across two processes each"
+		cmp $$d/$$b.1 results/$$b.txt || { echo "determinism: results/$$b.txt is stale (make figures)"; exit 1; }; \
+	done; echo "determinism: $(DETERMINISM) byte-identical across two processes each and to results/"
 
 # Everything that is pinned to the simulated fabric's exact behaviour, each
 # regenerated by its own path, after an intentional change to that

@@ -3,7 +3,9 @@
 //! §2.4 claims reliable completion under transient loss with low overhead
 //! (drops ≈20% of the already-small extra traffic in the paper's healthy
 //! network). The first sweep injects increasing i.i.d. loss and reports
-//! goodput and recovery traffic. The second holds the *mean* loss rate
+//! goodput and recovery traffic, each row the mean over seeds 1–8: at 5 %
+//! a run is decided by a few tail losses only the RTO repairs, and one
+//! seed's goodput swings by half. The second, at seed 1, holds the *mean* loss rate
 //! fixed and reshapes it into Gilbert–Elliott bursts: the same average drop
 //! probability concentrated into bad-state episodes, which is what real
 //! failing links do. The shape matters: NACK-driven selective
@@ -16,28 +18,34 @@
 use me_stats::table::{fmt_f, fmt_pct};
 use me_stats::Table;
 use multiedge::SystemConfig;
-use multiedge_bench::{run_micro, run_micro_with_plan, MicroKind};
+use multiedge_bench::{run_micro, run_micro_with_plan, MicroKind, MicroResult};
 use netsim::time::Dur;
 use netsim::{FaultModel, FaultPlan, FaultTarget, GilbertElliott};
 
 fn main() {
     let mut t = Table::new(
-        "Ablation: loss rate vs goodput and recovery (1L-1G one-way, 1MB ops)",
+        "Ablation: loss rate vs goodput and recovery (1L-1G one-way, 1MB ops, mean of seeds 1-8)",
         &["loss/hop", "MB/s", "retransmits", "nacks", "extra-frames"],
     );
     for loss in [0.0, 1e-4, 1e-3, 1e-2, 5e-2] {
-        let mut cfg = SystemConfig::one_link_1g(2);
-        cfg.fault = FaultModel {
-            loss_rate: loss,
-            corrupt_rate: 0.0,
-        };
-        let r = run_micro(&cfg, MicroKind::OneWay, 1 << 20, 12);
+        let runs: Vec<MicroResult> = (1..=8)
+            .map(|seed| {
+                let mut cfg = SystemConfig::one_link_1g(2);
+                cfg.seed = seed;
+                cfg.fault = FaultModel {
+                    loss_rate: loss,
+                    corrupt_rate: 0.0,
+                };
+                run_micro(&cfg, MicroKind::OneWay, 1 << 20, 12)
+            })
+            .collect();
+        let mean = |f: fn(&MicroResult) -> f64| runs.iter().map(f).sum::<f64>() / runs.len() as f64;
         t.row(vec![
             format!("{loss}"),
-            fmt_f(r.throughput_mb_s),
-            format!("{}", r.proto.retransmits()),
-            format!("{}", r.proto.nacks_sent),
-            fmt_pct(r.proto.extra_frame_fraction()),
+            fmt_f(mean(|r| r.throughput_mb_s)),
+            format!("{:.1}", mean(|r| r.proto.retransmits() as f64)),
+            format!("{:.1}", mean(|r| r.proto.nacks_sent as f64)),
+            fmt_pct(mean(|r| r.proto.extra_frame_fraction())),
         ]);
     }
     t.print();
@@ -47,7 +55,7 @@ fn main() {
     // good→bad / bad→good rates are chosen so the stationary mean matches
     // the i.i.d. column next to it.
     let mut b = Table::new(
-        "Ablation: loss shape at matched mean (1L-1G one-way, 1MB ops)",
+        "Ablation: loss shape at matched mean (1L-1G one-way, 1MB ops, seed 1)",
         &[
             "mean loss",
             "shape",

@@ -95,6 +95,13 @@ impl Host<OpHandle> for SimHost<'_> {
         self.ep.net.nic_tx_backlog(self.nics[rail]).as_nanos()
     }
 
+    fn repair_backlog_ns(&self, rail: usize) -> u64 {
+        self.ep
+            .net
+            .nic_tx_repair_backlog(self.nics[rail])
+            .as_nanos()
+    }
+
     fn draw(&self, n: usize) -> usize {
         self.ep.sim.with_rng(|r| r.gen_range(0..n))
     }

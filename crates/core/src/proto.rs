@@ -168,6 +168,14 @@ pub trait Host<T> {
     /// queue-aware scheduling, and by `FrameSend` when a plane observes).
     fn tx_backlog_ns(&self, rail: usize) -> u64;
 
+    /// The backlog a retransmission joins on `rail`, for its `FrameSend`:
+    /// less than [`Self::tx_backlog_ns`] where the transport sends repairs
+    /// ahead of queued data (the simulator's NIC bands), the same where it
+    /// has one queue.
+    fn repair_backlog_ns(&self, rail: usize) -> u64 {
+        self.tx_backlog_ns(rail)
+    }
+
     /// One uniform draw from `0..n`, for
     /// [`SchedPolicy::Random`](crate::SchedPolicy::Random).
     fn draw(&self, n: usize) -> usize;
@@ -286,8 +294,9 @@ pub struct Conn<T> {
     /// window-bounded by construction.
     gaps: GapRing,
     /// One past the highest data-bearing sequence admitted as new on each
-    /// rail, as a 32-bit wire value ([`every_rail_passed`] expands it). A
-    /// rail delivers in order, so a sequence still missing below every
+    /// rail from a first transmission, as a 32-bit wire value
+    /// ([`every_rail_passed`] expands it). A rail delivers first
+    /// transmissions in order, so a sequence still missing below every
     /// rail's mark was lost, not overtaken. Empty until the first
     /// data-bearing frame, so an idle connection keeps no buffer for it.
     rail_marks: Vec<u32>,
@@ -1060,12 +1069,15 @@ impl<T> ProtoCore<T> {
             c.rail_marks.resize(nrails, 0);
         }
         let cum = c.seqs.cumulative();
-        if let Some(mark) = c.rail_marks.get_mut(rail as usize) {
+        let retransmit = f.header.flags.contains(FrameFlags::RETRANSMIT);
+        // Only first transmissions keep a rail's order: a retransmission
+        // may overtake new frames still queued on its rail, so it proves
+        // nothing about them.
+        if let Some(mark) = c.rail_marks.get_mut(rail as usize).filter(|_| !retransmit) {
             if from_wire(cum, *mark) <= seq {
                 *mark = to_wire(seq + 1);
             }
         }
-        let retransmit = f.header.flags.contains(FrameFlags::RETRANSMIT);
         c.repair.on_arrival(f.header.seq, retransmit, now);
         let s = &mut c.stats;
         s.data_frames_recv += 1;
@@ -1349,8 +1361,9 @@ impl<T> ProtoCore<T> {
     }
 
     /// NACK, in one frame, every sequence the smallest rail mark has just
-    /// passed while it is missing: each rail delivers in order and has
-    /// delivered a later sequence, so it was lost, not overtaken. With no
+    /// passed while it is missing: each rail delivers first transmissions
+    /// in order and has delivered a later one, so it was lost, not
+    /// overtaken. With no
     /// gap open this costs one comparison; with one open, a minimum over
     /// the rail marks, and a walk only over sequences not proven before.
     /// A gap with no such proof (a rail the peer stopped using, a tail
@@ -1570,7 +1583,10 @@ impl<T> ProtoCore<T> {
         if self.obs.observed() {
             // The frame joins the rail's transmit backlog behind whatever
             // is already queued: that backlog is the RailQueue phase.
-            let backlog_ns = host.tx_backlog_ns(rail);
+            let backlog_ns = match retransmit {
+                true => host.repair_backlog_ns(rail),
+                false => host.tx_backlog_ns(rail),
+            };
             let (op, resp, critical) = frame_op(&f.header);
             let event = EventKind::FrameSend {
                 seq,

@@ -26,11 +26,14 @@
 //!   quantum (2^15 ns) lands in a hashed wheel (slot = quantum mod wheel
 //!   size), in the slot's newest chunk of seven entries. When the drain
 //!   reaches a quantum, its chunks are copied out into the *run*, a vector
-//!   sorted once and popped from the back. Everything
-//!   else goes to the `BinaryHeap`: events beyond the wheel horizon, and
-//!   events scheduled into the quantum already being drained — O(log n) in
-//!   the entries that share the quantum, never a walk over them. The pop
-//!   loop takes the `(time, seq)` minimum of run and heap, and every staged
+//!   sorted once and popped from the back. An event scheduled into the
+//!   quantum already being drained, due in a later one of its 64 sub-slots
+//!   of 512 ns, is chained in that sub-slot (the same chunks), and the
+//!   sub-slot is sorted into the run's tail once nothing queued precedes
+//!   its start. Everything else goes to the `BinaryHeap`: events beyond the
+//!   wheel horizon, and events due in the sub-slot being drained — O(log n)
+//!   in the entries that share it, never a walk over them. The pop loop
+//!   takes the `(time, seq)` minimum of run and heap, and every chained
 //!   entry is later than both, so execution order — and therefore every
 //!   RNG draw and statistic — is bit-identical to a heap-only engine.
 //!   [`Sim::queue_stats`] counts how the queue was used.
@@ -53,6 +56,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::future::Future;
 use std::mem::MaybeUninit;
+use std::num::NonZeroU64;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
@@ -73,7 +77,7 @@ const BLOCK_SHIFT: u32 = 9;
 
 /// Items in blocks that never move, indexed `block << BLOCK_SHIFT | pos`.
 /// Released items are reused first, so the count pushed is the peak in use.
-struct Pool<T> {
+pub(crate) struct Pool<T> {
     blocks: Vec<Vec<T>>,
     free: Vec<u32>,
 }
@@ -89,7 +93,7 @@ impl<T> Default for Pool<T> {
 
 impl<T> Pool<T> {
     /// A released item, left as it was, else a fresh `vacant()`.
-    fn take(&mut self, vacant: impl FnOnce() -> T) -> u32 {
+    pub(crate) fn take(&mut self, vacant: impl FnOnce() -> T) -> u32 {
         if let Some(i) = self.free.pop() {
             return i;
         }
@@ -105,8 +109,17 @@ impl<T> Pool<T> {
         u32::try_from(i).expect("a pool index fits in 32 bits")
     }
 
-    fn at(&mut self, i: u32) -> &mut T {
+    pub(crate) fn at(&mut self, i: u32) -> &mut T {
         &mut self.blocks[(i >> BLOCK_SHIFT) as usize][i as usize % (1 << BLOCK_SHIFT)]
+    }
+
+    pub(crate) fn get(&self, i: u32) -> &T {
+        &self.blocks[(i >> BLOCK_SHIFT) as usize][i as usize % (1 << BLOCK_SHIFT)]
+    }
+
+    /// Release item `i`, to be taken again as it is left.
+    pub(crate) fn recycle(&mut self, i: u32) {
+        self.free.push(i);
     }
 
     fn peak(&self) -> u64 {
@@ -281,6 +294,32 @@ impl TimerId {
     };
 }
 
+/// An event's place among the events of its instant, reserved ahead of the
+/// event by [`Sim::reserve_order`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct OrderStamp(
+    /// The sequence number plus one, so that `Option<OrderStamp>` costs
+    /// nothing.
+    NonZeroU64,
+);
+
+impl OrderStamp {
+    fn seq(self) -> u64 {
+        self.0.get() - 1
+    }
+}
+
+/// An event stored by [`Sim::hold`], with its order stamp, awaiting its
+/// time; [`Sim::release`] queues it. One that is never released is dropped
+/// unrun with the simulator. Packed to 12 bytes: a NIC keeps one per
+/// frame waiting for its wire.
+#[must_use]
+#[repr(C, packed(4))]
+pub(crate) struct Held {
+    stamp: OrderStamp,
+    slot: SlotRef,
+}
+
 #[derive(Clone, Copy)]
 struct TimerRec {
     gen: u32,
@@ -341,18 +380,20 @@ impl Ord for Scheduled {
 pub struct QueueStats {
     /// Most entries a wheel slot held when the drain reached it.
     pub max_slot_population: u64,
-    /// Events scheduled into the quantum already being drained; they go to
-    /// the heap instead of the wheel.
+    /// Events scheduled into the quantum already being drained; those due
+    /// in a later sub-slot of it are chained there, the rest go to the
+    /// heap.
     pub mid_drain_arrivals: u64,
-    /// Heap insertions: mid-drain arrivals plus events beyond the wheel
-    /// horizon.
+    /// Heap insertions: mid-drain arrivals due in the sub-slot being
+    /// drained, events beyond the wheel horizon, and a run (with its
+    /// sub-slots) that an earlier arrival preempted.
     pub heap_pushes: u64,
     /// Heap removals (executed or cancelled).
     pub heap_pops: u64,
     /// Upper bound on the key comparisons spent placing events while
     /// scheduling them: the heap's depth, ⌊log₂ len⌋, per heap insertion (a
-    /// sift-up compares at most once per level); a wheel insert compares
-    /// nothing.
+    /// sift-up compares at most once per level); a wheel or sub-slot insert
+    /// compares nothing.
     pub order_steps: u64,
     /// Most closures held at once in one-, two- and three-line slots.
     pub slots_peak: [u64; 3],
@@ -365,8 +406,8 @@ const QUANTUM_SHIFT: u32 = 15;
 /// to the heap.
 const WHEEL_SLOTS: u64 = 1 << 12;
 
-/// Null chunk index.
-const NIL: u32 = u32::MAX;
+/// Null pool index: no chunk, no queued frame.
+pub(crate) const NIL: u32 = u32::MAX;
 /// Entries per wheel chunk: what four cache lines hold beside two links.
 const CHUNK_ENTRIES: usize = 7;
 
@@ -383,8 +424,55 @@ struct Chunk {
 
 const _: () = assert!(size_of::<Chunk>() == 4 * LINE);
 
+impl Pool<Chunk> {
+    /// Add `ev` to the chain whose newest chunk is `*head` (`NIL`: none).
+    fn push(&mut self, head: &mut u32, ev: Scheduled) {
+        match (*head != NIL).then(|| self.at(*head)) {
+            Some(c) if (c.len as usize) < CHUNK_ENTRIES => {
+                c.entries[c.len as usize] = ev;
+                c.len += 1;
+            }
+            _ => {
+                let i = self.take(|| Chunk {
+                    entries: [ev; CHUNK_ENTRIES],
+                    len: 0,
+                    next: NIL,
+                });
+                let c = self.at(i);
+                (c.entries[0], c.len, c.next) = (ev, 1, *head);
+                *head = i;
+            }
+        }
+    }
+
+    /// Move every entry of the chain whose newest chunk is `head` into
+    /// `out`, freeing its chunks.
+    fn drain_into(&mut self, mut head: u32, out: &mut impl Extend<Scheduled>) {
+        while head != NIL {
+            let c = self.at(head);
+            out.extend(c.entries[..c.len as usize].iter().copied());
+            let next = c.next;
+            self.free.push(head);
+            head = next;
+        }
+    }
+}
+
 fn quantum(t: SimTime) -> u64 {
     t.as_nanos() >> QUANTUM_SHIFT
+}
+
+/// log2 of a sub-slot of the drained quantum in nanoseconds (512 ns, 64 to
+/// a quantum).
+const SUB_SHIFT: u32 = 9;
+const _: () = assert!(
+    QUANTUM_SHIFT - SUB_SHIFT == 6,
+    "a quantum's sub-slots fill a u64 mask"
+);
+
+/// `t`'s sub-slot within its quantum.
+fn sub_slot(t: SimTime) -> u64 {
+    (t.as_nanos() >> SUB_SHIFT) & ((1 << (QUANTUM_SHIFT - SUB_SHIFT)) - 1)
 }
 
 struct Task {
@@ -408,6 +496,19 @@ struct SimInner {
     run: Vec<Scheduled>,
     /// Quantum `run` was loaded from.
     run_q: u64,
+    /// Arrivals due in a later sub-slot of the drained quantum, unsorted,
+    /// one chain of wheel chunks per sub-slot (its newest chunk, or `NIL`);
+    /// bit `s` of `sub_mask` marks a non-empty `subs[s]`. The earliest is merged into the run once nothing queued
+    /// precedes its start, so such an arrival never pays the heap.
+    subs: [u32; 1 << (QUANTUM_SHIFT - SUB_SHIFT)],
+    sub_mask: u64,
+    /// Entries held in `subs`.
+    sub_len: usize,
+    /// The sub-slot last merged into the run: an arrival due at or before
+    /// it goes to the heap.
+    sub_floor: u64,
+    /// Reused while merging a sub-slot into the run.
+    merge: Vec<Scheduled>,
     /// No occupied slot has a quantum below this (scan start hint).
     wheel_min_q: u64,
     timers: Vec<TimerRec>,
@@ -424,12 +525,23 @@ struct SimInner {
 }
 
 impl SimInner {
-    /// Assign the next sequence number and enqueue: later quanta inside the
-    /// horizon are staged in the wheel, everything else goes to the heap.
+    /// Take the next sequence number as a stamp.
+    fn next_stamp(&mut self) -> OrderStamp {
+        self.seq += 1;
+        OrderStamp(NonZeroU64::MIN.saturating_add(self.seq - 1))
+    }
+
+    /// Assign the next sequence number and enqueue.
     fn push_event(&mut self, at: SimTime, timer: TimerId, what: What) {
-        let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
+        self.enqueue(at, seq, timer, what);
+    }
+
+    /// Enqueue under sequence number `seq`: later quanta inside the horizon
+    /// are staged in the wheel, everything else goes to the heap.
+    fn enqueue(&mut self, at: SimTime, seq: u64, timer: TimerId, what: What) {
+        let at = at.max(self.now);
         let ev = Scheduled {
             time: at,
             seq,
@@ -438,6 +550,20 @@ impl SimInner {
         };
         let q = quantum(at);
         let mid_drain = q == self.run_q;
+        if mid_drain {
+            let current = match quantum(self.now) == q {
+                true => sub_slot(self.now),
+                false => 0,
+            };
+            let sub = sub_slot(at);
+            if sub > current.max(self.sub_floor) {
+                self.chunks.push(&mut self.subs[sub as usize], ev);
+                self.sub_mask |= 1 << sub;
+                self.sub_len += 1;
+                self.queue_stats.mid_drain_arrivals += 1;
+                return;
+            }
+        }
         if mid_drain || q >= quantum(self.now) + WHEEL_SLOTS {
             self.heap.push(ev);
             let stats = &mut self.queue_stats;
@@ -446,24 +572,8 @@ impl SimInner {
             stats.order_steps += u64::from(self.heap.len().ilog2());
             return;
         }
-        let s = (q % WHEEL_SLOTS) as usize;
-        let head = self.wheel[s];
-        match (head != NIL).then(|| self.chunks.at(head)) {
-            Some(c) if (c.len as usize) < CHUNK_ENTRIES => {
-                c.entries[c.len as usize] = ev;
-                c.len += 1;
-            }
-            _ => {
-                let i = self.chunks.take(|| Chunk {
-                    entries: [ev; CHUNK_ENTRIES],
-                    len: 0,
-                    next: NIL,
-                });
-                let c = self.chunks.at(i);
-                (c.entries[0], c.len, c.next) = (ev, 1, head);
-                self.wheel[s] = i;
-            }
-        }
+        self.chunks
+            .push(&mut self.wheel[(q % WHEEL_SLOTS) as usize], ev);
         self.wheel_len += 1;
         self.wheel_min_q = self.wheel_min_q.min(q);
     }
@@ -488,17 +598,19 @@ impl SimInner {
     /// Move quantum `q`'s chain out of the wheel into `run`, sorted.
     fn load_run(&mut self, q: u64) {
         // A run loaded ahead of the clock (by `next_event_time`) that an
-        // earlier arrival now preempts waits in the heap instead.
-        self.queue_stats.heap_pushes += self.run.len() as u64;
+        // earlier arrival now preempts waits in the heap instead, and so do
+        // its sub-slots.
+        self.queue_stats.heap_pushes += (self.run.len() + self.sub_len) as u64;
         self.heap.extend(self.run.drain(..));
-        let mut i = std::mem::replace(&mut self.wheel[(q % WHEEL_SLOTS) as usize], NIL);
-        while i != NIL {
-            let c = self.chunks.at(i);
-            self.run.extend_from_slice(&c.entries[..c.len as usize]);
-            let next = c.next;
-            self.chunks.free.push(i);
-            i = next;
+        while self.sub_mask != 0 {
+            let sub = self.sub_mask.trailing_zeros() as usize;
+            let head = std::mem::replace(&mut self.subs[sub], NIL);
+            self.chunks.drain_into(head, &mut self.heap);
+            self.sub_mask &= self.sub_mask - 1;
         }
+        (self.sub_len, self.sub_floor) = (0, 0);
+        let head = std::mem::replace(&mut self.wheel[(q % WHEEL_SLOTS) as usize], NIL);
+        self.chunks.drain_into(head, &mut self.run);
         self.wheel_len -= self.run.len();
         let stats = &mut self.queue_stats;
         stats.max_slot_population = stats.max_slot_population.max(self.run.len() as u64);
@@ -508,9 +620,43 @@ impl SimInner {
         self.wheel_min_q = q + 1;
     }
 
+    /// Merge sub-slot `sub` of the drained quantum into the run: its
+    /// arrivals and the run's entries due within it, sorted together.
+    fn merge_sub(&mut self, sub: u64) {
+        let end = SimTime((self.run_q << QUANTUM_SHIFT) + ((sub + 1) << SUB_SHIFT));
+        while self.run.last().is_some_and(|e| e.time < end) {
+            self.merge.extend(self.run.pop());
+        }
+        let (tail, head) = (
+            self.merge.len(),
+            std::mem::replace(&mut self.subs[sub as usize], NIL),
+        );
+        self.chunks.drain_into(head, &mut self.merge);
+        self.sub_len -= self.merge.len() - tail;
+        self.merge
+            .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
+        self.run.append(&mut self.merge);
+        self.sub_mask &= !(1 << sub);
+        self.sub_floor = sub;
+    }
+
     /// Time of the globally earliest entry and whether it heads the run
     /// (else the heap).
     fn front(&mut self) -> Option<(SimTime, bool)> {
+        // The drained quantum's sub-slots precede the wheel: merge the
+        // earliest once nothing in the run or the heap is due before it.
+        while self.sub_mask != 0 {
+            let sub = u64::from(self.sub_mask.trailing_zeros());
+            let start = SimTime((self.run_q << QUANTUM_SHIFT) + (sub << SUB_SHIFT));
+            let first = match (self.run.last(), self.heap.peek()) {
+                (Some(r), Some(h)) => Some(r.time.min(h.time)),
+                (r, h) => r.or(h).map(|e| e.time),
+            };
+            if first.is_some_and(|t| t < start) {
+                break;
+            }
+            self.merge_sub(sub);
+        }
         if self.wheel_len > 0 && (self.run.is_empty() || self.wheel_min_q < self.run_q) {
             let q = self.staged_quantum();
             // Sort a slot only once nothing in the heap precedes it.
@@ -643,6 +789,11 @@ impl Sim {
                 wheel_len: 0,
                 run: Vec::new(),
                 run_q: 0,
+                subs: [NIL; 1 << (QUANTUM_SHIFT - SUB_SHIFT)],
+                sub_mask: 0,
+                sub_len: 0,
+                sub_floor: 0,
+                merge: Vec::new(),
                 wheel_min_q: 0,
                 timers: Vec::new(),
                 timer_free: Vec::new(),
@@ -673,7 +824,7 @@ impl Sim {
     /// truly drained — a driver loop's quiescence check.
     pub fn pending_events(&self) -> usize {
         let inner = self.inner.borrow();
-        inner.wheel_len + inner.run.len() + inner.heap.len()
+        inner.wheel_len + inner.run.len() + inner.sub_len + inner.heap.len()
     }
 
     /// Timestamp of the earliest queued entry, or `None` when the queue is
@@ -717,6 +868,48 @@ impl Sim {
         let mut inner = self.inner.borrow_mut();
         let h = inner.closures.store(f);
         inner.push_event(at, TimerId::NONE, What::Call(h));
+    }
+
+    /// Reserve the order stamp the next scheduled event would take, for an
+    /// event whose time is not known yet: [`Self::schedule_stamped`] later
+    /// puts it among the events of its instant as if it had been scheduled
+    /// now.
+    pub(crate) fn reserve_order(&self) -> OrderStamp {
+        self.inner.borrow_mut().next_stamp()
+    }
+
+    /// Schedule `f` at `at` (clamped to now) under a stamp from
+    /// [`Self::reserve_order`]: events of equal time run in stamp order,
+    /// whenever they were queued. `at` must lie after every event already
+    /// run under a later stamp, as it does for any `at` later than now.
+    pub(crate) fn schedule_stamped(
+        &self,
+        at: SimTime,
+        stamp: OrderStamp,
+        f: impl FnOnce(&Sim) + 'static,
+    ) {
+        let mut inner = self.inner.borrow_mut();
+        let h = inner.closures.store(f);
+        inner.enqueue(at, stamp.seq(), TimerId::NONE, What::Call(h));
+    }
+
+    /// Store `f` now, under the next order stamp, as an event whose time is
+    /// not known yet; [`Self::release`] queues it, as
+    /// [`Self::schedule_stamped`] would have.
+    pub(crate) fn hold(&self, f: impl FnOnce(&Sim) + 'static) -> Held {
+        let mut inner = self.inner.borrow_mut();
+        Held {
+            slot: inner.closures.store(f),
+            stamp: inner.next_stamp(),
+        }
+    }
+
+    /// Queue a held event at `at` (clamped to now), under the same rule as
+    /// [`Self::schedule_stamped`].
+    pub(crate) fn release(&self, h: Held, at: SimTime) {
+        let what = What::Call(h.slot);
+        let mut inner = self.inner.borrow_mut();
+        inner.enqueue(at, h.stamp.seq(), TimerId::NONE, what);
     }
 
     /// Schedule `f` to run after `d`.
@@ -1054,6 +1247,97 @@ mod tests {
     }
 
     #[test]
+    fn equal_times_run_in_stamp_order_not_queue_order() {
+        let sim = Sim::new(0);
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let (a, b, c, d) = (log.clone(), log.clone(), log.clone(), log.clone());
+        let first = sim.reserve_order();
+        let second = sim.hold(move |_| b.borrow_mut().push(2));
+        sim.schedule_in(us(100), move |_| c.borrow_mut().push(3));
+        let last = sim.hold(move |_| d.borrow_mut().push(4));
+        let s = sim.clone();
+        // Queued last, in reverse, from an event of the same quantum (so
+        // into the heap, beside the wheel entry now in the run), yet run in
+        // stamp order around it.
+        sim.schedule_in(us(99), move |_| {
+            let at = SimTime::ZERO + us(100);
+            s.release(last, at);
+            s.release(second, at);
+            s.schedule_stamped(at, first, move |_| a.borrow_mut().push(1));
+        });
+        sim.run().expect_quiescent();
+        assert_eq!(*log.borrow(), vec![1, 2, 3, 4]);
+    }
+
+    /// Arrivals into the quantum being drained keep `(time, stamp)` order
+    /// whichever way they are filed: into a later sub-slot (merged into the
+    /// run when the drain reaches it), into the current one (the heap), or
+    /// released from a hold with a stamp older than the run's entries.
+    #[test]
+    fn drained_quantum_arrivals_keep_time_then_stamp_order() {
+        let sim = Sim::new(0);
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let base = 3 << QUANTUM_SHIFT;
+        let at = move |ns: u64| SimTime(base + ns);
+        let push = |label: u32| {
+            let l = log.clone();
+            move |_: &Sim| l.borrow_mut().push(label)
+        };
+        let held = sim.hold(push(4));
+        for (ns, label) in [(100, 1), (5_000, 2), (20_000, 3)] {
+            sim.schedule_at(at(ns), push(label));
+        }
+        let (s, p5, p6, p7, p8) = (sim.clone(), push(5), push(6), push(7), push(8));
+        sim.schedule_at(at(100), move |_| {
+            s.schedule_at(at(5_000), p5);
+            s.schedule_at(at(20_000), p6);
+            s.schedule_at(at(150), p7);
+            s.schedule_at(at(30_000), p8);
+            s.release(held, at(5_000));
+        });
+        sim.run().expect_quiescent();
+        assert_eq!(*log.borrow(), [1, 7, 4, 2, 5, 3, 6, 8]);
+        let q = sim.queue_stats();
+        assert_eq!(q.mid_drain_arrivals, 5, "{q:?}");
+        assert_eq!(q.heap_pushes, 1, "only 7 took the heap");
+    }
+
+    /// A dense drained quantum: hundreds of arrivals at scattered and tied
+    /// times, most filed in sub-slots, run in exactly `(time, push order)`.
+    #[test]
+    fn a_dense_drained_quantum_runs_in_time_then_push_order() {
+        let sim = Sim::new(0);
+        let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::default();
+        let base = 5u64 << QUANTUM_SHIFT;
+        let (s, l) = (sim.clone(), log.clone());
+        sim.schedule_at(SimTime(base + 10), move |_| {
+            let mut x = 0x9E37_79B9_u64;
+            for label in 0..600 {
+                x = crate::faults::splitmix64(x);
+                // Every 7th lands on one of a few shared instants.
+                let ns = match label % 7 {
+                    0 => 20_000 + (x % 4) * 512,
+                    _ => 11 + x % ((1 << QUANTUM_SHIFT) - 11),
+                };
+                let l = l.clone();
+                s.schedule_at(SimTime(base + ns), move |sim| {
+                    l.borrow_mut().push((sim.now().as_nanos(), label))
+                });
+            }
+        });
+        sim.run().expect_quiescent();
+        let got = log.borrow();
+        let mut sorted = got.clone();
+        sorted.sort();
+        assert_eq!(*got, sorted);
+        assert_eq!(got.len(), 600);
+        assert!(
+            sim.queue_stats().heap_pushes < 100,
+            "sub-slots took the arrivals"
+        );
+    }
+
+    #[test]
     fn cancelled_timer_never_fires() {
         let sim = Sim::new(0);
         let hit: Rc<RefCell<u32>> = Rc::default();
@@ -1321,5 +1605,194 @@ mod tests {
         assert_eq!(Rc::strong_count(&token), 9, "ran four, discarded four");
         drop(sim);
         assert_eq!(Rc::strong_count(&token), 1, "queued closures leaked");
+    }
+
+    /// What an event of a stamped-scheduling program does when it runs.
+    #[derive(Debug, Clone, Copy)]
+    enum Act {
+        /// Schedule a new event this many ns from now.
+        Spawn(u64),
+        /// Hold a new event, its stamp taken now.
+        Hold,
+        /// Reserve a stamp for a new event.
+        Reserve,
+        /// Queue the oldest held or reserved event this many ns from now.
+        Release(u64),
+    }
+
+    /// Events one program may create before spawns stop.
+    const BUDGET: u64 = 3_000;
+
+    /// `templates[id % len]` is what event `id` does; the `outside` acts
+    /// run first, at time zero, after `beyond` events are scheduled
+    /// past the wheel's horizon.
+    #[derive(Debug, Clone)]
+    struct StampedProgram {
+        beyond: usize,
+        outside: Vec<Act>,
+        templates: Vec<Vec<Act>>,
+    }
+
+    /// An event created but not yet queued, in creation order.
+    enum Pending {
+        Held(Held),
+        Stamp(OrderStamp, u64),
+    }
+
+    struct EngineWorld {
+        templates: Vec<Vec<Act>>,
+        next_id: Cell<u64>,
+        pending: RefCell<std::collections::VecDeque<Pending>>,
+        log: RefCell<Vec<(u64, u64)>>,
+    }
+
+    fn event(w: &Rc<EngineWorld>, id: u64) -> impl FnOnce(&Sim) + 'static {
+        let w = w.clone();
+        move |sim| {
+            w.log.borrow_mut().push((sim.now().as_nanos(), id));
+            for &act in &w.templates[id as usize % w.templates.len()] {
+                engine_act(sim, &w, act);
+            }
+        }
+    }
+
+    fn engine_act(sim: &Sim, w: &Rc<EngineWorld>, act: Act) {
+        let fresh = || {
+            let id = w.next_id.get();
+            w.next_id.set(id + 1);
+            (id < BUDGET).then_some(id)
+        };
+        let at = |d: u64| sim.now() + Dur(d);
+        match act {
+            Act::Spawn(d) => {
+                if let Some(id) = fresh() {
+                    sim.schedule_at(at(d), event(w, id));
+                }
+            }
+            Act::Hold => {
+                if let Some(id) = fresh() {
+                    let h = sim.hold(event(w, id));
+                    w.pending.borrow_mut().push_back(Pending::Held(h));
+                }
+            }
+            Act::Reserve => {
+                if let Some(id) = fresh() {
+                    let stamp = sim.reserve_order();
+                    w.pending.borrow_mut().push_back(Pending::Stamp(stamp, id));
+                }
+            }
+            Act::Release(d) => match w.pending.borrow_mut().pop_front() {
+                Some(Pending::Held(h)) => sim.release(h, at(d)),
+                Some(Pending::Stamp(stamp, id)) => sim.schedule_stamped(at(d), stamp, event(w, id)),
+                None => {}
+            },
+        }
+    }
+
+    fn run_stamped_engine(p: &StampedProgram) -> Vec<(u64, u64)> {
+        let sim = Sim::new(0);
+        for _ in 0..p.beyond {
+            sim.schedule_in(ms(200), |_| {});
+        }
+        let w = Rc::new(EngineWorld {
+            templates: p.templates.clone(),
+            next_id: Cell::new(0),
+            pending: RefCell::default(),
+            log: RefCell::default(),
+        });
+        for &act in &p.outside {
+            engine_act(&sim, &w, act);
+        }
+        sim.run();
+        w.log.take()
+    }
+
+    /// The same program on one binary heap of `(time, stamp, id)`: a stamp
+    /// is the count of events and stamps taken before it.
+    fn run_stamped_model(p: &StampedProgram) -> Vec<(u64, u64)> {
+        let mut heap = BinaryHeap::new();
+        let mut pending = std::collections::VecDeque::new();
+        let (mut seq, mut next_id, mut now) = (p.beyond as u64, 0, 0);
+        let mut log = Vec::new();
+        let mut act = |a: Act, now: u64, heap: &mut BinaryHeap<_>| {
+            let mut fresh = || {
+                let id = next_id;
+                next_id += 1;
+                (id < BUDGET).then_some(id)
+            };
+            match a {
+                Act::Spawn(d) => {
+                    if let Some(id) = fresh() {
+                        heap.push(std::cmp::Reverse((now + d, seq, id)));
+                        seq += 1;
+                    }
+                }
+                Act::Hold | Act::Reserve => {
+                    if let Some(id) = fresh() {
+                        pending.push_back((seq, id));
+                        seq += 1;
+                    }
+                }
+                Act::Release(d) => {
+                    if let Some((stamp, id)) = pending.pop_front() {
+                        heap.push(std::cmp::Reverse((now + d, stamp, id)));
+                    }
+                }
+            }
+        };
+        for &a in &p.outside {
+            act(a, now, &mut heap);
+        }
+        while let Some(std::cmp::Reverse((t, _, id))) = heap.pop() {
+            now = t;
+            log.push((now, id));
+            for &a in &p.templates[id as usize % p.templates.len()] {
+                act(a, now, &mut heap);
+            }
+        }
+        log
+    }
+
+    /// Delays that tie on a sub-slot grid, land in the quantum being
+    /// drained, or a few quanta out.
+    fn arb_delay() -> impl proptest::strategy::Strategy<Value = u64> {
+        use proptest::prelude::*;
+        let quantum = 1u64 << QUANTUM_SHIFT;
+        prop_oneof![
+            Just(0u64),
+            (0u64..64).prop_map(|k| k << SUB_SHIFT),
+            0..quantum,
+            0..4 * quantum,
+        ]
+    }
+
+    fn arb_act() -> impl proptest::strategy::Strategy<Value = Act> {
+        use proptest::prelude::*;
+        prop_oneof![
+            arb_delay().prop_map(Act::Spawn),
+            arb_delay().prop_map(Act::Spawn),
+            Just(Act::Hold),
+            Just(Act::Reserve),
+            arb_delay().prop_map(Act::Release),
+            arb_delay().prop_map(Act::Release),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Events scheduled, held and released, or queued under a reserved
+        /// stamp — from outside or from events of the quantum being
+        /// drained, with stamps older than the events around them — run
+        /// exactly as one heap ordered by `(time, stamp)` runs them.
+        #[test]
+        fn stamped_scheduling_matches_a_heap(
+            beyond in proptest::prop_oneof![proptest::strategy::Just(0usize), 0usize..64],
+            outside in proptest::collection::vec(arb_act(), 1..24),
+            templates in proptest::collection::vec(proptest::collection::vec(arb_act(), 0..5), 1..16),
+        ) {
+            let p = StampedProgram { beyond, outside, templates };
+            proptest::prop_assert_eq!(run_stamped_engine(&p), run_stamped_model(&p));
+        }
     }
 }

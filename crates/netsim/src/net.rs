@@ -31,13 +31,29 @@
 //! events interleave, so the channels are independent: traffic on one link
 //! moves no fate on another (`tests/tests/determinism.rs`). A channel's far
 //! end is a switch or a NIC.
+//!
+//! # Two transmit bands at the NIC
+//!
+//! A switch output port is one FIFO, so a frame's start is fixed at submit
+//! too. A NIC's transmit channel has two bands, repairs before data, the
+//! way a `pfifo_fast` priority map sends a frame by its header: a NACK or a
+//! frame flagged `RETRANSMIT` ([`is_repair`]) waits only for the frame
+//! already on the wire and the repairs ahead of it, not for the data queued
+//! behind. Everything but the start is still fixed at submit — the draws,
+//! the link state, the queue limit, and the engine order stamps of the
+//! frame's events (`Sim::reserve_order`, `Sim::hold`) — and a queued
+//! frame's events are queued when the tx-completion of the frame ahead
+//! frees the wire.
+//! Traffic without repairs therefore runs exactly as if every start had
+//! been fixed at submit.
 
-use crate::engine::Sim;
+use crate::engine::{Held, OrderStamp, Pool, Sim, NIL};
 use crate::faults::{splitmix64, FaultAction, FaultModel, FaultStream, LANE_JITTER};
 use crate::time::{Dur, SimTime};
-use frame::{FastMap, Frame, MacAddr};
+use frame::{FastMap, Frame, FrameFlags, FrameKind, MacAddr};
 use me_trace::{Event, EventKind, FaultKind, FlightRecorder, Tracer};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// One direction of a link: bandwidth, fixed latency, bounded queue.
@@ -120,22 +136,170 @@ pub struct RxFrame {
 type RxHandler = Rc<dyn Fn(&Sim, RxFrame)>;
 type TxCompleteHandler = Rc<dyn Fn(&Sim, usize)>;
 
+/// Whether `f` takes a NIC's repair band: a NACK, or a retransmission.
+pub fn is_repair(f: &Frame) -> bool {
+    f.header.kind == FrameKind::Nack || f.header.flags.contains(FrameFlags::RETRANSMIT)
+}
+
+/// A frame on its way to a channel's wire, its fate and the order of its
+/// events decided. Kept small: the network holds one per frame waiting.
+struct Tx {
+    submitted: SimTime,
+    /// The order stamp of the tx-completion (NIC channels only), scheduled
+    /// when the frame takes the wire.
+    done: Option<OrderStamp>,
+    /// What happens at the far end; `None` for a frame lost on this
+    /// channel or unknown to its switch.
+    landing: Option<Held>,
+    /// Under a channel's jitter, which [`ChannelState::new`] bounds.
+    jitter_ns: u32,
+    /// Serialization time.
+    ser_ns: u32,
+    wire_len: u16,
+    rail: u8,
+}
+
+const _: () = assert!(size_of::<Tx>() == 40);
+
+impl Tx {
+    /// What a released [`Queued`] holds once its frame has left.
+    const VACANT: Tx = Tx {
+        submitted: SimTime::ZERO,
+        done: None,
+        landing: None,
+        jitter_ns: 0,
+        ser_ns: 0,
+        wire_len: 0,
+        rail: 0,
+    };
+}
+
+/// A frame in a NIC's band, and the next one behind it (`NIL`: none).
+struct Queued {
+    tx: Tx,
+    next: u32,
+}
+
+/// One band of a NIC's transmit ring: a FIFO of [`Queued`] frames in the
+/// network's pool, linked oldest to newest (`NIL`: empty). All NICs share
+/// the pool, so what it holds follows the frames queued at once across
+/// the network, not the sum of every NIC's own peak.
+#[derive(Clone, Copy)]
+struct Band {
+    head: u32,
+    tail: u32,
+}
+
+impl Band {
+    const EMPTY: Band = Band {
+        head: NIL,
+        tail: NIL,
+    };
+
+    fn push(&mut self, pool: &mut Pool<Queued>, tx: Tx) {
+        let i = pool.take(|| Queued {
+            tx: Tx::VACANT,
+            next: NIL,
+        });
+        *pool.at(i) = Queued { tx, next: NIL };
+        match self.tail {
+            NIL => self.head = i,
+            t => pool.at(t).next = i,
+        }
+        self.tail = i;
+    }
+
+    fn pop(&mut self, pool: &mut Pool<Queued>) -> Option<Tx> {
+        let i = self.head;
+        if i == NIL {
+            return None;
+        }
+        let q = pool.at(i);
+        let tx = std::mem::replace(&mut q.tx, Tx::VACANT);
+        self.head = q.next;
+        if self.head == NIL {
+            self.tail = NIL;
+        }
+        pool.recycle(i);
+        Some(tx)
+    }
+
+    /// Serialization time of every frame in the band.
+    fn ser_total(self, pool: &Pool<Queued>) -> Dur {
+        let (mut i, mut total) = (self.head, 0);
+        while i != NIL {
+            let q = pool.get(i);
+            total += u64::from(q.tx.ser_ns);
+            i = q.next;
+        }
+        Dur(total)
+    }
+}
+
+/// Where a frame goes when it lands: a switch's output port, or a NIC.
+#[derive(Clone, Copy)]
+enum Far {
+    Port(ChannelId),
+    Nic(NicId),
+}
+
+/// How frames wait for the wire.
+enum TxQueue {
+    /// A switch output port, one FIFO: the serialization start times of
+    /// frames still queued ahead of the wire, oldest first. A frame stops
+    /// occupying the queue once its serialization has started, so the live
+    /// queue depth is the number of entries with `start > now` — entries at
+    /// the front expire lazily on the next submission instead of costing a
+    /// simulation event each.
+    Fifo(VecDeque<SimTime>),
+    /// The transmit ring of NIC `nic`: two bands, repairs first, holding
+    /// `queued` frames. A frame waits here until the wire is free at
+    /// `wire_free`, when the tx-completion of the frame on the wire starts
+    /// the next one.
+    Bands {
+        nic: NicId,
+        repair: Band,
+        data: Band,
+        queued: usize,
+        wire_free: SimTime,
+    },
+}
+
+impl TxQueue {
+    /// Frames waiting for the wire at `now`.
+    fn depth(&mut self, now: SimTime) -> usize {
+        match self {
+            TxQueue::Fifo(starts) => {
+                while starts.front().is_some_and(|&s| s <= now) {
+                    starts.pop_front();
+                }
+                starts.len()
+            }
+            // A free wire starts the head now: it no longer waits.
+            TxQueue::Bands {
+                queued, wire_free, ..
+            } => queued.saturating_sub(usize::from(*wire_free <= now)),
+        }
+    }
+}
+
 struct ChannelState {
     params: ChannelParams,
     to: Endpoint,
+    /// When the wire will have carried every frame submitted so far; the
+    /// bands reorder frames but never idle the wire, so this holds for both
+    /// queues.
     busy_until: SimTime,
-    /// Serialization start times of frames still queued ahead of the wire,
-    /// oldest first. A frame stops occupying the queue once its
-    /// serialization has started, so the live queue depth is the number of
-    /// entries with `start > now` — entries at the front expire lazily on
-    /// the next submission instead of costing a simulation event each.
-    queued_starts: std::collections::VecDeque<SimTime>,
+    queue: TxQueue,
     tx_frames: u64,
     tx_bytes: u64,
     drop_overflow: u64,
     drop_loss: u64,
     drop_link_down: u64,
     corrupted: u64,
+    /// From a frame's arrival to its landing event: the far-end switch's
+    /// forwarding delay (zero at a NIC).
+    hop_delay: Dur,
     /// Latest scheduled arrival: enforces FIFO delivery despite jitter.
     last_arrival: SimTime,
     /// Administrative link state; frames are dropped while `false`.
@@ -146,12 +310,22 @@ struct ChannelState {
 }
 
 impl ChannelState {
-    fn new(params: ChannelParams, to: Endpoint, faults: FaultStream) -> Self {
+    fn new(
+        params: ChannelParams,
+        (to, hop_delay): (Endpoint, Dur),
+        queue: TxQueue,
+        faults: FaultStream,
+    ) -> Self {
+        assert!(
+            params.jitter.as_nanos() <= u64::from(u32::MAX),
+            "a channel's jitter is under 4.29 s"
+        );
         Self {
             params,
             to,
+            hop_delay,
             busy_until: SimTime::ZERO,
-            queued_starts: std::collections::VecDeque::new(),
+            queue,
             tx_frames: 0,
             tx_bytes: 0,
             drop_overflow: 0,
@@ -229,8 +403,18 @@ struct NetInner {
     /// When `Some`, every fault decision is appended here (the determinism
     /// witness compares these logs channel by channel).
     decisions: Option<Vec<FaultDecision>>,
+    /// Frames waiting in every NIC's bands.
+    queued: Pool<Queued>,
     tracer: Tracer,
     flight: FlightRecorder,
+}
+
+impl NetInner {
+    fn tx_channel(&self, nic: NicId) -> ChannelId {
+        self.nics[nic.0]
+            .tx_channel
+            .expect("backlog query on unconnected NIC")
+    }
 }
 
 /// The simulated network: a set of NICs and switches connected by channels.
@@ -297,6 +481,7 @@ impl Network {
                 fault_seed,
                 jitter_seed: splitmix64(run_seed ^ 0x9E6C_63D0_985B_4C9D),
                 decisions: None,
+                queued: Pool::default(),
                 tracer: Tracer::disabled(),
                 flight: FlightRecorder::disabled(),
             })),
@@ -362,15 +547,25 @@ impl Network {
             ..params
         };
         let up = ChannelId(inner.channels.len());
+        let bands = TxQueue::Bands {
+            nic,
+            repair: Band::EMPTY,
+            data: Band::EMPTY,
+            queued: 0,
+            wire_free: SimTime::ZERO,
+        };
+        let forward_delay = inner.switches[switch.0].forward_delay;
         inner.channels.push(ChannelState::new(
             up_params,
-            Endpoint::Switch(switch),
+            (Endpoint::Switch(switch), forward_delay),
+            bands,
             link_stream(mac, false),
         ));
         let down = ChannelId(inner.channels.len());
         inner.channels.push(ChannelState::new(
             params,
-            Endpoint::Nic(nic),
+            (Endpoint::Nic(nic), Dur::ZERO),
+            TxQueue::Fifo(VecDeque::new()),
             link_stream(mac, true),
         ));
         inner.nics[nic.0].tx_channel = Some(up);
@@ -405,7 +600,7 @@ impl Network {
                 .tx_channel
                 .expect("nic_send on unconnected NIC")
         };
-        self.channel_transmit(ch, f, Some(nic), false)
+        self.channel_transmit(ch, f, false)
     }
 
     /// Hand a frame to `nic`'s receive handler, honoring any active receive
@@ -469,135 +664,197 @@ impl Network {
         inner.flight.record(e);
     }
 
-    /// Serialize `f` onto channel `ch`; `completion_nic` receives the
-    /// tx-complete callback, `pre_corrupt` marks a frame an earlier hop
-    /// already damaged. One borrow decides the frame's entire fate on this
-    /// channel at submit time — link state, queue, jitter, loss, corruption
-    /// — then schedules what happens at the far end: delivery to a NIC, or,
-    /// at a switch, the transmit on its output port one forwarding delay
-    /// after the frame lands. Link state is checked here only: a frame
-    /// submitted before a link goes down still lands.
+    /// Serialize `f` onto channel `ch`; `pre_corrupt` marks a frame an
+    /// earlier hop already damaged. One borrow decides the frame's entire
+    /// fate on this channel at submit time — link state, queue, jitter,
+    /// loss, corruption, where it goes when it lands — and holds its
+    /// events in the order they happen: the tx-completion of a NIC's frame,
+    /// then the landing, delivery to a NIC or, at a switch, the transmit on
+    /// its output port one forwarding delay after the frame lands. A switch
+    /// port starts the frame at once behind the frames queued ahead; a NIC
+    /// starts it if its wire is free and its bands empty, else queues it
+    /// in its band ([`Self::pump`] starts it). Link state is checked here
+    /// only: a frame submitted before a link goes down still lands.
     /// Returns `false` if the frame never occupied the wire.
-    fn channel_transmit(
-        &self,
-        ch: ChannelId,
-        f: Frame,
-        completion_nic: Option<NicId>,
-        pre_corrupt: bool,
-    ) -> bool {
+    fn channel_transmit(&self, ch: ChannelId, f: Frame, pre_corrupt: bool) -> bool {
         let now = self.sim.now();
         let wire_len = f.wire_len();
-        let (end, landing) = {
-            let mut inner = self.inner.borrow_mut();
-            let NetInner {
-                channels,
-                fault,
-                fault_seed,
-                jitter_seed,
-                tracer,
-                flight,
-                decisions,
-                ..
-            } = &mut *inner;
-            let c = &mut channels[ch.0];
-            // Taken before any drop, so later frames' draws never shift.
-            let attempt = c.faults.next_attempt();
-            if !c.link_up {
-                c.drop_link_down += 1;
-                note_fate(tracer, flight, &f, ch, now.as_nanos(), false);
-                return false;
-            }
-            // Lazily expire queue entries whose serialization has started.
-            while c.queued_starts.front().is_some_and(|&s| s <= now) {
-                c.queued_starts.pop_front();
-            }
-            if c.queued_starts.len() >= c.params.queue_cap {
-                c.drop_overflow += 1;
-                note_fate(tracer, flight, &f, ch, now.as_nanos(), false);
-                return false;
-            }
-            let (lost, fresh_corrupt) = c.faults.decide(*fault_seed, *fault, attempt);
-            if let Some(log) = decisions.as_mut() {
-                log.push((c.faults.key(), attempt, lost, fresh_corrupt));
-            }
-            let start = now.max(c.busy_until);
-            let end = start + Dur::for_bytes(wire_len, c.params.bytes_per_sec);
-            c.busy_until = end;
-            if start > now {
-                c.queued_starts.push_back(start);
-            }
-            c.tx_frames += 1;
-            c.tx_bytes += wire_len as u64;
-            let jitter = match c.params.jitter.as_nanos() {
-                0 => 0,
-                j => c.faults.draw(*jitter_seed, attempt, LANE_JITTER) % j,
-            };
-            // FIFO within a channel: never overtake the previous frame.
-            let arrival = (end + c.params.latency + Dur(jitter)).max(c.last_arrival);
-            c.last_arrival = arrival;
-            tracer.wire_time(f.src.rail as u32, arrival.since(now).as_nanos());
-            let landing = if lost {
-                // A lost frame still occupied the wire (counted above); it
-                // just never lands.
-                c.drop_loss += 1;
-                note_fate(tracer, flight, &f, ch, now.as_nanos(), false);
-                None
-            } else {
-                if fresh_corrupt {
-                    c.corrupted += 1;
-                    note_fate(tracer, flight, &f, ch, now.as_nanos(), true);
-                }
-                Some((arrival, c.to, pre_corrupt || fresh_corrupt))
-            };
-            (end, landing)
+        let mut inner = self.inner.borrow_mut();
+        let NetInner {
+            channels,
+            switches,
+            fault,
+            fault_seed,
+            jitter_seed,
+            tracer,
+            flight,
+            decisions,
+            queued: pool,
+            ..
+        } = &mut *inner;
+        let c = &mut channels[ch.0];
+        // Taken before any drop, so later frames' draws never shift.
+        let attempt = c.faults.next_attempt();
+        if !c.link_up {
+            c.drop_link_down += 1;
+            note_fate(tracer, flight, &f, ch, now.as_nanos(), false);
+            return false;
+        }
+        if c.queue.depth(now) >= c.params.queue_cap {
+            c.drop_overflow += 1;
+            note_fate(tracer, flight, &f, ch, now.as_nanos(), false);
+            return false;
+        }
+        let (lost, fresh_corrupt) = c.faults.decide(*fault_seed, *fault, attempt);
+        if let Some(log) = decisions.as_mut() {
+            log.push((c.faults.key(), attempt, lost, fresh_corrupt));
+        }
+        let ser = Dur::for_bytes(wire_len, c.params.bytes_per_sec);
+        let start = now.max(c.busy_until);
+        c.busy_until = start + ser;
+        c.tx_frames += 1;
+        c.tx_bytes += wire_len as u64;
+        let jitter = match c.params.jitter.as_nanos() {
+            0 => 0,
+            j => c.faults.draw(*jitter_seed, attempt, LANE_JITTER) % j,
         };
-        // Transmit completion back to the sending NIC (DMA buffer free).
-        if let Some(nic) = completion_nic {
-            let this = self.clone();
-            self.sim.schedule_at(end, move |sim| {
+        let far = if lost {
+            // A lost frame still occupies the wire (counted above); it just
+            // never lands.
+            c.drop_loss += 1;
+            note_fate(tracer, flight, &f, ch, now.as_nanos(), false);
+            None
+        } else {
+            if fresh_corrupt {
+                c.corrupted += 1;
+                note_fate(tracer, flight, &f, ch, now.as_nanos(), true);
+            }
+            // A switch's MAC table is static, so its output port is known
+            // now.
+            match c.to {
+                Endpoint::Nic(nic) => Some(Far::Nic(nic)),
+                Endpoint::Switch(sw) => {
+                    let s = &mut switches[sw.0];
+                    match s.table.get(&f.dst) {
+                        Some(&out) => Some(Far::Port(out)),
+                        None => {
+                            s.drop_unknown += 1;
+                            None
+                        }
+                    }
+                }
+            }
+        };
+        // Stamped in the order they happen: tx-completion, then landing.
+        let done = matches!(c.queue, TxQueue::Bands { .. }).then(|| self.sim.reserve_order());
+        let (repair, rail) = (is_repair(&f), f.src.rail);
+        // A corrupted frame is forwarded anyway (our switches do not verify
+        // FCS, like cheap store-and-forward hardware); the end host's
+        // checksum catches it.
+        let (this, corrupted) = (self.clone(), pre_corrupt || fresh_corrupt);
+        let landing = far.map(|far| match far {
+            Far::Port(out) => self.sim.hold(move |_| {
+                this.channel_transmit(out, f, corrupted);
+            }),
+            Far::Nic(nic) => self.sim.hold(move |sim| {
+                this.deliver_to_nic(sim, nic, f, corrupted);
+            }),
+        });
+        let tx = Tx {
+            submitted: now,
+            done,
+            landing,
+            jitter_ns: jitter as u32,
+            ser_ns: u32::try_from(ser.as_nanos()).expect("a frame serializes in under 4 s"),
+            wire_len: u16::try_from(wire_len).expect("a frame is under 64 KiB on the wire"),
+            rail,
+        };
+        let start = match &mut c.queue {
+            TxQueue::Fifo(starts) => {
+                if start > now {
+                    starts.push_back(start);
+                }
+                start
+            }
+            TxQueue::Bands {
+                repair: r,
+                data,
+                queued,
+                wire_free,
+                ..
+            } => {
+                if *wire_free > now || *queued > 0 {
+                    match repair {
+                        true => r.push(pool, tx),
+                        false => data.push(pool, tx),
+                    }
+                    *queued += 1;
+                    return true;
+                }
+                *wire_free = now + ser;
+                now
+            }
+        };
+        self.launch(ch, c, tracer, tx, start + ser);
+        true
+    }
+
+    /// Start the next frame of NIC channel `ch`'s bands, repairs first, if
+    /// the wire is free now (the frame on it has just completed).
+    fn pump(&self, ch: ChannelId) {
+        let now = self.sim.now();
+        let mut inner = self.inner.borrow_mut();
+        let NetInner {
+            channels,
+            tracer,
+            queued: pool,
+            ..
+        } = &mut *inner;
+        let c = &mut channels[ch.0];
+        let TxQueue::Bands {
+            repair,
+            data,
+            queued,
+            wire_free,
+            ..
+        } = &mut c.queue
+        else {
+            return;
+        };
+        if *wire_free > now {
+            return;
+        }
+        if let Some(tx) = repair.pop(pool).or_else(|| data.pop(pool)) {
+            *queued -= 1;
+            *wire_free = now + Dur(tx.ser_ns.into());
+            let end = *wire_free;
+            self.launch(ch, c, tracer, tx, end);
+        }
+    }
+
+    /// Put `tx` on channel `ch`'s wire (`c`), to be serialized by `end`,
+    /// and queue its events: the tx-completion at `end`, the landing one
+    /// hop delay after it arrives, never before the frame started ahead of
+    /// it on the channel.
+    fn launch(&self, ch: ChannelId, c: &mut ChannelState, tracer: &Tracer, tx: Tx, end: SimTime) {
+        let jitter = Dur(tx.jitter_ns.into());
+        let arrival = (end + c.params.latency + jitter).max(c.last_arrival);
+        c.last_arrival = arrival;
+        tracer.wire_time(tx.rail.into(), arrival.since(tx.submitted).as_nanos());
+        if let (Some(stamp), &TxQueue::Bands { nic, .. }) = (tx.done, &c.queue) {
+            let (this, wire_len) = (self.clone(), tx.wire_len as usize);
+            self.sim.schedule_stamped(end, stamp, move |sim| {
+                // The wire is free: it takes the next frame first.
+                this.pump(ch);
                 let cb = this.inner.borrow().nics[nic.0].tx_complete.clone();
                 if let Some(cb) = cb {
                     cb(sim, wire_len);
                 }
             });
         }
-        let Some((arrival, to, corrupted)) = landing else {
-            return true;
-        };
-        match to {
-            // A corrupted frame is forwarded anyway (our switches do not
-            // verify FCS, like cheap store-and-forward hardware); the end
-            // host's checksum catches it.
-            // The switch's MAC table is static, so its output port is
-            // known now: the frame leaves on it one forwarding delay after
-            // it lands, and that channel decides its fate then.
-            Endpoint::Switch(sw) => {
-                let hop = {
-                    let mut inner = self.inner.borrow_mut();
-                    let s = &mut inner.switches[sw.0];
-                    match s.table.get(&f.dst) {
-                        Some(&out) => Some((out, s.forward_delay)),
-                        None => {
-                            s.drop_unknown += 1;
-                            None
-                        }
-                    }
-                };
-                if let Some((out, delay)) = hop {
-                    let this = self.clone();
-                    self.sim.schedule_at(arrival + delay, move |_| {
-                        this.channel_transmit(out, f, None, corrupted);
-                    });
-                }
-            }
-            Endpoint::Nic(nic) => {
-                let this = self.clone();
-                self.sim.schedule_at(arrival, move |sim| {
-                    this.deliver_to_nic(sim, nic, f, corrupted);
-                });
-            }
+        if let Some(landing) = tx.landing {
+            self.sim.release(landing, arrival + c.hop_delay);
         }
-        true
     }
 
     /// Drop every installed callback: per-NIC receive and tx-complete
@@ -659,15 +916,27 @@ impl Network {
         self.inner.borrow().nics[nic.0].rx_frames
     }
 
-    /// How much serialization work is queued ahead of a new frame on `nic`'s
-    /// transmit channel (zero when the wire is idle). Used by queue-aware
-    /// link-scheduling policies.
+    /// How much serialization work is queued ahead of a new data frame on
+    /// `nic`'s transmit channel (zero when the wire is idle). Used by
+    /// queue-aware link-scheduling policies.
     pub fn nic_tx_backlog(&self, nic: NicId) -> Dur {
         let inner = self.inner.borrow();
-        let ch = inner.nics[nic.0]
-            .tx_channel
-            .expect("backlog query on unconnected NIC");
-        inner.channels[ch.0].busy_until.since(self.sim.now())
+        inner.channels[inner.tx_channel(nic).0]
+            .busy_until
+            .since(self.sim.now())
+    }
+
+    /// How much serialization work is queued ahead of a new repair frame
+    /// ([`is_repair`]) on `nic`'s transmit channel: the rest of the frame
+    /// on the wire and the repairs queued before it.
+    pub fn nic_tx_repair_backlog(&self, nic: NicId) -> Dur {
+        let inner = self.inner.borrow();
+        match &inner.channels[inner.tx_channel(nic).0].queue {
+            TxQueue::Bands {
+                repair, wire_free, ..
+            } => wire_free.since(self.sim.now()) + repair.ser_total(&inner.queued),
+            TxQueue::Fifo(_) => unreachable!("a NIC transmits through its bands"),
+        }
     }
 }
 
@@ -917,5 +1186,214 @@ mod tests {
         net.nic_send(a, data_frame(MacAddr::new(0, 0), MacAddr::new(9, 0), 64));
         sim.run();
         assert_eq!(net.stats().drops_unknown_mac, 1);
+    }
+
+    /// One submission from node 0 to node 1: when, payload bytes, and
+    /// whether it is flagged `RETRANSMIT` (a repair).
+    type Submit = (u64, usize, bool);
+
+    /// What [`run_bands`] saw: node 0's tx-completions and node 1's
+    /// deliveries, as (ns, payload bytes); the network's counters; its
+    /// fault decisions.
+    type BandRun = (
+        Vec<(u64, usize)>,
+        Vec<(u64, usize)>,
+        NetStats,
+        Vec<FaultDecision>,
+    );
+
+    /// Run `subs` over [`two_node_net`] with node 0's transmit queue capped
+    /// at `cap` frames.
+    fn run_bands(subs: &[Submit], fault: FaultModel, cap: usize) -> BandRun {
+        let (sim, net, a, b) = two_node_net(fault);
+        {
+            let mut inner = net.inner.borrow_mut();
+            let up = inner.tx_channel(a);
+            inner.channels[up.0].params.queue_cap = cap;
+        }
+        net.record_fault_decisions(true);
+        let done: Rc<RefCell<Vec<(u64, usize)>>> = Rc::default();
+        let rx: Rc<RefCell<Vec<(u64, usize)>>> = Rc::default();
+        let per_frame = HEADER_LEN + frame::ETHERNET_WIRE_OVERHEAD;
+        let d = done.clone();
+        net.set_tx_complete_handler(a, move |sim, wire_len| {
+            d.borrow_mut()
+                .push((sim.now().as_nanos(), wire_len - per_frame));
+        });
+        let r = rx.clone();
+        net.set_rx_handler(b, move |sim, f| {
+            r.borrow_mut()
+                .push((sim.now().as_nanos(), f.frame.payload.len()))
+        });
+        for &(at, len, repair) in subs {
+            let net = net.clone();
+            sim.schedule_at(SimTime(at), move |_| {
+                let mut f = data_frame(MacAddr::new(0, 0), MacAddr::new(1, 0), len);
+                if repair {
+                    f.header.flags |= FrameFlags::RETRANSMIT;
+                }
+                net.nic_send(a, f);
+            });
+        }
+        sim.run();
+        let decisions = net.take_fault_decisions();
+        (done.take(), rx.take(), net.stats(), decisions)
+    }
+
+    fn ser_ns(payload: usize) -> u64 {
+        let wire = HEADER_LEN + payload + frame::ETHERNET_WIRE_OVERHEAD;
+        Dur::for_bytes(wire, 125e6).as_nanos()
+    }
+
+    /// Frames without repairs run as if every start were fixed at submit:
+    /// each frame's events keep the place among same-instant events that
+    /// scheduling them at submit gave them. Four frames are submitted at
+    /// once, three of them queued; around each submit a marker is
+    /// scheduled at that frame's tx-completion and delivery instants,
+    /// before and after. A queued frame's events are queued only when it
+    /// takes the wire, yet each runs after its `pre` marker and before its
+    /// `post` one, as at submit; a delivery, scheduled by the switch when
+    /// the frame lands there, runs after both.
+    #[test]
+    fn fifo_traffic_keeps_the_event_order_of_starts_fixed_at_submit() {
+        let (sim, net, a, b) = two_node_net(FaultModel::default());
+        let log: Rc<RefCell<Vec<(u64, String)>>> = Rc::default();
+        let l = log.clone();
+        net.set_tx_complete_handler(a, move |sim, _| {
+            l.borrow_mut().push((sim.now().as_nanos(), "done".into()));
+        });
+        let l = log.clone();
+        net.set_rx_handler(b, move |sim, _| {
+            l.borrow_mut().push((sim.now().as_nanos(), "rx".into()));
+        });
+        let ser = ser_ns(1454);
+        let at = move |i: u64| [(i + 1) * ser, (i + 2) * ser + 5_000];
+        let (n, l) = (net.clone(), log.clone());
+        sim.schedule_at(SimTime::ZERO, move |sim| {
+            for i in 0..4 {
+                for (tag, t) in [("pre", at(i)[0]), ("pre", at(i)[1])] {
+                    let l = l.clone();
+                    sim.schedule_at(SimTime(t), move |sim| {
+                        l.borrow_mut().push((sim.now().as_nanos(), tag.into()))
+                    });
+                }
+                n.nic_send(a, data_frame(MacAddr::new(0, 0), MacAddr::new(1, 0), 1454));
+                for t in at(i) {
+                    let l = l.clone();
+                    sim.schedule_at(SimTime(t), move |sim| {
+                        l.borrow_mut().push((sim.now().as_nanos(), "post".into()))
+                    });
+                }
+            }
+        });
+        let report = sim.run();
+        let mut expect = Vec::new();
+        for i in 0..4 {
+            let [done, rx] = at(i);
+            for tag in ["pre", "done", "post"] {
+                expect.push((done, tag.to_string()));
+            }
+            for tag in ["pre", "post", "rx"] {
+                expect.push((rx, tag.to_string()));
+            }
+        }
+        expect.sort_by_key(|&(t, _)| t);
+        assert_eq!(*log.borrow(), expect);
+        // The kickoff, 16 markers, and per frame its tx-completion, its
+        // landing at the switch and its delivery: no event added.
+        assert_eq!(report.events, 1 + 16 + 4 * 3);
+    }
+
+    /// A repair submitted behind k queued data frames starts when the
+    /// frame on the wire ends; each displaced frame starts, completes and
+    /// lands exactly one repair serialization later than without the
+    /// band, and the wire carries one frame at a time.
+    #[test]
+    fn a_repair_overtakes_the_queued_data() {
+        let (d, r) = (1454, 200);
+        let mut subs: Vec<Submit> = (0..5).map(|_| (0, d, false)).collect();
+        subs.push((1_000, r, true));
+        let (fifo_done, fifo_rx, ..) = run_bands(
+            &subs
+                .iter()
+                .map(|&(t, len, _)| (t, len, false))
+                .collect::<Vec<_>>(),
+            FaultModel::default(),
+            1024,
+        );
+        let (done, rx, ..) = run_bands(&subs, FaultModel::default(), 1024);
+        let (ser_d, ser_r) = (ser_ns(d), ser_ns(r));
+        let order: Vec<usize> = done.iter().map(|&(_, len)| len).collect();
+        assert_eq!(order, [d, r, d, d, d, d], "the repair goes second");
+        assert_eq!(
+            done[1].0,
+            ser_d + ser_r,
+            "it waited for the frame on the wire only"
+        );
+        for w in done.windows(2) {
+            assert_eq!(
+                w[1].0 - w[0].0,
+                ser_ns(w[1].1),
+                "back to back, never overlapping"
+            );
+        }
+        let displaced = |run: &[(u64, usize)]| -> Vec<u64> {
+            run.iter()
+                .filter(|&&(_, len)| len == d)
+                .map(|&(t, _)| t)
+                .collect()
+        };
+        for (run, fifo) in [(&done, &fifo_done), (&rx, &fifo_rx)] {
+            let (now, then) = (displaced(run), displaced(fifo));
+            assert_eq!(now[0], then[0], "the frame on the wire is not moved");
+            for (t, t0) in now[1..].iter().zip(&then[1..]) {
+                assert_eq!(t - t0, ser_r, "displaced by one repair serialization");
+            }
+        }
+        assert_eq!(rx.iter().map(|&(_, len)| len).collect::<Vec<_>>(), order);
+    }
+
+    /// The fault decisions and the counters of a submit sequence are the
+    /// same whether its repairs take the band or queue as data: only
+    /// starts move. Each channel's log is compared, as the determinism
+    /// witness does; the two channels' entries interleave by time.
+    #[test]
+    fn the_band_moves_no_fate() {
+        let subs: Vec<Submit> = (0..60u64)
+            .map(|i| (i * 3_000, 200 + (i as usize * 97) % 1200, i % 4 == 3))
+            .collect();
+        let fault = FaultModel {
+            loss_rate: 0.2,
+            corrupt_rate: 0.2,
+        };
+        let fifo: Vec<Submit> = subs.iter().map(|&(t, len, _)| (t, len, false)).collect();
+        let (done, rx, stats, decisions) = run_bands(&subs, fault, 1024);
+        let (fifo_done, fifo_rx, fifo_stats, fifo_decisions) = run_bands(&fifo, fault, 1024);
+        let channel = |log: &[FaultDecision], key| -> Vec<FaultDecision> {
+            log.iter().copied().filter(|d| d.0 == key).collect()
+        };
+        let keys: std::collections::BTreeSet<u64> = decisions.iter().map(|d| d.0).collect();
+        assert_eq!(keys.len(), 2, "the uplink and the switch's port");
+        for key in keys {
+            assert_eq!(channel(&decisions, key), channel(&fifo_decisions, key));
+        }
+        assert_eq!(stats, fifo_stats);
+        assert!(stats.drops_loss > 0 && stats.corrupted > 0);
+        assert_ne!(done, fifo_done, "the repairs did overtake");
+        assert_eq!((done.len(), rx.len()), (fifo_done.len(), fifo_rx.len()));
+    }
+
+    /// A full transmit queue drops a frame whichever band it would take,
+    /// and counts it as the FIFO queue did: the frame on the wire is not
+    /// queued, the next three are, the rest overflow.
+    #[test]
+    fn queue_overflow_is_counted_across_both_bands() {
+        let subs: Vec<Submit> = (0..10).map(|i| (0, 500, i % 3 == 1)).collect();
+        let fifo: Vec<Submit> = subs.iter().map(|&(t, len, _)| (t, len, false)).collect();
+        let (done, .., stats, _) = run_bands(&subs, FaultModel::default(), 3);
+        let (.., fifo_stats, _) = run_bands(&fifo, FaultModel::default(), 3);
+        assert_eq!(stats.drops_overflow, 6);
+        assert_eq!(stats, fifo_stats);
+        assert_eq!(done.len(), 4);
     }
 }

@@ -34,7 +34,10 @@
 //! [`CLEAR_INTERVALS`] rows, the sender is waiting on repairs that the
 //! same loss burst dropped ([`AlarmKind::RepairStall`], a retransmit
 //! storm); otherwise it is a congestion backlog ([`AlarmKind::Drift`]).
-//! An incident closes after [`CLEAR_INTERVALS`] consecutive quiet rows.
+//! An incident closes after [`CLEAR_INTERVALS`] consecutive quiet rows;
+//! if its cause alarms again within [`CLEAR_INTERVALS`] rows of the close,
+//! the same incident reopens, so one episode that pauses between bursts
+//! stays one incident.
 //! Everything on the observe path works in storage preallocated at
 //! construction: zero allocations in steady state.
 //!
@@ -397,6 +400,9 @@ pub struct HealthMonitor {
     open_idx: [usize; NUM_CAUSES],
     /// Per-cause consecutive quiet rows while open.
     quiet: [u32; NUM_CAUSES],
+    /// Per-cause index of the last closed incident and the row (of
+    /// `rows_seen`) that closed it.
+    last_closed: [Option<(usize, u64)>; NUM_CAUSES],
     imbalance_runs: u32,
     /// Column of the `retransmits_nack` counter, if there is one.
     nack_col: Option<usize>,
@@ -438,6 +444,7 @@ impl HealthMonitor {
             incidents: Vec::with_capacity(MAX_INCIDENTS),
             open_idx: [NO_OPEN; NUM_CAUSES],
             quiet: [0; NUM_CAUSES],
+            last_closed: [None; NUM_CAUSES],
             imbalance_runs: 0,
             nack_col,
             rows_since_nack: u32::MAX,
@@ -560,12 +567,19 @@ impl HealthMonitor {
             let slot = cause.ordinal();
             self.quiet[slot] = 0;
             if self.open_idx[slot] == NO_OPEN {
-                if self.incidents.len() < MAX_INCIDENTS {
-                    self.open_idx[slot] = self.incidents.len();
-                    self.incidents.push(Incident::open(cause, t_ns));
-                    newly_opened = Some(cause);
-                } else {
-                    self.suppressed_incidents += 1;
+                match self.last_closed[slot] {
+                    // Alarming again right after its close: the same
+                    // episode, so the same incident.
+                    Some((idx, row)) if self.rows_seen - row <= u64::from(CLEAR_INTERVALS) => {
+                        self.incidents[idx].closed_t_ns = None;
+                        self.open_idx[slot] = idx;
+                    }
+                    _ if self.incidents.len() < MAX_INCIDENTS => {
+                        self.open_idx[slot] = self.incidents.len();
+                        self.incidents.push(Incident::open(cause, t_ns));
+                        newly_opened = Some(cause);
+                    }
+                    _ => self.suppressed_incidents += 1,
                 }
             }
             if self.open_idx[slot] != NO_OPEN {
@@ -589,6 +603,7 @@ impl HealthMonitor {
                 self.quiet[slot] += 1;
                 if self.quiet[slot] >= CLEAR_INTERVALS {
                     self.incidents[self.open_idx[slot]].closed_t_ns = Some(t_ns);
+                    self.last_closed[slot] = Some((self.open_idx[slot], self.rows_seen));
                     self.open_idx[slot] = NO_OPEN;
                     self.quiet[slot] = 0;
                 }
@@ -1092,15 +1107,46 @@ mod tests {
         for _ in 0..=MAX_INCIDENTS {
             t += 100;
             m.observe(t, &[2]); // open (or suppressed)
-            for _ in 0..CLEAR_INTERVALS {
+            for _ in 0..2 * CLEAR_INTERVALS {
                 t += 100;
-                m.observe(t, &[0]); // close
+                m.observe(t, &[0]); // close, then outlast the reopen window
             }
         }
         let r = m.report();
         assert_eq!(r.incidents.len(), MAX_INCIDENTS);
         assert_eq!(r.open_incidents(), 0);
         assert_eq!(r.suppressed_incidents, 1);
+    }
+
+    #[test]
+    fn a_cause_alarming_again_right_after_its_close_reopens_the_incident() {
+        let n = names(&["rail0.state"]);
+        let mut m = HealthMonitor::new(&n, &[SourceKind::Gauge]);
+        let mut t = 0;
+        let mut feed = |m: &mut HealthMonitor, rows: &[u64]| {
+            let mut opened = Vec::new();
+            for &v in rows {
+                t += 100;
+                opened.extend(m.observe(t, &[v]));
+            }
+            opened
+        };
+        let quiet = [0; CLEAR_INTERVALS as usize];
+        assert_eq!(feed(&mut m, &[2]), [IncidentCause::RailOutage]);
+        assert!(feed(&mut m, &quiet).is_empty());
+        assert_eq!(m.open_incidents(), 0, "closed after the quiet rows");
+        // The next row alarms: the closed incident reopens.
+        assert!(feed(&mut m, &[2]).is_empty());
+        assert_eq!(m.open_incidents(), 1);
+        // Closed again, and quiet through the window: a new incident.
+        assert!(feed(&mut m, &quiet).is_empty());
+        assert!(feed(&mut m, &quiet).is_empty());
+        assert_eq!(feed(&mut m, &[2]), [IncidentCause::RailOutage]);
+        let r = m.report();
+        assert_eq!(r.incidents.len(), 2, "{}", r.render_human());
+        assert_eq!(r.incidents[0].alarms, 2);
+        assert_eq!(r.incidents[0].closed_t_ns, Some(800));
+        assert_eq!(r.incidents[1].opened_t_ns, 1_200);
     }
 
     #[test]

@@ -4,12 +4,17 @@
 //!   times with same-instant ties, events that schedule into the quantum
 //!   being drained, entries beyond the ~134 ms wheel horizon, timers armed,
 //!   cancelled and re-armed, bursts that fill more than one wheel chunk of
-//!   a quantum, `advance_until` idle jumps and early stops,
+//!   a quantum, dozens of entries parked beyond the horizon while the
+//!   drained quantum takes arrivals, `advance_until` idle jumps and early stops,
 //!   `next_event_time` peeks, and scheduling from outside between them — runs
 //!   on the engine and on a reference model that is nothing but one binary
 //!   heap. Each kind of event captures a size drawn from every closure slot
 //!   class (one, two and three cache lines) and the boxed fallback. The executed `(time, event)` sequence, the clock, the event count
-//!   and the pending count must agree after every step.
+//!   and the pending count must agree after every step. Scheduling under
+//!   a reserved order stamp (`hold`/`release`, `reserve_order`/
+//!   `schedule_stamped`) is internal to netsim, and its unit test
+//!   `engine::tests::stamped_scheduling_matches_a_heap` holds it to the
+//!   same kind of model.
 //! * **Scheduling is O(log n).** 4 096 self-rescheduling lanes sharing one
 //!   wheel quantum spend at most `2·log₂(n)` ordering steps per event, by the
 //!   engine's own [`netsim::QueueStats`] — a count, so the gate does not
@@ -77,6 +82,9 @@ enum Step {
         target: usize,
         cancel_every: usize,
     },
+    /// Schedule `n` events of kind `target` past the wheel horizon, so the
+    /// heap is large while the quantum being drained takes arrivals.
+    Fill { n: u64, target: usize },
 }
 
 #[derive(Debug, Clone)]
@@ -164,6 +172,18 @@ fn burst<H: Host>(host: &Rc<H>, quanta: u64, n: u64, target: usize, cancel_every
     }
     for k in (before..host.armed()).rev().step_by(cancel_every) {
         apply(host, Action::Cancel(k));
+    }
+}
+
+/// Run one [`Step::Fill`].
+fn fill<H: Host>(host: &Rc<H>, n: u64, target: usize) {
+    for i in 0..n {
+        let spawn = Action::Spawn {
+            when: When::In(HORIZON_NS + i * 7_919),
+            target,
+            timer: false,
+        };
+        apply(host, spawn);
     }
 }
 
@@ -270,6 +290,7 @@ fn run_engine(p: &Program) -> Trace {
                 target,
                 cancel_every,
             } => burst(&host, quanta, n, target, cancel_every),
+            Step::Fill { n, target } => fill(&host, n, target),
         }
         checkpoint(peek);
     }
@@ -413,6 +434,7 @@ fn run_model(p: &Program) -> Trace {
                 target,
                 cancel_every,
             } => burst(&host, quanta, n, target, cancel_every),
+            Step::Fill { n, target } => fill(&host, n, target),
         }
         checkpoint(peek);
     }
@@ -480,6 +502,7 @@ fn arb_step() -> impl Strategy<Value = Step> {
                 target,
                 cancel_every,
             }),
+        (32u64..64, 0usize..64).prop_map(|(n, target)| Step::Fill { n, target }),
     ]
 }
 

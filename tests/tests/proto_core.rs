@@ -444,6 +444,47 @@ fn out_of_window_op_ids_are_rejected() {
     assert!(rx.conns()[0].quiesced());
 }
 
+/// A retransmission proves nothing about the frames queued behind it on its
+/// rail: a transmitter that sends repairs ahead of queued data (the
+/// simulator's NIC bands) lets an RTO retransmission, which carries the
+/// highest sequence sent, overtake lower first transmissions. Here seq 3
+/// on rail 1 leaves seq 2 missing while rail 0 still queues it; seq 5's
+/// retransmission then overtakes 2 and 4 on rail 0. Were rail 0's mark
+/// moved to 6, every rail would seem to have passed seq 2 and it would be
+/// NACKed as lost. It is not: 2 and 4 arrive in order behind the repair,
+/// the first copy of 5 arrives as a duplicate, and nothing is NACKed.
+#[test]
+fn an_overtaking_retransmission_proves_no_loss() {
+    use frame::FrameFlags;
+    let mut rx: ProtoCore<u64> = ProtoCore::new(1, ProtoConfig::default(), RAILS);
+    rx.connect(0, 0);
+    let mut sink = Sink::default();
+    let retransmit = |seq| {
+        let mut f = write_frame(seq, seq);
+        f.header.flags |= FrameFlags::RETRANSMIT;
+        f
+    };
+    let script = [
+        (0, write_frame(0, 0)),
+        (1, write_frame(1, 1)),
+        (1, write_frame(3, 3)),
+        (0, retransmit(5)),
+        (0, write_frame(2, 2)),
+        (0, write_frame(4, 4)),
+        (1, write_frame(5, 5)),
+    ];
+    for (i, (rail, f)) in script.into_iter().enumerate() {
+        let now = 1_000 * (i as u64 + 1);
+        rx.on_frame(rail, f, now, now, &mut sink);
+        assert_eq!(rx.stats().nacks_sent, 0, "frame {i} drew a NACK");
+    }
+    let s = rx.stats();
+    assert_eq!((s.data_frames_recv, s.dup_frames_recv), (6, 1));
+    let applied: Vec<u64> = [0, 1, 3, 5, 2, 4].into_iter().map(region).collect();
+    assert_eq!(sink.notes, applied, "each op applied once, as it arrived");
+    assert!(rx.conns()[0].quiesced());
+}
+
 /// Two connected cores (default protocol, fragments of [`FRAG`] bytes) over
 /// a fair channel that loses a copy of a frame per entry in `drops`.
 fn lossy_pair(drops: &[(usize, u32)]) -> (Vec<ProtoCore<u64>>, [Outbox; 2], World) {

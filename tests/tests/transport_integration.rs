@@ -413,3 +413,74 @@ fn single_frame_writes_execute_a_pinned_event_count() {
     assert_eq!(eps[1].stats().data_frames_recv, PINNED_WRITES);
     assert_eq!(sim.events_executed(), PINNED_WRITE_EVENTS);
 }
+
+/// A repair reports the backlog it actually waits for. Node 0 streams
+/// 64 KiB writes over one 1-GbE rail, so its NIC holds dozens of data
+/// frames; node 1's link goes down for 10 us mid-stream, less than the
+/// 12.3 us between two MTU frames, which loses one data frame at the
+/// switch. Its NACK retransmission takes the repair band:
+/// its `FrameSend` reports at most the rest of the frame on the wire, one
+/// MTU frame time, where the data frames around it report many.
+#[test]
+fn a_repair_on_a_saturated_rail_reports_one_frame_of_backlog() {
+    let mut cfg = SystemConfig::one_link_1g(2).with_tracing(1 << 14);
+    cfg.seed = 3;
+    let (sim, cluster, eps, conns) = rig(cfg);
+    let at = netsim::time::us(620);
+    let plan =
+        netsim::FaultPlan::new()
+            .link_down(at, 1, 0)
+            .link_up(at + netsim::time::us(10), 1, 0);
+    cluster.apply_fault_plan(&sim, &plan);
+    let (a, c) = (eps[0].clone(), conns[0][1].unwrap());
+    sim.spawn("stream", async move {
+        let mut handles = Vec::new();
+        for i in 0..16u64 {
+            let data = payload(i, 64 << 10);
+            handles.push(a.write_bytes(c, i << 20, data, OpFlags::RELAXED).await);
+        }
+        for h in &handles {
+            h.wait().await;
+        }
+    });
+    sim.run().expect_quiescent();
+
+    let s = eps[0].stats();
+    assert_eq!(
+        (s.retransmits_nack, s.retransmits_rto),
+        (1, 0),
+        "one loss, one repair"
+    );
+    let frame_ns =
+        netsim::Dur::for_bytes(frame::ETHERNET_MTU + frame::ETHERNET_WIRE_OVERHEAD, 125e6)
+            .as_nanos();
+    let snap = eps[0].tracer().snapshot().expect("tracing enabled");
+    assert_eq!(snap.overwritten, 0);
+    let sends: Vec<(u64, bool, u64)> = snap
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::FrameSend {
+                retransmit,
+                backlog_ns,
+                ..
+            } => Some((e.t_ns, retransmit, backlog_ns)),
+            _ => None,
+        })
+        .collect();
+    let repair = sends.iter().position(|s| s.1).expect("the repair was sent");
+    let (t, _, backlog) = sends[repair];
+    assert!(
+        backlog <= frame_ns,
+        "the repair reported {backlog} ns of backlog, more than one {frame_ns} ns frame"
+    );
+    let data_before = sends[..repair]
+        .iter()
+        .rev()
+        .find(|s| !s.1)
+        .expect("data sent first");
+    assert!(
+        data_before.2 >= 10 * frame_ns,
+        "the rail was not saturated at {t} ns: {data_before:?}"
+    );
+}
