@@ -124,24 +124,22 @@ figures:
 		$(CARGO) bench $(OFFLINE) -q -p multiedge-bench --bench $$b > results/$$b.txt || exit 1; \
 	done; echo "figures: $(words $(FIGURES)) files under results/ in $$(( $$(date +%s) - t0 )) s"
 
-# Seed => bit-identical across processes: run one micro figure, one DSM
-# app figure and the loss sweep (the figure that runs the repair path, whose
-# repair-interval estimate is floating-point timing state) twice, each run
+# Seed => bit-identical across processes: run every figure twice, each run
 # its own process (so a randomly seeded hasher would differ between them),
 # and cmp the outputs, kept under target/determinism/. Same tree, so any
 # difference is nondeterminism. The first copy must also equal the
 # committed results/<figure>.txt: a figure the tree no longer produces is
 # stale (`make figures` rewrites it).
-DETERMINISM = fig2_micro fig3_apps_1l1g ablation_loss
+DETERMINISM = $(FIGURES)
 determinism:
 	@$(CARGO) bench $(OFFLINE) -q -p multiedge-bench --no-run $(DETERMINISM:%=--bench %)
-	@d=target/determinism; mkdir -p $$d; for b in $(DETERMINISM); do \
+	@d=target/determinism; mkdir -p $$d; t0=$$(date +%s); for b in $(DETERMINISM); do \
 		for i in 1 2; do \
 			$(CARGO) bench $(OFFLINE) -q -p multiedge-bench --bench $$b > $$d/$$b.$$i || exit 1; \
 		done; \
 		cmp $$d/$$b.1 $$d/$$b.2 || { echo "determinism: $$b differs between two processes"; exit 1; }; \
 		cmp $$d/$$b.1 results/$$b.txt || { echo "determinism: results/$$b.txt is stale (make figures)"; exit 1; }; \
-	done; echo "determinism: $(DETERMINISM) byte-identical across two processes each and to results/"
+	done; echo "determinism: $(words $(DETERMINISM)) figures byte-identical across two processes each and to results/ in $$(( $$(date +%s) - t0 )) s"
 
 # Everything that is pinned to the simulated fabric's exact behaviour, each
 # regenerated by its own path, after an intentional change to that

@@ -348,6 +348,13 @@ impl WireEndpoint {
         self.core.rx_rejected()
     }
 
+    /// First transmissions that arrived late, behind a later one on their
+    /// rail, for a sequence the proof of loss had passed
+    /// ([`ProtoCore::spurious_proofs`](crate::proto::ProtoCore::spurious_proofs)).
+    pub fn spurious_proofs(&self) -> u64 {
+        self.core.spurious_proofs()
+    }
+
     /// True when every connection is fully quiesced: nothing queued or
     /// unacknowledged to send, no receive gap, no fence-blocked fragments.
     /// The graceful-shutdown criterion — see [`drain`].

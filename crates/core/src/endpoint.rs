@@ -534,6 +534,14 @@ impl Endpoint {
         self.core(|c| c.rx_rejected())
     }
 
+    /// First transmissions that arrived late, behind a later one on their
+    /// rail, for a sequence the proof of loss had passed
+    /// ([`ProtoCore::spurious_proofs`](crate::proto::ProtoCore::spurious_proofs);
+    /// endpoint-local, outside the fingerprinted [`ProtoStats`]).
+    pub fn spurious_proofs(&self) -> u64 {
+        self.core(|c| c.spurious_proofs())
+    }
+
     /// This endpoint's tracing handle (disabled unless the
     /// [`SystemConfig::trace_ring`](crate::SystemConfig) knob is non-zero).
     /// All clones share one ring and one histogram set; hand a clone to

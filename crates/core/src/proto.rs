@@ -318,7 +318,13 @@ pub struct Conn<T> {
 }
 
 impl<T> Conn<T> {
-    fn new(peer_node: usize, peer_conn_id: u32, proto: &ProtoConfig, nrails: usize) -> Self {
+    fn new(
+        peer_node: usize,
+        peer_conn_id: u32,
+        proto: &ProtoConfig,
+        nrails: usize,
+        start_rail: usize,
+    ) -> Self {
         Self {
             peer_node,
             peer_conn_id,
@@ -331,7 +337,7 @@ impl<T> Conn<T> {
             last_fwd_op: None,
             pending_write_ops: VecDeque::new(),
             pending_reads: FastMap::default(),
-            sched: LinkScheduler::new(proto.sched),
+            sched: LinkScheduler::starting_at(proto.sched, start_rail),
             last_progress: SimTime::ZERO,
             due: [None; 3],
             rails: RailSet::new(
@@ -510,10 +516,13 @@ pub struct ProtoCore<T> {
     /// corrupt frames); every other field stays zero here.
     host: ProtoStats,
     /// NACK-triggered retransmissions suppressed by the
-    /// [`ProtoConfig::nack_resend_burst`] cap, and frames rejected at
-    /// admission. Endpoint-local: [`ProtoStats`] is fingerprinted.
+    /// [`ProtoConfig::nack_resend_burst`] cap, frames rejected at
+    /// admission, and first transmissions that arrived late for a sequence
+    /// the proof of loss had passed ([`ProtoCore::spurious_proofs`]).
+    /// Endpoint-local: [`ProtoStats`] is fingerprinted.
     storm_suppressed: u64,
     rx_rejected: u64,
+    spurious_proofs: u64,
     /// The instant of the input being processed.
     now: SimTime,
     /// The ordered effect buffer and the per-input scratch vectors, all
@@ -541,6 +550,7 @@ impl<T> ProtoCore<T> {
             host: ProtoStats::default(),
             storm_suppressed: 0,
             rx_rejected: 0,
+            spurious_proofs: 0,
             now: SimTime::ZERO,
             effects: Vec::new(),
             resend_scratch: Vec::new(),
@@ -555,12 +565,18 @@ impl<T> ProtoCore<T> {
 
     /// Add a connection to `peer_node`, whose id for it is `peer_conn_id`.
     /// Returns the local connection id (dense, in call order).
+    ///
+    /// The connection's rail rotation starts at `(node + peer − 1) mod
+    /// rails`: a node's connections start on different rails, and so do
+    /// the connections into it, so many connections striping at once do
+    /// not move over the same rails in lockstep. Both ends of a pair start
+    /// on the same rail, and the pair (0, 1) on rail 0.
     pub fn connect(&mut self, peer_node: usize, peer_conn_id: usize) -> usize {
-        assert!(
-            self.obs.node != peer_node,
-            "cannot connect a node to itself"
-        );
-        let conn = Conn::new(peer_node, peer_conn_id as u32, &self.proto, self.nrails);
+        let node = self.obs.node;
+        assert!(node != peer_node, "cannot connect a node to itself");
+        let rails = self.nrails;
+        let start = (node + peer_node + rails - 1) % rails;
+        let conn = Conn::new(peer_node, peer_conn_id as u32, &self.proto, rails, start);
         self.conns.push(conn);
         let id = self.conns.len() - 1;
         let (peer_node, peer_conn) = (peer_node as u32, peer_conn_id as u32);
@@ -610,6 +626,15 @@ impl<T> ProtoCore<T> {
     /// progress.
     pub fn rx_rejected(&self) -> u64 {
         self.rx_rejected
+    }
+
+    /// Data-bearing first transmissions that arrived below their
+    /// connection's proof frontier behind a later first transmission on
+    /// their own rail: each is a sequence the proof of loss took for lost
+    /// while it was only late, whether it arrives before its repair (new)
+    /// or after it (a duplicate). Zero wherever rails are FIFO.
+    pub fn spurious_proofs(&self) -> u64 {
+        self.spurious_proofs
     }
 
     /// Rails this instance stripes over.
@@ -1054,7 +1079,19 @@ impl<T> ProtoCore<T> {
         };
         let nrails = self.nrails;
         let c = &mut self.conns[conn];
-        let seq = from_wire(c.seqs.cumulative(), f.header.seq);
+        let cum = c.seqs.cumulative();
+        let seq = from_wire(cum, f.header.seq);
+        let retransmit = f.header.flags.contains(FrameFlags::RETRANSMIT);
+        // A first transmission below the proof frontier that its rail
+        // delivered behind a later one: the proof took this sequence for
+        // lost. Its repair may have arrived first, so it counts whether it
+        // is new or a duplicate; a copy that follows its original on the
+        // rail is not behind anything.
+        let late = |mark: &u32| seq + 1 < from_wire(cum, *mark);
+        if !retransmit && seq < c.proven_below && c.rail_marks.get(rail as usize).is_some_and(late)
+        {
+            self.spurious_proofs += 1;
+        }
         let in_order = match c.seqs.admit(seq) {
             Admit::Duplicate => {
                 c.stats.dup_frames_recv += 1;
@@ -1069,7 +1106,6 @@ impl<T> ProtoCore<T> {
             c.rail_marks.resize(nrails, 0);
         }
         let cum = c.seqs.cumulative();
-        let retransmit = f.header.flags.contains(FrameFlags::RETRANSMIT);
         // Only first transmissions keep a rail's order: a retransmission
         // may overtake new frames still queued on its rail, so it proves
         // nothing about them.

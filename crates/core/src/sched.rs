@@ -38,9 +38,21 @@ pub struct LinkScheduler {
 }
 
 impl LinkScheduler {
-    /// New scheduler with the given policy.
+    /// New scheduler with the given policy, whose rotation begins at rail 0.
     pub fn new(policy: SchedPolicy) -> Self {
-        Self { policy, cursor: 0 }
+        Self::starting_at(policy, 0)
+    }
+
+    /// New scheduler with the given policy, whose rotation begins at rail
+    /// `start` (modulo the rail count). A connection picks `start` so that
+    /// a node's connections begin on different rails
+    /// ([`ProtoCore::connect`](crate::proto::ProtoCore::connect)); the
+    /// rotation itself is the same from any start.
+    pub fn starting_at(policy: SchedPolicy, start: usize) -> Self {
+        Self {
+            policy,
+            cursor: start,
+        }
     }
 
     /// Pick the rail for the next frame among `rails` rails (indices
@@ -116,6 +128,17 @@ mod tests {
         let mut s = LinkScheduler::new(SchedPolicy::RoundRobin);
         let picks: Vec<_> = (0..7).map(|_| s.pick(3, ALL_RAILS, idle, |_| 0)).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2, 0]);
+    }
+
+    #[test]
+    fn round_robin_begins_at_its_start_rail() {
+        let mut s = LinkScheduler::starting_at(SchedPolicy::RoundRobin, 2);
+        let picks: Vec<_> = (0..7).map(|_| s.pick(4, ALL_RAILS, idle, |_| 0)).collect();
+        assert_eq!(picks, vec![2, 3, 0, 1, 2, 3, 0]);
+        // A start past the rail count wraps onto a rail.
+        let mut s = LinkScheduler::starting_at(SchedPolicy::RoundRobin, 5);
+        let picks: Vec<_> = (0..3).map(|_| s.pick(3, ALL_RAILS, idle, |_| 0)).collect();
+        assert_eq!(picks, vec![2, 0, 1]);
     }
 
     #[test]

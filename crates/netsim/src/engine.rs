@@ -390,10 +390,11 @@ pub struct QueueStats {
     pub heap_pushes: u64,
     /// Heap removals (executed or cancelled).
     pub heap_pops: u64,
-    /// Upper bound on the key comparisons spent placing events while
-    /// scheduling them: the heap's depth, ⌊log₂ len⌋, per heap insertion (a
-    /// sift-up compares at most once per level); a wheel or sub-slot insert
-    /// compares nothing.
+    /// Upper bound on the key comparisons spent ordering events: the
+    /// heap's depth, ⌊log₂ len⌋, per heap insertion (a sift-up compares at
+    /// most once per level), and n·⌈log₂ n⌉ per sort of n entries, when a
+    /// quantum is loaded into the run and when a sub-slot is merged into
+    /// it. A wheel or sub-slot insert compares nothing.
     pub order_steps: u64,
     /// Most closures held at once in one-, two- and three-line slots.
     pub slots_peak: [u64; 3],
@@ -473,6 +474,12 @@ const _: () = assert!(
 /// `t`'s sub-slot within its quantum.
 fn sub_slot(t: SimTime) -> u64 {
     (t.as_nanos() >> SUB_SHIFT) & ((1 << (QUANTUM_SHIFT - SUB_SHIFT)) - 1)
+}
+
+/// The comparison bound [`QueueStats::order_steps`] charges a sort of `n`
+/// entries: n·⌈log₂ n⌉.
+fn sort_steps(n: usize) -> u64 {
+    n as u64 * u64::from(n.next_power_of_two().trailing_zeros())
 }
 
 struct Task {
@@ -614,6 +621,7 @@ impl SimInner {
         self.wheel_len -= self.run.len();
         let stats = &mut self.queue_stats;
         stats.max_slot_population = stats.max_slot_population.max(self.run.len() as u64);
+        stats.order_steps += sort_steps(self.run.len());
         self.run
             .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
         self.run_q = q;
@@ -633,6 +641,7 @@ impl SimInner {
         );
         self.chunks.drain_into(head, &mut self.merge);
         self.sub_len -= self.merge.len() - tail;
+        self.queue_stats.order_steps += sort_steps(self.merge.len());
         self.merge
             .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
         self.run.append(&mut self.merge);

@@ -108,6 +108,9 @@ struct ChaosRun {
     /// What the two interposers injected, added together.
     chaos: ChaosStats,
     storm_suppressed: u64,
+    /// First transmissions that arrived late for a sequence the proof of
+    /// loss had passed, both endpoints added together.
+    spurious_proofs: u64,
 }
 
 fn sum(a: ChaosStats, b: ChaosStats) -> ChaosStats {
@@ -215,6 +218,7 @@ fn run_schedule<B: Backplane>(
         },
         chaos: sum(bpa.stats(), bpb.stats()),
         storm_suppressed: a.storm_suppressed() + b.storm_suppressed(),
+        spurious_proofs: a.spurious_proofs() + b.spurious_proofs(),
     })
 }
 
@@ -259,8 +263,8 @@ fn schedules() -> Vec<(&'static str, ChaosConfig, Injects)> {
 
 /// Every schedule completes exactly once on both backends, with identical
 /// fingerprints. Only the simulator, which is deterministic, is held to
-/// the injection check: on UDP a stall at t = 0 can be over before the
-/// first wall-clock send.
+/// the injection check and to the count of spurious proofs of loss: on UDP
+/// a stall at t = 0 can be over before the first wall-clock send.
 #[test]
 fn seeded_schedules_deliver_exactly_once_on_both_backends() {
     let proto = chaos_proto();
@@ -271,6 +275,14 @@ fn seeded_schedules_deliver_exactly_once_on_both_backends() {
             injects(&sim.chaos),
             "schedule '{name}' did not inject what it is named for on the simulator: {:?}",
             sim.chaos
+        );
+        // The reorder lane holds frames back within a rail, which breaks
+        // the premise of the proof of loss; the other lanes keep rails FIFO.
+        assert_eq!(
+            sim.spurious_proofs > 0,
+            chaos.reorder > 0.0,
+            "schedule '{name}': {} spurious proofs",
+            sim.spurious_proofs
         );
         let udp = run_schedule(&proto, udp_pair(&chaos), None, &format!("udp/{name}"))
             .unwrap_or_else(|e| panic!("udp run of schedule '{name}' failed: {e}"));

@@ -304,6 +304,9 @@ fn randomized_fault_schedules_deliver_exactly_once() {
             tx.data_frames_sent, rx.data_frames_recv,
             "seed {seed}: exactly-once delivery violated"
         );
+        // The fabric's rails stay FIFO under every fault: a proof of loss
+        // never NACKs a frame that was only late.
+        assert_eq!(eps[1].spurious_proofs(), 0, "seed {seed}: unsound proof");
 
         // Determinism: the same seed must reproduce the same fault pattern
         // and therefore the same protocol-level loss accounting.

@@ -883,6 +883,7 @@ proptest! {
             prop_assert_eq!(s.nacks_sent, 0, "skew was NACKed as loss");
             prop_assert_eq!(s.retransmits(), 0);
             prop_assert_eq!(s.dup_frames_recv, 0);
+            prop_assert_eq!(c.spurious_proofs(), 0, "a FIFO rail broke a proof");
             prop_assert!(c.conns()[0].quiesced());
         }
     }

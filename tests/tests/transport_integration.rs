@@ -484,3 +484,95 @@ fn a_repair_on_a_saturated_rail_reports_one_frame_of_backlog() {
         "the rail was not saturated at {t} ns: {data_before:?}"
     );
 }
+
+/// Every ordered pair of an 8-node, 4-rail mesh writes `len` bytes at once,
+/// and the run completes with every payload in place.
+fn all_to_all_on_four_rails(cfg: SystemConfig, len: usize) -> Vec<multiedge::Endpoint> {
+    let (sim, _cl, eps, conns) = rig(cfg);
+    let n = eps.len();
+    for (i, ep) in eps.iter().enumerate() {
+        for j in (0..n).filter(|&j| j != i) {
+            let (ep, conn) = (ep.clone(), conns[i][j].unwrap());
+            let data = payload((i * n + j) as u64, len);
+            sim.spawn(format!("w{i}-{j}"), async move {
+                let addr = (i as u64) << 20;
+                ep.write_bytes(conn, addr, data, OpFlags::RELAXED)
+                    .await
+                    .wait()
+                    .await;
+            });
+        }
+    }
+    sim.run().expect_quiescent();
+    for (j, ep) in eps.iter().enumerate() {
+        for i in (0..n).filter(|&i| i != j) {
+            let want = payload((i * n + j) as u64, len);
+            assert_eq!(ep.mem_read((i as u64) << 20, len), want, "{i}->{j}");
+        }
+    }
+    eps
+}
+
+fn four_rail_mesh() -> SystemConfig {
+    let mut cfg = SystemConfig::two_link_1g_unordered(8);
+    cfg.rails = 4;
+    cfg
+}
+
+/// Each connection's rotation starts at rail (node + peer − 1) mod rails,
+/// so a node's connections do not all put their first frame on one rail:
+/// with one single-frame write per ordered pair, every node's NICs send,
+/// and receive, data frames that differ by at most one from NIC to NIC.
+/// The pair (0, 1) starts on rail 0, as every two-node run does.
+#[test]
+fn all_to_all_connections_balance_a_nodes_rails() {
+    let eps = all_to_all_on_four_rails(four_rail_mesh().with_tracing(1 << 12), 64);
+    let rails = 4;
+    for (node, ep) in eps.iter().enumerate() {
+        let snap = ep.tracer().snapshot().expect("tracing enabled");
+        assert_eq!(snap.overwritten, 0);
+        let (mut sent, mut recv) = (vec![0u32; rails], vec![0u32; rails]);
+        for e in snap.events.iter().filter(|e| e.node as usize == node) {
+            let rail = e.rail.map(|r| r as usize);
+            match e.kind {
+                EventKind::FrameSend { .. } => sent[rail.expect("a send has a rail")] += 1,
+                EventKind::FrameRecv { .. } => recv[rail.expect("a receive has a rail")] += 1,
+                _ => {}
+            }
+        }
+        for (dir, counts) in [("sent", &sent), ("received", &recv)] {
+            assert_eq!(counts.iter().sum::<u32>(), 7, "node {node} {dir}");
+            let (lo, hi) = (counts.iter().min(), counts.iter().max());
+            assert!(
+                hi.unwrap() - lo.unwrap() <= 1,
+                "node {node}'s NICs {dir} {counts:?} data frames"
+            );
+        }
+        if node < 2 {
+            let first = snap
+                .events
+                .iter()
+                .find(|e| matches!(e.kind, EventKind::FrameSend { .. }) && e.conn == Some(0))
+                .expect("the connection to the other of nodes 0 and 1 sent");
+            assert_eq!(first.rail, Some(0), "pair (0, 1) starts on rail 0");
+        }
+    }
+}
+
+/// The same mesh at 1 % loss, with writes long enough that gaps are
+/// proven: every proof of loss NACKs a frame that was lost, never one that
+/// was only late, whatever rail each connection started on.
+#[test]
+fn all_to_all_proofs_of_loss_are_sound_on_four_rails() {
+    let mut cfg = four_rail_mesh();
+    cfg.fault = FaultModel {
+        loss_rate: 0.01,
+        corrupt_rate: 0.0,
+    };
+    let eps = all_to_all_on_four_rails(cfg, 64 << 10);
+    let nacks: u64 = eps.iter().map(|ep| ep.stats().nacks_sent).sum();
+    assert!(nacks > 0, "no gap was NACKed, so the run checks nothing");
+    for (node, ep) in eps.iter().enumerate() {
+        assert_eq!(ep.spurious_proofs(), 0, "node {node} NACKed a late frame");
+    }
+}
