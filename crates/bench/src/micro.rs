@@ -73,6 +73,9 @@ pub struct MicroResult {
     /// Node 0's streaming health verdict when the run was started via
     /// [`run_micro_sampled`]; `None` otherwise.
     pub health: Option<me_trace::HealthReport>,
+    /// Both nodes' proofs of loss that NACKed a frame which was only late
+    /// ([`Endpoint::spurious_proofs`]): 0 wherever rails are FIFO.
+    pub spurious_proofs: u64,
 }
 
 /// How many operations to run for a given size (bounded total volume).
@@ -257,6 +260,7 @@ pub fn run_micro_sampled(
         timeline,
         timeline_proto,
         health,
+        spurious_proofs: eps.iter().map(|e| e.spurious_proofs()).sum(),
     }
 }
 

@@ -76,6 +76,8 @@ fn line((config, kind, size, _, spans): Cell, seed: u64) -> String {
         line = format!("{config} {}/seed{seed}", kind.name());
     }
     let r = run_micro(&cfg, kind, size, ITERS);
+    // The simulator's rails are FIFO, so no proof of loss may be spurious.
+    assert_eq!(r.spurious_proofs, 0, "{line}: a late frame was NACKed");
     line += &format!(" = {:?}|{:?}", r.proto, r.net);
     if let Some(snap) = r.spans {
         assert_eq!(snap.overwritten, 0, "{line}: the span ring lost ops");

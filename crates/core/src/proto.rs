@@ -288,6 +288,10 @@ pub struct Conn<T> {
     op_meta: FastMap<u64, OpMetaInfo>,
     /// Data frames received since the last acknowledgement we sent.
     frames_since_ack: u32,
+    /// One past the highest sequence whose frame carried `ACK_REQUEST`,
+    /// 0 once an ack covering it has left: an explicit ack goes out in the
+    /// input where the cumulative ack reaches it.
+    ack_requested: u64,
     /// Per-gap-start NACK-dedup state (first seen / last NACKed), in a
     /// ring that grows with the gaps open at once up to the window, purged
     /// below the cumulative ack on every NACK check — its live size is
@@ -353,6 +357,7 @@ impl<T> Conn<T> {
             buffered_since: None,
             op_meta: FastMap::default(),
             frames_since_ack: 0,
+            ack_requested: 0,
             gaps: GapRing::with_window(proto.window as usize),
             rail_marks: Vec::new(),
             proven_below: 0,
@@ -453,6 +458,11 @@ impl<T> Conn<T> {
         let op = from_wire(below, h.op_id);
         let seq = from_wire(cum, h.seq);
         (op.wrapping_sub(below) < window && seq.wrapping_sub(cum) < window) || self.seqs.seen(seq)
+    }
+
+    /// A frame asked for an ack, and the cumulative ack now covers it.
+    fn ack_asked(&self) -> bool {
+        self.ack_requested != 0 && self.seqs.cumulative() >= self.ack_requested
     }
 }
 
@@ -830,6 +840,13 @@ impl<T> ProtoCore<T> {
         if flags.notify {
             base |= FrameFlags::NOTIFY;
         }
+        // A silent write with nothing else outstanding on its connection
+        // asks for its ack: no read response, later op or notified answer
+        // would carry it back before the delayed-ack timer.
+        let ask = kind == FrameKind::Data
+            && !flags.notify
+            && c.pending_write_ops.is_empty()
+            && c.pending_reads.is_empty();
         let op_id = c.next_op;
         c.next_op += 1;
         let fence_floor = c.last_fwd_op.map_or(0, |o| o + 1);
@@ -851,6 +868,9 @@ impl<T> ProtoCore<T> {
             }
             if i == nfrags - 1 {
                 fl |= FrameFlags::LAST_FRAGMENT;
+                if ask {
+                    fl |= FrameFlags::ACK_REQUEST;
+                }
             }
             let seq = c.next_seq;
             c.next_seq += 1;
@@ -1115,6 +1135,9 @@ impl<T> ProtoCore<T> {
             }
         }
         c.repair.on_arrival(f.header.seq, retransmit, now);
+        if f.header.flags.contains(FrameFlags::ACK_REQUEST) {
+            c.ack_requested = c.ack_requested.max(seq + 1);
+        }
         let s = &mut c.stats;
         s.data_frames_recv += 1;
         s.data_bytes_recv += bytes;
@@ -1229,7 +1252,9 @@ impl<T> ProtoCore<T> {
         c.stats.notifications += notifs.len() as u64;
         c.frames_since_ack += 1;
         let ack_now = c.frames_since_ack >= self.proto.ack_every;
-        let arm_ack = !ack_now && c.due[TimerKind::Ack as usize].is_none();
+        // A requested ack goes out below, unless a response frame carries
+        // it first: either way the delayed-ack timer has nothing to do.
+        let arm_ack = !ack_now && !c.ack_asked() && c.due[TimerKind::Ack as usize].is_none();
         let arm_nack = c.seqs.has_gap() && c.due[TimerKind::Nack as usize].is_none();
 
         for (read_addr, resp_buf, len, initiator_op) in serves.drain(..) {
@@ -1254,7 +1279,7 @@ impl<T> ProtoCore<T> {
         self.serve_scratch = serves;
         self.notify_scratch = notifs;
         self.read_done_scratch = reads_done;
-        if ack_now {
+        if ack_now || self.conns[conn].ack_asked() {
             self.send_ctrl(conn, None, host);
         }
         self.nack_proven(conn, host);
@@ -1355,6 +1380,9 @@ impl<T> ProtoCore<T> {
         } = self;
         let c = &mut conns[conn];
         let cum = c.seqs.cumulative();
+        if c.ack_requested <= cum {
+            c.ack_requested = 0;
+        }
         // Reverse-path routing: reply on the rail the peer's frames are
         // arriving on — it is demonstrably alive in at least one direction,
         // unlike a blind round-robin pick that would land half the control
@@ -1592,6 +1620,9 @@ impl<T> ProtoCore<T> {
         c.stats.data_frames_sent += n;
         c.stats.data_bytes_sent += bytes;
         c.frames_since_ack = 0;
+        if c.ack_requested <= c.seqs.cumulative() {
+            c.ack_requested = 0;
+        }
     }
 
     /// Fetch the stored frame for `seq`, refresh its piggybacked ack,

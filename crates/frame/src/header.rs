@@ -113,7 +113,12 @@ bitflags_lite! {
     /// every frame of that operation. `NOTIFY` requests a completion
     /// notification at the remote node once the whole operation has been
     /// applied. `RETRANSMIT` marks retransmitted frames (statistics only;
-    /// the receiver treats them identically).
+    /// the receiver treats them identically). `ACK_REQUEST` on a write's
+    /// last fragment asks the receiver for an explicit ack as soon as its
+    /// cumulative ack covers the frame, instead of after the delayed-ack
+    /// timer: the sender sets it when the write is the only op outstanding
+    /// on its connection and does not notify, so no other frame would
+    /// carry the ack back soon.
     pub struct FrameFlags: u16 {
         /// This operation must not be applied before any earlier operation.
         const FENCE_BACKWARD = 1 << 0;
@@ -127,6 +132,8 @@ bitflags_lite! {
         const FIRST_FRAGMENT = 1 << 4;
         /// Last fragment of its operation.
         const LAST_FRAGMENT = 1 << 5;
+        /// Ack this frame as soon as the cumulative ack covers it.
+        const ACK_REQUEST = 1 << 6;
     }
 }
 

@@ -329,12 +329,14 @@ proptest! {
     }
 }
 
-/// A host for one core fed by hand: it keeps the notifications and counts
-/// the frames the core sends back.
+/// A host for one core fed by hand: it keeps the notifications, counts
+/// the frames the core sends back and keeps the sequences of those that
+/// ask for an ack.
 #[derive(Default)]
 struct Sink {
     notes: Vec<u64>,
     sent: usize,
+    asks: Vec<u32>,
 }
 
 impl Host<u64> for Sink {
@@ -347,7 +349,12 @@ impl Host<u64> for Sink {
     fn perform(&mut self, _obs: &Observers, _now_ns: u64, effects: &mut Vec<Effect<u64>>) {
         for e in effects.drain(..) {
             match e {
-                Effect::Send { .. } => self.sent += 1,
+                Effect::Send { frame, .. } => {
+                    self.sent += 1;
+                    if frame.header.flags.contains(frame::FrameFlags::ACK_REQUEST) {
+                        self.asks.push(frame.header.seq);
+                    }
+                }
                 Effect::Notify(n) => self.notes.push(n.addr),
                 Effect::Arm { .. } | Effect::OpDone { .. } => {}
             }
@@ -483,6 +490,99 @@ fn an_overtaking_retransmission_proves_no_loss() {
     let applied: Vec<u64> = [0, 1, 3, 5, 2, 4].into_iter().map(region).collect();
     assert_eq!(sink.notes, applied, "each op applied once, as it arrived");
     assert!(rx.conns()[0].quiesced());
+}
+
+/// The last fragment of a silent write asks for its ack, and it can arrive
+/// first: an op's fragments are striped over the rails. Op 0's fragments
+/// (seqs 0-2) arrive 2 (rail 1), then 0 and 1 (rail 0), and op 1's one
+/// silent fragment (seq 3, rail 1) after them. Exactly one explicit ack
+/// goes out, at seq 1's arrival, where the cumulative ack passes seq 2:
+/// none when the asking fragment lands ahead of its gap, and none for
+/// seq 3, whose arrival finds the request already answered.
+#[test]
+fn an_early_asking_fragment_is_acked_once_the_cumulative_ack_passes_it() {
+    use frame::{FrameFlags, FrameHeader, FrameKind, MacAddr};
+    let frag = |seq: u64, op: u64, flags: FrameFlags| Frame {
+        src: MacAddr::new(0, 0),
+        dst: MacAddr::new(1, 0),
+        header: FrameHeader {
+            kind: FrameKind::Data,
+            flags,
+            seq: seq as u32,
+            op_id: op as u32,
+            op_total_len: if op == 0 { 48 } else { 16 },
+            remote_addr: region(op as usize) + 16 * (seq % 3),
+            ..FrameHeader::default()
+        },
+        payload: Bytes::from(vec![seq as u8 + 1; 16]),
+    };
+    let (first, last) = (FrameFlags::FIRST_FRAGMENT, FrameFlags::LAST_FRAGMENT);
+    let script = [
+        (1, frag(2, 0, last | FrameFlags::ACK_REQUEST), 0),
+        (0, frag(0, 0, first), 0),
+        (0, frag(1, 0, FrameFlags::empty()), 1),
+        (1, frag(3, 1, first | last), 1),
+    ];
+    let mut rx: ProtoCore<u64> = ProtoCore::new(1, ProtoConfig::default(), RAILS);
+    rx.connect(0, 0);
+    let mut sink = Sink::default();
+    for (i, (rail, f, acks)) in script.into_iter().enumerate() {
+        let now = 1_000 * (i as u64 + 1);
+        rx.on_frame(rail, f, now, now, &mut sink);
+        assert_eq!(rx.stats().explicit_acks_sent, acks, "after frame {i}");
+    }
+    assert_eq!(sink.sent, 1, "the receiver sent nothing but the one ack");
+    assert_eq!(rx.conns()[0].state().cumulative, 4);
+}
+
+/// Only a silent write alone on its connection asks, on its last fragment:
+/// a notified write does not (the peer's answer carries the ack), nor does
+/// a write issued behind an outstanding write or read (the ops ahead of it
+/// keep frames flowing back).
+#[test]
+fn only_a_silent_write_alone_on_its_connection_asks_for_its_ack() {
+    let write = |len| Op::Write {
+        remote_addr: 0x1000,
+        data: Payload::Bytes(Bytes::from(vec![7u8; len])),
+    };
+    let read = || Op::Read {
+        local_addr: 0x1000,
+        remote_addr: 0x2000,
+        len: 64,
+    };
+    let asks = |ops: Vec<(Op, OpFlags)>| {
+        let mut core = ProtoCore::<u64>::new(0, ProtoConfig::default(), RAILS);
+        core.connect(1, 0);
+        let mut sink = Sink::default();
+        for (op, flags) in ops {
+            core.issue(0, op, flags, 0, 0, 0, &mut sink);
+        }
+        sink.asks
+    };
+    let (silent, notify) = (OpFlags::RELAXED, OpFlags::RELAXED.with_notify());
+    let three_frags = 3 * frame::MAX_PAYLOAD;
+    let cases = [
+        ("a lone write", vec![(write(64), silent)], vec![0]),
+        (
+            "its last fragment",
+            vec![(write(three_frags), silent)],
+            vec![2],
+        ),
+        ("a notified write", vec![(write(64), notify)], vec![]),
+        (
+            "behind a write",
+            vec![(write(64), silent), (write(64), silent)],
+            vec![0],
+        ),
+        (
+            "behind a read",
+            vec![(read(), silent), (write(64), silent)],
+            vec![],
+        ),
+    ];
+    for (case, ops, want) in cases {
+        assert_eq!(asks(ops), want, "{case}");
+    }
 }
 
 /// Two connected cores (default protocol, fragments of [`FRAG`] bytes) over

@@ -2,7 +2,8 @@
 //! reordering, fault injection, fences, reads.
 
 use integration_tests::{payload, rig};
-use me_trace::EventKind;
+use me_trace::{analyze, EventKind, Phase, PhaseBreakdown};
+use multiedge::config::DELAYED_ACK_TIMEOUT;
 use multiedge::{OpFlags, SystemConfig};
 use netsim::FaultModel;
 
@@ -390,7 +391,7 @@ fn traced_pingpong(cfg: SystemConfig) {
 /// issues, one at a time.
 const PINNED_WRITES: u64 = 100;
 /// Engine events those writes execute, from the first poll to quiescence.
-const PINNED_WRITE_EVENTS: u64 = 1615;
+const PINNED_WRITE_EVENTS: u64 = 1502;
 
 /// The simulator's cost is its events, so their count is pinned exactly on
 /// the simplest shape there is: `PINNED_WRITES` 64 B writes, each waited
@@ -575,4 +576,25 @@ fn all_to_all_proofs_of_loss_are_sound_on_four_rails() {
     for (node, ep) in eps.iter().enumerate() {
         assert_eq!(ep.spurious_proofs(), 0, "node {node} NACKed a late frame");
     }
+}
+
+/// A silent write alone on its connection asks for its ack: with one 8 KiB
+/// write per ordered pair of the 4-rail mesh, every op completes in less
+/// than the delayed-ack timer it would otherwise wait out, and the
+/// requested ack leaves in the input where the cumulative ack reaches the
+/// op's last fragment, so the span attribution charges no ack delay at all.
+/// Were the timer the only way to an ack, the 56 ops would spend 12.35 ms
+/// in that phase and the slowest would take 515 us.
+#[test]
+fn a_lone_write_is_acked_before_the_delayed_ack_timer() {
+    let eps = all_to_all_on_four_rails(four_rail_mesh().with_spans(1 << 12), 8 << 10);
+    let snap = eps[0].span_recorder().snapshot().expect("spans enabled");
+    assert_eq!((snap.spans.len(), snap.overwritten), (56, 0));
+    let timer = DELAYED_ACK_TIMEOUT.as_nanos();
+    for span in &snap.spans {
+        let latency = PhaseBreakdown::from_span(span).latency_ns;
+        assert!(latency < timer, "{:?} took {latency} ns", span.key);
+    }
+    let ack_delay = analyze(&snap).overall.phase_total_ns[Phase::AckDelay.idx()];
+    assert_eq!(ack_delay, 0, "an op waited for its ack to be sent");
 }
