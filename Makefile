@@ -7,7 +7,7 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: verify fmt build test doc clippy loc one-core bench-failover bench-attribution figures determinism rebaseline bench-backplane bench-telemetry bench-doctor perf-smoke perf-row
+.PHONY: verify fmt build test doc clippy loc one-core bench-failover bench-attribution figures determinism rebaseline rebaseline-check bench-backplane bench-telemetry bench-doctor perf-smoke perf-row
 
 verify: fmt build test doc clippy one-core
 
@@ -150,6 +150,13 @@ determinism:
 rebaseline: figures
 	GOLDEN_REGEN=1 $(CARGO) test $(OFFLINE) -q -p multiedge-bench --test stats_equivalence
 	$(MAKE) bench-telemetry bench-doctor bench-backplane
+
+# Rebaseline is idempotent: every file it rewrites is exact (wall-clock
+# values are printed, never committed), so on a tree whose pinned files
+# are current it changes nothing. Fails, showing the diff, when a
+# committed result or the golden is stale or a wall-clock field crept in.
+rebaseline-check: rebaseline
+	git diff --exit-code -- results/ crates/bench/tests/stats_equivalence.golden
 
 # Sim-vs-real transport cross-validation: the identical protocol driver
 # over the netsim backplane and over real UDP sockets on loopback, span

@@ -7,7 +7,12 @@
 //!
 //! * `results/backplane/sim.json` / `results/backplane/udp.json` — the full
 //!   per-backend cell documents (also consumable by `me-inspect diff`),
-//! * `results/BENCH_backplane.json` — the machine-readable diff report.
+//! * `results/backplane/diff.json` — the machine-readable diff report,
+//! * `results/BENCH_backplane.json` — the committed report, exact fields
+//!   only: the simulator's side of every rollup (ops, p50/p99, phase
+//!   totals) and the ops each cell completed over UDP. The UDP side's
+//!   latencies are wall-clock, so they are printed and kept under
+//!   `results/backplane/`, never committed.
 //!
 //! Each cell's headline names the phase where the simulator's cost model
 //! and the real kernel path disagree most. A difference here is the
@@ -17,7 +22,7 @@
 //! Modes: `SMOKE=1` runs the reduced CI profile (fewer iterations and
 //! rounds).
 
-use me_trace::{Json, SCHEMA_VERSION};
+use me_trace::{Json, RollupDelta, SCHEMA_VERSION};
 use multiedge_bench::backplane::{cell_doc, run_wire_cell, wire_cells, WireBackend};
 use multiedge_bench::{results_dir, smoke};
 
@@ -78,12 +83,42 @@ fn main() {
         report.missing
     );
 
-    let doc = report
+    let diff = report
         .to_json()
         .set("profile", profile)
         .set("old_backend", "sim")
         .set("new_backend", "udp");
+    let path = out_dir.join("diff.json");
+    std::fs::write(&path, diff.render_pretty()).expect("write diff json");
+    println!("wrote {}", path.display());
+
+    // The committed report: the simulator's side of each rollup, and how
+    // many ops completed over UDP.
+    let sim_side = |d: &RollupDelta| {
+        Json::obj()
+            .set("name", d.name.as_str())
+            .set("sim", d.old.to_json())
+    };
+    let cells: Vec<Json> = report
+        .cells
+        .iter()
+        .map(|c| {
+            let parts: Vec<Json> = c.parts.iter().map(sim_side).collect();
+            sim_side(&c.overall)
+                .set("udp_ops", c.overall.new.ops)
+                .set("parts", parts)
+        })
+        .collect();
+    let doc = Json::obj()
+        .set("schema_version", SCHEMA_VERSION)
+        .set("kind", "multiedge_backplane_report")
+        .set("profile", profile)
+        .set("cells", cells)
+        .set(
+            "gate",
+            "every cell completes on both backends; the UDP side's latencies are wall-clock: printed, and in results/backplane/",
+        );
     let out = results_dir().join("BENCH_backplane.json");
-    std::fs::write(&out, doc.render_pretty()).expect("write diff json");
+    std::fs::write(&out, doc.render_pretty()).expect("write report json");
     println!("wrote results/BENCH_backplane.json");
 }

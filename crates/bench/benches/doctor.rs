@@ -30,8 +30,9 @@
 //! The cost gates: [`multiedge_bench::plane_overhead`] over a run with
 //! sampling off and one with the sampler and its monitor asserts no
 //! allocation per data frame and an identical stats fingerprint (the
-//! frames/wall-s ratio is printed, not judged); a second pair, sampled
-//! every 1 ms and every 250 µs, asserts no allocation per sample row.
+//! frames/wall-s ratio is printed, neither judged nor written); a second
+//! pair, sampled every 1 ms and every 250 µs, asserts no allocation per
+//! sample row.
 
 use me_trace::{AlarmKind, HealthReport, IncidentCause, Json, SCHEMA_VERSION};
 use multiedge::SystemConfig;
@@ -461,7 +462,7 @@ fn main() {
         .set("mode", if smoke { "smoke" } else { "full" })
         .set(
             "methodology",
-            "sampling off / sampler+monitor on pair at two run lengths: fingerprints equal and marginal allocs/frame asserted, fps ratio reported only; 1 ms / 250 us sampled pair at the same two lengths: stats equal and marginal allocs/sample row asserted; base + per-interval deltas reconciled exactly against end-of-run ProtoStats in the overhead, rail-outage and chaos-burst runs, and each incast node's data_bytes_recv against its end-of-run count; every cell replays its JSONL artifact offline and requires a byte-identical report",
+            "sampling off / sampler+monitor on pair at two run lengths: fingerprints equal and marginal allocs/frame asserted, fps ratio printed, not written; 1 ms / 250 us sampled pair at the same two lengths: stats equal and marginal allocs/sample row asserted; base + per-interval deltas reconciled exactly against end-of-run ProtoStats in the overhead, rail-outage and chaos-burst runs, and each incast node's data_bytes_recv against its end-of-run count; every cell replays its JSONL artifact offline and requires a byte-identical report",
         )
         .set("overhead", overhead)
         .set("rail_outage", rail)

@@ -11,8 +11,9 @@
 //! * **flight recorder** — the always-on recorder on the two-way 64 KiB
 //!   stream is purely observational ([`multiedge_bench::plane_overhead`]):
 //!   no allocation per frame with it armed and an identical stats
-//!   fingerprint are asserted; the frames/wall-s ratio is printed, not
-//!   judged (that claim is `trace.planes_on_fps_ratio` in `perf/`).
+//!   fingerprint are asserted; the frames/wall-s ratio is printed,
+//!   neither judged nor written (that claim is
+//!   `trace.planes_on_fps_ratio` in `perf/`).
 //!
 //! The sampler's and the health monitor's gates, and the timeline
 //! artifacts, are the doctor bench's. This bench writes the committed
@@ -193,7 +194,7 @@ fn main() {
         .set("mode", if smoke { "smoke" } else { "full" })
         .set(
             "methodology",
-            "datapath: 2x2 double difference, marginal allocs/frame asserted 0 and allocs/op held to a ceiling; smallop: 64 B ping-pong from memory, run-length difference, allocs/op held to a ceiling; flight recorder: off/on pair at two run lengths, fingerprints equal and marginal allocs/frame asserted, fps ratio reported only",
+            "datapath: 2x2 double difference, marginal allocs/frame asserted 0 and allocs/op held to a ceiling; smallop: 64 B ping-pong from memory, run-length difference, allocs/op held to a ceiling; flight recorder: off/on pair at two run lengths, fingerprints equal and marginal allocs/frame asserted, fps ratio printed, not written",
         )
         .set("datapath", datapath)
         .set("smallop", smallop)

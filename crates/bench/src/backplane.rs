@@ -11,8 +11,9 @@
 //! simulator's cost model and a real kernel/network path disagree.
 //!
 //! The UDP rounds run on the wall clock, so unlike the simulator they are
-//! **not** bit-reproducible; the committed `results/BENCH_backplane.json`
-//! is a representative sample, not a gate (see `docs/BACKPLANE.md`).
+//! **not** bit-reproducible: the committed `results/BENCH_backplane.json`
+//! keeps only the simulator's cells and the UDP side's completed op
+//! counts (see `docs/BACKPLANE.md`).
 
 use bytes::Bytes;
 use me_trace::{analyze, Attribution, Json, SpanRecorder, SpanSnapshot, SCHEMA_VERSION};

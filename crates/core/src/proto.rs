@@ -1117,7 +1117,7 @@ impl<T> ProtoCore<T> {
                 c.stats.dup_frames_recv += 1;
                 // Immediate explicit ack: recovers from lost acks (§2.4
                 // corner cases — "link failures and lost acknowledgments").
-                self.send_ctrl(conn, None, host);
+                self.send_ctrl(conn, None, false, host);
                 return;
             }
             Admit::New { in_order } => in_order,
@@ -1126,6 +1126,11 @@ impl<T> ProtoCore<T> {
             c.rail_marks.resize(nrails, 0);
         }
         let cum = c.seqs.cumulative();
+        // A repair that fills a gap moves the cumulative ack past itself:
+        // the sender's window waits for that news, so it is acked at once,
+        // ahead of queued data (RFC 5681 §4.2's gap-fill ack, limited to
+        // repairs: first transmissions fill reorder gaps all the time).
+        let fills_gap = retransmit && cum > seq + 1;
         // Only first transmissions keep a rail's order: a retransmission
         // may overtake new frames still queued on its rail, so it proves
         // nothing about them.
@@ -1251,7 +1256,8 @@ impl<T> ProtoCore<T> {
         let c = &mut self.conns[conn];
         c.stats.notifications += notifs.len() as u64;
         c.frames_since_ack += 1;
-        let ack_now = c.frames_since_ack >= self.proto.ack_every;
+        // A gap-filling repair is acked at once whatever a response carries.
+        let ack_now = fills_gap || c.frames_since_ack >= self.proto.ack_every;
         // A requested ack goes out below, unless a response frame carries
         // it first: either way the delayed-ack timer has nothing to do.
         let arm_ack = !ack_now && !c.ack_asked() && c.due[TimerKind::Ack as usize].is_none();
@@ -1280,7 +1286,7 @@ impl<T> ProtoCore<T> {
         self.notify_scratch = notifs;
         self.read_done_scratch = reads_done;
         if ack_now || self.conns[conn].ack_asked() {
-            self.send_ctrl(conn, None, host);
+            self.send_ctrl(conn, None, fills_gap, host);
         }
         self.nack_proven(conn, host);
         if arm_ack {
@@ -1334,7 +1340,7 @@ impl<T> ProtoCore<T> {
         match timer {
             TimerKind::Ack => {
                 if self.conns[conn].frames_since_ack > 0 {
-                    self.send_ctrl(conn, None, host);
+                    self.send_ctrl(conn, None, false, host);
                 }
             }
             TimerKind::Nack => self.nack_check_fire(conn, host),
@@ -1369,7 +1375,15 @@ impl<T> ProtoCore<T> {
 
     /// Build and send a control frame: a NACK for `nack`'s ranges, or an
     /// explicit positive acknowledgement. Both carry the cumulative ack.
-    fn send_ctrl<H: Host<T>>(&mut self, conn: usize, nack: Option<&NackRanges>, host: &mut H) {
+    /// An ack that answers a repair (`repair`) is flagged `RETRANSMIT`, so
+    /// it leaves ahead of queued data as the repair did.
+    fn send_ctrl<H: Host<T>>(
+        &mut self,
+        conn: usize,
+        nack: Option<&NackRanges>,
+        repair: bool,
+        host: &mut H,
+    ) {
         let (now, now_ns) = (self.now, self.now_ns());
         let Self {
             conns,
@@ -1403,6 +1417,10 @@ impl<T> ProtoCore<T> {
                 conn: c.peer_conn_id,
                 seq: to_wire(c.next_seq),
                 ack: to_wire(cum),
+                flags: match repair {
+                    true => FrameFlags::RETRANSMIT,
+                    false => FrameFlags::empty(),
+                },
                 ..FrameHeader::default()
             },
             payload,
@@ -1521,7 +1539,7 @@ impl<T> ProtoCore<T> {
     fn send_nack<H: Host<T>>(&mut self, conn: usize, mut due: Vec<(u32, u32)>, host: &mut H) {
         if !due.is_empty() {
             let ranges = NackRanges { ranges: due };
-            self.send_ctrl(conn, Some(&ranges), host);
+            self.send_ctrl(conn, Some(&ranges), false, host);
             due = ranges.ranges;
             due.clear();
         }

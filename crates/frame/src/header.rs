@@ -112,13 +112,15 @@ bitflags_lite! {
     /// flags; they are properties of the *operation* and are replicated into
     /// every frame of that operation. `NOTIFY` requests a completion
     /// notification at the remote node once the whole operation has been
-    /// applied. `RETRANSMIT` marks retransmitted frames (statistics only;
-    /// the receiver treats them identically). `ACK_REQUEST` on a write's
-    /// last fragment asks the receiver for an explicit ack as soon as its
-    /// cumulative ack covers the frame, instead of after the delayed-ack
-    /// timer: the sender sets it when the write is the only op outstanding
-    /// on its connection and does not notify, so no other frame would
-    /// carry the ack back soon.
+    /// applied. `RETRANSMIT` marks repair traffic: a retransmitted frame, or
+    /// the ack its arrival triggered when it filled a gap. A transmitter
+    /// with priority bands sends it ahead of queued data, and a receiver
+    /// takes a retransmission's arrival as no proof of the order of its
+    /// rail. `ACK_REQUEST` on a write's last fragment asks the receiver for
+    /// an explicit ack as soon as its cumulative ack covers the frame,
+    /// instead of after the delayed-ack timer: the sender sets it when the
+    /// write is the only op outstanding on its connection and does not
+    /// notify, so no other frame would carry the ack back soon.
     pub struct FrameFlags: u16 {
         /// This operation must not be applied before any earlier operation.
         const FENCE_BACKWARD = 1 << 0;
@@ -126,7 +128,8 @@ bitflags_lite! {
         const FENCE_FORWARD = 1 << 1;
         /// Notify the remote application once the operation is applied.
         const NOTIFY = 1 << 2;
-        /// Retransmitted frame (statistics only; handled identically).
+        /// Repair traffic: a retransmitted frame, or the ack its arrival
+        /// triggered.
         const RETRANSMIT = 1 << 3;
         /// First fragment of its operation.
         const FIRST_FRAGMENT = 1 << 4;

@@ -37,7 +37,8 @@
 //! A switch output port is one FIFO, so a frame's start is fixed at submit
 //! too. A NIC's transmit channel has two bands, repairs before data, the
 //! way a `pfifo_fast` priority map sends a frame by its header: a NACK or a
-//! frame flagged `RETRANSMIT` ([`is_repair`]) waits only for the frame
+//! frame flagged `RETRANSMIT` ([`is_repair`]: a retransmission, or the ack
+//! that a gap-filling retransmission drew) waits only for the frame
 //! already on the wire and the repairs ahead of it, not for the data queued
 //! behind. Everything but the start is still fixed at submit — the draws,
 //! the link state, the queue limit, and the engine order stamps of the
@@ -136,7 +137,8 @@ pub struct RxFrame {
 type RxHandler = Rc<dyn Fn(&Sim, RxFrame)>;
 type TxCompleteHandler = Rc<dyn Fn(&Sim, usize)>;
 
-/// Whether `f` takes a NIC's repair band: a NACK, or a retransmission.
+/// Whether `f` takes a NIC's repair band: a NACK, a retransmission, or the
+/// ack of a retransmission that filled a gap (both flagged `RETRANSMIT`).
 pub fn is_repair(f: &Frame) -> bool {
     f.header.kind == FrameKind::Nack || f.header.flags.contains(FrameFlags::RETRANSMIT)
 }
@@ -1351,6 +1353,38 @@ mod tests {
             }
         }
         assert_eq!(rx.iter().map(|&(_, len)| len).collect::<Vec<_>>(), order);
+    }
+
+    /// An explicit ack flagged `RETRANSMIT`, the ack a gap-filling repair
+    /// draws, takes the repair band: submitted behind queued data it is
+    /// delivered right after the frame that was on the wire. An unflagged
+    /// ack waits behind the queue.
+    #[test]
+    fn a_flagged_ack_overtakes_the_queued_data() {
+        let delivered = |flagged: bool| -> Vec<FrameKind> {
+            let (sim, net, a, b) = two_node_net(FaultModel::default());
+            let rx: Rc<RefCell<Vec<FrameKind>>> = Rc::default();
+            let r = rx.clone();
+            net.set_rx_handler(b, move |_, f| r.borrow_mut().push(f.frame.header.kind));
+            let (src, dst) = (MacAddr::new(0, 0), MacAddr::new(1, 0));
+            let n = net.clone();
+            sim.schedule_at(SimTime::ZERO, move |_| {
+                for _ in 0..4 {
+                    n.nic_send(a, data_frame(src, dst, 1454));
+                }
+                let mut ack = data_frame(src, dst, 0);
+                ack.header.kind = FrameKind::Ack;
+                if flagged {
+                    ack.header.flags |= FrameFlags::RETRANSMIT;
+                }
+                n.nic_send(a, ack);
+            });
+            sim.run();
+            rx.take()
+        };
+        use FrameKind::{Ack, Data};
+        assert_eq!(delivered(true), [Data, Ack, Data, Data, Data]);
+        assert_eq!(delivered(false), [Data, Data, Data, Data, Ack]);
     }
 
     /// The fault decisions and the counters of a submit sequence are the

@@ -35,6 +35,17 @@ pub struct Totals {
     pub phase_ns: [u64; PHASES.len()],
 }
 
+impl Totals {
+    /// `{ops, latency_p50_ns, latency_p99_ns, phase_total_ns}`.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .set("ops", self.ops)
+            .set("latency_p50_ns", self.p50_ns)
+            .set("latency_p99_ns", self.p99_ns)
+            .set("phase_total_ns", by_phase(&self.phase_ns))
+    }
+}
+
 /// One rollup (a cell's overall, a connection, or a rail) on both sides.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RollupDelta {
@@ -217,18 +228,11 @@ fn by_phase<T: Copy + Into<Json>>(values: &[T; PHASES.len()]) -> Json {
 }
 
 fn rollup_json(d: &RollupDelta) -> Json {
-    let side = |t: &Totals| {
-        Json::obj()
-            .set("ops", t.ops)
-            .set("latency_p50_ns", t.p50_ns)
-            .set("latency_p99_ns", t.p99_ns)
-            .set("phase_total_ns", by_phase(&t.phase_ns))
-    };
     Json::obj()
         .set("name", d.name.as_str())
         .set("headline", d.headline())
-        .set("old", side(&d.old))
-        .set("new", side(&d.new))
+        .set("old", d.old.to_json())
+        .set("new", d.new.to_json())
         .set("per_op_delta_ns", by_phase(&d.per_op_delta_ns()))
 }
 

@@ -330,13 +330,14 @@ proptest! {
 }
 
 /// A host for one core fed by hand: it keeps the notifications, counts
-/// the frames the core sends back and keeps the sequences of those that
-/// ask for an ack.
+/// the frames the core sends back, keeps the sequences of those that ask
+/// for an ack and, per explicit ack, whether it is flagged `RETRANSMIT`.
 #[derive(Default)]
 struct Sink {
     notes: Vec<u64>,
     sent: usize,
     asks: Vec<u32>,
+    acks: Vec<bool>,
 }
 
 impl Host<u64> for Sink {
@@ -351,8 +352,13 @@ impl Host<u64> for Sink {
             match e {
                 Effect::Send { frame, .. } => {
                     self.sent += 1;
-                    if frame.header.flags.contains(frame::FrameFlags::ACK_REQUEST) {
+                    let flags = frame.header.flags;
+                    if flags.contains(frame::FrameFlags::ACK_REQUEST) {
                         self.asks.push(frame.header.seq);
+                    }
+                    if frame.header.kind == frame::FrameKind::Ack {
+                        self.acks
+                            .push(flags.contains(frame::FrameFlags::RETRANSMIT));
                     }
                 }
                 Effect::Notify(n) => self.notes.push(n.addr),
@@ -533,6 +539,57 @@ fn an_early_asking_fragment_is_acked_once_the_cumulative_ack_passes_it() {
     }
     assert_eq!(sink.sent, 1, "the receiver sent nothing but the one ack");
     assert_eq!(rx.conns()[0].state().cumulative, 4);
+}
+
+/// Feed `script` — (rail, seq, retransmitted) of one-fragment writes — to
+/// a fresh receiver and return, per frame, the explicit acks it sent in
+/// that input (`true` for one flagged `RETRANSMIT`).
+fn acks_per_input(script: &[(usize, u64, bool)]) -> Vec<Vec<bool>> {
+    let mut rx: ProtoCore<u64> = ProtoCore::new(1, ProtoConfig::default(), RAILS);
+    rx.connect(0, 0);
+    let mut sink = Sink::default();
+    let mut out = Vec::new();
+    for (i, &(rail, seq, retransmit)) in script.iter().enumerate() {
+        let mut f = write_frame(seq, seq);
+        if retransmit {
+            f.header.flags |= frame::FrameFlags::RETRANSMIT;
+        }
+        let now = 1_000 * (i as u64 + 1);
+        rx.on_frame(rail, f, now, now, &mut sink);
+        out.push(std::mem::take(&mut sink.acks));
+    }
+    assert_eq!(rx.stats().nacks_sent, 0, "no gap here is proven");
+    out
+}
+
+/// A retransmission that fills a gap moves the cumulative ack past itself
+/// and is acked in its own input, flagged `RETRANSMIT` so the ack leaves
+/// ahead of queued data. Seq 1 is missing between 0 (rail 0) and 2 (rail
+/// 1); its repair draws exactly one flagged ack. A repair with nothing
+/// beyond it (seq 3, a tail) fills no gap and draws none.
+#[test]
+fn a_repair_that_fills_a_gap_is_acked_at_once_as_a_repair() {
+    let script = [(0, 0, false), (1, 2, false), (0, 1, true), (1, 3, true)];
+    assert_eq!(
+        acks_per_input(&script),
+        [vec![], vec![], vec![true], vec![]]
+    );
+}
+
+/// Two-rail runs reorder first transmissions all the time: a first
+/// transmission that fills the same gap draws no ack of its own.
+#[test]
+fn a_first_transmission_that_fills_a_reorder_gap_draws_no_ack() {
+    let script = [(0, 0, false), (1, 2, false), (0, 1, false)];
+    assert_eq!(acks_per_input(&script), [vec![], vec![], vec![]]);
+}
+
+/// A duplicate retransmission is acked at once as before, unflagged: it
+/// fills nothing, and its ack recovers a lost one.
+#[test]
+fn a_duplicate_retransmission_draws_an_unflagged_ack() {
+    let script = [(0, 0, false), (1, 1, false), (0, 1, true)];
+    assert_eq!(acks_per_input(&script), [vec![], vec![], vec![false]]);
 }
 
 /// Only a silent write alone on its connection asks, on its last fragment:
